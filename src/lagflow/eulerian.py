@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Field, Grid, TimeSeries, spatial_norm
+from .fields import Field, spatial_norm
 from .fixedpoint import SolutionBundle
 from .flow import invert_flow
 from .interp import InterpPlan

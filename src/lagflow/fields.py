@@ -10,7 +10,7 @@ Sobolev / Sobolev-Slobodeckij norms used by the run monitors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,10 +142,6 @@ class Grid:
         loop += [(i, n2 - 1) for i in range(n1 - 1, 0, -1)]
         loop += [(0, j) for j in range(n2 - 1, 0, -1)]
         return np.array(loop)
-
-    def refine(self) -> "Grid":
-        """Grid with every cell halved (n -> 2n - 1 per axis)."""
-        return Grid(self.dim, tuple(2 * n - 1 for n in self.extent), self.box)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from .flow import (
     identity_noise_flow,
     integrate_label_flow,
     integrate_noise_flow,
+    mat_det,
+    mat_inv,
     stopping_monitor,
 )
 from .lame import FluidParams, LameOperator, apply_B, solve_lame, solve_stoch_convolution
@@ -35,6 +37,7 @@ from .nonlinear import (
     assemble_F_u,
     density_from_jacobian,
     energy_report,
+    extended_normal_field,
     nonlinearity_norm_report,
 )
 from .noise import BrownianBundle, StochasticForcing, TransportField
@@ -71,10 +74,7 @@ class SolveConfig:
     dt: float = 1e-3
     picard_tol: float = 1e-9
     picard_max_iter: int = 12
-    eps_reg: float = 0.25     # forcing-regularity tag, recorded in reports
-    C_monitor: float = 1.0
     pad_cells: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         if not self.p > 2:
@@ -181,23 +181,42 @@ class PsiResult:
     states: list[FlowState]
     monitor: MonitorResult
     n_frames: int              # usable frames (window [0, sigma])
-    rho_stack: np.ndarray
     F_u: np.ndarray
     F_Gamma_ext: np.ndarray    # full-grid assembly against the extended normal
 
 
-def apply_Psi(v1: TimeSeries, U: TimeSeries, op: LameOperator, rho0: Field,
-              u0: Field, params: FluidParams, cfg: SolveConfig,
-              nf: NoiseFlow, N_ext: Field) -> PsiResult:
-    """One application of the solution map on the monitored window."""
-    grid = v1.grid
-    ubar = TimeSeries(grid, v1.times, v1.values + U.values[: len(v1)])
-    Y, gradY = integrate_label_flow(ubar, nf)
-    states = compose_flow(nf, Y, gradY, cfg.eps_star)
+def _drift(v: TimeSeries, U: TimeSeries) -> TimeSeries:
+    """ubar = v + U on the window of v."""
+    return TimeSeries(v.grid, v.times, v.values + U.values[: len(v)])
+
+
+def _monitor_window(states: list[FlowState], cfg: SolveConfig,
+                    grid: Grid) -> tuple[MonitorResult, int]:
+    """Stopping monitor of the states and the usable window length."""
     monitor = stopping_monitor(states, cfg.monitor(), grid)
     n_frames = len(states) if not monitor.fired else max(2, monitor.fired_index + 1)
-    times_w = v1.times[:n_frames]
+    return monitor, n_frames
 
+
+def _flow_stage(ubar: TimeSeries, nf: NoiseFlow, cfg: SolveConfig):
+    """Label flow, composition X = psi o Y, monitor and window length.
+
+    ``ubar`` may be shorter than the noise grid (a stopped window of an
+    earlier iterate); the flow is integrated on its levels only.
+    """
+    Y, gradY = integrate_label_flow(ubar, nf)
+    states = compose_flow(nf, Y, gradY, cfg.eps_star)
+    monitor, n_frames = _monitor_window(states, cfg, ubar.grid)
+    return states, monitor, n_frames
+
+
+def _assemble_and_solve(ubar: TimeSeries, states: list[FlowState],
+                        monitor: MonitorResult, n_frames: int,
+                        op: LameOperator, rho0: Field, u0: Field,
+                        params: FluidParams, N_ext: Field) -> PsiResult:
+    """F_u and F_Gamma on the first ``n_frames`` levels, then the Lame solve."""
+    grid = ubar.grid
+    times_w = ubar.times[:n_frames]
     idx_b, normals_b = grid.boundary_nodes()
     bsel = tuple(idx_b.T)
     L = n_frames
@@ -220,22 +239,28 @@ def apply_Psi(v1: TimeSeries, U: TimeSeries, op: LameOperator, rho0: Field,
         # up to discretization; the initial check is reported by the driver
         warnings.simplefilter("ignore", UserWarning)
         v = solve_lame(op, f_series, F_G_b, u0, times_w)
-    rho_stack = np.stack([rho0.values / states[n].J for n in range(L)])
-    return PsiResult(v, states[:L], monitor, L, rho_stack, F_u, F_G_ext)
+    return PsiResult(v, states[:L], monitor, L, F_u, F_G_ext)
 
 
-# ---------------------------------------------------------------------------
-# Picard driver
-# ---------------------------------------------------------------------------
+def apply_Psi(v1: TimeSeries, U: TimeSeries, op: LameOperator, rho0: Field,
+              u0: Field, params: FluidParams, cfg: SolveConfig,
+              nf: NoiseFlow, N_ext: Field) -> PsiResult:
+    """One application of the solution map on the monitored window."""
+    ubar = _drift(v1, U)
+    states, monitor, n_frames = _flow_stage(ubar, nf, cfg)
+    return _assemble_and_solve(ubar, states, monitor, n_frames, op, rho0, u0,
+                               params, N_ext)
+
 
 def apply_Psi_deterministic(v1: TimeSeries, op: LameOperator, rho0: Field,
                             u0: Field, params: FluidParams,
                             cfg: SolveConfig, N_ext: Field) -> PsiResult:
-    """Noise-free reference for the solution map.
+    """Noise-free oracle for the solution map.
 
     Never constructs noise objects: the label flow is integrated directly
-    (dY/dt = u(t, y), Heun) and X = Y.  Used to pin down the deterministic
-    reduction of the full pipeline.
+    (dY/dt = u(t, y), Heun) and X = Y.  Monitor, assembly and solve are the
+    ones of ``apply_Psi``, so a comparison pins down the flow layer's
+    deterministic reduction.
     """
     grid = v1.grid
     dim = grid.dim
@@ -253,7 +278,6 @@ def apply_Psi_deterministic(v1: TimeSeries, op: LameOperator, rho0: Field,
         g = g + 0.5 * dt * (gub[n] + gub[n + 1])
         Y[n + 1] = y
         G[n + 1] = g
-    from .flow import FlowState, mat_det, mat_inv
     eye = np.eye(dim)
     states = []
     for n in range(L):
@@ -263,31 +287,14 @@ def apply_Psi_deterministic(v1: TimeSeries, op: LameOperator, rho0: Field,
         Z = mat_inv(G[n], J)
         states.append(FlowState(float(v1.times[n]), Y[n], G[n], Z, J, valid,
                                 max(0.0, dev - cfg.eps_star)))
-    monitor = stopping_monitor(states, cfg.monitor(), grid)
-    n_frames = len(states) if not monitor.fired else max(2, monitor.fired_index + 1)
-    times_w = v1.times[:n_frames]
-    idx_b, normals_b = grid.boundary_nodes()
-    bsel = tuple(idx_b.T)
-    F_u = np.empty((n_frames,) + grid.extent + (dim,))
-    F_G_b = np.empty((n_frames, len(idx_b), dim))
-    F_G_ext = np.empty((n_frames,) + grid.extent + (dim,))
-    for n in range(n_frames):
-        s = states[n]
-        Gn = gub[n]
-        H = hessian_values(grid, ub[n])
-        dZ = gradient_values(grid, s.Z)
-        F_u[n] = assemble_F_u(grid, Gn, H, s.Z, dZ, s.J, rho0.values, params)
-        F_G_b[n] = assemble_F_Gamma(Gn[bsel], s.Z[bsel], s.J[bsel],
-                                    rho0.values[bsel], normals_b, params)
-        F_G_ext[n] = assemble_F_Gamma(Gn, s.Z, s.J, rho0.values,
-                                      N_ext.values, params)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        v = solve_lame(op, TimeSeries(grid, times_w, F_u), F_G_b, u0, times_w)
-    rho_stack = np.stack([rho0.values / states[n].J for n in range(n_frames)])
-    return PsiResult(v, states[:n_frames], monitor, n_frames, rho_stack,
-                     F_u, F_G_ext)
+    monitor, n_frames = _monitor_window(states, cfg, grid)
+    return _assemble_and_solve(v1, states, monitor, n_frames, op, rho0, u0,
+                               params, N_ext)
 
+
+# ---------------------------------------------------------------------------
+# Picard driver
+# ---------------------------------------------------------------------------
 
 @dataclass
 class SolutionBundle:
@@ -315,16 +322,15 @@ class SolutionBundle:
 
 def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
                  Q: TransportField, bundle: BrownianBundle | None,
-                 forcing: StochasticForcing | None,
-                 collect_reports: bool = True,
-                 deterministic_path: bool = False) -> SolutionBundle:
+                 forcing: StochasticForcing | None) -> SolutionBundle:
     """Stopped fixed-point iteration of the solution map.
 
     Starts from the reference solution, iterates until the successive
     difference in the solution norm drops below the Picard tolerance, and
     rebuilds the flow of the converged velocity for the returned record.
-    ``deterministic_path`` switches to the reference implementation that
-    never constructs noise objects (only sensible with K = 0, M = 0).
+    Each iterate runs on the window left by the monitor of the previous
+    ones, so the window only shrinks.  The record's seed is the Brownian
+    bundle's (None without a bundle).
 
     Two aborts: a ``ValueError`` before the first iterate when
     r + E1(v_ref) > R, and a ``PicardDivergence`` carrying the iterate
@@ -340,22 +346,17 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
         warnings.warn(f"initial compatibility residual {compat:.3e}; "
                       "the run proceeds", stacklevel=2)
 
-    if deterministic_path and (Q.K > 0 or (forcing is not None and forcing.M > 0)):
-        raise ValueError("the deterministic path requires K = 0 and M = 0")
     if forcing is not None and forcing.M > 0:
         if bundle is None:
             raise ValueError("forcing modes need a Brownian bundle")
         U = solve_stoch_convolution(op, forcing, bundle)
     else:
         U = TimeSeries(grid, times, np.zeros((len(times),) + grid.extent + (grid.dim,)))
-    if deterministic_path:
-        nf = None
-    elif Q.K > 0 and bundle is not None:
+    if Q.K > 0 and bundle is not None:
         nf = integrate_noise_flow(Q, bundle, grid, cfg.pad_cells)
     else:
         nf = identity_noise_flow(grid, times, cfg.pad_cells)
 
-    from .nonlinear import extended_normal_field
     N_ext = extended_normal_field(grid)
 
     with warnings.catch_warnings():
@@ -374,12 +375,8 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     converged = False
     rising = 0
     for it in range(1, cfg.picard_max_iter + 1):
-        if deterministic_path:
-            res = apply_Psi_deterministic(v_prev.restrict(n_frames), op, rho0,
-                                          u0, params, cfg, N_ext)
-        else:
-            res = apply_Psi(v_prev.restrict(n_frames), U, op, rho0, u0, params,
-                            cfg, nf, N_ext)
+        res = apply_Psi(v_prev.restrict(n_frames), U, op, rho0, u0, params,
+                        cfg, nf, N_ext)
         n_frames = min(n_frames, res.n_frames)
         dv = TimeSeries(grid, times[:n_frames],
                         res.v.values[:n_frames] - v_prev.values[:n_frames])
@@ -411,16 +408,8 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
 
     # rebuild the Lagrangian record of the converged velocity
     v_final = v_prev.restrict(n_frames)
-    ubar = TimeSeries(grid, times[:n_frames],
-                      v_final.values + U.values[:n_frames])
-    if deterministic_path:
-        final = apply_Psi_deterministic(v_final, op, rho0, u0, params, cfg, N_ext)
-        states, monitor = final.states, final.monitor
-    else:
-        Y, gradY = integrate_label_flow(ubar, nf)
-        states = compose_flow(nf, Y, gradY, cfg.eps_star)
-        monitor = stopping_monitor(states, cfg.monitor(), grid)
-    keep = n_frames if not monitor.fired else monitor.fired_index + 1
+    ubar = _drift(v_final, U)
+    states, monitor, keep = _flow_stage(ubar, nf, cfg)
     while keep > 1 and not states[keep - 1].valid:
         keep -= 1
     if keep < 2:
@@ -439,10 +428,9 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     U_out = U.restrict(keep)
     ubar_out = ubar.restrict(keep)
 
-    energy = (energy_report(rho_stack, ubar_out, states, params)
-              if collect_reports else {})
+    energy = energy_report(rho_stack, ubar_out, states, params)
     rep = None
-    if collect_reports and last is not None:
+    if last is not None:
         k = min(keep, last.n_frames)
         rep = nonlinearity_norm_report(
             grid, times[:k], last.F_u[:k], last.F_Gamma_ext[:k], rho0, U,
@@ -451,7 +439,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
         grid, times[:keep], v_out, U_out, ubar_out, rho_stack, states, monitor,
         tau, kappa, iterations, diffs, converged, energy, rep, positive, compat,
         metadata={
-            "seed": cfg.seed,
+            "seed": None if bundle is None else bundle.seed,
             "ref_norm": ref_norm,
             "unbounded_transport_fields": bool(getattr(Q, "unbounded", False)),
         },

@@ -14,7 +14,7 @@ and freezes the usable window at their first crossing of delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "stopping_monitor",
     "flow_diagnostics",
     "jacobian_ode_oracle",
-    "solve_flow",
 ]
 
 
@@ -212,17 +211,19 @@ def identity_noise_flow(grid: Grid, times: np.ndarray, pad_cells: int = 4) -> No
 def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow):
     """Heun integration of the label ODE; returns (Y, gradY) level stacks.
 
-    grad Y solves the variational equation obtained by differentiating the
+    ``ubar`` may cover a window prefix of the noise grid: the first
+    ``len(ubar)`` levels are integrated, and they do not depend on the levels
+    after them.  grad Y solves the variational equation obtained by differentiating the
     integrand with the product/chain rule, using the tracked derivatives of
     Dpsi^{-1} interpolated at the moving points.
     """
-    if len(ubar) != nf.n_levels or abs(ubar.step - nf.step) > 1e-12:
+    if len(ubar) > nf.n_levels or abs(ubar.step - nf.step) > 1e-12:
         raise ValueError("velocity frames must be aligned with the noise grid")
     grid = ubar.grid
     dim = grid.dim
     dt = nf.step
     pts0 = grid.coords()
-    L = nf.n_levels
+    L = len(ubar)
     Y = np.empty((L,) + pts0.shape)
     G = np.empty((L,) + pts0.shape[:-1] + (dim, dim))
     Y[0] = pts0
@@ -273,6 +274,8 @@ def compose_flow(nf: NoiseFlow, Y: np.ndarray, gradY: np.ndarray,
                  eps_star: float = 0.25) -> list[FlowState]:
     """X = psi(Y), grad X = Dpsi(Y) grad Y, then Z and J per level.
 
+    One state per level of ``Y``, which may be a window prefix of ``nf``.
+
     The closed-form inversion is guarded by |grad X - I| <= eps_star in the
     nodewise Frobenius surrogate; a violating level is marked invalid (the
     stopping monitor then fires there).
@@ -280,7 +283,7 @@ def compose_flow(nf: NoiseFlow, Y: np.ndarray, gradY: np.ndarray,
     states = []
     dim = nf.dim
     eye = np.eye(dim)
-    for n in range(nf.n_levels):
+    for n in range(len(Y)):
         plan = nf.plan(Y[n], time=nf.times[n])
         X = plan.apply(nf.psi[n])
         gradX = np.einsum("...ij,...jk->...ik", plan.apply(nf.Dpsi[n]), gradY[n])
@@ -624,7 +627,7 @@ def flow_diagnostics(nf: NoiseFlow, ubar_lp_h2q: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# transport identity oracle and a convenience driver
+# transport identity oracle
 # ---------------------------------------------------------------------------
 
 def jacobian_ode_oracle(ubar: TimeSeries, states: list[FlowState]) -> np.ndarray:
@@ -646,22 +649,3 @@ def jacobian_ode_oracle(ubar: TimeSeries, states: list[FlowState]) -> np.ndarray
         J[n + 1] = cur
     return J
 
-
-def solve_flow(ubar: TimeSeries, Q: TransportField, bundle: BrownianBundle | None,
-               cfg: MonitorConfig, pad_cells: int = 4,
-               nf: NoiseFlow | None = None):
-    """Full transformation pipeline: psi, Y, composition, monitor.
-
-    Returns (NoiseFlow, Y, gradY, states, MonitorResult).  A precomputed
-    ``nf`` may be passed to reuse the noise flow across fixed-point iterates.
-    """
-    grid = ubar.grid
-    if nf is None:
-        if bundle is None or Q.K == 0:
-            nf = identity_noise_flow(grid, ubar.times, pad_cells)
-        else:
-            nf = integrate_noise_flow(Q, bundle, grid, pad_cells)
-    Y, gradY = integrate_label_flow(ubar, nf)
-    states = compose_flow(nf, Y, gradY, cfg.eps_star)
-    monitor = stopping_monitor(states, cfg, grid)
-    return nf, Y, gradY, states, monitor

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-__all__ = ["InterpPlan", "interp_axes", "FlowEscapeError"]
+__all__ = ["InterpPlan", "FlowEscapeError"]
 
 
 class FlowEscapeError(RuntimeError):
@@ -71,7 +71,3 @@ class InterpPlan:
             vals = arr[ind]
             out += w.reshape((self.n,) + (1,) * len(comp_shape)) * vals
         return out.reshape(self.qshape + comp_shape)
-
-
-def interp_axes(axes, arr, pts, extrapolate=False, time=None):
-    return InterpPlan(axes, pts, extrapolate=extrapolate, time=time).apply(arr)

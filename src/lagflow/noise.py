@@ -9,7 +9,7 @@ instants bit-for-bit and restriction back to the coarse grid is a slice.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,8 +245,8 @@ class TransportField:
     # -- tabulated kind -------------------------------------------------------
 
     def _table_eval(self, arr, pts):
-        from .interp import interp_axes
-        return interp_axes(self.params["axes"], arr, pts, extrapolate=False)
+        from .interp import InterpPlan
+        return InterpPlan(self.params["axes"], pts, extrapolate=False).apply(arr)
 
     def _check_domain(self, pts):
         if self.eval_box is None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, Grid, TimeSeries, gradient_values, hessian_values, spatial_norm
+from .fields import Field, Grid, TimeSeries, gradient_values, spatial_norm
 from .flow import FlowState
 from .lame import FluidParams
 

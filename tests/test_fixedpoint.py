@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lagflow.eulerian import validate_solution
 from lagflow.fields import Field, Grid, TimeSeries
 from lagflow.fixedpoint import (
     PicardDivergence,
@@ -215,7 +216,7 @@ def test_picard_sin_perturbation_with_warning():
 
 def test_picard_deterministic_same_seed_identical():
     rho0, u0 = perturbed_data()
-    cfg = SolveConfig(seed=7)
+    cfg = SolveConfig()
     Q = make_transport_field(2, "stream", K=2, amplitude=1e-4)
     forcing = StochasticForcing.default_modes(GRID, 1, 1e-3)
     runs = []
@@ -225,6 +226,7 @@ def test_picard_deterministic_same_seed_identical():
     assert np.array_equal(runs[0].v.values, runs[1].v.values)
     assert np.array_equal(runs[0].rho, runs[1].rho)
     assert runs[0].tau == runs[1].tau
+    assert runs[0].metadata["seed"] == 7
 
 
 def test_picard_fixed_point_residual():
@@ -265,6 +267,24 @@ def test_picard_monotone_window():
     bw = sample_brownian(2, 0, cfg.T, cfg.dt, seed=3)
     b = picard_solve(rho0, u0, PARAMS, cfg, Q, bw, None)
     assert b.tau <= b.monitor.sigma + 1e-15
+
+
+def test_picard_stopped_window_on_noise_path():
+    # The monitor fires in the first iterate; the later iterates and the
+    # final rebuild run on the stopped window, a prefix of the noise grid.
+    rho0, u0 = perturbed_data()
+    cfg = SolveConfig()
+    Q = make_transport_field(2, "stream", K=2, amplitude=1e-3)
+    forcing = StochasticForcing.default_modes(GRID, 2, 1e-3)
+    bw = sample_brownian(2, 2, cfg.T, cfg.dt, seed=1)
+    b = picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
+    assert b.converged
+    assert b.monitor.fired
+    assert b.tau <= b.monitor.sigma
+    assert len(b.times) < len(cfg.times)
+    assert len(b.v) == len(b.rho) == len(b.states) == len(b.times)
+    assert b.rho_positive and b.rho.min() > 0
+    assert validate_solution(b, PARAMS)["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -317,24 +337,30 @@ def test_probe_kappa_monotone_in_delta():
 # ---------------------------------------------------------------------------
 
 def test_deterministic_path_matches_generic():
+    # Two Picard sequences from v_ref, one through apply_Psi with the
+    # identity noise flow and zero U, one through the label-ODE oracle, for
+    # as many iterates as the generic solver takes.
     rho0, u0 = perturbed_data()
     cfg = SolveConfig()
     Q0 = make_transport_field(2, "constant", K=0)
     b_gen = picard_solve(rho0, u0, PARAMS, cfg, Q0,
                          sample_brownian(0, 0, cfg.T, cfg.dt, 0), None)
-    b_det = picard_solve(rho0, u0, PARAMS, cfg, Q0, None, None,
-                         deterministic_path=True)
-    assert np.max(np.abs(b_gen.v.values - b_det.v.values)) <= 1e-10
-    assert np.max(np.abs(b_gen.rho - b_det.rho)) <= 1e-10
-    for s1, s2 in zip(b_gen.states, b_det.states):
-        assert np.max(np.abs(s1.X - s2.X)) <= 1e-10
-        assert np.max(np.abs(s1.J - s2.J)) <= 1e-10
-
-
-def test_deterministic_path_rejects_noise():
-    rho0, u0 = equilibrium_data()
-    Q = make_transport_field(2, "stream", K=1, amplitude=0.1)
-    with pytest.raises(ValueError):
-        picard_solve(rho0, u0, PARAMS, SolveConfig(), Q,
-                     sample_brownian(1, 0, 0.05, 1e-3, 0), None,
-                     deterministic_path=True)
+    op = LameOperator(GRID, rho0, PARAMS)
+    N_ext = extended_normal_field(GRID)
+    times = cfg.times
+    zeroU = TimeSeries(GRID, times, np.zeros((len(times),) + GRID.extent + (2,)))
+    nf = identity_noise_flow(GRID, times, cfg.pad_cells)
+    v_gen = v_det = solve_reference(op, rho0, u0, PARAMS, cfg)
+    for _ in range(b_gen.iterations):
+        r_gen = apply_Psi(v_gen, zeroU, op, rho0, u0, PARAMS, cfg, nf, N_ext)
+        r_det = apply_Psi_deterministic(v_det, op, rho0, u0, PARAMS, cfg, N_ext)
+        assert r_gen.n_frames == r_det.n_frames
+        assert np.max(np.abs(r_gen.v.values - r_det.v.values)) <= 1e-10
+        for s1, s2 in zip(r_gen.states, r_det.states):
+            assert np.max(np.abs(s1.X - s2.X)) <= 1e-10
+            assert np.max(np.abs(s1.J - s2.J)) <= 1e-10
+            assert np.max(np.abs(rho0.values / s1.J
+                                 - rho0.values / s2.J)) <= 1e-10
+        v_gen, v_det = r_gen.v, r_det.v
+    # the generic sequence is the one picard_solve ran
+    assert np.array_equal(v_gen.values[:len(b_gen.v)], b_gen.v.values)

@@ -122,6 +122,34 @@ def test_linear_velocity_exact_with_gradient():
     assert np.max(np.abs(G - scale[:, None, None, None, None] * np.eye(2))) <= 1e-10
 
 
+def test_label_flow_on_window_prefix_matches_full_run():
+    # a stopped window integrates a prefix of the noise grid: its levels do
+    # not depend on the velocity frames after it
+    Q = make_transport_field(2, "stream", K=2, amplitude=0.1)
+    nf = integrate_noise_flow(Q, sample_brownian(2, 0, T, DT, seed=4), GRID)
+    c = GRID.coords()
+    bump = 0.3 * np.sin(np.pi * c[..., 0]) * np.sin(np.pi * c[..., 1])
+    ubar = TimeSeries(GRID, TIMES, (1.0 + TIMES)[:, None, None, None]
+                      * np.stack([bump, -0.5 * bump], axis=-1)[None])
+    Y, G = integrate_label_flow(ubar, nf)
+    states = compose_flow(nf, Y, G)
+    k = 7
+    Yk, Gk = integrate_label_flow(ubar.restrict(k), nf)
+    assert np.array_equal(Yk, Y[:k])
+    assert np.array_equal(Gk, G[:k])
+    window = compose_flow(nf, Yk, Gk)
+    assert len(window) == k
+    for s1, s2 in zip(window, states):
+        assert np.array_equal(s1.X, s2.X)
+        assert np.array_equal(s1.gradX, s2.gradX)
+        assert np.array_equal(s1.J, s2.J)
+    longer = zero_velocity(times=np.linspace(0.0, T + DT, 52))
+    with pytest.raises(ValueError, match="aligned"):
+        integrate_label_flow(longer, nf)
+    with pytest.raises(ValueError, match="aligned"):
+        integrate_label_flow(zero_velocity(times=TIMES[::2]), nf)
+
+
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
