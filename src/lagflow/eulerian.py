@@ -19,7 +19,7 @@ from .fields import Field, spatial_norm
 from .fixedpoint import SolutionBundle
 from .flow import invert_flow
 from .interp import InterpPlan
-from .lame import LameOperator, FluidParams
+from .lame import FluidParams, LameOperator, operator_for
 from .nonlinear import assemble_F_Gamma, assemble_F_u, extended_normal_field
 from .noise import BrownianBundle, TransportField
 
@@ -58,25 +58,26 @@ def _polygon_area(loop: np.ndarray) -> float:
 
 
 def _polygon_is_simple(loop: np.ndarray) -> bool:
-    """Segment-intersection scan of the closed marker loop (dim 2)."""
+    """Segment-intersection test of the closed marker loop (dim 2).
+
+    Every pair of non-adjacent segments i < j - 1, apart from the closing
+    pair (0, n - 1), is checked at once; parallel pairs (zero cross
+    product) never count as crossing.
+    """
     n = len(loop)
-    a = loop
-    b = np.roll(loop, -1, axis=0)
-    for i in range(n):
-        d1 = b[i] - a[i]
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue
-            d2 = b[j] - a[j]
-            den = d1[0] * d2[1] - d1[1] * d2[0]
-            if den == 0.0:
-                continue
-            r = a[j] - a[i]
-            t = (r[0] * d2[1] - r[1] * d2[0]) / den
-            s = (r[0] * d1[1] - r[1] * d1[0]) / den
-            if 1e-12 < t < 1 - 1e-12 and 1e-12 < s < 1 - 1e-12:
-                return False
-    return True
+    d = np.roll(loop, -1, axis=0) - loop
+    i, j = np.triu_indices(n, k=2)
+    keep = ~((i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+    d1, d2 = d[i], d[j]
+    den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    skew = den != 0.0
+    d1, d2, den = d1[skew], d2[skew], den[skew]
+    r = loop[j[skew]] - loop[i[skew]]
+    t = (r[:, 0] * d2[:, 1] - r[:, 1] * d2[:, 0]) / den
+    s = (r[:, 0] * d1[:, 1] - r[:, 1] * d1[:, 0]) / den
+    inside = (1e-12 < t) & (t < 1 - 1e-12) & (1e-12 < s) & (s < 1 - 1e-12)
+    return not bool(np.any(inside))
 
 
 def _point_in_polygon(loop: np.ndarray, x: np.ndarray) -> bool:
@@ -216,10 +217,9 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams,
     }
 
     # (iii) residual of the transformed system at the recorded velocity
-    if op is None:
-        rho0 = Field(grid, bundle.rho[0])
-        op = LameOperator(grid, rho0, params)
     rho0 = Field(grid, bundle.rho[0])
+    if op is None:
+        op = operator_for(grid, rho0, params)
     N_ext = extended_normal_field(grid)
     idx_b, normals_b = grid.boundary_nodes()
     bsel = tuple(idx_b.T)

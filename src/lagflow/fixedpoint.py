@@ -30,7 +30,14 @@ from .flow import (
     mat_inv,
     stopping_monitor,
 )
-from .lame import FluidParams, LameOperator, apply_B, solve_lame, solve_stoch_convolution
+from .lame import (
+    FluidParams,
+    LameOperator,
+    apply_B,
+    operator_for,
+    solve_lame,
+    solve_stoch_convolution,
+)
 from .nonlinear import (
     EquationOfState,
     assemble_F_Gamma,
@@ -145,7 +152,7 @@ def compatibility_check(rho0: Field, u0: Field, params: FluidParams,
     """Max boundary residual of (S(grad u0) - p(rho0) I) N + p_ext N."""
     grid = rho0.grid
     if op is None:
-        op = LameOperator(grid, rho0, params)
+        op = operator_for(grid, rho0, params)
     eos = EquationOfState(params.a, params.gamma)
     idx, normals = grid.boundary_nodes()
     traction = apply_B(op, u0)
@@ -337,10 +344,15 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     differences when an iterate leaves the centered ball of radius r
     around v_ref, or when the differences fail to contract three times
     in a row.
+
+    The Lame operator comes from ``operator_for``: every path of one
+    (grid, rho0, params) shares it and its step factorization, which stay
+    alive as long as the grid does (about 106 MB at 13^3, memory one path
+    already holds while it runs).
     """
     grid = rho0.grid
     times = cfg.times
-    op = LameOperator(grid, rho0, params)
+    op = operator_for(grid, rho0, params)
     compat = compatibility_check(rho0, u0, params, op)
     if compat > 1e-8:
         warnings.warn(f"initial compatibility residual {compat:.3e}; "

@@ -535,8 +535,8 @@ def stopping_monitor(states: list[FlowState], cfg: MonitorConfig,
 class FlowDiagnostics:
     """Advisory a-priori functionals of the noise flow and drift data.
 
-    All constants are collapsed into one configurable C_monitor; the direct
-    stopping monitor stays authoritative.
+    Every constant of the estimates is taken as 1; the direct stopping
+    monitor stays authoritative.
     """
 
     times: np.ndarray
@@ -553,7 +553,6 @@ class FlowDiagnostics:
     A_theta: np.ndarray
     G: np.ndarray
     horizon: float
-    C_monitor: float
 
 
 def _c2_surrogate_sup(arr, axes):
@@ -574,7 +573,6 @@ def _c2_surrogate_sup(arr, axes):
 
 def flow_diagnostics(nf: NoiseFlow, ubar_lp_h2q: np.ndarray,
                      cfg: MonitorConfig, R: float = 1.0,
-                     C_monitor: float = 1.0,
                      alpha: float | None = None) -> FlowDiagnostics:
     """Evaluate the a-priori horizon functionals on the discrete grid.
 
@@ -585,7 +583,6 @@ def flow_diagnostics(nf: NoiseFlow, ubar_lp_h2q: np.ndarray,
         alpha = 0.5 * (cfg.theta + 0.5)
     L = nf.n_levels
     t = nf.times
-    C = C_monitor
     eye = np.eye(nf.dim)
     c2_D = np.array([_c2_surrogate_sup(nf.Dpsi[n], nf.axes) for n in range(L)])
     c2_Dinv = np.array([_c2_surrogate_sup(nf.Dpsi_inv[n], nf.axes) for n in range(L)])
@@ -605,16 +602,16 @@ def flow_diagnostics(nf: NoiseFlow, ubar_lp_h2q: np.ndarray,
         K[s] = running
     B_R = R + np.asarray(ubar_lp_h2q, float)
     p, th = cfg.p, cfg.theta
-    beta = C * Lambda * t ** (1 - 1 / p) * B_R
+    beta = Lambda * t ** (1 - 1 / p) * B_R
     M0 = 7.0 * beta
-    Mth = C * t ** (1 - th) * Lambda * (1 + beta) * B_R
+    Mth = t ** (1 - th) * Lambda * (1 + beta) * B_R
     poly = 1 + M0 + M0**2
-    A0 = C * (rho * poly * (1 + M0) + M0)
-    Bth = C * (Lambda * (1 + M0) ** 2 * Mth
-               + K * t ** (alpha - th) * poly
-               + t ** (1 / p) * rho * poly)
-    Ath = C * (Bth * (1 + M0) + rho * poly * Mth + Mth)
-    G = A0 + C * (Ath + t ** (1 / p) * A0)
+    A0 = rho * poly * (1 + M0) + M0
+    Bth = (Lambda * (1 + M0) ** 2 * Mth
+           + K * t ** (alpha - th) * poly
+           + t ** (1 / p) * rho * poly)
+    Ath = Bth * (1 + M0) + rho * poly * Mth + Mth
+    G = A0 + (Ath + t ** (1 / p) * A0)
     cross_G = np.argmax(G >= cfg.delta) if np.any(G >= cfg.delta) else None
     cross_b = np.argmax(beta >= 0.125) if np.any(beta >= 0.125) else None
     horizon = float(t[-1])
@@ -623,7 +620,7 @@ def flow_diagnostics(nf: NoiseFlow, ubar_lp_h2q: np.ndarray,
     if cross_b is not None:
         horizon = min(horizon, float(t[cross_b]))
     return FlowDiagnostics(t, Lambda, rho, K, alpha, B_R, beta, M0, Mth,
-                           A0, Bth, Ath, G, horizon, C)
+                           A0, Bth, Ath, G, horizon)
 
 
 # ---------------------------------------------------------------------------

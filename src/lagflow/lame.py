@@ -5,7 +5,8 @@ on second-order stencils; boundary rows replace the evolution equation by the
 traction condition S(grad u) N = g, discretized with one-sided second-order
 stencils (ghost-node elimination).  Time stepping is implicit Euler with one
 sparse factorization per step size, shared by the deterministic solve and the
-additive stochastic convolution.
+additive stochastic convolution, and through ``operator_for`` by every sample
+path of one problem.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .noise import BrownianBundle, StochasticForcing
 __all__ = [
     "FluidParams",
     "LameOperator",
+    "operator_for",
     "apply_A",
     "apply_B",
     "solve_lame",
@@ -122,8 +124,6 @@ class LameOperator:
         if rho0.values.min() < params.rho_min - 1e-12:
             raise ValueError("initial density falls below its lower bound")
         self.grid = grid
-        self.rho0 = rho0
-        self.params = params
         dim, N = grid.dim, grid.n_nodes
         d1, d2 = _scalar_operators(grid)
         inv_rho = sp.diags(1.0 / rho0.values.reshape(-1))
@@ -205,6 +205,26 @@ class LameOperator:
         with open(path, "w") as fh:
             for r, c, v in zip(mat.row, mat.col, mat.data):
                 fh.write(f"{r} {c} {v:.17g}\n")
+
+
+def operator_for(grid: Grid, rho0: Field, params: FluidParams) -> LameOperator:
+    """The grid's shared operator for (rho0, params), built on a miss.
+
+    The grid keeps one slot: the params, a copy of the rho0 values and the
+    operator.  A lookup hits only when the params compare equal and the rho0
+    values are equal element by element, so every sample path of one problem
+    gets the same operator and the factorizations its ``stepper`` caches;
+    an in-place edit of rho0 or other params build a new one.  The operator
+    and its factorizations stay alive as long as the grid does (about 106 MB
+    at 13^3, memory one path already holds while it runs).
+    """
+    hit = grid._cache.get("lame")
+    if hit is not None and hit[0] == params and np.array_equal(hit[1], rho0.values):
+        return hit[2]
+    grid._cache.pop("lame", None)  # release the old factorizations first
+    op = LameOperator(grid, rho0, params)
+    grid._cache["lame"] = (params, rho0.values.copy(), op)
+    return op
 
 
 def apply_A(op: LameOperator, u: Field) -> Field:

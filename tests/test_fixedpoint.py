@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import lagflow.lame
 from lagflow.eulerian import validate_solution
 from lagflow.fields import Field, Grid, TimeSeries
 from lagflow.fixedpoint import (
@@ -364,3 +365,63 @@ def test_deterministic_path_matches_generic():
         v_gen, v_det = r_gen.v, r_det.v
     # the generic sequence is the one picard_solve ran
     assert np.array_equal(v_gen.values[:len(b_gen.v)], b_gen.v.values)
+
+
+# ---------------------------------------------------------------------------
+# one operator and factorization for every path of one problem
+# ---------------------------------------------------------------------------
+
+def small_problem():
+    grid = Grid(2, (13, 13))
+    c = grid.coords()
+    u0 = 1e-3 * np.stack(
+        [np.sin(np.pi * c[..., 0]) ** 2 * np.sin(np.pi * c[..., 1]) ** 2,
+         np.zeros(grid.extent)], axis=-1)
+    cfg = SolveConfig(T=0.01)
+    Q = make_transport_field(2, "stream", K=2, amplitude=1e-4)
+    forcing = StochasticForcing.default_modes(grid, 1, 1e-3)
+    return Field(grid, np.ones(grid.extent)), Field(grid, u0), cfg, Q, forcing
+
+
+def solve_path(rho0, u0, cfg, Q, forcing, seed):
+    bw = sample_brownian(Q.K, forcing.M, cfg.T, cfg.dt, seed=seed)
+    # the one-sided traction stencils of u0 are O(h^2) off zero at 13^2
+    with pytest.warns(UserWarning, match="compatibility"):
+        return picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
+
+
+def test_picard_paths_share_one_factorization(monkeypatch):
+    counts = {"splu": 0, "init": 0}
+    splu = lagflow.lame.spla.splu
+    init = LameOperator.__init__
+
+    def counting_splu(*args, **kwargs):
+        counts["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        counts["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lagflow.lame.spla, "splu", counting_splu)
+    monkeypatch.setattr(LameOperator, "__init__", counting_init)
+    rho0, u0, cfg, Q, forcing = small_problem()
+    solve_path(rho0, u0, cfg, Q, forcing, seed=1)
+    b = solve_path(rho0, u0, cfg, Q, forcing, seed=2)
+    assert counts == {"splu": 1, "init": 1}
+    # the first density frame is rho0 bit for bit, so validation hits too
+    assert validate_solution(b, PARAMS)["passed"]
+    assert counts == {"splu": 1, "init": 1}
+
+
+def test_picard_warm_operator_matches_cold():
+    rho0, u0, cfg, Q, forcing = small_problem()
+    solve_path(rho0, u0, cfg, Q, forcing, seed=1)
+    warm = solve_path(rho0, u0, cfg, Q, forcing, seed=2)
+    rho0_c, u0_c, cfg, Q, forcing = small_problem()
+    assert rho0_c.grid is not rho0.grid
+    cold = solve_path(rho0_c, u0_c, cfg, Q, forcing, seed=2)
+    assert np.array_equal(warm.v.values, cold.v.values)
+    assert np.array_equal(warm.rho, cold.rho)
+    assert (warm.tau, warm.kappa, warm.iterations) == (
+        cold.tau, cold.kappa, cold.iterations)

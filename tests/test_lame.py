@@ -9,6 +9,7 @@ from lagflow.lame import (
     apply_B,
     halfline_decay_rates,
     lopatinskii_check,
+    operator_for,
     solve_lame,
     solve_stoch_convolution,
     symbol_eigenvalues,
@@ -92,6 +93,35 @@ def test_params_validation():
 def test_operator_rejects_low_density():
     with pytest.raises(ValueError):
         LameOperator(GRID, Field(GRID, 0.5 * np.ones(GRID.extent)), PARAMS)
+
+
+# ---------------------------------------------------------------------------
+# one shared operator per (grid, rho0, params)
+# ---------------------------------------------------------------------------
+
+def test_operator_for_shares_equal_content():
+    grid = Grid(2, (9, 9))
+    op = operator_for(grid, Field(grid, np.ones(grid.extent)), PARAMS)
+    # equal values and equal params in new objects hit the slot
+    again = operator_for(grid, Field(grid, np.ones(grid.extent)),
+                         FluidParams(mu=1.0, lam=0.5))
+    assert again is op
+
+
+def test_operator_for_rebuilds_on_other_content():
+    grid = Grid(2, (9, 9))
+    rho0 = Field(grid, np.ones(grid.extent))
+    op = operator_for(grid, rho0, PARAMS)
+    rho0.values[4, 4] = 1.5
+    edited = operator_for(grid, rho0, PARAMS)
+    assert edited is not op
+    assert (edited.A != op.A).nnz > 0
+    other_params = FluidParams(mu=2.0, lam=0.5)
+    reparam = operator_for(grid, rho0, other_params)
+    assert reparam is not edited
+    fresh = Grid(2, (9, 9))
+    assert operator_for(fresh, Field(fresh, rho0.values.copy()),
+                        other_params) is not reparam
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""The package metadata points at code that exists."""
+"""The package metadata and the benchmark tracer point at code that exists."""
 
+import ast
 import importlib
 import re
 import tomllib
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def project_table() -> dict:
@@ -25,3 +28,28 @@ def test_script_entries_resolve_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {script!r}: {target} is not callable"
+
+
+def tracer_tables() -> dict:
+    """The literal MODULES, FUNCTIONS and METHODS of the benchmark tracer."""
+    tables = {}
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("MODULES", "FUNCTIONS", "METHODS"):
+                tables[name] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_traced_names_exist_in_lagflow():
+    # the benchmark tracer wraps these by name; a rename must fail here
+    tables = tracer_tables()
+    assert set(tables) == {"MODULES", "FUNCTIONS", "METHODS"}
+    for module in tables["MODULES"]:
+        importlib.import_module(f"lagflow.{module}")
+    for module, attr in tables["FUNCTIONS"]:
+        obj = getattr(importlib.import_module(f"lagflow.{module}"), attr)
+        assert callable(obj), f"lagflow.{module}.{attr} is not callable"
+    for module, cls_name, attr in tables["METHODS"]:
+        cls = getattr(importlib.import_module(f"lagflow.{module}"), cls_name)
+        assert callable(cls.__dict__[attr]), f"{cls_name}.{attr} is not callable"
