@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Field, spatial_norm
+from .fields import Field, frame_norms
 from .fixedpoint import SolutionBundle
 from .flow import invert_flow
 from .interp import InterpPlan
-from .lame import FluidParams, LameOperator, operator_for
-from .nonlinear import assemble_F_Gamma, assemble_F_u, extended_normal_field
+from .lame import FluidParams, operator_for
+from .nonlinear import assemble_F_Gamma, assemble_F_u, map_derivatives
 from .noise import BrownianBundle, TransportField
 
 __all__ = [
@@ -161,7 +161,6 @@ def kinematic_residual(bundle: SolutionBundle, Q: TransportField,
 # ---------------------------------------------------------------------------
 
 def validate_solution(bundle: SolutionBundle, params: FluidParams,
-                      op: LameOperator | None = None,
                       pde_tol: float = 1e-6) -> dict:
     """Three-part validation report.
 
@@ -202,13 +201,10 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams,
     # (ii) finite norms and time continuity surrogate
     p, q = 4.0, 8.0
     s_frac = 2.0 - 2.0 / p
-    gaps = []
-    for n in range(len(bundle.v) - 1):
-        dv = bundle.v.values[n + 1] - bundle.v.values[n]
-        lo = spatial_norm(grid, dv, "Lq", q)
-        hi = spatial_norm(grid, dv, "H2q", q)
-        gaps.append(lo ** (1 - s_frac / 2) * hi ** (s_frac / 2))
-    max_gap = float(max(gaps)) if gaps else 0.0
+    dv = np.diff(bundle.v.values, axis=0)
+    gaps = (frame_norms(grid, dv, "Lq", q) ** (1 - s_frac / 2)
+            * frame_norms(grid, dv, "H2q", q) ** (s_frac / 2))
+    max_gap = float(np.max(gaps)) if len(gaps) else 0.0
     norms_finite = bool(np.all(np.isfinite(bundle.v.values))
                         and np.all(np.isfinite(bundle.rho)))
     report["regularity"] = {
@@ -218,20 +214,16 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams,
 
     # (iii) residual of the transformed system at the recorded velocity
     rho0 = Field(grid, bundle.rho[0])
-    if op is None:
-        op = operator_for(grid, rho0, params)
-    N_ext = extended_normal_field(grid)
+    op = operator_for(grid, rho0, params)
     idx_b, normals_b = grid.boundary_nodes()
     bsel = tuple(idx_b.T)
-    from .fields import gradient_values, hessian_values
     dt = bundle.times[1] - bundle.times[0]
     worst = 0.0
     mask = op.boundary_row_mask
-    for n in range(len(bundle.v) - 1):
-        s = bundle.states[n + 1]
-        G = gradient_values(grid, bundle.ubar.values[n + 1])
-        H = hessian_values(grid, bundle.ubar.values[n + 1])
-        dZ = gradient_values(grid, s.Z)
+    n_steps = len(bundle.v) - 1
+    states = bundle.states[1:n_steps + 1]
+    derivs = map_derivatives(grid, bundle.ubar.values[1:n_steps + 1], states)
+    for n, (s, (G, H, dZ)) in enumerate(zip(states, derivs)):
         fu = assemble_F_u(grid, G, H, s.Z, dZ, s.J, rho0.values, params)
         fg = assemble_F_Gamma(G[bsel], s.Z[bsel], s.J[bsel], rho0.values[bsel],
                               normals_b, params)

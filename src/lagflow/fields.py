@@ -6,6 +6,15 @@ component axes for vectors (dim) and matrices (dim x dim).  All derivative
 stencils are second order: centered in the interior, one-sided at the
 boundary.  Norms are trapezoidal-quadrature surrogates of the L^q /
 Sobolev / Sobolev-Slobodeckij norms used by the run monitors.
+
+Frame stacks.  The derivative and norm kernels take one frame
+(``extent + components``) or a stack of frames with one leading frame axis
+(``(L,) + extent + components``), as ``TimeSeries.values`` holds them.
+Component axes have length dim and every extent is at least 9, so the two
+layouts never coincide.  The kernels are elementwise over frames: a frame of
+a stack gets the same derivatives and norms, bit for bit, as the frame on its
+own.  Callers that loop over a window take it in ``frame_chunks`` so that no
+pass holds whole-window derivative temporaries.
 """
 
 from __future__ import annotations
@@ -18,7 +27,10 @@ __all__ = [
     "Grid",
     "Field",
     "TimeSeries",
+    "SlobodeckijWindow",
     "differentiate",
+    "frame_chunks",
+    "frame_norms",
     "norm",
     "slobodeckij_time_seminorm",
     "time_lp_norm",
@@ -148,6 +160,13 @@ class Grid:
 # fields
 # ---------------------------------------------------------------------------
 
+def _is_uniform(times: np.ndarray, rtol: float = 1e-9) -> bool:
+    if len(times) < 3:
+        return True
+    d = np.diff(times)
+    return bool(np.all(np.abs(d - d[0]) <= rtol * abs(d[0])))
+
+
 @dataclass
 class Field:
     """Values attached to grid nodes; trailing axes are tensor components."""
@@ -220,10 +239,7 @@ class TimeSeries:
         return float(self.times[1] - self.times[0])
 
     def is_uniform(self, rtol: float = 1e-9) -> bool:
-        if len(self.times) < 3:
-            return True
-        d = np.diff(self.times)
-        return bool(np.all(np.abs(d - d[0]) <= rtol * abs(d[0])))
+        return _is_uniform(self.times, rtol)
 
     def restrict(self, n_frames: int) -> "TimeSeries":
         """First ``n_frames`` frames (a shorter time window)."""
@@ -262,24 +278,40 @@ def _d2_pure(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
+def _frame_axes(grid: Grid, shape: tuple[int, ...]) -> int:
+    """Leading frame axes of a value array: 0 for one frame, 1 for a stack."""
+    n_comp = 0
+    while n_comp < len(shape) and shape[-1 - n_comp] == grid.dim:
+        n_comp += 1
+    lead = len(shape) - n_comp - grid.dim
+    if lead not in (0, 1) or tuple(shape[lead:lead + grid.dim]) != grid.extent:
+        raise FieldError(f"values shape {shape} is neither a frame nor a "
+                         f"frame stack on grid extent {grid.extent}")
+    return lead
+
+
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """All first derivatives of a raw value array; new derivative axis last."""
+    """All first derivatives of a frame or frame stack; new derivative axis last."""
+    lead = _frame_axes(grid, values.shape)
     return np.stack(
-        [_d1(values, ax, grid.spacing[ax]) for ax in range(grid.dim)], axis=-1
+        [_d1(values, lead + ax, grid.spacing[ax]) for ax in range(grid.dim)],
+        axis=-1,
     )
 
 
 def hessian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """All second derivatives; two new trailing axes (k, l) for d_k d_l."""
+    lead = _frame_axes(grid, values.shape)
     dim = grid.dim
     out_shape = values.shape + (dim, dim)
     out = np.empty(out_shape)
     for k in range(dim):
         for l in range(k, dim):
             if k == l:
-                d = _d2_pure(values, k, grid.spacing[k])
+                d = _d2_pure(values, lead + k, grid.spacing[k])
             else:
-                d = _d1(_d1(values, k, grid.spacing[k]), l, grid.spacing[l])
+                d = _d1(_d1(values, lead + k, grid.spacing[k]),
+                        lead + l, grid.spacing[l])
             out[..., k, l] = d
             out[..., l, k] = d
     return out
@@ -304,29 +336,79 @@ def differentiate(f: Field, order: int = 1) -> Field:
 # norms
 # ---------------------------------------------------------------------------
 
-def _pointwise_abs_pow(grid: Grid, values: np.ndarray, q: float) -> np.ndarray:
-    """|f(y)|^q with the Euclidean/Frobenius norm over component axes."""
-    comp_axes = tuple(range(grid.dim, values.ndim))
-    mag2 = np.sum(values * values, axis=comp_axes) if comp_axes else values * values
-    return mag2 ** (q / 2.0)
+# bytes of one pass's Hessian stack in frame_chunks: whole-window derivative
+# temporaries would raise a path's peak memory, one frame per pass would
+# leave numpy call overhead in charge on small grids
+_CHUNK_BYTES = 1 << 19
+
+_ORDER = {"Lq": 0, "H1q": 1, "H2q": 2}
 
 
-def _lq_pow(grid: Grid, values: np.ndarray, q: float) -> float:
-    return float(np.sum(grid.quad_weights * _pointwise_abs_pow(grid, values, q)))
+def frame_chunks(grid: Grid, n_frames: int, frame_size: int) -> list[slice]:
+    """Slices of ``n_frames`` frames of ``frame_size`` values each, one per pass.
+
+    A pass holds about ``_CHUNK_BYTES`` of second derivatives (at least one
+    frame).
+    """
+    step = max(1, _CHUNK_BYTES // (8 * frame_size * grid.dim**2))
+    return [slice(i, min(i + step, n_frames)) for i in range(0, n_frames, step)]
+
+
+def _check_norm(kind: str, q: float):
+    if q <= 1:
+        raise FieldError(f"integrability exponent q must exceed 1, got {q}")
+    if kind not in _ORDER:
+        raise FieldError(f"unknown norm kind {kind!r}")
+
+
+def _norm_parts(grid: Grid, stack: np.ndarray, kind: str) -> list[np.ndarray]:
+    """A frame stack and the derivative stacks its norm ``kind`` integrates."""
+    parts = [stack]
+    if _ORDER[kind] >= 1:
+        parts.append(gradient_values(grid, stack))
+    if _ORDER[kind] >= 2:
+        parts.append(hessian_values(grid, stack))
+    return parts
+
+
+def _lq_pow(grid: Grid, stack: np.ndarray, q: float) -> np.ndarray:
+    """Per frame of a stack: quadrature of |f|^q, Euclidean/Frobenius |.|."""
+    node_axes = tuple(range(1, 1 + grid.dim))
+    comp_axes = tuple(range(1 + grid.dim, stack.ndim))
+    mag2 = np.sum(stack * stack, axis=comp_axes) if comp_axes else stack * stack
+    return np.sum(grid.quad_weights * mag2 ** (q / 2.0), axis=node_axes)
+
+
+def _norm_pow(grid: Grid, parts: list[np.ndarray], q: float) -> np.ndarray:
+    """Per frame: sum over ``parts`` of the quadrature of |part|^q."""
+    total = _lq_pow(grid, parts[0], q)
+    for part in parts[1:]:
+        total += _lq_pow(grid, part, q)
+    return total
+
+
+def _qth_root(total_pow: np.ndarray, q: float) -> np.ndarray:
+    # scalar pow per frame: numpy's vectorized pow can differ from it in the
+    # last bit, and the E1 norm (hence kappa) is kept bit for bit
+    return np.array([t ** (1.0 / q) for t in total_pow.tolist()])
+
+
+def frame_norms(grid: Grid, stack: np.ndarray, kind: str, q: float) -> np.ndarray:
+    """Lq, H1q or H2q norm of every frame of a stack (leading frame axis).
+
+    The frames go through in ``frame_chunks``; the values equal the ones of
+    each frame taken on its own.
+    """
+    _check_norm(kind, q)
+    total = np.empty(len(stack))
+    for sl in frame_chunks(grid, len(stack), int(np.prod(stack.shape[1:]))):
+        total[sl] = _norm_pow(grid, _norm_parts(grid, stack[sl], kind), q)
+    return _qth_root(total, q)
 
 
 def spatial_norm(grid: Grid, values: np.ndarray, kind: str, q: float) -> float:
-    """Norm of a raw value array on the grid; see :func:`norm`."""
-    if q <= 1:
-        raise FieldError(f"integrability exponent q must exceed 1, got {q}")
-    total = _lq_pow(grid, values, q)
-    if kind in ("H1q", "H2q"):
-        total += _lq_pow(grid, gradient_values(grid, values), q)
-    if kind == "H2q":
-        total += _lq_pow(grid, hessian_values(grid, values), q)
-    elif kind not in ("Lq", "H1q"):
-        raise FieldError(f"unknown norm kind {kind!r}")
-    return total ** (1.0 / q)
+    """Norm of one frame; the one-frame case of :func:`frame_norms`."""
+    return float(frame_norms(grid, values[None], kind, q)[0])
 
 
 def norm(f, kind: str = "Lq", q: float = 2.0) -> float:
@@ -336,22 +418,105 @@ def norm(f, kind: str = "Lq", q: float = 2.0) -> float:
     spatial norm is taken per frame and the supremum over the window is
     returned (``sup_H1q`` is an explicit alias for that reading).
     """
-    if isinstance(f, TimeSeries):
-        k = "H1q" if kind == "sup_H1q" else kind
-        return max(spatial_norm(f.grid, v, k, q) for v in f.values)
     if kind == "sup_H1q":
         kind = "H1q"
+    if isinstance(f, TimeSeries):
+        return float(np.max(frame_norms(f.grid, f.values, kind, q)))
     return spatial_norm(f.grid, f.values, kind, q)
 
 
-def time_lp_norm(times: np.ndarray, frame_norms: np.ndarray, p: float) -> float:
+def time_lp_norm(times: np.ndarray, norms: np.ndarray, p: float) -> float:
     """L^p-in-time norm from per-frame spatial norms (trapezoid in time)."""
     if p <= 1:
         raise FieldError(f"time exponent p must exceed 1, got {p}")
-    frame_norms = np.asarray(frame_norms, float)
+    norms = np.asarray(norms, float)
     if len(times) < 2:
         return 0.0
-    return float(np.trapezoid(frame_norms**p, times) ** (1.0 / p))
+    return float(np.trapezoid(norms**p, times) ** (1.0 / p))
+
+
+def _half_q_pow(x: np.ndarray, q: float) -> np.ndarray:
+    """x ** (q/2), using repeated multiplication when q/2 is a small integer."""
+    half = q / 2.0
+    if half == int(half) and 1 <= half <= 16:
+        out = x
+        for _ in range(int(half) - 1):
+            out = out * x
+        return out
+    return x ** half
+
+
+class SlobodeckijWindow:
+    """Running discrete H^(theta,p)(0, t_n; X) norm, X = Lq, H1q or H2q.
+
+    The norm on [0, t_n] is the L^p-in-time part plus the Gagliardo sum
+
+        sum_{i != j <= n} |f(t_i) - f(t_j)|_X^p dt^2 / |t_i - t_j|^(1 + theta p).
+
+    ``load`` stores the next frames with their derivatives, flattened to
+    (frame, node, component), in buffers sized for ``times``; ``advance``
+    adds the next stored frame's row of pair terms to the running sum and
+    returns the norm up to that frame.  The stencils are linear, so a pair
+    norm comes from differences of stored values and derivatives: derivative
+    work is O(L), and only the pair rows, one vectorized pass over the
+    history each, are O(L^2).  ``pair_pow[n]`` keeps row n,
+    |f_n - f_i|_X^p for i < n, and ``frame_pow[n]`` is |f_n|_X^p from the
+    kernel of :func:`frame_norms`.
+    """
+
+    def __init__(self, grid: Grid, times: np.ndarray, theta: float, p: float,
+                 kind: str = "H1q", q: float = 2.0):
+        if not (0.0 < theta < 1.0):
+            raise FieldError(f"theta must lie in (0, 1), got {theta}")
+        if p <= 1:
+            raise FieldError(f"p must exceed 1, got {p}")
+        _check_norm(kind, q)
+        self.grid = grid
+        self.times = np.asarray(times, float)
+        if not _is_uniform(self.times):
+            raise FieldError("non-uniform time grids are not supported")
+        self.theta, self.p, self.kind, self.q = theta, p, kind, q
+        self.w_flat = grid.quad_weights.ravel()
+        self.parts: list[np.ndarray] = []
+        self.frame_pow = np.empty(len(self.times))   # |f_n|_X^p
+        self.pair_pow: list[np.ndarray] = []
+        self.sem = 0.0
+        self.loaded = 0
+
+    def load(self, frames: np.ndarray) -> None:
+        """Store a stack of the next frames and their derivatives."""
+        parts = _norm_parts(self.grid, frames, self.kind)
+        k, m = self.loaded, len(frames)
+        npts = self.grid.n_nodes
+        if not self.parts:
+            self.parts = [np.empty((len(self.times), npts, a[0].size // npts))
+                          for a in parts]
+        for buf, a in zip(self.parts, parts):
+            buf[k:k + m] = a.reshape(m, npts, -1)
+        norm_pow = _norm_pow(self.grid, parts, self.q)
+        self.frame_pow[k:k + m] = norm_pow ** (self.p / self.q)
+        self.loaded = k + m
+
+    def advance(self) -> float:
+        """Take in the next loaded frame; the norm on [0, t_n] (0 for n = 0)."""
+        n = len(self.pair_pow)
+        if n >= self.loaded:
+            raise FieldError("no loaded frame left to advance to")
+        if n == 0:
+            self.pair_pow.append(np.zeros(0))
+            return 0.0
+        m = 0.0
+        for buf in self.parts:
+            d = buf[:n] - buf[n]
+            m = m + _half_q_pow(np.einsum("npc,npc->np", d, d), self.q)
+        row = ((m @ self.w_flat) ** (1 / self.q)) ** self.p
+        self.pair_pow.append(row)
+        t = self.times
+        gaps = t[n] - t[:n]
+        self.sem += 2.0 * np.sum(row * (t[1] - t[0]) ** 2
+                                 / gaps ** (1.0 + self.theta * self.p))
+        lp_pow = np.trapezoid(self.frame_pow[:n + 1], t[:n + 1])
+        return float((lp_pow + self.sem) ** (1.0 / self.p))
 
 
 def slobodeckij_time_seminorm(
@@ -363,31 +528,18 @@ def slobodeckij_time_seminorm(
 ) -> float:
     """Discrete H^(theta,p)-in-time norm with spatial norms per frame.
 
-    Combines the L^p-in-time part with the Gagliardo double sum
-
-        ( sum_{i != j} |f(t_i) - f(t_j)|^p dt^2 / |t_i - t_j|^(1 + theta p) )^(1/p),
-
-    both built from the requested spatial norm.  Requires a uniform time
-    step; zero iff all frames coincide.
+    The value of :class:`SlobodeckijWindow` on the whole series: the
+    L^p-in-time part plus the Gagliardo double sum, both built from the
+    requested spatial norm.  Requires a uniform time step; zero iff all
+    frames vanish.
     """
-    if not (0.0 < theta < 1.0):
-        raise FieldError(f"theta must lie in (0, 1), got {theta}")
-    if p <= 1:
-        raise FieldError(f"p must exceed 1, got {p}")
-    if not ts.is_uniform():
-        raise FieldError("non-uniform time grids are not supported")
-    n = len(ts)
-    g = np.array([spatial_norm(ts.grid, v, spatial_kind, q) for v in ts.values])
-    lp_pow = time_lp_norm(ts.times, g, p) ** p
-    if n < 2:
-        return lp_pow ** (1.0 / p)
-    dt = ts.step
-    sem = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dn = spatial_norm(ts.grid, ts.values[j] - ts.values[i], spatial_kind, q)
-            sem += 2.0 * dn**p * dt**2 / (ts.times[j] - ts.times[i]) ** (1.0 + theta * p)
-    return (lp_pow + sem) ** (1.0 / p)
+    win = SlobodeckijWindow(ts.grid, ts.times, theta, p, spatial_kind, q)
+    for sl in frame_chunks(ts.grid, len(ts), int(np.prod(ts.values.shape[1:]))):
+        win.load(ts.values[sl])
+    value = 0.0
+    for _ in range(len(ts)):
+        value = win.advance()
+    return value
 
 
 def trace_boundary(f: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import Field, Grid, TimeSeries, gradient_values, hessian_values, spatial_norm
+from .fields import Field, Grid, TimeSeries, frame_norms, gradient_values
 from .flow import (
     FlowState,
     MonitorConfig,
@@ -45,6 +45,7 @@ from .nonlinear import (
     density_from_jacobian,
     energy_report,
     extended_normal_field,
+    map_derivatives,
     nonlinearity_norm_report,
 )
 from .noise import BrownianBundle, StochasticForcing, TransportField
@@ -137,12 +138,11 @@ def e1_norm(ts: TimeSeries, p: float, q: float, n_frames: int | None = None) -> 
         return 0.0
     tt = ts.times[:k]
     dt = tt[1] - tt[0]
-    h2 = np.array([spatial_norm(ts.grid, ts.values[n], "H2q", q) for n in range(k)])
+    h2 = frame_norms(ts.grid, ts.values[:k], "H2q", q)
     part1 = np.trapezoid(h2**p, tt) ** (1 / p)
-    quot = np.array([
-        spatial_norm(ts.grid, (ts.values[n + 1] - ts.values[n]) / dt, "Lq", q)
-        for n in range(k - 1)
-    ])
+    diff = np.diff(ts.values[:k], axis=0)
+    diff /= dt
+    quot = frame_norms(ts.grid, diff, "Lq", q)
     part2 = float(np.sum(quot**p * dt) ** (1 / p))
     return part1 + part2
 
@@ -230,11 +230,8 @@ def _assemble_and_solve(ubar: TimeSeries, states: list[FlowState],
     F_u = np.empty((L,) + grid.extent + (grid.dim,))
     F_G_b = np.empty((L, len(idx_b), grid.dim))
     F_G_ext = np.empty((L,) + grid.extent + (grid.dim,))
-    for n in range(L):
-        s = states[n]
-        G = gradient_values(grid, ubar.values[n])
-        H = hessian_values(grid, ubar.values[n])
-        dZ = gradient_values(grid, s.Z)
+    derivs = map_derivatives(grid, ubar.values[:L], states[:L])
+    for n, (s, (G, H, dZ)) in enumerate(zip(states[:L], derivs)):
         F_u[n] = assemble_F_u(grid, G, H, s.Z, dZ, s.J, rho0.values, params)
         F_G_b[n] = assemble_F_Gamma(G[bsel], s.Z[bsel], s.J[bsel],
                                     rho0.values[bsel], normals_b, params)
@@ -274,7 +271,7 @@ def apply_Psi_deterministic(v1: TimeSeries, op: LameOperator, rho0: Field,
     dt = v1.step
     L = len(v1)
     ub = v1.values
-    gub = np.stack([gradient_values(grid, ub[n]) for n in range(L)])
+    gub = gradient_values(grid, ub)
     Y = np.empty((L,) + grid.extent + (dim,))
     G = np.empty((L,) + grid.extent + (dim, dim))
     Y[0] = grid.coords()

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, TimeSeries, gradient_values
+from .fields import (
+    Grid,
+    SlobodeckijWindow,
+    TimeSeries,
+    frame_chunks,
+    frame_norms,
+    gradient_values,
+)
 from .interp import FlowEscapeError, InterpPlan
 from .noise import BrownianBundle, TransportField
 
@@ -229,7 +236,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow):
     Y[0] = pts0
     G[0] = np.eye(dim)
     ub = ubar.values
-    gub = np.stack([gradient_values(grid, ub[n]) for n in range(L)])
+    gub = gradient_values(grid, ub)
 
     def rhs(level, y, g, u, gu):
         plan = nf.plan(y, time=nf.times[level])
@@ -398,127 +405,46 @@ class MonitorResult:
                    fmt="%.17g")
 
 
-def _half_q_pow(x: np.ndarray, q: float) -> np.ndarray:
-    """x ** (q/2), using repeated squaring when q/2 is a small integer."""
-    half = q / 2.0
-    if half == int(half) and 1 <= half <= 16:
-        out = x
-        for _ in range(int(half) - 1):
-            out = out * x
-        return out
-    return x ** half
-
-
-def _h1q_raw(grid: Grid, v: np.ndarray, g: np.ndarray, q: float) -> float:
-    """H^{1,q} surrogate from a value array and its precomputed gradient."""
-    w = grid.quad_weights
-    comp_v = tuple(range(grid.dim, v.ndim))
-    comp_g = tuple(range(grid.dim, g.ndim))
-    mag = _half_q_pow(np.sum(v * v, axis=comp_v), q) if comp_v else np.abs(v) ** q
-    mag_g = _half_q_pow(np.sum(g * g, axis=comp_g), q)
-    return float((np.sum(w * mag) + np.sum(w * mag_g)) ** (1 / q))
-
-
-class _H1qWindowNorm:
-    """Incremental H^{theta,p}(0, t; H^{1,q}) norm of a matrix/scalar deviation.
-
-    Frames are cached flattened (node axis, component axis) in preallocated
-    buffers so the pair-norm row of a new frame is one vectorized pass over
-    the history.
-    """
-
-    def __init__(self, grid: Grid, theta: float, p: float, q: float,
-                 capacity: int = 64):
-        self.grid = grid
-        self.theta = theta
-        self.p = p
-        self.q = q
-        self.w_flat = grid.quad_weights.ravel()
-        self.capacity = capacity
-        self.count = 0
-        self.vals = None
-        self.grads = None
-        self.frame_norm_pow = []     # |f_i|_{H1q}^p
-        self.pair_pow = []           # rows: |f_i - f_n|_{H1q}^p for i < n
-
-    def _row(self, v, g, vs, gs):
-        q = self.q
-        dv = vs - v[None]
-        dg = gs - g[None]
-        m = _half_q_pow(np.einsum("npc,npc->np", dv, dv), q)
-        m += _half_q_pow(np.einsum("npc,npc->np", dg, dg), q)
-        return (m @ self.w_flat) ** (1 / q)
-
-    def push(self, dev: np.ndarray):
-        g3 = gradient_values(self.grid, dev)
-        npts = self.grid.n_nodes
-        v = dev.reshape(npts, -1)
-        g = g3.reshape(npts, -1)
-        if self.vals is None:
-            self.vals = np.empty((self.capacity,) + v.shape)
-            self.grads = np.empty((self.capacity,) + g.shape)
-        if self.count >= self.capacity:
-            self.capacity *= 2
-            self.vals = np.concatenate([self.vals, np.empty_like(self.vals)])
-            self.grads = np.concatenate([self.grads, np.empty_like(self.grads)])
-        k = self.count
-        row = self._row(v, g, self.vals[:k], self.grads[:k]) if k else np.zeros(0)
-        self.pair_pow.append(row ** self.p)
-        self.vals[k] = v
-        self.grads[k] = g
-        self.count = k + 1
-        self.frame_norm_pow.append(_h1q_raw(self.grid, dev, g3, self.q) ** self.p)
-
-    def value(self, times: np.ndarray) -> float:
-        n = self.count
-        t = times[:n]
-        if n < 2:
-            return 0.0
-        dt = t[1] - t[0]
-        lp_pow = np.trapezoid(np.array(self.frame_norm_pow), t)
-        sem = 0.0
-        for j in range(1, n):
-            gaps = t[j] - t[:j]
-            sem += 2.0 * np.sum(self.pair_pow[j] * dt**2
-                                / gaps ** (1.0 + self.theta * self.p))
-        return (lp_pow + sem) ** (1.0 / self.p)
-
-
 def stopping_monitor(states: list[FlowState], cfg: MonitorConfig,
                      grid: Grid) -> MonitorResult:
     """First time the deformation norm sum reaches delta (else the horizon).
 
     An invalid flow state (inversion guard violated or J <= 0) also fires
-    the monitor at its level.
+    the monitor at its level.  The norms are taken over the frames before
+    the first invalid state, a chunk of frames at a time (``frame_chunks``);
+    the H^{theta,p} sums advance frame by frame and stop at the crossing.
     """
-    dim = grid.dim
-    eye = np.eye(dim)
+    eye = np.eye(grid.dim)
     times = np.array([s.t for s in states])
-    accZ = _H1qWindowNorm(grid, cfg.theta, cfg.p, cfg.q)
-    accJ = _H1qWindowNorm(grid, cfg.theta, cfg.p, cfg.q)
+    n_valid = next((n for n, s in enumerate(states) if not s.valid), len(states))
+    accZ, accJ = (SlobodeckijWindow(grid, times[:n_valid], cfg.theta, cfg.p,
+                                    "H1q", cfg.q) for _ in range(2))
     sup_run, hZ_run, hJ_run, tot_run = [], [], [], []
     sup_gradX = 0.0
-    fired, fired_index = False, None
-    for n, s in enumerate(states):
-        if not s.valid:
-            fired, fired_index = True, n
-            # freeze histories at the last valid level
+    fired_index = None
+    for sl in frame_chunks(grid, n_valid, states[0].Z.size):
+        chunk = states[sl]
+        gnorms = frame_norms(grid, np.stack([s.gradX for s in chunk]) - eye,
+                             "H1q", cfg.q)
+        accZ.load(np.stack([s.Z for s in chunk]) - eye)
+        accJ.load(np.stack([s.J for s in chunk]) - 1.0)
+        for n, gnorm in enumerate(gnorms, sl.start):
+            sup_gradX = max(sup_gradX, float(gnorm))
+            hZ = accZ.advance()
+            hJ = accJ.advance()
+            total = sup_gradX + hZ + hJ
+            sup_run.append(sup_gradX)
+            hZ_run.append(hZ)
+            hJ_run.append(hJ)
+            tot_run.append(total)
+            if total >= cfg.delta:
+                fired_index = n
+                break
+        if fired_index is not None:
             break
-        devG = s.gradX - eye
-        gnorm = _h1q_raw(grid, devG, gradient_values(grid, devG), cfg.q)
-        sup_gradX = max(sup_gradX, gnorm)
-        accZ.push(s.Z - eye)
-        accJ.push(s.J - 1.0)
-        hZ = accZ.value(times)
-        hJ = accJ.value(times)
-        total = sup_gradX + hZ + hJ
-        sup_run.append(sup_gradX)
-        hZ_run.append(hZ)
-        hJ_run.append(hJ)
-        tot_run.append(total)
-        if total >= cfg.delta and not fired:
-            fired, fired_index = True, n
-            break
+    if fired_index is None and n_valid < len(states):
+        fired_index = n_valid
+    fired = fired_index is not None
     n_kept = len(tot_run)
     sigma = float(times[fired_index]) if fired else float(times[-1])
     return MonitorResult(

@@ -14,7 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, Grid, TimeSeries, gradient_values, spatial_norm
+from .fields import (
+    Field,
+    Grid,
+    TimeSeries,
+    frame_chunks,
+    frame_norms,
+    gradient_values,
+    hessian_values,
+    slobodeckij_time_seminorm,
+    spatial_norm,
+    time_lp_norm,
+)
 from .flow import FlowState
 from .lame import FluidParams
 
@@ -27,6 +38,7 @@ __all__ = [
     "continuity_oracle",
     "assemble_F_u",
     "assemble_F_Gamma",
+    "map_derivatives",
     "extended_normal_field",
     "energy_report",
     "nonlinearity_norm_report",
@@ -188,6 +200,19 @@ def assemble_F_Gamma(G: np.ndarray, Z: np.ndarray, J: np.ndarray,
     return out
 
 
+def map_derivatives(grid: Grid, u_frames: np.ndarray, states: list[FlowState]):
+    """Per frame: (G, H, dZ) = (grad u, Hessian of u, grad Z) for assemble_F_u.
+
+    The stacks are taken a chunk of frames at a time (``frame_chunks``); the
+    frames of a chunk are bit for bit the per-frame derivatives.
+    """
+    for sl in frame_chunks(grid, len(u_frames), u_frames[0].size):
+        G = gradient_values(grid, u_frames[sl])
+        H = hessian_values(grid, u_frames[sl])
+        dZ = gradient_values(grid, np.stack([s.Z for s in states[sl]]))
+        yield from zip(G, H, dZ)
+
+
 def extended_normal_field(grid: Grid, width_cells: float = 2.0) -> Field:
     """Fixed interior extension of the outward unit normal.
 
@@ -265,14 +290,10 @@ def nonlinearity_norm_report(grid: Grid, times: np.ndarray,
                              sigma: float, p: float, q: float,
                              theta: float) -> NonlinearReport:
     """Evaluate the monitored norms on [0, sigma]."""
-    from .fields import slobodeckij_time_seminorm, time_lp_norm
-
     keep = int(np.searchsorted(times, sigma + 1e-12))
     keep = max(2, min(keep, len(times)))
     tt = times[:keep]
-    fu_frames = np.array([spatial_norm(grid, F_u_stack[n], "Lq", q)
-                          for n in range(keep)])
-    fu = time_lp_norm(tt, fu_frames, p)
+    fu = time_lp_norm(tt, frame_norms(grid, F_u_stack[:keep], "Lq", q), p)
     ts_g = TimeSeries(grid, tt, F_G_stack[:keep])
     fg = slobodeckij_time_seminorm(ts_g, theta, p, "H1q", q)
     m_rho = spatial_norm(grid, rho0.values, "H1q", q)
@@ -280,7 +301,5 @@ def nonlinearity_norm_report(grid: Grid, times: np.ndarray,
     if U is None:
         m_sto = 0.0
     else:
-        u_frames = np.array([spatial_norm(grid, U.values[n], "H2q", q)
-                             for n in range(keep)])
-        m_sto = time_lp_norm(tt, u_frames, p)
+        m_sto = time_lp_norm(tt, frame_norms(grid, U.values[:keep], "H2q", q), p)
     return NonlinearReport(fu, fg, m_rho, m_rho_inv, m_sto, float(tt[-1]))

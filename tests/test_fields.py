@@ -8,6 +8,8 @@ from lagflow.fields import (
     Grid,
     TimeSeries,
     differentiate,
+    gradient_values,
+    hessian_values,
     norm,
     slobodeckij_time_seminorm,
     spatial_norm,
@@ -110,6 +112,26 @@ def test_mixed_second_derivative_on_product():
     f = Field.from_function(g, lambda c: c[..., 0] * c[..., 1])
     h = differentiate(f, 2)
     assert np.max(np.abs(h.values[..., 0, 1] - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [Grid(2, (9, 9)), Grid(2, (11, 13)),
+                                  Grid(3, (9, 10, 11))])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_stacked_derivatives_equal_per_frame(grid, rank):
+    # nine frames on a 9 x 9 grid: the frame count equals an extent
+    rng = np.random.default_rng(rank)
+    stack = rng.normal(size=(9,) + grid.extent + (grid.dim,) * rank)
+    assert np.array_equal(gradient_values(grid, stack),
+                          np.stack([gradient_values(grid, f) for f in stack]))
+    assert np.array_equal(hessian_values(grid, stack),
+                          np.stack([hessian_values(grid, f) for f in stack]))
+
+
+def test_derivatives_reject_foreign_shape(grid):
+    with pytest.raises(FieldError):
+        gradient_values(grid, np.zeros((2, 3) + grid.extent))
+    with pytest.raises(FieldError):
+        hessian_values(grid, np.zeros((32, 33)))
 
 
 def test_differentiate_rejects_non_finite(grid):
@@ -243,14 +265,20 @@ def test_slobodeckij_single_frame_degenerate(grid):
 
 
 def test_slobodeckij_matches_brute_force():
-    g = Grid(2, (9, 9))
-    base = Field.from_function(g, lambda c: np.sin(np.pi * c[..., 0]))
-    times = np.linspace(0.0, 1.0, 65)
-    vals = times[:, None, None] * base.values[None]
-    ts = TimeSeries(g, times, vals)
-    ours = slobodeckij_time_seminorm(ts, 0.4, 4, "H1q", 2)
-    ref = brute_force_htheta(ts, 0.4, 4, "H1q", 2)
-    assert ours == pytest.approx(ref, rel=1e-12)
+    # every norm kind, on a 2D and a 3D grid
+    for grid, n_frames in ((Grid(2, (9, 9)), 65), (Grid(3, (9, 9, 9)), 17)):
+        c = grid.coords()
+        base = np.sin(np.pi * c[..., 0])
+        bump = np.prod([np.sin(np.pi * c[..., d]) ** 2 for d in range(grid.dim)],
+                       axis=0)
+        times = np.linspace(0.0, 1.0, n_frames)
+        vals = (times[:, None] * base.reshape(1, -1)
+                + np.cos(3 * times)[:, None] * bump.reshape(1, -1))
+        ts = TimeSeries(grid, times, vals.reshape((n_frames,) + grid.extent))
+        for kind in ("Lq", "H1q", "H2q"):
+            ours = slobodeckij_time_seminorm(ts, 0.4, 4, kind, 2)
+            ref = brute_force_htheta(ts, 0.4, 4, kind, 2)
+            assert ours == pytest.approx(ref, rel=1e-12), (grid.dim, kind)
 
 
 def test_slobodeckij_nondecreasing_in_frames(grid):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import lagflow.lame
 from lagflow.eulerian import validate_solution
-from lagflow.fields import Field, Grid, TimeSeries
+from lagflow.fields import Field, Grid, TimeSeries, spatial_norm
 from lagflow.fixedpoint import (
     PicardDivergence,
     SolveConfig,
@@ -135,6 +136,29 @@ def test_reference_window_norm_shrinks_with_horizon():
         assert np.array_equal(shorter.values, longer.values[:len(shorter)])
     assert norms[1] <= norms[0]
     assert norms[2] <= norms[1]
+
+
+def per_frame_e1_norm(ts, p, q):
+    """E1 norm from one spatial_norm call per frame and per difference quotient."""
+    dt = ts.times[1] - ts.times[0]
+    h2 = np.array([spatial_norm(ts.grid, f, "H2q", q) for f in ts.values])
+    quot = np.array([spatial_norm(ts.grid, (b - a) / dt, "Lq", q)
+                     for a, b in zip(ts.values, ts.values[1:])])
+    return (np.trapezoid(h2**p, ts.times) ** (1 / p)
+            + float(np.sum(quot**p * dt) ** (1 / p)))
+
+
+def test_e1_norm_matches_per_frame_loop():
+    rng = np.random.default_rng(3)
+    _, u0 = perturbed_data()
+    times = np.linspace(0.0, 0.05, 51)
+    vals = (np.cos(40 * times)[:, None, None, None] * u0.values
+            + 1e-4 * np.cumsum(rng.normal(size=(51,) + u0.values.shape), axis=0))
+    ts = TimeSeries(GRID, times, vals)
+    for k in (2, 17, 51):
+        short = ts.restrict(k)
+        assert e1_norm(ts, 4.0, 8.0, n_frames=k) == pytest.approx(
+            per_frame_e1_norm(short, 4.0, 8.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +310,32 @@ def test_picard_stopped_window_on_noise_path():
     assert len(b.v) == len(b.rho) == len(b.states) == len(b.times)
     assert b.rho_positive and b.rho.min() > 0
     assert validate_solution(b, PARAMS)["passed"]
+
+
+# tracemalloc peak of the picard_solve below, measured with this test's
+# set-up on the code before the stacked derivative and norm kernels
+# (32.17 MB; 30.26 MB with them); the stacked kernels must not bring
+# whole-window temporaries back on top of it
+PICARD_PEAK_BEFORE_STACKING = 32_174_432
+
+
+def test_picard_allocation_budget():
+    rho0, u0 = perturbed_data()
+    cfg = SolveConfig()
+    Q = make_transport_field(2, "stream", K=2, amplitude=1e-3)
+    forcing = StochasticForcing.default_modes(GRID, 2, 1e-3)
+    bw = sample_brownian(2, 2, cfg.T, cfg.dt, seed=1)
+    lagflow.lame.operator_for(GRID, rho0, PARAMS)   # the factorization is shared
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            b = picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert b.converged and b.monitor.fired
+    assert peak <= 1.1 * PICARD_PEAK_BEFORE_STACKING
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lagflow.fields import Grid, TimeSeries, spatial_norm
+from lagflow.fields import Grid, SlobodeckijWindow, TimeSeries, spatial_norm
 from lagflow.flow import (
     MonitorConfig,
     compose_flow,
@@ -346,6 +346,86 @@ def test_monitor_fires_on_invalid_state():
     assert not all(s.valid for s in states)
     mon = stopping_monitor(states, MonitorConfig(delta=1e9, delta0=1e9, eps_star=1e9), GRID)
     assert mon.fired
+
+
+def resummed_window_value(win, n, theta, p):
+    """The O(L^2) sum the monitor used to redo on every frame (oracle).
+
+    Re-adds every stored row of pair terms of frames 0..n-1, in row order,
+    after the L^p-in-time part.
+    """
+    t = win.times[:n]
+    if n < 2:
+        return 0.0
+    dt = t[1] - t[0]
+    lp_pow = np.trapezoid(np.array(win.frame_pow[:n]), t)
+    sem = 0.0
+    for j in range(1, n):
+        gaps = t[j] - t[:j]
+        sem += 2.0 * np.sum(win.pair_pow[j] * dt**2 / gaps ** (1.0 + theta * p))
+    return (lp_pow + sem) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("comp", [(), (2, 2)])
+def test_window_norm_running_sum_equals_resum(comp):
+    rng = np.random.default_rng(11)
+    g = Grid(2, (17, 17))
+    n = 23
+    frames = 1e-2 * np.cumsum(rng.normal(size=(n,) + g.extent + comp), axis=0)
+    theta, p = 0.4375, 4.0
+    win = SlobodeckijWindow(g, TIMES[:n], theta, p, "H1q", 8.0)
+    start = 0
+    for size in (1, 5, 2, 7, 8):             # uneven chunks of frames
+        win.load(frames[start:start + size])
+        for k in range(start, start + size):
+            value = win.advance()
+            assert value == resummed_window_value(win, k + 1, theta, p)
+        start += size
+    assert start == n
+
+
+def brute_force_monitor(states, cfg, grid):
+    """Monitor totals from per-frame norms and the double-loop H^theta sum."""
+    eye = np.eye(grid.dim)
+    t = np.array([s.t for s in states])
+    dt = t[1] - t[0]
+
+    def htheta(frames, n):
+        if n < 2:
+            return 0.0
+        lp = np.trapezoid(np.array([spatial_norm(grid, f, "H1q", cfg.q) ** cfg.p
+                                    for f in frames[:n]]), t[:n])
+        sem = sum(2.0 * spatial_norm(grid, frames[j] - frames[i], "H1q", cfg.q) ** cfg.p
+                  * dt**2 / (t[j] - t[i]) ** (1.0 + cfg.theta * cfg.p)
+                  for j in range(n) for i in range(j))
+        return (lp + sem) ** (1.0 / cfg.p)
+
+    Zs = [s.Z - eye for s in states]
+    Js = [s.J - 1.0 for s in states]
+    totals, sup = [], 0.0
+    for n, s in enumerate(states):
+        if not s.valid:
+            return totals, n
+        sup = max(sup, spatial_norm(grid, s.gradX - eye, "H1q", cfg.q))
+        totals.append(sup + htheta(Zs, n + 1) + htheta(Js, n + 1))
+        if totals[-1] >= cfg.delta:
+            return totals, n
+    return totals, None
+
+
+@pytest.mark.parametrize("delta, fires", [(0.02, True), (1.0, False)])
+def test_monitor_matches_brute_force(delta, fires):
+    g = Grid(2, (17, 17))
+    times = TIMES[:21]
+    nf = identity_noise_flow(g, times)
+    Y, G = integrate_label_flow(linear_velocity(1.5, g, times), nf)
+    states = compose_flow(nf, Y, G, eps_star=1e9)
+    cfg = MonitorConfig(delta=delta, delta0=1.0, eps_star=1e9)
+    mon = stopping_monitor(states, cfg, g)
+    totals, fired_index = brute_force_monitor(states, cfg, g)
+    assert mon.fired == fires
+    assert mon.fired_index == fired_index
+    np.testing.assert_allclose(mon.total, totals, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
