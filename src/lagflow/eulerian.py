@@ -1,8 +1,7 @@
 """Eulerian reconstruction of the moving-domain solution and output writing.
 
 Markers are the images of the grid labels under the flow map; on markers the
-Eulerian density and velocity are direct read-offs of the Lagrangian values,
-and off-marker queries go through the inverse flow plus label interpolation.
+Eulerian density and velocity are direct read-offs of the Lagrangian values.
 All delimited outputs carry 17 significant digits so a reload reproduces the
 in-memory values exactly.
 """
@@ -15,18 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Field, frame_norms
+from .fields import frame_norms
 from .fixedpoint import SolutionBundle
-from .flow import invert_flow
-from .interp import InterpPlan
-from .lame import FluidParams, operator_for
+from .lame import FluidParams
 from .nonlinear import assemble_F_Gamma, assemble_F_u, map_derivatives
 from .noise import BrownianBundle, TransportField
 
 __all__ = [
     "MovingDomainSnapshot",
     "reconstruct",
-    "eulerian_sample",
     "kinematic_residual",
     "validate_solution",
     "write_outputs",
@@ -80,18 +76,6 @@ def _polygon_is_simple(loop: np.ndarray) -> bool:
     return not bool(np.any(inside))
 
 
-def _point_in_polygon(loop: np.ndarray, x: np.ndarray) -> bool:
-    inside = False
-    n = len(loop)
-    for i in range(n):
-        p, q = loop[i], loop[(i + 1) % n]
-        if (p[1] > x[1]) != (q[1] > x[1]):
-            t = (x[1] - p[1]) / (q[1] - p[1])
-            if x[0] < p[0] + t * (q[0] - p[0]):
-                inside = not inside
-    return inside
-
-
 def reconstruct(bundle: SolutionBundle) -> list[MovingDomainSnapshot]:
     """Marker snapshots for every frame of the usable window."""
     grid = bundle.grid
@@ -110,21 +94,6 @@ def reconstruct(bundle: SolutionBundle) -> list[MovingDomainSnapshot]:
             s.t, labels, s.X, loop, bundle.rho[n], bundle.ubar.values[n],
             s.J, vol_m, float(np.sum(w * s.J))))
     return snaps
-
-
-def eulerian_sample(bundle: SolutionBundle, frame: int, x: np.ndarray):
-    """Density and velocity at an off-marker point via the inverse flow."""
-    grid = bundle.grid
-    s = bundle.states[frame]
-    if grid.dim == 2:
-        loop = s.X[tuple(grid.boundary_loop().T)]
-        if not _point_in_polygon(loop, np.asarray(x, float)):
-            raise ValueError(f"query point {x} lies outside the marker hull")
-    y = invert_flow(s, np.asarray(x, float), grid)
-    plan = InterpPlan(grid.axes, y[None], extrapolate=True)
-    rho = float(plan.apply(bundle.rho[frame])[0])
-    u = plan.apply(bundle.ubar.values[frame])[0]
-    return rho, u
 
 
 def kinematic_residual(bundle: SolutionBundle, Q: TransportField,
@@ -160,16 +129,26 @@ def kinematic_residual(bundle: SolutionBundle, Q: TransportField,
 # solution-definition validation
 # ---------------------------------------------------------------------------
 
-def validate_solution(bundle: SolutionBundle, params: FluidParams,
-                      pde_tol: float = 1e-6) -> dict:
+PDE_TOL = 1e-6             # bound on the discrete residual of (iii)
+
+
+def validate_solution(bundle: SolutionBundle, params: FluidParams) -> dict:
     """Three-part validation report.
 
     (i)  diffeomorphism proxy: positive Jacobian, consistent inverse
          gradient, simple boundary marker loop;
     (ii) regularity proxy: finite solution norms and frame-to-frame gaps in
          the intermediate-smoothness surrogate;
-    (iii) discrete residual of the transformed system along the window.
+    (iii) discrete residual of the transformed system along the window,
+         against the operator and rho0 of the bundle's problem.
+
+    Raises ``ValueError`` when ``params`` differ from the problem's: the
+    residual would then be that of another system.
     """
+    problem = bundle.problem
+    if params != problem.params:
+        raise ValueError(f"params {params} differ from the solved problem's "
+                         f"{problem.params}")
     grid = bundle.grid
     report = {}
 
@@ -213,8 +192,7 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams,
     }
 
     # (iii) residual of the transformed system at the recorded velocity
-    rho0 = Field(grid, bundle.rho[0])
-    op = operator_for(grid, rho0, params)
+    rho0, op = problem.rho0, problem.op
     idx_b, normals_b = grid.boundary_nodes()
     bsel = tuple(idx_b.T)
     dt = bundle.times[1] - bundle.times[0]
@@ -234,9 +212,9 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams,
         bres = op.B @ v1 - op.boundary_values_to_rows(fg)
         worst = max(worst, float(np.max(np.abs(bres[mask]))))
     report["pde_residual"] = {
-        "passed": bool(worst <= pde_tol),
+        "passed": bool(worst <= PDE_TOL),
         "max_residual": worst,
-        "tolerance": pde_tol,
+        "tolerance": PDE_TOL,
     }
     report["passed"] = bool(report["diffeomorphism"]["passed"]
                             and report["regularity"]["passed"]
@@ -249,10 +227,9 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams,
 # ---------------------------------------------------------------------------
 
 def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
-                  out_dir, kin_residuals: np.ndarray | None = None,
-                  config_echo: dict | None = None,
-                  snapshot_stride: int = 10, status: str = "ok") -> dict:
-    """summary.json, diagnostics.csv, and snapshot_<k>.csv files."""
+                  out_dir, kin_residuals: np.ndarray | None = None) -> dict:
+    """summary.json, diagnostics.csv, and snapshot_<k>.csv of every tenth
+    frame."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mon = bundle.monitor
@@ -263,7 +240,7 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
 
     summary = {
         "seed": bundle.metadata.get("seed"),
-        "config": config_echo or {},
+        "config": {},
         "tau": bundle.tau,
         "kappa": bundle.kappa,
         "iterations": bundle.iterations,
@@ -275,7 +252,7 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
             "Z_theta": float(mon.htheta_Z[-1]) if len(mon.htheta_Z) else 0.0,
             "J_theta": float(mon.htheta_J[-1]) if len(mon.htheta_J) else 0.0,
         },
-        "status": status,
+        "status": "ok",
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -305,7 +282,7 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
     u_cols = [f"u{i + 1}" for i in range(dim)]
     snap_header = ",".join(label_cols + x_cols + ["rho"] + u_cols + ["J"])
     written = []
-    for k in range(0, len(snapshots), max(1, snapshot_stride)):
+    for k in range(0, len(snapshots), 10):
         s = snapshots[k]
         flat = np.column_stack([
             s.labels.reshape(-1, dim), s.markers.reshape(-1, dim),

@@ -182,15 +182,6 @@ class Field:
                 f"grid extent {self.grid.extent}"
             )
 
-    @property
-    def rank(self) -> int:
-        """0 scalar, 1 vector, 2 matrix."""
-        return self.values.ndim - self.grid.dim
-
-    @property
-    def comp_shape(self) -> tuple[int, ...]:
-        return self.values.shape[self.grid.dim:]
-
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "Field":
         """Sample ``fn(coords)`` on the nodes; coords has shape extent+(dim,)."""
@@ -229,27 +220,15 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def frame(self, k: int) -> Field:
-        return Field(self.grid, self.values[k])
-
     @property
     def step(self) -> float:
         if len(self.times) < 2:
             return 0.0
         return float(self.times[1] - self.times[0])
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
-        return _is_uniform(self.times, rtol)
-
     def restrict(self, n_frames: int) -> "TimeSeries":
         """First ``n_frames`` frames (a shorter time window)."""
         return TimeSeries(self.grid, self.times[:n_frames], self.values[:n_frames])
-
-    @classmethod
-    def from_frames(cls, frames: list[Field], times) -> "TimeSeries":
-        grid = frames[0].grid
-        return cls(grid, np.asarray(times, float),
-                   np.stack([f.values for f in frames]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,30 @@ solve the linear traction problem for the next velocity.  The iteration is
 centered at a reference solution carrying the inhomogeneous boundary data,
 and every iterate restarts the flow from t = 0 so the contraction factor is
 measured on the map itself.
+
+Everything that depends only on the data (rho0, u0, the fluid constants and
+the solver configuration) and never on the noise path is a ``Problem``: the
+Lame operator with its step factorization, the reference solution and its
+E1 norm, the initial compatibility residual and the extended normal.
+``problem_for`` builds it once per setup and keeps it in the grid's one
+content-keyed slot, so every sample path of the setup shares it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .fields import Field, Grid, TimeSeries, frame_norms, gradient_values
+from .fields import (
+    Field,
+    Grid,
+    TimeSeries,
+    frame_chunks,
+    frame_norms,
+    gradient_values,
+)
 from .flow import (
     FlowState,
     MonitorConfig,
@@ -34,7 +48,6 @@ from .lame import (
     FluidParams,
     LameOperator,
     apply_B,
-    operator_for,
     solve_lame,
     solve_stoch_convolution,
 )
@@ -52,6 +65,8 @@ from .noise import BrownianBundle, StochasticForcing, TransportField
 
 __all__ = [
     "SolveConfig",
+    "Problem",
+    "problem_for",
     "SolutionBundle",
     "PicardDivergence",
     "compatibility_check",
@@ -107,10 +122,6 @@ class SolveConfig:
         return 0.5 - 0.5 / self.q
 
     @property
-    def alpha(self) -> float:
-        return 0.5 * (self.theta + 0.5)
-
-    @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(round(self.T / self.dt) + 1)
 
@@ -147,17 +158,10 @@ def e1_norm(ts: TimeSeries, p: float, q: float, n_frames: int | None = None) -> 
     return part1 + part2
 
 
-def compatibility_check(rho0: Field, u0: Field, params: FluidParams,
-                        op: LameOperator | None = None) -> float:
+def compatibility_check(op: LameOperator, rho0: Field, u0: Field,
+                        params: FluidParams) -> float:
     """Max boundary residual of (S(grad u0) - p(rho0) I) N + p_ext N."""
-    grid = rho0.grid
-    if op is None:
-        op = operator_for(grid, rho0, params)
-    eos = EquationOfState(params.a, params.gamma)
-    idx, normals = grid.boundary_nodes()
-    traction = apply_B(op, u0)
-    p_b = eos.p(rho0.values[tuple(idx.T)])
-    resid = traction - (p_b[:, None] - params.p_ext) * normals
+    resid = apply_B(op, u0) - reference_boundary_data(rho0, params)
     return float(np.max(np.linalg.norm(resid, axis=-1)))
 
 
@@ -169,13 +173,69 @@ def reference_boundary_data(rho0: Field, params: FluidParams) -> np.ndarray:
 
 
 def solve_reference(op: LameOperator, rho0: Field, u0: Field,
-                    params: FluidParams, cfg: SolveConfig,
-                    times: np.ndarray | None = None) -> TimeSeries:
+                    params: FluidParams, cfg: SolveConfig) -> TimeSeries:
     """Homogeneous evolution with the pressure-mismatch traction data."""
-    times = cfg.times if times is None else times
+    times = cfg.times
     g0 = reference_boundary_data(rho0, params)
     g = np.broadcast_to(g0, (len(times),) + g0.shape).copy()
     return solve_lame(op, None, g, u0, times)
+
+
+# ---------------------------------------------------------------------------
+# the noise-free part of a setup
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Problem:
+    """Data of one setup and the results that do not depend on the noise.
+
+    ``rho0``, ``u0`` and ``cfg`` are copies taken when the problem was
+    built, so an in-place edit of the caller's objects cannot reach it.
+    """
+
+    rho0: Field
+    u0: Field
+    params: FluidParams
+    cfg: SolveConfig
+    op: LameOperator           # holds the step factorization once used
+    v_ref: TimeSeries          # reference solution on cfg.times
+    ref_norm: float            # E1(v_ref)
+    compat: float              # initial compatibility residual
+    N_ext: Field               # extended normal of the F_Gamma norm report
+
+
+def problem_for(rho0: Field, u0: Field, params: FluidParams,
+                cfg: SolveConfig) -> Problem:
+    """The grid's problem for (rho0, u0, params, cfg), built on a miss.
+
+    The grid keeps one slot.  A lookup hits only when the params and the
+    configuration compare equal and the rho0 and u0 values are equal element
+    by element, so every sample path of one setup gets the same operator,
+    factorizations and reference solution; an in-place edit of rho0 or u0,
+    another horizon or other params build a new problem.  The problem stays
+    alive as long as the grid does (about 106 MB at 13^3, most of it the
+    factorization, memory one path already holds while it runs).
+    """
+    grid = rho0.grid
+    hit = grid._cache.get("problem")
+    if (hit is not None and hit.params == params and hit.cfg == cfg
+            and np.array_equal(hit.rho0.values, rho0.values)
+            and np.array_equal(hit.u0.values, u0.values)):
+        return hit
+    grid._cache.pop("problem", None)  # release the old factorizations first
+    rho0, u0, cfg = rho0.copy(), u0.copy(), replace(cfg)
+    op = LameOperator(grid, rho0, params)
+    with warnings.catch_warnings():
+        # the traction mismatch of incompatible data is reported through
+        # the compatibility residual, by every picard_solve of the problem
+        warnings.simplefilter("ignore", UserWarning)
+        v_ref = solve_reference(op, rho0, u0, params, cfg)
+    problem = Problem(rho0, u0, params, cfg, op, v_ref,
+                      e1_norm(v_ref, cfg.p, cfg.q),
+                      compatibility_check(op, rho0, u0, params),
+                      extended_normal_field(grid))
+    grid._cache["problem"] = problem
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +249,7 @@ class PsiResult:
     monitor: MonitorResult
     n_frames: int              # usable frames (window [0, sigma])
     F_u: np.ndarray
-    F_Gamma_ext: np.ndarray    # full-grid assembly against the extended normal
+    ubar: TimeSeries           # the drift the states were built from
 
 
 def _drift(v: TimeSeries, U: TimeSeries) -> TimeSeries:
@@ -219,46 +279,56 @@ def _flow_stage(ubar: TimeSeries, nf: NoiseFlow, cfg: SolveConfig):
 
 def _assemble_and_solve(ubar: TimeSeries, states: list[FlowState],
                         monitor: MonitorResult, n_frames: int,
-                        op: LameOperator, rho0: Field, u0: Field,
-                        params: FluidParams, N_ext: Field) -> PsiResult:
+                        problem: Problem) -> PsiResult:
     """F_u and F_Gamma on the first ``n_frames`` levels, then the Lame solve."""
     grid = ubar.grid
+    rho0, params = problem.rho0.values, problem.params
     times_w = ubar.times[:n_frames]
     idx_b, normals_b = grid.boundary_nodes()
     bsel = tuple(idx_b.T)
     L = n_frames
     F_u = np.empty((L,) + grid.extent + (grid.dim,))
     F_G_b = np.empty((L, len(idx_b), grid.dim))
-    F_G_ext = np.empty((L,) + grid.extent + (grid.dim,))
     derivs = map_derivatives(grid, ubar.values[:L], states[:L])
     for n, (s, (G, H, dZ)) in enumerate(zip(states[:L], derivs)):
-        F_u[n] = assemble_F_u(grid, G, H, s.Z, dZ, s.J, rho0.values, params)
+        F_u[n] = assemble_F_u(grid, G, H, s.Z, dZ, s.J, rho0, params)
         F_G_b[n] = assemble_F_Gamma(G[bsel], s.Z[bsel], s.J[bsel],
-                                    rho0.values[bsel], normals_b, params)
-        F_G_ext[n] = assemble_F_Gamma(G, s.Z, s.J, rho0.values,
-                                      N_ext.values, params)
+                                    rho0[bsel], normals_b, params)
     f_series = TimeSeries(grid, times_w, F_u)
     with warnings.catch_warnings():
         # the traction data of the map equals (p(rho0) - p_ext) N at t = 0
         # up to discretization; the initial check is reported by the driver
         warnings.simplefilter("ignore", UserWarning)
-        v = solve_lame(op, f_series, F_G_b, u0, times_w)
-    return PsiResult(v, states[:L], monitor, L, F_u, F_G_ext)
+        v = solve_lame(problem.op, f_series, F_G_b, problem.u0, times_w)
+    return PsiResult(v, states[:L], monitor, L, F_u, ubar.restrict(L))
 
 
-def apply_Psi(v1: TimeSeries, U: TimeSeries, op: LameOperator, rho0: Field,
-              u0: Field, params: FluidParams, cfg: SolveConfig,
-              nf: NoiseFlow, N_ext: Field) -> PsiResult:
+def _extended_F_Gamma(res: PsiResult, k: int, problem: Problem) -> np.ndarray:
+    """F_Gamma of ``res`` on the full grid against the extended normal.
+
+    Only the first ``k`` frames, and only for the accepted iterate: the
+    norm report is the one reader.
+    """
+    grid = res.ubar.grid
+    out = np.empty((k,) + grid.extent + (grid.dim,))
+    for sl in frame_chunks(grid, k, res.ubar.values[0].size):
+        G = gradient_values(grid, res.ubar.values[sl])
+        for n, g in zip(range(sl.start, sl.stop), G):
+            s = res.states[n]
+            out[n] = assemble_F_Gamma(g, s.Z, s.J, problem.rho0.values,
+                                      problem.N_ext.values, problem.params)
+    return out
+
+
+def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
+              nf: NoiseFlow) -> PsiResult:
     """One application of the solution map on the monitored window."""
     ubar = _drift(v1, U)
-    states, monitor, n_frames = _flow_stage(ubar, nf, cfg)
-    return _assemble_and_solve(ubar, states, monitor, n_frames, op, rho0, u0,
-                               params, N_ext)
+    states, monitor, n_frames = _flow_stage(ubar, nf, problem.cfg)
+    return _assemble_and_solve(ubar, states, monitor, n_frames, problem)
 
 
-def apply_Psi_deterministic(v1: TimeSeries, op: LameOperator, rho0: Field,
-                            u0: Field, params: FluidParams,
-                            cfg: SolveConfig, N_ext: Field) -> PsiResult:
+def apply_Psi_deterministic(v1: TimeSeries, problem: Problem) -> PsiResult:
     """Noise-free oracle for the solution map.
 
     Never constructs noise objects: the label flow is integrated directly
@@ -266,7 +336,7 @@ def apply_Psi_deterministic(v1: TimeSeries, op: LameOperator, rho0: Field,
     ones of ``apply_Psi``, so a comparison pins down the flow layer's
     deterministic reduction.
     """
-    grid = v1.grid
+    grid, cfg = v1.grid, problem.cfg
     dim = grid.dim
     dt = v1.step
     L = len(v1)
@@ -292,8 +362,7 @@ def apply_Psi_deterministic(v1: TimeSeries, op: LameOperator, rho0: Field,
         states.append(FlowState(float(v1.times[n]), Y[n], G[n], Z, J, valid,
                                 max(0.0, dev - cfg.eps_star)))
     monitor, n_frames = _monitor_window(states, cfg, grid)
-    return _assemble_and_solve(v1, states, monitor, n_frames, op, rho0, u0,
-                               params, N_ext)
+    return _assemble_and_solve(v1, states, monitor, n_frames, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +389,7 @@ class SolutionBundle:
     energy: dict
     nonlinear_report: object
     rho_positive: bool
-    compat_residual: float
+    problem: Problem
     metadata: dict = dc_field(default_factory=dict)
 
 
@@ -342,23 +411,21 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     around v_ref, or when the differences fail to contract three times
     in a row.
 
-    The Lame operator comes from ``operator_for``: every path of one
-    (grid, rho0, params) shares it and its step factorization, which stay
-    alive as long as the grid does (about 106 MB at 13^3, memory one path
-    already holds while it runs).
+    The noise-free part of the run comes from ``problem_for``: every path
+    of one (rho0, u0, params, cfg) on one grid shares the Lame operator,
+    its step factorization and the reference solution.  The compatibility
+    warning comes on every call, also when the problem is shared.
     """
-    grid = rho0.grid
-    times = cfg.times
-    op = operator_for(grid, rho0, params)
-    compat = compatibility_check(rho0, u0, params, op)
-    if compat > 1e-8:
-        warnings.warn(f"initial compatibility residual {compat:.3e}; "
+    problem = problem_for(rho0, u0, params, cfg)
+    grid, times = rho0.grid, cfg.times
+    if problem.compat > 1e-8:
+        warnings.warn(f"initial compatibility residual {problem.compat:.3e}; "
                       "the run proceeds", stacklevel=2)
 
     if forcing is not None and forcing.M > 0:
         if bundle is None:
             raise ValueError("forcing modes need a Brownian bundle")
-        U = solve_stoch_convolution(op, forcing, bundle)
+        U = solve_stoch_convolution(problem.op, forcing, bundle)
     else:
         U = TimeSeries(grid, times, np.zeros((len(times),) + grid.extent + (grid.dim,)))
     if Q.K > 0 and bundle is not None:
@@ -366,16 +433,11 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     else:
         nf = identity_noise_flow(grid, times, cfg.pad_cells)
 
-    N_ext = extended_normal_field(grid)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        v_ref = solve_reference(op, rho0, u0, params, cfg, times)
-    ref_norm = e1_norm(v_ref, cfg.p, cfg.q)
-    if cfg.r + ref_norm > cfg.R:
+    if cfg.r + problem.ref_norm > cfg.R:
         raise ValueError(
-            f"ball radii violated: r + |v_ref| = {cfg.r + ref_norm:.3g} "
-            f"exceeds R = {cfg.R}")
+            f"ball radii violated: r + |v_ref| = "
+            f"{cfg.r + problem.ref_norm:.3g} exceeds R = {cfg.R}")
+    v_ref = problem.v_ref
 
     v_prev = v_ref
     n_frames = len(times)
@@ -384,8 +446,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     converged = False
     rising = 0
     for it in range(1, cfg.picard_max_iter + 1):
-        res = apply_Psi(v_prev.restrict(n_frames), U, op, rho0, u0, params,
-                        cfg, nf, N_ext)
+        res = apply_Psi(v_prev.restrict(n_frames), U, problem, nf)
         n_frames = min(n_frames, res.n_frames)
         dv = TimeSeries(grid, times[:n_frames],
                         res.v.values[:n_frames] - v_prev.values[:n_frames])
@@ -429,7 +490,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     rho_frames = []
     positive = True
     for s in states:
-        rho_f, ok = density_from_jacobian(rho0, s.J, params.rho_min)
+        rho_f, ok = density_from_jacobian(problem.rho0, s.J, params.rho_min)
         positive = positive and ok
         rho_frames.append(rho_f.values)
     rho_stack = np.stack(rho_frames)
@@ -442,30 +503,30 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     if last is not None:
         k = min(keep, last.n_frames)
         rep = nonlinearity_norm_report(
-            grid, times[:k], last.F_u[:k], last.F_Gamma_ext[:k], rho0, U,
-            sigma=tau, p=cfg.p, q=cfg.q, theta=cfg.theta)
+            grid, times[:k], last.F_u[:k], _extended_F_Gamma(last, k, problem),
+            problem.rho0, U, sigma=tau, p=cfg.p, q=cfg.q, theta=cfg.theta)
     return SolutionBundle(
         grid, times[:keep], v_out, U_out, ubar_out, rho_stack, states, monitor,
-        tau, kappa, iterations, diffs, converged, energy, rep, positive, compat,
+        tau, kappa, iterations, diffs, converged, energy, rep, positive,
+        problem,
         metadata={
             "seed": None if bundle is None else bundle.seed,
-            "ref_norm": ref_norm,
+            "ref_norm": problem.ref_norm,
             "unbounded_transport_fields": bool(getattr(Q, "unbounded", False)),
         },
     )
 
 
 def contraction_probe(v1: TimeSeries, v2: TimeSeries, U: TimeSeries,
-                      op: LameOperator, rho0: Field, u0: Field,
-                      params: FluidParams, cfg: SolveConfig,
-                      nf: NoiseFlow, N_ext: Field) -> float:
+                      problem: Problem, nf: NoiseFlow) -> float:
     """kappa = |Psi(v1) - Psi(v2)| / |v1 - v2| on the common window."""
+    cfg = problem.cfg
     denom_full = e1_norm(
         TimeSeries(v1.grid, v1.times, v1.values - v2.values), cfg.p, cfg.q)
     if denom_full == 0.0:
         raise ValueError("contraction probe needs two distinct velocities")
-    r1 = apply_Psi(v1, U, op, rho0, u0, params, cfg, nf, N_ext)
-    r2 = apply_Psi(v2, U, op, rho0, u0, params, cfg, nf, N_ext)
+    r1 = apply_Psi(v1, U, problem, nf)
+    r2 = apply_Psi(v2, U, problem, nf)
     k = min(r1.n_frames, r2.n_frames)
     num = e1_norm(TimeSeries(v1.grid, v1.times[:k],
                              r1.v.values[:k] - r2.v.values[:k]), cfg.p, cfg.q)

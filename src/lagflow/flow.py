@@ -120,7 +120,7 @@ class NoiseFlow:
     def plan(self, pts: np.ndarray, time=None) -> InterpPlan:
         return InterpPlan(self.axes, pts, extrapolate=False, time=time)
 
-    def identity_check(self, tol: float = 1e-8) -> float:
+    def identity_check(self) -> float:
         """Max deviation of Dpsi . Dpsi_inv from the identity."""
         prod = np.einsum("...ij,...jk->...ik", self.Dpsi, self.Dpsi_inv)
         eye = np.eye(self.dim)
@@ -393,16 +393,6 @@ class MonitorResult:
     htheta_Z: np.ndarray       # running H^{theta,p} H^{1,q} of Z - I
     htheta_J: np.ndarray       # same for J - 1
     total: np.ndarray
-
-    def to_csv(self, path) -> None:
-        rows = np.column_stack([
-            self.times, self.sup_gradX, self.htheta_Z, self.htheta_J,
-            (self.total >= 0) & (np.arange(len(self.times)) ==
-                                 (self.fired_index if self.fired else -1)),
-        ])
-        header = "t,normGradXminusI,normZminusI_theta,normJminus1_theta,fired"
-        np.savetxt(path, rows, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
 
 
 def stopping_monitor(states: list[FlowState], cfg: MonitorConfig,

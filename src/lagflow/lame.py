@@ -5,8 +5,7 @@ on second-order stencils; boundary rows replace the evolution equation by the
 traction condition S(grad u) N = g, discretized with one-sided second-order
 stencils (ghost-node elimination).  Time stepping is implicit Euler with one
 sparse factorization per step size, shared by the deterministic solve and the
-additive stochastic convolution, and through ``operator_for`` by every sample
-path of one problem.
+additive stochastic convolution.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .noise import BrownianBundle, StochasticForcing
 __all__ = [
     "FluidParams",
     "LameOperator",
-    "operator_for",
     "apply_A",
     "apply_B",
     "solve_lame",
@@ -199,33 +197,6 @@ class LameOperator:
             out[c * N + self.boundary_flat] = g[:, c]
         return out
 
-    def dump_matrix(self, path, which: str = "A") -> None:
-        """Coordinate text dump (row col value per line)."""
-        mat = {"A": self.A, "B": self.B}[which].tocoo()
-        with open(path, "w") as fh:
-            for r, c, v in zip(mat.row, mat.col, mat.data):
-                fh.write(f"{r} {c} {v:.17g}\n")
-
-
-def operator_for(grid: Grid, rho0: Field, params: FluidParams) -> LameOperator:
-    """The grid's shared operator for (rho0, params), built on a miss.
-
-    The grid keeps one slot: the params, a copy of the rho0 values and the
-    operator.  A lookup hits only when the params compare equal and the rho0
-    values are equal element by element, so every sample path of one problem
-    gets the same operator and the factorizations its ``stepper`` caches;
-    an in-place edit of rho0 or other params build a new one.  The operator
-    and its factorizations stay alive as long as the grid does (about 106 MB
-    at 13^3, memory one path already holds while it runs).
-    """
-    hit = grid._cache.get("lame")
-    if hit is not None and hit[0] == params and np.array_equal(hit[1], rho0.values):
-        return hit[2]
-    grid._cache.pop("lame", None)  # release the old factorizations first
-    op = LameOperator(grid, rho0, params)
-    grid._cache["lame"] = (params, rho0.values.copy(), op)
-    return op
-
 
 def apply_A(op: LameOperator, u: Field) -> Field:
     if not np.all(np.isfinite(u.values)):
@@ -248,13 +219,12 @@ def apply_B(op: LameOperator, u: Field) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def solve_lame(op: LameOperator, f: TimeSeries | None, g: np.ndarray,
-               u0: Field, times: np.ndarray,
-               compat_tol: float = 1e-8) -> TimeSeries:
+               u0: Field, times: np.ndarray) -> TimeSeries:
     """Implicit Euler for dv/dt + A v = f with traction rows B v = g.
 
     ``g`` holds boundary data per frame, shape (len(times), n_boundary, dim).
-    Initial traction compatibility is checked and reported as a warning;
-    the run proceeds either way.
+    An initial traction mismatch |B u0 - g(0)| above 1e-8 is reported as a
+    warning; the run proceeds either way.
     """
     times = np.asarray(times, float)
     dt = times[1] - times[0]
@@ -263,7 +233,7 @@ def solve_lame(op: LameOperator, f: TimeSeries | None, g: np.ndarray,
     if g.shape[0] != L:
         raise ValueError("boundary data frames must match the time grid")
     compat = np.max(np.abs(apply_B(op, u0) - g[0]))
-    if compat > compat_tol:
+    if compat > 1e-8:
         warnings.warn(
             f"initial traction data mismatch |B u0 - g(0)| = {compat:.3e}",
             stacklevel=2)
@@ -284,14 +254,12 @@ def solve_lame(op: LameOperator, f: TimeSeries | None, g: np.ndarray,
 
 
 def solve_stoch_convolution(op: LameOperator, forcing: StochasticForcing,
-                            bundle: BrownianBundle,
-                            debug_increments: np.ndarray | None = None) -> TimeSeries:
+                            bundle: BrownianBundle) -> TimeSeries:
     """Semi-implicit Euler-Maruyama for dU + A U dt = sum_m amp_m f_m d beta_m.
 
     Homogeneous traction rows are enforced at every step and U(0) = 0; each
     step uses only increments up to its own level, so the discrete solution
-    is adapted by construction.  ``debug_increments`` substitutes a known
-    deterministic signal for the mode increments.
+    is adapted by construction.
     """
     times = bundle.times
     dt = bundle.step
@@ -299,7 +267,7 @@ def solve_stoch_convolution(op: LameOperator, forcing: StochasticForcing,
     out = np.zeros((L,) + op.grid.extent + (op.grid.dim,))
     if forcing.M == 0:
         return TimeSeries(op.grid, times, out)
-    dbeta = bundle.mode_increments() if debug_increments is None else debug_increments
+    dbeta = bundle.mode_increments()
     if dbeta.shape != (forcing.M, L - 1):
         raise ValueError("one increment row per forcing mode is required")
     lu = op.stepper(dt)

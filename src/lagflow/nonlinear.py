@@ -213,18 +213,18 @@ def map_derivatives(grid: Grid, u_frames: np.ndarray, states: list[FlowState]):
         yield from zip(G, H, dZ)
 
 
-def extended_normal_field(grid: Grid, width_cells: float = 2.0) -> Field:
+def extended_normal_field(grid: Grid) -> Field:
     """Fixed interior extension of the outward unit normal.
 
-    Each face normal is continued inward with a cubic ramp over
-    ``width_cells`` cells and the contributions are blended; where the
-    blended magnitude exceeds one (edges, corners) it is renormalized, so
-    the trace matches the per-node boundary normals.
+    Each face normal is continued inward with a cubic ramp over two cells
+    and the contributions are blended; where the blended magnitude exceeds
+    one (edges, corners) it is renormalized, so the trace matches the
+    per-node boundary normals.
     """
     c = grid.coords()
     vals = np.zeros(grid.extent + (grid.dim,))
     for ax in range(grid.dim):
-        width = width_cells * grid.spacing[ax]
+        width = 2.0 * grid.spacing[ax]
         lo, hi = grid.box[ax]
         for sign, edge in ((-1.0, lo), (1.0, hi)):
             dist = np.abs(c[..., ax] - edge)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import lagflow.fixedpoint
 import lagflow.lame
 from lagflow.eulerian import validate_solution
 from lagflow.fields import Field, Grid, TimeSeries, spatial_norm
@@ -17,11 +18,11 @@ from lagflow.fixedpoint import (
     contraction_probe,
     e1_norm,
     picard_solve,
+    problem_for,
     solve_reference,
 )
 from lagflow.flow import identity_noise_flow, integrate_noise_flow
 from lagflow.lame import FluidParams, LameOperator, apply_B, solve_stoch_convolution
-from lagflow.nonlinear import extended_normal_field
 from lagflow.noise import StochasticForcing, make_transport_field, sample_brownian
 
 GRID = Grid(2, (33, 33))
@@ -57,7 +58,6 @@ def test_config_validates_exponents():
         SolveConfig(T=0.05, dt=0.003)
     cfg = SolveConfig()
     assert cfg.theta == pytest.approx(0.5 - 1.0 / 16.0)
-    assert cfg.theta < cfg.alpha < 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -66,14 +66,16 @@ def test_config_validates_exponents():
 
 def test_compatibility_equilibrium_zero():
     rho0, u0 = equilibrium_data()
-    assert compatibility_check(rho0, u0, PARAMS) == 0.0
+    op = LameOperator(GRID, rho0, PARAMS)
+    assert compatibility_check(op, rho0, u0, PARAMS) == 0.0
 
 
 def test_compatibility_rigid_rotation_zero():
     rho0, _ = equilibrium_data()
     c = GRID.coords()
     u0 = Field(GRID, np.stack([c[..., 1], -c[..., 0]], axis=-1))
-    assert compatibility_check(rho0, u0, PARAMS) <= 1e-11
+    op = LameOperator(GRID, rho0, PARAMS)
+    assert compatibility_check(op, rho0, u0, PARAMS) <= 1e-11
 
 
 def test_compatibility_shear_hand_value():
@@ -81,8 +83,10 @@ def test_compatibility_shear_hand_value():
     rho0, _ = equilibrium_data()
     c = GRID.coords()
     u0 = Field(GRID, np.stack([c[..., 0], np.zeros(GRID.extent)], axis=-1))
+    op = LameOperator(GRID, rho0, params)
     # S(grad u0) N on the x1-faces is (+-2, 0)
-    assert compatibility_check(rho0, u0, params) == pytest.approx(2.0, abs=1e-10)
+    assert compatibility_check(op, rho0, u0, params) == pytest.approx(
+        2.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +172,11 @@ def test_e1_norm_matches_per_frame_loop():
 def test_psi_fixes_equilibrium():
     rho0, u0 = equilibrium_data()
     cfg = SolveConfig()
-    op = LameOperator(GRID, rho0, PARAMS)
+    problem = problem_for(rho0, u0, PARAMS, cfg)
     times = cfg.times
     zero = TimeSeries(GRID, times, np.zeros((len(times),) + GRID.extent + (2,)))
     nf = identity_noise_flow(GRID, times)
-    res = apply_Psi(zero, zero, op, rho0, u0, PARAMS, cfg, nf,
-                    extended_normal_field(GRID))
+    res = apply_Psi(zero, zero, problem, nf)
     assert np.max(np.abs(res.v.values)) <= 1e-12
     assert res.monitor.sigma == cfg.T
 
@@ -181,13 +184,12 @@ def test_psi_fixes_equilibrium():
 def test_psi_self_map_stays_in_ball():
     rho0, u0 = perturbed_data()
     cfg = SolveConfig()
-    op = LameOperator(GRID, rho0, PARAMS)
-    v_ref = solve_reference(op, rho0, u0, PARAMS, cfg)
+    problem = problem_for(rho0, u0, PARAMS, cfg)
+    v_ref = problem.v_ref
     times = cfg.times
     zeroU = TimeSeries(GRID, times, np.zeros((len(times),) + GRID.extent + (2,)))
     nf = identity_noise_flow(GRID, times)
-    res = apply_Psi(v_ref, zeroU, op, rho0, u0, PARAMS, cfg, nf,
-                    extended_normal_field(GRID))
+    res = apply_Psi(v_ref, zeroU, problem, nf)
     k = res.n_frames
     gap = e1_norm(TimeSeries(GRID, times[:k],
                              res.v.values[:k] - v_ref.values[:k]), cfg.p, cfg.q)
@@ -325,7 +327,7 @@ def test_picard_allocation_budget():
     Q = make_transport_field(2, "stream", K=2, amplitude=1e-3)
     forcing = StochasticForcing.default_modes(GRID, 2, 1e-3)
     bw = sample_brownian(2, 2, cfg.T, cfg.dt, seed=1)
-    lagflow.lame.operator_for(GRID, rho0, PARAMS)   # the factorization is shared
+    problem_for(rho0, u0, PARAMS, cfg)   # the noise-free work is shared
     tracemalloc.start()
     try:
         with warnings.catch_warnings():
@@ -344,31 +346,28 @@ def test_picard_allocation_budget():
 
 def probe_setup(T=0.05, delta=0.1, seed=0):
     rho0, u0 = perturbed_data()
-    cfg = SolveConfig(T=T, delta=delta)
-    op = LameOperator(GRID, rho0, PARAMS)
+    problem = problem_for(rho0, u0, PARAMS, SolveConfig(T=T, delta=delta))
+    cfg = problem.cfg
     Q = make_transport_field(2, "stream", K=2, amplitude=1e-4)
     forcing = StochasticForcing.default_modes(GRID, 1, 1e-3)
     bw = sample_brownian(2, 1, cfg.T, cfg.dt, seed=seed)
-    U = solve_stoch_convolution(op, forcing, bw)
+    U = solve_stoch_convolution(problem.op, forcing, bw)
     nf = integrate_noise_flow(Q, bw, GRID, cfg.pad_cells)
-    N_ext = extended_normal_field(GRID)
-    v_ref = solve_reference(op, rho0, u0, PARAMS, cfg)
-    return rho0, u0, cfg, op, U, nf, N_ext, v_ref
+    return problem, U, nf
 
 
 def test_probe_rejects_equal_inputs():
-    rho0, u0, cfg, op, U, nf, N_ext, v_ref = probe_setup()
+    problem, U, nf = probe_setup()
     with pytest.raises(ValueError):
-        contraction_probe(v_ref, v_ref, U, op, rho0, u0, PARAMS, cfg, nf, N_ext)
+        contraction_probe(problem.v_ref, problem.v_ref, U, problem, nf)
 
 
 def test_probe_kappa_below_one_and_scales_with_T():
     kappas = {}
     for T in (0.05, 0.025):
-        rho0, u0, cfg, op, U, nf, N_ext, v_ref = probe_setup(T=T)
-        r1 = apply_Psi(v_ref, U, op, rho0, u0, PARAMS, cfg, nf, N_ext)
-        kappas[T] = contraction_probe(v_ref, r1.v, U, op, rho0, u0, PARAMS,
-                                      cfg, nf, N_ext)
+        problem, U, nf = probe_setup(T=T)
+        r1 = apply_Psi(problem.v_ref, U, problem, nf)
+        kappas[T] = contraction_probe(problem.v_ref, r1.v, U, problem, nf)
     assert kappas[0.05] < 1.0
     assert kappas[0.025] < kappas[0.05]
 
@@ -376,10 +375,9 @@ def test_probe_kappa_below_one_and_scales_with_T():
 def test_probe_kappa_monotone_in_delta():
     kappas = {}
     for delta in (0.1, 0.05):
-        rho0, u0, cfg, op, U, nf, N_ext, v_ref = probe_setup(delta=delta)
-        r1 = apply_Psi(v_ref, U, op, rho0, u0, PARAMS, cfg, nf, N_ext)
-        kappas[delta] = contraction_probe(v_ref, r1.v, U, op, rho0, u0,
-                                          PARAMS, cfg, nf, N_ext)
+        problem, U, nf = probe_setup(delta=delta)
+        r1 = apply_Psi(problem.v_ref, U, problem, nf)
+        kappas[delta] = contraction_probe(problem.v_ref, r1.v, U, problem, nf)
     assert kappas[0.05] <= kappas[0.1] + 1e-15
 
 
@@ -396,15 +394,14 @@ def test_deterministic_path_matches_generic():
     Q0 = make_transport_field(2, "constant", K=0)
     b_gen = picard_solve(rho0, u0, PARAMS, cfg, Q0,
                          sample_brownian(0, 0, cfg.T, cfg.dt, 0), None)
-    op = LameOperator(GRID, rho0, PARAMS)
-    N_ext = extended_normal_field(GRID)
+    problem = problem_for(rho0, u0, PARAMS, cfg)
     times = cfg.times
     zeroU = TimeSeries(GRID, times, np.zeros((len(times),) + GRID.extent + (2,)))
     nf = identity_noise_flow(GRID, times, cfg.pad_cells)
-    v_gen = v_det = solve_reference(op, rho0, u0, PARAMS, cfg)
+    v_gen = v_det = problem.v_ref
     for _ in range(b_gen.iterations):
-        r_gen = apply_Psi(v_gen, zeroU, op, rho0, u0, PARAMS, cfg, nf, N_ext)
-        r_det = apply_Psi_deterministic(v_det, op, rho0, u0, PARAMS, cfg, N_ext)
+        r_gen = apply_Psi(v_gen, zeroU, problem, nf)
+        r_det = apply_Psi_deterministic(v_det, problem)
         assert r_gen.n_frames == r_det.n_frames
         assert np.max(np.abs(r_gen.v.values - r_det.v.values)) <= 1e-10
         for s1, s2 in zip(r_gen.states, r_det.states):
@@ -418,7 +415,7 @@ def test_deterministic_path_matches_generic():
 
 
 # ---------------------------------------------------------------------------
-# one operator and factorization for every path of one problem
+# one problem (operator, factorization, reference) for every path of a setup
 # ---------------------------------------------------------------------------
 
 def small_problem():
@@ -441,9 +438,10 @@ def solve_path(rho0, u0, cfg, Q, forcing, seed):
 
 
 def test_picard_paths_share_one_factorization(monkeypatch):
-    counts = {"splu": 0, "init": 0}
+    counts = {"splu": 0, "init": 0, "reference": 0}
     splu = lagflow.lame.spla.splu
     init = LameOperator.__init__
+    reference = lagflow.fixedpoint.solve_reference
 
     def counting_splu(*args, **kwargs):
         counts["splu"] += 1
@@ -453,15 +451,66 @@ def test_picard_paths_share_one_factorization(monkeypatch):
         counts["init"] += 1
         init(self, *args, **kwargs)
 
+    def counting_reference(*args, **kwargs):
+        counts["reference"] += 1
+        return reference(*args, **kwargs)
+
     monkeypatch.setattr(lagflow.lame.spla, "splu", counting_splu)
     monkeypatch.setattr(LameOperator, "__init__", counting_init)
+    monkeypatch.setattr(lagflow.fixedpoint, "solve_reference",
+                        counting_reference)
     rho0, u0, cfg, Q, forcing = small_problem()
     solve_path(rho0, u0, cfg, Q, forcing, seed=1)
     b = solve_path(rho0, u0, cfg, Q, forcing, seed=2)
-    assert counts == {"splu": 1, "init": 1}
-    # the first density frame is rho0 bit for bit, so validation hits too
+    assert counts == {"splu": 1, "init": 1, "reference": 1}
+    # validation takes the operator of the bundle's problem
     assert validate_solution(b, PARAMS)["passed"]
-    assert counts == {"splu": 1, "init": 1}
+    assert counts == {"splu": 1, "init": 1, "reference": 1}
+
+
+def test_problem_for_shares_equal_content():
+    rho0, u0, cfg, _, _ = small_problem()
+    problem = problem_for(rho0, u0, PARAMS, cfg)
+    # equal values, params and configuration in new objects hit the slot
+    again = problem_for(rho0.copy(), u0.copy(), FluidParams(),
+                        dataclasses.replace(cfg))
+    assert again is problem
+    assert problem.cfg == cfg and problem.cfg is not cfg
+    assert problem.ref_norm == e1_norm(problem.v_ref, cfg.p, cfg.q)
+
+
+def test_problem_for_rebuilds_on_other_content():
+    rho0, u0, cfg, _, _ = small_problem()
+    grid = rho0.grid
+    problem = problem_for(rho0, u0, PARAMS, cfg)
+    rho0.values[6, 6] = 1.5
+    edited = problem_for(rho0, u0, PARAMS, cfg)
+    assert edited is not problem
+    assert problem.rho0.values[6, 6] == 1.0      # the problem holds a copy
+    assert (edited.op.A != problem.op.A).nnz > 0
+    u0.values[6, 6, 1] = 1e-3
+    moved = problem_for(rho0, u0, PARAMS, cfg)
+    assert moved is not edited
+    assert not np.array_equal(moved.v_ref.values, edited.v_ref.values)
+    cfg.T = 0.02                                 # edited in place
+    longer = problem_for(rho0, u0, PARAMS, cfg)
+    assert longer is not moved
+    assert len(longer.v_ref) == 21
+    other_params = FluidParams(mu=2.0)
+    reparam = problem_for(rho0, u0, other_params, cfg)
+    assert reparam is not longer
+    fresh = Grid(2, grid.extent)
+    assert problem_for(Field(fresh, rho0.values.copy()),
+                       Field(fresh, u0.values.copy()),
+                       other_params, cfg) is not reparam
+    assert grid._cache["problem"] is reparam     # one slot per grid
+
+
+def test_validate_solution_rejects_other_params():
+    rho0, u0, cfg, Q, forcing = small_problem()
+    b = solve_path(rho0, u0, cfg, Q, forcing, seed=1)
+    with pytest.raises(ValueError, match="params"):
+        validate_solution(b, FluidParams(mu=2.0))
 
 
 def test_picard_warm_operator_matches_cold():

@@ -9,7 +9,6 @@ from lagflow.lame import (
     apply_B,
     halfline_decay_rates,
     lopatinskii_check,
-    operator_for,
     solve_lame,
     solve_stoch_convolution,
     symbol_eigenvalues,
@@ -17,7 +16,7 @@ from lagflow.lame import (
     symbol_matrix,
     traction_eigenpair,
 )
-from lagflow.noise import StochasticForcing, sample_brownian
+from lagflow.noise import BrownianBundle, StochasticForcing, sample_brownian
 
 GRID = Grid(2, (17, 17))
 PARAMS = FluidParams(mu=1.0, lam=0.5)
@@ -93,35 +92,6 @@ def test_params_validation():
 def test_operator_rejects_low_density():
     with pytest.raises(ValueError):
         LameOperator(GRID, Field(GRID, 0.5 * np.ones(GRID.extent)), PARAMS)
-
-
-# ---------------------------------------------------------------------------
-# one shared operator per (grid, rho0, params)
-# ---------------------------------------------------------------------------
-
-def test_operator_for_shares_equal_content():
-    grid = Grid(2, (9, 9))
-    op = operator_for(grid, Field(grid, np.ones(grid.extent)), PARAMS)
-    # equal values and equal params in new objects hit the slot
-    again = operator_for(grid, Field(grid, np.ones(grid.extent)),
-                         FluidParams(mu=1.0, lam=0.5))
-    assert again is op
-
-
-def test_operator_for_rebuilds_on_other_content():
-    grid = Grid(2, (9, 9))
-    rho0 = Field(grid, np.ones(grid.extent))
-    op = operator_for(grid, rho0, PARAMS)
-    rho0.values[4, 4] = 1.5
-    edited = operator_for(grid, rho0, PARAMS)
-    assert edited is not op
-    assert (edited.A != op.A).nnz > 0
-    other_params = FluidParams(mu=2.0, lam=0.5)
-    reparam = operator_for(grid, rho0, other_params)
-    assert reparam is not edited
-    fresh = Grid(2, (9, 9))
-    assert operator_for(fresh, Field(fresh, rho0.values.copy()),
-                        other_params) is not reparam
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +222,6 @@ def test_compatibility_warning_fires(op):
         solve_lame(op, None, None, u0, times)
 
 
-def test_matrix_dump_roundtrip(op, tmp_path):
-    path = tmp_path / "A.txt"
-    op.dump_matrix(path, "A")
-    rows = np.loadtxt(path)
-    A = op.A.tocoo()
-    assert len(rows) == A.nnz
-
-
 # ---------------------------------------------------------------------------
 # symbol and Lopatinskii-Shapiro
 # ---------------------------------------------------------------------------
@@ -364,9 +326,9 @@ def test_debug_increments_match_deterministic_convolution(op):
          np.zeros(GRID.extent)], axis=-1))
     forcing = StochasticForcing([mode], np.array([0.3]))
     dt, steps = 1e-3, 20
-    b = sample_brownian(0, 1, dt * steps, dt, seed=5)
-    inc = np.full((1, steps), 1.0)
-    U = solve_stoch_convolution(op, forcing, b, debug_increments=inc)
+    b = BrownianBundle(0, 1, dt, np.arange(steps + 1.0)[None], seed=5)
+    assert np.array_equal(b.mode_increments(), np.ones((1, steps)))
+    U = solve_stoch_convolution(op, forcing, b)
     times = b.times
     f = TimeSeries(GRID, times, np.broadcast_to(
         0.3 * mode.values / dt, (steps + 1,) + mode.values.shape).copy())

@@ -2,9 +2,12 @@
 
 import ast
 import importlib
+import pkgutil
 import re
 import tomllib
 from pathlib import Path
+
+import lagflow
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -28,6 +31,14 @@ def test_script_entries_resolve_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {script!r}: {target} is not callable"
+
+
+def test_public_names_exist():
+    # a function deleted but left in __all__ breaks `from lagflow.x import *`
+    for info in pkgutil.iter_modules(lagflow.__path__):
+        module = importlib.import_module(f"lagflow.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"lagflow.{info.name}.{name} missing"
 
 
 def tracer_tables() -> dict:
