@@ -17,7 +17,7 @@ import numpy as np
 from .fields import frame_norms
 from .fixedpoint import SolutionBundle
 from .lame import FluidParams
-from .nonlinear import assemble_F_Gamma, assemble_F_u, map_derivatives
+from .nonlinear import assemble_window
 from .noise import BrownianBundle, TransportField
 
 __all__ = [
@@ -83,16 +83,17 @@ def reconstruct(bundle: SolutionBundle) -> list[MovingDomainSnapshot]:
     snaps = []
     labels = grid.coords()
     w = grid.quad_weights
-    for n, s in enumerate(bundle.states):
+    window = bundle.window
+    for n, (X, J) in enumerate(zip(window.X, window.J)):
         if loop_idx is not None:
-            loop = s.X[tuple(loop_idx.T)]
+            loop = X[tuple(loop_idx.T)]
             vol_m = _polygon_area(loop)
         else:
             loop = np.zeros((0, grid.dim))
             vol_m = float("nan")
         snaps.append(MovingDomainSnapshot(
-            s.t, labels, s.X, loop, bundle.rho[n], bundle.ubar.values[n],
-            s.J, vol_m, float(np.sum(w * s.J))))
+            float(window.times[n]), labels, X, loop, bundle.rho[n],
+            bundle.ubar.values[n], J, vol_m, float(np.sum(w * J))))
     return snaps
 
 
@@ -112,9 +113,10 @@ def kinematic_residual(bundle: SolutionBundle, Q: TransportField,
     out = np.zeros(len(times) - 1)
     dWs = (brownian.transport_increments()
            if brownian is not None and Q.K > 0 else None)
+    X = bundle.window.X
     for n in range(len(times) - 1):
-        x0 = bundle.states[n].X[sel]
-        x1 = bundle.states[n + 1].X[sel]
+        x0 = X[n][sel]
+        x1 = X[n + 1][sel]
         u_mid = 0.5 * (bundle.ubar.values[n][sel] + bundle.ubar.values[n + 1][sel])
         res = x1 - x0 - dt * u_mid
         if dWs is not None:
@@ -149,26 +151,24 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams) -> dict:
     if params != problem.params:
         raise ValueError(f"params {params} differ from the solved problem's "
                          f"{problem.params}")
-    grid = bundle.grid
+    grid, window = bundle.grid, bundle.window
     report = {}
 
-    # (i) invertibility and geometry
-    j_ok, j_where = True, None
-    inv_res = 0.0
-    for n, s in enumerate(bundle.states):
-        if np.any(s.J <= 0):
-            j_ok = False
-            bad = np.argwhere(s.J <= 0)[0]
-            j_where = {"frame": n, "t": s.t,
-                       "node": tuple(int(i) for i in bad)}
-            break
-        prod = np.einsum("...ij,...jk->...ik", s.gradX, s.Z)
-        inv_res = max(inv_res, float(np.max(np.abs(prod - np.eye(grid.dim)))))
+    # (i) invertibility and geometry, on the frames before the first J <= 0
+    j_where = None
+    n_ok = len(window)
+    bad = np.argwhere(window.J <= 0)
+    if len(bad):
+        n_ok = int(bad[0, 0])
+        j_where = {"frame": n_ok, "t": float(window.times[n_ok]),
+                   "node": tuple(int(i) for i in bad[0, 1:])}
+    j_ok = j_where is None
+    prod = np.einsum("...ij,...jk->...ik", window.gradX[:n_ok], window.Z[:n_ok])
+    inv_res = float(np.max(np.abs(prod - np.eye(grid.dim)), initial=0.0))
     loops_simple = True
     if grid.dim == 2 and j_ok:
-        loop_idx = grid.boundary_loop()
-        sel = tuple(loop_idx.T)
-        loops_simple = all(_polygon_is_simple(s.X[sel]) for s in bundle.states)
+        sel = tuple(grid.boundary_loop().T)
+        loops_simple = all(_polygon_is_simple(X[sel]) for X in window.X)
     report["diffeomorphism"] = {
         "passed": bool(j_ok and inv_res <= 1e-10 and loops_simple),
         "jacobian_positive": j_ok,
@@ -178,7 +178,7 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams) -> dict:
     }
 
     # (ii) finite norms and time continuity surrogate
-    p, q = 4.0, 8.0
+    p, q = problem.cfg.p, problem.cfg.q
     s_frac = 2.0 - 2.0 / p
     dv = np.diff(bundle.v.values, axis=0)
     gaps = (frame_norms(grid, dv, "Lq", q) ** (1 - s_frac / 2)
@@ -192,19 +192,15 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams) -> dict:
     }
 
     # (iii) residual of the transformed system at the recorded velocity
-    rho0, op = problem.rho0, problem.op
-    idx_b, normals_b = grid.boundary_nodes()
-    bsel = tuple(idx_b.T)
+    op = problem.op
     dt = bundle.times[1] - bundle.times[0]
     worst = 0.0
     mask = op.boundary_row_mask
-    n_steps = len(bundle.v) - 1
-    states = bundle.states[1:n_steps + 1]
-    derivs = map_derivatives(grid, bundle.ubar.values[1:n_steps + 1], states)
-    for n, (s, (G, H, dZ)) in enumerate(zip(states, derivs)):
-        fu = assemble_F_u(grid, G, H, s.Z, dZ, s.J, rho0.values, params)
-        fg = assemble_F_Gamma(G[bsel], s.Z[bsel], s.J[bsel], rho0.values[bsel],
-                              normals_b, params)
+    steps = slice(1, len(bundle.v))
+    F_u, F_G_b = assemble_window(grid, bundle.ubar.values[steps],
+                                 window.Z[steps], window.J[steps],
+                                 problem.rho0.values, params)
+    for n, (fu, fg) in enumerate(zip(F_u, F_G_b)):
         v0 = op.to_flat(bundle.v.values[n])
         v1 = op.to_flat(bundle.v.values[n + 1])
         interior = (v1 - v0) / dt + op.A @ v1 - op.to_flat(fu)
@@ -267,8 +263,8 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
     rows = np.column_stack([
         bundle.times,
         pad(mon.sup_gradX), pad(mon.htheta_Z), pad(mon.htheta_J),
-        np.array([s.J.min() for s in bundle.states]),
-        np.array([s.J.max() for s in bundle.states]),
+        bundle.window.J.reshape(n_rows, -1).min(axis=1),
+        bundle.window.J.reshape(n_rows, -1).max(axis=1),
         pad(energy), pad(diss), kin,
     ])
     header = ("t,normGradXminusI,normZminusI_theta,normJminus1_theta,"

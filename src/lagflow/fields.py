@@ -14,7 +14,9 @@ Component axes have length dim and every extent is at least 9, so the two
 layouts never coincide.  The kernels are elementwise over frames: a frame of
 a stack gets the same derivatives and norms, bit for bit, as the frame on its
 own.  Callers that loop over a window take it in ``frame_chunks`` so that no
-pass holds whole-window derivative temporaries.
+pass holds whole-window derivative temporaries.  The flow window
+(``flow.FlowWindow``) follows the same convention: X, grad X, Z and J are
+level stacks with the level axis first.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .fields import (
     gradient_values,
 )
 from .flow import (
-    FlowState,
+    FlowWindow,
     MonitorConfig,
     MonitorResult,
     NoiseFlow,
@@ -40,8 +40,6 @@ from .flow import (
     identity_noise_flow,
     integrate_label_flow,
     integrate_noise_flow,
-    mat_det,
-    mat_inv,
     stopping_monitor,
 )
 from .lame import (
@@ -54,11 +52,10 @@ from .lame import (
 from .nonlinear import (
     EquationOfState,
     assemble_F_Gamma,
-    assemble_F_u,
+    assemble_window,
     density_from_jacobian,
     energy_report,
     extended_normal_field,
-    map_derivatives,
     nonlinearity_norm_report,
 )
 from .noise import BrownianBundle, StochasticForcing, TransportField
@@ -89,7 +86,6 @@ class SolveConfig:
     p: float = 4.0
     q: float = 8.0
     delta: float = 0.1
-    delta0: float = 0.2
     eps_star: float = 0.25
     R: float = 5.0            # iteration ball radius
     r: float = 1.0            # centered ball radius
@@ -107,10 +103,9 @@ class SolveConfig:
         if not 2.0 / self.p + 3.0 / self.q < 1:
             raise ValueError(
                 f"need 2/p + 3/q < 1, got {2 / self.p + 3 / self.q:.3f}")
-        if not (0 < self.delta <= self.delta0 <= self.eps_star):
+        if not 0 < self.delta <= self.eps_star:
             raise ValueError(
-                f"need 0 < delta <= delta0 <= eps_star, got "
-                f"{self.delta}, {self.delta0}, {self.eps_star}")
+                f"need 0 < delta <= eps_star, got {self.delta}, {self.eps_star}")
         n = round(self.T / self.dt)
         if n < 1 or abs(n * self.dt - self.T) > 1e-12 * max(self.T, 1.0):
             raise ValueError(f"dt = {self.dt} does not divide T = {self.T}")
@@ -126,8 +121,7 @@ class SolveConfig:
         return self.dt * np.arange(round(self.T / self.dt) + 1)
 
     def monitor(self) -> MonitorConfig:
-        return MonitorConfig(self.delta, self.delta0, self.eps_star,
-                             self.theta, self.p, self.q)
+        return MonitorConfig(self.delta, self.theta, self.p, self.q)
 
 
 class PicardDivergence(RuntimeError):
@@ -142,16 +136,15 @@ class PicardDivergence(RuntimeError):
 # norms and data checks
 # ---------------------------------------------------------------------------
 
-def e1_norm(ts: TimeSeries, p: float, q: float, n_frames: int | None = None) -> float:
+def e1_norm(ts: TimeSeries, p: float, q: float) -> float:
     """Solution-space norm: L^p(0,t; H^{2,q}) + W^{1,p}(0,t; L^q)."""
-    k = len(ts) if n_frames is None else min(n_frames, len(ts))
-    if k < 2:
+    if len(ts) < 2:
         return 0.0
-    tt = ts.times[:k]
+    tt = ts.times
     dt = tt[1] - tt[0]
-    h2 = frame_norms(ts.grid, ts.values[:k], "H2q", q)
+    h2 = frame_norms(ts.grid, ts.values, "H2q", q)
     part1 = np.trapezoid(h2**p, tt) ** (1 / p)
-    diff = np.diff(ts.values[:k], axis=0)
+    diff = np.diff(ts.values, axis=0)
     diff /= dt
     quot = frame_norms(ts.grid, diff, "Lq", q)
     part2 = float(np.sum(quot**p * dt) ** (1 / p))
@@ -245,11 +238,11 @@ def problem_for(rho0: Field, u0: Field, params: FluidParams,
 @dataclass
 class PsiResult:
     v: TimeSeries
-    states: list[FlowState]
+    window: FlowWindow
     monitor: MonitorResult
     n_frames: int              # usable frames (window [0, sigma])
     F_u: np.ndarray
-    ubar: TimeSeries           # the drift the states were built from
+    ubar: TimeSeries           # the drift the window was built from
 
 
 def _drift(v: TimeSeries, U: TimeSeries) -> TimeSeries:
@@ -257,11 +250,11 @@ def _drift(v: TimeSeries, U: TimeSeries) -> TimeSeries:
     return TimeSeries(v.grid, v.times, v.values + U.values[: len(v)])
 
 
-def _monitor_window(states: list[FlowState], cfg: SolveConfig,
+def _monitor_window(window: FlowWindow, cfg: SolveConfig,
                     grid: Grid) -> tuple[MonitorResult, int]:
-    """Stopping monitor of the states and the usable window length."""
-    monitor = stopping_monitor(states, cfg.monitor(), grid)
-    n_frames = len(states) if not monitor.fired else max(2, monitor.fired_index + 1)
+    """Stopping monitor of the flow window and the usable window length."""
+    monitor = stopping_monitor(window, cfg.monitor(), grid)
+    n_frames = len(window) if not monitor.fired else max(2, monitor.fired_index + 1)
     return monitor, n_frames
 
 
@@ -272,35 +265,28 @@ def _flow_stage(ubar: TimeSeries, nf: NoiseFlow, cfg: SolveConfig):
     earlier iterate); the flow is integrated on its levels only.
     """
     Y, gradY = integrate_label_flow(ubar, nf)
-    states = compose_flow(nf, Y, gradY, cfg.eps_star)
-    monitor, n_frames = _monitor_window(states, cfg, ubar.grid)
-    return states, monitor, n_frames
+    window = compose_flow(nf, Y, gradY, cfg.eps_star)
+    monitor, n_frames = _monitor_window(window, cfg, ubar.grid)
+    return window, monitor, n_frames
 
 
-def _assemble_and_solve(ubar: TimeSeries, states: list[FlowState],
+def _assemble_and_solve(ubar: TimeSeries, window: FlowWindow,
                         monitor: MonitorResult, n_frames: int,
                         problem: Problem) -> PsiResult:
     """F_u and F_Gamma on the first ``n_frames`` levels, then the Lame solve."""
     grid = ubar.grid
-    rho0, params = problem.rho0.values, problem.params
-    times_w = ubar.times[:n_frames]
-    idx_b, normals_b = grid.boundary_nodes()
-    bsel = tuple(idx_b.T)
     L = n_frames
-    F_u = np.empty((L,) + grid.extent + (grid.dim,))
-    F_G_b = np.empty((L, len(idx_b), grid.dim))
-    derivs = map_derivatives(grid, ubar.values[:L], states[:L])
-    for n, (s, (G, H, dZ)) in enumerate(zip(states[:L], derivs)):
-        F_u[n] = assemble_F_u(grid, G, H, s.Z, dZ, s.J, rho0, params)
-        F_G_b[n] = assemble_F_Gamma(G[bsel], s.Z[bsel], s.J[bsel],
-                                    rho0[bsel], normals_b, params)
+    window = window.restrict(L)
+    times_w = ubar.times[:L]
+    F_u, F_G_b = assemble_window(grid, ubar.values[:L], window.Z, window.J,
+                                 problem.rho0.values, problem.params)
     f_series = TimeSeries(grid, times_w, F_u)
     with warnings.catch_warnings():
         # the traction data of the map equals (p(rho0) - p_ext) N at t = 0
         # up to discretization; the initial check is reported by the driver
         warnings.simplefilter("ignore", UserWarning)
         v = solve_lame(problem.op, f_series, F_G_b, problem.u0, times_w)
-    return PsiResult(v, states[:L], monitor, L, F_u, ubar.restrict(L))
+    return PsiResult(v, window, monitor, L, F_u, ubar.restrict(L))
 
 
 def _extended_F_Gamma(res: PsiResult, k: int, problem: Problem) -> np.ndarray:
@@ -314,8 +300,8 @@ def _extended_F_Gamma(res: PsiResult, k: int, problem: Problem) -> np.ndarray:
     for sl in frame_chunks(grid, k, res.ubar.values[0].size):
         G = gradient_values(grid, res.ubar.values[sl])
         for n, g in zip(range(sl.start, sl.stop), G):
-            s = res.states[n]
-            out[n] = assemble_F_Gamma(g, s.Z, s.J, problem.rho0.values,
+            out[n] = assemble_F_Gamma(g, res.window.Z[n], res.window.J[n],
+                                      problem.rho0.values,
                                       problem.N_ext.values, problem.params)
     return out
 
@@ -324,17 +310,17 @@ def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
               nf: NoiseFlow) -> PsiResult:
     """One application of the solution map on the monitored window."""
     ubar = _drift(v1, U)
-    states, monitor, n_frames = _flow_stage(ubar, nf, problem.cfg)
-    return _assemble_and_solve(ubar, states, monitor, n_frames, problem)
+    window, monitor, n_frames = _flow_stage(ubar, nf, problem.cfg)
+    return _assemble_and_solve(ubar, window, monitor, n_frames, problem)
 
 
 def apply_Psi_deterministic(v1: TimeSeries, problem: Problem) -> PsiResult:
     """Noise-free oracle for the solution map.
 
     Never constructs noise objects: the label flow is integrated directly
-    (dY/dt = u(t, y), Heun) and X = Y.  Monitor, assembly and solve are the
-    ones of ``apply_Psi``, so a comparison pins down the flow layer's
-    deterministic reduction.
+    (dY/dt = u(t, y), Heun) and X = Y.  Inversion guard, monitor, assembly
+    and solve are the ones of ``apply_Psi``, so a comparison pins down the
+    flow layer's deterministic reduction.
     """
     grid, cfg = v1.grid, problem.cfg
     dim = grid.dim
@@ -352,17 +338,9 @@ def apply_Psi_deterministic(v1: TimeSeries, problem: Problem) -> PsiResult:
         g = g + 0.5 * dt * (gub[n] + gub[n + 1])
         Y[n + 1] = y
         G[n + 1] = g
-    eye = np.eye(dim)
-    states = []
-    for n in range(L):
-        J = mat_det(G[n])
-        dev = float(np.max(np.sqrt(np.sum((G[n] - eye) ** 2, axis=(-2, -1)))))
-        valid = dev <= cfg.eps_star and bool(np.all(J > 0))
-        Z = mat_inv(G[n], J)
-        states.append(FlowState(float(v1.times[n]), Y[n], G[n], Z, J, valid,
-                                max(0.0, dev - cfg.eps_star)))
-    monitor, n_frames = _monitor_window(states, cfg, grid)
-    return _assemble_and_solve(v1, states, monitor, n_frames, problem)
+    window = FlowWindow.from_map(v1.times, Y, G, cfg.eps_star)
+    monitor, n_frames = _monitor_window(window, cfg, grid)
+    return _assemble_and_solve(v1, window, monitor, n_frames, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +357,7 @@ class SolutionBundle:
     U: TimeSeries
     ubar: TimeSeries
     rho: np.ndarray            # density frames on the window
-    states: list[FlowState]
+    window: FlowWindow
     monitor: MonitorResult
     tau: float
     kappa: float
@@ -479,26 +457,21 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     # rebuild the Lagrangian record of the converged velocity
     v_final = v_prev.restrict(n_frames)
     ubar = _drift(v_final, U)
-    states, monitor, keep = _flow_stage(ubar, nf, cfg)
-    while keep > 1 and not states[keep - 1].valid:
+    window, monitor, keep = _flow_stage(ubar, nf, cfg)
+    while keep > 1 and not window.valid[keep - 1]:
         keep -= 1
     if keep < 2:
         raise RuntimeError("the flow became invalid within the first step; "
                            "no usable window")
     tau = float(times[keep - 1])
-    states = states[:keep]
-    rho_frames = []
-    positive = True
-    for s in states:
-        rho_f, ok = density_from_jacobian(problem.rho0, s.J, params.rho_min)
-        positive = positive and ok
-        rho_frames.append(rho_f.values)
-    rho_stack = np.stack(rho_frames)
+    window = window.restrict(keep)
+    rho_stack, positive = density_from_jacobian(problem.rho0, window.J,
+                                                params.rho_min)
     v_out = v_final.restrict(keep)
     U_out = U.restrict(keep)
     ubar_out = ubar.restrict(keep)
 
-    energy = energy_report(rho_stack, ubar_out, states, params)
+    energy = energy_report(rho_stack, ubar_out, window, params)
     rep = None
     if last is not None:
         k = min(keep, last.n_frames)
@@ -506,7 +479,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
             grid, times[:k], last.F_u[:k], _extended_F_Gamma(last, k, problem),
             problem.rho0, U, sigma=tau, p=cfg.p, q=cfg.q, theta=cfg.theta)
     return SolutionBundle(
-        grid, times[:keep], v_out, U_out, ubar_out, rho_stack, states, monitor,
+        grid, times[:keep], v_out, U_out, ubar_out, rho_stack, window, monitor,
         tau, kappa, iterations, diffs, converged, energy, rep, positive,
         problem,
         metadata={

@@ -10,11 +10,16 @@ watches the deformation norms
     |grad X - I|_{Linf H^{1,q}} + |Z - I|_{H^{theta,p} H^{1,q}} + |J - 1|_{H^{theta,p} H^{1,q}}
 
 and freezes the usable window at their first crossing of delta.
+
+The composed map data of a window (X, grad X, Z = grad X^{-1}, J = det grad X
+and the inversion guard) is one ``FlowWindow`` of level stacks, laid out
+like the frame stacks of ``fields``: the density, the monitor norms and the
+nonlinearity assembly all read it as stacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,12 +31,12 @@ from .fields import (
     frame_norms,
     gradient_values,
 )
-from .interp import FlowEscapeError, InterpPlan
+from .interp import InterpPlan
 from .noise import BrownianBundle, TransportField
 
 __all__ = [
     "NoiseFlow",
-    "FlowState",
+    "FlowWindow",
     "MonitorConfig",
     "MonitorResult",
     "FlowDiagnostics",
@@ -168,15 +173,10 @@ def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
     D = Dpsi[0].copy()
     for n in range(bundle.n_steps):
         dW = dWs[:, n]
-        try:
-            b0, G0 = _transport_sums(Q, x, dW)
-            x_pred = x + b0
-            D_pred = D + np.einsum("...ij,...jk->...ik", G0, D)
-            b1, G1 = _transport_sums(Q, x_pred, dW)
-        except ValueError as exc:
-            raise FlowEscapeError(
-                f"noise flow left the evaluator domain at t = {bundle.times[n]}: {exc}",
-                time=bundle.times[n]) from exc
+        b0, G0 = _transport_sums(Q, x, dW)
+        x_pred = x + b0
+        D_pred = D + np.einsum("...ij,...jk->...ik", G0, D)
+        b1, G1 = _transport_sums(Q, x_pred, dW)
         x = x + 0.5 * (b0 + b1)
         D = D + 0.5 * (np.einsum("...ij,...jk->...ik", G0, D)
                        + np.einsum("...ij,...jk->...ik", G1, D_pred))
@@ -261,46 +261,73 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow):
 
 
 # ---------------------------------------------------------------------------
-# composition and the per-level state
+# composition and the flow window
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FlowState:
-    """Lagrangian map data at one time level."""
+class FlowWindow:
+    """Lagrangian map data on the levels of a window, as level stacks.
 
-    t: float
+    ``times`` (L,), ``X`` (L, *ext, d), ``gradX`` and ``Z`` (L, *ext, d, d),
+    ``J`` (L, *ext), ``valid`` (L,) bool and ``guard_violation`` (L,), the
+    excess of the Frobenius deviation |grad X - I| over eps_star.
+    """
+
+    times: np.ndarray
     X: np.ndarray
     gradX: np.ndarray
     Z: np.ndarray
     J: np.ndarray
-    valid: bool = True
-    guard_violation: float = 0.0
+    valid: np.ndarray
+    guard_violation: np.ndarray
+
+    @classmethod
+    def from_map(cls, times: np.ndarray, X: np.ndarray, gradX: np.ndarray,
+                 eps_star: float) -> "FlowWindow":
+        """J, Z and the inversion guard of the level stacks X and grad X.
+
+        The closed-form inversion is guarded by |grad X - I| <= eps_star in
+        the nodewise Frobenius surrogate; a level that violates it or has
+        J <= 0 somewhere is invalid (the stopping monitor fires there).  A
+        level with |J| <= 1e-14 somewhere gets a NaN Z.
+        """
+        L = len(times)
+        eye = np.eye(gradX.shape[-1])
+        dev = np.sqrt(np.sum((gradX - eye) ** 2, axis=(-2, -1)))
+        dev = dev.reshape(L, -1).max(axis=1)
+        J = mat_det(gradX)
+        J_levels = J.reshape(L, -1)
+        valid = (dev <= eps_star) & np.all(J_levels > 0, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Z = mat_inv(gradX, J)       # the singular levels are reset below
+        Z[np.any(np.abs(J_levels) <= 1e-14, axis=1)] = np.nan
+        return cls(np.array(times, float), X, gradX, Z, J, valid,
+                   np.maximum(0.0, dev - eps_star))
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def restrict(self, n_frames: int) -> "FlowWindow":
+        """First ``n_frames`` levels, as views."""
+        return FlowWindow(*(getattr(self, f.name)[:n_frames]
+                            for f in fields(self)))
 
 
 def compose_flow(nf: NoiseFlow, Y: np.ndarray, gradY: np.ndarray,
-                 eps_star: float = 0.25) -> list[FlowState]:
-    """X = psi(Y), grad X = Dpsi(Y) grad Y, then Z and J per level.
+                 eps_star: float = 0.25) -> FlowWindow:
+    """X = psi(Y), grad X = Dpsi(Y) grad Y, then Z, J and the guard.
 
-    One state per level of ``Y``, which may be a window prefix of ``nf``.
-
-    The closed-form inversion is guarded by |grad X - I| <= eps_star in the
-    nodewise Frobenius surrogate; a violating level is marked invalid (the
-    stopping monitor then fires there).
+    One level per level of ``Y``, which may be a window prefix of ``nf``;
+    X and grad X are interpolated level by level into the window's stacks,
+    and ``FlowWindow.from_map`` takes the rest on whole stacks.
     """
-    states = []
-    dim = nf.dim
-    eye = np.eye(dim)
+    X = np.empty(Y.shape)
+    gradX = np.empty(gradY.shape)
     for n in range(len(Y)):
         plan = nf.plan(Y[n], time=nf.times[n])
-        X = plan.apply(nf.psi[n])
-        gradX = np.einsum("...ij,...jk->...ik", plan.apply(nf.Dpsi[n]), gradY[n])
-        dev = float(np.max(np.sqrt(np.sum((gradX - eye) ** 2, axis=(-2, -1)))))
-        J = mat_det(gradX)
-        valid = dev <= eps_star and bool(np.all(J > 0))
-        Z = mat_inv(gradX, J) if np.all(np.abs(J) > 1e-14) else np.full_like(gradX, np.nan)
-        states.append(FlowState(float(nf.times[n]), X, gradX, Z, J, valid,
-                                max(0.0, dev - eps_star)))
-    return states
+        X[n] = plan.apply(nf.psi[n])
+        gradX[n] = np.einsum("...ij,...jk->...ik", plan.apply(nf.Dpsi[n]), gradY[n])
+    return FlowWindow.from_map(nf.times[:len(Y)], X, gradX, eps_star)
 
 
 def direct_flow_oracle(ubar: TimeSeries, Q: TransportField,
@@ -328,33 +355,34 @@ def direct_flow_oracle(ubar: TimeSeries, Q: TransportField,
     return X
 
 
-def invert_flow(fs: FlowState, x: np.ndarray, grid: Grid,
+def invert_flow(X: np.ndarray, gradX: np.ndarray, x: np.ndarray, grid: Grid,
                 tol: float = 1e-10, max_iter: int = 50) -> np.ndarray:
     """Newton inversion of the interpolated map: find y with X(t, y) = x.
 
-    Accepts a single point or a batch (..., dim); the initial guess is the
-    tracked node whose image is nearest.
+    ``X`` and ``gradX`` are one level of a ``FlowWindow``.  Accepts a single
+    point or a batch (..., dim); the initial guess is the tracked node whose
+    image is nearest.
     """
     x = np.asarray(x, float)
     single = x.ndim == 1
     xq = x.reshape(-1, grid.dim)
-    flatX = fs.X.reshape(-1, grid.dim)
+    flatX = X.reshape(-1, grid.dim)
     # nearest tracked image as the starting label
     d2 = np.sum((flatX[None, :, :] - xq[:, None, :]) ** 2, axis=-1)
     y = grid.coords().reshape(-1, grid.dim)[np.argmin(d2, axis=1)].copy()
     h = min(grid.spacing)
     for _ in range(max_iter):
         plan = InterpPlan(grid.axes, y, extrapolate=True)
-        r = plan.apply(fs.X) - xq
+        r = plan.apply(X) - xq
         if np.max(np.linalg.norm(r, axis=-1)) <= tol:
             break
-        Jac = plan.apply(fs.gradX)
+        Jac = plan.apply(gradX)
         step = np.einsum("...ij,...j->...i", mat_inv(Jac), r)
         # keep Newton steps inside a couple of cells to avoid overshoot
         ln = np.linalg.norm(step, axis=-1, keepdims=True)
         step = np.where(ln > 2 * h, step * (2 * h / ln), step)
         y = y - step
-    res = np.linalg.norm(InterpPlan(grid.axes, y, extrapolate=True).apply(fs.X) - xq,
+    res = np.linalg.norm(InterpPlan(grid.axes, y, extrapolate=True).apply(X) - xq,
                          axis=-1)
     if np.max(res) > tol:
         raise RuntimeError(
@@ -370,17 +398,9 @@ def invert_flow(fs: FlowState, x: np.ndarray, grid: Grid,
 @dataclass
 class MonitorConfig:
     delta: float = 0.1
-    delta0: float = 0.2
-    eps_star: float = 0.25
     theta: float = 0.4375
     p: float = 4.0
     q: float = 8.0
-
-    def __post_init__(self):
-        if not (self.delta <= self.delta0 <= self.eps_star):
-            raise ValueError(
-                f"need delta <= delta0 <= eps_star, got "
-                f"{self.delta}, {self.delta0}, {self.eps_star}")
 
 
 @dataclass
@@ -395,29 +415,29 @@ class MonitorResult:
     total: np.ndarray
 
 
-def stopping_monitor(states: list[FlowState], cfg: MonitorConfig,
+def stopping_monitor(window: FlowWindow, cfg: MonitorConfig,
                      grid: Grid) -> MonitorResult:
     """First time the deformation norm sum reaches delta (else the horizon).
 
-    An invalid flow state (inversion guard violated or J <= 0) also fires
-    the monitor at its level.  The norms are taken over the frames before
-    the first invalid state, a chunk of frames at a time (``frame_chunks``);
-    the H^{theta,p} sums advance frame by frame and stop at the crossing.
+    An invalid level of the window (inversion guard violated or J <= 0)
+    also fires the monitor there.  The norms are taken over the levels
+    before the first invalid one, on slices of the window's stacks a chunk
+    of frames at a time (``frame_chunks``); the H^{theta,p} sums advance
+    frame by frame and stop at the crossing.
     """
     eye = np.eye(grid.dim)
-    times = np.array([s.t for s in states])
-    n_valid = next((n for n, s in enumerate(states) if not s.valid), len(states))
+    times = window.times
+    invalid = np.flatnonzero(~window.valid)
+    n_valid = int(invalid[0]) if len(invalid) else len(window)
     accZ, accJ = (SlobodeckijWindow(grid, times[:n_valid], cfg.theta, cfg.p,
                                     "H1q", cfg.q) for _ in range(2))
     sup_run, hZ_run, hJ_run, tot_run = [], [], [], []
     sup_gradX = 0.0
     fired_index = None
-    for sl in frame_chunks(grid, n_valid, states[0].Z.size):
-        chunk = states[sl]
-        gnorms = frame_norms(grid, np.stack([s.gradX for s in chunk]) - eye,
-                             "H1q", cfg.q)
-        accZ.load(np.stack([s.Z for s in chunk]) - eye)
-        accJ.load(np.stack([s.J for s in chunk]) - 1.0)
+    for sl in frame_chunks(grid, n_valid, window.Z[0].size):
+        gnorms = frame_norms(grid, window.gradX[sl] - eye, "H1q", cfg.q)
+        accZ.load(window.Z[sl] - eye)
+        accJ.load(window.J[sl] - 1.0)
         for n, gnorm in enumerate(gnorms, sl.start):
             sup_gradX = max(sup_gradX, float(gnorm))
             hZ = accZ.advance()
@@ -432,7 +452,7 @@ def stopping_monitor(states: list[FlowState], cfg: MonitorConfig,
                 break
         if fired_index is not None:
             break
-    if fired_index is None and n_valid < len(states):
+    if fired_index is None and n_valid < len(window):
         fired_index = n_valid
     fired = fired_index is not None
     n_kept = len(tot_run)
@@ -543,16 +563,16 @@ def flow_diagnostics(nf: NoiseFlow, ubar_lp_h2q: np.ndarray,
 # transport identity oracle
 # ---------------------------------------------------------------------------
 
-def jacobian_ode_oracle(ubar: TimeSeries, states: list[FlowState]) -> np.ndarray:
+def jacobian_ode_oracle(ubar: TimeSeries, window: FlowWindow) -> np.ndarray:
     """Independent RK2 integration of dJ/dt = J (grad ubar : Z^T)."""
     grid = ubar.grid
-    L = len(states)
+    L = len(window)
     dt = ubar.step
     J = np.empty((L,) + grid.extent)
     J[0] = 1.0
     rates = [
         np.einsum("...ij,...ji->...", gradient_values(grid, ubar.values[n]),
-                  states[n].Z)
+                  window.Z[n])
         for n in range(L)
     ]
     cur = J[0].copy()

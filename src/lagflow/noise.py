@@ -145,7 +145,6 @@ class TransportField:
     * ``linear``   -- Q_k(x) = A_k (x - c_k) + b_k (covers rotations and the
       linear test field; divergence-free iff tr A_k = 0)
     * ``stream``   -- dim 2, Q_k = (d2 phi_k, -d1 phi_k) for products of sines
-    * ``table``    -- values sampled on a grid, interpolated evaluators
 
     Linear/rotation kinds are unbounded on R^dim; they are admissible here
     because every evaluation happens on a bounded neighborhood of the domain,
@@ -157,14 +156,12 @@ class TransportField:
         self.kind = kind
         self.params = params
         self.K = params["K"]
-        self.eval_box = params.get("eval_box")  # only table kinds restrict
         self.unbounded = kind in ("linear",)
 
     # each evaluator maps pts of shape (..., dim) per path index k
 
     def value(self, k: int, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, float)
-        self._check_domain(pts)
         if self.kind == "constant":
             return np.broadcast_to(self.params["b"][k], pts.shape).copy()
         if self.kind == "linear":
@@ -172,14 +169,11 @@ class TransportField:
             return (pts - c) @ A.T + b
         if self.kind == "stream":
             return self._stream_value(k, pts)
-        if self.kind == "table":
-            return self._table_eval(self.params["values"][k], pts)
         raise ValueError(f"unknown transport kind {self.kind!r}")
 
     def jacobian(self, k: int, pts: np.ndarray) -> np.ndarray:
         """DQ_k, shape (..., dim, dim) with entries d_j Q_i."""
         pts = np.asarray(pts, float)
-        self._check_domain(pts)
         d = self.dim
         if self.kind == "constant":
             return np.zeros(pts.shape[:-1] + (d, d))
@@ -188,8 +182,6 @@ class TransportField:
             return np.broadcast_to(A, pts.shape[:-1] + (d, d)).copy()
         if self.kind == "stream":
             return self._stream_jacobian(k, pts)
-        if self.kind == "table":
-            return self._table_eval(self.params["jacobians"][k], pts)
         raise ValueError(f"unknown transport kind {self.kind!r}")
 
     def hessian(self, k: int, pts: np.ndarray) -> np.ndarray:
@@ -241,21 +233,6 @@ class TransportField:
         out[..., 1, 1, 0] = a * km**2 * kn * sx * cy
         out[..., 1, 1, 1] = a * km * kn**2 * cx * sy
         return out
-
-    # -- tabulated kind -------------------------------------------------------
-
-    def _table_eval(self, arr, pts):
-        from .interp import InterpPlan
-        return InterpPlan(self.params["axes"], pts, extrapolate=False).apply(arr)
-
-    def _check_domain(self, pts):
-        if self.eval_box is None:
-            return
-        lo, hi = self.eval_box
-        inside = np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=-1)
-        if not np.all(inside):
-            bad = np.asarray(pts)[~inside][0]
-            raise ValueError(f"transport field evaluated outside its table at {bad}")
 
 
 def make_transport_field(dim: int, kind: str, K: int, amplitude: float = 1.0,

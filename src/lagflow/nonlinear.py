@@ -26,7 +26,7 @@ from .fields import (
     spatial_norm,
     time_lp_norm,
 )
-from .flow import FlowState
+from .flow import FlowWindow
 from .lame import FluidParams
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "continuity_oracle",
     "assemble_F_u",
     "assemble_F_Gamma",
-    "map_derivatives",
+    "assemble_window",
     "extended_normal_field",
     "energy_report",
     "nonlinearity_norm_report",
@@ -90,18 +90,22 @@ def pressure_potential(eos: EquationOfState, rho: Field) -> Field:
 # ---------------------------------------------------------------------------
 
 def density_from_jacobian(rho0: Field, J: np.ndarray,
-                          rho_min: float) -> tuple[Field, bool]:
-    """rho = rho0 / J with a positivity flag (min rho >= rho_min / 2)."""
+                          rho_min: float) -> tuple[np.ndarray, bool]:
+    """rho = rho0 / J with a positivity flag (min rho >= rho_min / 2).
+
+    ``J`` is one frame or a stack of frames (a ``FlowWindow.J``); the
+    density has its shape.
+    """
     if np.any(J <= 0):
         bad = np.argwhere(J <= 0)[0]
         raise RuntimeError(
             f"nonpositive Jacobian at node index {tuple(int(i) for i in bad)}; "
             "the stopping monitor should have fired")
-    rho = Field(rho0.grid, rho0.values / J)
-    return rho, bool(rho.values.min() >= 0.5 * rho_min)
+    rho = rho0.values / J
+    return rho, bool(rho.min() >= 0.5 * rho_min)
 
 
-def continuity_oracle(ubar: TimeSeries, states: list[FlowState],
+def continuity_oracle(ubar: TimeSeries, window: FlowWindow,
                       rho0: Field) -> tuple[np.ndarray, float]:
     """RK2 integration of d rho/dt = -rho (grad u : Z^T) vs rho0 / J.
 
@@ -109,11 +113,11 @@ def continuity_oracle(ubar: TimeSeries, states: list[FlowState],
     Jacobian representation over all frames.
     """
     grid = ubar.grid
-    L = len(states)
+    L = len(window)
     dt = ubar.step
     rates = [
         -np.einsum("...ij,...ji->...", gradient_values(grid, ubar.values[n]),
-                   states[n].Z)
+                   window.Z[n])
         for n in range(L)
     ]
     out = np.empty((L,) + grid.extent)
@@ -123,10 +127,7 @@ def continuity_oracle(ubar: TimeSeries, states: list[FlowState],
         pred = cur * (1.0 + dt * rates[n])
         cur = cur + 0.5 * dt * (cur * rates[n] + pred * rates[n + 1])
         out[n + 1] = cur
-    dev = max(
-        float(np.max(np.abs(out[n] - rho0.values / states[n].J)))
-        for n in range(L)
-    )
+    dev = float(np.max(np.abs(out - rho0.values / window.J)))
     return out, dev
 
 
@@ -200,17 +201,31 @@ def assemble_F_Gamma(G: np.ndarray, Z: np.ndarray, J: np.ndarray,
     return out
 
 
-def map_derivatives(grid: Grid, u_frames: np.ndarray, states: list[FlowState]):
-    """Per frame: (G, H, dZ) = (grad u, Hessian of u, grad Z) for assemble_F_u.
+def assemble_window(grid: Grid, u_frames: np.ndarray, Z: np.ndarray,
+                    J: np.ndarray, rho0: np.ndarray,
+                    params: FluidParams) -> tuple[np.ndarray, np.ndarray]:
+    """F_u and the boundary F_Gamma of every frame of a window.
 
-    The stacks are taken a chunk of frames at a time (``frame_chunks``); the
-    frames of a chunk are bit for bit the per-frame derivatives.
+    ``u_frames`` holds the velocity frames and ``Z``, ``J`` the flow stacks
+    of the same levels.  The derivatives of u and Z are taken a chunk of
+    frames at a time (``frame_chunks``); each frame is then assembled on
+    its own, so a frame gets the values it gets alone.  Returns F_u, shape
+    (L, *ext, d), and F_Gamma at the boundary nodes, (L, n_boundary, d).
     """
-    for sl in frame_chunks(grid, len(u_frames), u_frames[0].size):
+    idx_b, normals_b = grid.boundary_nodes()
+    bsel = tuple(idx_b.T)
+    L = len(u_frames)
+    F_u = np.empty((L,) + grid.extent + (grid.dim,))
+    F_G_b = np.empty((L, len(idx_b), grid.dim))
+    for sl in frame_chunks(grid, L, u_frames[0].size):
         G = gradient_values(grid, u_frames[sl])
         H = hessian_values(grid, u_frames[sl])
-        dZ = gradient_values(grid, np.stack([s.Z for s in states[sl]]))
-        yield from zip(G, H, dZ)
+        dZ = gradient_values(grid, Z[sl])
+        for n, g, h, dz in zip(range(sl.start, sl.stop), G, H, dZ):
+            F_u[n] = assemble_F_u(grid, g, h, Z[n], dz, J[n], rho0, params)
+            F_G_b[n] = assemble_F_Gamma(g[bsel], Z[n][bsel], J[n][bsel],
+                                        rho0[bsel], normals_b, params)
+    return F_u, F_G_b
 
 
 def extended_normal_field(grid: Grid) -> Field:
@@ -241,7 +256,7 @@ def extended_normal_field(grid: Grid) -> Field:
 # ---------------------------------------------------------------------------
 
 def energy_report(rho_stack: np.ndarray, ubar: TimeSeries,
-                  states: list[FlowState], params: FluidParams) -> dict:
+                  window: FlowWindow, params: FluidParams) -> dict:
     """Total energy, viscous dissipation, and volume per frame.
 
     Everything is evaluated in the reference coordinates with the volume
@@ -251,18 +266,18 @@ def energy_report(rho_stack: np.ndarray, ubar: TimeSeries,
     eos = EquationOfState(params.a, params.gamma)
     w = grid.quad_weights
     E, D, vol = [], [], []
-    for n, s in enumerate(states):
+    for n, (Z, J) in enumerate(zip(window.Z, window.J)):
         rho = rho_stack[n]
         u = ubar.values[n]
         kin = 0.5 * rho * np.sum(u * u, axis=-1)
         pot = eos.potential(rho)
-        volume = float(np.sum(w * s.J))
-        E.append(float(np.sum(w * (kin + pot) * s.J)) + params.p_ext * volume)
-        Gx = np.einsum("...ik,...kj->...ij", gradient_values(grid, u), s.Z)
+        volume = float(np.sum(w * J))
+        E.append(float(np.sum(w * (kin + pot) * J)) + params.p_ext * volume)
+        Gx = np.einsum("...ik,...kj->...ij", gradient_values(grid, u), Z)
         sym = Gx + np.swapaxes(Gx, -1, -2)
         dens = (params.mu * np.einsum("...ij,...ij->...", sym, Gx)
                 + params.lam * np.einsum("...ii->...", Gx) ** 2)
-        D.append(float(np.sum(w * dens * s.J)))
+        D.append(float(np.sum(w * dens * J)))
         vol.append(volume)
     return {"energy": np.array(E), "dissipation": np.array(D),
             "volume": np.array(vol)}

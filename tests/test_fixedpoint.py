@@ -53,7 +53,7 @@ def test_config_validates_exponents():
     with pytest.raises(ValueError):
         SolveConfig(p=2.5, q=4.0)  # 2/p + 3/q = 1.55
     with pytest.raises(ValueError):
-        SolveConfig(delta=0.3, delta0=0.2)
+        SolveConfig(delta=0.3)
     with pytest.raises(ValueError):
         SolveConfig(T=0.05, dt=0.003)
     cfg = SolveConfig()
@@ -161,7 +161,7 @@ def test_e1_norm_matches_per_frame_loop():
     ts = TimeSeries(GRID, times, vals)
     for k in (2, 17, 51):
         short = ts.restrict(k)
-        assert e1_norm(ts, 4.0, 8.0, n_frames=k) == pytest.approx(
+        assert e1_norm(short, 4.0, 8.0) == pytest.approx(
             per_frame_e1_norm(short, 4.0, 8.0), rel=1e-12)
 
 
@@ -309,7 +309,7 @@ def test_picard_stopped_window_on_noise_path():
     assert b.monitor.fired
     assert b.tau <= b.monitor.sigma
     assert len(b.times) < len(cfg.times)
-    assert len(b.v) == len(b.rho) == len(b.states) == len(b.times)
+    assert len(b.v) == len(b.rho) == len(b.window) == len(b.times)
     assert b.rho_positive and b.rho.min() > 0
     assert validate_solution(b, PARAMS)["passed"]
 
@@ -404,11 +404,11 @@ def test_deterministic_path_matches_generic():
         r_det = apply_Psi_deterministic(v_det, problem)
         assert r_gen.n_frames == r_det.n_frames
         assert np.max(np.abs(r_gen.v.values - r_det.v.values)) <= 1e-10
-        for s1, s2 in zip(r_gen.states, r_det.states):
-            assert np.max(np.abs(s1.X - s2.X)) <= 1e-10
-            assert np.max(np.abs(s1.J - s2.J)) <= 1e-10
-            assert np.max(np.abs(rho0.values / s1.J
-                                 - rho0.values / s2.J)) <= 1e-10
+        w_gen, w_det = r_gen.window, r_det.window
+        assert np.max(np.abs(w_gen.X - w_det.X)) <= 1e-10
+        assert np.max(np.abs(w_gen.J - w_det.J)) <= 1e-10
+        assert np.max(np.abs(rho0.values / w_gen.J
+                             - rho0.values / w_det.J)) <= 1e-10
         v_gen, v_det = r_gen.v, r_det.v
     # the generic sequence is the one picard_solve ran
     assert np.array_equal(v_gen.values[:len(b_gen.v)], b_gen.v.values)
@@ -511,6 +511,16 @@ def test_validate_solution_rejects_other_params():
     b = solve_path(rho0, u0, cfg, Q, forcing, seed=1)
     with pytest.raises(ValueError, match="params"):
         validate_solution(b, FluidParams(mu=2.0))
+
+
+def test_validation_gaps_use_the_problem_exponents():
+    # s = 2 - 2/p with the solved problem's p and q; the default p = 4,
+    # q = 8 give 7.544e-4 on this path
+    rho0, u0, _, Q, forcing = small_problem()
+    cfg = SolveConfig(p=6.0, q=12.0, T=0.01)
+    b = solve_path(rho0, u0, cfg, Q, forcing, seed=1)
+    gap = validate_solution(b, PARAMS)["regularity"]["max_frame_gap"]
+    assert gap == pytest.approx(1.1656e-3, rel=1e-3)
 
 
 def test_picard_warm_operator_matches_cold():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,17 +134,16 @@ def test_label_flow_on_window_prefix_matches_full_run():
     ubar = TimeSeries(GRID, TIMES, (1.0 + TIMES)[:, None, None, None]
                       * np.stack([bump, -0.5 * bump], axis=-1)[None])
     Y, G = integrate_label_flow(ubar, nf)
-    states = compose_flow(nf, Y, G)
+    full = compose_flow(nf, Y, G)
     k = 7
     Yk, Gk = integrate_label_flow(ubar.restrict(k), nf)
     assert np.array_equal(Yk, Y[:k])
     assert np.array_equal(Gk, G[:k])
     window = compose_flow(nf, Yk, Gk)
     assert len(window) == k
-    for s1, s2 in zip(window, states):
-        assert np.array_equal(s1.X, s2.X)
-        assert np.array_equal(s1.gradX, s2.gradX)
-        assert np.array_equal(s1.J, s2.J)
+    assert np.array_equal(window.X, full.X[:k])
+    assert np.array_equal(window.gradX, full.gradX[:k])
+    assert np.array_equal(window.J, full.J[:k])
     longer = zero_velocity(times=np.linspace(0.0, T + DT, 52))
     with pytest.raises(ValueError, match="aligned"):
         integrate_label_flow(longer, nf)
@@ -157,21 +158,20 @@ def test_label_flow_on_window_prefix_matches_full_run():
 def test_initial_state_is_identity():
     nf = identity_noise_flow(GRID, TIMES)
     Y, G = integrate_label_flow(linear_velocity(0.4), nf)
-    s0 = compose_flow(nf, Y, G)[0]
-    assert np.max(np.abs(s0.X - GRID.coords())) == 0.0
-    assert np.max(np.abs(s0.Z - np.eye(2))) == 0.0
-    assert np.max(np.abs(s0.J - 1.0)) == 0.0
+    w = compose_flow(nf, Y, G)
+    assert np.max(np.abs(w.X[0] - GRID.coords())) == 0.0
+    assert np.max(np.abs(w.Z[0] - np.eye(2))) == 0.0
+    assert np.max(np.abs(w.J[0] - 1.0)) == 0.0
 
 
 def test_linear_drift_jacobian_closed_form():
     alpha = 0.5
     nf = identity_noise_flow(GRID, TIMES)
     Y, G = integrate_label_flow(linear_velocity(alpha), nf)
-    states = compose_flow(nf, Y, G, eps_star=0.25)
-    s = states[-1]
+    w = compose_flow(nf, Y, G, eps_star=0.25)
     scale = 1.0 + alpha * T
-    assert np.max(np.abs(s.J - scale**2)) <= 1e-10
-    assert np.max(np.abs(s.Z - np.eye(2) / scale)) <= 1e-10
+    assert np.max(np.abs(w.J[-1] - scale**2)) <= 1e-10
+    assert np.max(np.abs(w.Z[-1] - np.eye(2) / scale)) <= 1e-10
 
 
 def test_pure_transport_volume_within_tolerance():
@@ -179,8 +179,7 @@ def test_pure_transport_volume_within_tolerance():
     b = sample_brownian(1, 0, T, DT, seed=3)
     nf = integrate_noise_flow(Q, b, GRID)
     Y, G = integrate_label_flow(zero_velocity(), nf)
-    states = compose_flow(nf, Y, G)
-    assert max(np.max(np.abs(s.J - 1.0)) for s in states) <= 1e-6
+    assert np.max(np.abs(compose_flow(nf, Y, G).J - 1.0)) <= 1e-6
 
 
 def test_jacobian_transport_identity():
@@ -194,13 +193,32 @@ def test_jacobian_transport_identity():
         ub = linear_velocity(0.4, GRID, times)
         nf = integrate_noise_flow(Q, b, GRID)
         Y, G = integrate_label_flow(ub, nf)
-        states = compose_flow(nf, Y, G)
-        J_ode = jacobian_ode_oracle(ub, states)
-        J_det = np.stack([s.J for s in states])
-        gaps.append(np.max(np.abs(J_ode - J_det)))
+        window = compose_flow(nf, Y, G)
+        J_ode = jacobian_ode_oracle(ub, window)
+        gaps.append(np.max(np.abs(J_ode - window.J)))
         b = refine_bridge(b)
     assert gaps[0] <= 0.2 * DT
     assert gaps[1] <= gaps[0]
+
+
+def test_singular_level_gets_nan_inverse():
+    # one singular level of grad Y (identity noise flow, so grad X = grad Y):
+    # the guard marks it invalid with a NaN Z, without a warning, and leaves
+    # the inverses of the other levels alone
+    times = TIMES[:5]
+    nf = identity_noise_flow(GRID, times)
+    rng = np.random.default_rng(5)
+    Y = np.broadcast_to(GRID.coords(), (5,) + GRID.extent + (2,)).copy()
+    gradY = np.eye(2) + 0.05 * rng.normal(size=(5,) + GRID.extent + (2, 2))
+    gradY[2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = compose_flow(nf, Y, gradY)
+    assert np.all(np.isnan(w.Z[2]))
+    assert w.valid.tolist() == [True, True, False, True, True]
+    for n in (0, 1, 3, 4):
+        assert np.all(np.isfinite(w.Z[n]))
+        assert np.array_equal(w.Z[n], mat_inv(w.gradX[n]))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +265,7 @@ def test_factorization_matches_direct_oracle():
         ub = smooth_drift_series(GRID, times)
         nf = integrate_noise_flow(Q, b, GRID)
         Y, G = integrate_label_flow(ub, nf)
-        Xc = np.stack([s.X for s in compose_flow(nf, Y, G)])
+        Xc = compose_flow(nf, Y, G).X
         Xd = direct_flow_oracle(ub, Q, b)
         gaps.append(np.max(np.abs(Xc - Xd)))
         b = refine_bridge(b)
@@ -263,18 +281,18 @@ def test_factorization_matches_direct_oracle():
 def test_invert_at_time_zero():
     nf = identity_noise_flow(GRID, TIMES)
     Y, G = integrate_label_flow(zero_velocity(), nf)
-    s0 = compose_flow(nf, Y, G)[0]
+    w = compose_flow(nf, Y, G)
     x = np.array([0.37, 0.81])
-    assert np.allclose(invert_flow(s0, x, GRID), x, atol=1e-12)
+    assert np.allclose(invert_flow(w.X[0], w.gradX[0], x, GRID), x, atol=1e-12)
 
 
 def test_invert_translation_flow():
     c = [0.25, -0.15]
     nf = identity_noise_flow(GRID, TIMES)
     Y, G = integrate_label_flow(constant_velocity(c), nf)
-    s = compose_flow(nf, Y, G)[-1]
+    w = compose_flow(nf, Y, G)
     x = np.array([0.6, 0.4])
-    y = invert_flow(s, x, GRID)
+    y = invert_flow(w.X[-1], w.gradX[-1], x, GRID)
     assert np.allclose(y, x - T * np.array(c), atol=1e-10)
 
 
@@ -284,12 +302,13 @@ def test_invert_roundtrip_stochastic():
     ub = smooth_drift_series(GRID, TIMES, amp=0.2)
     nf = integrate_noise_flow(Q, b, GRID)
     Y, G = integrate_label_flow(ub, nf)
-    fs = compose_flow(nf, Y, G)[-1]
+    w = compose_flow(nf, Y, G)
+    X = w.X[-1]
     rng = np.random.default_rng(0)
     labels = rng.uniform(0.15, 0.85, size=(100, 2))
-    xq = InterpPlan(GRID.axes, labels).apply(fs.X)
-    y = invert_flow(fs, xq, GRID)
-    back = InterpPlan(GRID.axes, y, extrapolate=True).apply(fs.X)
+    xq = InterpPlan(GRID.axes, labels).apply(X)
+    y = invert_flow(X, w.gradX[-1], xq, GRID)
+    back = InterpPlan(GRID.axes, y, extrapolate=True).apply(X)
     assert np.max(np.linalg.norm(back - xq, axis=-1)) <= 1e-10
 
 
@@ -300,8 +319,7 @@ def test_invert_roundtrip_stochastic():
 def test_monitor_stays_open_without_motion():
     nf = identity_noise_flow(GRID, TIMES)
     Y, G = integrate_label_flow(zero_velocity(), nf)
-    states = compose_flow(nf, Y, G)
-    mon = stopping_monitor(states, MonitorConfig(), GRID)
+    mon = stopping_monitor(compose_flow(nf, Y, G), MonitorConfig(), GRID)
     assert not mon.fired
     assert mon.sigma == T
     assert np.all(mon.total == 0.0)
@@ -312,9 +330,9 @@ def test_monitor_first_crossing_semantics():
     nf = identity_noise_flow(GRID, TIMES)
     ub = linear_velocity(1.5)
     Y, G = integrate_label_flow(ub, nf)
-    states = compose_flow(nf, Y, G, eps_star=1e9)
-    cfg = MonitorConfig(delta=0.02, delta0=0.02, eps_star=1e9)
-    mon = stopping_monitor(states, cfg, GRID)
+    window = compose_flow(nf, Y, G, eps_star=1e9)
+    cfg = MonitorConfig(delta=0.02)
+    mon = stopping_monitor(window, cfg, GRID)
     assert mon.fired and mon.sigma < T and mon.sigma > 0
     k = mon.fired_index
     assert mon.total[k] >= cfg.delta
@@ -326,25 +344,20 @@ def test_monitor_first_crossing_semantics():
 def test_monitor_sigma_monotone_in_delta():
     nf = identity_noise_flow(GRID, TIMES)
     Y, G = integrate_label_flow(linear_velocity(1.5), nf)
-    states = compose_flow(nf, Y, G, eps_star=1e9)
+    window = compose_flow(nf, Y, G, eps_star=1e9)
     sigmas = []
     for delta in (0.08, 0.04, 0.02, 0.01):
-        cfg = MonitorConfig(delta=delta, delta0=0.1, eps_star=1e9)
-        sigmas.append(stopping_monitor(states, cfg, GRID).sigma)
+        cfg = MonitorConfig(delta=delta)
+        sigmas.append(stopping_monitor(window, cfg, GRID).sigma)
     assert all(s2 <= s1 for s1, s2 in zip(sigmas, sigmas[1:]))
-
-
-def test_monitor_config_validates_ordering():
-    with pytest.raises(ValueError):
-        MonitorConfig(delta=0.3, delta0=0.2, eps_star=0.25)
 
 
 def test_monitor_fires_on_invalid_state():
     nf = identity_noise_flow(GRID, TIMES)
     Y, G = integrate_label_flow(linear_velocity(1.5), nf)
-    states = compose_flow(nf, Y, G, eps_star=0.05)
-    assert not all(s.valid for s in states)
-    mon = stopping_monitor(states, MonitorConfig(delta=1e9, delta0=1e9, eps_star=1e9), GRID)
+    window = compose_flow(nf, Y, G, eps_star=0.05)
+    assert not window.valid.all()
+    mon = stopping_monitor(window, MonitorConfig(delta=1e9), GRID)
     assert mon.fired
 
 
@@ -384,10 +397,10 @@ def test_window_norm_running_sum_equals_resum(comp):
     assert start == n
 
 
-def brute_force_monitor(states, cfg, grid):
+def brute_force_monitor(window, cfg, grid):
     """Monitor totals from per-frame norms and the double-loop H^theta sum."""
     eye = np.eye(grid.dim)
-    t = np.array([s.t for s in states])
+    t = window.times
     dt = t[1] - t[0]
 
     def htheta(frames, n):
@@ -400,13 +413,13 @@ def brute_force_monitor(states, cfg, grid):
                   for j in range(n) for i in range(j))
         return (lp + sem) ** (1.0 / cfg.p)
 
-    Zs = [s.Z - eye for s in states]
-    Js = [s.J - 1.0 for s in states]
+    Zs = [Z - eye for Z in window.Z]
+    Js = [J - 1.0 for J in window.J]
     totals, sup = [], 0.0
-    for n, s in enumerate(states):
-        if not s.valid:
+    for n, gradX in enumerate(window.gradX):
+        if not window.valid[n]:
             return totals, n
-        sup = max(sup, spatial_norm(grid, s.gradX - eye, "H1q", cfg.q))
+        sup = max(sup, spatial_norm(grid, gradX - eye, "H1q", cfg.q))
         totals.append(sup + htheta(Zs, n + 1) + htheta(Js, n + 1))
         if totals[-1] >= cfg.delta:
             return totals, n
@@ -419,10 +432,10 @@ def test_monitor_matches_brute_force(delta, fires):
     times = TIMES[:21]
     nf = identity_noise_flow(g, times)
     Y, G = integrate_label_flow(linear_velocity(1.5, g, times), nf)
-    states = compose_flow(nf, Y, G, eps_star=1e9)
-    cfg = MonitorConfig(delta=delta, delta0=1.0, eps_star=1e9)
-    mon = stopping_monitor(states, cfg, g)
-    totals, fired_index = brute_force_monitor(states, cfg, g)
+    window = compose_flow(nf, Y, G, eps_star=1e9)
+    cfg = MonitorConfig(delta=delta)
+    mon = stopping_monitor(window, cfg, g)
+    totals, fired_index = brute_force_monitor(window, cfg, g)
     assert mon.fired == fires
     assert mon.fired_index == fired_index
     np.testing.assert_allclose(mon.total, totals, rtol=1e-12, atol=0.0)

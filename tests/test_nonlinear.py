@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import lagflow.fields
+
 from lagflow.fields import Field, Grid, TimeSeries, gradient_values, hessian_values
-from lagflow.flow import FlowState, compose_flow, identity_noise_flow, integrate_label_flow
+from lagflow.flow import FlowWindow, compose_flow, identity_noise_flow, integrate_label_flow
 from lagflow.lame import FluidParams
 from lagflow.nonlinear import (
     EquationOfState,
     assemble_F_Gamma,
     assemble_F_u,
+    assemble_window,
     continuity_oracle,
     density_from_jacobian,
     energy_report,
@@ -23,11 +26,12 @@ GRID = Grid(2, (17, 17))
 PARAMS = FluidParams(mu=1.0, lam=0.5, a=1.0, gamma=2.0, p_ext=1.0)
 
 
-def identity_states(grid, times):
-    eye = np.broadcast_to(np.eye(grid.dim), grid.extent + (grid.dim,) * 2).copy()
-    one = np.ones(grid.extent)
-    return [FlowState(t, grid.coords(), eye.copy(), eye.copy(), one.copy())
-            for t in times]
+def identity_window(grid, times):
+    L = len(times)
+    eye = np.broadcast_to(np.eye(grid.dim), (L,) + grid.extent + (grid.dim,) * 2)
+    X = np.broadcast_to(grid.coords(), (L,) + grid.extent + (grid.dim,))
+    return FlowWindow(np.asarray(times, float), X.copy(), eye.copy(), eye.copy(),
+                      np.ones((L,) + grid.extent), np.ones(L, bool), np.zeros(L))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +77,7 @@ def test_pressure_field_positive():
 def test_density_unit_jacobian():
     rho0 = Field(GRID, 1.0 + 0.2 * GRID.coords()[..., 0])
     rho, ok = density_from_jacobian(rho0, np.ones(GRID.extent), rho_min=1.0)
-    assert np.array_equal(rho.values, rho0.values)
+    assert np.array_equal(rho, rho0.values)
     assert ok
 
 
@@ -82,7 +86,7 @@ def test_density_linear_drift_jacobian():
     J = np.full(GRID.extent, (1 + alpha * t) ** 2)
     rho0 = Field(GRID, np.ones(GRID.extent))
     rho, _ = density_from_jacobian(rho0, J, rho_min=0.1)
-    assert np.allclose(rho.values, (1 + alpha * t) ** (-2), atol=1e-15)
+    assert np.allclose(rho, (1 + alpha * t) ** (-2), atol=1e-15)
 
 
 def test_density_positivity_flag():
@@ -106,7 +110,7 @@ def test_mass_identity_bit_exact():
     rho0 = Field(GRID, rng.uniform(1.0, 2.0, GRID.extent))
     J = rng.uniform(0.9, 1.1, GRID.extent)
     rho, _ = density_from_jacobian(rho0, J, rho_min=0.5)
-    err = np.max(np.abs(rho.values * J - rho0.values))
+    err = np.max(np.abs(rho * J - rho0.values))
     assert err <= 4 * np.finfo(float).eps * np.max(rho0.values)
 
 
@@ -118,7 +122,7 @@ def test_continuity_zero_velocity():
     times = np.linspace(0, 0.05, 26)
     ub = TimeSeries(GRID, times, np.zeros((26,) + GRID.extent + (2,)))
     rho0 = Field(GRID, 1.0 + 0.1 * GRID.coords()[..., 1])
-    stack, dev = continuity_oracle(ub, identity_states(GRID, times), rho0)
+    stack, dev = continuity_oracle(ub, identity_window(GRID, times), rho0)
     assert dev == 0.0
     assert np.array_equal(stack[-1], rho0.values)
 
@@ -131,9 +135,9 @@ def test_continuity_linear_drift_matches_closed_form():
                     np.broadcast_to(alpha * c, (51,) + c.shape).copy())
     nf = identity_noise_flow(GRID, times)
     Y, G = integrate_label_flow(ub, nf)
-    states = compose_flow(nf, Y, G)
+    window = compose_flow(nf, Y, G)
     rho0 = Field(GRID, np.ones(GRID.extent))
-    stack, dev = continuity_oracle(ub, states, rho0)
+    stack, dev = continuity_oracle(ub, window, rho0)
     exact = (1 + alpha * times[-1]) ** (-2)
     assert np.max(np.abs(stack[-1] - exact)) <= 1e-6  # RK2 on a known ODE
     assert dev <= 1e-6
@@ -145,7 +149,7 @@ def test_continuity_trace_free_shear_is_constant():
     shear = np.stack([c[..., 1], np.zeros(GRID.extent)], axis=-1)
     ub = TimeSeries(GRID, times, np.broadcast_to(shear, (26,) + shear.shape).copy())
     rho0 = Field(GRID, 1.0 + 0.3 * c[..., 0])
-    stack, _ = continuity_oracle(ub, identity_states(GRID, times), rho0)
+    stack, _ = continuity_oracle(ub, identity_window(GRID, times), rho0)
     assert np.max(np.abs(stack - rho0.values[None])) <= 1e-10
 
 
@@ -314,6 +318,32 @@ def test_joint_continuity_in_Z_J():
     assert ratios[0] == pytest.approx(ratios[1], rel=0.05)
 
 
+def test_assemble_window_matches_per_frame_calls(monkeypatch):
+    # passes of three frames split the window into several chunks; each
+    # frame must get, bit for bit, what its own derivatives and assembly give
+    monkeypatch.setattr(lagflow.fields, "_CHUNK_BYTES", 3 * 8 * GRID.n_nodes * 2 * 4)
+    rng = np.random.default_rng(8)
+    L = 7
+    c = GRID.coords()
+    u = np.stack([np.stack([(1 + 0.1 * n) * np.sin(np.pi * c[..., 0]) * c[..., 1],
+                            (1 - 0.05 * n) * np.cos(np.pi * c[..., 1]) * c[..., 0] ** 2],
+                           axis=-1) for n in range(L)])
+    Z = np.eye(2) + 1e-2 * rng.normal(size=(L,) + GRID.extent + (2, 2))
+    J = 1.0 + 1e-2 * rng.normal(size=(L,) + GRID.extent)
+    rho0 = 1.0 + 0.1 * c[..., 0]
+    F_u, F_G_b = assemble_window(GRID, u, Z, J, rho0, PARAMS)
+    idx_b, normals_b = GRID.boundary_nodes()
+    bsel = tuple(idx_b.T)
+    for n in range(L):
+        G, H = derivative_pack(GRID, u[n])
+        dZ = gradient_values(GRID, Z[n])
+        assert np.array_equal(
+            F_u[n], assemble_F_u(GRID, G, H, Z[n], dZ, J[n], rho0, PARAMS))
+        assert np.array_equal(
+            F_G_b[n], assemble_F_Gamma(G[bsel], Z[n][bsel], J[n][bsel],
+                                       rho0[bsel], normals_b, PARAMS))
+
+
 # ---------------------------------------------------------------------------
 # normal extension
 # ---------------------------------------------------------------------------
@@ -351,9 +381,8 @@ def test_energy_rest_state():
     times = np.linspace(0, 0.02, 11)
     rho0 = 1.2 * np.ones(GRID.extent)
     ub = TimeSeries(GRID, times, np.zeros((11,) + GRID.extent + (2,)))
-    states = identity_states(GRID, times)
     rep = energy_report(np.broadcast_to(rho0, (11,) + GRID.extent).copy(),
-                        ub, states, PARAMS)
+                        ub, identity_window(GRID, times), PARAMS)
     eos = EquationOfState(PARAMS.a, PARAMS.gamma)
     expected = eos.potential(1.2) + PARAMS.p_ext * 1.0
     assert np.allclose(rep["energy"], expected, rtol=1e-12)
@@ -369,7 +398,7 @@ def test_energy_nonnegative_dissipation():
                  axis=-1)
     ub = TimeSeries(GRID, times, np.broadcast_to(u, (11,) + u.shape).copy())
     rep = energy_report(np.ones((11,) + GRID.extent), ub,
-                        identity_states(GRID, times), PARAMS)
+                        identity_window(GRID, times), PARAMS)
     assert np.all(rep["dissipation"] >= 0.0)
     assert np.all(rep["energy"] >= 0.0)
 

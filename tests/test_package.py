@@ -10,6 +10,7 @@ from pathlib import Path
 import lagflow
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lagflow"
 PYPROJECT = ROOT / "pyproject.toml"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
@@ -64,3 +65,34 @@ def test_traced_names_exist_in_lagflow():
     for module, cls_name, attr in tables["METHODS"]:
         cls = getattr(importlib.import_module(f"lagflow.{module}"), cls_name)
         assert callable(cls.__dict__[attr]), f"{cls_name}.{attr} is not callable"
+
+
+CONFIG_CLASSES = ("SolveConfig", "MonitorConfig")
+
+
+def test_config_fields_are_read():
+    # a config field counts as read when some attribute load of its name is
+    # neither in a config class's __post_init__ (validation) nor an argument
+    # of a config constructor (forwarding into another config)
+    fields, loads = {}, set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        skipped = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in CONFIG_CLASSES:
+                fields[node.name] = [item.target.id for item in node.body
+                                     if isinstance(item, ast.AnnAssign)]
+                for item in node.body:
+                    if getattr(item, "name", None) == "__post_init__":
+                        skipped.update(map(id, ast.walk(item)))
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) in CONFIG_CLASSES):
+                for arg in node.args + [kw.value for kw in node.keywords]:
+                    skipped.update(map(id, ast.walk(arg)))
+        loads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load) and id(node) not in skipped)
+    assert set(fields) == set(CONFIG_CLASSES)
+    unread = [f"{cls}.{name}" for cls, names in fields.items()
+              for name in names if name not in loads]
+    assert not unread, f"config fields no code reads: {unread}"
