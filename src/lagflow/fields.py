@@ -16,12 +16,15 @@ a stack gets the same derivatives and norms, bit for bit, as the frame on its
 own.  Callers that loop over a window take it in ``frame_chunks`` so that no
 pass holds whole-window derivative temporaries.  The flow window
 (``flow.FlowWindow``) follows the same convention: X, grad X, Z and J are
-level stacks with the level axis first.
+level stacks with the level axis first.  The index sums on the trailing
+component axes go through :func:`contract`, which gives einsum's bits on one
+frame and on a stack alike, so the map assembles a whole chunk per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +33,7 @@ __all__ = [
     "Field",
     "TimeSeries",
     "SlobodeckijWindow",
+    "contract",
     "differentiate",
     "frame_chunks",
     "frame_norms",
@@ -311,6 +315,63 @@ def differentiate(f: Field, order: int = 1) -> Field:
     if order == 2:
         return Field(f.grid, hessian_values(f.grid, f.values))
     raise FieldError(f"order must be 1 or 2, got {order}")
+
+
+# ---------------------------------------------------------------------------
+# index contractions
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)   # one entry per literal call site and dim
+def _contract_plan(subscripts: str, order: str, dim: int) -> tuple:
+    """Operand ranks and, per output component, the index of every operand
+    in every term, in summation order."""
+    ins, out = subscripts.replace("...", "").split("->")
+    ins = ins.split(",")
+    plan = []
+    for o in np.ndindex((dim,) * len(out)):
+        terms = []
+        for r in np.ndindex((dim,) * len(order)):
+            at = dict(zip(out + order, o + r))
+            terms.append(tuple((...,) + tuple(at[c] for c in s) for s in ins))
+        plan.append(((...,) + o, tuple(terms)))
+    return tuple(len(s) for s in ins), len(out), tuple(plan)
+
+
+def contract(subscripts: str, order: str, *ops: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *ops)`` on trailing label axes, bit for bit.
+
+    ``subscripts`` prefixes every operand and the output with ``...``; the
+    labelled axes are the trailing component axes (length dim), and the
+    leading axes (nodes, frames) broadcast.  The sum is vectorized over the
+    leading axes with einsum's own rounding: for every output component the
+    reduced labels are visited in ``order``, the first label outermost; each
+    term multiplies the operands' components left to right and is added to
+    a sum that starts at zero (the first term is ``term + 0.0``, which turns
+    -0.0 into +0.0 as einsum does).
+
+    ``order`` is the loop order numpy's einsum takes for the signature; it
+    is found by search, not derived, and bit-equality with einsum is pinned
+    by a test against the installed numpy.  Should a numpy release change
+    einsum's loop order, that test fails while the physics stays correct to
+    round-off.  Signatures that einsum sends to its SIMD dot kernel cannot
+    be reproduced this way and stay ``np.einsum``.
+    """
+    dim = ops[0].shape[-1]
+    ranks, n_out, plan = _contract_plan(subscripts, order, dim)
+    lead = np.broadcast_shapes(*(op.shape[:op.ndim - k] for op, k in zip(ops, ranks)))
+    res = np.empty(lead + (dim,) * n_out)
+    for o, terms in plan:
+        acc = None
+        for idx in terms:
+            term = ops[0][idx[0]]
+            for op, i in zip(ops[1:], idx[1:]):
+                term = term * op[i]
+            if acc is None:
+                acc = term + 0.0
+            else:
+                acc += term
+        res[o] = acc
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -298,11 +298,10 @@ def _extended_F_Gamma(res: PsiResult, k: int, problem: Problem) -> np.ndarray:
     grid = res.ubar.grid
     out = np.empty((k,) + grid.extent + (grid.dim,))
     for sl in frame_chunks(grid, k, res.ubar.values[0].size):
-        G = gradient_values(grid, res.ubar.values[sl])
-        for n, g in zip(range(sl.start, sl.stop), G):
-            out[n] = assemble_F_Gamma(g, res.window.Z[n], res.window.J[n],
-                                      problem.rho0.values,
-                                      problem.N_ext.values, problem.params)
+        out[sl] = assemble_F_Gamma(gradient_values(grid, res.ubar.values[sl]),
+                                   res.window.Z[sl], res.window.J[sl],
+                                   problem.rho0.values, problem.N_ext.values,
+                                   problem.params)
     return out
 
 

@@ -27,6 +27,7 @@ from .fields import (
     Grid,
     SlobodeckijWindow,
     TimeSeries,
+    contract,
     frame_chunks,
     frame_norms,
     gradient_values,
@@ -175,11 +176,11 @@ def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
         dW = dWs[:, n]
         b0, G0 = _transport_sums(Q, x, dW)
         x_pred = x + b0
-        D_pred = D + np.einsum("...ij,...jk->...ik", G0, D)
+        D_pred = D + contract("...ij,...jk->...ik", "j", G0, D)
         b1, G1 = _transport_sums(Q, x_pred, dW)
         x = x + 0.5 * (b0 + b1)
-        D = D + 0.5 * (np.einsum("...ij,...jk->...ik", G0, D)
-                       + np.einsum("...ij,...jk->...ik", G1, D_pred))
+        D = D + 0.5 * (contract("...ij,...jk->...ik", "j", G0, D)
+                       + contract("...ij,...jk->...ik", "j", G1, D_pred))
         det = mat_det(D)
         if np.max(np.abs(det - 1.0)) > 0.5:
             raise RuntimeError(
@@ -243,8 +244,8 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow):
         A = plan.apply(nf.Dpsi_inv[level])
         dA = plan.apply(nf.grad_Dpsi_inv[level])
         f = np.einsum("...ij,...j->...i", A, u)
-        dg = (np.einsum("...ijl,...lm,...j->...im", dA, g, u)
-              + np.einsum("...ij,...jm->...im", A, gu))
+        dg = (contract("...ijl,...lm,...j->...im", "jl", dA, g, u)
+              + contract("...ij,...jm->...im", "j", A, gu))
         return f, dg
 
     y, g = Y[0].copy(), G[0].copy()
@@ -269,8 +270,8 @@ class FlowWindow:
     """Lagrangian map data on the levels of a window, as level stacks.
 
     ``times`` (L,), ``X`` (L, *ext, d), ``gradX`` and ``Z`` (L, *ext, d, d),
-    ``J`` (L, *ext), ``valid`` (L,) bool and ``guard_violation`` (L,), the
-    excess of the Frobenius deviation |grad X - I| over eps_star.
+    ``J`` (L, *ext) and ``valid`` (L,) bool, the verdict of the inversion
+    guard and the sign of J per level.
     """
 
     times: np.ndarray
@@ -279,7 +280,6 @@ class FlowWindow:
     Z: np.ndarray
     J: np.ndarray
     valid: np.ndarray
-    guard_violation: np.ndarray
 
     @classmethod
     def from_map(cls, times: np.ndarray, X: np.ndarray, gradX: np.ndarray,
@@ -301,8 +301,7 @@ class FlowWindow:
         with np.errstate(divide="ignore", invalid="ignore"):
             Z = mat_inv(gradX, J)       # the singular levels are reset below
         Z[np.any(np.abs(J_levels) <= 1e-14, axis=1)] = np.nan
-        return cls(np.array(times, float), X, gradX, Z, J, valid,
-                   np.maximum(0.0, dev - eps_star))
+        return cls(np.array(times, float), X, gradX, Z, J, valid)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -318,15 +317,18 @@ def compose_flow(nf: NoiseFlow, Y: np.ndarray, gradY: np.ndarray,
     """X = psi(Y), grad X = Dpsi(Y) grad Y, then Z, J and the guard.
 
     One level per level of ``Y``, which may be a window prefix of ``nf``;
-    X and grad X are interpolated level by level into the window's stacks,
-    and ``FlowWindow.from_map`` takes the rest on whole stacks.
+    X and grad X are interpolated and contracted level by level into the
+    window's stacks (a whole-window contraction would also hold a Dpsi(Y)
+    stack, for no measurable time), and ``FlowWindow.from_map`` takes the
+    rest on whole stacks.
     """
     X = np.empty(Y.shape)
     gradX = np.empty(gradY.shape)
     for n in range(len(Y)):
         plan = nf.plan(Y[n], time=nf.times[n])
         X[n] = plan.apply(nf.psi[n])
-        gradX[n] = np.einsum("...ij,...jk->...ik", plan.apply(nf.Dpsi[n]), gradY[n])
+        gradX[n] = contract("...ij,...jk->...ik", "j", plan.apply(nf.Dpsi[n]),
+                            gradY[n])
     return FlowWindow.from_map(nf.times[:len(Y)], X, gradX, eps_star)
 
 

@@ -3,9 +3,12 @@
 The right-hand sides of the transformed momentum system collect every defect
 of the Lagrangian change of variables: second-derivative terms weighted by
 Z - I, first-derivative terms against grad Z, and the transformed pressure.
-All index sums run over one dimension-parameterized einsum kernel, so dim 2
-and dim 3 share the same code path; a plain-loop oracle lives in the test
-fixtures to cross-check the contractions term by term.
+All index sums run over the contraction kernel ``fields.contract`` (einsum's
+own summation order, vectorized over nodes and frames), apart from the few
+that einsum sends to its SIMD dot kernel, which stay ``np.einsum``; dim 2 and
+dim 3 share one code path, and the assembly functions take one frame or a
+chunk of frames alike.  A plain-loop oracle lives in the test fixtures to
+cross-check the contractions term by term.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .fields import (
     Field,
     Grid,
     TimeSeries,
+    contract,
     frame_chunks,
     frame_norms,
     gradient_values,
@@ -142,7 +146,9 @@ def assemble_F_u(grid: Grid, G: np.ndarray, H: np.ndarray, Z: np.ndarray,
 
     G[i, m] = d_m u_i, H[i, k, l] = d_k d_l u_i, Z[k, j] inverse flow
     gradient, dZ[k, j, l] = d_l Z_{kj}.  With Z = I, J = 1 every defect
-    group vanishes and only -(1/rho0) grad p(rho0) survives.
+    group vanishes and only -(1/rho0) grad p(rho0) survives.  Elementwise
+    over the leading axes: the arrays are one frame or a stack of frames
+    (``rho0`` one frame), and a frame of a stack gets its own values.
     """
     mu, lam = params.mu, params.lam
     eos = EquationOfState(params.a, params.gamma)
@@ -151,25 +157,25 @@ def assemble_F_u(grid: Grid, G: np.ndarray, H: np.ndarray, Z: np.ndarray,
     Zd = Z - eye
     inv_rho = 1.0 / rho0
 
-    lap = np.einsum("...ikk->...i", H)
-    graddiv = np.einsum("...jij->...i", H)
+    lap = contract("...ikk->...i", "k", H)
+    graddiv = contract("...jij->...i", "j", H)
     out = ((J - 1.0) * inv_rho)[..., None] * (mu * lap + (mu + lam) * graddiv)
 
     c_mu = (mu * J * inv_rho)[..., None]
     out += c_mu * (
-        np.einsum("...ikl,...kj,...lj->...i", H, Zd, Z)
+        contract("...ikl,...kj,...lj->...i", "klj", H, Zd, Z)
         + np.einsum("...ikl,...lk->...i", H, Zd)
-        + np.einsum("...lj,...ik,...kjl->...i", Z, G, dZ)
+        + contract("...lj,...ik,...kjl->...i", "kjl", Z, G, dZ)
     )
     c_ml = ((mu + lam) * J * inv_rho)[..., None]
     out += c_ml * (
-        np.einsum("...jkl,...kj,...li->...i", H, Zd, Z)
-        + np.einsum("...jjl,...li->...i", H, Zd)
-        + np.einsum("...li,...jk,...kjl->...i", Z, G, dZ)
+        contract("...jkl,...kj,...li->...i", "jkl", H, Zd, Z)
+        + contract("...jjl,...li->...i", "jl", H, Zd)
+        + contract("...li,...jk,...kjl->...i", "jkl", Z, G, dZ)
     )
 
     grad_p = gradient_values(grid, eos.p(rho0 / J))
-    out -= (J * inv_rho)[..., None] * np.einsum("...ji,...j->...i", Z, grad_p)
+    out -= (J * inv_rho)[..., None] * contract("...ji,...j->...i", "j", Z, grad_p)
     return out
 
 
@@ -181,21 +187,23 @@ def assemble_F_Gamma(G: np.ndarray, Z: np.ndarray, J: np.ndarray,
     Works both on the boundary node set (with the outward normals) and on
     the full grid against a fixed extension of the normal, which is how the
     surrogate norms of the boundary data are measured.  With Z = I, J = 1
-    only the pressure group (p(rho0) - p_ext) N survives.
+    only the pressure group (p(rho0) - p_ext) N survives.  Elementwise over
+    the leading axes, like ``assemble_F_u``: ``normals`` and ``rho0`` are
+    one frame's, the other arrays one frame or a stack.
     """
     mu, lam = params.mu, params.lam
     eos = EquationOfState(params.a, params.gamma)
-    S = J[..., None] * np.einsum("...lj,...l->...j", Z, normals)
+    S = J[..., None] * contract("...lj,...l->...j", "l", Z, normals)
     W = normals - S
-    div = np.einsum("...kk->...", G)
+    div = contract("...kk->...", "k", G)
 
     out = mu * np.einsum("...ij,...j->...i", G, W)
-    out += mu * np.einsum("...ji,...j->...i", G, W)
+    out += mu * contract("...ji,...j->...i", "j", G, W)
     out += lam * div[..., None] * W
     out += mu * np.einsum("...ik,...k->...i", G,
                           S - np.einsum("...kj,...j->...k", Z, S))
-    out += mu * (np.einsum("...ji,...j->...i", G, S)
-                 - np.einsum("...ki,...jk,...j->...i", Z, G, S))
+    out += mu * (contract("...ji,...j->...i", "j", G, S)
+                 - contract("...ki,...jk,...j->...i", "jk", Z, G, S))
     out += lam * (div - np.einsum("...lk,...kl->...", Z, G))[..., None] * S
     out += (eos.p(rho0 / J) - params.p_ext)[..., None] * S
     return out
@@ -207,10 +215,12 @@ def assemble_window(grid: Grid, u_frames: np.ndarray, Z: np.ndarray,
     """F_u and the boundary F_Gamma of every frame of a window.
 
     ``u_frames`` holds the velocity frames and ``Z``, ``J`` the flow stacks
-    of the same levels.  The derivatives of u and Z are taken a chunk of
-    frames at a time (``frame_chunks``); each frame is then assembled on
-    its own, so a frame gets the values it gets alone.  Returns F_u, shape
-    (L, *ext, d), and F_Gamma at the boundary nodes, (L, n_boundary, d).
+    of the same levels.  The window goes through a chunk of frames at a
+    time (``frame_chunks``): one pass takes the derivatives of u and Z and
+    makes one ``assemble_F_u`` and one ``assemble_F_Gamma`` call on the
+    chunk's stacks, and a frame gets the values it gets alone.  Returns
+    F_u, shape (L, *ext, d), and F_Gamma at the boundary nodes,
+    (L, n_boundary, d).
     """
     idx_b, normals_b = grid.boundary_nodes()
     bsel = tuple(idx_b.T)
@@ -221,10 +231,13 @@ def assemble_window(grid: Grid, u_frames: np.ndarray, Z: np.ndarray,
         G = gradient_values(grid, u_frames[sl])
         H = hessian_values(grid, u_frames[sl])
         dZ = gradient_values(grid, Z[sl])
-        for n, g, h, dz in zip(range(sl.start, sl.stop), G, H, dZ):
-            F_u[n] = assemble_F_u(grid, g, h, Z[n], dz, J[n], rho0, params)
-            F_G_b[n] = assemble_F_Gamma(g[bsel], Z[n][bsel], J[n][bsel],
-                                        rho0[bsel], normals_b, params)
+        F_u[sl] = assemble_F_u(grid, G, H, Z[sl], dZ, J[sl], rho0, params)
+        # frame-major boundary stacks: the np.einsum sums of assemble_F_Gamma
+        # see each frame laid out as one frame's g[bsel] alone
+        G_b, Z_b, J_b = (np.ascontiguousarray(a[(slice(None),) + bsel])
+                         for a in (G, Z[sl], J[sl]))
+        F_G_b[sl] = assemble_F_Gamma(G_b, Z_b, J_b, rho0[bsel], normals_b,
+                                     params)
     return F_u, F_G_b
 
 
@@ -273,7 +286,7 @@ def energy_report(rho_stack: np.ndarray, ubar: TimeSeries,
         pot = eos.potential(rho)
         volume = float(np.sum(w * J))
         E.append(float(np.sum(w * (kin + pot) * J)) + params.p_ext * volume)
-        Gx = np.einsum("...ik,...kj->...ij", gradient_values(grid, u), Z)
+        Gx = contract("...ik,...kj->...ij", "k", gradient_values(grid, u), Z)
         sym = Gx + np.swapaxes(Gx, -1, -2)
         dens = (params.mu * np.einsum("...ij,...ij->...", sym, Gx)
                 + params.lam * np.einsum("...ii->...", Gx) ** 2)

@@ -1,10 +1,18 @@
-"""Plain-loop reference evaluation of the transformed nonlinearities.
+"""Reference evaluations of the transformed nonlinearities.
 
-Every sum is written out exactly as the formulas read, one point at a time,
-with no vectorization; the production einsum kernel must agree to roundoff.
+``f_u_point`` and ``f_gamma_point`` write every sum out exactly as the
+formulas read, one point at a time, with no vectorization; the production
+kernel must agree with them to roundoff.  ``einsum_F_u`` and
+``einsum_F_Gamma`` are the per-frame ``np.einsum`` assembly that the
+contraction kernel replaced, kept verbatim: the production assembly must
+agree with them bit for bit.
 """
 
 import numpy as np
+
+from lagflow.fields import Grid, gradient_values
+from lagflow.lame import FluidParams
+from lagflow.nonlinear import EquationOfState
 
 
 def f_u_point(G, H, Z, dZ, J, rho0, grad_p, mu, lam):
@@ -52,3 +60,71 @@ def f_gamma_point(G, Z, J, N, p_val, p_ext, mu, lam):
                              for k in range(d) for l in range(d))) * S[i]
         F[i] += (p_val - p_ext) * S[i]
     return F
+
+
+# the per-frame einsum assembly, verbatim
+
+def einsum_F_u(grid: Grid, G: np.ndarray, H: np.ndarray, Z: np.ndarray,
+               dZ: np.ndarray, J: np.ndarray, rho0: np.ndarray,
+               params: FluidParams) -> np.ndarray:
+    """Velocity-equation nonlinearity from precomputed derivative arrays.
+
+    G[i, m] = d_m u_i, H[i, k, l] = d_k d_l u_i, Z[k, j] inverse flow
+    gradient, dZ[k, j, l] = d_l Z_{kj}.  With Z = I, J = 1 every defect
+    group vanishes and only -(1/rho0) grad p(rho0) survives.
+    """
+    mu, lam = params.mu, params.lam
+    eos = EquationOfState(params.a, params.gamma)
+    dim = grid.dim
+    eye = np.eye(dim)
+    Zd = Z - eye
+    inv_rho = 1.0 / rho0
+
+    lap = np.einsum("...ikk->...i", H)
+    graddiv = np.einsum("...jij->...i", H)
+    out = ((J - 1.0) * inv_rho)[..., None] * (mu * lap + (mu + lam) * graddiv)
+
+    c_mu = (mu * J * inv_rho)[..., None]
+    out += c_mu * (
+        np.einsum("...ikl,...kj,...lj->...i", H, Zd, Z)
+        + np.einsum("...ikl,...lk->...i", H, Zd)
+        + np.einsum("...lj,...ik,...kjl->...i", Z, G, dZ)
+    )
+    c_ml = ((mu + lam) * J * inv_rho)[..., None]
+    out += c_ml * (
+        np.einsum("...jkl,...kj,...li->...i", H, Zd, Z)
+        + np.einsum("...jjl,...li->...i", H, Zd)
+        + np.einsum("...li,...jk,...kjl->...i", Z, G, dZ)
+    )
+
+    grad_p = gradient_values(grid, eos.p(rho0 / J))
+    out -= (J * inv_rho)[..., None] * np.einsum("...ji,...j->...i", Z, grad_p)
+    return out
+
+
+def einsum_F_Gamma(G: np.ndarray, Z: np.ndarray, J: np.ndarray,
+                   rho0: np.ndarray, normals: np.ndarray,
+                   params: FluidParams) -> np.ndarray:
+    """Boundary nonlinearity at nodes carrying the normal array ``normals``.
+
+    Works both on the boundary node set (with the outward normals) and on
+    the full grid against a fixed extension of the normal, which is how the
+    surrogate norms of the boundary data are measured.  With Z = I, J = 1
+    only the pressure group (p(rho0) - p_ext) N survives.
+    """
+    mu, lam = params.mu, params.lam
+    eos = EquationOfState(params.a, params.gamma)
+    S = J[..., None] * np.einsum("...lj,...l->...j", Z, normals)
+    W = normals - S
+    div = np.einsum("...kk->...", G)
+
+    out = mu * np.einsum("...ij,...j->...i", G, W)
+    out += mu * np.einsum("...ji,...j->...i", G, W)
+    out += lam * div[..., None] * W
+    out += mu * np.einsum("...ik,...k->...i", G,
+                          S - np.einsum("...kj,...j->...k", Z, S))
+    out += mu * (np.einsum("...ji,...j->...i", G, S)
+                 - np.einsum("...ki,...jk,...j->...i", Z, G, S))
+    out += lam * (div - np.einsum("...lk,...kl->...", Z, G))[..., None] * S
+    out += (eos.p(rho0 / J) - params.p_ext)[..., None] * S
+    return out

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from lagflow.fields import (
     FieldError,
     Grid,
     TimeSeries,
+    contract,
     differentiate,
     gradient_values,
     hessian_values,
@@ -296,6 +300,79 @@ def test_slobodeckij_rejects_nonuniform(grid):
     ts = TimeSeries(grid, np.array([0.0, 0.1, 0.3]), np.zeros((3,) + grid.extent))
     with pytest.raises(FieldError):
         slobodeckij_time_seminorm(ts, 0.4, 4)
+
+
+# ---------------------------------------------------------------------------
+# index contractions
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lagflow"
+
+
+def calls_named(tree, name):
+    """Calls of ``name`` or ``<module>.name`` in a syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                yield node
+
+
+def literal_args(call, n, where):
+    args = call.args[:n]
+    assert len(args) == n and all(
+        isinstance(a, ast.Constant) and isinstance(a.value, str) for a in args), (
+        f"{where}:{call.lineno}: subscripts and order must be string literals")
+    return tuple(a.value for a in args)
+
+
+def spread_operands(rng, subscripts, lead, dim):
+    """Random operands of a ``...`` signature, magnitudes over 1e-3 .. 1e3."""
+    ins = subscripts.split("->")[0].replace("...", "").split(",")
+    shapes = [lead + (dim,) * len(s) for s in ins]
+    return [rng.standard_normal(s) * 10.0 ** rng.uniform(-3, 3, s) for s in shapes]
+
+
+LEADS = {2: (11, 13), 3: (9, 9, 9)}
+
+
+def test_contract_matches_einsum_at_every_call_site():
+    # contract's order strings reproduce einsum's loop order on the
+    # installed numpy; a wrong order or a numpy that changes einsum's loop
+    # fails here, at the call site's own signature
+    sites = {}
+    for path in sorted(SRC.glob("*.py")):
+        for call in calls_named(ast.parse(path.read_text()), "contract"):
+            sites.setdefault(literal_args(call, 2, path.name), path.name)
+    assert len(sites) >= 10, sites
+    rng = np.random.default_rng(5)
+    for (subscripts, order), where in sites.items():
+        for dim, ext in LEADS.items():
+            for lead in (ext, (5,) + ext):
+                ops = spread_operands(rng, subscripts, lead, dim)
+                assert np.array_equal(contract(subscripts, order, *ops),
+                                      np.einsum(subscripts, *ops)), (
+                    f"{where}: contract({subscripts!r}, {order!r}) in "
+                    f"{dim}D, leading shape {lead}")
+
+
+def test_assembly_einsums_stack_like_frames():
+    # the sums the kernel cannot reproduce stay np.einsum on chunk stacks;
+    # a frame of a stack must get what it gets alone
+    tree = ast.parse((SRC / "nonlinear.py").read_text())
+    sigs = set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("assemble_"):
+            sigs.update(literal_args(call, 1, fn.name)[0]
+                        for call in calls_named(fn, "einsum"))
+    assert sigs
+    rng = np.random.default_rng(6)
+    for subscripts in sorted(sigs):
+        for dim, ext in LEADS.items():
+            ops = spread_operands(rng, subscripts, (5,) + ext, dim)
+            frames = [np.einsum(subscripts, *(op[n] for op in ops)) for n in range(5)]
+            assert np.array_equal(np.einsum(subscripts, *ops), np.stack(frames)), (
+                f"np.einsum({subscripts!r}) in {dim}D")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import lagflow.fields
 
 from lagflow.fields import Field, Grid, TimeSeries, gradient_values, hessian_values
+from lagflow.fixedpoint import _extended_F_Gamma
 from lagflow.flow import FlowWindow, compose_flow, identity_noise_flow, integrate_label_flow
 from lagflow.lame import FluidParams
 from lagflow.nonlinear import (
@@ -20,7 +23,7 @@ from lagflow.nonlinear import (
     pressure_potential,
 )
 
-from term_oracle import f_gamma_point, f_u_point
+from term_oracle import einsum_F_Gamma, einsum_F_u, f_gamma_point, f_u_point
 
 GRID = Grid(2, (17, 17))
 PARAMS = FluidParams(mu=1.0, lam=0.5, a=1.0, gamma=2.0, p_ext=1.0)
@@ -31,7 +34,7 @@ def identity_window(grid, times):
     eye = np.broadcast_to(np.eye(grid.dim), (L,) + grid.extent + (grid.dim,) * 2)
     X = np.broadcast_to(grid.coords(), (L,) + grid.extent + (grid.dim,))
     return FlowWindow(np.asarray(times, float), X.copy(), eye.copy(), eye.copy(),
-                      np.ones((L,) + grid.extent), np.ones(L, bool), np.zeros(L))
+                      np.ones((L,) + grid.extent), np.ones(L, bool))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +345,41 @@ def test_assemble_window_matches_per_frame_calls(monkeypatch):
         assert np.array_equal(
             F_G_b[n], assemble_F_Gamma(G[bsel], Z[n][bsel], J[n][bsel],
                                        rho0[bsel], normals_b, PARAMS))
+
+
+@pytest.mark.parametrize("grid", [Grid(2, (11, 13)), Grid(3, 9)],
+                         ids=["2d-11x13", "3d-9^3"])
+def test_chunk_assembly_matches_per_frame_einsum_oracle(monkeypatch, grid):
+    # the chunk assembly must give, bit for bit, the per-frame einsum
+    # assembly it replaced; passes of three frames split 8 frames 3/3/2
+    dim = grid.dim
+    monkeypatch.setattr(lagflow.fields, "_CHUNK_BYTES",
+                        3 * 8 * grid.n_nodes * dim * dim**2)
+    rng = np.random.default_rng(11)
+    L = 8
+    u = rng.normal(size=(L,) + grid.extent + (dim,))
+    Z = np.eye(dim) + 1e-2 * rng.normal(size=(L,) + grid.extent + (dim, dim))
+    J = 1.0 + 1e-2 * rng.normal(size=(L,) + grid.extent)
+    rho0 = 1.0 + 0.1 * rng.random(grid.extent)
+    N_ext = extended_normal_field(grid).values
+    F_u, F_G_b = assemble_window(grid, u, Z, J, rho0, PARAMS)
+    res = SimpleNamespace(ubar=TimeSeries(grid, 1e-3 * np.arange(L), u),
+                          window=SimpleNamespace(Z=Z, J=J))
+    problem = SimpleNamespace(rho0=Field(grid, rho0), N_ext=Field(grid, N_ext),
+                              params=PARAMS)
+    F_G_ext = _extended_F_Gamma(res, L, problem)
+    idx_b, normals_b = grid.boundary_nodes()
+    bsel = tuple(idx_b.T)
+    for n in range(L):
+        G, H = derivative_pack(grid, u[n])
+        dZ = gradient_values(grid, Z[n])
+        assert np.array_equal(
+            F_u[n], einsum_F_u(grid, G, H, Z[n], dZ, J[n], rho0, PARAMS))
+        assert np.array_equal(
+            F_G_b[n], einsum_F_Gamma(G[bsel], Z[n][bsel], J[n][bsel],
+                                     rho0[bsel], normals_b, PARAMS))
+        assert np.array_equal(
+            F_G_ext[n], einsum_F_Gamma(G, Z[n], J[n], rho0, N_ext, PARAMS))
 
 
 # ---------------------------------------------------------------------------
