@@ -9,7 +9,7 @@ in-memory values exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -224,8 +224,9 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams) -> dict:
 
 def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
                   out_dir, kin_residuals: np.ndarray | None = None) -> dict:
-    """summary.json, diagnostics.csv, and snapshot_<k>.csv of every tenth
-    frame."""
+    """diagnostics.csv, snapshot_<k>.csv of every tenth frame, and last
+    summary.json, which lists the snapshot files and the problem's
+    ``SolveConfig`` and ``FluidParams``; returns the summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mon = bundle.monitor
@@ -236,7 +237,8 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
 
     summary = {
         "seed": bundle.metadata.get("seed"),
-        "config": {},
+        "config": {"solve": asdict(bundle.problem.cfg),
+                   "fluid": asdict(bundle.problem.params)},
         "tau": bundle.tau,
         "kappa": bundle.kappa,
         "iterations": bundle.iterations,
@@ -250,8 +252,6 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
         },
         "status": "ok",
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
 
     def pad(arr, fill=0.0):
         a = np.full(n_rows, fill)
@@ -289,4 +289,6 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
                    comments="", fmt="%.17g")
         written.append(path.name)
     summary["snapshots"] = written
+    with open(out / "summary.json", "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
     return summary

@@ -190,11 +190,9 @@ def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
         Dpsi[n + 1] = D
     det = mat_det(Dpsi)
     Dpsi_inv = mat_inv(Dpsi, det)
-    grad_inv = np.stack(
-        [np.gradient(Dpsi_inv, ax, axis=1 + d, edge_order=2)
-         for d, ax in enumerate(axes)],
-        axis=-1,
-    )
+    grad_inv = np.empty(Dpsi_inv.shape + (dim,))
+    for d, ax in enumerate(axes):
+        grad_inv[..., d] = np.gradient(Dpsi_inv, ax, axis=1 + d, edge_order=2)
     return NoiseFlow(axes, bundle.times.copy(), psi, Dpsi, Dpsi_inv, det, grad_inv)
 
 

@@ -1,9 +1,10 @@
 """Multilinear interpolation on uniform tensor-product axes.
 
-An :class:`InterpPlan` precomputes corner indices and weights for one query
-set so several arrays sampled on the same axes can be evaluated cheaply.
-Multilinear interpolation reproduces affine functions exactly, which the flow
-composition relies on for the rigid transport-field families.
+An :class:`InterpPlan` turns one query set into a sparse weight matrix over
+the nodes of the axes, so every array sampled on those axes is evaluated by
+one sparse product.  Multilinear interpolation reproduces affine functions
+exactly, which the flow composition relies on for the rigid transport-field
+families.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = ["InterpPlan", "FlowEscapeError"]
 
@@ -25,7 +27,17 @@ class FlowEscapeError(RuntimeError):
 
 
 class InterpPlan:
-    """Corner gather indices + weights for multilinear interpolation."""
+    """Multilinear interpolation weights of one query set, as a CSR matrix.
+
+    ``W`` has one row per query point and one column per node of the axes
+    (C order).  Row i holds the 2^dim corner weights of point i's cell in
+    ``itertools.product((0, 1), repeat=dim)`` order; each weight is the
+    product of the per-axis factors frac or 1 - frac, taken in axis order.
+    The cell index is clipped to ``len(ax) - 2``, so a point on the far face
+    (or, with ``extrapolate=True``, outside the box) uses the last cell.
+    Scipy's CSR product starts every row at zero and adds the stored terms
+    in order, which is the per-corner sum ``out = 0; out += w_c * arr[c]``.
+    """
 
     def __init__(self, axes, pts, extrapolate=False, time=None):
         pts = np.asarray(pts, float)
@@ -33,6 +45,7 @@ class InterpPlan:
         self.qshape = pts.shape[:-1]
         flat = pts.reshape(-1, self.dim)
         self.n = flat.shape[0]
+        sizes = tuple(len(ax) for ax in axes)
         idx = np.empty((self.dim, self.n), dtype=np.intp)
         frac = np.empty((self.dim, self.n))
         for d, ax in enumerate(axes):
@@ -53,21 +66,25 @@ class InterpPlan:
             i = np.clip(np.floor(t).astype(np.intp), 0, len(ax) - 2)
             idx[d] = i
             frac[d] = t - i
-        # 2^dim corner weights and flat gather offsets
-        self.corners = []
-        for offs in itertools.product((0, 1), repeat=self.dim):
-            w = np.ones(self.n)
-            ind = []
-            for d, o in enumerate(offs):
-                w = w * (frac[d] if o else (1.0 - frac[d]))
-                ind.append(idx[d] + o)
-            self.corners.append((tuple(ind), w))
+        # row i: the corners of point i's cell, at flat nodes
+        # (strides @ idx)[i] + offsets
+        corners = np.array(list(itertools.product((0, 1), repeat=self.dim)))
+        strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
+        offsets = corners @ strides
+        factors = np.stack([1.0 - frac, frac], axis=1)     # (dim, 2, n)
+        w = np.ones((len(corners), self.n))
+        for d in range(self.dim):
+            w = w * factors[d, corners[:, d]]
+        cols = (strides @ idx)[:, None] + offsets
+        self.n_nodes = int(np.prod(sizes))
+        itype = np.int32 if max(self.n_nodes, w.size) < 2 ** 31 else np.int64
+        self.W = sp.csr_matrix(
+            (w.T.ravel(), cols.ravel().astype(itype),
+             np.arange(0, w.size + 1, len(corners), dtype=itype)),
+            shape=(self.n, self.n_nodes))
 
     def apply(self, arr: np.ndarray) -> np.ndarray:
         """Interpolate ``arr`` (shape grid_extent + comp_shape) at the plan's points."""
         comp_shape = arr.shape[self.dim:]
-        out = np.zeros((self.n,) + comp_shape)
-        for ind, w in self.corners:
-            vals = arr[ind]
-            out += w.reshape((self.n,) + (1,) * len(comp_shape)) * vals
+        out = self.W @ arr.reshape(self.n_nodes, -1)
         return out.reshape(self.qshape + comp_shape)

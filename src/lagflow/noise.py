@@ -31,6 +31,9 @@ __all__ = [
 # Brownian bundle
 # ---------------------------------------------------------------------------
 
+_HEADER = "<qqqdqq"         # K, M, step count, dt, seed, level
+
+
 @dataclass
 class BrownianBundle:
     """K + M independent Brownian paths sampled on a uniform grid.
@@ -80,9 +83,10 @@ class BrownianBundle:
     # -- binary replay format ------------------------------------------------
 
     def dump(self, path) -> None:
-        """Little-endian binary dump: header (K, M, step count, dt, seed), values."""
-        header = struct.pack("<qqqdq", self.K, self.mode_count,
-                             self.n_steps, self.step, self.seed)
+        """Little-endian binary dump: header (K, M, step count, dt, seed,
+        refinement level), values."""
+        header = struct.pack(_HEADER, self.K, self.mode_count,
+                             self.n_steps, self.step, self.seed, self.level)
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(self.values.astype("<f8").tobytes())
@@ -90,11 +94,11 @@ class BrownianBundle:
     @classmethod
     def load(cls, path) -> "BrownianBundle":
         with open(path, "rb") as fh:
-            header = fh.read(struct.calcsize("<qqqdq"))
-            K, M, n_steps, step, seed = struct.unpack("<qqqdq", header)
+            header = fh.read(struct.calcsize(_HEADER))
+            K, M, n_steps, step, seed, level = struct.unpack(_HEADER, header)
             raw = np.frombuffer(fh.read(), dtype="<f8")
         values = raw.reshape(K + M, n_steps + 1).astype(float)
-        return cls(K, M, step, values, seed)
+        return cls(K, M, step, values, seed, level)
 
 
 def sample_brownian(K: int, M: int, T: float, dt: float, seed: int) -> BrownianBundle:

@@ -98,8 +98,17 @@ def test_dump_load_roundtrip(tmp_path):
     p = tmp_path / "bundle.bin"
     b.dump(p)
     c = BrownianBundle.load(p)
-    assert (c.K, c.mode_count, c.step, c.seed) == (2, 1, 0.01, 9)
+    assert (c.K, c.mode_count, c.step, c.seed, c.level) == (2, 1, 0.01, 9, 0)
     assert np.array_equal(b.values, c.values)
+    # a refined bundle keeps its level, so it restricts back after a reload
+    fine = refine_bridge(refine_bridge(b))
+    fine.dump(p)
+    c = BrownianBundle.load(p)
+    assert (c.step, c.level) == (fine.step, 2)
+    assert np.array_equal(c.values, fine.values)
+    coarse = c.restrict_to_coarse().restrict_to_coarse()
+    assert (coarse.step, coarse.level) == (b.step, 0)
+    assert np.array_equal(coarse.values, b.values)
 
 
 # ---------------------------------------------------------------------------
