@@ -243,8 +243,8 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
         "kappa": bundle.kappa,
         "iterations": bundle.iterations,
         "min_density": float(bundle.rho.min()),
-        "energy_initial": float(bundle.energy["energy"][0]) if bundle.energy else None,
-        "energy_final": float(bundle.energy["energy"][-1]) if bundle.energy else None,
+        "energy_initial": float(bundle.energy["energy"][0]),
+        "energy_final": float(bundle.energy["energy"][-1]),
         "monitor_norms_at_tau": {
             "gradX_sup": float(mon.sup_gradX[-1]) if len(mon.sup_gradX) else 0.0,
             "Z_theta": float(mon.htheta_Z[-1]) if len(mon.htheta_Z) else 0.0,
@@ -258,14 +258,12 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
         a[: len(arr)] = arr[:n_rows]
         return a
 
-    energy = bundle.energy.get("energy", np.zeros(n_rows)) if bundle.energy else np.zeros(n_rows)
-    diss = bundle.energy.get("dissipation", np.zeros(n_rows)) if bundle.energy else np.zeros(n_rows)
     rows = np.column_stack([
         bundle.times,
         pad(mon.sup_gradX), pad(mon.htheta_Z), pad(mon.htheta_J),
         bundle.window.J.reshape(n_rows, -1).min(axis=1),
         bundle.window.J.reshape(n_rows, -1).max(axis=1),
-        pad(energy), pad(diss), kin,
+        bundle.energy["energy"], bundle.energy["dissipation"], kin,
     ])
     header = ("t,normGradXminusI,normZminusI_theta,normJminus1_theta,"
               "J_min,J_max,energy,dissipation,kinematic_residual_max")

@@ -34,18 +34,18 @@ __all__ = [
     "TimeSeries",
     "SlobodeckijWindow",
     "contract",
-    "differentiate",
     "frame_chunks",
     "frame_norms",
-    "norm",
+    "gradient_values",
+    "hessian_values",
     "slobodeckij_time_seminorm",
+    "spatial_norm",
     "time_lp_norm",
-    "trace_boundary",
 ]
 
 
 class FieldError(ValueError):
-    """Raised for non-finite data or unsupported norm/derivative requests."""
+    """Raised for unsupported norm or derivative requests."""
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +241,6 @@ class TimeSeries:
 # derivatives
 # ---------------------------------------------------------------------------
 
-def _check_finite(values: np.ndarray):
-    if not np.all(np.isfinite(values)):
-        bad = np.argwhere(~np.isfinite(values))[0]
-        raise FieldError(f"non-finite value at node index {tuple(int(i) for i in bad)}")
-
-
 def _d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """First derivative: centered interior, one-sided 3-point at the ends."""
     return np.gradient(values, h, axis=axis, edge_order=2)
@@ -300,21 +294,6 @@ def hessian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
             out[..., k, l] = d
             out[..., l, k] = d
     return out
-
-
-def differentiate(f: Field, order: int = 1) -> Field:
-    """Discrete derivative of a field, raising its rank by ``order``.
-
-    order 1 returns the gradient (one trailing axis of length dim); order 2
-    returns the full second-derivative array (two trailing axes).  Exact on
-    polynomials of degree <= 2.
-    """
-    _check_finite(f.values)
-    if order == 1:
-        return Field(f.grid, gradient_values(f.grid, f.values))
-    if order == 2:
-        return Field(f.grid, hessian_values(f.grid, f.values))
-    raise FieldError(f"order must be 1 or 2, got {order}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +432,6 @@ def spatial_norm(grid: Grid, values: np.ndarray, kind: str, q: float) -> float:
     return float(frame_norms(grid, values[None], kind, q)[0])
 
 
-def norm(f, kind: str = "Lq", q: float = 2.0) -> float:
-    """Discrete norm surrogate.
-
-    ``kind`` is one of ``Lq``, ``H1q``, ``H2q``; on a :class:`TimeSeries` the
-    spatial norm is taken per frame and the supremum over the window is
-    returned (``sup_H1q`` is an explicit alias for that reading).
-    """
-    if kind == "sup_H1q":
-        kind = "H1q"
-    if isinstance(f, TimeSeries):
-        return float(np.max(frame_norms(f.grid, f.values, kind, q)))
-    return spatial_norm(f.grid, f.values, kind, q)
-
-
 def time_lp_norm(times: np.ndarray, norms: np.ndarray, p: float) -> float:
     """L^p-in-time norm from per-frame spatial norms (trapezoid in time)."""
     if p <= 1:
@@ -582,10 +547,3 @@ def slobodeckij_time_seminorm(
     for _ in range(len(ts)):
         value = win.advance()
     return value
-
-
-def trace_boundary(f: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Restriction to the boundary: (node multi-indices, normals, values)."""
-    idx, normals = f.grid.boundary_nodes()
-    vals = f.values[tuple(idx.T)]
-    return idx, normals, vals

@@ -30,10 +30,10 @@ from .fields import (
     frame_chunks,
     frame_norms,
     gradient_values,
+    time_lp_norm,
 )
 from .flow import (
     FlowWindow,
-    MonitorConfig,
     MonitorResult,
     NoiseFlow,
     compose_flow,
@@ -79,8 +79,10 @@ __all__ = [
 class SolveConfig:
     """Exponents, thresholds, and horizons of one solver run.
 
-    The time step ``dt`` must divide the horizon ``T`` up to rounding;
-    the constructor raises ``ValueError`` otherwise.
+    The time step ``dt`` must divide the horizon ``T`` up to rounding, the
+    Picard iteration needs at least one iterate and a positive tolerance,
+    and the noise-flow padding is a cell count; the constructor raises
+    ``ValueError`` otherwise.
     """
 
     p: float = 4.0
@@ -111,6 +113,13 @@ class SolveConfig:
             raise ValueError(f"dt = {self.dt} does not divide T = {self.T}")
         if self.r <= 0 or self.R <= 0 or self.r > self.R:
             raise ValueError("ball radii must satisfy 0 < r <= R")
+        if self.picard_max_iter < 1:
+            raise ValueError(
+                f"need picard_max_iter >= 1, got {self.picard_max_iter}")
+        if not self.picard_tol > 0:
+            raise ValueError(f"need picard_tol > 0, got {self.picard_tol}")
+        if self.pad_cells < 0:
+            raise ValueError(f"need pad_cells >= 0, got {self.pad_cells}")
 
     @property
     def theta(self) -> float:
@@ -119,9 +128,6 @@ class SolveConfig:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(round(self.T / self.dt) + 1)
-
-    def monitor(self) -> MonitorConfig:
-        return MonitorConfig(self.delta, self.theta, self.p, self.q)
 
 
 class PicardDivergence(RuntimeError):
@@ -142,8 +148,7 @@ def e1_norm(ts: TimeSeries, p: float, q: float) -> float:
         return 0.0
     tt = ts.times
     dt = tt[1] - tt[0]
-    h2 = frame_norms(ts.grid, ts.values, "H2q", q)
-    part1 = np.trapezoid(h2**p, tt) ** (1 / p)
+    part1 = time_lp_norm(tt, frame_norms(ts.grid, ts.values, "H2q", q), p)
     diff = np.diff(ts.values, axis=0)
     diff /= dt
     quot = frame_norms(ts.grid, diff, "Lq", q)
@@ -253,7 +258,7 @@ def _drift(v: TimeSeries, U: TimeSeries) -> TimeSeries:
 def _monitor_window(window: FlowWindow, cfg: SolveConfig,
                     grid: Grid) -> tuple[MonitorResult, int]:
     """Stopping monitor of the flow window and the usable window length."""
-    monitor = stopping_monitor(window, cfg.monitor(), grid)
+    monitor = stopping_monitor(window, cfg, grid)
     n_frames = len(window) if not monitor.fired else max(2, monitor.fired_index + 1)
     return monitor, n_frames
 

@@ -20,6 +20,7 @@ nonlinearity assembly all read it as stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,20 +36,19 @@ from .fields import (
 from .interp import InterpPlan
 from .noise import BrownianBundle, TransportField
 
+if TYPE_CHECKING:
+    from .fixedpoint import SolveConfig
+
 __all__ = [
     "NoiseFlow",
     "FlowWindow",
-    "MonitorConfig",
     "MonitorResult",
-    "FlowDiagnostics",
     "integrate_noise_flow",
     "identity_noise_flow",
     "integrate_label_flow",
     "compose_flow",
     "direct_flow_oracle",
-    "invert_flow",
     "stopping_monitor",
-    "flow_diagnostics",
     "jacobian_ode_oracle",
 ]
 
@@ -124,7 +124,7 @@ class NoiseFlow:
         return float(self.times[1] - self.times[0])
 
     def plan(self, pts: np.ndarray, time=None) -> InterpPlan:
-        return InterpPlan(self.axes, pts, extrapolate=False, time=time)
+        return InterpPlan(self.axes, pts, time=time)
 
     def identity_check(self) -> float:
         """Max deviation of Dpsi . Dpsi_inv from the identity."""
@@ -355,53 +355,9 @@ def direct_flow_oracle(ubar: TimeSeries, Q: TransportField,
     return X
 
 
-def invert_flow(X: np.ndarray, gradX: np.ndarray, x: np.ndarray, grid: Grid,
-                tol: float = 1e-10, max_iter: int = 50) -> np.ndarray:
-    """Newton inversion of the interpolated map: find y with X(t, y) = x.
-
-    ``X`` and ``gradX`` are one level of a ``FlowWindow``.  Accepts a single
-    point or a batch (..., dim); the initial guess is the tracked node whose
-    image is nearest.
-    """
-    x = np.asarray(x, float)
-    single = x.ndim == 1
-    xq = x.reshape(-1, grid.dim)
-    flatX = X.reshape(-1, grid.dim)
-    # nearest tracked image as the starting label
-    d2 = np.sum((flatX[None, :, :] - xq[:, None, :]) ** 2, axis=-1)
-    y = grid.coords().reshape(-1, grid.dim)[np.argmin(d2, axis=1)].copy()
-    h = min(grid.spacing)
-    for _ in range(max_iter):
-        plan = InterpPlan(grid.axes, y, extrapolate=True)
-        r = plan.apply(X) - xq
-        if np.max(np.linalg.norm(r, axis=-1)) <= tol:
-            break
-        Jac = plan.apply(gradX)
-        step = np.einsum("...ij,...j->...i", mat_inv(Jac), r)
-        # keep Newton steps inside a couple of cells to avoid overshoot
-        ln = np.linalg.norm(step, axis=-1, keepdims=True)
-        step = np.where(ln > 2 * h, step * (2 * h / ln), step)
-        y = y - step
-    res = np.linalg.norm(InterpPlan(grid.axes, y, extrapolate=True).apply(X) - xq,
-                         axis=-1)
-    if np.max(res) > tol:
-        raise RuntimeError(
-            f"flow inversion did not converge in {max_iter} Newton steps "
-            f"(worst residual {np.max(res):.3e})")
-    return y[0] if single else y.reshape(x.shape)
-
-
 # ---------------------------------------------------------------------------
 # stopping monitor
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MonitorConfig:
-    delta: float = 0.1
-    theta: float = 0.4375
-    p: float = 4.0
-    q: float = 8.0
-
 
 @dataclass
 class MonitorResult:
@@ -415,15 +371,16 @@ class MonitorResult:
     total: np.ndarray
 
 
-def stopping_monitor(window: FlowWindow, cfg: MonitorConfig,
+def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
                      grid: Grid) -> MonitorResult:
     """First time the deformation norm sum reaches delta (else the horizon).
 
-    An invalid level of the window (inversion guard violated or J <= 0)
-    also fires the monitor there.  The norms are taken over the levels
-    before the first invalid one, on slices of the window's stacks a chunk
-    of frames at a time (``frame_chunks``); the H^{theta,p} sums advance
-    frame by frame and stop at the crossing.
+    delta, theta, p and q are the solver configuration's.  An invalid level
+    of the window (inversion guard violated or J <= 0) also fires the
+    monitor there.  The norms are taken over the levels before the first
+    invalid one, on slices of the window's stacks a chunk of frames at a
+    time (``frame_chunks``); the H^{theta,p} sums advance frame by frame
+    and stop at the crossing.
     """
     eye = np.eye(grid.dim)
     times = window.times
@@ -461,102 +418,6 @@ def stopping_monitor(window: FlowWindow, cfg: MonitorConfig,
         sigma, fired, fired_index, times[:n_kept],
         np.array(sup_run), np.array(hZ_run), np.array(hJ_run), np.array(tot_run),
     )
-
-
-# ---------------------------------------------------------------------------
-# a-priori diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FlowDiagnostics:
-    """Advisory a-priori functionals of the noise flow and drift data.
-
-    Every constant of the estimates is taken as 1; the direct stopping
-    monitor stays authoritative.
-    """
-
-    times: np.ndarray
-    Lambda: np.ndarray
-    rho: np.ndarray
-    K_alpha: np.ndarray
-    alpha: float
-    B_R: np.ndarray
-    beta_R: np.ndarray
-    M0: np.ndarray
-    M_theta: np.ndarray
-    A0: np.ndarray
-    B_theta: np.ndarray
-    A_theta: np.ndarray
-    G: np.ndarray
-    horizon: float
-
-
-def _c2_surrogate_sup(arr, axes):
-    """sup-norm surrogate of a C_b^2 norm: field + first + second differences."""
-    comp_axes = tuple(range(len(axes), arr.ndim))
-    def sup_frob(a):
-        return float(np.max(np.sqrt(np.sum(a * a, axis=comp_axes + tuple(
-            range(arr.ndim, a.ndim))))))
-    total = sup_frob(arr)
-    grads = [np.gradient(arr, ax, axis=d, edge_order=2)
-             for d, ax in enumerate(axes)]
-    total += sup_frob(np.stack(grads, axis=-1))
-    g2 = [np.gradient(g, ax, axis=d, edge_order=2)
-          for g in grads for d, ax in enumerate(axes)]
-    total += sup_frob(np.stack(g2, axis=-1))
-    return total
-
-
-def flow_diagnostics(nf: NoiseFlow, ubar_lp_h2q: np.ndarray,
-                     cfg: MonitorConfig, R: float = 1.0,
-                     alpha: float | None = None) -> FlowDiagnostics:
-    """Evaluate the a-priori horizon functionals on the discrete grid.
-
-    ``ubar_lp_h2q`` is the running L^p(0, t; H^{2,q}) norm of the driving
-    velocity (one value per level); it enters as B_R(t) = R + that norm.
-    """
-    if alpha is None:
-        alpha = 0.5 * (cfg.theta + 0.5)
-    L = nf.n_levels
-    t = nf.times
-    eye = np.eye(nf.dim)
-    c2_D = np.array([_c2_surrogate_sup(nf.Dpsi[n], nf.axes) for n in range(L)])
-    c2_Dinv = np.array([_c2_surrogate_sup(nf.Dpsi_inv[n], nf.axes) for n in range(L)])
-    c2_dev = np.array([_c2_surrogate_sup(nf.Dpsi[n] - eye, nf.axes) for n in range(L)])
-    Lambda = 1.0 + np.maximum.accumulate(c2_D + c2_Dinv)
-    rho = np.maximum.accumulate(c2_dev)
-    # alpha-Hoelder quotient of level pairs
-    K = np.zeros(L)
-    running = 0.0
-    for s in range(1, L):
-        dD = nf.Dpsi[s] - nf.Dpsi[:s]
-        dI = nf.Dpsi_inv[s] - nf.Dpsi_inv[:s]
-        for r in range(s):
-            num = (_c2_surrogate_sup(dD[r], nf.axes)
-                   + _c2_surrogate_sup(dI[r], nf.axes))
-            running = max(running, num / (t[s] - t[r]) ** alpha)
-        K[s] = running
-    B_R = R + np.asarray(ubar_lp_h2q, float)
-    p, th = cfg.p, cfg.theta
-    beta = Lambda * t ** (1 - 1 / p) * B_R
-    M0 = 7.0 * beta
-    Mth = t ** (1 - th) * Lambda * (1 + beta) * B_R
-    poly = 1 + M0 + M0**2
-    A0 = rho * poly * (1 + M0) + M0
-    Bth = (Lambda * (1 + M0) ** 2 * Mth
-           + K * t ** (alpha - th) * poly
-           + t ** (1 / p) * rho * poly)
-    Ath = Bth * (1 + M0) + rho * poly * Mth + Mth
-    G = A0 + (Ath + t ** (1 / p) * A0)
-    cross_G = np.argmax(G >= cfg.delta) if np.any(G >= cfg.delta) else None
-    cross_b = np.argmax(beta >= 0.125) if np.any(beta >= 0.125) else None
-    horizon = float(t[-1])
-    if cross_G is not None:
-        horizon = min(horizon, float(t[cross_G]))
-    if cross_b is not None:
-        horizon = min(horizon, float(t[cross_b]))
-    return FlowDiagnostics(t, Lambda, rho, K, alpha, B_R, beta, M0, Mth,
-                           A0, Bth, Ath, G, horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,13 @@ class InterpPlan:
     ``itertools.product((0, 1), repeat=dim)`` order; each weight is the
     product of the per-axis factors frac or 1 - frac, taken in axis order.
     The cell index is clipped to ``len(ax) - 2``, so a point on the far face
-    (or, with ``extrapolate=True``, outside the box) uses the last cell.
+    uses the last cell.  A point outside the box by more than 1e-9 times
+    max(box length, 1) on some axis raises :class:`FlowEscapeError`.
     Scipy's CSR product starts every row at zero and adds the stored terms
     in order, which is the per-corner sum ``out = 0; out += w_c * arr[c]``.
     """
 
-    def __init__(self, axes, pts, extrapolate=False, time=None):
+    def __init__(self, axes, pts, time=None):
         pts = np.asarray(pts, float)
         self.dim = len(axes)
         self.qshape = pts.shape[:-1]
@@ -52,16 +53,15 @@ class InterpPlan:
             lo, hi = ax[0], ax[-1]
             h = ax[1] - ax[0]
             x = flat[:, d]
-            if not extrapolate:
-                slack = 1e-9 * max(hi - lo, 1.0)
-                bad = (x < lo - slack) | (x > hi + slack)
-                if np.any(bad):
-                    j = int(np.argmax(bad))
-                    raise FlowEscapeError(
-                        f"query point {flat[j]} outside tracked box on axis {d}"
-                        + (f" at t = {time}" if time is not None else ""),
-                        time=time, point=flat[j].copy(),
-                    )
+            slack = 1e-9 * max(hi - lo, 1.0)
+            bad = (x < lo - slack) | (x > hi + slack)
+            if np.any(bad):
+                j = int(np.argmax(bad))
+                raise FlowEscapeError(
+                    f"query point {flat[j]} outside tracked box on axis {d}"
+                    + (f" at t = {time}" if time is not None else ""),
+                    time=time, point=flat[j].copy(),
+                )
             t = (x - lo) / h
             i = np.clip(np.floor(t).astype(np.intp), 0, len(ax) - 2)
             idx[d] = i

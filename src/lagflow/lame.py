@@ -47,7 +47,6 @@ class FluidParams:
     gamma: float = 2.0
     p_ext: float = 1.0
     rho_min: float = 1.0       # lower admissible density bound
-    rho_max: float = 2.0       # upper admissible density bound
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -61,8 +60,8 @@ class FluidParams:
             raise ValueError(f"adiabatic exponent must exceed 1, got {self.gamma}")
         if self.p_ext < 0:
             raise ValueError(f"exterior pressure must be nonnegative, got {self.p_ext}")
-        if not (0 < self.rho_min <= self.rho_max):
-            raise ValueError("density bounds must satisfy 0 < rho_min <= rho_max")
+        if self.rho_min <= 0:
+            raise ValueError(f"rho_min must be positive, got {self.rho_min}")
 
 
 # ---------------------------------------------------------------------------

@@ -188,16 +188,6 @@ class TransportField:
             return self._stream_jacobian(k, pts)
         raise ValueError(f"unknown transport kind {self.kind!r}")
 
-    def hessian(self, k: int, pts: np.ndarray) -> np.ndarray:
-        """D^2 Q_k, shape (..., dim, dim, dim) with entries d_l d_j Q_i."""
-        pts = np.asarray(pts, float)
-        d = self.dim
-        if self.kind in ("constant", "linear"):
-            return np.zeros(pts.shape[:-1] + (d, d, d))
-        if self.kind == "stream":
-            return self._stream_hessian(k, pts)
-        raise ValueError(f"hessian not available for kind {self.kind!r}")
-
     # -- stream-function family (dim 2) --------------------------------------
     #
     # phi_k(y) = a_k sin(pi m_k y1) sin(pi n_k y2),  Q_k = (d2 phi, -d1 phi)
@@ -221,21 +211,6 @@ class TransportField:
         out[..., 0, 1] = -a * kn * kn * sx * sy
         out[..., 1, 0] = a * km * km * sx * sy
         out[..., 1, 1] = -a * km * kn * cx * cy
-        return out
-
-    def _stream_hessian(self, k, pts):
-        a, km, kn, sx, cx, sy, cy = self._stream_terms(k, pts)
-        out = np.empty(pts.shape[:-1] + (2, 2, 2))
-        # Q1 = a kn sx cy
-        out[..., 0, 0, 0] = -a * kn * km**2 * sx * cy
-        out[..., 0, 0, 1] = -a * kn**2 * km * cx * sy
-        out[..., 0, 1, 0] = -a * kn**2 * km * cx * sy
-        out[..., 0, 1, 1] = -a * kn**3 * sx * cy
-        # Q2 = -a km cx sy
-        out[..., 1, 0, 0] = a * km**3 * cx * sy
-        out[..., 1, 0, 1] = a * km**2 * kn * sx * cy
-        out[..., 1, 1, 0] = a * km**2 * kn * sx * cy
-        out[..., 1, 1, 1] = a * km * kn**2 * cx * sy
         return out
 
 

@@ -36,8 +36,6 @@ from .lame import FluidParams
 __all__ = [
     "EquationOfState",
     "NonlinearReport",
-    "pressure",
-    "pressure_potential",
     "density_from_jacobian",
     "continuity_oracle",
     "assemble_F_u",
@@ -70,23 +68,6 @@ class EquationOfState:
     def potential(self, rho):
         # P' rho - P = p fixes P = a rho^gamma / (gamma - 1)
         return self.a * rho ** self.gamma / (self.gamma - 1.0)
-
-
-def _check_positive(rho: np.ndarray):
-    if np.any(rho <= 0):
-        bad = np.argwhere(rho <= 0)[0]
-        raise ValueError(
-            f"nonpositive density at node index {tuple(int(i) for i in bad)}")
-
-
-def pressure(eos: EquationOfState, rho: Field) -> Field:
-    _check_positive(rho.values)
-    return Field(rho.grid, eos.p(rho.values))
-
-
-def pressure_potential(eos: EquationOfState, rho: Field) -> Field:
-    _check_positive(rho.values)
-    return Field(rho.grid, eos.potential(rho.values))
 
 
 # ---------------------------------------------------------------------------

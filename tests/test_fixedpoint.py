@@ -60,6 +60,16 @@ def test_config_validates_exponents():
     assert cfg.theta == pytest.approx(0.5 - 1.0 / 16.0)
 
 
+@pytest.mark.parametrize("field, bad, edge", [
+    ("picard_max_iter", 0, 1), ("picard_tol", 0.0, 1e-300),
+    ("picard_tol", -1e-9, 1e-300), ("pad_cells", -2, 0),
+])
+def test_config_validates_picard_settings(field, bad, edge):
+    with pytest.raises(ValueError, match=field):
+        SolveConfig(**{field: bad})
+    assert getattr(SolveConfig(**{field: edge}), field) == edge
+
+
 # ---------------------------------------------------------------------------
 # compatibility
 # ---------------------------------------------------------------------------

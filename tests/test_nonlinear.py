@@ -19,8 +19,6 @@ from lagflow.nonlinear import (
     energy_report,
     extended_normal_field,
     nonlinearity_norm_report,
-    pressure,
-    pressure_potential,
 )
 
 from term_oracle import einsum_F_Gamma, einsum_F_u, f_gamma_point, f_u_point
@@ -58,19 +56,11 @@ def test_pressure_potential_identity():
     assert np.max(np.abs(dP * rho - eos.potential(rho) - eos.p(rho))) <= 1e-12 * np.max(eos.p(rho))
 
 
-def test_pressure_rejects_nonpositive():
-    eos = EquationOfState(1.0, 2.0)
-    vals = np.ones(GRID.extent)
-    vals[2, 3] = -0.1
-    with pytest.raises(ValueError, match=r"\(2, 3\)"):
-        pressure(eos, Field(GRID, vals))
-
-
 def test_pressure_field_positive():
     eos = EquationOfState(1.0, 2.0)
-    f = Field(GRID, 0.5 + np.random.default_rng(1).uniform(0, 1, GRID.extent))
-    assert np.all(pressure(eos, f).values > 0)
-    assert np.all(pressure_potential(eos, f).values > 0)
+    rho = 0.5 + np.random.default_rng(1).uniform(0, 1, GRID.extent)
+    assert np.all(eos.p(rho) > 0)
+    assert np.all(eos.potential(rho) > 0)
 
 
 # ---------------------------------------------------------------------------

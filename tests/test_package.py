@@ -67,7 +67,7 @@ def test_traced_names_exist_in_lagflow():
         assert callable(cls.__dict__[attr]), f"{cls_name}.{attr} is not callable"
 
 
-CONFIG_CLASSES = ("SolveConfig", "MonitorConfig")
+CONFIG_CLASSES = ("SolveConfig", "FluidParams")
 
 
 def test_config_fields_are_read():
