@@ -149,18 +149,6 @@ class Grid:
             self._cache["bnodes"] = (idx, normals)
         return self._cache["bnodes"]
 
-    def boundary_loop(self) -> np.ndarray:
-        """Ordered (counterclockwise) boundary node multi-indices; dim 2 only."""
-        if self.dim != 2:
-            raise ValueError("ordered boundary loop is defined for dim 2 only")
-        n1, n2 = self.extent
-        loop = []
-        loop += [(i, 0) for i in range(n1 - 1)]
-        loop += [(n1 - 1, j) for j in range(n2 - 1)]
-        loop += [(i, n2 - 1) for i in range(n1 - 1, 0, -1)]
-        loop += [(0, j) for j in range(n2 - 1, 0, -1)]
-        return np.array(loop)
-
 
 # ---------------------------------------------------------------------------
 # fields

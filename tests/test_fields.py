@@ -75,12 +75,6 @@ def test_corner_normal_is_averaged():
     assert np.allclose(normals[corner], [-1 / np.sqrt(2), -1 / np.sqrt(2)])
 
 
-def test_boundary_loop_is_simple_cycle(grid):
-    loop = grid.boundary_loop()
-    assert len(loop) == 4 * (grid.extent[0] - 1)
-    assert len({tuple(p) for p in loop}) == len(loop)
-
-
 # ---------------------------------------------------------------------------
 # derivatives
 # ---------------------------------------------------------------------------

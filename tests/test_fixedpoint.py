@@ -228,7 +228,8 @@ def test_picard_perturbed_contracts():
     rho0, u0 = perturbed_data()
     cfg = SolveConfig()
     Q0 = make_transport_field(2, "constant", K=0)
-    b = picard_solve(rho0, u0, PARAMS, cfg, Q0, None, None)
+    with pytest.warns(UserWarning, match="compatibility"):
+        b = picard_solve(rho0, u0, PARAMS, cfg, Q0, None, None)
     assert b.converged
     ratios = [d2 / d1 for d1, d2 in zip(b.diffs, b.diffs[1:]) if d1 > 0]
     assert all(r < 1.0 for r in ratios)
@@ -259,7 +260,8 @@ def test_picard_deterministic_same_seed_identical():
     runs = []
     for _ in range(2):
         bw = sample_brownian(2, 1, cfg.T, cfg.dt, seed=7)
-        runs.append(picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing))
+        with pytest.warns(UserWarning, match="compatibility"):
+            runs.append(picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing))
     assert np.array_equal(runs[0].v.values, runs[1].v.values)
     assert np.array_equal(runs[0].rho, runs[1].rho)
     assert runs[0].tau == runs[1].tau
@@ -270,7 +272,8 @@ def test_picard_fixed_point_residual():
     rho0, u0 = perturbed_data()
     cfg = SolveConfig()
     Q0 = make_transport_field(2, "constant", K=0)
-    b = picard_solve(rho0, u0, PARAMS, cfg, Q0, None, None)
+    with pytest.warns(UserWarning, match="compatibility"):
+        b = picard_solve(rho0, u0, PARAMS, cfg, Q0, None, None)
     # |Psi(v) - v| <= 2 tol at the converged iterate
     assert b.diffs[-1] <= 2 * cfg.picard_tol
 
@@ -302,7 +305,8 @@ def test_picard_monotone_window():
     cfg = SolveConfig()
     Q = make_transport_field(2, "stream", K=2, amplitude=1e-4)
     bw = sample_brownian(2, 0, cfg.T, cfg.dt, seed=3)
-    b = picard_solve(rho0, u0, PARAMS, cfg, Q, bw, None)
+    with pytest.warns(UserWarning, match="compatibility"):
+        b = picard_solve(rho0, u0, PARAMS, cfg, Q, bw, None)
     assert b.tau <= b.monitor.sigma + 1e-15
 
 
@@ -314,7 +318,8 @@ def test_picard_stopped_window_on_noise_path():
     Q = make_transport_field(2, "stream", K=2, amplitude=1e-3)
     forcing = StochasticForcing.default_modes(GRID, 2, 1e-3)
     bw = sample_brownian(2, 2, cfg.T, cfg.dt, seed=1)
-    b = picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
+    with pytest.warns(UserWarning, match="compatibility"):
+        b = picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
     assert b.converged
     assert b.monitor.fired
     assert b.tau <= b.monitor.sigma
@@ -402,8 +407,9 @@ def test_deterministic_path_matches_generic():
     rho0, u0 = perturbed_data()
     cfg = SolveConfig()
     Q0 = make_transport_field(2, "constant", K=0)
-    b_gen = picard_solve(rho0, u0, PARAMS, cfg, Q0,
-                         sample_brownian(0, 0, cfg.T, cfg.dt, 0), None)
+    with pytest.warns(UserWarning, match="compatibility"):
+        b_gen = picard_solve(rho0, u0, PARAMS, cfg, Q0,
+                             sample_brownian(0, 0, cfg.T, cfg.dt, 0), None)
     problem = problem_for(rho0, u0, PARAMS, cfg)
     times = cfg.times
     zeroU = TimeSeries(GRID, times, np.zeros((len(times),) + GRID.extent + (2,)))
