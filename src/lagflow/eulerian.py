@@ -85,13 +85,26 @@ def _kuhn_certificate(grid: Grid, X: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return 1.0 - worst, volume * np.prod(grid.spacing) / factorial(dim)
 
 
+def _window_certificate(bundle: SolutionBundle) -> tuple[np.ndarray, np.ndarray]:
+    """``_kuhn_certificate`` of the bundle's whole window, computed once.
+
+    The result is kept on the bundle with the window it was taken on, so a
+    bundle whose window is swapped gets a new certificate.
+    """
+    cached = bundle.certificate
+    if cached is None or cached[0] is not bundle.window:
+        cached = (bundle.window,) + _kuhn_certificate(bundle.grid, bundle.window.X)
+        bundle.certificate = cached
+    return cached[1], cached[2]
+
+
 def reconstruct(bundle: SolutionBundle) -> list[MovingDomainSnapshot]:
     """Marker snapshots for every frame of the usable window."""
     grid = bundle.grid
     labels = grid.coords()
     w = grid.quad_weights
     window = bundle.window
-    _, volumes = _kuhn_certificate(grid, window.X)
+    _, volumes = _window_certificate(bundle)
     return [MovingDomainSnapshot(
                 float(window.times[n]), labels, X, bundle.rho[n],
                 bundle.ubar.values[n], J, float(volumes[n]),
@@ -167,8 +180,9 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams) -> dict:
     j_ok = j_where is None
     prod = np.einsum("...ij,...jk->...ik", window.gradX[:n_ok], window.Z[:n_ok])
     inv_res = float(np.max(np.abs(prod - np.eye(grid.dim)), initial=0.0))
-    margins, _ = _kuhn_certificate(grid, window.X[:n_ok])
-    margin = float(np.min(margins, initial=1.0))
+    # the certificate is per frame: its first n_ok frames are the checked ones
+    margins, _ = _window_certificate(bundle)
+    margin = float(np.min(margins[:n_ok], initial=1.0))
     report["diffeomorphism"] = {
         "passed": bool(j_ok and inv_res <= 1e-10 and margin > 0.0),
         "jacobian_positive": j_ok,

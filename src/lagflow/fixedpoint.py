@@ -211,8 +211,9 @@ def problem_for(rho0: Field, u0: Field, params: FluidParams,
     by element, so every sample path of one setup gets the same operator,
     factorizations and reference solution; an in-place edit of rho0 or u0,
     another horizon or other params build a new problem.  The problem stays
-    alive as long as the grid does (about 106 MB at 13^3, most of it the
-    factorization, memory one path already holds while it runs).
+    alive as long as the grid does (about 34 MB of resident memory at 13^3,
+    most of it the factorization, memory one path already holds while it
+    runs).
     """
     grid = rho0.grid
     hit = grid._cache.get("problem")
@@ -373,6 +374,10 @@ class SolutionBundle:
     rho_positive: bool
     problem: Problem
     metadata: dict = dc_field(default_factory=dict)
+    # (window, margins, volumes) of eulerian's injectivity certificate, set
+    # on first use; ``dataclasses.replace`` starts a new bundle without it
+    certificate: tuple | None = dc_field(default=None, init=False,
+                                         repr=False, compare=False)
 
 
 def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,

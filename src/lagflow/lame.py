@@ -6,12 +6,21 @@ traction condition S(grad u) N = g, discretized with one-sided second-order
 stencils (ghost-node elimination).  Time stepping is implicit Euler with one
 sparse factorization per step size, shared by the deterministic solve and the
 additive stochastic convolution.
+
+The stepping matrix is factored in a geometric nested-dissection order of the
+node grid (George 1973): the grid is bisected recursively along its longest
+axis at the middle index, each separator plane is ordered after both halves,
+blocks of at most ``ND_LEAF`` nodes stay in C order, and the components of a
+node are adjacent.  SuperLU keeps that column order and pivots off the
+diagonal only below ``DIAG_PIVOT_THRESH`` times the column maximum, so the
+traction rows' small diagonals do not undo the ordering's low fill.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 import scipy.linalg
@@ -64,6 +73,10 @@ class FluidParams:
             raise ValueError(f"rho_min must be positive, got {self.rho_min}")
 
 
+ND_LEAF = 64              # largest nested-dissection block kept in C order
+DIAG_PIVOT_THRESH = 0.01  # SuperLU's threshold for keeping the diagonal pivot
+
+
 # ---------------------------------------------------------------------------
 # 1d stencil matrices (second order, one-sided at the ends)
 # ---------------------------------------------------------------------------
@@ -107,6 +120,55 @@ def _scalar_operators(grid: Grid):
     return d1, d2
 
 
+def nested_dissection(extent: tuple[int, ...]) -> np.ndarray:
+    """Flat C-order node indices of a grid in nested-dissection order.
+
+    A block of more than ``ND_LEAF`` nodes is split at the middle index of
+    its longest axis (the first, on ties): the lower half, then the upper
+    half, then the separator plane between them.
+    """
+    out = []
+
+    def visit(block: np.ndarray) -> None:
+        if block.size <= ND_LEAF:
+            out.append(block.reshape(-1))
+            return
+        ax = int(np.argmax(block.shape))
+        mid = block.shape[ax] // 2
+        head = (slice(None),) * ax
+        visit(block[head + (slice(None, mid),)])
+        visit(block[head + (slice(mid + 1, None),)])
+        out.append(block[head + (mid,)].reshape(-1))
+
+    visit(np.arange(prod(extent)).reshape(extent))
+    return np.concatenate(out)
+
+
+class StepFactor:
+    """LU factors of a stepping matrix in a symmetric permutation.
+
+    ``lu`` factors M[perm][:, perm]; ``solve`` takes and returns vectors in
+    the unpermuted layout.  ``L`` and ``U`` are the permuted factors.
+    """
+
+    def __init__(self, lu: spla.SuperLU, perm: np.ndarray):
+        self.lu = lu
+        self.perm = perm
+
+    @property
+    def L(self) -> sp.csc_matrix:
+        return self.lu.L
+
+    @property
+    def U(self) -> sp.csc_matrix:
+        return self.lu.U
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        out = np.empty_like(rhs)
+        out[self.perm] = self.lu.solve(rhs[self.perm])
+        return out
+
+
 # ---------------------------------------------------------------------------
 # operator assembly
 # ---------------------------------------------------------------------------
@@ -115,6 +177,8 @@ class LameOperator:
     """Assembled interior operator and traction rows for one (grid, rho0).
 
     Unknowns are stored component-major: flat index = comp * n_nodes + node.
+    ``step_order`` is the symmetric permutation the stepping matrices are
+    factored in: the nested-dissection node order, node-major.
     """
 
     def __init__(self, grid: Grid, rho0: Field, params: FluidParams):
@@ -157,13 +221,13 @@ class LameOperator:
                                  + lam * diagN[i] @ d1[j])
         self.B = sp.bmat(bblocks, format="csr")
 
-        # row selectors for the square stepping system
-        bnd_rows = np.concatenate([c * N + bflat for c in range(dim)])
-        mask = np.zeros(dim * N, dtype=bool)
-        mask[bnd_rows] = True
-        self.boundary_rows = bnd_rows
-        self.boundary_row_mask = mask
-        self._steppers: dict[float, spla.SuperLU] = {}
+        # selector of the traction rows of the square stepping system
+        mask = np.zeros((dim, N), dtype=bool)
+        mask[:, bflat] = True
+        self.boundary_row_mask = mask.reshape(-1)
+        nodes = nested_dissection(grid.extent)
+        self.step_order = (nodes[:, None] + N * np.arange(dim)).reshape(-1)
+        self._steppers: dict[float, StepFactor] = {}
 
     # -- flat layout helpers ---------------------------------------------------
 
@@ -174,18 +238,21 @@ class LameOperator:
         dim = self.grid.dim
         return np.moveaxis(flat.reshape((dim,) + self.grid.extent), 0, -1)
 
-    def stepper(self, dt: float) -> spla.SuperLU:
-        """Factorized implicit-Euler matrix with traction rows enforced."""
+    def stepper(self, dt: float) -> StepFactor:
+        """Factorized implicit-Euler matrix with traction rows enforced,
+        permuted to ``step_order``; one factorization per step size."""
         key = round(dt, 15)
         if key not in self._steppers:
             n = self.A.shape[0]
             ident = sp.identity(n, format="csr")
-            M = (ident + dt * self.A).tolil()
-            Bl = self.B.tolil()
-            for r in self.boundary_rows:
-                M.rows[r] = Bl.rows[r]
-                M.data[r] = Bl.data[r]
-            self._steppers[key] = spla.splu(M.tocsc())
+            # row r of [I + dt A; B] is r's evolution row, n + r its traction row
+            rows = np.arange(n) + n * self.boundary_row_mask
+            p = self.step_order
+            M = sp.vstack([ident + dt * self.A, self.B], format="csr")
+            M = M[rows[p]].tocsc()[:, p]
+            lu = spla.splu(M, permc_spec="NATURAL",
+                           diag_pivot_thresh=DIAG_PIVOT_THRESH)
+            self._steppers[key] = StepFactor(lu, p)
         return self._steppers[key]
 
     def boundary_values_to_rows(self, g: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from lagflow.fields import Field, Grid, TimeSeries
 from lagflow.lame import (
@@ -9,6 +11,7 @@ from lagflow.lame import (
     apply_B,
     halfline_decay_rates,
     lopatinskii_check,
+    nested_dissection,
     solve_lame,
     solve_stoch_convolution,
     symbol_eigenvalues,
@@ -386,3 +389,76 @@ def test_da_prato_debussche_consistency(op):
         bres = op.B @ op.to_flat(ubar[n + 1]) - op.boundary_values_to_rows(g[n + 1])
         worst = max(worst, np.max(np.abs(bres[mask])))
     assert worst <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# nested-dissection step factorization
+# ---------------------------------------------------------------------------
+
+def stepping_matrix(op, dt):
+    """I + dt A with its traction rows replaced by those of B, unpermuted."""
+    n = op.A.shape[0]
+    M = (sp.identity(n, format="csr") + dt * op.A).tolil()
+    B = op.B.tolil()
+    for r in np.flatnonzero(op.boundary_row_mask):
+        M.rows[r], M.data[r] = B.rows[r], B.data[r]
+    return M.tocsc()
+
+
+def unit_density_operator(dim, n):
+    grid = Grid(dim, n)
+    return LameOperator(grid, Field(grid, np.ones(grid.extent)), PARAMS)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 25), (3, 9), (3, (9, 14, 10))],
+                         ids=["25^2", "9^3", "9x14x10"])
+def test_step_order_is_node_major_nested_dissection(dim, n):
+    op = unit_density_operator(dim, n)
+    extent, N = op.grid.extent, op.grid.n_nodes
+    order = op.step_order
+    assert np.array_equal(np.sort(order), np.arange(dim * N))
+    # the components of a node sit next to each other, in component order
+    per_node = order.reshape(N, dim)
+    nodes = per_node[:, 0]
+    assert np.all(nodes < N)
+    assert np.array_equal(per_node, nodes[:, None] + N * np.arange(dim))
+    assert np.array_equal(nodes, nested_dissection(extent))
+    # lower half, upper half, then the middle plane of the longest axis
+    ax = int(np.argmax(extent))
+    mid = extent[ax] // 2
+    position = np.unravel_index(nodes, extent)[ax]
+    n_plane = N // extent[ax]
+    n_low = mid * n_plane
+    assert np.all(position[:n_low] < mid)
+    assert np.all(position[n_low:N - n_plane] > mid)
+    assert np.array_equal(nodes[N - n_plane:],
+                          np.flatnonzero(np.indices(extent)[ax] == mid))
+
+
+def test_small_blocks_stay_in_c_order():
+    assert np.array_equal(nested_dissection((8, 8)), np.arange(64))
+    assert np.array_equal(nested_dissection((4, 4, 4)), np.arange(64))
+    # 65 nodes split once, at row 6 of 13: both halves are leaves
+    assert np.array_equal(nested_dissection((13, 5)), np.concatenate(
+        [np.arange(30), np.arange(35, 65), np.arange(30, 35)]))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 25), (3, 9)], ids=["25^2", "9^3"])
+def test_step_solves_match_the_unpermuted_matrix(dim, n):
+    op = unit_density_operator(dim, n)
+    dt = 1e-3
+    rhs = np.random.default_rng(3).standard_normal(op.A.shape[0])
+    expected = spla.spsolve(stepping_matrix(op, dt), rhs)
+    x = op.stepper(dt).solve(rhs)
+    assert op.stepper(dt) is op.stepper(dt)
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_nested_dissection_keeps_the_fill_low():
+    # against SuperLU's default COLAMD order and partial pivoting; the gain
+    # grows with the grid (0.57 at 9^3, 0.45 at 10^3, 0.35 at 13^3)
+    op = unit_density_operator(3, 10)
+    dt = 1e-3
+    colamd = spla.splu(stepping_matrix(op, dt))
+    nested = op.stepper(dt)
+    assert nested.L.nnz + nested.U.nnz < 0.5 * (colamd.L.nnz + colamd.U.nnz)
