@@ -268,10 +268,12 @@ def _flow_stage(ubar: TimeSeries, nf: NoiseFlow, cfg: SolveConfig):
     """Label flow, composition X = psi o Y, monitor and window length.
 
     ``ubar`` may be shorter than the noise grid (a stopped window of an
-    earlier iterate); the flow is integrated on its levels only.
+    earlier iterate); the flow is integrated on its levels only.  The label
+    flow samples psi and Dpsi on Y with the plans of its Heun stage 0 (plus
+    one on the last level), so the stage builds 2L - 1 interpolation plans
+    for L levels and the composition builds none.
     """
-    Y, gradY = integrate_label_flow(ubar, nf)
-    window = compose_flow(nf, Y, gradY, cfg.eps_star)
+    window = compose_flow(integrate_label_flow(ubar, nf), cfg.eps_star)
     monitor, n_frames = _monitor_window(window, cfg, ubar.grid)
     return window, monitor, n_frames
 
@@ -512,6 +514,8 @@ def contraction_probe(v1: TimeSeries, v2: TimeSeries, U: TimeSeries,
     k = min(r1.n_frames, r2.n_frames)
     num = e1_norm(TimeSeries(v1.grid, v1.times[:k],
                              r1.v.values[:k] - r2.v.values[:k]), cfg.p, cfg.q)
+    if k == len(v1):
+        return num / denom_full     # no frame cut: the same E1(v1 - v2)
     den = e1_norm(TimeSeries(v1.grid, v1.times[:k],
                              v1.values[:k] - v2.values[:k]), cfg.p, cfg.q)
     return num / den

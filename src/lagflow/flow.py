@@ -14,12 +14,14 @@ and freezes the usable window at their first crossing of delta.
 The composed map data of a window (X, grad X, Z = grad X^{-1}, J = det grad X
 and the inversion guard) is one ``FlowWindow`` of level stacks, laid out
 like the frame stacks of ``fields``: the density, the monitor norms and the
-nonlinearity assembly all read it as stacks.
+nonlinearity assembly all read it as stacks.  The label flow samples psi
+and Dpsi on Y with the interpolation plans of its own Heun stages
+(``LabelFlow``), so the composition only contracts and inverts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,7 +35,7 @@ from .fields import (
     frame_norms,
     gradient_values,
 )
-from .interp import InterpPlan
+from .interp import InterpAxes, InterpPlan
 from .noise import BrownianBundle, TransportField
 
 if TYPE_CHECKING:
@@ -45,6 +47,7 @@ __all__ = [
     "MonitorResult",
     "integrate_noise_flow",
     "identity_noise_flow",
+    "LabelFlow",
     "integrate_label_flow",
     "compose_flow",
     "direct_flow_oracle",
@@ -101,6 +104,8 @@ class NoiseFlow:
     Arrays are stacked over time levels: ``psi`` (L, ext_p, d), ``Dpsi`` and
     ``Dpsi_inv`` (L, ext_p, d, d).  ``grad_Dpsi_inv`` holds the spatial
     derivatives of the inverse gradient, needed by the label-ODE chain rule.
+    ``interp_axes`` holds the interpolation constants of the padded axes,
+    shared by every plan on them.
     """
 
     axes: list[np.ndarray]
@@ -110,6 +115,10 @@ class NoiseFlow:
     Dpsi_inv: np.ndarray
     det_Dpsi: np.ndarray
     grad_Dpsi_inv: np.ndarray
+    interp_axes: InterpAxes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.interp_axes = InterpAxes(self.axes)
 
     @property
     def dim(self) -> int:
@@ -124,7 +133,7 @@ class NoiseFlow:
         return float(self.times[1] - self.times[0])
 
     def plan(self, pts: np.ndarray, time=None) -> InterpPlan:
-        return InterpPlan(self.axes, pts, time=time)
+        return InterpPlan(self.interp_axes, pts, time=time)
 
     def identity_check(self) -> float:
         """Max deviation of Dpsi . Dpsi_inv from the identity."""
@@ -214,14 +223,35 @@ def identity_noise_flow(grid: Grid, times: np.ndarray, pad_cells: int = 4) -> No
 # label ODE  Y_t(y) = y + int_0^t Dpsi_s(Y_s)^{-1} ubar(s, y) ds
 # ---------------------------------------------------------------------------
 
-def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow):
-    """Heun integration of the label ODE; returns (Y, gradY) level stacks.
+@dataclass
+class LabelFlow:
+    """The label flow of a window and the noise flow sampled on it.
+
+    Level stacks: ``Y`` (L, *ext, d), ``gradY`` (L, *ext, d, d), and
+    ``X`` = psi(Y) and ``Dpsi_Y`` = Dpsi(Y), interpolated with the plan the
+    label flow built on Y at each level; ``times`` (L,).
+    """
+
+    times: np.ndarray
+    Y: np.ndarray
+    gradY: np.ndarray
+    X: np.ndarray
+    Dpsi_Y: np.ndarray
+
+
+def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
+    """Heun integration of the label ODE, with psi and Dpsi sampled on Y.
 
     ``ubar`` may cover a window prefix of the noise grid: the first
     ``len(ubar)`` levels are integrated, and they do not depend on the levels
     after them.  grad Y solves the variational equation obtained by differentiating the
     integrand with the product/chain rule, using the tracked derivatives of
     Dpsi^{-1} interpolated at the moving points.
+
+    Stage 0 of step n builds the interpolation plan on Y[n] at
+    ``nf.times[n]``; the same plan samples psi and Dpsi there for the
+    composition, and one more plan does so on the last level, so a window
+    of L levels builds 2L - 1 plans.
     """
     if len(ubar) > nf.n_levels or abs(ubar.step - nf.step) > 1e-12:
         raise ValueError("velocity frames must be aligned with the noise grid")
@@ -232,13 +262,21 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow):
     L = len(ubar)
     Y = np.empty((L,) + pts0.shape)
     G = np.empty((L,) + pts0.shape[:-1] + (dim, dim))
+    X = np.empty(Y.shape)
+    DY = np.empty(G.shape)
     Y[0] = pts0
     G[0] = np.eye(dim)
     ub = ubar.values
     gub = gradient_values(grid, ub)
 
-    def rhs(level, y, g, u, gu):
+    def sample(level, y):
+        """The plan on y at the level's time, which also samples psi and Dpsi."""
         plan = nf.plan(y, time=nf.times[level])
+        X[level] = plan.apply(nf.psi[level])
+        DY[level] = plan.apply(nf.Dpsi[level])
+        return plan
+
+    def rhs(level, plan, g, u, gu):
         A = plan.apply(nf.Dpsi_inv[level])
         dA = plan.apply(nf.grad_Dpsi_inv[level])
         f = np.einsum("...ij,...j->...i", A, u)
@@ -248,15 +286,17 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow):
 
     y, g = Y[0].copy(), G[0].copy()
     for n in range(L - 1):
-        f0, dg0 = rhs(n, y, g, ub[n], gub[n])
+        f0, dg0 = rhs(n, sample(n, y), g, ub[n], gub[n])
         y_pred = y + dt * f0
         g_pred = g + dt * dg0
-        f1, dg1 = rhs(n + 1, y_pred, g_pred, ub[n + 1], gub[n + 1])
+        plan1 = nf.plan(y_pred, time=nf.times[n + 1])
+        f1, dg1 = rhs(n + 1, plan1, g_pred, ub[n + 1], gub[n + 1])
         y = y + 0.5 * dt * (f0 + f1)
         g = g + 0.5 * dt * (dg0 + dg1)
         Y[n + 1] = y
         G[n + 1] = g
-    return Y, G
+    sample(L - 1, y)
+    return LabelFlow(nf.times[:L].copy(), Y, G, X, DY)
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +350,15 @@ class FlowWindow:
                             for f in fields(self)))
 
 
-def compose_flow(nf: NoiseFlow, Y: np.ndarray, gradY: np.ndarray,
-                 eps_star: float = 0.25) -> FlowWindow:
-    """X = psi(Y), grad X = Dpsi(Y) grad Y, then Z, J and the guard.
+def compose_flow(label: LabelFlow, eps_star: float) -> FlowWindow:
+    """The window of a label flow: grad X = Dpsi(Y) grad Y, then Z, J, guard.
 
-    One level per level of ``Y``, which may be a window prefix of ``nf``;
-    X and grad X are interpolated and contracted level by level into the
-    window's stacks (a whole-window contraction would also hold a Dpsi(Y)
-    stack, for no measurable time), and ``FlowWindow.from_map`` takes the
-    rest on whole stacks.
+    X = psi(Y) and Dpsi(Y) come from the label flow, which sampled them
+    with its own plans on Y; the contraction runs on the whole stacks (its
+    bits are the per-level ones), and ``FlowWindow.from_map`` takes the rest.
     """
-    X = np.empty(Y.shape)
-    gradX = np.empty(gradY.shape)
-    for n in range(len(Y)):
-        plan = nf.plan(Y[n], time=nf.times[n])
-        X[n] = plan.apply(nf.psi[n])
-        gradX[n] = contract("...ij,...jk->...ik", "j", plan.apply(nf.Dpsi[n]),
-                            gradY[n])
-    return FlowWindow.from_map(nf.times[:len(Y)], X, gradX, eps_star)
+    gradX = contract("...ij,...jk->...ik", "j", label.Dpsi_Y, label.gradY)
+    return FlowWindow.from_map(label.times, label.X, gradX, eps_star)
 
 
 def direct_flow_oracle(ubar: TimeSeries, Q: TransportField,

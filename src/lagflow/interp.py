@@ -5,6 +5,15 @@ the nodes of the axes, so every array sampled on those axes is evaluated by
 one sparse product.  Multilinear interpolation reproduces affine functions
 exactly, which the flow composition relies on for the rigid transport-field
 families.
+
+Per-axes layout.  What depends on the axes only is an :class:`InterpAxes`,
+built once per set of axes (``flow.NoiseFlow`` holds the one of its padded
+grid): the box bounds widened by the escape slack, the first node and the
+step as (dim, 1) columns, the last cell index per axis, the node strides
+and the corner offsets, and, for the last query count seen, the CSR row
+pointer and the corner offsets tiled over the rows.  A plan copies its
+points once into a (dim, n) array, one contiguous row per axis, and runs
+the escape check, the cell search and the corner weights on those rows.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["InterpPlan", "FlowEscapeError"]
+__all__ = ["InterpAxes", "InterpPlan", "FlowEscapeError"]
 
 
 class FlowEscapeError(RuntimeError):
@@ -26,62 +35,96 @@ class FlowEscapeError(RuntimeError):
         self.point = point
 
 
+class InterpAxes:
+    """The constants of every interpolation plan on one set of axes.
+
+    The row pointer and the tiled corner offsets depend on the query count
+    as well; one count is kept, the last one asked for.
+    """
+
+    def __init__(self, axes):
+        self.dim = len(axes)
+        sizes = tuple(len(ax) for ax in axes)
+        lo = np.array([ax[0] for ax in axes], float)
+        hi = np.array([ax[-1] for ax in axes], float)
+        slack = 1e-9 * np.maximum(hi - lo, 1.0)
+        self.lower = (lo - slack)[:, None]
+        self.upper = (hi + slack)[:, None]
+        self.lo = lo[:, None]
+        self.h = np.array([ax[1] - ax[0] for ax in axes], float)[:, None]
+        self.last_cell = np.array(sizes)[:, None] - 2
+        self.n_nodes = int(np.prod(sizes))
+        corners = np.array(list(itertools.product((0, 1), repeat=self.dim)))
+        self.strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
+        self.offsets = corners @ self.strides
+        self._rows = (-1, None, None)        # (n, indptr, tiled offsets)
+
+    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """CSR row pointer of ``n`` query points and the offsets tiled n times.
+
+        The index dtype is int32 unless the nodes or the stored weights
+        reach 2^31.
+        """
+        if self._rows[0] != n:
+            nc = len(self.offsets)
+            itype = np.int32 if max(self.n_nodes, n * nc) < 2 ** 31 else np.int64
+            self._rows = (n, np.arange(0, n * nc + 1, nc, dtype=itype),
+                          np.tile(self.offsets.astype(itype), n))
+        return self._rows[1], self._rows[2]
+
+
 class InterpPlan:
     """Multilinear interpolation weights of one query set, as a CSR matrix.
 
+    ``axes`` is a list of uniform 1-D axes or their :class:`InterpAxes`.
     ``W`` has one row per query point and one column per node of the axes
     (C order).  Row i holds the 2^dim corner weights of point i's cell in
     ``itertools.product((0, 1), repeat=dim)`` order; each weight is the
     product of the per-axis factors frac or 1 - frac, taken in axis order.
     The cell index is clipped to ``len(ax) - 2``, so a point on the far face
     uses the last cell.  A point outside the box by more than 1e-9 times
-    max(box length, 1) on some axis raises :class:`FlowEscapeError`.
+    max(box length, 1) on some axis raises :class:`FlowEscapeError`, for
+    the first such axis and its first such point.
     Scipy's CSR product starts every row at zero and adds the stored terms
     in order, which is the per-corner sum ``out = 0; out += w_c * arr[c]``.
     """
 
     def __init__(self, axes, pts, time=None):
+        ax = axes if isinstance(axes, InterpAxes) else InterpAxes(axes)
         pts = np.asarray(pts, float)
-        self.dim = len(axes)
+        self.dim = dim = ax.dim
         self.qshape = pts.shape[:-1]
-        flat = pts.reshape(-1, self.dim)
-        self.n = flat.shape[0]
-        sizes = tuple(len(ax) for ax in axes)
-        idx = np.empty((self.dim, self.n), dtype=np.intp)
-        frac = np.empty((self.dim, self.n))
-        for d, ax in enumerate(axes):
-            lo, hi = ax[0], ax[-1]
-            h = ax[1] - ax[0]
-            x = flat[:, d]
-            slack = 1e-9 * max(hi - lo, 1.0)
-            bad = (x < lo - slack) | (x > hi + slack)
-            if np.any(bad):
-                j = int(np.argmax(bad))
-                raise FlowEscapeError(
-                    f"query point {flat[j]} outside tracked box on axis {d}"
-                    + (f" at t = {time}" if time is not None else ""),
-                    time=time, point=flat[j].copy(),
-                )
-            t = (x - lo) / h
-            i = np.clip(np.floor(t).astype(np.intp), 0, len(ax) - 2)
-            idx[d] = i
-            frac[d] = t - i
-        # row i: the corners of point i's cell, at flat nodes
-        # (strides @ idx)[i] + offsets
-        corners = np.array(list(itertools.product((0, 1), repeat=self.dim)))
-        strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
-        offsets = corners @ strides
-        factors = np.stack([1.0 - frac, frac], axis=1)     # (dim, 2, n)
-        w = np.ones((len(corners), self.n))
-        for d in range(self.dim):
-            w = w * factors[d, corners[:, d]]
-        cols = (strides @ idx)[:, None] + offsets
-        self.n_nodes = int(np.prod(sizes))
-        itype = np.int32 if max(self.n_nodes, w.size) < 2 ** 31 else np.int64
-        self.W = sp.csr_matrix(
-            (w.T.ravel(), cols.ravel().astype(itype),
-             np.arange(0, w.size + 1, len(corners), dtype=itype)),
-            shape=(self.n, self.n_nodes))
+        flat = pts.reshape(-1, dim)
+        self.n = n = flat.shape[0]
+        t = flat.T.copy()                       # one contiguous row per axis
+        bad = (t < ax.lower) | (t > ax.upper)
+        if bad.any():
+            d = int(np.argmax(bad.any(axis=1)))
+            j = int(np.argmax(bad[d]))
+            raise FlowEscapeError(
+                f"query point {flat[j]} outside tracked box on axis {d}"
+                + (f" at t = {time}" if time is not None else ""),
+                time=time, point=flat[j].copy(),
+            )
+        t -= ax.lo
+        t /= ax.h
+        idx = np.floor(t).astype(np.intp)
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, ax.last_cell, out=idx)
+        t -= idx                                # the fractions
+        # corner weights, corner-major: w[c] = prod_d (frac_d or 1 - frac_d)
+        factors = np.empty((dim, 2, n))
+        factors[:, 1] = t
+        np.subtract(1.0, t, out=factors[:, 0])
+        w = factors[0]
+        for d in range(1, dim):
+            w = (w[:, None] * factors[d][None]).reshape(-1, n)
+        indptr, tiled = ax.rows(n)
+        cols = np.repeat((ax.strides @ idx).astype(indptr.dtype), len(ax.offsets))
+        cols += tiled
+        self.n_nodes = ax.n_nodes
+        self.W = sp.csr_matrix((w.T.ravel(), cols, indptr),
+                               shape=(n, self.n_nodes))
 
     def apply(self, arr: np.ndarray) -> np.ndarray:
         """Interpolate ``arr`` (shape grid_extent + comp_shape) at the plan's points."""

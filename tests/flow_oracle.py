@@ -1,0 +1,90 @@
+"""Reference forms of the flow stage's kernels, kept verbatim.
+
+``per_level_compose`` is the composition as it was before the label flow
+shared its interpolation plans: it builds its own plan on Y at every level
+and samples psi and Dpsi there.  ``einsum_pair_row`` is the pair row of
+``SlobodeckijWindow`` before the component-major buffers, on a
+(frame, node, component) layout.  ``csr_weights`` is the construction of
+``InterpPlan.W`` before the per-axes constants were shared.  The production
+code must agree with each of them bit for bit.
+"""
+
+import itertools
+
+import numpy as np
+
+from lagflow.fields import contract
+from lagflow.flow import FlowWindow
+from lagflow.interp import FlowEscapeError, InterpPlan
+
+
+def per_level_compose(nf, Y, gradY, eps_star):
+    """X = psi(Y), grad X = Dpsi(Y) grad Y, then Z, J and the guard."""
+    X = np.empty(Y.shape)
+    gradX = np.empty(gradY.shape)
+    for n in range(len(Y)):
+        plan = InterpPlan(nf.axes, Y[n], time=nf.times[n])
+        X[n] = plan.apply(nf.psi[n])
+        gradX[n] = contract("...ij,...jk->...ik", "j", plan.apply(nf.Dpsi[n]),
+                            gradY[n])
+    return FlowWindow.from_map(nf.times[:len(Y)], X, gradX, eps_star)
+
+
+def half_q_pow(x, q):
+    """x ** (q/2), using repeated multiplication when q/2 is a small integer."""
+    half = q / 2.0
+    if half == int(half) and 1 <= half <= 16:
+        out = x
+        for _ in range(int(half) - 1):
+            out = out * x
+        return out
+    return x ** half
+
+
+def einsum_pair_row(parts, n, w_flat, q, p):
+    """|f_n - f_i|_X^p for i < n from (frame, node, component) buffers."""
+    m = 0.0
+    for buf in parts:
+        d = buf[:n] - buf[n]
+        m = m + half_q_pow(np.einsum("npc,npc->np", d, d), q)
+    return ((m @ w_flat) ** (1 / q)) ** p
+
+
+def csr_weights(axes, pts, time=None):
+    """(data, indices, indptr) of the weight matrix of ``pts`` on ``axes``."""
+    pts = np.asarray(pts, float)
+    dim = len(axes)
+    flat = pts.reshape(-1, dim)
+    n = flat.shape[0]
+    sizes = tuple(len(ax) for ax in axes)
+    idx = np.empty((dim, n), dtype=np.intp)
+    frac = np.empty((dim, n))
+    for d, ax in enumerate(axes):
+        lo, hi = ax[0], ax[-1]
+        h = ax[1] - ax[0]
+        x = flat[:, d]
+        slack = 1e-9 * max(hi - lo, 1.0)
+        bad = (x < lo - slack) | (x > hi + slack)
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise FlowEscapeError(
+                f"query point {flat[j]} outside tracked box on axis {d}"
+                + (f" at t = {time}" if time is not None else ""),
+                time=time, point=flat[j].copy(),
+            )
+        t = (x - lo) / h
+        i = np.clip(np.floor(t).astype(np.intp), 0, len(ax) - 2)
+        idx[d] = i
+        frac[d] = t - i
+    corners = np.array(list(itertools.product((0, 1), repeat=dim)))
+    strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
+    offsets = corners @ strides
+    factors = np.stack([1.0 - frac, frac], axis=1)
+    w = np.ones((len(corners), n))
+    for d in range(dim):
+        w = w * factors[d, corners[:, d]]
+    cols = (strides @ idx)[:, None] + offsets
+    n_nodes = int(np.prod(sizes))
+    itype = np.int32 if max(n_nodes, w.size) < 2 ** 31 else np.int64
+    return (w.T.ravel(), cols.ravel().astype(itype),
+            np.arange(0, w.size + 1, len(corners), dtype=itype))

@@ -3,9 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+import lagflow.interp
+from flow_oracle import per_level_compose
 from lagflow.fields import Grid, SlobodeckijWindow, TimeSeries, spatial_norm
-from lagflow.fixedpoint import SolveConfig
+from lagflow.fixedpoint import SolveConfig, _flow_stage
 from lagflow.flow import (
+    LabelFlow,
     compose_flow,
     direct_flow_oracle,
     identity_noise_flow,
@@ -99,14 +102,14 @@ def test_divergence_free_volume_error_small_and_converging():
 
 def test_zero_velocity_fixes_labels():
     nf = identity_noise_flow(GRID, TIMES)
-    Y, G = integrate_label_flow(zero_velocity(), nf)
-    assert np.max(np.abs(Y - GRID.coords()[None])) == 0.0
-    assert np.max(np.abs(G - np.eye(2))) == 0.0
+    lf = integrate_label_flow(zero_velocity(), nf)
+    assert np.max(np.abs(lf.Y - GRID.coords()[None])) == 0.0
+    assert np.max(np.abs(lf.gradY - np.eye(2))) == 0.0
 
 
 def test_constant_velocity_translates_labels():
     nf = identity_noise_flow(GRID, TIMES)
-    Y, _ = integrate_label_flow(constant_velocity([0.3, -0.1]), nf)
+    Y = integrate_label_flow(constant_velocity([0.3, -0.1]), nf).Y
     exact = GRID.coords()[None] + TIMES[:, None, None, None] * np.array([0.3, -0.1])
     assert np.max(np.abs(Y - exact)) <= 1e-14
 
@@ -114,11 +117,11 @@ def test_constant_velocity_translates_labels():
 def test_linear_velocity_exact_with_gradient():
     alpha = 0.5
     nf = identity_noise_flow(GRID, TIMES)
-    Y, G = integrate_label_flow(linear_velocity(alpha), nf)
+    lf = integrate_label_flow(linear_velocity(alpha), nf)
     c = GRID.coords()
     scale = 1.0 + alpha * TIMES
-    assert np.max(np.abs(Y - scale[:, None, None, None] * c[None])) <= 1e-10
-    assert np.max(np.abs(G - scale[:, None, None, None, None] * np.eye(2))) <= 1e-10
+    assert np.max(np.abs(lf.Y - scale[:, None, None, None] * c[None])) <= 1e-10
+    assert np.max(np.abs(lf.gradY - scale[:, None, None, None, None] * np.eye(2))) <= 1e-10
 
 
 def test_label_flow_on_window_prefix_matches_full_run():
@@ -130,13 +133,13 @@ def test_label_flow_on_window_prefix_matches_full_run():
     bump = 0.3 * np.sin(np.pi * c[..., 0]) * np.sin(np.pi * c[..., 1])
     ubar = TimeSeries(GRID, TIMES, (1.0 + TIMES)[:, None, None, None]
                       * np.stack([bump, -0.5 * bump], axis=-1)[None])
-    Y, G = integrate_label_flow(ubar, nf)
-    full = compose_flow(nf, Y, G)
+    lf = integrate_label_flow(ubar, nf)
+    full = compose_flow(lf, 0.25)
     k = 7
-    Yk, Gk = integrate_label_flow(ubar.restrict(k), nf)
-    assert np.array_equal(Yk, Y[:k])
-    assert np.array_equal(Gk, G[:k])
-    window = compose_flow(nf, Yk, Gk)
+    lk = integrate_label_flow(ubar.restrict(k), nf)
+    for name in ("times", "Y", "gradY", "X", "Dpsi_Y"):
+        assert np.array_equal(getattr(lk, name), getattr(lf, name)[:k])
+    window = compose_flow(lk, 0.25)
     assert len(window) == k
     assert np.array_equal(window.X, full.X[:k])
     assert np.array_equal(window.gradX, full.gradX[:k])
@@ -154,8 +157,8 @@ def test_label_flow_on_window_prefix_matches_full_run():
 
 def test_initial_state_is_identity():
     nf = identity_noise_flow(GRID, TIMES)
-    Y, G = integrate_label_flow(linear_velocity(0.4), nf)
-    w = compose_flow(nf, Y, G)
+    lf = integrate_label_flow(linear_velocity(0.4), nf)
+    w = compose_flow(lf, 0.25)
     assert np.max(np.abs(w.X[0] - GRID.coords())) == 0.0
     assert np.max(np.abs(w.Z[0] - np.eye(2))) == 0.0
     assert np.max(np.abs(w.J[0] - 1.0)) == 0.0
@@ -164,8 +167,8 @@ def test_initial_state_is_identity():
 def test_linear_drift_jacobian_closed_form():
     alpha = 0.5
     nf = identity_noise_flow(GRID, TIMES)
-    Y, G = integrate_label_flow(linear_velocity(alpha), nf)
-    w = compose_flow(nf, Y, G, eps_star=0.25)
+    lf = integrate_label_flow(linear_velocity(alpha), nf)
+    w = compose_flow(lf, 0.25)
     scale = 1.0 + alpha * T
     assert np.max(np.abs(w.J[-1] - scale**2)) <= 1e-10
     assert np.max(np.abs(w.Z[-1] - np.eye(2) / scale)) <= 1e-10
@@ -175,8 +178,8 @@ def test_pure_transport_volume_within_tolerance():
     Q = make_transport_field(2, "stream", K=1, amplitude=0.03)
     b = sample_brownian(1, 0, T, DT, seed=3)
     nf = integrate_noise_flow(Q, b, GRID)
-    Y, G = integrate_label_flow(zero_velocity(), nf)
-    assert np.max(np.abs(compose_flow(nf, Y, G).J - 1.0)) <= 1e-6
+    lf = integrate_label_flow(zero_velocity(), nf)
+    assert np.max(np.abs(compose_flow(lf, 0.25).J - 1.0)) <= 1e-6
 
 
 def test_jacobian_transport_identity():
@@ -189,8 +192,8 @@ def test_jacobian_transport_identity():
         times = np.linspace(0, T, steps + 1)
         ub = linear_velocity(0.4, GRID, times)
         nf = integrate_noise_flow(Q, b, GRID)
-        Y, G = integrate_label_flow(ub, nf)
-        window = compose_flow(nf, Y, G)
+        lf = integrate_label_flow(ub, nf)
+        window = compose_flow(lf, 0.25)
         J_ode = jacobian_ode_oracle(ub, window)
         gaps.append(np.max(np.abs(J_ode - window.J)))
         b = refine_bridge(b)
@@ -198,19 +201,61 @@ def test_jacobian_transport_identity():
     assert gaps[1] <= gaps[0]
 
 
+def count_plans(monkeypatch):
+    """A list that grows by one per ``InterpPlan`` construction."""
+    built = []
+    init = lagflow.interp.InterpPlan.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lagflow.interp.InterpPlan, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_flow_stage_matches_per_level_compose_oracle(dim, monkeypatch):
+    # the stage samples psi and Dpsi with the label flow's stage-0 plans:
+    # its window equals the per-level composition bit for bit, on the whole
+    # window and on a stopped prefix, and it builds 2L - 1 plans
+    if dim == 2:
+        g, Q = Grid(2, (17, 19)), make_transport_field(2, "stream", K=2, amplitude=0.1)
+    else:
+        g, Q = Grid(3, (9, 10, 11)), make_transport_field(3, "rotation", K=1, amplitude=1.0)
+    cfg = SolveConfig(T=0.02, dt=DT)
+    times = cfg.times
+    nf = integrate_noise_flow(Q, sample_brownian(Q.K, 0, cfg.T, DT, seed=7), g)
+    c = g.coords()
+    bump = 0.3 * np.prod([np.sin(np.pi * c[..., d]) for d in range(dim)], axis=0)
+    scale = (1.0 + 10.0 * times).reshape((-1,) + (1,) * (dim + 1))
+    ubar = TimeSeries(g, times, scale * np.stack([bump] + [-0.5 * bump] * (dim - 1), axis=-1))
+    for u in (ubar, ubar.restrict(6)):
+        built = count_plans(monkeypatch)
+        window, _, _ = _flow_stage(u, nf, cfg)
+        assert len(built) == 2 * len(u) - 1
+        monkeypatch.undo()
+        lf = integrate_label_flow(u, nf)
+        want = per_level_compose(nf, lf.Y, lf.gradY, cfg.eps_star)
+        assert len(window) == len(u)
+        for name in ("times", "X", "gradX", "Z", "J", "valid"):
+            assert np.array_equal(getattr(window, name), getattr(want, name)), name
+    assert np.max(np.abs(window.gradX - np.eye(dim))) > 1e-3   # a nontrivial map
+
+
 def test_singular_level_gets_nan_inverse():
-    # one singular level of grad Y (identity noise flow, so grad X = grad Y):
+    # one singular level of grad Y (Dpsi(Y) = I, so grad X = grad Y):
     # the guard marks it invalid with a NaN Z, without a warning, and leaves
     # the inverses of the other levels alone
     times = TIMES[:5]
-    nf = identity_noise_flow(GRID, times)
     rng = np.random.default_rng(5)
     Y = np.broadcast_to(GRID.coords(), (5,) + GRID.extent + (2,)).copy()
     gradY = np.eye(2) + 0.05 * rng.normal(size=(5,) + GRID.extent + (2, 2))
     gradY[2] = 0.0
+    eye = np.broadcast_to(np.eye(2), gradY.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = compose_flow(nf, Y, gradY)
+        w = compose_flow(LabelFlow(times, Y, gradY, Y, eye), 0.25)
     assert np.all(np.isnan(w.Z[2]))
     assert w.valid.tolist() == [True, True, False, True, True]
     for n in (0, 1, 3, 4):
@@ -261,8 +306,8 @@ def test_factorization_matches_direct_oracle():
         times = np.linspace(0, T, b.n_steps + 1)
         ub = smooth_drift_series(GRID, times)
         nf = integrate_noise_flow(Q, b, GRID)
-        Y, G = integrate_label_flow(ub, nf)
-        Xc = compose_flow(nf, Y, G).X
+        lf = integrate_label_flow(ub, nf)
+        Xc = compose_flow(lf, 0.25).X
         Xd = direct_flow_oracle(ub, Q, b)
         gaps.append(np.max(np.abs(Xc - Xd)))
         b = refine_bridge(b)
@@ -278,8 +323,8 @@ def test_factorization_matches_direct_oracle():
 def test_invert_translation_flow():
     c = [0.25, -0.15]
     nf = identity_noise_flow(GRID, TIMES)
-    Y, G = integrate_label_flow(constant_velocity(c), nf)
-    w = compose_flow(nf, Y, G)
+    lf = integrate_label_flow(constant_velocity(c), nf)
+    w = compose_flow(lf, 0.25)
     assert np.allclose(w.X[-1], GRID.coords() + T * np.array(c), atol=1e-10)
 
 
@@ -289,8 +334,8 @@ def test_invert_translation_flow():
 
 def test_monitor_stays_open_without_motion():
     nf = identity_noise_flow(GRID, TIMES)
-    Y, G = integrate_label_flow(zero_velocity(), nf)
-    mon = stopping_monitor(compose_flow(nf, Y, G), SolveConfig(), GRID)
+    lf = integrate_label_flow(zero_velocity(), nf)
+    mon = stopping_monitor(compose_flow(lf, 0.25), SolveConfig(), GRID)
     assert not mon.fired
     assert mon.sigma == T
     assert np.all(mon.total == 0.0)
@@ -300,8 +345,8 @@ def test_monitor_first_crossing_semantics():
     # strong linear drift inflates grad X; tiny delta fires before T
     nf = identity_noise_flow(GRID, TIMES)
     ub = linear_velocity(1.5)
-    Y, G = integrate_label_flow(ub, nf)
-    window = compose_flow(nf, Y, G, eps_star=1e9)
+    lf = integrate_label_flow(ub, nf)
+    window = compose_flow(lf, 1e9)
     cfg = SolveConfig(delta=0.02)
     mon = stopping_monitor(window, cfg, GRID)
     assert mon.fired and mon.sigma < T and mon.sigma > 0
@@ -314,8 +359,8 @@ def test_monitor_first_crossing_semantics():
 
 def test_monitor_sigma_monotone_in_delta():
     nf = identity_noise_flow(GRID, TIMES)
-    Y, G = integrate_label_flow(linear_velocity(1.5), nf)
-    window = compose_flow(nf, Y, G, eps_star=1e9)
+    lf = integrate_label_flow(linear_velocity(1.5), nf)
+    window = compose_flow(lf, 1e9)
     sigmas = []
     for delta in (0.08, 0.04, 0.02, 0.01):
         cfg = SolveConfig(delta=delta)
@@ -325,8 +370,8 @@ def test_monitor_sigma_monotone_in_delta():
 
 def test_monitor_fires_on_invalid_state():
     nf = identity_noise_flow(GRID, TIMES)
-    Y, G = integrate_label_flow(linear_velocity(1.5), nf)
-    window = compose_flow(nf, Y, G, eps_star=0.05)
+    lf = integrate_label_flow(linear_velocity(1.5), nf)
+    window = compose_flow(lf, 0.05)
     assert not window.valid.all()
     mon = stopping_monitor(window, SolveConfig(delta=1e9, eps_star=1e9), GRID)
     assert mon.fired
@@ -402,8 +447,8 @@ def test_monitor_matches_brute_force(delta, fires):
     g = Grid(2, (17, 17))
     times = TIMES[:21]
     nf = identity_noise_flow(g, times)
-    Y, G = integrate_label_flow(linear_velocity(1.5, g, times), nf)
-    window = compose_flow(nf, Y, G, eps_star=1e9)
+    lf = integrate_label_flow(linear_velocity(1.5, g, times), nf)
+    window = compose_flow(lf, 1e9)
     cfg = SolveConfig(delta=delta, eps_star=1.0)   # the monitor reads no eps_star
     mon = stopping_monitor(window, cfg, g)
     totals, fired_index = brute_force_monitor(window, cfg, g)
@@ -497,7 +542,7 @@ def test_smalltime_label_bound():
         return TimeSeries(g, times, np.stack([amp * (1 + 0.5 * t) * base for t in times]))
 
     def measure(ub):
-        Y, _ = integrate_label_flow(ub, nf)
+        Y = integrate_label_flow(ub, nf).Y
         ystar = max(spatial_norm(g, Y[n] - c, "H2q", q) for n in range(len(times)))
         hnorms = np.array([spatial_norm(g, v, "H2q", q) for v in ub.values])
         B_b = np.trapezoid(hnorms**p, times) ** (1 / p)

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from lagflow.interp import FlowEscapeError, InterpPlan
+from flow_oracle import csr_weights
+from lagflow.interp import FlowEscapeError, InterpAxes, InterpPlan
 
 
 def per_corner_sum(axes, pts, arr):
@@ -89,3 +90,44 @@ def test_escape_error_carries_time_and_point(dim):
     # within the slack of the box edge no error is raised
     pts[3, dim - 1] = 1.25 + 1e-12
     InterpPlan(axes, pts, time=0.125)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_weights_match_reference_construction(dim):
+    # shared per-axes constants, reused for query sets of other sizes,
+    # give the weight matrix of the self-contained construction bit for bit
+    rng = np.random.default_rng(40 + dim)
+    axes = box_axes(dim)
+    shared = InterpAxes(axes)
+    for n in (40, 12, 40):
+        pts = query_points(axes, rng, n)
+        want = csr_weights(axes, pts)
+        for W in (InterpPlan(axes, pts).W, InterpPlan(shared, pts).W):
+            for got, ref in zip((W.data, W.indices, W.indptr), want):
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("case", ["axis-1-only", "every-axis", "within-slack"])
+def test_escape_error_matches_reference_construction(dim, case):
+    axes = box_axes(dim)
+    lo = np.array([ax[0] for ax in axes])
+    hi = np.array([ax[-1] for ax in axes])
+    pts = np.full((6, dim), 0.5)
+    if case == "within-slack":
+        pts[2], pts[4] = lo - 1e-10, hi + 1e-10
+        W = InterpPlan(InterpAxes(axes), pts).W
+        for got, ref in zip((W.data, W.indices, W.indptr), csr_weights(axes, pts)):
+            assert np.array_equal(got, ref)
+        return
+    pts[2, 1] = lo[1] - 1e-3                 # outside on axis 1 only
+    axis, j = 1, 2
+    if case == "every-axis":
+        pts[4] = hi + 1e-3                   # outside on every axis
+        axis, j = 0, 4
+    for build in (InterpPlan, csr_weights):
+        with pytest.raises(FlowEscapeError, match=f"axis {axis} at t = 0.5") as exc:
+            build(InterpAxes(axes) if build is InterpPlan else axes, pts, time=0.5)
+        assert exc.value.time == 0.5
+        assert np.array_equal(exc.value.point, pts[j])

@@ -127,8 +127,8 @@ def test_continuity_linear_drift_matches_closed_form():
     ub = TimeSeries(GRID, times,
                     np.broadcast_to(alpha * c, (51,) + c.shape).copy())
     nf = identity_noise_flow(GRID, times)
-    Y, G = integrate_label_flow(ub, nf)
-    window = compose_flow(nf, Y, G)
+    lf = integrate_label_flow(ub, nf)
+    window = compose_flow(lf, 0.25)
     rho0 = Field(GRID, np.ones(GRID.extent))
     stack, dev = continuity_oracle(ub, window, rho0)
     exact = (1 + alpha * times[-1]) ** (-2)
