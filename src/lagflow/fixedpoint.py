@@ -34,6 +34,7 @@ from .fields import (
 )
 from .flow import (
     FlowWindow,
+    MonitorAnchor,
     MonitorResult,
     NoiseFlow,
     compose_flow,
@@ -243,9 +244,18 @@ def problem_for(rho0: Field, u0: Field, params: FluidParams,
 
 @dataclass
 class PsiResult:
+    """One application of the solution map.
+
+    ``monitor`` is the exact stopping monitor of the flow window, with its
+    anchor.  It is None on an iterate of ``picard_solve`` whose window an
+    earlier anchor certified (``flow.MonitorAnchor.certify``): the monitor
+    provably keeps every level there, so ``n_frames`` is the window's
+    length without a monitor run.
+    """
+
     v: TimeSeries
     window: FlowWindow
-    monitor: MonitorResult
+    monitor: MonitorResult | None
     n_frames: int              # usable frames (window [0, sigma])
     F_u: np.ndarray
     ubar: TimeSeries           # the drift the window was built from
@@ -256,25 +266,37 @@ def _drift(v: TimeSeries, U: TimeSeries) -> TimeSeries:
     return TimeSeries(v.grid, v.times, v.values + U.values[: len(v)])
 
 
-def _monitor_window(window: FlowWindow, cfg: SolveConfig,
-                    grid: Grid) -> tuple[MonitorResult, int]:
-    """Stopping monitor of the flow window and the usable window length."""
+def _monitor_window(window: FlowWindow, cfg: SolveConfig, grid: Grid,
+                    anchor: MonitorAnchor | None = None,
+                    prev: FlowWindow | None = None,
+                    ) -> tuple[MonitorResult | None, int]:
+    """Stopping monitor of the flow window and the usable window length.
+
+    With an anchor and the window ``prev`` its drift was last moved to, a
+    window the anchor certifies keeps all its levels without a monitor run
+    (the monitor is None); otherwise the exact monitor decides.
+    """
+    if anchor is not None and anchor.certify(window, prev, cfg, grid):
+        return None, len(window)
     monitor = stopping_monitor(window, cfg, grid)
     n_frames = len(window) if not monitor.fired else max(2, monitor.fired_index + 1)
     return monitor, n_frames
 
 
-def _flow_stage(ubar: TimeSeries, nf: NoiseFlow, cfg: SolveConfig):
+def _flow_stage(ubar: TimeSeries, nf: NoiseFlow, cfg: SolveConfig,
+                anchor: MonitorAnchor | None = None,
+                prev: FlowWindow | None = None):
     """Label flow, composition X = psi o Y, monitor and window length.
 
     ``ubar`` may be shorter than the noise grid (a stopped window of an
     earlier iterate); the flow is integrated on its levels only.  The label
     flow samples psi and Dpsi on Y with the plans of its Heun stage 0 (plus
     one on the last level), so the stage builds 2L - 1 interpolation plans
-    for L levels and the composition builds none.
+    for L levels and the composition builds none.  ``anchor`` and ``prev``
+    go to ``_monitor_window``.
     """
     window = compose_flow(integrate_label_flow(ubar, nf), cfg.eps_star)
-    monitor, n_frames = _monitor_window(window, cfg, ubar.grid)
+    monitor, n_frames = _monitor_window(window, cfg, ubar.grid, anchor, prev)
     return window, monitor, n_frames
 
 
@@ -313,12 +335,19 @@ def _extended_F_Gamma(res: PsiResult, k: int, problem: Problem) -> np.ndarray:
     return out
 
 
+def _solution_map(v1: TimeSeries, U: TimeSeries, problem: Problem,
+                  nf: NoiseFlow, anchor: MonitorAnchor | None = None,
+                  prev: FlowWindow | None = None) -> PsiResult:
+    """The solution map; ``anchor`` and ``prev`` go to ``_monitor_window``."""
+    ubar = _drift(v1, U)
+    window, monitor, n_frames = _flow_stage(ubar, nf, problem.cfg, anchor, prev)
+    return _assemble_and_solve(ubar, window, monitor, n_frames, problem)
+
+
 def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
               nf: NoiseFlow) -> PsiResult:
     """One application of the solution map on the monitored window."""
-    ubar = _drift(v1, U)
-    window, monitor, n_frames = _flow_stage(ubar, nf, problem.cfg)
-    return _assemble_and_solve(ubar, window, monitor, n_frames, problem)
+    return _solution_map(v1, U, problem, nf)
 
 
 def apply_Psi_deterministic(v1: TimeSeries, problem: Problem) -> PsiResult:
@@ -394,6 +423,15 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     ones, so the window only shrinks.  The record's seed is the Brownian
     bundle's (None without a bundle).
 
+    The first iterate is ``apply_Psi`` with its exact stopping monitor,
+    whose anchor keeps the pair and frame norms of that window.  A later
+    iterate's window is first put to the anchor (``MonitorAnchor.certify``,
+    against the previous iterate's window): a certified iterate keeps all
+    its levels, as the exact monitor would, and carries no monitor result;
+    a declined one runs the exact monitor, which becomes the new anchor.
+    The rebuild always runs the exact monitor, so the returned ``monitor``
+    and every output are those of exact monitors on every iterate.
+
     Two aborts: a ``ValueError`` before the first iterate when
     r + E1(v_ref) > R, and a ``PicardDivergence`` carrying the iterate
     differences when an iterate leaves the centered ball of radius r
@@ -432,10 +470,17 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     n_frames = len(times)
     diffs: list[float] = []
     last: PsiResult | None = None
+    anchor: MonitorAnchor | None = None
     converged = False
     rising = 0
     for it in range(1, cfg.picard_max_iter + 1):
-        res = apply_Psi(v_prev.restrict(n_frames), U, problem, nf)
+        if anchor is None:
+            res = apply_Psi(v_prev.restrict(n_frames), U, problem, nf)
+        else:
+            res = _solution_map(v_prev.restrict(n_frames), U, problem, nf,
+                                anchor, last.window)
+        if res.monitor is not None:
+            anchor = res.monitor.anchor
         n_frames = min(n_frames, res.n_frames)
         dv = TimeSeries(grid, times[:n_frames],
                         res.v.values[:n_frames] - v_prev.values[:n_frames])

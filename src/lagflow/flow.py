@@ -44,6 +44,7 @@ if TYPE_CHECKING:
 __all__ = [
     "NoiseFlow",
     "FlowWindow",
+    "MonitorAnchor",
     "MonitorResult",
     "integrate_noise_flow",
     "identity_noise_flow",
@@ -155,9 +156,12 @@ def _transport_sums(Q: TransportField, pts, dW, with_grad=True):
     vec = np.zeros(pts.shape)
     mat = np.zeros(pts.shape[:-1] + (pts.shape[-1],) * 2) if with_grad else None
     for k in range(Q.K):
-        vec += Q.value(k, pts) * dW[k]
         if with_grad:
-            mat += Q.jacobian(k, pts) * dW[k]
+            val, jac = Q.value_and_jacobian(k, pts)
+            mat += jac * dW[k]
+        else:
+            val = Q.value(k, pts)
+        vec += val * dW[k]
     return vec, mat
 
 
@@ -391,6 +395,95 @@ def direct_flow_oracle(ubar: TimeSeries, Q: TransportField,
 # ---------------------------------------------------------------------------
 
 @dataclass
+class MonitorAnchor:
+    """The O(L^2) scalars an exact monitor run leaves to certify later windows.
+
+    On the n levels the run took in, for f = Z - I (index 0) and f = J - 1
+    (index 1), with X = H^{1,q}: ``pair`` (2, n, n), whose row k holds the
+    pair norms a_ik = |f_i - f_k|_X for i < k (zero elsewhere); ``frame``
+    (2, n), the frame norms |f_k|_X; and ``drift`` (2, n), e_k, the sum of
+    |f_k(W) - f_k(W')|_X over the windows W certified since, each against
+    the window W' before it.  No frames are kept.  By the triangle
+    inequality a_ik + e_i + e_k bounds every pair norm of the latest
+    window, and |f_k|_X + e_k every frame norm.
+    """
+
+    times: np.ndarray
+    pair: np.ndarray
+    frame: np.ndarray
+    drift: np.ndarray
+
+    @classmethod
+    def from_sums(cls, sums: tuple[SlobodeckijWindow, ...]) -> "MonitorAnchor":
+        """The anchor of the running sums of Z - I and J - 1 of a monitor run."""
+        n = len(sums[0].pair_pow)
+        pair = np.zeros((2, n, n))
+        for s, acc in enumerate(sums):
+            for k, row in enumerate(acc.pair_pow):
+                pair[s, k, :k] = row ** (1.0 / acc.p)
+        frame = np.array([acc.frame_pow[:n] ** (1.0 / acc.p) for acc in sums])
+        return cls(sums[0].times[:n].copy(), pair, frame, np.zeros((2, n)))
+
+    def bound(self, window: FlowWindow, prev: FlowWindow, cfg: SolveConfig,
+              grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+        """Upper bounds of the monitor totals of ``window`` and its drift.
+
+        On the levels 0 .. len(window) - 2, which must lie in the anchor and
+        in ``prev``, the window the drift was last moved to (at first the
+        one the anchor was taken on): e_k grows by the H^{1,q} norms of the
+        level differences of Z and J against ``prev``, the bounded pair and
+        frame norms go through the L^p-in-time and Gagliardo sums of
+        ``SlobodeckijWindow`` as whole arrays, and the window's exact
+        |grad X - I|_X enter as a running sup.  The cost is three H^{1,q}
+        frame norms per level and O(L^2) scalars, against the O(L^2) pair
+        rows of an exact run.
+        """
+        m = len(window) - 1
+        eye = np.eye(grid.dim)
+        gnorms, step = np.empty(m), np.empty((2, m))
+        for sl in frame_chunks(grid, m, window.Z[0].size):
+            gnorms[sl] = frame_norms(grid, window.gradX[sl] - eye, "H1q", cfg.q)
+            step[0, sl] = frame_norms(grid, window.Z[sl] - prev.Z[sl], "H1q", cfg.q)
+            step[1, sl] = frame_norms(grid, window.J[sl] - prev.J[sl], "H1q", cfg.q)
+        drift = self.drift[:, :m] + step
+        t = self.times[:m]
+        lower = np.tri(m, k=-1, dtype=bool)
+        w = np.zeros((m, m))
+        if m > 1:
+            gaps = t[:, None] - t[None, :]
+            w[lower] = (t[1] - t[0]) ** 2 / gaps[lower] ** (1.0 + cfg.theta * cfg.p)
+        pair = self.pair[:, :m, :m] + drift[:, :, None] + drift[:, None, :]
+        sem = np.cumsum(2.0 * np.sum(pair ** cfg.p * w, axis=2), axis=1)
+        frame_pow = (self.frame[:, :m] + drift) ** cfg.p
+        lp_pow = np.zeros((2, m))
+        lp_pow[:, 1:] = np.cumsum(
+            0.5 * np.diff(t) * (frame_pow[:, 1:] + frame_pow[:, :-1]), axis=1)
+        htheta = (lp_pow + sem) ** (1.0 / cfg.p)
+        return np.maximum.accumulate(gnorms) + htheta[0] + htheta[1], drift
+
+    def certify(self, window: FlowWindow, prev: FlowWindow, cfg: SolveConfig,
+                grid: Grid) -> bool:
+        """Whether the monitor provably keeps every level of ``window``.
+
+        The window is certified when its levels 0 .. len - 2 are valid, lie
+        in the anchor and in ``prev`` and have (1 + 1e-9) * bound < delta:
+        no total reaches delta before the last level, and a crossing or an
+        invalid level at the last level keeps every frame as well.  Then
+        the drift moves to ``window`` and the anchor keeps those levels
+        only.
+        """
+        m = len(window) - 1
+        if m > len(self.times) or len(prev) < m or not window.valid[:m].all():
+            return False
+        bound, drift = self.bound(window, prev, cfg, grid)
+        if not np.all((1.0 + 1e-9) * bound < cfg.delta):
+            return False
+        self.times, self.pair = self.times[:m], self.pair[:, :m, :m]
+        self.frame, self.drift = self.frame[:, :m], drift
+        return True
+
+
+@dataclass
 class MonitorResult:
     sigma: float
     fired: bool
@@ -400,6 +493,9 @@ class MonitorResult:
     htheta_Z: np.ndarray       # running H^{theta,p} H^{1,q} of Z - I
     htheta_J: np.ndarray       # same for J - 1
     total: np.ndarray
+    # the pair and frame norms of the run, for certifying later windows
+    anchor: MonitorAnchor | None = field(default=None, init=False,
+                                         repr=False, compare=False)
 
 
 def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
@@ -412,6 +508,13 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     invalid one, on slices of the window's stacks a chunk of frames at a
     time (``frame_chunks``); the H^{theta,p} sums advance frame by frame
     and stop at the crossing.
+
+    The result's ``anchor`` keeps the run's pair and frame norms.  The
+    Picard loop of ``fixedpoint.picard_solve`` runs this exact monitor on
+    its first iterate and on the rebuild; a later iterate whose window the
+    anchor certifies (``MonitorAnchor.certify``) keeps every level without
+    a run and carries no monitor result, and one it declines runs this
+    monitor, whose anchor then replaces the old one.
     """
     eye = np.eye(grid.dim)
     times = window.times
@@ -445,10 +548,12 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     fired = fired_index is not None
     n_kept = len(tot_run)
     sigma = float(times[fired_index]) if fired else float(times[-1])
-    return MonitorResult(
+    result = MonitorResult(
         sigma, fired, fired_index, times[:n_kept],
         np.array(sup_run), np.array(hZ_run), np.array(hJ_run), np.array(tot_run),
     )
+    result.anchor = MonitorAnchor.from_sums((accZ, accJ))
+    return result
 
 
 # ---------------------------------------------------------------------------

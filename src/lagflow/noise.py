@@ -172,7 +172,7 @@ class TransportField:
             A, b, c = (self.params[key][k] for key in ("A", "b", "c"))
             return (pts - c) @ A.T + b
         if self.kind == "stream":
-            return self._stream_value(k, pts)
+            return self._stream_value(self._stream_terms(k, pts))
         raise ValueError(f"unknown transport kind {self.kind!r}")
 
     def jacobian(self, k: int, pts: np.ndarray) -> np.ndarray:
@@ -185,8 +185,16 @@ class TransportField:
             A = self.params["A"][k]
             return np.broadcast_to(A, pts.shape[:-1] + (d, d)).copy()
         if self.kind == "stream":
-            return self._stream_jacobian(k, pts)
+            return self._stream_jacobian(self._stream_terms(k, pts))
         raise ValueError(f"unknown transport kind {self.kind!r}")
+
+    def value_and_jacobian(self, k: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Q_k and DQ_k with the bits of ``value`` and ``jacobian``; the
+        stream kind takes its sines and cosines once for both."""
+        if self.kind == "stream":
+            terms = self._stream_terms(k, np.asarray(pts, float))
+            return self._stream_value(terms), self._stream_jacobian(terms)
+        return self.value(k, pts), self.jacobian(k, pts)
 
     # -- stream-function family (dim 2) --------------------------------------
     #
@@ -200,13 +208,15 @@ class TransportField:
         sy, cy = np.sin(np.pi * n * y), np.cos(np.pi * n * y)
         return a, np.pi * m, np.pi * n, sx, cx, sy, cy
 
-    def _stream_value(self, k, pts):
-        a, km, kn, sx, cx, sy, cy = self._stream_terms(k, pts)
+    @staticmethod
+    def _stream_value(terms):
+        a, km, kn, sx, cx, sy, cy = terms
         return np.stack([a * kn * sx * cy, -a * km * cx * sy], axis=-1)
 
-    def _stream_jacobian(self, k, pts):
-        a, km, kn, sx, cx, sy, cy = self._stream_terms(k, pts)
-        out = np.empty(pts.shape[:-1] + (2, 2))
+    @staticmethod
+    def _stream_jacobian(terms):
+        a, km, kn, sx, cx, sy, cy = terms
+        out = np.empty(sx.shape + (2, 2))
         out[..., 0, 0] = a * kn * km * cx * cy
         out[..., 0, 1] = -a * kn * kn * sx * sy
         out[..., 1, 0] = a * km * km * sx * sy

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lagflow.fixedpoint
+import lagflow.flow
 import lagflow.lame
 from lagflow.eulerian import validate_solution
 from lagflow.fields import Field, Grid, TimeSeries, spatial_norm
@@ -550,3 +551,71 @@ def test_picard_warm_operator_matches_cold():
     assert np.array_equal(warm.rho, cold.rho)
     assert (warm.tau, warm.kappa, warm.iterations) == (
         cold.tau, cold.kappa, cold.iterations)
+
+
+# ---------------------------------------------------------------------------
+# certified iterates: the exact monitor on the first iterate and the rebuild
+# ---------------------------------------------------------------------------
+
+def noise_setup(dim, kind, amplitude, T):
+    grid = Grid(dim, (17, 17) if dim == 2 else (9, 9, 9))
+    c = grid.coords()
+    u0 = np.zeros(grid.extent + (dim,))
+    u0[..., 0] = 1e-3 * np.prod([np.sin(np.pi * c[..., d]) ** 2
+                                 for d in range(dim)], axis=0)
+    return (Field(grid, np.ones(grid.extent)), Field(grid, u0), SolveConfig(T=T),
+            make_transport_field(dim, kind, K=2 if dim == 2 else 1,
+                                 amplitude=amplitude),
+            StochasticForcing.default_modes(grid, 1, 1e-3))
+
+
+CERTIFIED_PATHS = {
+    "2d-open": ((2, "stream", 5e-4, 0.02), 0, False),
+    "2d-fired": ((2, "stream", 1e-3, 0.02), 2, True),
+    "3d-open": ((3, "rotation", 1e-3, 0.005), 0, False),
+}
+
+
+@pytest.mark.parametrize("case", CERTIFIED_PATHS)
+def test_certified_iterates_match_exact_monitors(case, monkeypatch):
+    # the same path with every certificate declined runs the exact monitor
+    # on every iterate; the certified run must give the same bits
+    args, seed, fires = CERTIFIED_PATHS[case]
+    rho0, u0, cfg, Q, forcing = noise_setup(*args)
+    verdicts = []
+    certify = lagflow.flow.MonitorAnchor.certify
+
+    def counting(self, *a):
+        verdicts.append(certify(self, *a))
+        return verdicts[-1]
+
+    monkeypatch.setattr(lagflow.flow.MonitorAnchor, "certify", counting)
+    got = solve_path(rho0, u0, cfg, Q, forcing, seed)
+    assert got.monitor.fired == fires
+    assert len(verdicts) == got.iterations - 1 and all(verdicts)
+    monkeypatch.setattr(lagflow.flow.MonitorAnchor, "certify",
+                        lambda self, *a: False)
+    want = solve_path(rho0, u0, cfg, Q, forcing, seed)
+    assert np.array_equal(got.v.values, want.v.values)
+    assert np.array_equal(got.rho, want.rho)
+    assert (got.tau, got.iterations, got.kappa, got.diffs) == (
+        want.tau, want.iterations, want.kappa, want.diffs)
+    for f in dataclasses.fields(got.monitor):
+        if f.compare:
+            assert np.array_equal(getattr(got.monitor, f.name),
+                                  getattr(want.monitor, f.name)), f.name
+
+
+def test_converged_path_runs_two_exact_monitors(monkeypatch):
+    calls = []
+    monitor = lagflow.fixedpoint.stopping_monitor
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return monitor(*args)
+
+    monkeypatch.setattr(lagflow.fixedpoint, "stopping_monitor", counting)
+    rho0, u0, cfg, Q, forcing = noise_setup(2, "stream", 5e-4, 0.02)
+    b = solve_path(rho0, u0, cfg, Q, forcing, seed=0)
+    assert b.converged and b.iterations >= 3
+    assert calls == [len(cfg.times)] * 2      # the first iterate and the rebuild

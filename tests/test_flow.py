@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lagflow.interp
 from flow_oracle import per_level_compose
 from lagflow.fields import Grid, SlobodeckijWindow, TimeSeries, spatial_norm
-from lagflow.fixedpoint import SolveConfig, _flow_stage
+from lagflow.fixedpoint import SolveConfig, _flow_stage, _monitor_window
 from lagflow.flow import (
+    FlowWindow,
     LabelFlow,
     compose_flow,
     direct_flow_oracle,
@@ -455,6 +457,102 @@ def test_monitor_matches_brute_force(delta, fires):
     assert mon.fired == fires
     assert mon.fired_index == fired_index
     np.testing.assert_allclose(mon.total, totals, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# certified windows: the anchor's bound of the monitor totals
+# ---------------------------------------------------------------------------
+
+OPEN = SolveConfig(delta=1e9, eps_star=1e9)      # a monitor that never fires
+
+
+def smooth_window(grid, times, rng, scale):
+    """grad X = I + a(t) B(x) with a(0) = 0 and smooth random B; X = id."""
+    c = grid.coords()
+    dim = grid.dim
+    base = np.zeros(grid.extent + (dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            k = rng.integers(1, 3, size=dim)
+            base[..., i, j] = rng.normal() * np.prod(
+                [np.sin(np.pi * k[d] * c[..., d]) for d in range(dim)], axis=0)
+    s = times / times[-1]
+    amps = scale * (s + 0.3 * np.sin(7.0 * s))
+    gradX = np.eye(dim) + amps.reshape((-1,) + (1,) * (dim + 2)) * base
+    X = np.broadcast_to(c, (len(times),) + c.shape).copy()
+    return gradX, X
+
+
+def window_of(times, X, gradX):
+    return FlowWindow.from_map(times, X, gradX, 1e9)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3]),
+       L=st.integers(2, 9), scale=st.sampled_from([1e-3, 1e-2, 5e-2]),
+       steps=st.lists(st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
+                      min_size=1, max_size=3))
+def test_anchor_bound_dominates_exact_totals(seed, dim, L, scale, steps):
+    # for a random anchor window and a chain of perturbed windows, each
+    # checked against the one before it, the bound stays above the exact
+    # monitor totals at every level it covers
+    rng = np.random.default_rng(seed)
+    grid = Grid(dim, (9, 10, 9)[:dim])
+    times = 1e-3 * np.arange(L)
+    gradX, X = smooth_window(grid, times, rng, scale)
+    prev = window_of(times, X, gradX)
+    anchor = stopping_monitor(prev, OPEN, grid).anchor
+    moved = False
+    for size in steps:
+        moved = moved or size > 0.0
+        gradX = gradX + size * rng.normal(size=gradX.shape) * (
+            times / times[-1]).reshape((-1,) + (1,) * (dim + 2))
+        window = window_of(times, X, gradX)
+        bound, drift = anchor.bound(window, prev, OPEN, grid)
+        exact = stopping_monitor(window, OPEN, grid).total[:L - 1]
+        assert np.all(exact <= (1.0 + 1e-9) * bound)
+        if not moved:           # no motion: the bound is the exact total
+            np.testing.assert_allclose(bound, exact, rtol=1e-12, atol=1e-300)
+        assert anchor.certify(window, prev, OPEN, grid)
+        assert np.array_equal(anchor.drift, drift)
+        prev = window
+
+
+def test_lifted_bound_falls_back_to_the_exact_monitor():
+    # a perturbation that lifts the bound to delta is declined: the exact
+    # monitor decides the window length, and its anchor replaces the old one
+    g = Grid(2, (17, 17))
+    times = TIMES[:21]
+    gradX, X = smooth_window(g, times, np.random.default_rng(4), 5e-2)
+    w0 = window_of(times, X, gradX)
+    lifted = gradX.copy()
+    lifted[1:] += 2e-3 * np.eye(2)
+    w1 = window_of(times, X, lifted)
+    m = len(times) - 1
+    mon0 = stopping_monitor(w0, OPEN, g)
+    before = mon0.total[:m]
+    exact = stopping_monitor(w1, OPEN, g).total[:m]
+    bound, _ = mon0.anchor.bound(w1, w0, OPEN, g)
+    assert before.max() < exact.max() < bound.max()
+    # delta between the exact totals and the bound: the window stays whole
+    delta = 0.5 * (exact.max() + bound.max())
+    cfg = SolveConfig(delta=delta, eps_star=1e9)
+    anchor = stopping_monitor(w0, cfg, g).anchor
+    mon, n_frames = _monitor_window(w1, cfg, g, anchor, w0)
+    assert mon is not None and n_frames == len(times)
+    assert mon.fired_index in (None, m)         # no crossing before the last level
+    assert mon.anchor is not anchor and len(mon.anchor.times) == len(times)
+    # delta between the anchor's totals and the perturbed ones: it fires
+    delta = 0.5 * (before[-1] + exact[-1])
+    cfg = SolveConfig(delta=delta, eps_star=1e9)
+    anchor = stopping_monitor(w0, cfg, g).anchor
+    mon, n_frames = _monitor_window(w1, cfg, g, anchor, w0)
+    want = stopping_monitor(w1, cfg, g)
+    assert want.fired and want.fired_index < m
+    assert mon is not None and mon.fired_index == want.fired_index
+    assert n_frames == want.fired_index + 1 < len(times)
+    # an unperturbed window is certified without a monitor run
+    assert _monitor_window(w0, cfg, g, anchor, w0) == (None, len(times))
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,24 @@ def test_stream_jacobian_hessian_consistent():
         assert np.max(np.abs(H - np.swapaxes(H, -1, -2))) <= 1e-6
 
 
+@pytest.mark.parametrize("dim, kind", [(2, "constant"), (2, "rotation"),
+                                       (2, "linear_test"), (2, "stream"),
+                                       (3, "constant"), (3, "rotation")])
+def test_value_and_jacobian_match_separate_calls(dim, kind):
+    # the noise flow takes both from one call; they keep the bits of the
+    # separate evaluators, on a frame of points and on a flat point list
+    Q = make_transport_field(dim, kind, K=3 if kind != "stream" else 4,
+                             amplitude=0.7)
+    rng = np.random.default_rng(dim)
+    for pts in (rng.uniform(-0.3, 1.3, size=(7, 5, dim)),
+                rng.uniform(-0.3, 1.3, size=(11, dim))):
+        for k in range(Q.K):
+            val, jac = Q.value_and_jacobian(k, pts)
+            assert np.array_equal(val, Q.value(k, pts))
+            assert np.array_equal(jac, Q.jacobian(k, pts))
+            assert val.shape == pts.shape and jac.shape == pts.shape + (dim,)
+
+
 def test_tabulated_divergence_second_order():
     # stream field sampled on a grid: FD divergence of the table is O(h^2)
     from lagflow.fields import gradient_values
