@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Grid, frame_norms
+from .fields import Grid, frame_norms, gradient_values
 from .fixedpoint import SolutionBundle
 from .flow import mat_det
 from .lame import FluidParams
@@ -211,7 +211,8 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams) -> dict:
     worst = 0.0
     mask = op.boundary_row_mask
     steps = slice(1, len(bundle.v))
-    F_u, F_G_b = assemble_window(grid, bundle.ubar.values[steps],
+    u_steps = bundle.ubar.values[steps]
+    F_u, F_G_b = assemble_window(grid, u_steps, gradient_values(grid, u_steps),
                                  window.Z[steps], window.J[steps],
                                  problem.rho0.values, params)
     for n, (fu, fg) in enumerate(zip(F_u, F_G_b)):

@@ -19,6 +19,12 @@ pass holds whole-window derivative temporaries.  The flow window
 level stacks with the level axis first.  The index sums on the trailing
 component axes go through :func:`contract`, which gives einsum's bits on one
 frame and on a stack alike, so the map assembles a whole chunk per call.
+It works component-major: an operand whose components are read more than
+once is copied once per call into rows with the component axes first
+(reduced labels, then output labels) and the leading axes contiguous last;
+each term of the sum is then one broadcast product over every output
+component, added in einsum's order into a component-major scratch sum, a
+block of leading axes at a time.
 """
 
 from __future__ import annotations
@@ -266,8 +272,14 @@ def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     )
 
 
-def hessian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """All second derivatives; two new trailing axes (k, l) for d_k d_l."""
+def hessian_values(grid: Grid, values: np.ndarray,
+                   grad: np.ndarray) -> np.ndarray:
+    """All second derivatives; two new trailing axes (k, l) for d_k d_l.
+
+    ``grad`` is ``gradient_values(grid, values)``, which the callers hold
+    already: the mixed derivative d_l d_k is the first derivative along l
+    of its slice ``grad[..., k]``.
+    """
     lead = _frame_axes(grid, values.shape)
     dim = grid.dim
     out_shape = values.shape + (dim, dim)
@@ -277,8 +289,7 @@ def hessian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
             if k == l:
                 d = _d2_pure(values, lead + k, grid.spacing[k])
             else:
-                d = _d1(_d1(values, lead + k, grid.spacing[k]),
-                        lead + l, grid.spacing[l])
+                d = _d1(grad[..., k], lead + l, grid.spacing[l])
             out[..., k, l] = d
             out[..., l, k] = d
     return out
@@ -290,18 +301,35 @@ def hessian_values(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)   # one entry per literal call site and dim
 def _contract_plan(subscripts: str, order: str, dim: int) -> tuple:
-    """Operand ranks and, per output component, the index of every operand
-    in every term, in summation order."""
+    """How ``contract`` lays out its operands and visits its terms.
+
+    Per operand: the einsum signature of its component-major view (its
+    reduced labels in ``order``, then its output labels in output order,
+    a repeated label as one diagonal axis, the leading axes last), its
+    rank, its count of reduced labels, the index that spreads it over the
+    output labels it lacks, and whether it is staged (copied into that
+    layout): an operand is staged when some component of it is read by
+    more than one term or for more than one output component, and read in
+    place through the view otherwise.  Per operand after the first:
+    whether the operands up to it carry every output label.  Per term, in
+    summation order: the reduced-label index of every operand.
+    """
     ins, out = subscripts.replace("...", "").split("->")
     ins = ins.split(",")
-    plan = []
-    for o in np.ndindex((dim,) * len(out)):
-        terms = []
-        for r in np.ndindex((dim,) * len(order)):
-            at = dict(zip(out + order, o + r))
-            terms.append(tuple((...,) + tuple(at[c] for c in s) for s in ins))
-        plan.append(((...,) + o, tuple(terms)))
-    return tuple(len(s) for s in ins), len(out), tuple(plan)
+    labels = order + out
+    layouts = []
+    for s in ins:
+        axes = "".join(c for c in labels if c in s)
+        spread = tuple(slice(None) if c in s else None for c in out)
+        layouts.append((f"...{s}->{axes}...", len(s),
+                        sum(c in s for c in order), spread,
+                        len(axes) < len(labels)))
+    covers = tuple(set(out) <= set("".join(ins[:k + 1]))
+                   for k in range(1, len(ins)))
+    terms = tuple(tuple(tuple(r[order.index(c)] for c in order if c in s)
+                        for s in ins)
+                  for r in np.ndindex((dim,) * len(order)))
+    return tuple(layouts), covers, len(out), terms
 
 
 def contract(subscripts: str, order: str, *ops: np.ndarray) -> np.ndarray:
@@ -309,12 +337,27 @@ def contract(subscripts: str, order: str, *ops: np.ndarray) -> np.ndarray:
 
     ``subscripts`` prefixes every operand and the output with ``...``; the
     labelled axes are the trailing component axes (length dim), and the
-    leading axes (nodes, frames) broadcast.  The sum is vectorized over the
-    leading axes with einsum's own rounding: for every output component the
-    reduced labels are visited in ``order``, the first label outermost; each
-    term multiplies the operands' components left to right and is added to
-    a sum that starts at zero (the first term is ``term + 0.0``, which turns
-    -0.0 into +0.0 as einsum does).
+    leading axes (nodes, frames) broadcast.  The sum has einsum's own
+    rounding: every output component visits the reduced labels in
+    ``order``, the first label outermost; each term multiplies the
+    operands' components left to right and is added to a sum that starts
+    at zero (the first term is ``term + 0.0``, which turns -0.0 into +0.0
+    as einsum does).
+
+    The kernel works component-major (see ``_contract_plan``): component
+    axes first, reduced labels before output labels, leading axes last.
+    An operand whose components are read more than once is copied into
+    that layout once per call; the others are read in place through a
+    strided view in the same axis order.  A term is then one broadcast
+    product over every output component at once, and the sum runs term by
+    term over all of them in a component-major scratch array (``term +
+    0.0`` first, the later terms added in place), which is copied into the
+    ``(lead..., components)`` result through a strided view at the end.
+    So every output element gets the same operations in the same order as
+    in einsum, in a few contiguous passes per term instead of a few
+    strided passes per term and output component.  The leading axes go
+    through in blocks of the first one, each with about ``_CHUNK_BYTES``
+    of result, so a whole level stack needs no whole-stack scratch.
 
     ``order`` is the loop order numpy's einsum takes for the signature; it
     is found by search, not derived, and bit-equality with einsum is pinned
@@ -324,30 +367,64 @@ def contract(subscripts: str, order: str, *ops: np.ndarray) -> np.ndarray:
     be reproduced this way and stay ``np.einsum``.
     """
     dim = ops[0].shape[-1]
-    ranks, n_out, plan = _contract_plan(subscripts, order, dim)
-    lead = np.broadcast_shapes(*(op.shape[:op.ndim - k] for op, k in zip(ops, ranks)))
-    res = np.empty(lead + (dim,) * n_out)
-    for o, terms in plan:
-        acc = None
-        for idx in terms:
-            term = ops[0][idx[0]]
-            for op, i in zip(ops[1:], idx[1:]):
-                term = term * op[i]
-            if acc is None:
-                acc = term + 0.0
-            else:
-                acc += term
-        res[o] = acc
+    plan = _contract_plan(subscripts, order, dim)
+    leads = [op.shape[:op.ndim - lay[1]] for op, lay in zip(ops, plan[0])]
+    lead = (leads[0] if leads.count(leads[0]) == len(leads)
+            else np.broadcast_shapes(*leads))
+    res = np.empty(lead + (dim,) * plan[2])
+    if not lead:    # one point: give it a leading axis of one
+        _contract_block(plan, [op[None] for op in ops], res[None])
+        return res
+    # blocks of the first leading axis keep the scratch near _CHUNK_BYTES
+    step = max(1, _CHUNK_BYTES // max(res[0].nbytes, 1))
+    for s in range(0, lead[0], step):
+        sl = slice(s, s + step)
+        _contract_block(plan, [op[sl] if len(l) == len(lead) and l[0] == lead[0]
+                               else op for op, l in zip(ops, leads)], res[sl])
     return res
+
+
+def _contract_block(plan: tuple, ops: list[np.ndarray], out: np.ndarray) -> None:
+    """The sum of one block of ``contract`` into ``out``, (lead..., comps)."""
+    layouts, covers, n_out, terms = plan
+    lead = out.shape[:out.ndim - n_out]
+    leads = [op.shape[:op.ndim - lay[1]] for op, lay in zip(ops, layouts)]
+    views = []
+    for op, op_lead, (view, _, n_red, spread, staged) in zip(ops, leads, layouts):
+        a = np.einsum(view, op)
+        if staged:
+            a = a.copy()
+        views.append(a[(slice(None),) * n_red + spread
+                       + (None,) * (len(lead) - len(op_lead))])
+    acc = np.empty(out.shape[len(lead):] + lead) if n_out else out
+    # a product that spans the sum's whole shape goes to one scratch array
+    bufs, buf, full = [], None, leads[0] == lead
+    for op_lead, covered in zip(leads[1:], covers):
+        full = full or op_lead == lead
+        if full and covered and buf is None:
+            buf = np.empty_like(acc)
+        bufs.append(buf)
+    for n, idx in enumerate(terms):
+        term = views[0][idx[0]]
+        for a, i, into in zip(views[1:], idx[1:], bufs):
+            term = np.multiply(term, a[i], out=into)
+        if n == 0:
+            np.add(term, 0.0, out=acc)
+        else:
+            np.add(acc, term, out=acc)
+    if n_out:
+        np.copyto(out.transpose(tuple(range(len(lead), out.ndim))
+                                + tuple(range(len(lead)))), acc)
 
 
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
-# bytes of one pass's Hessian stack in frame_chunks: whole-window derivative
-# temporaries would raise a path's peak memory, one frame per pass would
-# leave numpy call overhead in charge on small grids
+# bytes of one pass's Hessian stack in frame_chunks (and of one block of a
+# contract sum): whole-window derivative temporaries would raise a path's
+# peak memory, one frame per pass would leave numpy call overhead in charge
+# on small grids
 _CHUNK_BYTES = 1 << 19
 
 _ORDER = {"Lq": 0, "H1q": 1, "H2q": 2}
@@ -376,7 +453,7 @@ def _norm_parts(grid: Grid, stack: np.ndarray, kind: str) -> list[np.ndarray]:
     if _ORDER[kind] >= 1:
         parts.append(gradient_values(grid, stack))
     if _ORDER[kind] >= 2:
-        parts.append(hessian_values(grid, stack))
+        parts.append(hessian_values(grid, stack, parts[1]))
     return parts
 
 

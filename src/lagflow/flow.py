@@ -83,7 +83,8 @@ def mat_inv(A: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
         out[..., 0, 1] = -A[..., 0, 1]
         out[..., 1, 0] = -A[..., 1, 0]
         out[..., 1, 1] = A[..., 0, 0]
-        return out / det[..., None, None]
+        out /= det[..., None, None]
+        return out
     for i in range(3):
         for j in range(3):
             r = [k for k in range(3) if k != j]
@@ -91,7 +92,8 @@ def mat_inv(A: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
             minor = (A[..., r[0], c[0]] * A[..., r[1], c[1]]
                      - A[..., r[0], c[1]] * A[..., r[1], c[0]])
             out[..., i, j] = (-1.0) ** (i + j) * minor
-    return out / det[..., None, None]
+    out /= det[..., None, None]     # in place: no second stack on the peak
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +167,22 @@ def _transport_sums(Q: TransportField, pts, dW, with_grad=True):
     return vec, mat
 
 
+def _heun_step(Q: TransportField, x: np.ndarray, D: np.ndarray,
+               dW: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Heun step of psi and Dpsi; the product G0 D serves both stages.
+
+    The stage temporaries end with the step, so none of them stays alive
+    into the inversion after the time loop.
+    """
+    b0, G0 = _transport_sums(Q, x, dW)
+    x_pred = x + b0
+    G0D = contract("...ij,...jk->...ik", "j", G0, D)
+    D_pred = D + G0D
+    b1, G1 = _transport_sums(Q, x_pred, dW)
+    return (x + 0.5 * (b0 + b1),
+            D + 0.5 * (G0D + contract("...ij,...jk->...ik", "j", G1, D_pred)))
+
+
 def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
                          grid: Grid, pad_cells: int = 4) -> NoiseFlow:
     """Integrate d psi = sum_k Q_k(psi) o dW_k on a padded node grid.
@@ -186,14 +204,7 @@ def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
     x = pts0.copy()
     D = Dpsi[0].copy()
     for n in range(bundle.n_steps):
-        dW = dWs[:, n]
-        b0, G0 = _transport_sums(Q, x, dW)
-        x_pred = x + b0
-        D_pred = D + contract("...ij,...jk->...ik", "j", G0, D)
-        b1, G1 = _transport_sums(Q, x_pred, dW)
-        x = x + 0.5 * (b0 + b1)
-        D = D + 0.5 * (contract("...ij,...jk->...ik", "j", G0, D)
-                       + contract("...ij,...jk->...ik", "j", G1, D_pred))
+        x, D = _heun_step(Q, x, D, dWs[:, n])
         det = mat_det(D)
         if np.max(np.abs(det - 1.0)) > 0.5:
             raise RuntimeError(
@@ -233,7 +244,9 @@ class LabelFlow:
 
     Level stacks: ``Y`` (L, *ext, d), ``gradY`` (L, *ext, d, d), and
     ``X`` = psi(Y) and ``Dpsi_Y`` = Dpsi(Y), interpolated with the plan the
-    label flow built on Y at each level; ``times`` (L,).
+    label flow built on Y at each level; ``times`` (L,).  ``grad_ubar``
+    (L, *ext, d, d) is the gradient of the drift frames the flow was
+    driven by, which the nonlinearity assembly of the same drift reads.
     """
 
     times: np.ndarray
@@ -241,6 +254,7 @@ class LabelFlow:
     gradY: np.ndarray
     X: np.ndarray
     Dpsi_Y: np.ndarray
+    grad_ubar: np.ndarray
 
 
 def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
@@ -300,7 +314,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
         Y[n + 1] = y
         G[n + 1] = g
     sample(L - 1, y)
-    return LabelFlow(nf.times[:L].copy(), Y, G, X, DY)
+    return LabelFlow(nf.times[:L].copy(), Y, G, X, DY, gub)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +349,8 @@ class FlowWindow:
         """
         L = len(times)
         eye = np.eye(gradX.shape[-1])
-        dev = np.sqrt(np.sum((gradX - eye) ** 2, axis=(-2, -1)))
+        dev = gradX - eye               # squared in place, like the inverse
+        dev = np.sqrt(np.sum(np.square(dev, out=dev), axis=(-2, -1)))
         dev = dev.reshape(L, -1).max(axis=1)
         J = mat_det(gradX)
         J_levels = J.reshape(L, -1)

@@ -190,15 +190,17 @@ def assemble_F_Gamma(G: np.ndarray, Z: np.ndarray, J: np.ndarray,
     return out
 
 
-def assemble_window(grid: Grid, u_frames: np.ndarray, Z: np.ndarray,
-                    J: np.ndarray, rho0: np.ndarray,
+def assemble_window(grid: Grid, u_frames: np.ndarray, grad_u: np.ndarray,
+                    Z: np.ndarray, J: np.ndarray, rho0: np.ndarray,
                     params: FluidParams) -> tuple[np.ndarray, np.ndarray]:
     """F_u and the boundary F_Gamma of every frame of a window.
 
-    ``u_frames`` holds the velocity frames and ``Z``, ``J`` the flow stacks
-    of the same levels.  The window goes through a chunk of frames at a
-    time (``frame_chunks``): one pass takes the derivatives of u and Z and
-    makes one ``assemble_F_u`` and one ``assemble_F_Gamma`` call on the
+    ``u_frames`` holds the velocity frames, ``grad_u`` their
+    ``gradient_values`` (the label flow of the same drift has them
+    already), and ``Z``, ``J`` the flow stacks of the same levels.  The
+    window goes through a chunk of frames at a time (``frame_chunks``):
+    one pass takes the second derivatives of u and the derivatives of Z
+    and makes one ``assemble_F_u`` and one ``assemble_F_Gamma`` call on the
     chunk's stacks, and a frame gets the values it gets alone.  Returns
     F_u, shape (L, *ext, d), and F_Gamma at the boundary nodes,
     (L, n_boundary, d).
@@ -209,8 +211,8 @@ def assemble_window(grid: Grid, u_frames: np.ndarray, Z: np.ndarray,
     F_u = np.empty((L,) + grid.extent + (grid.dim,))
     F_G_b = np.empty((L, len(idx_b), grid.dim))
     for sl in frame_chunks(grid, L, u_frames[0].size):
-        G = gradient_values(grid, u_frames[sl])
-        H = hessian_values(grid, u_frames[sl])
+        G = grad_u[sl]
+        H = hessian_values(grid, u_frames[sl], G)
         dZ = gradient_values(grid, Z[sl])
         F_u[sl] = assemble_F_u(grid, G, H, Z[sl], dZ, J[sl], rho0, params)
         # frame-major boundary stacks: the np.einsum sums of assemble_F_Gamma

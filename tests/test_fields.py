@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lagflow.fields
 from flow_oracle import einsum_pair_row
 from lagflow.fields import (
     Field,
@@ -84,6 +85,10 @@ def test_corner_normal_is_averaged():
 # derivatives
 # ---------------------------------------------------------------------------
 
+def hessian(grid, values):
+    return hessian_values(grid, values, gradient_values(grid, values))
+
+
 def test_gradient_of_linear_field(grid):
     f = Field.from_function(grid, lambda c: c[..., 0])
     g = gradient_values(grid, f.values)
@@ -94,13 +99,13 @@ def test_gradient_of_linear_field(grid):
 def test_constant_field_derivatives_vanish(grid):
     f = Field(grid, np.full(grid.extent, 3.7))
     assert np.allclose(gradient_values(grid, f.values), 0.0, atol=1e-13)
-    assert np.allclose(hessian_values(grid, f.values), 0.0, atol=1e-12)
+    assert np.allclose(hessian(grid, f.values), 0.0, atol=1e-12)
 
 
 def test_second_derivative_exact_on_quadratic():
     g = Grid(2, (33, 33))
     f = Field.from_function(g, lambda c: c[..., 0] ** 2)
-    h = hessian_values(g, f.values)
+    h = hessian(g, f.values)
     interior = (slice(1, -1), slice(1, -1))
     assert np.max(np.abs(h[interior + (0, 0)] - 2.0)) <= 1e-12
     assert np.max(np.abs(h[interior + (1, 1)])) <= 1e-12
@@ -111,7 +116,7 @@ def test_second_derivative_exact_on_quadratic():
 def test_mixed_second_derivative_on_product():
     g = Grid(2, (33, 33))
     f = Field.from_function(g, lambda c: c[..., 0] * c[..., 1])
-    h = hessian_values(g, f.values)
+    h = hessian(g, f.values)
     assert np.max(np.abs(h[..., 0, 1] - 1.0)) <= 1e-12
 
 
@@ -124,15 +129,31 @@ def test_stacked_derivatives_equal_per_frame(grid, rank):
     stack = rng.normal(size=(9,) + grid.extent + (grid.dim,) * rank)
     assert np.array_equal(gradient_values(grid, stack),
                           np.stack([gradient_values(grid, f) for f in stack]))
-    assert np.array_equal(hessian_values(grid, stack),
-                          np.stack([hessian_values(grid, f) for f in stack]))
+    assert np.array_equal(hessian(grid, stack),
+                          np.stack([hessian(grid, f) for f in stack]))
+
+
+@pytest.mark.parametrize("grid", [Grid(2, (11, 13)), Grid(3, (9, 10, 11))])
+def test_hessian_mixed_terms_are_nested_first_derivatives(grid):
+    # the mixed terms come from the caller's gradient; they must equal the
+    # first derivative of the first derivative taken afresh, bit for bit
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(4,) + grid.extent + (grid.dim,))
+    h = hessian(grid, stack)
+    for k in range(grid.dim):
+        for l in range(k + 1, grid.dim):
+            d = np.gradient(np.gradient(stack, grid.spacing[k], axis=1 + k,
+                                        edge_order=2),
+                            grid.spacing[l], axis=1 + l, edge_order=2)
+            assert np.array_equal(h[..., k, l], d)
+            assert np.array_equal(h[..., l, k], d)
 
 
 def test_derivatives_reject_foreign_shape(grid):
     with pytest.raises(FieldError):
         gradient_values(grid, np.zeros((2, 3) + grid.extent))
     with pytest.raises(FieldError):
-        hessian_values(grid, np.zeros((32, 33)))
+        hessian_values(grid, np.zeros((32, 33)), np.zeros((32, 33, 2)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -368,24 +389,109 @@ def spread_operands(rng, subscripts, lead, dim):
 LEADS = {2: (11, 13), 3: (9, 9, 9)}
 
 
-def test_contract_matches_einsum_at_every_call_site():
-    # contract's order strings reproduce einsum's loop order on the
-    # installed numpy; a wrong order or a numpy that changes einsum's loop
-    # fails here, at the call site's own signature
+def contract_sites():
+    """{(subscripts, order): file} of every ``contract`` call in the package."""
     sites = {}
     for path in sorted(SRC.glob("*.py")):
         for call in calls_named(ast.parse(path.read_text()), "contract"):
             sites.setdefault(literal_args(call, 2, path.name), path.name)
     assert len(sites) >= 10, sites
+    return sites
+
+
+def bit_equal(a, b):
+    """Same shape and the same bits (so -0.0 differs from +0.0)."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64),
+        np.ascontiguousarray(b).view(np.int64))
+
+
+def test_contract_matches_einsum_at_every_call_site():
+    # contract's order strings reproduce einsum's loop order on the
+    # installed numpy; a wrong order or a numpy that changes einsum's loop
+    # fails here, at the call site's own signature
+    sites = contract_sites()
     rng = np.random.default_rng(5)
     for (subscripts, order), where in sites.items():
         for dim, ext in LEADS.items():
-            for lead in (ext, (5,) + ext):
+            for lead in ((), ext, (5,) + ext):
                 ops = spread_operands(rng, subscripts, lead, dim)
                 assert np.array_equal(contract(subscripts, order, *ops),
                                       np.einsum(subscripts, *ops)), (
                     f"{where}: contract({subscripts!r}, {order!r}) in "
                     f"{dim}D, leading shape {lead}")
+
+
+@pytest.mark.parametrize("chunk_bytes", [1 << 19, 1], ids=["one-block", "row-blocks"])
+def test_contract_one_frame_operand_against_a_stack(monkeypatch, chunk_bytes):
+    # rho0 and the normals come as one frame against frame stacks: each
+    # operand in turn is one frame, the others are 4-frame stacks; the
+    # kernel's blocks of the first leading axis (here one frame each, or
+    # the whole stack) slice the stacks and leave the one frame whole
+    monkeypatch.setattr(lagflow.fields, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(7)
+    for (subscripts, order), where in contract_sites().items():
+        for dim, ext in LEADS.items():
+            ops = spread_operands(rng, subscripts, (4,) + ext, dim)
+            for k in range(len(ops)):
+                mixed = list(ops)
+                mixed[k] = ops[k][1]
+                assert bit_equal(contract(subscripts, order, *mixed),
+                                 np.einsum(subscripts, *mixed)), (
+                    f"{where}: {subscripts!r} in {dim}D, operand {k} one frame")
+
+
+def test_contract_reads_non_contiguous_operands():
+    # slices of a stack (Z[sl]), boundary gathers that keep the frame axis
+    # and transposed views reach the kernel as they are; its bits are those
+    # of einsum on contiguous copies (einsum itself changes its loop order
+    # on some transposed component layouts, the kernel does not)
+    rng = np.random.default_rng(8)
+    for (subscripts, order), where in contract_sites().items():
+        for dim, ext in LEADS.items():
+            idx = np.argwhere(np.ones(ext, bool))[::3]
+            bsel = (slice(None),) + tuple(idx.T)
+            for make in (lambda a: a[1::2],                      # every other frame
+                         lambda a: a[bsel],                       # gathered nodes
+                         lambda a: np.swapaxes(a, -1, -2).copy().swapaxes(-1, -2),
+                         lambda a: np.moveaxis(np.ascontiguousarray(
+                             np.moveaxis(a, 0, -1)), -1, 0)):    # frame axis last in memory
+                ops = [make(a) for a in
+                       spread_operands(rng, subscripts, (6,) + ext, dim)]
+                assert not any(a.flags.c_contiguous for a in ops)
+                want = np.einsum(subscripts, *map(np.ascontiguousarray, ops))
+                assert bit_equal(contract(subscripts, order, *ops), want), (
+                    f"{where}: {subscripts!r} in {dim}D, strides {ops[0].strides}")
+
+
+def test_contract_keeps_signed_zeros():
+    # einsum's sum starts at +0.0, so a sum of -0.0 terms is +0.0 (the
+    # first frame is all -0.0); the kernel's term + 0.0 must give the same
+    rng = np.random.default_rng(9)
+    for (subscripts, order), where in contract_sites().items():
+        for dim, ext in LEADS.items():
+            ops = spread_operands(rng, subscripts, (3,) + ext, dim)
+            for a in ops:
+                a[rng.random(a.shape) < 0.3] = 0.0
+                a[rng.random(a.shape) < 0.3] = -0.0
+                a[0] = -0.0
+            assert bit_equal(contract(subscripts, order, *ops),
+                             np.einsum(subscripts, *ops)), (
+                f"{where}: {subscripts!r} in {dim}D")
+
+
+@pytest.mark.parametrize("dim, lead", [(3, (21, 21, 21)), (3, (11, 13, 13, 13)),
+                                       (2, (33, 33)), (2, (51, 25, 25))],
+                         ids=["3d-padded-21^3", "3d-11-levels-13^3",
+                              "2d-padded-33^2", "2d-51-levels-25^2"])
+def test_contract_on_workload_shapes(dim, lead):
+    # the noise flow's padded grid and a whole window's level stack
+    rng = np.random.default_rng(10)
+    for (subscripts, order), where in contract_sites().items():
+        ops = spread_operands(rng, subscripts, lead, dim)
+        assert bit_equal(contract(subscripts, order, *ops),
+                         np.einsum(subscripts, *ops)), (
+            f"{where}: {subscripts!r}, leading shape {lead}")
 
 
 def test_assembly_einsums_stack_like_frames():

@@ -301,6 +301,69 @@ def test_picard_ball_violation_aborts():
     assert len(exc.value.diffs) == 1
 
 
+def test_picard_ball_norm_runs_only_near_r(monkeypatch):
+    # The first iterate's ball norm is its difference d_1, and a later
+    # iterate's is bounded by d_1 + ... + d_k, so picard_solve takes the
+    # exact norm only when that sum comes within the 1e-9 margin of r.
+    rho0, u0 = perturbed_data()
+    Q0 = make_transport_field(2, "constant", K=0)
+    iterates = []
+    solution_map = lagflow.fixedpoint._solution_map
+
+    def recording_map(*args, **kwargs):
+        res = solution_map(*args, **kwargs)
+        iterates.append((res.v.values, res.n_frames))
+        return res
+
+    def counted_solve(cfg):
+        problem_for(rho0, u0, PARAMS, cfg)   # E1(v_ref) is not counted
+        calls = []
+        e1 = lagflow.fixedpoint.e1_norm
+
+        def counting_e1(*args):
+            calls.append(e1(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(lagflow.fixedpoint, "e1_norm", counting_e1)
+        monkeypatch.setattr(lagflow.fixedpoint, "_solution_map", recording_map)
+        iterates.clear()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                return picard_solve(rho0, u0, PARAMS, cfg, Q0, None, None), calls
+        except PicardDivergence:
+            return None, calls
+        finally:
+            monkeypatch.undo()
+
+    cfg = SolveConfig()
+    b, calls = counted_solve(cfg)
+    assert b.converged and b.iterations >= 3
+    assert calls == b.diffs                 # no ball norm at all
+    # the exact ball norms of the iterates, on their shrinking windows
+    v_ref, times, n = b.problem.v_ref, cfg.times, len(cfg.times)
+    balls = []
+    for v, n_frames in iterates:
+        n = min(n, n_frames)
+        balls.append(e1_norm(TimeSeries(GRID, times[:n], v[:n] - v_ref.values[:n]),
+                             cfg.p, cfg.q))
+    assert balls[0] == b.diffs[0]
+    bound = sum(b.diffs[:2])
+    assert max(balls[1:]) < bound
+    # r between the true ball norms and the bound: the exact norm runs
+    # from the second iterate on, finds every iterate inside, and the
+    # iteration is unchanged
+    r = 0.5 * (max(balls[1:]) + bound)
+    b_near, calls = counted_solve(dataclasses.replace(cfg, r=r))
+    assert b_near.diffs == b.diffs and np.array_equal(b_near.v.values, b.v.values)
+    assert len(calls) == 2 * b.iterations - 1
+    assert calls[0] == b.diffs[0]
+    assert calls[1::2] == b.diffs[1:] and calls[2::2] == balls[1:]
+    # r below d_1: the first iterate leaves the ball on its difference alone
+    b_out, calls = counted_solve(dataclasses.replace(cfg, r=0.5 * b.diffs[0]))
+    assert b_out is None and calls == b.diffs[:1]
+
+
 def test_picard_monotone_window():
     rho0, u0 = perturbed_data()
     cfg = SolveConfig()

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import lagflow.interp
 from flow_oracle import per_level_compose
-from lagflow.fields import Grid, SlobodeckijWindow, TimeSeries, spatial_norm
+from lagflow.fields import (Grid, SlobodeckijWindow, TimeSeries, gradient_values,
+                            spatial_norm)
 from lagflow.fixedpoint import SolveConfig, _flow_stage, _monitor_window
 from lagflow.flow import (
     FlowWindow,
@@ -234,8 +235,9 @@ def test_flow_stage_matches_per_level_compose_oracle(dim, monkeypatch):
     ubar = TimeSeries(g, times, scale * np.stack([bump] + [-0.5 * bump] * (dim - 1), axis=-1))
     for u in (ubar, ubar.restrict(6)):
         built = count_plans(monkeypatch)
-        window, _, _ = _flow_stage(u, nf, cfg)
+        window, grad_u = _flow_stage(u, nf, cfg)
         assert len(built) == 2 * len(u) - 1
+        assert np.array_equal(grad_u, gradient_values(g, u.values))
         monkeypatch.undo()
         lf = integrate_label_flow(u, nf)
         want = per_level_compose(nf, lf.Y, lf.gradY, cfg.eps_star)
@@ -257,7 +259,7 @@ def test_singular_level_gets_nan_inverse():
     eye = np.broadcast_to(np.eye(2), gradY.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = compose_flow(LabelFlow(times, Y, gradY, Y, eye), 0.25)
+        w = compose_flow(LabelFlow(times, Y, gradY, Y, eye, 0.0 * eye), 0.25)
     assert np.all(np.isnan(w.Z[2]))
     assert w.valid.tolist() == [True, True, False, True, True]
     for n in (0, 1, 3, 4):

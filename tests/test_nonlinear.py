@@ -151,7 +151,8 @@ def test_continuity_trace_free_shear_is_constant():
 # ---------------------------------------------------------------------------
 
 def derivative_pack(grid, u_vals):
-    return gradient_values(grid, u_vals), hessian_values(grid, u_vals)
+    G = gradient_values(grid, u_vals)
+    return G, hessian_values(grid, u_vals, G)
 
 
 def test_f_u_vanishes_at_identity():
@@ -324,7 +325,8 @@ def test_assemble_window_matches_per_frame_calls(monkeypatch):
     Z = np.eye(2) + 1e-2 * rng.normal(size=(L,) + GRID.extent + (2, 2))
     J = 1.0 + 1e-2 * rng.normal(size=(L,) + GRID.extent)
     rho0 = 1.0 + 0.1 * c[..., 0]
-    F_u, F_G_b = assemble_window(GRID, u, Z, J, rho0, PARAMS)
+    F_u, F_G_b = assemble_window(GRID, u, gradient_values(GRID, u), Z, J,
+                                 rho0, PARAMS)
     idx_b, normals_b = GRID.boundary_nodes()
     bsel = tuple(idx_b.T)
     for n in range(L):
@@ -352,7 +354,8 @@ def test_chunk_assembly_matches_per_frame_einsum_oracle(monkeypatch, grid):
     J = 1.0 + 1e-2 * rng.normal(size=(L,) + grid.extent)
     rho0 = 1.0 + 0.1 * rng.random(grid.extent)
     N_ext = extended_normal_field(grid).values
-    F_u, F_G_b = assemble_window(grid, u, Z, J, rho0, PARAMS)
+    F_u, F_G_b = assemble_window(grid, u, gradient_values(grid, u), Z, J,
+                                 rho0, PARAMS)
     res = SimpleNamespace(ubar=TimeSeries(grid, 1e-3 * np.arange(L), u),
                           window=SimpleNamespace(Z=Z, J=J))
     problem = SimpleNamespace(rho0=Field(grid, rho0), N_ext=Field(grid, N_ext),
