@@ -24,7 +24,9 @@ once is copied once per call into rows with the component axes first
 (reduced labels, then output labels) and the leading axes contiguous last;
 each term of the sum is then one broadcast product over every output
 component, added in einsum's order into a component-major scratch sum, a
-block of leading axes at a time.
+block of leading axes at a time.  The Slobodeckij window's pair rows
+(:class:`SlobodeckijWindow`) do not mirror einsum: they sum a pair's
+squared components in storage order, left to right.
 """
 
 from __future__ import annotations
@@ -160,11 +162,11 @@ class Grid:
 # fields
 # ---------------------------------------------------------------------------
 
-def _is_uniform(times: np.ndarray, rtol: float = 1e-9) -> bool:
+def _is_uniform(times: np.ndarray) -> bool:
     if len(times) < 3:
         return True
     d = np.diff(times)
-    return bool(np.all(np.abs(d - d[0]) <= rtol * abs(d[0])))
+    return bool(np.all(np.abs(d - d[0]) <= 1e-9 * abs(d[0])))
 
 
 @dataclass
@@ -522,53 +524,25 @@ def _half_q_pow(x: np.ndarray, q: float, out: np.ndarray) -> np.ndarray:
     return np.power(x, half, out=out)
 
 
-def _component_lanes(n_comp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Summation order of einsum's sum over a contiguous component axis.
-
-    ``np.einsum("npc,npc->np", d, d)`` runs numpy's two-lane SIMD dot
-    kernel over c: lane l adds the squares of components l, l + 2, ... (in
-    blocks of eight, where the kernel unrolls by four, the block's pairs
-    from the last to the first), each lane starting at zero, and the result
-    is lane 0 + lane 1.  The order is that of the installed numpy's kernel
-    and is pinned by a test against einsum.
-    """
-    lanes = ([], [])
-    c = 0
-    while n_comp - c >= 8:
-        for k in (6, 4, 2, 0):
-            lanes[0].append(c + k)
-            lanes[1].append(c + k + 1)
-        c += 8
-    for k in range(c, n_comp):
-        lanes[k % 2].append(k)
-    return tuple(lanes[0]), tuple(lanes[1])
-
-
-def _pair_sq(buf: np.ndarray, n: int, n_lane0: int, diff: np.ndarray,
-             lanes: list[np.ndarray]) -> np.ndarray:
+def _pair_sq(buf: np.ndarray, n: int, diff: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
     """|f_i - f_n|^2 for i < n of a (frame, component, node) buffer.
 
-    The buffer's components are stored in lane order (the first ``n_lane0``
-    are lane 0), so each lane is a contiguous range that ``np.add.reduce``
-    sums in storage order.  The history's rows go through the flat scratch
-    ``diff`` a chunk at a time (subtract, square, reduce, in place); the
-    result is the (n, node) rows of ``lanes[0]``, with ``lanes[1]`` as the
-    second lane's sum.
+    The squared components are summed in storage order, d_0^2 + d_1^2 +
+    ..., by one ``np.add.reduce`` over the component axis.  The history's
+    rows go through the flat scratch ``diff`` a chunk at a time (subtract,
+    square, reduce); the result is the (n, node) rows of ``out``.
     """
     n_comp, npts = buf.shape[1:]
     rows = max(1, min(n, len(diff) // (n_comp * npts)))
-    lane0, lane1 = lanes[0][:n], lanes[1][:n]
+    out = out[:n]
     for s in range(0, n, rows):
         e = min(s + rows, n)
         d = diff[:(e - s) * n_comp * npts].reshape(e - s, n_comp, npts)
         np.subtract(buf[s:e], buf[n], out=d)
         np.multiply(d, d, out=d)
-        np.add.reduce(d[:, :n_lane0], axis=1, out=lane0[s:e])
-        if n_comp > n_lane0:
-            np.add.reduce(d[:, n_lane0:], axis=1, out=lane1[s:e])
-    if n_comp > n_lane0:
-        np.add(lane0, lane1, out=lane0)
-    return lane0
+        np.add.reduce(d, axis=1, out=out[s:e])
+    return out
 
 
 class SlobodeckijWindow:
@@ -580,16 +554,16 @@ class SlobodeckijWindow:
 
     ``load`` stores the next frames with their derivatives in buffers sized
     for ``times``, component-major: one (frame, component, node) buffer per
-    part (values, gradient, Hessian), with the components in the lane order
-    of :func:`_component_lanes`, so every component of a frame is a
-    contiguous node row.  ``advance`` adds the next stored frame's row of
-    pair terms to the running sum and returns the norm up to that frame.
-    The stencils are linear, so a pair norm comes from differences of
-    stored values and derivatives: derivative work is O(L), and only the
-    pair rows are O(L^2).  A row is formed in reused scratch buffers by
-    :func:`_pair_sq`, then the squared magnitudes go through
-    ``_half_q_pow`` and the node quadrature ``m @ w_flat``; a row has the
-    bits of the einsum form on a (frame, node, component) layout.
+    part (values, gradient, Hessian), the components in their storage
+    order, so every component of a frame is a contiguous node row.
+    ``advance`` adds the next stored frame's row of pair terms to the
+    running sum and returns the norm up to that frame.  The stencils are
+    linear, so a pair norm comes from differences of stored values and
+    derivatives: derivative work is O(L), and only the pair rows are
+    O(L^2).  A row is formed in reused scratch buffers by :func:`_pair_sq`,
+    which sums the squared components in storage order, then the squared
+    magnitudes go through ``_half_q_pow`` and the node quadrature
+    ``m @ w_flat``.
     ``pair_pow[n]`` keeps row n, |f_n - f_i|_X^p for i < n, and
     ``frame_pow[n]`` is |f_n|_X^p from the kernel of :func:`frame_norms`.
     """
@@ -616,12 +590,10 @@ class SlobodeckijWindow:
     def _allocate(self, n_comps: list[int]) -> None:
         """Buffers and scratch for parts of ``n_comps`` components."""
         L, npts = len(self.times), self.grid.n_nodes
-        lanes = [_component_lanes(c) for c in n_comps]
-        self._order = [list(l0 + l1) for l0, l1 in lanes]
-        self._n_lane0 = [len(l0) for l0, _ in lanes]
         self.parts = [np.empty((L, c, npts)) for c in n_comps]
         # a chunk of differences of about _CHUNK_BYTES (at least one row),
-        # the two lane sums (the second also takes a part's power) and m
+        # a part's squared pair norms, their power (the first part's power
+        # is m itself) and the row sum m
         self._diff = np.empty(max(max(1, _CHUNK_BYTES // (8 * c * npts)) * c
                                   for c in n_comps) * npts)
         self._rows = [np.empty((max(L - 1, 0), npts)) for _ in range(3)]
@@ -633,8 +605,8 @@ class SlobodeckijWindow:
         npts = self.grid.n_nodes
         if not self.parts:
             self._allocate([a[0].size // npts for a in parts])
-        for buf, order, a in zip(self.parts, self._order, parts):
-            buf[k:k + m] = a.reshape(m, npts, -1)[:, :, order].transpose(0, 2, 1)
+        for buf, a in zip(self.parts, parts):
+            buf[k:k + m] = a.reshape(m, npts, -1).transpose(0, 2, 1)
         norm_pow = _norm_pow(self.grid, parts, self.q)
         self.frame_pow[k:k + m] = norm_pow ** (self.p / self.q)
         self.loaded = k + m
@@ -647,13 +619,13 @@ class SlobodeckijWindow:
         if n == 0:
             self.pair_pow.append(np.zeros(0))
             return 0.0
-        lanes, m = self._rows[:2], self._rows[2][:n]
-        for i, (buf, n_lane0) in enumerate(zip(self.parts, self._n_lane0)):
-            sq = _pair_sq(buf, n, n_lane0, self._diff, lanes)
+        sq, power, m = (rows[:n] for rows in self._rows)
+        for i, buf in enumerate(self.parts):
+            _pair_sq(buf, n, self._diff, sq)
             if i == 0:
                 _half_q_pow(sq, self.q, m)
             else:
-                m += _half_q_pow(sq, self.q, lanes[1][:n])
+                m += _half_q_pow(sq, self.q, power)
         row = ((m @ self.w_flat) ** (1 / self.q)) ** self.p
         self.pair_pow.append(row)
         t = self.times

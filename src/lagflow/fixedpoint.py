@@ -52,6 +52,7 @@ from .lame import (
 )
 from .nonlinear import (
     EquationOfState,
+    NonlinearReport,
     assemble_F_Gamma,
     assemble_window,
     density_from_jacobian,
@@ -407,7 +408,7 @@ class SolutionBundle:
     diffs: list[float]
     converged: bool
     energy: dict
-    nonlinear_report: object
+    nonlinear_report: NonlinearReport
     rho_positive: bool
     problem: Problem
     metadata: dict = dc_field(default_factory=dict)
@@ -548,12 +549,10 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     ubar_out = ubar.restrict(keep)
 
     energy = energy_report(rho_stack, ubar_out, window, params)
-    rep = None
-    if last is not None:
-        k = min(keep, last.n_frames)
-        rep = nonlinearity_norm_report(
-            grid, times[:k], last.F_u[:k], _extended_F_Gamma(last, k, problem),
-            problem.rho0, U, sigma=tau, p=cfg.p, q=cfg.q, theta=cfg.theta)
+    k = min(keep, last.n_frames)
+    rep = nonlinearity_norm_report(
+        grid, times[:k], last.F_u[:k], _extended_F_Gamma(last, k, problem),
+        problem.rho0, U, sigma=tau, p=cfg.p, q=cfg.q, theta=cfg.theta)
     return SolutionBundle(
         grid, times[:keep], v_out, U_out, ubar_out, rho_stack, window, monitor,
         tau, kappa, iterations, diffs, converged, energy, rep, positive,

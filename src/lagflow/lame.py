@@ -203,8 +203,6 @@ class LameOperator:
 
         # traction rows: (B u)_i = sum_j [mu (d_j u_i + d_i u_j) + lam d_ij div u] N_j
         bidx, normals = grid.boundary_nodes()
-        self.boundary_index = bidx
-        self.boundary_normals = normals
         bflat = np.ravel_multi_index(bidx.T, grid.extent)
         self.boundary_flat = bflat
         n_field = np.zeros((dim, N))

@@ -2,11 +2,11 @@
 
 ``per_level_compose`` is the composition as it was before the label flow
 shared its interpolation plans: it builds its own plan on Y at every level
-and samples psi and Dpsi there.  ``einsum_pair_row`` is the pair row of
-``SlobodeckijWindow`` before the component-major buffers, on a
-(frame, node, component) layout.  ``csr_weights`` is the construction of
-``InterpPlan.W`` before the per-axes constants were shared.  The production
-code must agree with each of them bit for bit.
+and samples psi and Dpsi there.  ``loop_pair_row`` is the pair row of
+``SlobodeckijWindow`` on a (frame, node, component) layout, its squared
+components summed by a plain loop in storage order.  ``csr_weights`` is
+the construction of ``InterpPlan.W`` before the per-axes constants were
+shared.  The production code must agree with each of them bit for bit.
 """
 
 import itertools
@@ -41,12 +41,19 @@ def half_q_pow(x, q):
     return x ** half
 
 
-def einsum_pair_row(parts, n, w_flat, q, p):
+def component_sum(d):
+    """d[..., 0]**2 + d[..., 1]**2 + ..., added left to right."""
+    total = d[..., 0] * d[..., 0]
+    for c in range(1, d.shape[-1]):
+        total = total + d[..., c] * d[..., c]
+    return total
+
+
+def loop_pair_row(parts, n, w_flat, q, p):
     """|f_n - f_i|_X^p for i < n from (frame, node, component) buffers."""
     m = 0.0
     for buf in parts:
-        d = buf[:n] - buf[n]
-        m = m + half_q_pow(np.einsum("npc,npc->np", d, d), q)
+        m = m + half_q_pow(component_sum(buf[:n] - buf[n]), q)
     return ((m @ w_flat) ** (1 / q)) ** p
 
 

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lagflow.fields
-from flow_oracle import einsum_pair_row
+from flow_oracle import component_sum, loop_pair_row
 from lagflow.fields import (
     Field,
     FieldError,
     Grid,
     SlobodeckijWindow,
     TimeSeries,
-    _component_lanes,
     _norm_parts,
     _pair_sq,
     contract,
@@ -318,27 +317,26 @@ def test_slobodeckij_rejects_nonuniform(grid):
 
 @pytest.mark.parametrize("n_comp", [1, 2, 3, 4, 6, 8, 9, 27])
 def test_pair_sq_matches_einsum_component_sum(n_comp):
-    # the lane order of _component_lanes is einsum's on the installed numpy;
-    # a numpy that changes its dot kernel fails here.  A scratch of two
-    # frames' differences takes the history in chunks of two rows.
+    # the squared components add up in storage order, left to right, as in
+    # a plain loop.  A scratch of two frames' differences takes the history
+    # in chunks of two rows.
     rng = np.random.default_rng(n_comp)
     L, npts = 7, 50
     vals = rng.standard_normal((L, npts, n_comp)) * 10.0 ** rng.uniform(-4, 4, (L, npts, n_comp))
-    l0, l1 = _component_lanes(n_comp)
-    buf = vals[:, :, list(l0 + l1)].transpose(0, 2, 1).copy()
+    buf = vals.transpose(0, 2, 1).copy()
     diff = np.empty(2 * n_comp * npts)
-    lanes = [np.empty((L - 1, npts)) for _ in range(2)]
+    out = np.empty((L - 1, npts))
     for n in range(1, L):
-        d = vals[:n] - vals[n]
-        got = _pair_sq(buf, n, len(l0), diff, lanes)
-        assert np.array_equal(got, np.einsum("npc,npc->np", d, d))
+        got = _pair_sq(buf, n, diff, out)
+        assert np.array_equal(got, component_sum(vals[:n] - vals[n]))
 
 
 @pytest.mark.parametrize("q", [8.0, 5.0, 2.0])
 @pytest.mark.parametrize("dim, comp", [(2, ()), (2, (2, 2)), (3, ()), (3, (3, 3))])
 def test_window_pair_rows_match_einsum_oracle(dim, comp, q):
     # H1q parts of 1 + 2, 4 + 8, 1 + 3 and 9 + 27 components: every row of
-    # pair terms equals the einsum row on the node-major layout bit for bit
+    # pair terms equals the storage-order loop on the node-major layout bit
+    # for bit (q = 8 also catches a power taken in place on the squared sums)
     rng = np.random.default_rng(dim + len(comp))
     g = Grid(dim, (9, 10, 11)[:dim])
     L = 9
@@ -351,7 +349,7 @@ def test_window_pair_rows_match_einsum_oracle(dim, comp, q):
     for n in range(L):
         win.advance()
         if n:
-            want = einsum_pair_row(parts, n, g.quad_weights.ravel(), q, p)
+            want = loop_pair_row(parts, n, g.quad_weights.ravel(), q, p)
             assert np.array_equal(win.pair_pow[n], want)
 
 

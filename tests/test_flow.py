@@ -446,13 +446,32 @@ def brute_force_monitor(window, cfg, grid):
     return totals, None
 
 
-@pytest.mark.parametrize("delta, fires", [(0.02, True), (1.0, False)])
-def test_monitor_matches_brute_force(delta, fires):
+def linear_flow_window():
+    """A linear velocity's window: Z and J are constant in space."""
     g = Grid(2, (17, 17))
     times = TIMES[:21]
     nf = identity_noise_flow(g, times)
     lf = integrate_label_flow(linear_velocity(1.5, g, times), nf)
-    window = compose_flow(lf, 1e9)
+    return g, compose_flow(lf, 1e9)
+
+
+def smooth_flow_window(dim):
+    """A window whose Z and J vary in space (see ``smooth_window``)."""
+    g = Grid(dim, (17, 17) if dim == 2 else (9, 10, 9))
+    times = TIMES[:21 if dim == 2 else 11]
+    gradX, X = smooth_window(g, times, np.random.default_rng(dim), 1e-2)
+    return g, window_of(times, X, gradX)
+
+
+@pytest.mark.parametrize("make_window, delta, fires", [
+    pytest.param(linear_flow_window, 0.02, True, id="0.02-True"),
+    pytest.param(linear_flow_window, 1.0, False, id="1.0-False"),
+    # these fire mid-window, at level 8 of 21 and level 6 of 11
+    pytest.param(lambda: smooth_flow_window(2), 0.26, True, id="smooth-2d"),
+    pytest.param(lambda: smooth_flow_window(3), 0.43, True, id="smooth-3d"),
+])
+def test_monitor_matches_brute_force(make_window, delta, fires):
+    g, window = make_window()
     cfg = SolveConfig(delta=delta, eps_star=1.0)   # the monitor reads no eps_star
     mon = stopping_monitor(window, cfg, g)
     totals, fired_index = brute_force_monitor(window, cfg, g)

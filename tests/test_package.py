@@ -96,3 +96,29 @@ def test_config_fields_are_read():
     unread = [f"{cls}.{name}" for cls, names in fields.items()
               for name in names if name not in loads]
     assert not unread, f"config fields no code reads: {unread}"
+
+
+def test_instance_attributes_are_read():
+    # every attribute a lagflow class stores on ``self`` is loaded somewhere
+    # in src/, tests/ or perfbench/, as ``obj.name`` or ``getattr(obj,
+    # "name", ...)``: state nobody reads is dead weight
+    stored, loads = set(), set()
+    for path in SRC.glob("*.py"):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                stored.update(
+                    (cls.name, node.attr) for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and getattr(node.value, "id", None) == "self")
+    for folder in (SRC, ROOT / "tests", ROOT / "perfbench"):
+        for path in folder.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loads.add(node.attr)
+                elif (isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "getattr"
+                      and isinstance(node.args[1], ast.Constant)):
+                    loads.add(node.args[1].value)
+    unread = sorted(f"{cls}.{name}" for cls, name in stored if name not in loads)
+    assert not unread, f"instance attributes no code reads: {unread}"
