@@ -118,8 +118,13 @@ def kinematic_residual(bundle: SolutionBundle, Q: TransportField,
 
     residual = dx - u dt - sum_k Q_k(x_mid) dW_k per marker per step, with
     the velocity averaged over the step endpoints and the transport field
-    taken at the position midpoint (the Stratonovich reading).
+    taken at the position midpoint (the Stratonovich reading).  Without a
+    Brownian bundle the transport term is left out; a bundle must carry one
+    transport path per field (``ValueError`` otherwise).
     """
+    if brownian is not None and brownian.K != Q.K:
+        raise ValueError(f"{Q.K} transport fields need as many Brownian "
+                         f"paths, the bundle has {brownian.K}")
     sel = tuple(bundle.grid.boundary_nodes()[0].T)
     times = bundle.times
     dt = times[1] - times[0]

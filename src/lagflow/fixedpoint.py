@@ -11,7 +11,7 @@ measured on the map itself.
 Everything that depends only on the data (rho0, u0, the fluid constants and
 the solver configuration) and never on the noise path is a ``Problem``: the
 Lame operator with its step factorization, the reference solution and its
-E1 norm, the initial compatibility residual and the extended normal.
+E1 norm, and the initial compatibility residual.
 ``problem_for`` builds it once per setup and keeps it in the grid's one
 content-keyed slot, so every sample path of the setup shares it.
 """
@@ -27,7 +27,6 @@ from .fields import (
     Field,
     Grid,
     TimeSeries,
-    frame_chunks,
     frame_norms,
     gradient_values,
     time_lp_norm,
@@ -52,13 +51,9 @@ from .lame import (
 )
 from .nonlinear import (
     EquationOfState,
-    NonlinearReport,
-    assemble_F_Gamma,
     assemble_window,
     density_from_jacobian,
     energy_report,
-    extended_normal_field,
-    nonlinearity_norm_report,
 )
 from .noise import BrownianBundle, StochasticForcing, TransportField
 
@@ -201,7 +196,6 @@ class Problem:
     v_ref: TimeSeries          # reference solution on cfg.times
     ref_norm: float            # E1(v_ref)
     compat: float              # initial compatibility residual
-    N_ext: Field               # extended normal of the F_Gamma norm report
 
 
 def problem_for(rho0: Field, u0: Field, params: FluidParams,
@@ -233,8 +227,7 @@ def problem_for(rho0: Field, u0: Field, params: FluidParams,
         v_ref = solve_reference(op, rho0, u0, params, cfg)
     problem = Problem(rho0, u0, params, cfg, op, v_ref,
                       e1_norm(v_ref, cfg.p, cfg.q),
-                      compatibility_check(op, rho0, u0, params),
-                      extended_normal_field(grid))
+                      compatibility_check(op, rho0, u0, params))
     grid._cache["problem"] = problem
     return problem
 
@@ -258,8 +251,6 @@ class PsiResult:
     window: FlowWindow
     monitor: MonitorResult | None
     n_frames: int              # usable frames (window [0, sigma])
-    F_u: np.ndarray
-    ubar: TimeSeries           # the drift the window was built from
 
 
 def _drift(v: TimeSeries, U: TimeSeries) -> TimeSeries:
@@ -320,41 +311,20 @@ def _assemble_and_solve(ubar: TimeSeries, window: FlowWindow,
         # up to discretization; the initial check is reported by the driver
         warnings.simplefilter("ignore", UserWarning)
         v = solve_lame(problem.op, f_series, F_G_b, problem.u0, times_w)
-    return PsiResult(v, window, monitor, L, F_u, ubar.restrict(L))
+    return PsiResult(v, window, monitor, L)
 
 
-def _extended_F_Gamma(res: PsiResult, k: int, problem: Problem) -> np.ndarray:
-    """F_Gamma of ``res`` on the full grid against the extended normal.
-
-    Only the first ``k`` frames, and only for the accepted iterate: the
-    norm report is the one reader.
-    """
-    grid = res.ubar.grid
-    out = np.empty((k,) + grid.extent + (grid.dim,))
-    for sl in frame_chunks(grid, k, res.ubar.values[0].size):
-        out[sl] = assemble_F_Gamma(gradient_values(grid, res.ubar.values[sl]),
-                                   res.window.Z[sl], res.window.J[sl],
-                                   problem.rho0.values, problem.N_ext.values,
-                                   problem.params)
-    return out
-
-
-def _solution_map(v1: TimeSeries, U: TimeSeries, problem: Problem,
-                  nf: NoiseFlow, anchor: MonitorAnchor | None = None,
-                  prev: FlowWindow | None = None) -> PsiResult:
-    """The solution map; ``anchor`` and ``prev`` go to ``_monitor_window``."""
+def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
+              nf: NoiseFlow, anchor: MonitorAnchor | None = None,
+              prev: FlowWindow | None = None) -> PsiResult:
+    """One application of the solution map on the monitored window;
+    ``anchor`` and ``prev`` go to ``_monitor_window``."""
     ubar = _drift(v1, U)
     window, grad_ubar = _flow_stage(ubar, nf, problem.cfg)
     monitor, n_frames = _monitor_window(window, problem.cfg, ubar.grid,
                                         anchor, prev)
     return _assemble_and_solve(ubar, window, monitor, n_frames, grad_ubar,
                                problem)
-
-
-def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
-              nf: NoiseFlow) -> PsiResult:
-    """One application of the solution map on the monitored window."""
-    return _solution_map(v1, U, problem, nf)
 
 
 def apply_Psi_deterministic(v1: TimeSeries, problem: Problem) -> PsiResult:
@@ -392,7 +362,8 @@ def apply_Psi_deterministic(v1: TimeSeries, problem: Problem) -> PsiResult:
 
 @dataclass
 class SolutionBundle:
-    """Everything one pathwise run produces."""
+    """Everything one pathwise run produces; the norms of the nonlinearities
+    come on request from ``nonlinear.nonlinearity_norm_report``."""
 
     grid: Grid
     times: np.ndarray          # usable window [0, tau]
@@ -408,7 +379,6 @@ class SolutionBundle:
     diffs: list[float]
     converged: bool
     energy: dict
-    nonlinear_report: NonlinearReport
     rho_positive: bool
     problem: Problem
     metadata: dict = dc_field(default_factory=dict)
@@ -430,17 +400,19 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     ones, so the window only shrinks.  The record's seed is the Brownian
     bundle's (None without a bundle).
 
-    The first iterate is ``apply_Psi`` with its exact stopping monitor,
-    whose anchor keeps the pair and frame norms of that window.  A later
-    iterate's window is first put to the anchor (``MonitorAnchor.certify``,
-    against the previous iterate's window): a certified iterate keeps all
-    its levels, as the exact monitor would, and carries no monitor result;
-    a declined one runs the exact monitor, which becomes the new anchor.
-    The rebuild always runs the exact monitor, so the returned ``monitor``
-    and every output are those of exact monitors on every iterate.
+    Every iterate is one ``apply_Psi`` call.  The first runs the exact
+    stopping monitor, whose anchor keeps the pair and frame norms of that
+    window.  A later iterate's window is first put to the anchor
+    (``MonitorAnchor.certify``, against the previous iterate's window): a
+    certified iterate keeps all its levels, as the exact monitor would, and
+    carries no monitor result; a declined one runs the exact monitor, which
+    becomes the new anchor.  The rebuild always runs the exact monitor, so
+    the returned ``monitor`` and every output are those of exact monitors on
+    every iterate.
 
-    Two aborts: a ``ValueError`` before the first iterate when
-    r + E1(v_ref) > R, and a ``PicardDivergence`` carrying the iterate
+    Forcing modes or transport fields without a Brownian bundle raise
+    ``ValueError``.  Two aborts: a ``ValueError`` before the first iterate
+    when r + E1(v_ref) > R, and a ``PicardDivergence`` carrying the iterate
     differences when an iterate leaves the centered ball of radius r
     around v_ref, or when the differences fail to contract three times
     in a row.  The ball norm of the first iterate is its difference; a
@@ -465,7 +437,9 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
         U = solve_stoch_convolution(problem.op, forcing, bundle)
     else:
         U = TimeSeries(grid, times, np.zeros((len(times),) + grid.extent + (grid.dim,)))
-    if Q.K > 0 and bundle is not None:
+    if Q.K > 0:
+        if bundle is None:
+            raise ValueError("transport fields need a Brownian bundle")
         nf = integrate_noise_flow(Q, bundle, grid, cfg.pad_cells)
     else:
         nf = identity_noise_flow(grid, times, cfg.pad_cells)
@@ -479,16 +453,13 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     v_prev = v_ref
     n_frames = len(times)
     diffs: list[float] = []
-    last: PsiResult | None = None
     anchor: MonitorAnchor | None = None
+    prev: FlowWindow | None = None
     converged = False
     rising = 0
     for it in range(1, cfg.picard_max_iter + 1):
-        if anchor is None:
-            res = apply_Psi(v_prev.restrict(n_frames), U, problem, nf)
-        else:
-            res = _solution_map(v_prev.restrict(n_frames), U, problem, nf,
-                                anchor, last.window)
+        res = apply_Psi(v_prev.restrict(n_frames), U, problem, nf, anchor,
+                        prev)
         if res.monitor is not None:
             anchor = res.monitor.anchor
         n_frames = min(n_frames, res.n_frames)
@@ -513,7 +484,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
             raise PicardDivergence(
                 f"iterate {it} left the centered ball (|v - v_ref| = {ball:.3g} "
                 f"> r = {cfg.r})", diffs)
-        last = res
+        prev = res.window
         v_prev = res.v
         if d <= cfg.picard_tol:
             converged = True
@@ -549,14 +520,9 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     ubar_out = ubar.restrict(keep)
 
     energy = energy_report(rho_stack, ubar_out, window, params)
-    k = min(keep, last.n_frames)
-    rep = nonlinearity_norm_report(
-        grid, times[:k], last.F_u[:k], _extended_F_Gamma(last, k, problem),
-        problem.rho0, U, sigma=tau, p=cfg.p, q=cfg.q, theta=cfg.theta)
     return SolutionBundle(
         grid, times[:keep], v_out, U_out, ubar_out, rho_stack, window, monitor,
-        tau, kappa, iterations, diffs, converged, energy, rep, positive,
-        problem,
+        tau, kappa, iterations, diffs, converged, energy, positive, problem,
         metadata={
             "seed": None if bundle is None else bundle.seed,
             "ref_norm": problem.ref_norm,

@@ -190,7 +190,12 @@ def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
     The gradient flow d Dpsi = sum_k DQ_k(psi) Dpsi o dW_k is advanced with
     the same Heun staging; Dpsi_inv comes from per-point closed-form
     inversion, which keeps Dpsi . Dpsi_inv = I exactly at every level.
+    The bundle must carry one transport path per field (``ValueError``
+    otherwise).
     """
+    if bundle.K != Q.K:
+        raise ValueError(f"{Q.K} transport fields need as many Brownian "
+                         f"paths, the bundle has {bundle.K}")
     axes = _padded_axes(grid, pad_cells)
     dim = grid.dim
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -300,7 +300,23 @@ def nonlinearity_norm_report(grid: Grid, times: np.ndarray,
                              rho0: Field, U: TimeSeries | None,
                              sigma: float, p: float, q: float,
                              theta: float) -> NonlinearReport:
-    """Evaluate the monitored norms on [0, sigma]."""
+    """Evaluate the monitored norms on [0, sigma].
+
+    No solve computes this report; it is computed on request.  From a
+    ``fixedpoint.SolutionBundle`` ``b``, with ``w = b.window``,
+    ``u = b.ubar.values``, ``g = gradient_values(b.grid, u)``,
+    ``rho0 = b.problem.rho0`` and ``cfg = b.problem.cfg``::
+
+        F_u = assemble_window(b.grid, u, g, w.Z, w.J, rho0.values,
+                              b.problem.params)[0]
+        F_G = assemble_F_Gamma(g, w.Z, w.J, rho0.values,
+                               extended_normal_field(b.grid).values,
+                               b.problem.params)
+        nonlinearity_norm_report(b.grid, b.times, F_u, F_G, rho0, b.U,
+                                 b.tau, cfg.p, cfg.q, cfg.theta)
+
+    F_G is F_Gamma on the full grid against the extended normal.
+    """
     keep = int(np.searchsorted(times, sigma + 1e-12))
     keep = max(2, min(keep, len(times)))
     tt = times[:keep]

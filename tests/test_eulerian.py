@@ -211,6 +211,14 @@ def test_kinematic_residual_is_small_on_the_noise_path(noise_path):
     assert np.max(kinematic_residual(sol, Q, None)) > 1e3 * np.max(kin)
 
 
+def test_kinematic_residual_needs_one_path_per_field(noise_path):
+    sol, Q, brownian = noise_path
+    for K in (Q.K - 1, Q.K + 1):
+        other = sample_brownian(K, 1, brownian.T, brownian.step, seed=5)
+        with pytest.raises(ValueError, match="transport fields"):
+            kinematic_residual(sol, Q, other)
+
+
 def test_written_outputs_reload_exactly(noise_path, tmp_path):
     sol, Q, brownian = noise_path
     snaps = reconstruct(sol)

@@ -279,6 +279,21 @@ def test_picard_fixed_point_residual():
     assert b.diffs[-1] <= 2 * cfg.picard_tol
 
 
+def test_picard_noise_without_bundle_raises():
+    # transport fields or forcing modes with no Brownian paths to drive
+    # them are an input error, not a noise-free run
+    rho0, u0 = perturbed_data()
+    cfg = SolveConfig()
+    Q = make_transport_field(2, "stream", K=2, amplitude=1e-4)
+    forcing = StochasticForcing.default_modes(GRID, 1, 1e-3)
+    Q0 = make_transport_field(2, "constant", K=0)
+    for Q_in, forcing_in, match in [(Q, None, "transport fields"),
+                                    (Q0, forcing, "forcing modes")]:
+        with pytest.warns(UserWarning, match="compatibility"):
+            with pytest.raises(ValueError, match=match):
+                picard_solve(rho0, u0, PARAMS, cfg, Q_in, None, forcing_in)
+
+
 def test_picard_ball_violation_aborts():
     rho0, u0 = perturbed_data(amp=1.0)  # far too large for the tiny ball
     cfg = SolveConfig(r=1e-8, R=5.0, picard_tol=1e-15)
@@ -308,7 +323,7 @@ def test_picard_ball_norm_runs_only_near_r(monkeypatch):
     rho0, u0 = perturbed_data()
     Q0 = make_transport_field(2, "constant", K=0)
     iterates = []
-    solution_map = lagflow.fixedpoint._solution_map
+    solution_map = lagflow.fixedpoint.apply_Psi
 
     def recording_map(*args, **kwargs):
         res = solution_map(*args, **kwargs)
@@ -325,7 +340,7 @@ def test_picard_ball_norm_runs_only_near_r(monkeypatch):
             return calls[-1]
 
         monkeypatch.setattr(lagflow.fixedpoint, "e1_norm", counting_e1)
-        monkeypatch.setattr(lagflow.fixedpoint, "_solution_map", recording_map)
+        monkeypatch.setattr(lagflow.fixedpoint, "apply_Psi", recording_map)
         iterates.clear()
         try:
             with warnings.catch_warnings():

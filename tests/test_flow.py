@@ -57,6 +57,14 @@ def test_constant_field_translates_exactly():
     assert np.max(np.abs(nf.Dpsi - np.eye(2))) == 0.0
 
 
+@pytest.mark.parametrize("K_bundle", [1, 3])
+def test_noise_flow_needs_one_path_per_field(K_bundle):
+    Q = make_transport_field(2, "stream", K=2, amplitude=0.1)
+    b = sample_brownian(K_bundle, 0, T, DT, seed=2)
+    with pytest.raises(ValueError, match="transport fields"):
+        integrate_noise_flow(Q, b, GRID)
+
+
 def test_no_noise_keeps_identity():
     nf = identity_noise_flow(GRID, TIMES)
     pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)

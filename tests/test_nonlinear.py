@@ -1,12 +1,9 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 import lagflow.fields
 
 from lagflow.fields import Field, Grid, TimeSeries, gradient_values, hessian_values
-from lagflow.fixedpoint import _extended_F_Gamma
 from lagflow.flow import FlowWindow, compose_flow, identity_noise_flow, integrate_label_flow
 from lagflow.lame import FluidParams
 from lagflow.nonlinear import (
@@ -356,11 +353,8 @@ def test_chunk_assembly_matches_per_frame_einsum_oracle(monkeypatch, grid):
     N_ext = extended_normal_field(grid).values
     F_u, F_G_b = assemble_window(grid, u, gradient_values(grid, u), Z, J,
                                  rho0, PARAMS)
-    res = SimpleNamespace(ubar=TimeSeries(grid, 1e-3 * np.arange(L), u),
-                          window=SimpleNamespace(Z=Z, J=J))
-    problem = SimpleNamespace(rho0=Field(grid, rho0), N_ext=Field(grid, N_ext),
-                              params=PARAMS)
-    F_G_ext = _extended_F_Gamma(res, L, problem)
+    F_G_ext = assemble_F_Gamma(gradient_values(grid, u), Z, J, rho0, N_ext,
+                               PARAMS)
     idx_b, normals_b = grid.boundary_nodes()
     bsel = tuple(idx_b.T)
     for n in range(L):

@@ -99,9 +99,10 @@ def test_config_fields_are_read():
 
 
 def test_instance_attributes_are_read():
-    # every attribute a lagflow class stores on ``self`` is loaded somewhere
-    # in src/, tests/ or perfbench/, as ``obj.name`` or ``getattr(obj,
-    # "name", ...)``: state nobody reads is dead weight
+    # every attribute a lagflow class stores on ``self``, and every annotated
+    # field of a lagflow dataclass, is loaded somewhere in src/, tests/ or
+    # perfbench/, as ``obj.name`` or ``getattr(obj, "name", ...)``: state
+    # nobody reads is dead weight
     stored, loads = set(), set()
     for path in SRC.glob("*.py"):
         for cls in ast.walk(ast.parse(path.read_text())):
@@ -111,6 +112,13 @@ def test_instance_attributes_are_read():
                     if isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Store)
                     and getattr(node.value, "id", None) == "self")
+                # @dataclass or @dataclass(...)
+                if any(getattr(getattr(dec, "func", dec), "id", None)
+                       == "dataclass" for dec in cls.decorator_list):
+                    stored.update(
+                        (cls.name, item.target.id) for item in cls.body
+                        if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name))
     for folder in (SRC, ROOT / "tests", ROOT / "perfbench"):
         for path in folder.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
