@@ -5,7 +5,11 @@ grid per axis.  Fields are numpy arrays indexed by node, with trailing
 component axes for vectors (dim) and matrices (dim x dim).  All derivative
 stencils are second order: centered in the interior, one-sided at the
 boundary.  Norms are trapezoidal-quadrature surrogates of the L^q /
-Sobolev / Sobolev-Slobodeckij norms used by the run monitors.
+Sobolev / Sobolev-Slobodeckij norms used by the run monitors.  The first
+derivative has the arithmetic of ``np.gradient(..., edge_order=2)`` on a
+uniform spacing, in numpy's own expressions, written straight into the
+caller's output: the gradient and the Hessian allocate their result once
+and fill it one derivative axis (or axis pair) at a time.
 
 Frame stacks.  The derivative and norm kernels take one frame
 (``extent + components``) or a stack of frames with one leading frame axis
@@ -24,9 +28,12 @@ once is copied once per call into rows with the component axes first
 (reduced labels, then output labels) and the leading axes contiguous last;
 each term of the sum is then one broadcast product over every output
 component, added in einsum's order into a component-major scratch sum, a
-block of leading axes at a time.  The Slobodeckij window's pair rows
-(:class:`SlobodeckijWindow`) do not mirror einsum: they sum a pair's
-squared components in storage order, left to right.
+block of leading axes at a time.  The label flow's variational sums
+(``flow.integrate_label_flow``) do not call it: they keep grad Y
+component-major across the flow's steps and add all terms of a sum by one
+reduction over a scratch array, in einsum's order.  The Slobodeckij
+window's pair rows (:class:`SlobodeckijWindow`) do not mirror einsum: they
+sum a pair's squared components in storage order, left to right.
 """
 
 from __future__ import annotations
@@ -237,19 +244,48 @@ class TimeSeries:
 # derivatives
 # ---------------------------------------------------------------------------
 
-def _d1(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """First derivative: centered interior, one-sided 3-point at the ends."""
-    return np.gradient(values, h, axis=axis, edge_order=2)
+def _at(axis: int, i) -> tuple:
+    """The index tuple of ``i`` (an index or slice) on ``axis``."""
+    return (slice(None),) * axis + (i,)
 
 
-def _d2_pure(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second derivative along one axis: compact interior, 4-point one-sided."""
-    out = np.empty_like(values)
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    o[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    o[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-    o[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
+def _d1(values: np.ndarray, axis: int, h: float,
+        out: np.ndarray | None = None) -> np.ndarray:
+    """First derivative: centered interior, one-sided 3-point at the ends.
+
+    The arithmetic of ``np.gradient(values, h, axis=axis, edge_order=2)``
+    on a uniform spacing h, in its own expressions and order: interior
+    (f[2:] - f[:-2]) / (2h), first row (-1.5/h) f0 + (2/h) f1 + (-0.5/h) f2,
+    last row (0.5/h) f[-3] + (-2/h) f[-2] + (1.5/h) f[-1].  The rows are
+    index tuples on ``axis``, and the result is written into ``out`` (any
+    view of the values' shape, by default a new array), so a caller that
+    collects derivatives of several axes writes each into its slice of one
+    array.  The interior difference is the one temporary: a strided ``out``
+    is written once, by the division.
+    """
+    if out is None:
+        out = np.empty_like(values)
+    diff = values[_at(axis, slice(2, None))] - values[_at(axis, slice(None, -2))]
+    np.divide(diff, 2.0 * h, out=out[_at(axis, slice(1, -1))])
+    for row, first, coefs in ((0, 0, (-1.5 / h, 2.0 / h, -0.5 / h)),
+                              (-1, -3, (0.5 / h, -2.0 / h, 1.5 / h))):
+        o = out[_at(axis, row)]
+        np.multiply(coefs[0], values[_at(axis, first)], out=o)
+        o += coefs[1] * values[_at(axis, first + 1)]
+        o += coefs[2] * values[_at(axis, first + 2)]
+    return out
+
+
+def _d2_pure(values: np.ndarray, axis: int, h: float,
+             out: np.ndarray) -> np.ndarray:
+    """Second derivative along one axis into ``out``: compact interior,
+    4-point one-sided at the ends."""
+    def v(i):
+        return values[_at(axis, i)]
+    out[_at(axis, slice(1, -1))] = (
+        (v(slice(2, None)) - 2.0 * v(slice(1, -1)) + v(slice(None, -2))) / h**2)
+    out[_at(axis, 0)] = (2.0 * v(0) - 5.0 * v(1) + 4.0 * v(2) - v(3)) / h**2
+    out[_at(axis, -1)] = (2.0 * v(-1) - 5.0 * v(-2) + 4.0 * v(-3) - v(-4)) / h**2
     return out
 
 
@@ -266,12 +302,16 @@ def _frame_axes(grid: Grid, shape: tuple[int, ...]) -> int:
 
 
 def gradient_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """All first derivatives of a frame or frame stack; new derivative axis last."""
+    """All first derivatives of a frame or frame stack; new derivative axis last.
+
+    The result is allocated once; the derivative along each axis is
+    written into its slice ``out[..., ax]``.
+    """
     lead = _frame_axes(grid, values.shape)
-    return np.stack(
-        [_d1(values, lead + ax, grid.spacing[ax]) for ax in range(grid.dim)],
-        axis=-1,
-    )
+    out = np.empty(values.shape + (grid.dim,))
+    for ax in range(grid.dim):
+        _d1(values, lead + ax, grid.spacing[ax], out[..., ax])
+    return out
 
 
 def hessian_values(grid: Grid, values: np.ndarray,
@@ -280,20 +320,17 @@ def hessian_values(grid: Grid, values: np.ndarray,
 
     ``grad`` is ``gradient_values(grid, values)``, which the callers hold
     already: the mixed derivative d_l d_k is the first derivative along l
-    of its slice ``grad[..., k]``.
+    of its slice ``grad[..., k]``, written straight into ``out[..., k, l]``
+    and copied to ``out[..., l, k]``.
     """
     lead = _frame_axes(grid, values.shape)
     dim = grid.dim
-    out_shape = values.shape + (dim, dim)
-    out = np.empty(out_shape)
+    out = np.empty(values.shape + (dim, dim))
     for k in range(dim):
-        for l in range(k, dim):
-            if k == l:
-                d = _d2_pure(values, lead + k, grid.spacing[k])
-            else:
-                d = _d1(grad[..., k], lead + l, grid.spacing[l])
-            out[..., k, l] = d
-            out[..., l, k] = d
+        _d2_pure(values, lead + k, grid.spacing[k], out[..., k, k])
+        for l in range(k + 1, dim):
+            _d1(grad[..., k], lead + l, grid.spacing[l], out[..., k, l])
+            out[..., l, k] = out[..., k, l]
     return out
 
 

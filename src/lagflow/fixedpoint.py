@@ -76,10 +76,10 @@ __all__ = [
 class SolveConfig:
     """Exponents, thresholds, and horizons of one solver run.
 
-    The time step ``dt`` must divide the horizon ``T`` up to rounding, the
-    Picard iteration needs at least one iterate and a positive tolerance,
-    and the noise-flow padding is a cell count; the constructor raises
-    ``ValueError`` otherwise.
+    The time step ``dt`` must be positive and divide the horizon ``T`` up
+    to rounding, the Picard iteration needs at least one iterate and a
+    positive tolerance, and the noise-flow padding is a cell count; the
+    constructor raises ``ValueError`` otherwise.
     """
 
     p: float = 4.0
@@ -105,6 +105,8 @@ class SolveConfig:
         if not 0 < self.delta <= self.eps_star:
             raise ValueError(
                 f"need 0 < delta <= eps_star, got {self.delta}, {self.eps_star}")
+        if not self.dt > 0:
+            raise ValueError(f"time step must be positive, got {self.dt}")
         n = round(self.T / self.dt)
         if n < 1 or abs(n * self.dt - self.T) > 1e-12 * max(self.T, 1.0):
             raise ValueError(f"dt = {self.dt} does not divide T = {self.T}")
@@ -411,22 +413,32 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     every iterate.
 
     Forcing modes or transport fields without a Brownian bundle raise
-    ``ValueError``.  Two aborts: a ``ValueError`` before the first iterate
-    when r + E1(v_ref) > R, and a ``PicardDivergence`` carrying the iterate
-    differences when an iterate leaves the centered ball of radius r
-    around v_ref, or when the differences fail to contract three times
-    in a row.  The ball norm of the first iterate is its difference; a
-    later iterate is inside the ball when (1 + 1e-9) times the sum of the
-    differences so far is below r, and only otherwise is its ball norm
-    taken.
+    ``ValueError``, and so does a bundle on another time grid than
+    ``cfg.times`` (another step count, or steps that miss ``cfg.T`` by more
+    than the configuration's rounding), before any work.  Two aborts: a
+    ``ValueError`` before the first iterate when r + E1(v_ref) > R, and a
+    ``PicardDivergence`` carrying the iterate differences when an iterate
+    leaves the centered ball of radius r around v_ref, or when the
+    differences fail to contract three times in a row.  The ball norm of
+    the first iterate is its difference; a later iterate is inside the ball
+    when (1 + 1e-9) times the sum of the differences so far is below r, and
+    only otherwise is its ball norm taken.
 
     The noise-free part of the run comes from ``problem_for``: every path
     of one (rho0, u0, params, cfg) on one grid shares the Lame operator,
     its step factorization and the reference solution.  The compatibility
     warning comes on every call, also when the problem is shared.
     """
+    times = cfg.times
+    if bundle is not None and (
+            bundle.n_steps != len(times) - 1
+            or abs(bundle.T - cfg.T) > 1e-12 * max(cfg.T, 1.0)):
+        raise ValueError(
+            f"the Brownian bundle's time grid ({bundle.n_steps} steps of "
+            f"{bundle.step:g} to T = {bundle.T:g}) is not the configuration's "
+            f"({len(times) - 1} steps of {cfg.dt:g} to T = {cfg.T:g})")
     problem = problem_for(rho0, u0, params, cfg)
-    grid, times = rho0.grid, cfg.times
+    grid = rho0.grid
     if problem.compat > 1e-8:
         warnings.warn(f"initial compatibility residual {problem.compat:.3e}; "
                       "the run proceeds", stacklevel=2)

@@ -275,6 +275,19 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
     ``nf.times[n]``; the same plan samples psi and Dpsi there for the
     composition, and one more plan does so on the last level, so a window
     of L levels builds 2L - 1 plans.
+
+    The variational sums dg = dA_ijl g_lm u_j + A_ij (grad u)_jm (A the
+    sampled Dpsi^{-1}, dA its gradient) run component-major, with the node
+    axis last.  g = grad Y is carried as (d, d, n) rows across the steps
+    and written node-major into ``gradY`` at each level; u and grad u are
+    copied into component rows once per call, dA into (j, l, i, n) rows
+    once per stage, and A is read through a strided view.  The terms of
+    each sum are formed by one broadcast product per operand, left to right
+    (dA g, then u; A grad u), into a reused (j, l, i, m, n) or (j, i, m, n)
+    scratch array, and added over the leading axes from zero, j outermost:
+    the order and the rounding of einsum's loop over those labels, so a
+    -0.0 term sum turns into +0.0 as there.  The outputs are the
+    node-major einsum ones, bit for bit.
     """
     if len(ubar) > nf.n_levels or abs(ubar.step - nf.step) > 1e-12:
         raise ValueError("velocity frames must be aligned with the noise grid")
@@ -283,6 +296,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
     dt = nf.step
     pts0 = grid.coords()
     L = len(ubar)
+    N = grid.n_nodes
     Y = np.empty((L,) + pts0.shape)
     G = np.empty((L,) + pts0.shape[:-1] + (dim, dim))
     X = np.empty(Y.shape)
@@ -291,6 +305,13 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
     G[0] = np.eye(dim)
     ub = ubar.values
     gub = gradient_values(grid, ub)
+    # the drift and its gradient as component rows, (L, j, n) and (L, j, m, n)
+    u_rows = ub.reshape(L, N, dim).transpose(0, 2, 1).copy()
+    gu_rows = gub.reshape(L, N, dim, dim).transpose(0, 2, 3, 1).copy()
+    dA_rows = np.empty((dim,) * 3 + (N,))       # (j, l, i, n)
+    terms1 = np.empty((dim,) * 4 + (N,))        # (j, l, i, m, n)
+    terms2 = np.empty((dim,) * 3 + (N,))        # (j, i, m, n)
+    terms1_jl = terms1.reshape(dim * dim, dim, dim, N)  # (j, l) in sum order
 
     def sample(level, y):
         """The plan on y at the level's time, which also samples psi and Dpsi."""
@@ -299,25 +320,33 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
         DY[level] = plan.apply(nf.Dpsi[level])
         return plan
 
-    def rhs(level, plan, g, u, gu):
+    def rhs(level, plan, g):
         A = plan.apply(nf.Dpsi_inv[level])
         dA = plan.apply(nf.grad_Dpsi_inv[level])
-        f = np.einsum("...ij,...j->...i", A, u)
-        dg = (contract("...ijl,...lm,...j->...im", "jl", dA, g, u)
-              + contract("...ij,...jm->...im", "j", A, gu))
+        f = np.einsum("...ij,...j->...i", A, ub[level])
+        # dA_ijl g_lm u_j: rows (j, l, i, m, n)
+        np.copyto(dA_rows, dA.reshape(N, dim, dim, dim).transpose(2, 3, 1, 0))
+        np.multiply(dA_rows[:, :, :, None], g[None, :, None], out=terms1)
+        np.multiply(terms1, u_rows[level][:, None, None, None], out=terms1)
+        dg = np.add.reduce(terms1_jl, axis=0, initial=0.0)
+        # A_ij (grad u)_jm: rows (j, i, m, n)
+        np.multiply(A.reshape(N, dim, dim).transpose(2, 1, 0)[:, :, None],
+                    gu_rows[level][:, None], out=terms2)
+        dg += np.add.reduce(terms2, axis=0, initial=0.0)
         return f, dg
 
-    y, g = Y[0].copy(), G[0].copy()
+    y = Y[0].copy()
+    g = np.broadcast_to(np.eye(dim)[:, :, None], (dim, dim, N)).copy()
     for n in range(L - 1):
-        f0, dg0 = rhs(n, sample(n, y), g, ub[n], gub[n])
+        f0, dg0 = rhs(n, sample(n, y), g)
         y_pred = y + dt * f0
         g_pred = g + dt * dg0
         plan1 = nf.plan(y_pred, time=nf.times[n + 1])
-        f1, dg1 = rhs(n + 1, plan1, g_pred, ub[n + 1], gub[n + 1])
+        f1, dg1 = rhs(n + 1, plan1, g_pred)
         y = y + 0.5 * dt * (f0 + f1)
         g = g + 0.5 * dt * (dg0 + dg1)
         Y[n + 1] = y
-        G[n + 1] = g
+        G[n + 1].reshape(N, dim, dim)[...] = g.transpose(2, 0, 1)
     sample(L - 1, y)
     return LabelFlow(nf.times[:L].copy(), Y, G, X, DY, gub)
 

@@ -256,27 +256,26 @@ def energy_report(rho_stack: np.ndarray, ubar: TimeSeries,
     """Total energy, viscous dissipation, and volume per frame.
 
     Everything is evaluated in the reference coordinates with the volume
-    element J dy; the Eulerian velocity gradient is grad u . Z.
+    element J dy; the Eulerian velocity gradient is grad u . Z.  The
+    densities are formed on the window's stacks at once (their bits are
+    the per-frame ones), and each frame's quadrature is its own sum.
     """
     grid = ubar.grid
     eos = EquationOfState(params.a, params.gamma)
     w = grid.quad_weights
-    E, D, vol = [], [], []
-    for n, (Z, J) in enumerate(zip(window.Z, window.J)):
-        rho = rho_stack[n]
-        u = ubar.values[n]
-        kin = 0.5 * rho * np.sum(u * u, axis=-1)
-        pot = eos.potential(rho)
-        volume = float(np.sum(w * J))
-        E.append(float(np.sum(w * (kin + pot) * J)) + params.p_ext * volume)
-        Gx = contract("...ik,...kj->...ij", "k", gradient_values(grid, u), Z)
-        sym = Gx + np.swapaxes(Gx, -1, -2)
-        dens = (params.mu * np.einsum("...ij,...ij->...", sym, Gx)
-                + params.lam * np.einsum("...ii->...", Gx) ** 2)
-        D.append(float(np.sum(w * dens * J)))
-        vol.append(volume)
-    return {"energy": np.array(E), "dissipation": np.array(D),
-            "volume": np.array(vol)}
+    L = len(window)
+    rho, u, J = rho_stack[:L], ubar.values[:L], window.J
+    kin = 0.5 * rho * np.sum(u * u, axis=-1)
+    pot = eos.potential(rho)
+    Gx = contract("...ik,...kj->...ij", "k", gradient_values(grid, u), window.Z)
+    sym = Gx + np.swapaxes(Gx, -1, -2)
+    dens = (params.mu * np.einsum("...ij,...ij->...", sym, Gx)
+            + params.lam * np.einsum("...ii->...", Gx) ** 2)
+    volume = np.array([float(np.sum(w * J[n])) for n in range(L)])
+    energy = np.array([float(np.sum(w * (kin[n] + pot[n]) * J[n]))
+                       for n in range(L)]) + params.p_ext * volume
+    dissipation = np.array([float(np.sum(w * dens[n] * J[n])) for n in range(L)])
+    return {"energy": energy, "dissipation": dissipation, "volume": volume}
 
 
 # ---------------------------------------------------------------------------

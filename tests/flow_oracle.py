@@ -2,7 +2,10 @@
 
 ``per_level_compose`` is the composition as it was before the label flow
 shared its interpolation plans: it builds its own plan on Y at every level
-and samples psi and Dpsi there.  ``loop_pair_row`` is the pair row of
+and samples psi and Dpsi there.  ``integrate_label_flow`` is the label flow
+as it was while its variational sums went through ``contract`` on
+node-major arrays (and the drift gradient through ``np.gradient``, from
+``derivative_oracle``).  ``loop_pair_row`` is the pair row of
 ``SlobodeckijWindow`` on a (frame, node, component) layout, its squared
 components summed by a plain loop in storage order.  ``csr_weights`` is
 the construction of ``InterpPlan.W`` before the per-axes constants were
@@ -13,8 +16,9 @@ import itertools
 
 import numpy as np
 
-from lagflow.fields import contract
-from lagflow.flow import FlowWindow
+from derivative_oracle import gradient_values
+from lagflow.fields import TimeSeries, contract
+from lagflow.flow import FlowWindow, LabelFlow, NoiseFlow
 from lagflow.interp import FlowEscapeError, InterpPlan
 
 
@@ -95,3 +99,51 @@ def csr_weights(axes, pts, time=None):
     itype = np.int32 if max(n_nodes, w.size) < 2 ** 31 else np.int64
     return (w.T.ravel(), cols.ravel().astype(itype),
             np.arange(0, w.size + 1, len(corners), dtype=itype))
+
+
+def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
+    """Heun integration of the label ODE, with psi and Dpsi sampled on Y."""
+    if len(ubar) > nf.n_levels or abs(ubar.step - nf.step) > 1e-12:
+        raise ValueError("velocity frames must be aligned with the noise grid")
+    grid = ubar.grid
+    dim = grid.dim
+    dt = nf.step
+    pts0 = grid.coords()
+    L = len(ubar)
+    Y = np.empty((L,) + pts0.shape)
+    G = np.empty((L,) + pts0.shape[:-1] + (dim, dim))
+    X = np.empty(Y.shape)
+    DY = np.empty(G.shape)
+    Y[0] = pts0
+    G[0] = np.eye(dim)
+    ub = ubar.values
+    gub = gradient_values(grid, ub)
+
+    def sample(level, y):
+        """The plan on y at the level's time, which also samples psi and Dpsi."""
+        plan = nf.plan(y, time=nf.times[level])
+        X[level] = plan.apply(nf.psi[level])
+        DY[level] = plan.apply(nf.Dpsi[level])
+        return plan
+
+    def rhs(level, plan, g, u, gu):
+        A = plan.apply(nf.Dpsi_inv[level])
+        dA = plan.apply(nf.grad_Dpsi_inv[level])
+        f = np.einsum("...ij,...j->...i", A, u)
+        dg = (contract("...ijl,...lm,...j->...im", "jl", dA, g, u)
+              + contract("...ij,...jm->...im", "j", A, gu))
+        return f, dg
+
+    y, g = Y[0].copy(), G[0].copy()
+    for n in range(L - 1):
+        f0, dg0 = rhs(n, sample(n, y), g, ub[n], gub[n])
+        y_pred = y + dt * f0
+        g_pred = g + dt * dg0
+        plan1 = nf.plan(y_pred, time=nf.times[n + 1])
+        f1, dg1 = rhs(n + 1, plan1, g_pred, ub[n + 1], gub[n + 1])
+        y = y + 0.5 * dt * (f0 + f1)
+        g = g + 0.5 * dt * (dg0 + dg1)
+        Y[n + 1] = y
+        G[n + 1] = g
+    sample(L - 1, y)
+    return LabelFlow(nf.times[:L].copy(), Y, G, X, DY, gub)

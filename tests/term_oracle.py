@@ -5,12 +5,15 @@ formulas read, one point at a time, with no vectorization; the production
 kernel must agree with them to roundoff.  ``einsum_F_u`` and
 ``einsum_F_Gamma`` are the per-frame ``np.einsum`` assembly that the
 contraction kernel replaced, kept verbatim: the production assembly must
-agree with them bit for bit.
+agree with them bit for bit.  ``per_frame_energy_report`` is the energy
+report as it was while it took its densities one frame at a time, kept
+verbatim as well.
 """
 
 import numpy as np
 
-from lagflow.fields import Grid, gradient_values
+from lagflow.fields import Grid, TimeSeries, contract, gradient_values
+from lagflow.flow import FlowWindow
 from lagflow.lame import FluidParams
 from lagflow.nonlinear import EquationOfState
 
@@ -128,3 +131,31 @@ def einsum_F_Gamma(G: np.ndarray, Z: np.ndarray, J: np.ndarray,
     out += lam * (div - np.einsum("...lk,...kl->...", Z, G))[..., None] * S
     out += (eos.p(rho0 / J) - params.p_ext)[..., None] * S
     return out
+
+
+def per_frame_energy_report(rho_stack: np.ndarray, ubar: TimeSeries,
+                            window: FlowWindow, params: FluidParams) -> dict:
+    """Total energy, viscous dissipation, and volume per frame.
+
+    Everything is evaluated in the reference coordinates with the volume
+    element J dy; the Eulerian velocity gradient is grad u . Z.
+    """
+    grid = ubar.grid
+    eos = EquationOfState(params.a, params.gamma)
+    w = grid.quad_weights
+    E, D, vol = [], [], []
+    for n, (Z, J) in enumerate(zip(window.Z, window.J)):
+        rho = rho_stack[n]
+        u = ubar.values[n]
+        kin = 0.5 * rho * np.sum(u * u, axis=-1)
+        pot = eos.potential(rho)
+        volume = float(np.sum(w * J))
+        E.append(float(np.sum(w * (kin + pot) * J)) + params.p_ext * volume)
+        Gx = contract("...ik,...kj->...ij", "k", gradient_values(grid, u), Z)
+        sym = Gx + np.swapaxes(Gx, -1, -2)
+        dens = (params.mu * np.einsum("...ij,...ij->...", sym, Gx)
+                + params.lam * np.einsum("...ii->...", Gx) ** 2)
+        D.append(float(np.sum(w * dens * J)))
+        vol.append(volume)
+    return {"energy": np.array(E), "dissipation": np.array(D),
+            "volume": np.array(vol)}

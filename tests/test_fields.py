@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import derivative_oracle
 import lagflow.fields
 from flow_oracle import component_sum, loop_pair_row
 from lagflow.fields import (
@@ -146,6 +147,61 @@ def test_hessian_mixed_terms_are_nested_first_derivatives(grid):
                             grid.spacing[l], axis=1 + l, edge_order=2)
             assert np.array_equal(h[..., k, l], d)
             assert np.array_equal(h[..., l, k], d)
+
+
+def signed_zero_values(rng, shape):
+    """Normal values with about half the entries +0.0 or -0.0."""
+    a = rng.normal(size=shape)
+    zero = np.abs(a) < 0.7
+    a[zero] = np.copysign(0.0, rng.normal(size=zero.sum()))
+    return a
+
+
+def layouts(a):
+    """``a`` as it is, and as non-contiguous views with the same values."""
+    yield a
+    yield np.asfortranarray(a)
+    if a.ndim >= 2:
+        yield np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
+    spread = np.zeros((2,) + a.shape)
+    spread[0] = a
+    yield spread[0]                         # every other value of a buffer
+    yield np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
+@pytest.mark.parametrize("grid", [Grid(2, (11, 13), ((0.0, 1.3), (-0.5, 0.2))),
+                                  Grid(3, (9, 10, 11))])
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["frame", "stack"])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_derivatives_match_np_gradient_oracle(grid, lead, rank):
+    # the derivative kernels write np.gradient's uniform-spacing arithmetic
+    # into one result array; their bits, signed zeros included, are those
+    # of np.gradient and np.stack, on frames, stacks and strided inputs
+    rng = np.random.default_rng(10 * grid.dim + rank)
+    values = signed_zero_values(rng, lead + grid.extent + (grid.dim,) * rank)
+    want_g = derivative_oracle.gradient_values(grid, values)
+    want_h = derivative_oracle.hessian_values(grid, values, want_g)
+    assert np.signbit(want_g[want_g == 0]).any()
+    for a in layouts(values):
+        got_g = gradient_values(grid, a)
+        assert bit_equal(got_g, want_g)
+        assert bit_equal(hessian_values(grid, a, got_g), want_h)
+        assert bit_equal(hessian_values(grid, a, np.asfortranarray(got_g)), want_h)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_first_derivative_writes_into_a_strided_view(axis):
+    # _d1 into a slice of a larger array (the caller's out[..., ax]) leaves
+    # the rest of it alone and holds np.gradient's bits
+    rng = np.random.default_rng(axis)
+    values = signed_zero_values(rng, (9, 10, 11, 2))[..., 1]
+    buf = np.full(values.shape + (3,), 7.0)
+    got = lagflow.fields._d1(values, axis, 0.125, out=buf[..., 1])
+    assert got.base is buf
+    assert bit_equal(buf[..., 1], derivative_oracle._d1(values, axis, 0.125))
+    assert np.all(buf[..., [0, 2]] == 7.0)
+    assert bit_equal(lagflow.fields._d1(values, axis, 0.125),
+                     derivative_oracle._d1(values, axis, 0.125))
 
 
 def test_derivatives_reject_foreign_shape(grid):

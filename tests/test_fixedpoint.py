@@ -71,6 +71,14 @@ def test_config_validates_picard_settings(field, bad, edge):
     assert getattr(SolveConfig(**{field: edge}), field) == edge
 
 
+@pytest.mark.parametrize("T, dt", [(-0.05, -1e-3), (0.05, 0.0), (0.05, -1e-3)])
+def test_config_rejects_non_positive_time_step(T, dt):
+    # a negative step with a negative horizon divides it, and would run the
+    # time grid 0, -0.001, ... backwards
+    with pytest.raises(ValueError, match="time step must be positive"):
+        SolveConfig(T=T, dt=dt)
+
+
 # ---------------------------------------------------------------------------
 # compatibility
 # ---------------------------------------------------------------------------
@@ -292,6 +300,23 @@ def test_picard_noise_without_bundle_raises():
         with pytest.warns(UserWarning, match="compatibility"):
             with pytest.raises(ValueError, match=match):
                 picard_solve(rho0, u0, PARAMS, cfg, Q_in, None, forcing_in)
+
+
+@pytest.mark.parametrize("T, dt", [(0.04, 1e-3), (0.05, 5e-4), (0.06, 1e-3)],
+                         ids=["shorter", "finer", "longer"])
+def test_picard_rejects_a_bundle_on_another_time_grid(T, dt, monkeypatch):
+    # a shorter bundle used to fail in a broadcast, a finer one in the label
+    # flow, and a longer one ran the noise flow and U on its extra levels;
+    # all three are refused before the shared problem is even looked up
+    def no_work(*args):
+        raise AssertionError("the time grids were not compared up front")
+    monkeypatch.setattr(lagflow.fixedpoint, "problem_for", no_work)
+    rho0, u0 = perturbed_data()
+    Q = make_transport_field(2, "stream", K=2, amplitude=5e-4)
+    forcing = StochasticForcing.default_modes(GRID, 1, 1e-3)
+    bw = sample_brownian(Q.K, forcing.M, T, dt, seed=3)
+    with pytest.raises(ValueError, match=r"time grid .*50 steps of 0\.001"):
+        picard_solve(rho0, u0, PARAMS, SolveConfig(), Q, bw, forcing)
 
 
 def test_picard_ball_violation_aborts():

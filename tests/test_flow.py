@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lagflow.interp
+from flow_oracle import integrate_label_flow as contract_label_flow
 from flow_oracle import per_level_compose
 from lagflow.fields import (Grid, SlobodeckijWindow, TimeSeries, gradient_values,
                             spatial_norm)
@@ -253,6 +255,41 @@ def test_flow_stage_matches_per_level_compose_oracle(dim, monkeypatch):
         for name in ("times", "X", "gradX", "Z", "J", "valid"):
             assert np.array_equal(getattr(window, name), getattr(want, name)), name
     assert np.max(np.abs(window.gradX - np.eye(dim))) > 1e-3   # a nontrivial map
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_label_flow_matches_contract_oracle(dim):
+    # the component-major variational sums hold the bits of the node-major
+    # contract sums in every output, on the whole window and a stopped one
+    if dim == 2:
+        g, Q = Grid(2, (17, 19)), make_transport_field(2, "stream", K=2, amplitude=0.1)
+    else:
+        g, Q = Grid(3, (9, 10, 11)), make_transport_field(3, "rotation", K=1, amplitude=1.0)
+    cfg = SolveConfig(T=0.02, dt=DT)
+    times = cfg.times
+    nf = integrate_noise_flow(Q, sample_brownian(Q.K, 0, cfg.T, DT, seed=5), g)
+    if dim == 3:
+        # a rigid rotation has grad Dpsi^{-1} = 0; a smooth made-up gradient
+        # puts every term of the chain-rule sum to work
+        pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)
+        bumps = np.sin(np.pi * pts[..., :, None, None] - pts[..., None, :, None]
+                       + 2.0 * pts[..., None, None, :])
+        nf = dataclasses.replace(nf, grad_Dpsi_inv=nf.grad_Dpsi_inv + 0.5 * bumps)
+    c = g.coords()
+    waves = [np.sin((d + 1) * np.pi * c[..., d] + 0.3) * np.cos(np.pi * c[..., -1 - d])
+             for d in range(dim)]
+    scale = (1.0 + 20.0 * times).reshape((-1,) + (1,) * dim)
+    values = np.stack([0.4 * (1 - 2 * (d % 2)) * scale * waves[d] for d in range(dim)],
+                      axis=-1)
+    values[:, 0] = -0.0                 # a face of signed zeros in the drift
+    ubar = TimeSeries(g, times, values)
+    for u in (ubar, ubar.restrict(7)):
+        got, want = integrate_label_flow(u, nf), contract_label_flow(u, nf)
+        for name in ("times", "Y", "gradY", "X", "Dpsi_Y", "grad_ubar"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and np.array_equal(a, b), name
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+    assert np.max(np.abs(got.gradY - np.eye(dim))) > 1e-3    # a nontrivial map
 
 
 def test_singular_level_gets_nan_inverse():

@@ -18,7 +18,8 @@ from lagflow.nonlinear import (
     nonlinearity_norm_report,
 )
 
-from term_oracle import einsum_F_Gamma, einsum_F_u, f_gamma_point, f_u_point
+from term_oracle import (einsum_F_Gamma, einsum_F_u, f_gamma_point, f_u_point,
+                         per_frame_energy_report)
 
 GRID = Grid(2, (17, 17))
 PARAMS = FluidParams(mu=1.0, lam=0.5, a=1.0, gamma=2.0, p_ext=1.0)
@@ -426,6 +427,30 @@ def test_energy_nonnegative_dissipation():
                         identity_window(GRID, times), PARAMS)
     assert np.all(rep["dissipation"] >= 0.0)
     assert np.all(rep["energy"] >= 0.0)
+
+
+@pytest.mark.parametrize("grid", [GRID, Grid(3, (9, 10, 11))])
+def test_energy_report_matches_per_frame_oracle(grid):
+    # the densities are formed on the whole window, on a window shorter than
+    # the velocity and density stacks; every reported number keeps the bits
+    # of the per-frame report
+    rng = np.random.default_rng(grid.dim)
+    times = np.linspace(0, 0.02, 11)
+    c = grid.coords()
+    waves = np.stack([np.sin(np.pi * (d + 1) * c[..., d] + rng.normal())
+                      for d in range(grid.dim)], axis=-1)
+    scale = (1.0 + 30.0 * times).reshape((-1,) + (1,) * (grid.dim + 1))
+    ub = TimeSeries(grid, times, 0.2 * scale * waves)
+    gradX = (np.eye(grid.dim) + 0.05 * scale[..., None]
+             * np.sin(3.0 * waves[..., :, None] - waves[..., None, :]))
+    window = FlowWindow.from_map(times[:8], ub.values[:8], gradX[:8], 0.25)
+    rho = 1.0 + 0.1 * np.cos(scale[..., 0] * waves[..., 0])
+    got = energy_report(rho, ub, window, PARAMS)
+    want = per_frame_energy_report(rho, ub, window, PARAMS)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert len(got[key]) == 8
+        assert np.array_equal(got[key].view(np.int64), want[key].view(np.int64)), key
 
 
 # ---------------------------------------------------------------------------
