@@ -256,7 +256,7 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
         kin[1:1 + len(kin_residuals)] = kin_residuals[: n_rows - 1]
 
     summary = {
-        "seed": bundle.metadata.get("seed"),
+        "seed": bundle.seed,
         "config": {"solve": asdict(bundle.problem.cfg),
                    "fluid": asdict(bundle.problem.params)},
         "tau": bundle.tau,

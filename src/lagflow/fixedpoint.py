@@ -262,15 +262,13 @@ def _drift(v: TimeSeries, U: TimeSeries) -> TimeSeries:
 
 def _monitor_window(window: FlowWindow, cfg: SolveConfig, grid: Grid,
                     anchor: MonitorAnchor | None = None,
-                    prev: FlowWindow | None = None,
                     ) -> tuple[MonitorResult | None, int]:
     """Stopping monitor of the flow window and the usable window length.
 
-    With an anchor and the window ``prev`` its drift was last moved to, a
-    window the anchor certifies keeps all its levels without a monitor run
-    (the monitor is None); otherwise the exact monitor decides.
+    With an anchor, a window it certifies keeps all its levels without a
+    monitor run (the monitor is None); otherwise the exact monitor decides.
     """
-    if anchor is not None and anchor.certify(window, prev, cfg, grid):
+    if anchor is not None and anchor.certify(window, cfg, grid):
         return None, len(window)
     monitor = stopping_monitor(window, cfg, grid)
     n_frames = len(window) if not monitor.fired else max(2, monitor.fired_index + 1)
@@ -317,14 +315,12 @@ def _assemble_and_solve(ubar: TimeSeries, window: FlowWindow,
 
 
 def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
-              nf: NoiseFlow, anchor: MonitorAnchor | None = None,
-              prev: FlowWindow | None = None) -> PsiResult:
+              nf: NoiseFlow, anchor: MonitorAnchor | None = None) -> PsiResult:
     """One application of the solution map on the monitored window;
-    ``anchor`` and ``prev`` go to ``_monitor_window``."""
+    ``anchor`` goes to ``_monitor_window``."""
     ubar = _drift(v1, U)
     window, grad_ubar = _flow_stage(ubar, nf, problem.cfg)
-    monitor, n_frames = _monitor_window(window, problem.cfg, ubar.grid,
-                                        anchor, prev)
+    monitor, n_frames = _monitor_window(window, problem.cfg, ubar.grid, anchor)
     return _assemble_and_solve(ubar, window, monitor, n_frames, grad_ubar,
                                problem)
 
@@ -383,7 +379,7 @@ class SolutionBundle:
     energy: dict
     rho_positive: bool
     problem: Problem
-    metadata: dict = dc_field(default_factory=dict)
+    seed: int | None           # the Brownian bundle's (None without one)
     # (window, margins, volumes) of eulerian's injectivity certificate, set
     # on first use; ``dataclasses.replace`` starts a new bundle without it
     certificate: tuple | None = dc_field(default=None, init=False,
@@ -405,24 +401,24 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     Every iterate is one ``apply_Psi`` call.  The first runs the exact
     stopping monitor, whose anchor keeps the pair and frame norms of that
     window.  A later iterate's window is first put to the anchor
-    (``MonitorAnchor.certify``, against the previous iterate's window): a
-    certified iterate keeps all its levels, as the exact monitor would, and
-    carries no monitor result; a declined one runs the exact monitor, which
-    becomes the new anchor.  The rebuild always runs the exact monitor, so
-    the returned ``monitor`` and every output are those of exact monitors on
-    every iterate.
+    (``MonitorAnchor.certify``): a certified iterate keeps all its levels,
+    as the exact monitor would, and carries no monitor result; a declined
+    one runs the exact monitor, which becomes the new anchor.  The rebuild
+    always runs the exact monitor, so the returned ``monitor`` and every
+    output are those of exact monitors on every iterate.
 
     Forcing modes or transport fields without a Brownian bundle raise
-    ``ValueError``, and so does a bundle on another time grid than
+    ``ValueError``, and so do a bundle on another time grid than
     ``cfg.times`` (another step count, or steps that miss ``cfg.T`` by more
-    than the configuration's rounding), before any work.  Two aborts: a
-    ``ValueError`` before the first iterate when r + E1(v_ref) > R, and a
-    ``PicardDivergence`` carrying the iterate differences when an iterate
-    leaves the centered ball of radius r around v_ref, or when the
-    differences fail to contract three times in a row.  The ball norm of
-    the first iterate is its difference; a later iterate is inside the ball
-    when (1 + 1e-9) times the sum of the differences so far is below r, and
-    only otherwise is its ball norm taken.
+    than the configuration's rounding), a forcing mode on another grid than
+    ``rho0`` and transport fields of another dimension, before any work.
+    Two aborts: a ``ValueError`` before the first iterate when
+    r + E1(v_ref) > R, and a ``PicardDivergence`` carrying the iterate
+    differences when an iterate leaves the centered ball of radius r around
+    v_ref, or when the differences fail to contract three times in a row.
+    The ball norm of the first iterate is its difference; a later iterate is
+    inside the ball when (1 + 1e-9) times the sum of the differences so far
+    is below r, and only otherwise is its ball norm taken.
 
     The noise-free part of the run comes from ``problem_for``: every path
     of one (rho0, u0, params, cfg) on one grid shares the Lame operator,
@@ -437,8 +433,14 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
             f"the Brownian bundle's time grid ({bundle.n_steps} steps of "
             f"{bundle.step:g} to T = {bundle.T:g}) is not the configuration's "
             f"({len(times) - 1} steps of {cfg.dt:g} to T = {cfg.T:g})")
-    problem = problem_for(rho0, u0, params, cfg)
     grid = rho0.grid
+    for mode in [] if forcing is None else forcing.modes:
+        if mode.grid != grid:
+            raise ValueError(f"a forcing mode lives on {mode.grid}, the "
+                             f"problem on {grid}")
+    if Q.dim != grid.dim:
+        raise ValueError(f"{Q.dim}D transport fields on a {grid.dim}D grid")
+    problem = problem_for(rho0, u0, params, cfg)
     if problem.compat > 1e-8:
         warnings.warn(f"initial compatibility residual {problem.compat:.3e}; "
                       "the run proceeds", stacklevel=2)
@@ -466,12 +468,10 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     n_frames = len(times)
     diffs: list[float] = []
     anchor: MonitorAnchor | None = None
-    prev: FlowWindow | None = None
     converged = False
     rising = 0
     for it in range(1, cfg.picard_max_iter + 1):
-        res = apply_Psi(v_prev.restrict(n_frames), U, problem, nf, anchor,
-                        prev)
+        res = apply_Psi(v_prev.restrict(n_frames), U, problem, nf, anchor)
         if res.monitor is not None:
             anchor = res.monitor.anchor
         n_frames = min(n_frames, res.n_frames)
@@ -496,7 +496,6 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
             raise PicardDivergence(
                 f"iterate {it} left the centered ball (|v - v_ref| = {ball:.3g} "
                 f"> r = {cfg.r})", diffs)
-        prev = res.window
         v_prev = res.v
         if d <= cfg.picard_tol:
             converged = True
@@ -535,12 +534,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     return SolutionBundle(
         grid, times[:keep], v_out, U_out, ubar_out, rho_stack, window, monitor,
         tau, kappa, iterations, diffs, converged, energy, positive, problem,
-        metadata={
-            "seed": None if bundle is None else bundle.seed,
-            "ref_norm": problem.ref_norm,
-            "unbounded_transport_fields": bool(getattr(Q, "unbounded", False)),
-        },
-    )
+        None if bundle is None else bundle.seed)
 
 
 def contraction_probe(v1: TimeSeries, v2: TimeSeries, U: TimeSeries,

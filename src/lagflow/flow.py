@@ -116,7 +116,6 @@ class NoiseFlow:
     psi: np.ndarray
     Dpsi: np.ndarray
     Dpsi_inv: np.ndarray
-    det_Dpsi: np.ndarray
     grad_Dpsi_inv: np.ndarray
     interp_axes: InterpAxes = field(init=False, repr=False, compare=False)
 
@@ -217,12 +216,11 @@ def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
                 f"t = {bundle.times[n + 1]:.6g} (scheme blow-up)")
         psi[n + 1] = x
         Dpsi[n + 1] = D
-    det = mat_det(Dpsi)
-    Dpsi_inv = mat_inv(Dpsi, det)
+    Dpsi_inv = mat_inv(Dpsi)
     grad_inv = np.empty(Dpsi_inv.shape + (dim,))
     for d, ax in enumerate(axes):
         grad_inv[..., d] = np.gradient(Dpsi_inv, ax, axis=1 + d, edge_order=2)
-    return NoiseFlow(axes, bundle.times.copy(), psi, Dpsi, Dpsi_inv, det, grad_inv)
+    return NoiseFlow(axes, bundle.times.copy(), psi, Dpsi, Dpsi_inv, grad_inv)
 
 
 def identity_noise_flow(grid: Grid, times: np.ndarray, pad_cells: int = 4) -> NoiseFlow:
@@ -233,10 +231,9 @@ def identity_noise_flow(grid: Grid, times: np.ndarray, pad_cells: int = 4) -> No
     L = len(times)
     psi = np.broadcast_to(pts0, (L,) + pts0.shape).copy()
     Dpsi = np.broadcast_to(np.eye(dim), (L,) + pts0.shape[:-1] + (dim, dim)).copy()
-    det = np.ones((L,) + pts0.shape[:-1])
     grad_inv = np.zeros((L,) + pts0.shape[:-1] + (dim, dim, dim))
     return NoiseFlow(axes, np.asarray(times, float), psi, Dpsi, Dpsi.copy(),
-                     det, grad_inv)
+                     grad_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +442,15 @@ def direct_flow_oracle(ubar: TimeSeries, Q: TransportField,
 
 @dataclass
 class MonitorAnchor:
-    """The O(L^2) scalars an exact monitor run leaves to certify later windows.
+    """The state an exact monitor run leaves to certify later windows.
 
     On the n levels the run took in, for f = Z - I (index 0) and f = J - 1
     (index 1), with X = H^{1,q}: ``pair`` (2, n, n), whose row k holds the
     pair norms a_ik = |f_i - f_k|_X for i < k (zero elsewhere); ``frame``
-    (2, n), the frame norms |f_k|_X; and ``drift`` (2, n), e_k, the sum of
+    (2, n), the frame norms |f_k|_X; ``drift`` (2, n), e_k, the sum of
     |f_k(W) - f_k(W')|_X over the windows W certified since, each against
-    the window W' before it.  No frames are kept.  By the triangle
+    the reference window W' before it; and ``window``, the reference window
+    (the run's, then the last one certified).  By the triangle
     inequality a_ik + e_i + e_k bounds every pair norm of the latest
     window, and |f_k|_X + e_k every frame norm.
     """
@@ -461,39 +459,41 @@ class MonitorAnchor:
     pair: np.ndarray
     frame: np.ndarray
     drift: np.ndarray
+    window: FlowWindow
 
     @classmethod
-    def from_sums(cls, sums: tuple[SlobodeckijWindow, ...]) -> "MonitorAnchor":
-        """The anchor of the running sums of Z - I and J - 1 of a monitor run."""
+    def from_sums(cls, sums: tuple[SlobodeckijWindow, ...],
+                  window: FlowWindow) -> "MonitorAnchor":
+        """The anchor of the sums of Z - I and J - 1 of a run on ``window``."""
         n = len(sums[0].pair_pow)
         pair = np.zeros((2, n, n))
         for s, acc in enumerate(sums):
             for k, row in enumerate(acc.pair_pow):
                 pair[s, k, :k] = row ** (1.0 / acc.p)
         frame = np.array([acc.frame_pow[:n] ** (1.0 / acc.p) for acc in sums])
-        return cls(sums[0].times[:n].copy(), pair, frame, np.zeros((2, n)))
+        return cls(sums[0].times[:n].copy(), pair, frame, np.zeros((2, n)),
+                   window)
 
-    def bound(self, window: FlowWindow, prev: FlowWindow, cfg: SolveConfig,
+    def bound(self, window: FlowWindow, cfg: SolveConfig,
               grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         """Upper bounds of the monitor totals of ``window`` and its drift.
 
-        On the levels 0 .. len(window) - 2, which must lie in the anchor and
-        in ``prev``, the window the drift was last moved to (at first the
-        one the anchor was taken on): e_k grows by the H^{1,q} norms of the
-        level differences of Z and J against ``prev``, the bounded pair and
-        frame norms go through the L^p-in-time and Gagliardo sums of
-        ``SlobodeckijWindow`` as whole arrays, and the window's exact
-        |grad X - I|_X enter as a running sup.  The cost is three H^{1,q}
-        frame norms per level and O(L^2) scalars, against the O(L^2) pair
-        rows of an exact run.
+        On the levels 0 .. len(window) - 2, which must lie in the anchor:
+        e_k grows by the H^{1,q} norms of the level differences of Z and J
+        against the reference window, the bounded pair and frame norms go
+        through the L^p-in-time and Gagliardo sums of ``SlobodeckijWindow``
+        as whole arrays, and the window's exact |grad X - I|_X enter as a
+        running sup.  The cost is three H^{1,q} frame norms per level and
+        O(L^2) scalars, against the O(L^2) pair rows of an exact run.
         """
         m = len(window) - 1
         eye = np.eye(grid.dim)
+        ref = self.window
         gnorms, step = np.empty(m), np.empty((2, m))
         for sl in frame_chunks(grid, m, window.Z[0].size):
             gnorms[sl] = frame_norms(grid, window.gradX[sl] - eye, "H1q", cfg.q)
-            step[0, sl] = frame_norms(grid, window.Z[sl] - prev.Z[sl], "H1q", cfg.q)
-            step[1, sl] = frame_norms(grid, window.J[sl] - prev.J[sl], "H1q", cfg.q)
+            step[0, sl] = frame_norms(grid, window.Z[sl] - ref.Z[sl], "H1q", cfg.q)
+            step[1, sl] = frame_norms(grid, window.J[sl] - ref.J[sl], "H1q", cfg.q)
         drift = self.drift[:, :m] + step
         t = self.times[:m]
         lower = np.tri(m, k=-1, dtype=bool)
@@ -510,25 +510,26 @@ class MonitorAnchor:
         htheta = (lp_pow + sem) ** (1.0 / cfg.p)
         return np.maximum.accumulate(gnorms) + htheta[0] + htheta[1], drift
 
-    def certify(self, window: FlowWindow, prev: FlowWindow, cfg: SolveConfig,
+    def certify(self, window: FlowWindow, cfg: SolveConfig,
                 grid: Grid) -> bool:
         """Whether the monitor provably keeps every level of ``window``.
 
         The window is certified when its levels 0 .. len - 2 are valid, lie
-        in the anchor and in ``prev`` and have (1 + 1e-9) * bound < delta:
-        no total reaches delta before the last level, and a crossing or an
-        invalid level at the last level keeps every frame as well.  Then
-        the drift moves to ``window`` and the anchor keeps those levels
-        only.
+        in the anchor and have (1 + 1e-9) * bound < delta: no total reaches
+        delta before the last level, and a crossing or an invalid level at
+        the last level keeps every frame as well.  Then the drift and the
+        reference window move to ``window`` and the anchor keeps those
+        levels only (so the reference window always covers them); a
+        declined window leaves the anchor as it was.
         """
         m = len(window) - 1
-        if m > len(self.times) or len(prev) < m or not window.valid[:m].all():
+        if m > len(self.times) or not window.valid[:m].all():
             return False
-        bound, drift = self.bound(window, prev, cfg, grid)
+        bound, drift = self.bound(window, cfg, grid)
         if not np.all((1.0 + 1e-9) * bound < cfg.delta):
             return False
         self.times, self.pair = self.times[:m], self.pair[:, :m, :m]
-        self.frame, self.drift = self.frame[:, :m], drift
+        self.frame, self.drift, self.window = self.frame[:, :m], drift, window
         return True
 
 
@@ -543,8 +544,7 @@ class MonitorResult:
     htheta_J: np.ndarray       # same for J - 1
     total: np.ndarray
     # the pair and frame norms of the run, for certifying later windows
-    anchor: MonitorAnchor | None = field(default=None, init=False,
-                                         repr=False, compare=False)
+    anchor: MonitorAnchor = field(repr=False, compare=False)
 
 
 def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
@@ -558,12 +558,12 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     time (``frame_chunks``); the H^{theta,p} sums advance frame by frame
     and stop at the crossing.
 
-    The result's ``anchor`` keeps the run's pair and frame norms.  The
-    Picard loop of ``fixedpoint.picard_solve`` runs this exact monitor on
-    its first iterate and on the rebuild; a later iterate whose window the
-    anchor certifies (``MonitorAnchor.certify``) keeps every level without
-    a run and carries no monitor result, and one it declines runs this
-    monitor, whose anchor then replaces the old one.
+    The result's ``anchor`` keeps the run's pair and frame norms and its
+    window.  The Picard loop of ``fixedpoint.picard_solve`` runs this exact
+    monitor on its first iterate and on the rebuild; a later iterate whose
+    window the anchor certifies (``MonitorAnchor.certify``) keeps every
+    level without a run and carries no monitor result, and one it declines
+    runs this monitor, whose anchor then replaces the old one.
     """
     eye = np.eye(grid.dim)
     times = window.times
@@ -597,12 +597,10 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     fired = fired_index is not None
     n_kept = len(tot_run)
     sigma = float(times[fired_index]) if fired else float(times[-1])
-    result = MonitorResult(
+    return MonitorResult(
         sigma, fired, fired_index, times[:n_kept],
         np.array(sup_run), np.array(hZ_run), np.array(hJ_run), np.array(tot_run),
-    )
-    result.anchor = MonitorAnchor.from_sums((accZ, accJ))
-    return result
+        MonitorAnchor.from_sums((accZ, accJ), window))
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,19 @@ class BrownianBundle:
 
     @classmethod
     def load(cls, path) -> "BrownianBundle":
+        """Read a ``dump``; a malformed file raises ``ValueError``."""
         with open(path, "rb") as fh:
-            header = fh.read(struct.calcsize(_HEADER))
-            K, M, n_steps, step, seed, level = struct.unpack(_HEADER, header)
-            raw = np.frombuffer(fh.read(), dtype="<f8")
+            data = fh.read()
+        size = struct.calcsize(_HEADER)
+        if len(data) < size:
+            raise ValueError(f"{path}: a Brownian bundle header needs {size} "
+                             f"bytes, the file has {len(data)}")
+        K, M, n_steps, step, seed, level = struct.unpack_from(_HEADER, data)
+        want = (K + M) * (n_steps + 1) * 8
+        if min(K, M, n_steps) < 0 or len(data) - size != want:
+            raise ValueError(f"{path}: K = {K}, M = {M} and {n_steps} steps need "
+                             f"{want} value bytes, found {len(data) - size}")
+        raw = np.frombuffer(data, dtype="<f8", offset=size)
         values = raw.reshape(K + M, n_steps + 1).astype(float)
         return cls(K, M, step, values, seed, level)
 
@@ -151,8 +160,7 @@ class TransportField:
     * ``stream``   -- dim 2, Q_k = (d2 phi_k, -d1 phi_k) for products of sines
 
     Linear/rotation kinds are unbounded on R^dim; they are admissible here
-    because every evaluation happens on a bounded neighborhood of the domain,
-    and runs record that in their metadata.
+    because every evaluation happens on a bounded neighborhood of the domain.
     """
 
     def __init__(self, dim: int, kind: str, params: dict):
@@ -160,7 +168,6 @@ class TransportField:
         self.kind = kind
         self.params = params
         self.K = params["K"]
-        self.unbounded = kind in ("linear",)
 
     # each evaluator maps pts of shape (..., dim) per path index k
 
@@ -227,6 +234,10 @@ class TransportField:
 def make_transport_field(dim: int, kind: str, K: int, amplitude: float = 1.0,
                          center=None) -> TransportField:
     """Standard field families used by the experiment driver."""
+    if kind not in ("constant", "rotation", "linear_test", "stream"):
+        raise ValueError(f"unknown transport field kind {kind!r}")
+    if kind == "stream" and dim != 2:
+        raise ValueError("stream-function transport fields require dim 2")
     if K == 0:
         return TransportField(dim, "constant", {"K": 0, "b": np.zeros((0, dim))})
     if kind == "constant":
@@ -250,15 +261,11 @@ def make_transport_field(dim: int, kind: str, K: int, amplitude: float = 1.0,
         A = np.broadcast_to(np.eye(dim), (K, dim, dim)).copy()
         return TransportField(dim, "linear", {
             "K": K, "A": A, "b": np.zeros((K, dim)), "c": np.zeros((K, dim))})
-    if kind == "stream":
-        if dim != 2:
-            raise ValueError("stream-function transport fields require dim 2")
-        modes = [(1, 1), (2, 1), (1, 2), (2, 2)][:K]
-        if K > 4:
-            raise ValueError("at most 4 stream modes are predefined")
-        return TransportField(dim, "stream", {
-            "K": K, "a": np.full(K, amplitude), "modes": modes})
-    raise ValueError(f"unknown transport field kind {kind!r}")
+    if K > 4:
+        raise ValueError("at most 4 stream modes are predefined")
+    modes = [(1, 1), (2, 1), (1, 2), (2, 2)][:K]
+    return TransportField(dim, "stream", {
+        "K": K, "a": np.full(K, amplitude), "modes": modes})
 
 
 # ---------------------------------------------------------------------------

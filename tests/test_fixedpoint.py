@@ -274,7 +274,7 @@ def test_picard_deterministic_same_seed_identical():
     assert np.array_equal(runs[0].v.values, runs[1].v.values)
     assert np.array_equal(runs[0].rho, runs[1].rho)
     assert runs[0].tau == runs[1].tau
-    assert runs[0].metadata["seed"] == 7
+    assert runs[0].seed == 7
 
 
 def test_picard_fixed_point_residual():
@@ -317,6 +317,34 @@ def test_picard_rejects_a_bundle_on_another_time_grid(T, dt, monkeypatch):
     bw = sample_brownian(Q.K, forcing.M, T, dt, seed=3)
     with pytest.raises(ValueError, match=r"time grid .*50 steps of 0\.001"):
         picard_solve(rho0, u0, PARAMS, SolveConfig(), Q, bw, forcing)
+
+
+class ProblemReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("forcing_grid, Q, error", [
+    (Grid(2, (17, 17)), make_transport_field(2, "stream", 2, 5e-4),
+     "forcing mode lives on .*17, 17.*33, 33"),
+    (GRID, make_transport_field(3, "rotation", 1, 1e-3),
+     "3D transport fields on a 2D grid"),
+    (Grid(2, (33, 33)), make_transport_field(2, "stream", 2, 5e-4), None),
+], ids=["forcing-on-another-grid", "3d-field-on-2d-grid", "equal-grid"])
+def test_picard_checks_the_grid_of_every_input(forcing_grid, Q, error,
+                                               monkeypatch):
+    # forcing modes on another grid used to fail in a broadcast of the
+    # stochastic convolution, a 3D field on a 2D grid in the noise flow; an
+    # equal grid instance passes the check and reaches the shared problem
+    def reached(*args):
+        raise ProblemReached
+    monkeypatch.setattr(lagflow.fixedpoint, "problem_for", reached)
+    rho0, u0 = perturbed_data()
+    forcing = StochasticForcing.default_modes(forcing_grid, 1, 1e-3)
+    cfg = SolveConfig()
+    bw = sample_brownian(Q.K, forcing.M, cfg.T, cfg.dt, seed=3)
+    with pytest.raises(ProblemReached if error is None else ValueError,
+                       match=error):
+        picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
 
 
 def test_picard_ball_violation_aborts():

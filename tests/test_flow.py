@@ -103,7 +103,7 @@ def test_divergence_free_volume_error_small_and_converging():
     b = sample_brownian(1, 0, T, DT, seed=3)
     for _ in range(2):
         nf = integrate_noise_flow(Q, b, GRID)
-        errs.append(np.max(np.abs(nf.det_Dpsi - 1.0)))
+        errs.append(np.max(np.abs(mat_det(nf.Dpsi) - 1.0)))
         b = refine_bridge(b)
     assert errs[0] <= 5e-3
     assert errs[1] <= errs[0]
@@ -566,45 +566,49 @@ def test_anchor_bound_dominates_exact_totals(seed, dim, L, scale, steps):
     grid = Grid(dim, (9, 10, 9)[:dim])
     times = 1e-3 * np.arange(L)
     gradX, X = smooth_window(grid, times, rng, scale)
-    prev = window_of(times, X, gradX)
-    anchor = stopping_monitor(prev, OPEN, grid).anchor
+    anchor = stopping_monitor(window_of(times, X, gradX), OPEN, grid).anchor
     moved = False
     for size in steps:
         moved = moved or size > 0.0
         gradX = gradX + size * rng.normal(size=gradX.shape) * (
             times / times[-1]).reshape((-1,) + (1,) * (dim + 2))
         window = window_of(times, X, gradX)
-        bound, drift = anchor.bound(window, prev, OPEN, grid)
+        bound, drift = anchor.bound(window, OPEN, grid)
         exact = stopping_monitor(window, OPEN, grid).total[:L - 1]
         assert np.all(exact <= (1.0 + 1e-9) * bound)
         if not moved:           # no motion: the bound is the exact total
             np.testing.assert_allclose(bound, exact, rtol=1e-12, atol=1e-300)
-        assert anchor.certify(window, prev, OPEN, grid)
+        assert anchor.certify(window, OPEN, grid)
         assert np.array_equal(anchor.drift, drift)
-        prev = window
+        assert anchor.window is window
+
+
+def lifted_windows(lift):
+    """A smooth 21-level window on 17^2 and a copy with every level after
+    the first lifted by ``lift`` * I."""
+    g = Grid(2, (17, 17))
+    times = TIMES[:21]
+    gradX, X = smooth_window(g, times, np.random.default_rng(4), 5e-2)
+    lifted = gradX.copy()
+    lifted[1:] += lift * np.eye(2)
+    return g, times, window_of(times, X, gradX), window_of(times, X, lifted)
 
 
 def test_lifted_bound_falls_back_to_the_exact_monitor():
     # a perturbation that lifts the bound to delta is declined: the exact
     # monitor decides the window length, and its anchor replaces the old one
-    g = Grid(2, (17, 17))
-    times = TIMES[:21]
-    gradX, X = smooth_window(g, times, np.random.default_rng(4), 5e-2)
-    w0 = window_of(times, X, gradX)
-    lifted = gradX.copy()
-    lifted[1:] += 2e-3 * np.eye(2)
-    w1 = window_of(times, X, lifted)
+    g, times, w0, w1 = lifted_windows(2e-3)
     m = len(times) - 1
     mon0 = stopping_monitor(w0, OPEN, g)
     before = mon0.total[:m]
     exact = stopping_monitor(w1, OPEN, g).total[:m]
-    bound, _ = mon0.anchor.bound(w1, w0, OPEN, g)
+    bound, _ = mon0.anchor.bound(w1, OPEN, g)
     assert before.max() < exact.max() < bound.max()
     # delta between the exact totals and the bound: the window stays whole
     delta = 0.5 * (exact.max() + bound.max())
     cfg = SolveConfig(delta=delta, eps_star=1e9)
     anchor = stopping_monitor(w0, cfg, g).anchor
-    mon, n_frames = _monitor_window(w1, cfg, g, anchor, w0)
+    mon, n_frames = _monitor_window(w1, cfg, g, anchor)
     assert mon is not None and n_frames == len(times)
     assert mon.fired_index in (None, m)         # no crossing before the last level
     assert mon.anchor is not anchor and len(mon.anchor.times) == len(times)
@@ -612,13 +616,35 @@ def test_lifted_bound_falls_back_to_the_exact_monitor():
     delta = 0.5 * (before[-1] + exact[-1])
     cfg = SolveConfig(delta=delta, eps_star=1e9)
     anchor = stopping_monitor(w0, cfg, g).anchor
-    mon, n_frames = _monitor_window(w1, cfg, g, anchor, w0)
+    mon, n_frames = _monitor_window(w1, cfg, g, anchor)
     want = stopping_monitor(w1, cfg, g)
     assert want.fired and want.fired_index < m
     assert mon is not None and mon.fired_index == want.fired_index
     assert n_frames == want.fired_index + 1 < len(times)
     # an unperturbed window is certified without a monitor run
-    assert _monitor_window(w0, cfg, g, anchor, w0) == (None, len(times))
+    assert _monitor_window(w0, cfg, g, anchor) == (None, len(times))
+
+
+def test_certify_moves_the_reference_window_only_when_it_certifies():
+    # the lifted window of the test above is declined and leaves the anchor
+    # as it was; a slightly moved window is certified and becomes the
+    # reference window the next bound is taken against
+    g, times, w0, w1 = lifted_windows(2e-3)
+    m = len(times) - 1
+    exact = stopping_monitor(w1, OPEN, g).total[:m]
+    bound, _ = stopping_monitor(w0, OPEN, g).anchor.bound(w1, OPEN, g)
+    cfg = SolveConfig(delta=0.5 * (exact.max() + bound.max()), eps_star=1e9)
+    anchor = stopping_monitor(w0, cfg, g).anchor
+    assert anchor.window is w0
+    before = (anchor.times, anchor.drift, anchor.pair, anchor.frame)
+    assert not anchor.certify(w1, cfg, g)
+    assert anchor.window is w0
+    assert all(a is b for a, b in zip(
+        (anchor.times, anchor.drift, anchor.pair, anchor.frame), before))
+    w2 = lifted_windows(1e-7)[3]
+    assert anchor.certify(w2, cfg, g)
+    assert anchor.window is w2
+    assert len(anchor.times) == m and np.all(anchor.drift[:, 1:] > 0.0)
 
 
 # ---------------------------------------------------------------------------

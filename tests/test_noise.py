@@ -111,9 +111,34 @@ def test_dump_load_roundtrip(tmp_path):
     assert np.array_equal(coarse.values, b.values)
 
 
+@pytest.mark.parametrize("edit, error", [
+    (lambda raw: b"", "header needs 48 bytes, the file has 0"),
+    (lambda raw: raw[:20], "header needs 48 bytes, the file has 20"),
+    (lambda raw: raw[:-3], "93 steps need 2256 value bytes, found 2253"),
+    (lambda raw: raw + bytes(8), "need 2256 value bytes, found 2264"),
+], ids=["empty", "short-header", "truncated", "padded"])
+def test_load_rejects_a_malformed_file(tmp_path, edit, error):
+    p = tmp_path / "bundle.bin"
+    sample_brownian(2, 1, 0.93, 0.01, seed=9).dump(p)
+    p.write_bytes(edit(p.read_bytes()))
+    with pytest.raises(ValueError, match=f"bundle.bin: .*{error}"):
+        BrownianBundle.load(p)
+
+
 # ---------------------------------------------------------------------------
 # transport fields and Stratonovich drift
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim, kind, error", [
+    (2, "bogus", "unknown transport field kind"),
+    (3, "stream", "require dim 2"),
+], ids=["unknown-kind", "3d-stream"])
+def test_transport_field_kind_is_checked_for_every_K(dim, kind, error):
+    for K in (0, 1):
+        with pytest.raises(ValueError, match=error):
+            make_transport_field(dim, kind, K)
+    assert make_transport_field(dim, "constant", 0).K == 0
+
 
 def test_constant_field_drift_vanishes():
     Q = make_transport_field(2, "constant", K=2, amplitude=0.7)
