@@ -9,7 +9,8 @@ Sobolev / Sobolev-Slobodeckij norms used by the run monitors.  The first
 derivative has the arithmetic of ``np.gradient(..., edge_order=2)`` on a
 uniform spacing, in numpy's own expressions, written straight into the
 caller's output: the gradient and the Hessian allocate their result once
-and fill it one derivative axis (or axis pair) at a time.
+and fill it one derivative axis (or axis pair) at a time.  ``lame``'s
+sparse stencil matrices are ``_d1`` and ``_d2_pure`` applied to the identity.
 
 Frame stacks.  The derivative and norm kernels take one frame
 (``extent + components``) or a stack of frames with one leading frame axis

@@ -78,8 +78,8 @@ class SolveConfig:
 
     The time step ``dt`` must be positive and divide the horizon ``T`` up
     to rounding, the Picard iteration needs at least one iterate and a
-    positive tolerance, and the noise-flow padding is a cell count; the
-    constructor raises ``ValueError`` otherwise.
+    positive tolerance; the constructor raises ``ValueError`` otherwise.
+    The noise-flow padding is the constant ``flow.PAD_CELLS``.
     """
 
     p: float = 4.0
@@ -92,7 +92,6 @@ class SolveConfig:
     dt: float = 1e-3
     picard_tol: float = 1e-9
     picard_max_iter: int = 12
-    pad_cells: int = 4
 
     def __post_init__(self):
         if not self.p > 2:
@@ -117,8 +116,6 @@ class SolveConfig:
                 f"need picard_max_iter >= 1, got {self.picard_max_iter}")
         if not self.picard_tol > 0:
             raise ValueError(f"need picard_tol > 0, got {self.picard_tol}")
-        if self.pad_cells < 0:
-            raise ValueError(f"need pad_cells >= 0, got {self.pad_cells}")
 
     @property
     def theta(self) -> float:
@@ -222,11 +219,7 @@ def problem_for(rho0: Field, u0: Field, params: FluidParams,
     grid._cache.pop("problem", None)  # release the old factorizations first
     rho0, u0, cfg = rho0.copy(), u0.copy(), replace(cfg)
     op = LameOperator(grid, rho0, params)
-    with warnings.catch_warnings():
-        # the traction mismatch of incompatible data is reported through
-        # the compatibility residual, by every picard_solve of the problem
-        warnings.simplefilter("ignore", UserWarning)
-        v_ref = solve_reference(op, rho0, u0, params, cfg)
+    v_ref = solve_reference(op, rho0, u0, params, cfg)
     problem = Problem(rho0, u0, params, cfg, op, v_ref,
                       e1_norm(v_ref, cfg.p, cfg.q),
                       compatibility_check(op, rho0, u0, params))
@@ -306,11 +299,7 @@ def _assemble_and_solve(ubar: TimeSeries, window: FlowWindow,
                                  window.Z, window.J, problem.rho0.values,
                                  problem.params)
     f_series = TimeSeries(grid, times_w, F_u)
-    with warnings.catch_warnings():
-        # the traction data of the map equals (p(rho0) - p_ext) N at t = 0
-        # up to discretization; the initial check is reported by the driver
-        warnings.simplefilter("ignore", UserWarning)
-        v = solve_lame(problem.op, f_series, F_G_b, problem.u0, times_w)
+    v = solve_lame(problem.op, f_series, F_G_b, problem.u0, times_w)
     return PsiResult(v, window, monitor, L)
 
 
@@ -408,7 +397,8 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     output are those of exact monitors on every iterate.
 
     Forcing modes or transport fields without a Brownian bundle raise
-    ``ValueError``, and so do a bundle on another time grid than
+    ``ValueError``, and so do rho0 and u0 other than a scalar and a vector
+    field on one grid, a bundle on another time grid than
     ``cfg.times`` (another step count, or steps that miss ``cfg.T`` by more
     than the configuration's rounding), a forcing mode on another grid than
     ``rho0`` and transport fields of another dimension, before any work.
@@ -423,7 +413,9 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     The noise-free part of the run comes from ``problem_for``: every path
     of one (rho0, u0, params, cfg) on one grid shares the Lame operator,
     its step factorization and the reference solution.  The compatibility
-    warning comes on every call, also when the problem is shared.
+    residual (``compatibility_check``, the one check of B u0 = g(0)) above
+    1e-8 warns on every call; Python's default filter shows it once per
+    calling line, ``simplefilter("always")`` on every call.
     """
     times = cfg.times
     if bundle is not None and (
@@ -434,6 +426,12 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
             f"{bundle.step:g} to T = {bundle.T:g}) is not the configuration's "
             f"({len(times) - 1} steps of {cfg.dt:g} to T = {cfg.T:g})")
     grid = rho0.grid
+    if (rho0.values.shape != grid.extent or u0.grid != grid
+            or u0.values.shape != grid.extent + (grid.dim,)):
+        raise ValueError(
+            f"need a scalar rho0 and a vector u0 on one grid, got rho0 of "
+            f"shape {rho0.values.shape} on {grid} and u0 of shape "
+            f"{u0.values.shape} on {u0.grid}")
     for mode in [] if forcing is None else forcing.modes:
         if mode.grid != grid:
             raise ValueError(f"a forcing mode lives on {mode.grid}, the "
@@ -454,9 +452,9 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     if Q.K > 0:
         if bundle is None:
             raise ValueError("transport fields need a Brownian bundle")
-        nf = integrate_noise_flow(Q, bundle, grid, cfg.pad_cells)
+        nf = integrate_noise_flow(Q, bundle, grid)
     else:
-        nf = identity_noise_flow(grid, times, cfg.pad_cells)
+        nf = identity_noise_flow(grid, times)
 
     if cfg.r + problem.ref_norm > cfg.R:
         raise ValueError(

@@ -102,7 +102,7 @@ def mat_inv(A: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass
 class NoiseFlow:
-    """Noise-only flow psi tracked on a padded node grid.
+    """Noise-only flow psi tracked on the node grid padded by ``PAD_CELLS``.
 
     Arrays are stacked over time levels: ``psi`` (L, ext_p, d), ``Dpsi`` and
     ``Dpsi_inv`` (L, ext_p, d, d).  ``grad_Dpsi_inv`` holds the spatial
@@ -144,12 +144,12 @@ class NoiseFlow:
         return float(np.max(np.abs(prod - eye)))
 
 
-def _padded_axes(grid: Grid, pad_cells: int) -> list[np.ndarray]:
-    axes = []
-    for (a, b), n, h in zip(grid.box, grid.extent, grid.spacing):
-        axes.append(np.linspace(a - pad_cells * h, b + pad_cells * h,
-                                n + 2 * pad_cells))
-    return axes
+PAD_CELLS = 4  # cells the noise flow's node grid extends past the box per side
+
+
+def _padded_axes(grid: Grid) -> list[np.ndarray]:
+    return [np.linspace(a - PAD_CELLS * h, b + PAD_CELLS * h, n + 2 * PAD_CELLS)
+            for (a, b), n, h in zip(grid.box, grid.extent, grid.spacing)]
 
 
 def _transport_sums(Q: TransportField, pts, dW, with_grad=True):
@@ -183,8 +183,8 @@ def _heun_step(Q: TransportField, x: np.ndarray, D: np.ndarray,
 
 
 def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
-                         grid: Grid, pad_cells: int = 4) -> NoiseFlow:
-    """Integrate d psi = sum_k Q_k(psi) o dW_k on a padded node grid.
+                         grid: Grid) -> NoiseFlow:
+    """Integrate d psi = sum_k Q_k(psi) o dW_k on the padded node grid.
 
     The gradient flow d Dpsi = sum_k DQ_k(psi) Dpsi o dW_k is advanced with
     the same Heun staging; Dpsi_inv comes from per-point closed-form
@@ -195,7 +195,7 @@ def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
     if bundle.K != Q.K:
         raise ValueError(f"{Q.K} transport fields need as many Brownian "
                          f"paths, the bundle has {bundle.K}")
-    axes = _padded_axes(grid, pad_cells)
+    axes = _padded_axes(grid)
     dim = grid.dim
     mesh = np.meshgrid(*axes, indexing="ij")
     pts0 = np.stack(mesh, axis=-1)
@@ -223,9 +223,9 @@ def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
     return NoiseFlow(axes, bundle.times.copy(), psi, Dpsi, Dpsi_inv, grad_inv)
 
 
-def identity_noise_flow(grid: Grid, times: np.ndarray, pad_cells: int = 4) -> NoiseFlow:
+def identity_noise_flow(grid: Grid, times: np.ndarray) -> NoiseFlow:
     """The K = 0 noise flow: psi = id at every level."""
-    axes = _padded_axes(grid, pad_cells)
+    axes = _padded_axes(grid)
     dim = grid.dim
     pts0 = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     L = len(times)

@@ -3,9 +3,10 @@
 The interior operator is A u = -(mu/rho0) Lap u - ((mu+lambda)/rho0) grad div u
 on second-order stencils; boundary rows replace the evolution equation by the
 traction condition S(grad u) N = g, discretized with one-sided second-order
-stencils (ghost-node elimination).  Time stepping is implicit Euler with one
-sparse factorization per step size, shared by the deterministic solve and the
-additive stochastic convolution.
+stencils (ghost-node elimination).  The stencils are ``fields``' kernels
+``_d1`` and ``_d2_pure`` applied to the identity.  Time stepping is implicit
+Euler with one sparse factorization per step size, shared by the deterministic
+solve and the additive stochastic convolution.
 
 The stepping matrix is factored in a geometric nested-dissection order of the
 node grid (George 1973): the grid is bisected recursively along its longest
@@ -18,7 +19,6 @@ traction rows' small diagonals do not undo the ordering's low fill.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import prod
 
@@ -27,7 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import Field, Grid, TimeSeries
+from .fields import Field, Grid, TimeSeries, _d1, _d2_pure
 from .noise import BrownianBundle, StochasticForcing
 
 __all__ = [
@@ -77,40 +77,14 @@ ND_LEAF = 64              # largest nested-dissection block kept in C order
 DIAG_PIVOT_THRESH = 0.01  # SuperLU's threshold for keeping the diagonal pivot
 
 
-# ---------------------------------------------------------------------------
-# 1d stencil matrices (second order, one-sided at the ends)
-# ---------------------------------------------------------------------------
-
-def _d1_matrix(n: int, h: float) -> sp.csr_matrix:
-    m = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        m[i, i - 1] = -0.5 / h
-        m[i, i + 1] = 0.5 / h
-    m[0, 0], m[0, 1], m[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    m[n - 1, n - 3], m[n - 1, n - 2], m[n - 1, n - 1] = 0.5 / h, -2.0 / h, 1.5 / h
-    return m.tocsr()
-
-
-def _d2_matrix(n: int, h: float) -> sp.csr_matrix:
-    m = sp.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        m[i, i - 1] = 1.0 / h**2
-        m[i, i] = -2.0 / h**2
-        m[i, i + 1] = 1.0 / h**2
-    m[0, :4] = np.array([2.0, -5.0, 4.0, -1.0]) / h**2
-    m[n - 1, n - 4:] = np.array([-1.0, 4.0, -5.0, 2.0]) / h**2
-    return m.tocsr()
-
-
 def _scalar_operators(grid: Grid):
     """Per-axis first/second derivative operators on the flattened node set."""
     eyes = [sp.identity(n, format="csr") for n in grid.extent]
     d1, d2 = [], []
-    for ax in range(grid.dim):
-        mats1 = list(eyes)
-        mats2 = list(eyes)
-        mats1[ax] = _d1_matrix(grid.extent[ax], grid.spacing[ax])
-        mats2[ax] = _d2_matrix(grid.extent[ax], grid.spacing[ax])
+    for ax, (n, h) in enumerate(zip(grid.extent, grid.spacing)):
+        mats1, mats2 = list(eyes), list(eyes)
+        mats1[ax] = sp.csr_matrix(_d1(np.eye(n), 0, h))
+        mats2[ax] = sp.csr_matrix(_d2_pure(np.eye(n), 0, h, np.empty((n, n))))
         acc1, acc2 = mats1[0], mats2[0]
         for m1, m2 in zip(mats1[1:], mats2[1:]):
             acc1 = sp.kron(acc1, m1, format="csr")
@@ -286,21 +260,16 @@ def solve_lame(op: LameOperator, f: TimeSeries | None, g: np.ndarray,
                u0: Field, times: np.ndarray) -> TimeSeries:
     """Implicit Euler for dv/dt + A v = f with traction rows B v = g.
 
-    ``g`` holds boundary data per frame, shape (len(times), n_boundary, dim).
-    An initial traction mismatch |B u0 - g(0)| above 1e-8 is reported as a
-    warning; the run proceeds either way.
+    ``g`` holds boundary data per frame, shape (len(times), n_boundary, dim),
+    and ``f`` one frame per level; other frame counts raise ``ValueError``.
+    B u0 = g(0) is not checked here (``fixedpoint.compatibility_check``).
     """
     times = np.asarray(times, float)
     dt = times[1] - times[0]
     L = len(times)
     g = np.zeros((L, len(op.boundary_flat), op.grid.dim)) if g is None else np.asarray(g, float)
-    if g.shape[0] != L:
-        raise ValueError("boundary data frames must match the time grid")
-    compat = np.max(np.abs(apply_B(op, u0) - g[0]))
-    if compat > 1e-8:
-        warnings.warn(
-            f"initial traction data mismatch |B u0 - g(0)| = {compat:.3e}",
-            stacklevel=2)
+    if g.shape[0] != L or (f is not None and len(f.values) != L):
+        raise ValueError("source and boundary data frames must match the time grid")
     lu = op.stepper(dt)
     mask = op.boundary_row_mask
     out = np.empty((L,) + op.grid.extent + (op.grid.dim,))

@@ -63,7 +63,7 @@ def test_config_validates_exponents():
 
 @pytest.mark.parametrize("field, bad, edge", [
     ("picard_max_iter", 0, 1), ("picard_tol", 0.0, 1e-300),
-    ("picard_tol", -1e-9, 1e-300), ("pad_cells", -2, 0),
+    ("picard_tol", -1e-9, 1e-300),
 ])
 def test_config_validates_picard_settings(field, bad, edge):
     with pytest.raises(ValueError, match=field):
@@ -127,8 +127,7 @@ def test_reference_tracks_boundary_data():
     u0 = Field.zeros(GRID, rank=1)
     cfg = SolveConfig()
     op = LameOperator(GRID, rho0, params)
-    with pytest.warns(UserWarning):
-        v = solve_reference(op, rho0, u0, params, cfg)
+    v = solve_reference(op, rho0, u0, params, cfg)
     idx, normals = GRID.boundary_nodes()
     target = (1.0 - 0.9) * normals
     for n in (10, 50):
@@ -150,8 +149,7 @@ def test_reference_window_norm_shrinks_with_horizon():
     runs, norms = [], []
     for T in (0.05, 0.025, 0.0125):
         cfg = SolveConfig(T=T, dt=1.25e-3)
-        with pytest.warns(UserWarning):
-            v = solve_reference(op, rho0, u0, params, cfg)
+        v = solve_reference(op, rho0, u0, params, cfg)
         runs.append(v)
         norms.append(e1_norm(v, cfg.p, cfg.q))
     for longer, shorter in zip(runs, runs[1:]):
@@ -347,6 +345,27 @@ def test_picard_checks_the_grid_of_every_input(forcing_grid, Q, error,
         picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
 
 
+@pytest.mark.parametrize("which", ["u0-on-another-grid", "scalar-u0",
+                                   "vector-rho0"])
+def test_picard_needs_scalar_rho0_and_vector_u0_on_one_grid(which,
+                                                            monkeypatch):
+    # each case used to fail inside scipy with a matmul dimension mismatch
+    def no_work(*args):
+        raise AssertionError("the initial data were not checked up front")
+    monkeypatch.setattr(lagflow.fixedpoint, "problem_for", no_work)
+    rho0, u0 = perturbed_data()
+    if which == "u0-on-another-grid":
+        small = Grid(2, (17, 17))
+        u0, match = Field.zeros(small, rank=1), r"\(17, 17, 2\) on .*17, 17"
+    elif which == "scalar-u0":
+        u0, match = Field(GRID, u0.values[..., 0]), r"u0 of shape \(33, 33\) "
+    else:
+        rho0, match = Field(GRID, u0.values + 1.0), r"rho0 of shape \(33, 33, 2\)"
+    Q0 = make_transport_field(2, "constant", K=0)
+    with pytest.raises(ValueError, match=match):
+        picard_solve(rho0, u0, PARAMS, SolveConfig(), Q0, None, None)
+
+
 def test_picard_ball_violation_aborts():
     rho0, u0 = perturbed_data(amp=1.0)  # far too large for the tiny ball
     cfg = SolveConfig(r=1e-8, R=5.0, picard_tol=1e-15)
@@ -360,8 +379,7 @@ def test_picard_ball_violation_aborts():
     # With R admissible for this reference, the first iterate leaves the
     # centered ball of radius r and the iteration aborts.
     op = LameOperator(GRID, rho0, PARAMS)
-    with pytest.warns(UserWarning, match="mismatch"):
-        v_ref = solve_reference(op, rho0, u0, PARAMS, cfg)
+    v_ref = solve_reference(op, rho0, u0, PARAMS, cfg)
     cfg = dataclasses.replace(cfg, R=2 * (cfg.r + e1_norm(v_ref, cfg.p, cfg.q)))
     with pytest.warns(UserWarning, match="compatibility"):
         with pytest.raises(PicardDivergence, match="centered ball") as exc:
@@ -499,7 +517,7 @@ def probe_setup(T=0.05, delta=0.1, seed=0):
     forcing = StochasticForcing.default_modes(GRID, 1, 1e-3)
     bw = sample_brownian(2, 1, cfg.T, cfg.dt, seed=seed)
     U = solve_stoch_convolution(problem.op, forcing, bw)
-    nf = integrate_noise_flow(Q, bw, GRID, cfg.pad_cells)
+    nf = integrate_noise_flow(Q, bw, GRID)
     return problem, U, nf
 
 
@@ -545,7 +563,7 @@ def test_deterministic_path_matches_generic():
     problem = problem_for(rho0, u0, PARAMS, cfg)
     times = cfg.times
     zeroU = TimeSeries(GRID, times, np.zeros((len(times),) + GRID.extent + (2,)))
-    nf = identity_noise_flow(GRID, times, cfg.pad_cells)
+    nf = identity_noise_flow(GRID, times)
     v_gen = v_det = problem.v_ref
     for _ in range(b_gen.iterations):
         r_gen = apply_Psi(v_gen, zeroU, problem, nf)

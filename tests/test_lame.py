@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import derivative_oracle
+import lagflow.lame
 from lagflow.fields import Field, Grid, TimeSeries
+from lagflow.fixedpoint import SolveConfig, compatibility_check, picard_solve
 from lagflow.lame import (
     FluidParams,
     LameOperator,
@@ -19,7 +24,12 @@ from lagflow.lame import (
     symbol_matrix,
     traction_eigenpair,
 )
-from lagflow.noise import BrownianBundle, StochasticForcing, sample_brownian
+from lagflow.noise import (
+    BrownianBundle,
+    StochasticForcing,
+    make_transport_field,
+    sample_brownian,
+)
 
 GRID = Grid(2, (17, 17))
 PARAMS = FluidParams(mu=1.0, lam=0.5)
@@ -70,9 +80,7 @@ def run_mms(n, dt, T, params=PARAMS):
                    np.stack([mms_source(grid, t, params) for t in times]))
     g = np.stack([mms_traction(grid, t, params) for t in times])
     u0 = Field(grid, mms_exact(grid, 0.0))
-    with pytest.warns(UserWarning):
-        # discrete traction of the sampled u0 differs from the analytic data by O(h^2)
-        v = solve_lame(o, f, g, u0, times)
+    v = solve_lame(o, f, g, u0, times)
     return v, grid, times
 
 
@@ -95,6 +103,26 @@ def test_params_validation():
 def test_operator_rejects_low_density():
     with pytest.raises(ValueError):
         LameOperator(GRID, Field(GRID, 0.5 * np.ones(GRID.extent)), PARAMS)
+
+
+@pytest.mark.parametrize("grid", [
+    Grid(2, (13, 21), ((0.0, 2.0), (-0.5, 0.25))),
+    Grid(2, (65, 9), ((1.0, 4.0), (0.0, 1.0))),
+    Grid(3, (9, 11, 10)),
+], ids=["13x21-box", "65x9-box", "9x11x10"])
+def test_operator_matches_the_entrywise_stencil_matrices(grid, monkeypatch):
+    # the operator's stencils are fields' kernels applied to the identity;
+    # A and B must be the matrices of the entrywise lil stencils, bit for bit
+    rho0 = Field(grid, 1.0 + 0.1 * grid.coords()[..., 0] ** 2)
+    op = LameOperator(grid, rho0, PARAMS)
+    monkeypatch.setattr(lagflow.lame, "_scalar_operators",
+                        derivative_oracle.scalar_operators)
+    ref = LameOperator(grid, rho0, PARAMS)
+    for got, want in ((op.A, ref.A), (op.B, ref.B)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +238,42 @@ def test_dissipativity_weighted_energy(op):
             vals[..., d] += rng.normal() * np.sin(np.pi * k[0] * c[..., 0]) * \
                 np.sin(np.pi * k[1] * c[..., 1])
     times = np.linspace(0, 0.02, 21)
-    with pytest.warns(UserWarning):
-        v = solve_lame(op, None, None, Field(GRID, vals), times)
+    v = solve_lame(op, None, None, Field(GRID, vals), times)
     w = GRID.quad_weights
     energies = [np.sum(w * np.sum(f**2, axis=-1)) for f in v.values]
     assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
 
 
-def test_compatibility_warning_fires(op):
+def test_compatibility_is_checked_by_fixedpoint_alone(op):
+    # B u0 != g(0): the linear solve proceeds silently, the residual is
+    # fixedpoint's to report, and picard_solve warns once per call, also
+    # when the second call shares the first one's problem
     c = GRID.coords()
-    u0 = Field(GRID, np.stack([c[..., 0], np.zeros(GRID.extent)], axis=-1))
+    u0 = Field(GRID, 1e-3 * np.stack([c[..., 0], np.zeros(GRID.extent)], axis=-1))
+    rho0 = Field(GRID, np.ones(GRID.extent))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve_lame(op, None, None, u0, np.linspace(0, 0.01, 11))
+    assert caught == []
+    assert compatibility_check(op, rho0, u0, PARAMS) > 1e-8
+    Q0 = make_transport_field(2, "constant", K=0)
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            picard_solve(rho0, u0, PARAMS, SolveConfig(T=0.01), Q0, None, None)
+        assert [w.category for w in caught] == [UserWarning]
+        assert "compatibility residual" in str(caught[0].message)
+
+
+@pytest.mark.parametrize("n_source", [6, 16], ids=["shorter", "longer"])
+def test_solve_lame_rejects_source_frames_off_the_time_grid(op, n_source):
+    # a shorter source used to fail with an IndexError after some solves,
+    # and a longer one had its extra frames ignored
     times = np.linspace(0, 0.01, 11)
-    with pytest.warns(UserWarning, match="traction data mismatch"):
-        solve_lame(op, None, None, u0, times)
+    src_times = 1e-3 * np.arange(n_source)
+    f = TimeSeries(GRID, src_times, np.zeros((n_source,) + GRID.extent + (2,)))
+    with pytest.raises(ValueError, match="frames must match the time grid"):
+        solve_lame(op, f, None, Field.zeros(GRID, rank=1), times)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +424,7 @@ def test_da_prato_debussche_consistency(op):
          np.zeros(GRID.extent)], axis=-1))
     forcing = StochasticForcing([mode], np.array([0.5]))
     b = sample_brownian(0, 1, dt * steps, dt, seed=3)
-    with pytest.warns(UserWarning):
-        v = solve_lame(op, f, g, Field.zeros(GRID, rank=1), times)
+    v = solve_lame(op, f, g, Field.zeros(GRID, rank=1), times)
     U = solve_stoch_convolution(op, forcing, b)
     ubar = v.values + U.values
     dbeta = b.mode_increments()

@@ -67,6 +67,22 @@ def test_traced_names_exist_in_lagflow():
         assert callable(cls.__dict__[attr]), f"{cls_name}.{attr} is not callable"
 
 
+WARNING_FILTERS = {"catch_warnings", "simplefilter", "filterwarnings",
+                   "resetwarnings"}
+
+
+def test_no_module_filters_warnings():
+    # a warning belongs to whoever called the code that issued it: one
+    # lagflow layer must not silence another layer's warning
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "attr", None)
+                  or getattr(node.func, "id", None)) in WARNING_FILTERS]
+    assert not found, f"warning filters in lagflow: {found}"
+
+
 CONFIG_CLASSES = ("SolveConfig", "FluidParams")
 
 
