@@ -193,11 +193,6 @@ class Field:
             )
 
     @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        """Sample ``fn(coords)`` on the nodes; coords has shape extent+(dim,)."""
-        return cls(grid, np.asarray(fn(grid.coords()), dtype=float))
-
-    @classmethod
     def zeros(cls, grid: Grid, rank: int = 0) -> "Field":
         shape = grid.extent + (grid.dim,) * rank
         return cls(grid, np.zeros(shape))

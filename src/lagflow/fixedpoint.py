@@ -18,6 +18,7 @@ content-keyed slot, so every sample path of the setup shares it.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -28,7 +29,6 @@ from .fields import (
     Grid,
     TimeSeries,
     frame_norms,
-    gradient_values,
     time_lp_norm,
 )
 from .flow import (
@@ -76,9 +76,11 @@ __all__ = [
 class SolveConfig:
     """Exponents, thresholds, and horizons of one solver run.
 
-    The time step ``dt`` must be positive and divide the horizon ``T`` up
-    to rounding, the Picard iteration needs at least one iterate and a
-    positive tolerance; the constructor raises ``ValueError`` otherwise.
+    The time step ``dt`` must be positive and divide the finite horizon
+    ``T`` up to rounding, the ball radii satisfy 0 < r <= R, and the Picard
+    iteration needs an integer count of at least one iterate and a positive
+    tolerance; the constructor raises ``ValueError`` otherwise, NaN
+    included.
     The noise-flow padding is the constant ``flow.PAD_CELLS``.
     """
 
@@ -106,14 +108,19 @@ class SolveConfig:
                 f"need 0 < delta <= eps_star, got {self.delta}, {self.eps_star}")
         if not self.dt > 0:
             raise ValueError(f"time step must be positive, got {self.dt}")
+        if not 0 < self.T < np.inf:
+            raise ValueError(f"need a finite horizon T > 0, got {self.T}")
         n = round(self.T / self.dt)
         if n < 1 or abs(n * self.dt - self.T) > 1e-12 * max(self.T, 1.0):
             raise ValueError(f"dt = {self.dt} does not divide T = {self.T}")
-        if self.r <= 0 or self.R <= 0 or self.r > self.R:
-            raise ValueError("ball radii must satisfy 0 < r <= R")
-        if self.picard_max_iter < 1:
+        if not (self.r > 0 and self.R >= self.r):
             raise ValueError(
-                f"need picard_max_iter >= 1, got {self.picard_max_iter}")
+                f"ball radii must satisfy 0 < r <= R, got r = {self.r}, "
+                f"R = {self.R}")
+        if (not isinstance(self.picard_max_iter, numbers.Integral)
+                or not self.picard_max_iter >= 1):
+            raise ValueError(f"need an integer picard_max_iter >= 1, got "
+                             f"{self.picard_max_iter!r}")
         if not self.picard_tol > 0:
             raise ValueError(f"need picard_tol > 0, got {self.picard_tol}")
 
@@ -312,35 +319,6 @@ def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
     monitor, n_frames = _monitor_window(window, problem.cfg, ubar.grid, anchor)
     return _assemble_and_solve(ubar, window, monitor, n_frames, grad_ubar,
                                problem)
-
-
-def apply_Psi_deterministic(v1: TimeSeries, problem: Problem) -> PsiResult:
-    """Noise-free oracle for the solution map.
-
-    Never constructs noise objects: the label flow is integrated directly
-    (dY/dt = u(t, y), Heun) and X = Y.  Inversion guard, monitor, assembly
-    and solve are the ones of ``apply_Psi``, so a comparison pins down the
-    flow layer's deterministic reduction.
-    """
-    grid, cfg = v1.grid, problem.cfg
-    dim = grid.dim
-    dt = v1.step
-    L = len(v1)
-    ub = v1.values
-    gub = gradient_values(grid, ub)
-    Y = np.empty((L,) + grid.extent + (dim,))
-    G = np.empty((L,) + grid.extent + (dim, dim))
-    Y[0] = grid.coords()
-    G[0] = np.eye(dim)
-    y, g = Y[0].copy(), G[0].copy()
-    for n in range(L - 1):
-        y = y + 0.5 * dt * (ub[n] + ub[n + 1])
-        g = g + 0.5 * dt * (gub[n] + gub[n + 1])
-        Y[n + 1] = y
-        G[n + 1] = g
-    window = FlowWindow.from_map(v1.times, Y, G, cfg.eps_star)
-    monitor, n_frames = _monitor_window(window, cfg, grid)
-    return _assemble_and_solve(v1, window, monitor, n_frames, gub, problem)
 
 
 # ---------------------------------------------------------------------------

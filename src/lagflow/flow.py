@@ -51,9 +51,7 @@ __all__ = [
     "LabelFlow",
     "integrate_label_flow",
     "compose_flow",
-    "direct_flow_oracle",
     "stopping_monitor",
-    "jacobian_ode_oracle",
 ]
 
 
@@ -123,10 +121,6 @@ class NoiseFlow:
         self.interp_axes = InterpAxes(self.axes)
 
     @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
     def n_levels(self) -> int:
         return len(self.times)
 
@@ -137,12 +131,6 @@ class NoiseFlow:
     def plan(self, pts: np.ndarray, time=None) -> InterpPlan:
         return InterpPlan(self.interp_axes, pts, time=time)
 
-    def identity_check(self) -> float:
-        """Max deviation of Dpsi . Dpsi_inv from the identity."""
-        prod = np.einsum("...ij,...jk->...ik", self.Dpsi, self.Dpsi_inv)
-        eye = np.eye(self.dim)
-        return float(np.max(np.abs(prod - eye)))
-
 
 PAD_CELLS = 4  # cells the noise flow's node grid extends past the box per side
 
@@ -152,16 +140,13 @@ def _padded_axes(grid: Grid) -> list[np.ndarray]:
             for (a, b), n, h in zip(grid.box, grid.extent, grid.spacing)]
 
 
-def _transport_sums(Q: TransportField, pts, dW, with_grad=True):
-    """sum_k Q_k(pts) dW_k and (optionally) sum_k DQ_k(pts) dW_k."""
+def _transport_sums(Q: TransportField, pts, dW):
+    """sum_k Q_k(pts) dW_k and sum_k DQ_k(pts) dW_k."""
     vec = np.zeros(pts.shape)
-    mat = np.zeros(pts.shape[:-1] + (pts.shape[-1],) * 2) if with_grad else None
+    mat = np.zeros(pts.shape[:-1] + (pts.shape[-1],) * 2)
     for k in range(Q.K):
-        if with_grad:
-            val, jac = Q.value_and_jacobian(k, pts)
-            mat += jac * dW[k]
-        else:
-            val = Q.value(k, pts)
+        val, jac = Q.value_and_jacobian(k, pts)
+        mat += jac * dW[k]
         vec += val * dW[k]
     return vec, mat
 
@@ -411,31 +396,6 @@ def compose_flow(label: LabelFlow, eps_star: float) -> FlowWindow:
     return FlowWindow.from_map(label.times, label.X, gradX, eps_star)
 
 
-def direct_flow_oracle(ubar: TimeSeries, Q: TransportField,
-                       bundle: BrownianBundle) -> np.ndarray:
-    """One-shot Heun integration of dX = ubar(t, y) dt + sum Q_k(X) o dW.
-
-    Cross-check only: no psi/Y factorization, no gradient tracking.
-    """
-    grid = ubar.grid
-    if len(ubar) != bundle.n_steps + 1:
-        raise ValueError("velocity frames must be aligned with the noise grid")
-    dt = bundle.step
-    dWs = bundle.transport_increments()
-    L = bundle.n_steps + 1
-    X = np.empty((L,) + grid.extent + (grid.dim,))
-    X[0] = grid.coords()
-    x = X[0].copy()
-    for n in range(L - 1):
-        dW = dWs[:, n]
-        b0, _ = _transport_sums(Q, x, dW, with_grad=False)
-        pred = x + dt * ubar.values[n] + b0
-        b1, _ = _transport_sums(Q, pred, dW, with_grad=False)
-        x = x + 0.5 * dt * (ubar.values[n] + ubar.values[n + 1]) + 0.5 * (b0 + b1)
-        X[n + 1] = x
-    return X
-
-
 # ---------------------------------------------------------------------------
 # stopping monitor
 # ---------------------------------------------------------------------------
@@ -601,28 +561,3 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
         sigma, fired, fired_index, times[:n_kept],
         np.array(sup_run), np.array(hZ_run), np.array(hJ_run), np.array(tot_run),
         MonitorAnchor.from_sums((accZ, accJ), window))
-
-
-# ---------------------------------------------------------------------------
-# transport identity oracle
-# ---------------------------------------------------------------------------
-
-def jacobian_ode_oracle(ubar: TimeSeries, window: FlowWindow) -> np.ndarray:
-    """Independent RK2 integration of dJ/dt = J (grad ubar : Z^T)."""
-    grid = ubar.grid
-    L = len(window)
-    dt = ubar.step
-    J = np.empty((L,) + grid.extent)
-    J[0] = 1.0
-    rates = [
-        np.einsum("...ij,...ji->...", gradient_values(grid, ubar.values[n]),
-                  window.Z[n])
-        for n in range(L)
-    ]
-    cur = J[0].copy()
-    for n in range(L - 1):
-        pred = cur * (1.0 + dt * rates[n])
-        cur = cur + 0.5 * dt * (cur * rates[n] + pred * rates[n + 1])
-        J[n + 1] = cur
-    return J
-

@@ -33,13 +33,11 @@ from .noise import BrownianBundle, StochasticForcing
 __all__ = [
     "FluidParams",
     "LameOperator",
-    "apply_A",
     "apply_B",
     "solve_lame",
     "solve_stoch_convolution",
     "symbol_matrix",
     "symbol_eigenvalues",
-    "symbol_eigenvalues_numeric",
     "lopatinskii_check",
     "halfline_decay_rates",
     "traction_eigenpair",
@@ -58,18 +56,19 @@ class FluidParams:
     rho_min: float = 1.0       # lower admissible density bound
 
     def __post_init__(self):
-        if self.mu <= 0:
+        # every bound is written ``not x > bound`` so that NaN fails it
+        if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
-        if 2 * self.mu + 3 * self.lam <= 0:
+        if not 2 * self.mu + 3 * self.lam > 0:
             raise ValueError(f"2 mu + 3 lambda must be positive, got "
                              f"{2 * self.mu + 3 * self.lam}")
-        if self.a <= 0:
+        if not self.a > 0:
             raise ValueError(f"pressure constant a must be positive, got {self.a}")
-        if self.gamma <= 1:
+        if not self.gamma > 1:
             raise ValueError(f"adiabatic exponent must exceed 1, got {self.gamma}")
-        if self.p_ext < 0:
+        if not self.p_ext >= 0:
             raise ValueError(f"exterior pressure must be nonnegative, got {self.p_ext}")
-        if self.rho_min <= 0:
+        if not self.rho_min > 0:
             raise ValueError(f"rho_min must be positive, got {self.rho_min}")
 
 
@@ -236,13 +235,6 @@ class LameOperator:
         return out
 
 
-def apply_A(op: LameOperator, u: Field) -> Field:
-    if not np.all(np.isfinite(u.values)):
-        raise ValueError("non-finite velocity field")
-    flat = op.A @ op.to_flat(u.values)
-    return Field(op.grid, op.from_flat(flat))
-
-
 def apply_B(op: LameOperator, u: Field) -> np.ndarray:
     """Traction values at the boundary nodes, shape (n_boundary, dim)."""
     if not np.all(np.isfinite(u.values)):
@@ -340,14 +332,6 @@ def symbol_eigenvalues(params: FluidParams, rho0_value: float,
     s = np.dot(xi, xi) / rho0_value
     return np.sort(np.array([params.mu * s] * (len(xi) - 1)
                             + [(2 * params.mu + params.lam) * s]))
-
-
-def symbol_eigenvalues_numeric(params: FluidParams, rho0_value: float,
-                               xi: np.ndarray) -> np.ndarray:
-    xi = np.asarray(xi, float)
-    if np.dot(xi, xi) == 0.0:
-        raise ValueError("frequency xi must be nonzero")
-    return np.sort(np.linalg.eigvalsh(symbol_matrix(params, rho0_value, xi)))
 
 
 def _halfline_companion(params: FluidParams, rho0_value: float,

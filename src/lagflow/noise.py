@@ -21,7 +21,6 @@ __all__ = [
     "StochasticForcing",
     "sample_brownian",
     "refine_bridge",
-    "stratonovich_drift",
     "check_divergence_free",
     "make_transport_field",
 ]
@@ -269,17 +268,8 @@ def make_transport_field(dim: int, kind: str, K: int, amplitude: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# Stratonovich utilities
+# transport field checks
 # ---------------------------------------------------------------------------
-
-def stratonovich_drift(Q: TransportField, x: np.ndarray) -> np.ndarray:
-    """Ito-form drift correction (1/2) sum_k DQ_k(x) Q_k(x)."""
-    x = np.asarray(x, float)
-    out = np.zeros(x.shape)
-    for k in range(Q.K):
-        out += 0.5 * np.einsum("...ij,...j->...i", Q.jacobian(k, x), Q.value(k, x))
-    return out
-
 
 def check_divergence_free(Q: TransportField, grid: Grid) -> float:
     """Max |div Q_k| over grid nodes (trace of the Jacobian)."""

@@ -37,7 +37,6 @@ __all__ = [
     "EquationOfState",
     "NonlinearReport",
     "density_from_jacobian",
-    "continuity_oracle",
     "assemble_F_u",
     "assemble_F_Gamma",
     "assemble_window",
@@ -59,7 +58,7 @@ class EquationOfState:
     gamma: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.gamma <= 1:
+        if not (self.a > 0 and self.gamma > 1):
             raise ValueError("need a > 0 and gamma > 1")
 
     def p(self, rho):
@@ -88,32 +87,6 @@ def density_from_jacobian(rho0: Field, J: np.ndarray,
             "the stopping monitor should have fired")
     rho = rho0.values / J
     return rho, bool(rho.min() >= 0.5 * rho_min)
-
-
-def continuity_oracle(ubar: TimeSeries, window: FlowWindow,
-                      rho0: Field) -> tuple[np.ndarray, float]:
-    """RK2 integration of d rho/dt = -rho (grad u : Z^T) vs rho0 / J.
-
-    Returns the integrated density stack and the max deviation from the
-    Jacobian representation over all frames.
-    """
-    grid = ubar.grid
-    L = len(window)
-    dt = ubar.step
-    rates = [
-        -np.einsum("...ij,...ji->...", gradient_values(grid, ubar.values[n]),
-                   window.Z[n])
-        for n in range(L)
-    ]
-    out = np.empty((L,) + grid.extent)
-    out[0] = rho0.values
-    cur = out[0].copy()
-    for n in range(L - 1):
-        pred = cur * (1.0 + dt * rates[n])
-        cur = cur + 0.5 * dt * (cur * rates[n] + pred * rates[n + 1])
-        out[n + 1] = cur
-    dev = float(np.max(np.abs(out - rho0.values / window.J)))
-    return out, dev
 
 
 # ---------------------------------------------------------------------------

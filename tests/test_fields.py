@@ -90,7 +90,7 @@ def hessian(grid, values):
 
 
 def test_gradient_of_linear_field(grid):
-    f = Field.from_function(grid, lambda c: c[..., 0])
+    f = Field(grid, grid.coords()[..., 0])
     g = gradient_values(grid, f.values)
     assert np.allclose(g[..., 0], 1.0, atol=1e-12)
     assert np.allclose(g[..., 1], 0.0, atol=1e-12)
@@ -104,7 +104,7 @@ def test_constant_field_derivatives_vanish(grid):
 
 def test_second_derivative_exact_on_quadratic():
     g = Grid(2, (33, 33))
-    f = Field.from_function(g, lambda c: c[..., 0] ** 2)
+    f = Field(g, g.coords()[..., 0] ** 2)
     h = hessian(g, f.values)
     interior = (slice(1, -1), slice(1, -1))
     assert np.max(np.abs(h[interior + (0, 0)] - 2.0)) <= 1e-12
@@ -115,7 +115,7 @@ def test_second_derivative_exact_on_quadratic():
 
 def test_mixed_second_derivative_on_product():
     g = Grid(2, (33, 33))
-    f = Field.from_function(g, lambda c: c[..., 0] * c[..., 1])
+    f = Field(g, g.coords()[..., 0] * g.coords()[..., 1])
     h = hessian(g, f.values)
     assert np.max(np.abs(h[..., 0, 1] - 1.0)) <= 1e-12
 
@@ -241,7 +241,7 @@ def test_zero_field_all_norms(grid):
 def test_sin_l2_norm_closed_form():
     # integral of sin^2(pi y1) over the unit square is 1/2
     g = Grid(2, (65, 65))
-    f = Field.from_function(g, lambda c: np.sin(np.pi * c[..., 0]))
+    f = Field(g, np.sin(np.pi * g.coords()[..., 0]))
     assert spatial_norm(g, f.values, "Lq", 2) == pytest.approx(1 / np.sqrt(2),
                                                         abs=1e-3)
 
@@ -578,7 +578,7 @@ def test_trace_constant(grid):
 
 
 def test_trace_coordinate(grid):
-    f = Field.from_function(grid, lambda c: c[..., 0])
+    f = Field(grid, grid.coords()[..., 0])
     idx, _ = grid.boundary_nodes()
     vals = f.values[tuple(idx.T)]
     on_boundary = np.any((idx == 0) | (idx == np.array(grid.extent) - 1), axis=1)

@@ -14,7 +14,6 @@ from lagflow.fixedpoint import (
     PicardDivergence,
     SolveConfig,
     apply_Psi,
-    apply_Psi_deterministic,
     compatibility_check,
     contraction_probe,
     e1_norm,
@@ -25,6 +24,7 @@ from lagflow.fixedpoint import (
 from lagflow.flow import identity_noise_flow, integrate_noise_flow
 from lagflow.lame import FluidParams, LameOperator, apply_B, solve_stoch_convolution
 from lagflow.noise import StochasticForcing, make_transport_field, sample_brownian
+from map_oracle import apply_Psi_deterministic
 
 GRID = Grid(2, (33, 33))
 PARAMS = FluidParams()  # p(rho_min) = p_ext: equilibrium density is 1
@@ -69,6 +69,18 @@ def test_config_validates_picard_settings(field, bad, edge):
     with pytest.raises(ValueError, match=field):
         SolveConfig(**{field: bad})
     assert getattr(SolveConfig(**{field: edge}), field) == edge
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("r", float("nan")), ("R", float("nan")), ("picard_max_iter", 2.5),
+    ("picard_max_iter", float("nan")), ("T", float("inf")),
+])
+def test_config_rejects_nan_radii_and_fractional_iteration_caps(field, bad):
+    # a NaN r would turn off both ball tests of picard_solve, since every
+    # comparison with NaN is False; a fractional cap would fail in range(),
+    # an infinite horizon in round()
+    with pytest.raises(ValueError, match="ball radii|picard_max_iter|horizon"):
+        SolveConfig(**{field: bad})
 
 
 @pytest.mark.parametrize("T, dt", [(-0.05, -1e-3), (0.05, 0.0), (0.05, -1e-3)])

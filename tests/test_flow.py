@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import lagflow.interp
 from flow_oracle import integrate_label_flow as contract_label_flow
 from flow_oracle import per_level_compose
+from map_oracle import direct_flow_oracle, jacobian_ode_oracle
 from lagflow.fields import (Grid, SlobodeckijWindow, TimeSeries, gradient_values,
                             spatial_norm)
 from lagflow.fixedpoint import SolveConfig, _flow_stage, _monitor_window
@@ -15,11 +16,9 @@ from lagflow.flow import (
     FlowWindow,
     LabelFlow,
     compose_flow,
-    direct_flow_oracle,
     identity_noise_flow,
     integrate_label_flow,
     integrate_noise_flow,
-    jacobian_ode_oracle,
     mat_det,
     mat_inv,
     stopping_monitor,
@@ -71,7 +70,8 @@ def test_no_noise_keeps_identity():
     nf = identity_noise_flow(GRID, TIMES)
     pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)
     assert np.max(np.abs(nf.psi - pts[None])) == 0.0
-    assert nf.identity_check() == 0.0
+    prod = np.einsum("...ij,...jk->...ik", nf.Dpsi, nf.Dpsi_inv)
+    assert np.max(np.abs(prod - np.eye(2))) == 0.0
 
 
 def test_rotation_flow_matches_matrix_exponential():
@@ -94,7 +94,8 @@ def test_gradient_inverse_consistency():
     Q = make_transport_field(2, "stream", K=2, amplitude=0.1)
     b = sample_brownian(2, 0, T, DT, seed=4)
     nf = integrate_noise_flow(Q, b, GRID)
-    assert nf.identity_check() <= 1e-8
+    prod = np.einsum("...ij,...jk->...ik", nf.Dpsi, nf.Dpsi_inv)
+    assert np.max(np.abs(prod - np.eye(2))) <= 1e-8
 
 
 def test_divergence_free_volume_error_small_and_converging():

@@ -9,8 +9,9 @@ from lagflow.noise import (
     make_transport_field,
     refine_bridge,
     sample_brownian,
-    stratonovich_drift,
 )
+
+from map_oracle import stratonovich_drift
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ from lagflow.nonlinear import (
     assemble_F_Gamma,
     assemble_F_u,
     assemble_window,
-    continuity_oracle,
     density_from_jacobian,
     energy_report,
     extended_normal_field,
     nonlinearity_norm_report,
 )
 
+from map_oracle import continuity_oracle
 from term_oracle import (einsum_F_Gamma, einsum_F_u, f_gamma_point, f_u_point,
                          per_frame_energy_report)
 
@@ -44,6 +44,12 @@ def test_pressure_values():
     eos2 = EquationOfState(1.0, 1.4)
     assert eos2.p(1.0) == pytest.approx(1.0)
     assert eos2.potential(1.0) == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("a, gamma", [(float("nan"), 2.0), (1.0, float("nan"))])
+def test_equation_of_state_rejects_nan(a, gamma):
+    with pytest.raises(ValueError):
+        EquationOfState(a, gamma)
 
 
 def test_pressure_potential_identity():

@@ -146,3 +146,66 @@ def test_instance_attributes_are_read():
                     loads.add(node.args[1].value)
     unread = sorted(f"{cls}.{name}" for cls, name in stored if name not in loads)
     assert not unread, f"instance attributes no code reads: {unread}"
+
+
+# public names that no src/ or perfbench/ code reads yet, each with the
+# ROADMAP directions that will read them
+UNREAD_PUBLIC_NAMES = {
+    # the paper checks, read by the run record's paper_checks section
+    ("lame", "symbol_matrix"): (15,),
+    ("lame", "symbol_eigenvalues"): (15,),
+    ("lame", "lopatinskii_check"): (15,),
+    ("lame", "halfline_decay_rates"): (15,),
+    ("lame", "traction_eigenpair"): (15,),
+    ("noise", "check_divergence_free"): (15,),
+    ("nonlinear", "extended_normal_field"): (15,),
+    # the ensemble studies of the stopping time and its conservativeness
+    ("fixedpoint", "contraction_probe"): (7, 12),
+    # the pathwise dt-refinement study
+    ("noise", "refine_bridge"): (6,),
+}
+
+
+def loaded_names(tree: ast.AST, enclosing: frozenset = frozenset()) -> set:
+    """Names and attributes loaded in ``tree``, each outside a def or class
+    of its own name."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                node.ctx, ast.Load):
+            name = getattr(node, "id", None) or node.attr
+            if name not in enclosing:
+                found.add(name)
+        inner = enclosing
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            inner = enclosing | {node.name}
+        found |= loaded_names(node, inner)
+    return found
+
+
+def test_public_names_have_a_reader():
+    # every __all__ name of every lagflow module is loaded in src/ or
+    # perfbench/ outside its own definition (a function or class the
+    # benchmark tracer wraps by name counts), or waits on the allow-list
+    # above for the directions that will read it; an allow-listed name that
+    # has a reader leaves the list
+    loads = set()
+    for folder in (SRC, ROOT / "perfbench"):
+        for path in folder.rglob("*.py"):
+            loads |= loaded_names(ast.parse(path.read_text()))
+    tables = tracer_tables()
+    loads |= {attr for _, attr in tables["FUNCTIONS"]}
+    loads |= {cls for _, cls, _ in tables["METHODS"]}
+    public = {(info.name, name)
+              for info in pkgutil.iter_modules(lagflow.__path__)
+              for name in getattr(importlib.import_module(
+                  f"lagflow.{info.name}"), "__all__", ())}
+    unread = sorted(f"lagflow.{m}.{name}" for m, name in public
+                    if name not in loads and (m, name) not in UNREAD_PUBLIC_NAMES)
+    assert not unread, f"public names no src/ or perfbench/ code reads: {unread}"
+    stale = sorted(f"lagflow.{m}.{name}" for m, name in UNREAD_PUBLIC_NAMES
+                   if (m, name) not in public or name in loads)
+    assert not stale, f"allow-listed names that are gone or have a reader: {stale}"
+    for key, directions in UNREAD_PUBLIC_NAMES.items():
+        assert directions and all(isinstance(d, int) for d in directions), key
