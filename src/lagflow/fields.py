@@ -11,6 +11,12 @@ uniform spacing, in numpy's own expressions, written straight into the
 caller's output: the gradient and the Hessian allocate their result once
 and fill it one derivative axis (or axis pair) at a time.  ``lame``'s
 sparse stencil matrices are ``_d1`` and ``_d2_pure`` applied to the identity.
+The interior rows of both have one owner, ``_centered_d1`` and
+``_compact_d2``, which ``interior_gradient`` and ``interior_hessian`` run
+alone: they give the rows of ``gradient_values`` and ``hessian_values`` at
+the interior nodes bit for bit, with no one-sided row, for the
+interior-only F_u of ``nonlinear.assemble_window``.  The norms and the
+label flow take the full-grid kernels.
 
 Frame stacks.  The derivative and norm kernels take one frame
 (``extent + components``) or a stack of frames with one leading frame axis
@@ -54,6 +60,8 @@ __all__ = [
     "frame_norms",
     "gradient_values",
     "hessian_values",
+    "interior_gradient",
+    "interior_hessian",
     "slobodeckij_time_seminorm",
     "spatial_norm",
     "time_lp_norm",
@@ -245,6 +253,24 @@ def _at(axis: int, i) -> tuple:
     return (slice(None),) * axis + (i,)
 
 
+def _centered_d1(values: np.ndarray, axis: int, h: float,
+                 out: np.ndarray) -> np.ndarray:
+    """(f[i+1] - f[i-1]) / (2h) along ``axis`` into ``out``, which is two
+    shorter on that axis: the interior rows of ``_d1``."""
+    diff = values[_at(axis, slice(2, None))] - values[_at(axis, slice(None, -2))]
+    return np.divide(diff, 2.0 * h, out=out)
+
+
+def _compact_d2(values: np.ndarray, axis: int, h: float,
+                out: np.ndarray) -> np.ndarray:
+    """(f[i+1] - 2 f[i] + f[i-1]) / h^2 along ``axis`` into ``out``, which
+    is two shorter on that axis: the interior rows of ``_d2_pure``."""
+    def v(i):
+        return values[_at(axis, i)]
+    num = v(slice(2, None)) - 2.0 * v(slice(1, -1)) + v(slice(None, -2))
+    return np.divide(num, h**2, out=out)
+
+
 def _d1(values: np.ndarray, axis: int, h: float,
         out: np.ndarray | None = None) -> np.ndarray:
     """First derivative: centered interior, one-sided 3-point at the ends.
@@ -261,8 +287,7 @@ def _d1(values: np.ndarray, axis: int, h: float,
     """
     if out is None:
         out = np.empty_like(values)
-    diff = values[_at(axis, slice(2, None))] - values[_at(axis, slice(None, -2))]
-    np.divide(diff, 2.0 * h, out=out[_at(axis, slice(1, -1))])
+    _centered_d1(values, axis, h, out[_at(axis, slice(1, -1))])
     for row, first, coefs in ((0, 0, (-1.5 / h, 2.0 / h, -0.5 / h)),
                               (-1, -3, (0.5 / h, -2.0 / h, 1.5 / h))):
         o = out[_at(axis, row)]
@@ -278,8 +303,7 @@ def _d2_pure(values: np.ndarray, axis: int, h: float,
     4-point one-sided at the ends."""
     def v(i):
         return values[_at(axis, i)]
-    out[_at(axis, slice(1, -1))] = (
-        (v(slice(2, None)) - 2.0 * v(slice(1, -1)) + v(slice(None, -2))) / h**2)
+    _compact_d2(values, axis, h, out[_at(axis, slice(1, -1))])
     out[_at(axis, 0)] = (2.0 * v(0) - 5.0 * v(1) + 4.0 * v(2) - v(3)) / h**2
     out[_at(axis, -1)] = (2.0 * v(-1) - 5.0 * v(-2) + 4.0 * v(-3) - v(-4)) / h**2
     return out
@@ -326,6 +350,51 @@ def hessian_values(grid: Grid, values: np.ndarray,
         _d2_pure(values, lead + k, grid.spacing[k], out[..., k, k])
         for l in range(k + 1, dim):
             _d1(grad[..., k], lead + l, grid.spacing[l], out[..., k, l])
+            out[..., l, k] = out[..., k, l]
+    return out
+
+
+def _interior(lead: int, dim: int, whole: int = -1) -> tuple:
+    """Index of the interior nodes (1 .. n-2 on every node axis) of a frame
+    or stack with ``lead`` frame axes; the node axis ``whole`` is kept whole."""
+    return (slice(None),) * lead + tuple(
+        slice(None) if ax == whole else slice(1, -1) for ax in range(dim))
+
+
+def interior_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The rows of ``gradient_values`` at the interior nodes, bit for bit.
+
+    Only the centered stencil runs: the result has extent - 2 on every node
+    axis, each derivative taken from the values that are interior on the
+    other node axes.
+    """
+    lead = _frame_axes(grid, values.shape)
+    dim = grid.dim
+    out = np.empty(values[_interior(lead, dim)].shape + (dim,))
+    for ax in range(dim):
+        _centered_d1(values[_interior(lead, dim, ax)], lead + ax,
+                     grid.spacing[ax], out[..., ax])
+    return out
+
+
+def interior_hessian(grid: Grid, values: np.ndarray,
+                     grad: np.ndarray) -> np.ndarray:
+    """The rows of ``hessian_values`` at the interior nodes, bit for bit.
+
+    ``grad`` is the full-grid ``gradient_values(grid, values)``: a mixed
+    derivative d_l d_k is the centered difference along l of ``grad[..., k]``,
+    whose rows there are centered along k.  Pure derivatives use the compact
+    stencil only.
+    """
+    lead = _frame_axes(grid, values.shape)
+    dim = grid.dim
+    out = np.empty(values[_interior(lead, dim)].shape + (dim, dim))
+    for k in range(dim):
+        _compact_d2(values[_interior(lead, dim, k)], lead + k,
+                    grid.spacing[k], out[..., k, k])
+        for l in range(k + 1, dim):
+            _centered_d1(grad[..., k][_interior(lead, dim, l)], lead + l,
+                         grid.spacing[l], out[..., k, l])
             out[..., l, k] = out[..., k, l]
     return out
 

@@ -195,9 +195,12 @@ def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
     for n in range(bundle.n_steps):
         x, D = _heun_step(Q, x, D, dWs[:, n])
         det = mat_det(D)
-        if np.max(np.abs(det - 1.0)) > 0.5:
+        # written to fail on NaN, which every comparison lets through
+        if not np.all(np.abs(det - 1.0) <= 0.5):
+            what = ("drifted past 0.5" if np.all(np.isfinite(det))
+                    else "is not finite")
             raise RuntimeError(
-                f"noise-flow gradient determinant drifted past 0.5 at "
+                f"noise-flow gradient determinant {what} at "
                 f"t = {bundle.times[n + 1]:.6g} (scheme blow-up)")
         psi[n + 1] = x
         Dpsi[n + 1] = D

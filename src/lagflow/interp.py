@@ -83,8 +83,9 @@ class InterpPlan:
     product of the per-axis factors frac or 1 - frac, taken in axis order.
     The cell index is clipped to ``len(ax) - 2``, so a point on the far face
     uses the last cell.  A point outside the box by more than 1e-9 times
-    max(box length, 1) on some axis raises :class:`FlowEscapeError`, for
-    the first such axis and its first such point.
+    max(box length, 1) on some axis, or a NaN coordinate, raises
+    :class:`FlowEscapeError`, for the first such axis and its first such
+    point.
     Scipy's CSR product starts every row at zero and adds the stored terms
     in order, which is the per-corner sum ``out = 0; out += w_c * arr[c]``.
     """
@@ -97,7 +98,7 @@ class InterpPlan:
         flat = pts.reshape(-1, dim)
         self.n = n = flat.shape[0]
         t = flat.T.copy()                       # one contiguous row per axis
-        bad = (t < ax.lower) | (t > ax.upper)
+        bad = ~((t >= ax.lower) & (t <= ax.upper))     # NaN is outside
         if bad.any():
             d = int(np.argmax(bad.any(axis=1)))
             j = int(np.argmax(bad[d]))

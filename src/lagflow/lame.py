@@ -254,7 +254,10 @@ def solve_lame(op: LameOperator, f: TimeSeries | None, g: np.ndarray,
 
     ``g`` holds boundary data per frame, shape (len(times), n_boundary, dim),
     and ``f`` one frame per level; other frame counts raise ``ValueError``.
-    B u0 = g(0) is not checked here (``fixedpoint.compatibility_check``).
+    ``f`` is read at the interior nodes only: the traction rows replace its
+    boundary rows, which is why ``nonlinear.assemble_window`` assembles F_u
+    on the interior nodes alone.  B u0 = g(0) is not checked here
+    (``fixedpoint.compatibility_check``).
     """
     times = np.asarray(times, float)
     dt = times[1] - times[0]

@@ -9,6 +9,14 @@ that einsum sends to its SIMD dot kernel, which stay ``np.einsum``; dim 2 and
 dim 3 share one code path, and the assembly functions take one frame or a
 chunk of frames alike.  A plain-loop oracle lives in the test fixtures to
 cross-check the contractions term by term.
+
+F_u is interior-only.  The linear step carries F_u in its interior
+equation and only the traction data F_Gamma on its boundary rows, so
+``assemble_window`` assembles F_u on the interior nodes, from the
+centered and compact stencils alone, and leaves its boundary entries at
+0.0; ``lame.solve_lame`` replaces those rows, and the validator's residual
+reads F_u on the interior rows only.  F_Gamma is assembled on the boundary
+nodes.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ from .fields import (
     frame_chunks,
     frame_norms,
     gradient_values,
-    hessian_values,
+    interior_gradient,
+    interior_hessian,
     slobodeckij_time_seminorm,
     spatial_norm,
     time_lp_norm,
@@ -93,21 +102,21 @@ def density_from_jacobian(rho0: Field, J: np.ndarray,
 # transformed nonlinearities
 # ---------------------------------------------------------------------------
 
-def assemble_F_u(grid: Grid, G: np.ndarray, H: np.ndarray, Z: np.ndarray,
+def assemble_F_u(G: np.ndarray, H: np.ndarray, Z: np.ndarray,
                  dZ: np.ndarray, J: np.ndarray, rho0: np.ndarray,
-                 params: FluidParams) -> np.ndarray:
+                 grad_p: np.ndarray, params: FluidParams) -> np.ndarray:
     """Velocity-equation nonlinearity from precomputed derivative arrays.
 
     G[i, m] = d_m u_i, H[i, k, l] = d_k d_l u_i, Z[k, j] inverse flow
-    gradient, dZ[k, j, l] = d_l Z_{kj}.  With Z = I, J = 1 every defect
-    group vanishes and only -(1/rho0) grad p(rho0) survives.  Elementwise
-    over the leading axes: the arrays are one frame or a stack of frames
-    (``rho0`` one frame), and a frame of a stack gets its own values.
+    gradient, dZ[k, j, l] = d_l Z_{kj}, grad_p[j] = d_j p(rho0 / J).  With
+    Z = I, J = 1 every defect group vanishes and only -(1/rho0) grad p(rho0)
+    survives.  Elementwise over the leading axes, which may hold any node
+    set: one frame or a stack of frames (``rho0`` one frame's), on the whole
+    grid or on the interior nodes alone (``assemble_window``), and a node of
+    a frame of a stack gets its own values.
     """
     mu, lam = params.mu, params.lam
-    eos = EquationOfState(params.a, params.gamma)
-    dim = grid.dim
-    eye = np.eye(dim)
+    eye = np.eye(Z.shape[-1])
     Zd = Z - eye
     inv_rho = 1.0 / rho0
 
@@ -128,7 +137,6 @@ def assemble_F_u(grid: Grid, G: np.ndarray, H: np.ndarray, Z: np.ndarray,
         + contract("...li,...jk,...kjl->...i", "jkl", Z, G, dZ)
     )
 
-    grad_p = gradient_values(grid, eos.p(rho0 / J))
     out -= (J * inv_rho)[..., None] * contract("...ji,...j->...i", "j", Z, grad_p)
     return out
 
@@ -166,28 +174,41 @@ def assemble_F_Gamma(G: np.ndarray, Z: np.ndarray, J: np.ndarray,
 def assemble_window(grid: Grid, u_frames: np.ndarray, grad_u: np.ndarray,
                     Z: np.ndarray, J: np.ndarray, rho0: np.ndarray,
                     params: FluidParams) -> tuple[np.ndarray, np.ndarray]:
-    """F_u and the boundary F_Gamma of every frame of a window.
+    """F_u at the interior nodes and F_Gamma at the boundary nodes of every
+    frame of a window.
 
     ``u_frames`` holds the velocity frames, ``grad_u`` their
     ``gradient_values`` (the label flow of the same drift has them
-    already), and ``Z``, ``J`` the flow stacks of the same levels.  The
-    window goes through a chunk of frames at a time (``frame_chunks``):
-    one pass takes the second derivatives of u and the derivatives of Z
-    and makes one ``assemble_F_u`` and one ``assemble_F_Gamma`` call on the
-    chunk's stacks, and a frame gets the values it gets alone.  Returns
-    F_u, shape (L, *ext, d), and F_Gamma at the boundary nodes,
-    (L, n_boundary, d).
+    already), and ``Z``, ``J`` the flow stacks of the same levels.  F_u is
+    0.0 at the boundary nodes: the Lame steps (``lame.solve_lame``) put the
+    traction data F_Gamma on those rows, and the validator's residual reads
+    F_u on the interior rows only, so no boundary value of F_u is read.  Its
+    derivative inputs come from the interior stencils
+    (``interior_hessian``, ``interior_gradient``), which give the interior
+    rows of the full-grid ones bit for bit.  The window goes through a
+    chunk of frames at a time (``frame_chunks``): one pass makes one
+    ``assemble_F_u`` call on the chunk's contiguous interior slabs and one
+    ``assemble_F_Gamma`` call on its boundary nodes, and a frame gets the
+    values it gets alone.  Returns F_u, shape (L, *ext, d), and F_Gamma at
+    the boundary nodes, (L, n_boundary, d).
     """
+    eos = EquationOfState(params.a, params.gamma)
     idx_b, normals_b = grid.boundary_nodes()
     bsel = tuple(idx_b.T)
+    inner = (slice(1, -1),) * grid.dim
+    rho0_in = np.ascontiguousarray(rho0[inner])
     L = len(u_frames)
-    F_u = np.empty((L,) + grid.extent + (grid.dim,))
+    F_u = np.zeros((L,) + grid.extent + (grid.dim,))
     F_G_b = np.empty((L, len(idx_b), grid.dim))
     for sl in frame_chunks(grid, L, u_frames[0].size):
         G = grad_u[sl]
-        H = hessian_values(grid, u_frames[sl], G)
-        dZ = gradient_values(grid, Z[sl])
-        F_u[sl] = assemble_F_u(grid, G, H, Z[sl], dZ, J[sl], rho0, params)
+        H = interior_hessian(grid, u_frames[sl], G)
+        dZ = interior_gradient(grid, Z[sl])
+        grad_p = interior_gradient(grid, eos.p(rho0 / J[sl]))
+        G_in, Z_in, J_in = (np.ascontiguousarray(a[(slice(None),) + inner])
+                            for a in (G, Z[sl], J[sl]))
+        F_u[(sl,) + inner] = assemble_F_u(G_in, H, Z_in, dZ, J_in, rho0_in,
+                                          grad_p, params)
         # frame-major boundary stacks: the np.einsum sums of assemble_F_Gamma
         # see each frame laid out as one frame's g[bsel] alone
         G_b, Z_b, J_b = (np.ascontiguousarray(a[(slice(None),) + bsel])
@@ -287,7 +308,12 @@ def nonlinearity_norm_report(grid: Grid, times: np.ndarray,
         nonlinearity_norm_report(b.grid, b.times, F_u, F_G, rho0, b.U,
                                  b.tau, cfg.p, cfg.q, cfg.theta)
 
-    F_G is F_Gamma on the full grid against the extended normal.
+    F_G is F_Gamma on the full grid against the extended normal.  This F_u
+    is 0.0 at the boundary nodes, so its norm covers the interior nodes, the
+    ones the Lame steps read.  The full-grid F_u is ``assemble_F_u`` on
+    ``hessian_values(b.grid, u, g)``, ``gradient_values(b.grid, w.Z)`` and
+    the full-grid gradient of ``EquationOfState(a, gamma).p(rho0.values /
+    w.J)``.
     """
     keep = int(np.searchsorted(times, sigma + 1e-12))
     keep = max(2, min(keep, len(times)))

@@ -189,6 +189,26 @@ def test_derivatives_match_np_gradient_oracle(grid, lead, rank):
         assert bit_equal(hessian_values(grid, a, np.asfortranarray(got_g)), want_h)
 
 
+@pytest.mark.parametrize("grid", [Grid(2, (11, 13), ((0.0, 1.3), (-0.5, 0.2))),
+                                  Grid(3, (9, 10, 11), ((0.0, 2.0), (-1.0, 0.5),
+                                                        (0.25, 0.75)))],
+                         ids=["2d", "3d"])
+@pytest.mark.parametrize("lead", [(), (4,)], ids=["frame", "stack"])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_interior_stencils_equal_the_full_grid_interior(grid, lead, rank):
+    # the centered and compact stencils alone give the interior rows of
+    # gradient_values and hessian_values, signed zeros included
+    rng = np.random.default_rng(20 * grid.dim + rank)
+    values = signed_zero_values(rng, lead + grid.extent + (grid.dim,) * rank)
+    inner = (slice(None),) * len(lead) + (slice(1, -1),) * grid.dim
+    g = gradient_values(grid, values)
+    got_g = lagflow.fields.interior_gradient(grid, values)
+    got_h = lagflow.fields.interior_hessian(grid, values, g)
+    assert got_g.shape == g[inner].shape
+    assert bit_equal(got_g, g[inner])
+    assert bit_equal(got_h, hessian_values(grid, values, g)[inner])
+
+
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_first_derivative_writes_into_a_strided_view(axis):
     # _d1 into a slice of a larger array (the caller's out[..., ax]) leaves

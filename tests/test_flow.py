@@ -66,6 +66,16 @@ def test_noise_flow_needs_one_path_per_field(K_bundle):
         integrate_noise_flow(Q, b, GRID)
 
 
+def test_noise_flow_blow_up_to_nan_raises():
+    # the first Heun step overflows the gradient's determinant to NaN; a
+    # blow-up check that compares with NaN used to return the flow
+    Q = make_transport_field(2, "stream", K=1, amplitude=1e150)
+    b = sample_brownian(1, 0, 0.01, 1e-3, seed=0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(RuntimeError, match="not finite at t = 0.001"):
+            integrate_noise_flow(Q, b, Grid(2, 9))
+
+
 def test_no_noise_keeps_identity():
     nf = identity_noise_flow(GRID, TIMES)
     pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)

@@ -93,6 +93,18 @@ def test_escape_error_carries_time_and_point(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
+def test_nan_query_point_escapes(dim):
+    # every comparison with NaN is False, so an escape mask of the form
+    # t < lower | t > upper let a NaN point through with NaN weights
+    axes = box_axes(dim)
+    pts = np.full((4, dim), 0.5)
+    pts[1, dim - 1] = np.nan
+    with pytest.raises(FlowEscapeError, match=f"axis {dim - 1} at t = 0.25") as exc:
+        InterpPlan(axes, pts, time=0.25)
+    assert np.array_equal(exc.value.point, pts[1], equal_nan=True)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
 def test_weights_match_reference_construction(dim):
     # shared per-axes constants, reused for query sets of other sizes,
     # give the weight matrix of the self-contained construction bit for bit

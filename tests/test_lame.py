@@ -281,6 +281,26 @@ def test_solve_lame_rejects_source_frames_off_the_time_grid(op, n_source):
         solve_lame(op, f, None, Field.zeros(GRID, rank=1), times)
 
 
+@pytest.mark.parametrize("fill", [np.nan, 1e300], ids=["nan", "huge"])
+def test_source_is_not_read_at_boundary_nodes(op, fill):
+    # the traction rows replace the source's boundary rows, so the source
+    # at the boundary nodes (which nonlinear.assemble_window leaves at 0.0)
+    # cannot reach v
+    rng = np.random.default_rng(4)
+    times = np.linspace(0, 0.01, 11)
+    vals = rng.normal(size=(11,) + GRID.extent + (2,))
+    g = rng.normal(size=(11, len(op.boundary_flat), 2))
+    u0 = Field(GRID, 1e-2 * rng.normal(size=GRID.extent + (2,)))
+    mask = GRID.boundary_mask
+    zeroed, filled = vals.copy(), vals.copy()
+    zeroed[:, mask] = 0.0
+    filled[:, mask] = fill
+    want = solve_lame(op, TimeSeries(GRID, times, zeroed), g, u0, times)
+    got = solve_lame(op, TimeSeries(GRID, times, filled), g, u0, times)
+    assert np.array_equal(got.values, want.values)
+    assert np.all(np.isfinite(got.values))
+
+
 # ---------------------------------------------------------------------------
 # symbol and Lopatinskii-Shapiro
 # ---------------------------------------------------------------------------

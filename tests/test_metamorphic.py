@@ -97,11 +97,11 @@ def test_truncated_horizon_gives_the_prefix(case):
 # reflection x -> 1 - x
 # ---------------------------------------------------------------------------
 
-def mirror(values, axis, shift=0.0):
-    """Vector frames under x -> 1 - x: the x axis of the nodes (``axis``)
-    reversed and the first component c replaced by shift - c."""
+def mirror(values, axis, shift=0.0, comp=0):
+    """Vector frames under x_comp -> 1 - x_comp: the node axis ``axis``
+    reversed and the component ``comp`` replaced by shift - it."""
     out = np.flip(values, axis).copy()
-    out[..., 0] = shift - out[..., 0]
+    out[..., comp] = shift - out[..., comp]
     return out
 
 
@@ -132,3 +132,67 @@ def test_reflected_data_give_the_reflected_path(case):
     assert np.max(np.abs(np.flip(b.rho, 1) - a.rho)) <= 1e-14
     scale = np.max(np.abs(a.v.values))
     assert np.max(np.abs(mirror(b.v.values, 1) - a.v.values)) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# 3D at 9^3: the assembly, stencils and traction rows at both ends of every
+# axis
+# ---------------------------------------------------------------------------
+
+GRID3 = Grid(3, 9)
+CFG3 = SolveConfig(T=0.01)
+CUT3 = 6                    # levels of the truncated run: T = 0.005
+
+# rotation amplitude and seed; the rigid rotation fires the monitor on none
+# of them, so the fired 3D case waits for a spatially varying 3D transport
+# family (ROADMAP direction 13)
+PATHS3 = {"small": (1e-3, 0), "mid": (5e-3, 1), "large": (2e-2, 2)}
+
+
+def solve3(cfg, amplitude, bundle):
+    """One solid3d-like path at 9^3: rho0 = 1, the benchmark's u0 (even in
+    every axis, first component only), one rotation about the z axis and
+    one forcing mode."""
+    c = GRID3.coords()
+    u0 = np.zeros(GRID3.extent + (3,))
+    u0[..., 0] = 1e-3 * np.prod([np.sin(np.pi * c[..., d]) ** 2
+                                 for d in range(3)], axis=0)
+    rho0 = Field(GRID3, np.ones(GRID3.extent))
+    Q = make_transport_field(3, "rotation", K=1, amplitude=amplitude)
+    forcing = StochasticForcing.default_modes(GRID3, 1, 1e-3)
+    with pytest.warns(UserWarning, match="compatibility"):
+        return picard_solve(rho0, Field(GRID3, u0), PARAMS, cfg, Q, bundle,
+                            forcing)
+
+
+@pytest.mark.parametrize("case", PATHS3)
+def test_truncated_horizon_gives_the_prefix_in_3d(case):
+    # T = 0.01, and T = 0.005 on the first CUT3 levels of the same bundle
+    amplitude, seed = PATHS3[case]
+    bundle = sample_brownian(1, 1, CFG3.T, CFG3.dt, seed=seed)
+    cut_bundle = BrownianBundle(bundle.K, bundle.mode_count, bundle.step,
+                                bundle.values[:, :CUT3].copy(), bundle.seed)
+    cut_cfg = SolveConfig(T=(CUT3 - 1) * CFG3.dt)
+    full = solve3(CFG3, amplitude, bundle)
+    cut = solve3(cut_cfg, amplitude, cut_bundle)
+    assert full.tau == CFG3.T and full.monitor.fired_index is None
+    assert cut.tau == cut_cfg.times[-1]
+    assert cut.iterations == full.iterations
+    k = len(cut.times)
+    assert np.array_equal(cut.v.values, full.v.values[:k])
+    assert np.array_equal(cut.window.X, full.window.X[:k])
+
+
+@pytest.mark.parametrize("case", PATHS3)
+def test_solution_is_even_in_z(case):
+    # the rotation acts in the (x, y) plane and u0 and the forcing mode are
+    # even in z, so z -> 1 - z maps one run onto itself: v is even in z with
+    # its z component negated
+    amplitude, seed = PATHS3[case]
+    a = solve3(CFG3, amplitude, sample_brownian(1, 1, CFG3.T, CFG3.dt,
+                                                seed=seed))
+    scale = np.max(np.abs(a.v.values))
+    assert np.max(np.abs(mirror(a.v.values, 3, comp=2) - a.v.values)) <= (
+        1e-12 * scale)
+    assert np.max(np.abs(mirror(a.window.X, 3, shift=1.0, comp=2)
+                         - a.window.X)) <= 1e-14

@@ -159,12 +159,20 @@ def derivative_pack(grid, u_vals):
     return G, hessian_values(grid, u_vals, G)
 
 
+def full_grid_F_u(grid, G, H, Z, dZ, J, rho0, params):
+    """assemble_F_u at every node of one frame, with the full-grid
+    gradient of p(rho0 / J)."""
+    eos = EquationOfState(params.a, params.gamma)
+    grad_p = gradient_values(grid, eos.p(rho0 / J))
+    return assemble_F_u(G, H, Z, dZ, J, rho0, grad_p, params)
+
+
 def test_f_u_vanishes_at_identity():
     c = GRID.coords()
     u = np.stack([np.sin(np.pi * c[..., 0]), c[..., 0] * c[..., 1]], axis=-1)
     G, H = derivative_pack(GRID, u)
     eye = np.broadcast_to(np.eye(2), GRID.extent + (2, 2)).copy()
-    out = assemble_F_u(GRID, G, H, eye, np.zeros(GRID.extent + (2, 2, 2)),
+    out = full_grid_F_u(GRID, G, H, eye, np.zeros(GRID.extent + (2, 2, 2)),
                        np.ones(GRID.extent), np.ones(GRID.extent), PARAMS)
     assert np.max(np.abs(out)) <= 1e-12
 
@@ -178,7 +186,7 @@ def test_f_u_synthetic_defect_group():
     H[..., 0, 0, 0] = 1.0
     H[..., 0, 1, 1] = 1.0
     eye = np.broadcast_to(np.eye(2), shape + (2, 2)).copy()
-    out = assemble_F_u(GRID, G, H, eye, np.zeros(shape + (2, 2, 2)),
+    out = full_grid_F_u(GRID, G, H, eye, np.zeros(shape + (2, 2, 2)),
                        2.0 * np.ones(shape), np.ones(shape), params)
     assert np.allclose(out[..., 0], 3.0, atol=1e-12)
     assert np.allclose(out[..., 1], 0.0, atol=1e-12)
@@ -198,7 +206,7 @@ def test_f_u_pressure_group_first_order():
     G = np.zeros(GRID.extent + (2, 2))
     H = np.zeros(GRID.extent + (2, 2, 2))
     dZ = gradient_values(GRID, Z)
-    out = assemble_F_u(GRID, G, H, Z, dZ, J, rho0, PARAMS)
+    out = full_grid_F_u(GRID, G, H, Z, dZ, J, rho0, PARAMS)
     assert np.max(np.abs(out - base)) <= 50 * delta
 
 
@@ -215,7 +223,7 @@ def test_f_u_matches_loop_oracle():
     dZ = gradient_values(GRID, Z)
     eos = EquationOfState(PARAMS.a, PARAMS.gamma)
     grad_p = gradient_values(GRID, eos.p(rho0 / J))
-    out = assemble_F_u(GRID, G, H, Z, dZ, J, rho0, PARAMS)
+    out = assemble_F_u(G, H, Z, dZ, J, rho0, grad_p, PARAMS)
     for idx in [(3, 4), (0, 0), (16, 16), (8, 12)]:
         ref = f_u_point(G[idx], H[idx], Z[idx], dZ[idx], J[idx], rho0[idx],
                         grad_p[idx], PARAMS.mu, PARAMS.lam)
@@ -302,7 +310,7 @@ def test_joint_continuity_in_Z_J():
     G, H = derivative_pack(GRID, u)
     rho0 = np.ones(GRID.extent)
     eye = np.broadcast_to(np.eye(2), GRID.extent + (2, 2)).copy()
-    base = assemble_F_u(GRID, G, H, eye, np.zeros(GRID.extent + (2, 2, 2)),
+    base = full_grid_F_u(GRID, G, H, eye, np.zeros(GRID.extent + (2, 2, 2)),
                         np.ones(GRID.extent), rho0, PARAMS)
     dZ_dir = rng.normal(size=GRID.extent + (2, 2))
     dJ_dir = rng.normal(size=GRID.extent)
@@ -311,14 +319,27 @@ def test_joint_continuity_in_Z_J():
         Z = eye + eps * dZ_dir * 0.0  # spatially constant perturbation keeps dZ = 0
         Z = eye + eps * 0.3
         J = 1.0 + eps * dJ_dir * 0.0 + eps
-        out = assemble_F_u(GRID, G, H, Z, gradient_values(GRID, Z), J, rho0, PARAMS)
+        out = full_grid_F_u(GRID, G, H, Z, gradient_values(GRID, Z), J, rho0, PARAMS)
         ratios.append(np.max(np.abs(out - base)) / eps)
     assert ratios[0] == pytest.approx(ratios[1], rel=0.05)
+
+
+def interior(values, lead=0):
+    """The interior nodes of a frame (lead = 0) or a stack (lead = 1)."""
+    dim = values.ndim - lead - 1
+    return values[(slice(None),) * lead + (slice(1, -1),) * dim]
+
+
+def on_boundary_only(values, grid):
+    """The boundary nodes of a stack of vector frames."""
+    return values[(slice(None),) + tuple(grid.boundary_nodes()[0].T)]
 
 
 def test_assemble_window_matches_per_frame_calls(monkeypatch):
     # passes of three frames split the window into several chunks; each
     # frame must get, bit for bit, what its own derivatives and assembly give
+    # at the interior nodes, and 0.0 at the boundary nodes, whose rows the
+    # Lame steps fill with traction data
     monkeypatch.setattr(lagflow.fields, "_CHUNK_BYTES", 3 * 8 * GRID.n_nodes * 2 * 4)
     rng = np.random.default_rng(8)
     L = 7
@@ -333,11 +354,13 @@ def test_assemble_window_matches_per_frame_calls(monkeypatch):
                                  rho0, PARAMS)
     idx_b, normals_b = GRID.boundary_nodes()
     bsel = tuple(idx_b.T)
+    assert np.array_equal(on_boundary_only(F_u, GRID),
+                          np.zeros((L, len(idx_b), 2)))
     for n in range(L):
         G, H = derivative_pack(GRID, u[n])
         dZ = gradient_values(GRID, Z[n])
-        assert np.array_equal(
-            F_u[n], assemble_F_u(GRID, G, H, Z[n], dZ, J[n], rho0, PARAMS))
+        assert np.array_equal(interior(F_u[n]), interior(
+            full_grid_F_u(GRID, G, H, Z[n], dZ, J[n], rho0, PARAMS)))
         assert np.array_equal(
             F_G_b[n], assemble_F_Gamma(G[bsel], Z[n][bsel], J[n][bsel],
                                        rho0[bsel], normals_b, PARAMS))
@@ -347,7 +370,8 @@ def test_assemble_window_matches_per_frame_calls(monkeypatch):
                          ids=["2d-11x13", "3d-9^3"])
 def test_chunk_assembly_matches_per_frame_einsum_oracle(monkeypatch, grid):
     # the chunk assembly must give, bit for bit, the per-frame einsum
-    # assembly it replaced; passes of three frames split 8 frames 3/3/2
+    # assembly it replaced (F_u at the interior nodes, 0.0 at the boundary
+    # nodes); passes of three frames split 8 frames 3/3/2
     dim = grid.dim
     monkeypatch.setattr(lagflow.fields, "_CHUNK_BYTES",
                         3 * 8 * grid.n_nodes * dim * dim**2)
@@ -364,11 +388,13 @@ def test_chunk_assembly_matches_per_frame_einsum_oracle(monkeypatch, grid):
                                PARAMS)
     idx_b, normals_b = grid.boundary_nodes()
     bsel = tuple(idx_b.T)
+    assert np.array_equal(on_boundary_only(F_u, grid),
+                          np.zeros((L, len(idx_b), dim)))
     for n in range(L):
         G, H = derivative_pack(grid, u[n])
         dZ = gradient_values(grid, Z[n])
-        assert np.array_equal(
-            F_u[n], einsum_F_u(grid, G, H, Z[n], dZ, J[n], rho0, PARAMS))
+        assert np.array_equal(interior(F_u[n]), interior(
+            einsum_F_u(grid, G, H, Z[n], dZ, J[n], rho0, PARAMS)))
         assert np.array_equal(
             F_G_b[n], einsum_F_Gamma(G[bsel], Z[n][bsel], J[n][bsel],
                                      rho0[bsel], normals_b, PARAMS))
