@@ -81,7 +81,9 @@ class SolveConfig:
     iteration needs an integer count of at least one iterate and a positive
     tolerance; the constructor raises ``ValueError`` otherwise, NaN
     included.
-    The noise-flow padding is the constant ``flow.PAD_CELLS``.
+    The noise flow's lattice is padded by the constant ``flow.PAD_CELLS``
+    cells per side, and its stacks hold the lattice nodes within one cell
+    of the box (``flow.NoiseFlow``).
     """
 
     p: float = 4.0

@@ -11,6 +11,13 @@ watches the deformation norms
 
 and freezes the usable window at their first crossing of delta.
 
+The noise flow lives on a lattice, the node grid padded by ``PAD_CELLS``
+cells per side, which fixes every coordinate, cell and escape bound the
+interpolation plans use.  Its level stacks hold the lattice nodes within
+one cell of the box only, where the label flow reads them; a plan that
+leaves those nodes makes the flow take its stacks on the whole lattice
+once, with the same values on the nodes held before (``NoiseFlow``).
+
 The composed map data of a window (X, grad X, Z = grad X^{-1}, J = det grad X
 and the inversion guard) is one ``FlowWindow`` of level stacks, laid out
 like the frame stacks of ``fields``: the density, the monitor norms and the
@@ -22,6 +29,8 @@ and Dpsi on Y with the interpolation plans of its own Heun stages
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from collections.abc import Callable
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,7 +44,7 @@ from .fields import (
     frame_norms,
     gradient_values,
 )
-from .interp import InterpAxes, InterpPlan
+from .interp import InterpAxes, InterpPlan, UnheldNodesError
 from .noise import BrownianBundle, TransportField
 
 if TYPE_CHECKING:
@@ -100,25 +109,41 @@ def mat_inv(A: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass
 class NoiseFlow:
-    """Noise-only flow psi tracked on the node grid padded by ``PAD_CELLS``.
+    """Noise-only flow psi on the lattice nodes within one cell of the box.
 
-    Arrays are stacked over time levels: ``psi`` (L, ext_p, d), ``Dpsi`` and
-    ``Dpsi_inv`` (L, ext_p, d, d).  ``grad_Dpsi_inv`` holds the spatial
-    derivatives of the inverse gradient, needed by the label-ODE chain rule.
-    ``interp_axes`` holds the interpolation constants of the padded axes,
-    shared by every plan on them.
+    The lattice (``lattice``, a list of axes) is the node grid padded by
+    ``PAD_CELLS``; its coordinates, cells and escape bounds are those of
+    every plan.  The level stacks hold the lattice nodes ``nodes`` (a slice
+    per axis), the core of n + 2 nodes per axis around the box: ``psi``
+    (L, *ext, d), ``Dpsi`` and ``Dpsi_inv`` (L, *ext, d, d), and
+    ``grad_Dpsi_inv`` (L, *ext, d, d, d), the spatial derivatives of the
+    inverse gradient, needed by the label-ODE chain rule.  ``axes`` are the
+    lattice axes on those nodes.  ``interp_axes`` holds the interpolation
+    constants of the lattice and the held nodes, shared by every plan.
+
+    ``stacks`` gives the four stacks on a block of lattice nodes.  A plan
+    whose cells leave the held nodes makes the flow take them once on the
+    whole lattice (the same values on the core, bit for bit) before the plan
+    is built again, so a plan made before that no longer fits its arrays.
     """
 
-    axes: list[np.ndarray]
+    lattice: list[np.ndarray]
+    nodes: tuple[slice, ...]
     times: np.ndarray
     psi: np.ndarray
     Dpsi: np.ndarray
     Dpsi_inv: np.ndarray
     grad_Dpsi_inv: np.ndarray
+    stacks: Callable[[tuple[slice, ...]], tuple[np.ndarray, ...]] = field(
+        repr=False, compare=False)
     interp_axes: InterpAxes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.interp_axes = InterpAxes(self.axes)
+        self.interp_axes = InterpAxes(self.lattice, self.nodes)
+
+    @property
+    def axes(self) -> list[np.ndarray]:
+        return [ax[s] for ax, s in zip(self.lattice, self.nodes)]
 
     @property
     def n_levels(self) -> int:
@@ -129,15 +154,27 @@ class NoiseFlow:
         return float(self.times[1] - self.times[0])
 
     def plan(self, pts: np.ndarray, time=None) -> InterpPlan:
-        return InterpPlan(self.interp_axes, pts, time=time)
+        try:
+            return InterpPlan(self.interp_axes, pts, time=time)
+        except UnheldNodesError:
+            self.nodes = tuple(slice(0, len(ax)) for ax in self.lattice)
+            (self.psi, self.Dpsi, self.Dpsi_inv,
+             self.grad_Dpsi_inv) = self.stacks(self.nodes)
+            self.interp_axes = InterpAxes(self.lattice, self.nodes)
+            return InterpPlan(self.interp_axes, pts, time=time)
 
 
-PAD_CELLS = 4  # cells the noise flow's node grid extends past the box per side
+PAD_CELLS = 4  # cells the noise flow's lattice extends past the box per side
 
 
 def _padded_axes(grid: Grid) -> list[np.ndarray]:
     return [np.linspace(a - PAD_CELLS * h, b + PAD_CELLS * h, n + 2 * PAD_CELLS)
             for (a, b), n, h in zip(grid.box, grid.extent, grid.spacing)]
+
+
+def _core_nodes(grid: Grid) -> tuple[slice, ...]:
+    """The lattice nodes within one cell of the box, n + 2 per axis."""
+    return tuple(slice(PAD_CELLS - 1, PAD_CELLS + n + 1) for n in grid.extent)
 
 
 def _transport_sums(Q: TransportField, pts, dW):
@@ -156,7 +193,7 @@ def _heun_step(Q: TransportField, x: np.ndarray, D: np.ndarray,
     """One Heun step of psi and Dpsi; the product G0 D serves both stages.
 
     The stage temporaries end with the step, so none of them stays alive
-    into the inversion after the time loop.
+    into the level's inversion.
     """
     b0, G0 = _transport_sums(Q, x, dW)
     x_pred = x + b0
@@ -167,31 +204,77 @@ def _heun_step(Q: TransportField, x: np.ndarray, D: np.ndarray,
             D + 0.5 * (G0D + contract("...ij,...jk->...ik", "j", G1, D_pred)))
 
 
-def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
-                         grid: Grid) -> NoiseFlow:
-    """Integrate d psi = sum_k Q_k(psi) o dW_k on the padded node grid.
+def _inner_gradient(f: np.ndarray, ax: np.ndarray, run: slice, dim: int,
+                    axis: int) -> np.ndarray:
+    """``np.gradient(F, ax, axis=axis, edge_order=2)`` inside a block of F.
 
-    The gradient flow d Dpsi = sum_k DQ_k(psi) Dpsi o dW_k is advanced with
-    the same Heun staging; Dpsi_inv comes from per-point closed-form
-    inversion, which keeps Dpsi . Dpsi_inv = I exactly at every level.
-    The bundle must carry one transport path per field (``ValueError``
-    otherwise).
+    ``f`` holds F, with trailing component axes, on a block of lattice nodes
+    one node wider per side than the nodes wanted; along ``axis`` the block
+    is the nodes ``run`` of the lattice axis ``ax``.  np.gradient takes one
+    step for the whole axis when every spacing of ``ax`` is equal, and
+    non-uniform weights otherwise.  That choice is made here on the whole
+    lattice axis, not on the block's, and the weights are np.gradient's own
+    expressions, so the result has its bits.
     """
-    if bundle.K != Q.K:
-        raise ValueError(f"{Q.K} transport fields need as many Brownian "
-                         f"paths, the bundle has {bundle.K}")
-    axes = _padded_axes(grid)
-    dim = grid.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts0 = np.stack(mesh, axis=-1)
+    spacing = np.diff(ax)
+    lo, mid, hi = (tuple(slice(a, b) if k == axis else slice(1, -1)
+                         for k in range(dim))
+                   for a, b in ((None, -2), (1, -1), (2, None)))
+    if (spacing == spacing[0]).all():
+        return (f[hi] - f[lo]) / (2. * spacing[0])
+    dx = spacing[run.start:run.stop - 1]
+    dx1, dx2 = dx[:-1], dx[1:]
+    shape = (-1,) + (1,) * (f.ndim - axis - 1)
+    a = (-(dx2) / (dx1 * (dx1 + dx2))).reshape(shape)
+    b = ((dx2 - dx1) / (dx1 * dx2)).reshape(shape)
+    c = (dx1 / (dx2 * (dx1 + dx2))).reshape(shape)
+    return a * f[lo] + b * f[mid] + c * f[hi]
+
+
+def _noise_stacks(Q: TransportField, bundle: BrownianBundle,
+                  lattice: list[np.ndarray], nodes: tuple[slice, ...]
+                  ) -> tuple[np.ndarray, ...]:
+    """psi, Dpsi, Dpsi_inv and grad Dpsi_inv on the lattice nodes ``nodes``.
+
+    ``nodes`` is the whole lattice or a block inside it.  For a block, the
+    Heun steps run on it and a one-node halo, each level is inverted there,
+    and grad Dpsi_inv is taken on the block with ``_inner_gradient``; the
+    halo is dropped level by level.  For the whole lattice, np.gradient
+    takes it with second-order edges.  Every step, inversion and difference
+    acts node by node, so the values on a node do not depend on the block.
+    The determinant blow-up check covers the nodes integrated.
+    """
+    dim = len(lattice)
+    whole = all(s == slice(0, len(ax)) for s, ax in zip(nodes, lattice))
+    if whole:
+        run, keep = nodes, (slice(None),) * dim
+    else:
+        run = tuple(slice(s.start - 1, s.stop + 1) for s in nodes)
+        keep = (slice(1, -1),) * dim
+    pts0 = np.stack(np.meshgrid(*(ax[r] for ax, r in zip(lattice, run)),
+                                indexing="ij"), axis=-1)
+    ext = pts0[keep].shape[:-1]
     L = bundle.n_steps + 1
-    psi = np.empty((L,) + pts0.shape)
-    Dpsi = np.empty((L,) + pts0.shape[:-1] + (dim, dim))
-    psi[0] = pts0
-    Dpsi[0] = np.eye(dim)
+    psi = np.empty((L,) + ext + (dim,))
+    Dpsi = np.empty((L,) + ext + (dim, dim))
+    Dpsi_inv = np.empty(Dpsi.shape)
+    grad_inv = np.empty(Dpsi.shape + (dim,))
+
+    def store(level, x, D):
+        psi[level] = x[keep]
+        Dpsi[level] = D[keep]
+        inv = mat_inv(D)
+        Dpsi_inv[level] = inv[keep]
+        for d, ax in enumerate(lattice):
+            grad_inv[level, ..., d] = (
+                np.gradient(inv, ax, axis=d, edge_order=2) if whole
+                else _inner_gradient(inv, ax, run[d], dim, d))
+
+    x = pts0
+    D = np.empty(pts0.shape + (dim,))
+    D[...] = np.eye(dim)
+    store(0, x, D)
     dWs = bundle.transport_increments()
-    x = pts0.copy()
-    D = Dpsi[0].copy()
     for n in range(bundle.n_steps):
         x, D = _heun_step(Q, x, D, dWs[:, n])
         det = mat_det(D)
@@ -202,26 +285,51 @@ def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
             raise RuntimeError(
                 f"noise-flow gradient determinant {what} at "
                 f"t = {bundle.times[n + 1]:.6g} (scheme blow-up)")
-        psi[n + 1] = x
-        Dpsi[n + 1] = D
-    Dpsi_inv = mat_inv(Dpsi)
-    grad_inv = np.empty(Dpsi_inv.shape + (dim,))
-    for d, ax in enumerate(axes):
-        grad_inv[..., d] = np.gradient(Dpsi_inv, ax, axis=1 + d, edge_order=2)
-    return NoiseFlow(axes, bundle.times.copy(), psi, Dpsi, Dpsi_inv, grad_inv)
+        store(n + 1, x, D)
+    return psi, Dpsi, Dpsi_inv, grad_inv
 
 
-def identity_noise_flow(grid: Grid, times: np.ndarray) -> NoiseFlow:
-    """The K = 0 noise flow: psi = id at every level."""
-    axes = _padded_axes(grid)
-    dim = grid.dim
-    pts0 = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    L = len(times)
+def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
+                         grid: Grid) -> NoiseFlow:
+    """Integrate d psi = sum_k Q_k(psi) o dW_k on the core of the lattice.
+
+    The gradient flow d Dpsi = sum_k DQ_k(psi) Dpsi o dW_k is advanced with
+    the same Heun staging; Dpsi_inv comes from per-point closed-form
+    inversion, which keeps Dpsi . Dpsi_inv = I exactly at every level.
+    The stacks hold the core, the lattice nodes within one cell of the box
+    (see ``_noise_stacks``), and the flow takes them on the whole lattice
+    when a plan leaves the core (see ``NoiseFlow``).  The bundle must carry
+    one transport path per field (``ValueError`` otherwise).
+    """
+    if bundle.K != Q.K:
+        raise ValueError(f"{Q.K} transport fields need as many Brownian "
+                         f"paths, the bundle has {bundle.K}")
+    lattice = _padded_axes(grid)
+    stacks = partial(_noise_stacks, Q, bundle, lattice)
+    nodes = _core_nodes(grid)
+    return NoiseFlow(lattice, nodes, bundle.times.copy(), *stacks(nodes),
+                     stacks)
+
+
+def _identity_stacks(lattice: list[np.ndarray], L: int,
+                     nodes: tuple[slice, ...]) -> tuple[np.ndarray, ...]:
+    dim = len(lattice)
+    pts0 = np.stack(np.meshgrid(*(ax[s] for ax, s in zip(lattice, nodes)),
+                                indexing="ij"), axis=-1)
     psi = np.broadcast_to(pts0, (L,) + pts0.shape).copy()
     Dpsi = np.broadcast_to(np.eye(dim), (L,) + pts0.shape[:-1] + (dim, dim)).copy()
     grad_inv = np.zeros((L,) + pts0.shape[:-1] + (dim, dim, dim))
-    return NoiseFlow(axes, np.asarray(times, float), psi, Dpsi, Dpsi.copy(),
-                     grad_inv)
+    return psi, Dpsi, Dpsi.copy(), grad_inv
+
+
+def identity_noise_flow(grid: Grid, times: np.ndarray) -> NoiseFlow:
+    """The K = 0 noise flow: psi = id at every level, held on the core of
+    the lattice like ``integrate_noise_flow``'s."""
+    lattice = _padded_axes(grid)
+    stacks = partial(_identity_stacks, lattice, len(times))
+    nodes = _core_nodes(grid)
+    return NoiseFlow(lattice, nodes, np.asarray(times, float), *stacks(nodes),
+                     stacks)
 
 
 # ---------------------------------------------------------------------------

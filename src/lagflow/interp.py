@@ -7,13 +7,20 @@ exactly, which the flow composition relies on for the rigid transport-field
 families.
 
 Per-axes layout.  What depends on the axes only is an :class:`InterpAxes`,
-built once per set of axes (``flow.NoiseFlow`` holds the one of its padded
-grid): the box bounds widened by the escape slack, the first node and the
-step as (dim, 1) columns, the last cell index per axis, the node strides
-and the corner offsets, and, for the last query count seen, the CSR row
-pointer and the corner offsets tiled over the rows.  A plan copies its
-points once into a (dim, n) array, one contiguous row per axis, and runs
-the escape check, the cell search and the corner weights on those rows.
+built once per set of axes (``flow.NoiseFlow`` holds the one of its
+lattice): the box bounds widened by the escape slack, the first node and
+the step as (dim, 1) columns, the last cell index per axis, the node
+strides and the corner offsets, and, for the last query count seen, the
+CSR row pointer and the corner offsets tiled over the rows.  A plan copies
+its points once into a (dim, n) array, one contiguous row per axis, and
+runs the escape check, the cell search and the corner weights on those
+rows.
+
+Held nodes.  The sampled arrays may hold a block of the axes' nodes only
+(``flow.NoiseFlow`` holds the nodes within one cell of the box).  The
+coordinates, cells, fractions, weights and escape bounds stay those of the
+whole axes; only the column indices count the held block, and a plan whose
+cells leave it raises :class:`UnheldNodesError`.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["InterpAxes", "InterpPlan", "FlowEscapeError"]
+__all__ = ["InterpAxes", "InterpPlan", "FlowEscapeError", "UnheldNodesError"]
 
 
 class FlowEscapeError(RuntimeError):
@@ -35,16 +42,29 @@ class FlowEscapeError(RuntimeError):
         self.point = point
 
 
+class UnheldNodesError(LookupError):
+    """A query cell reaches nodes of the axes the sampled arrays do not hold."""
+
+
 class InterpAxes:
     """The constants of every interpolation plan on one set of axes.
 
+    ``nodes`` is the block of nodes the sampled arrays hold, a slice with a
+    start and a stop per axis (every node by default).  The escape bounds,
+    ``lo``, ``h`` and ``last_cell`` are those of the whole axes, so the
+    block changes no cell or weight.  ``first_cell`` and ``held_last_cell``
+    are the first and last cell inside the block, ``extent`` its node count
+    per axis, and ``strides`` and ``offsets`` count its nodes: the offsets
+    are the corner offsets less the column of the first cell, so the
+    strides times a cell index plus an offset is a column of the block.
     The row pointer and the tiled corner offsets depend on the query count
     as well; one count is kept, the last one asked for.
     """
 
-    def __init__(self, axes):
+    def __init__(self, axes, nodes=None):
         self.dim = len(axes)
-        sizes = tuple(len(ax) for ax in axes)
+        if nodes is None:
+            nodes = tuple(slice(0, len(ax)) for ax in axes)
         lo = np.array([ax[0] for ax in axes], float)
         hi = np.array([ax[-1] for ax in axes], float)
         slack = 1e-9 * np.maximum(hi - lo, 1.0)
@@ -52,11 +72,14 @@ class InterpAxes:
         self.upper = (hi + slack)[:, None]
         self.lo = lo[:, None]
         self.h = np.array([ax[1] - ax[0] for ax in axes], float)[:, None]
-        self.last_cell = np.array(sizes)[:, None] - 2
-        self.n_nodes = int(np.prod(sizes))
+        self.last_cell = np.array([len(ax) for ax in axes])[:, None] - 2
+        self.extent = tuple(s.stop - s.start for s in nodes)
+        self.first_cell = np.array([s.start for s in nodes])[:, None]
+        self.held_last_cell = self.first_cell + np.array(self.extent)[:, None] - 2
+        self.n_nodes = int(np.prod(self.extent))
         corners = np.array(list(itertools.product((0, 1), repeat=self.dim)))
-        self.strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
-        self.offsets = corners @ self.strides
+        self.strides = np.cumprod((1,) + self.extent[:0:-1])[::-1]
+        self.offsets = corners @ self.strides - self.strides @ self.first_cell[:, 0]
         self._rows = (-1, None, None)        # (n, indptr, tiled offsets)
 
     def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -77,15 +100,16 @@ class InterpPlan:
     """Multilinear interpolation weights of one query set, as a CSR matrix.
 
     ``axes`` is a list of uniform 1-D axes or their :class:`InterpAxes`.
-    ``W`` has one row per query point and one column per node of the axes
-    (C order).  Row i holds the 2^dim corner weights of point i's cell in
-    ``itertools.product((0, 1), repeat=dim)`` order; each weight is the
+    ``W`` has one row per query point and one column per held node of the
+    axes (C order).  Row i holds the 2^dim corner weights of point i's cell
+    in ``itertools.product((0, 1), repeat=dim)`` order; each weight is the
     product of the per-axis factors frac or 1 - frac, taken in axis order.
     The cell index is clipped to ``len(ax) - 2``, so a point on the far face
     uses the last cell.  A point outside the box by more than 1e-9 times
     max(box length, 1) on some axis, or a NaN coordinate, raises
     :class:`FlowEscapeError`, for the first such axis and its first such
-    point.
+    point; a point inside it whose cell leaves the held nodes raises
+    :class:`UnheldNodesError`.
     Scipy's CSR product starts every row at zero and adds the stored terms
     in order, which is the per-corner sum ``out = 0; out += w_c * arr[c]``.
     """
@@ -94,6 +118,7 @@ class InterpPlan:
         ax = axes if isinstance(axes, InterpAxes) else InterpAxes(axes)
         pts = np.asarray(pts, float)
         self.dim = dim = ax.dim
+        self.extent = ax.extent
         self.qshape = pts.shape[:-1]
         flat = pts.reshape(-1, dim)
         self.n = n = flat.shape[0]
@@ -112,6 +137,10 @@ class InterpPlan:
         idx = np.floor(t).astype(np.intp)
         np.maximum(idx, 0, out=idx)
         np.minimum(idx, ax.last_cell, out=idx)
+        if ((idx < ax.first_cell) | (idx > ax.held_last_cell)).any():
+            raise UnheldNodesError(
+                f"a query cell leaves the held nodes, cells {ax.first_cell[:, 0]}"
+                f" to {ax.held_last_cell[:, 0]}")
         t -= idx                                # the fractions
         # corner weights, corner-major: w[c] = prod_d (frac_d or 1 - frac_d)
         factors = np.empty((dim, 2, n))
@@ -123,12 +152,18 @@ class InterpPlan:
         indptr, tiled = ax.rows(n)
         cols = np.repeat((ax.strides @ idx).astype(indptr.dtype), len(ax.offsets))
         cols += tiled
-        self.n_nodes = ax.n_nodes
         self.W = sp.csr_matrix((w.T.ravel(), cols, indptr),
-                               shape=(n, self.n_nodes))
+                               shape=(n, ax.n_nodes))
 
     def apply(self, arr: np.ndarray) -> np.ndarray:
-        """Interpolate ``arr`` (shape grid_extent + comp_shape) at the plan's points."""
+        """Interpolate ``arr`` (shape extent + comp_shape) at the plan's points.
+
+        ``ValueError`` if the leading axes of ``arr`` are not the held
+        node extent of the plan's axes.
+        """
+        if arr.shape[:self.dim] != self.extent:
+            raise ValueError(f"an array of shape {arr.shape} does not hold the "
+                             f"plan's nodes, extent {self.extent}")
         comp_shape = arr.shape[self.dim:]
-        out = self.W @ arr.reshape(self.n_nodes, -1)
+        out = self.W @ arr.reshape(self.W.shape[1], -1)
         return out.reshape(self.qshape + comp_shape)

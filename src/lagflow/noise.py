@@ -104,6 +104,12 @@ class BrownianBundle:
         if min(K, M, n_steps) < 0 or len(data) - size != want:
             raise ValueError(f"{path}: K = {K}, M = {M} and {n_steps} steps need "
                              f"{want} value bytes, found {len(data) - size}")
+        if not (np.isfinite(step) and step > 0):
+            raise ValueError(f"{path}: the time step must be positive and "
+                             f"finite, got {step}")
+        if level < 0:
+            raise ValueError(f"{path}: the refinement level must be >= 0, "
+                             f"got {level}")
         raw = np.frombuffer(data, dtype="<f8", offset=size)
         values = raw.reshape(K + M, n_steps + 1).astype(float)
         return cls(K, M, step, values, seed, level)

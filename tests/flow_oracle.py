@@ -9,7 +9,9 @@ node-major arrays (and the drift gradient through ``np.gradient``, from
 ``SlobodeckijWindow`` on a (frame, node, component) layout, its squared
 components summed by a plain loop in storage order.  ``csr_weights`` is
 the construction of ``InterpPlan.W`` before the per-axes constants were
-shared.  The production code must agree with each of them bit for bit.
+shared.  ``padded_noise_flow`` is the noise flow as it was integrated and
+stored on the whole padded lattice.  The production code must agree with
+each of them bit for bit.
 """
 
 import itertools
@@ -18,8 +20,9 @@ import numpy as np
 
 from derivative_oracle import gradient_values
 from lagflow.fields import TimeSeries, contract
-from lagflow.flow import FlowWindow, LabelFlow, NoiseFlow
-from lagflow.interp import FlowEscapeError, InterpPlan
+from lagflow.flow import (FlowWindow, LabelFlow, NoiseFlow, _heun_step,
+                          _padded_axes, mat_det, mat_inv)
+from lagflow.interp import FlowEscapeError
 
 
 def per_level_compose(nf, Y, gradY, eps_star):
@@ -27,11 +30,38 @@ def per_level_compose(nf, Y, gradY, eps_star):
     X = np.empty(Y.shape)
     gradX = np.empty(gradY.shape)
     for n in range(len(Y)):
-        plan = InterpPlan(nf.axes, Y[n], time=nf.times[n])
+        plan = nf.plan(Y[n], time=nf.times[n])
         X[n] = plan.apply(nf.psi[n])
         gradX[n] = contract("...ij,...jk->...ik", "j", plan.apply(nf.Dpsi[n]),
                             gradY[n])
     return FlowWindow.from_map(nf.times[:len(Y)], X, gradX, eps_star)
+
+
+def padded_noise_flow(Q, bundle, grid):
+    """(axes, psi, Dpsi, Dpsi_inv, grad_Dpsi_inv) on the whole padded lattice."""
+    axes = _padded_axes(grid)
+    dim = grid.dim
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts0 = np.stack(mesh, axis=-1)
+    L = bundle.n_steps + 1
+    psi = np.empty((L,) + pts0.shape)
+    Dpsi = np.empty((L,) + pts0.shape[:-1] + (dim, dim))
+    psi[0] = pts0
+    Dpsi[0] = np.eye(dim)
+    dWs = bundle.transport_increments()
+    x = pts0.copy()
+    D = Dpsi[0].copy()
+    for n in range(bundle.n_steps):
+        x, D = _heun_step(Q, x, D, dWs[:, n])
+        if not np.all(np.abs(mat_det(D) - 1.0) <= 0.5):
+            raise RuntimeError("scheme blow-up")
+        psi[n + 1] = x
+        Dpsi[n + 1] = D
+    Dpsi_inv = mat_inv(Dpsi)
+    grad_inv = np.empty(Dpsi_inv.shape + (dim,))
+    for d, ax in enumerate(axes):
+        grad_inv[..., d] = np.gradient(Dpsi_inv, ax, axis=1 + d, edge_order=2)
+    return axes, psi, Dpsi, Dpsi_inv, grad_inv
 
 
 def half_q_pow(x, q):

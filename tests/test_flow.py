@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 import lagflow.interp
 from flow_oracle import integrate_label_flow as contract_label_flow
-from flow_oracle import per_level_compose
+from flow_oracle import padded_noise_flow, per_level_compose
 from map_oracle import direct_flow_oracle, jacobian_ode_oracle
 from lagflow.fields import (Grid, SlobodeckijWindow, TimeSeries, gradient_values,
                             spatial_norm)
 from lagflow.fixedpoint import SolveConfig, _flow_stage, _monitor_window
 from lagflow.flow import (
+    PAD_CELLS,
     FlowWindow,
     LabelFlow,
+    NoiseFlow,
     compose_flow,
     identity_noise_flow,
     integrate_label_flow,
@@ -23,6 +25,7 @@ from lagflow.flow import (
     mat_inv,
     stopping_monitor,
 )
+from lagflow.interp import FlowEscapeError
 from lagflow.noise import make_transport_field, refine_bridge, sample_brownian
 
 GRID = Grid(2, (33, 33))
@@ -118,6 +121,150 @@ def test_divergence_free_volume_error_small_and_converging():
         b = refine_bridge(b)
     assert errs[0] <= 5e-3
     assert errs[1] <= errs[0]
+
+
+# ---------------------------------------------------------------------------
+# the core: the lattice nodes within one cell of the box
+# ---------------------------------------------------------------------------
+
+STACKS = ("psi", "Dpsi", "Dpsi_inv", "grad_Dpsi_inv")
+
+
+def same_bits(a, b):
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def core_of(grid):
+    """The lattice nodes within one cell of the box, per axis."""
+    return tuple(slice(PAD_CELLS - 1, PAD_CELLS + n + 1) for n in grid.extent)
+
+
+def lattice_corner(nf):
+    """A point in the lattice's first cell, outside the core on every axis."""
+    return np.array([[ax[0] + 0.5 * (ax[1] - ax[0]) for ax in nf.lattice]])
+
+
+CORE_GRIDS = {
+    # every lattice spacing equal: np.gradient's uniform step
+    (2, "unit"): Grid(2, (9, 17)),
+    (3, "unit"): Grid(3, (9, 9, 17)),
+    # unequal spacings; on axis 0 of the 2D box the spacings around the core
+    # are equal while the lattice's are not, so the weights follow the lattice
+    (2, "box"): Grid(2, (10, 11), box=((-1.0, 0.1), (-0.3, 0.7))),
+    (3, "box"): Grid(3, (9, 10, 9), box=((0.0, 1.0), (-0.5, 0.5), (0.2, 1.4))),
+}
+
+
+@pytest.mark.parametrize("dim, kind", [(2, "constant"), (2, "rotation"),
+                                       (2, "linear_test"), (2, "stream"),
+                                       (3, "constant"), (3, "rotation"),
+                                       (3, "linear_test")])
+@pytest.mark.parametrize("shape", ["unit", "box"])
+def test_core_stacks_are_the_whole_lattice_on_the_core(dim, kind, shape):
+    # the stacks on the core hold the bits the whole lattice holds there,
+    # and a plan that leaves the core turns them into the whole lattice's
+    g = CORE_GRIDS[dim, shape]
+    Q = make_transport_field(dim, kind, K=2, amplitude=0.3)
+    b = sample_brownian(2, 0, 0.004, DT, seed=11)
+    nf = integrate_noise_flow(Q, b, g)
+    axes, *want = padded_noise_flow(Q, b, g)
+    core = core_of(g)
+    assert [len(ax) for ax in nf.axes] == [n + 2 for n in g.extent]
+    for got_ax, ax, s in zip(nf.axes, axes, core):
+        assert same_bits(got_ax, ax[s])
+    for name, ref in zip(STACKS, want):
+        assert same_bits(getattr(nf, name), ref[(slice(None),) + core]), name
+    nf.plan(lattice_corner(nf))
+    for got_ax, ax in zip(nf.axes, axes):
+        assert same_bits(got_ax, ax)
+    for name, ref in zip(STACKS, want):
+        assert same_bits(getattr(nf, name), ref), name
+    assert np.max(np.abs(want[1] - np.eye(dim))) > 0 or kind == "constant"
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_identity_flow_core_is_the_whole_lattice_on_the_core(dim):
+    g = CORE_GRIDS[dim, "box"]
+    nf = identity_noise_flow(g, TIMES[:4])
+    core = [getattr(nf, name).copy() for name in STACKS]
+    nf.plan(lattice_corner(nf))
+    pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)
+    assert pts.shape[:-1] == tuple(n + 2 * PAD_CELLS for n in g.extent)
+    assert same_bits(nf.psi, np.broadcast_to(pts, (4,) + pts.shape).copy())
+    assert same_bits(nf.Dpsi_inv, np.broadcast_to(np.eye(dim), nf.Dpsi.shape).copy())
+    for name, held in zip(STACKS, core):
+        assert same_bits(getattr(nf, name)[(slice(None),) + core_of(g)], held), name
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_label_flow_leaving_the_core_matches_the_whole_lattice(dim):
+    # a drift that spreads Y past one cell of the box in the second half of
+    # the window: the flow re-integrates on the whole lattice there and
+    # gives the bits of a flow held on the whole lattice from the start
+    g = Grid(dim, 9)
+    if dim == 2:
+        Q = make_transport_field(2, "stream", K=2, amplitude=0.1)
+    else:
+        Q = make_transport_field(3, "rotation", K=1, amplitude=1.0)
+    cfg = SolveConfig(T=0.02, dt=DT)
+    b = sample_brownian(Q.K, 0, cfg.T, DT, seed=3)
+    ubar = linear_velocity(16.0, g, cfg.times)
+    ubar.values[...] -= 8.0
+    nf = integrate_noise_flow(Q, b, g)
+    axes, *arrays = padded_noise_flow(Q, b, g)
+    whole = NoiseFlow(axes, tuple(slice(0, len(ax)) for ax in axes),
+                      b.times.copy(), *arrays, None)
+    got, want = integrate_label_flow(ubar, nf), integrate_label_flow(ubar, whole)
+    h = g.spacing[0]
+    assert got.Y[len(got.Y) // 2].min() > -h     # still in the core
+    assert got.Y[-1].min() < -h and got.Y[-1].max() > 1.0 + h
+    for name in ("times", "Y", "gradY", "X", "Dpsi_Y", "grad_ubar"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    for name, ref in zip(STACKS, arrays):
+        assert same_bits(getattr(nf, name), ref), name
+
+
+def test_escape_bounds_stay_the_lattice_s():
+    # a point past the lattice raises today's error and leaves the core
+    # held; one between the core and the lattice's face (within the slack)
+    # does not raise, and makes the flow hold the whole lattice
+    g = Grid(2, 9)
+    Q = make_transport_field(2, "stream", K=2, amplitude=0.1)
+    nf = integrate_noise_flow(Q, sample_brownian(2, 0, T, DT, seed=2), g)
+    h = g.spacing[0]
+    pts = np.full((3, 2), 0.5)
+    pts[1, 1] = 1.0 + PAD_CELLS * h + 1e-3
+    with pytest.raises(FlowEscapeError) as exc:
+        nf.plan(pts, time=0.002)
+    assert str(exc.value) == f"query point {pts[1]} outside tracked box on axis 1 at t = 0.002"
+    assert np.array_equal(exc.value.point, pts[1]) and exc.value.time == 0.002
+    assert nf.psi.shape[1:3] == (11, 11)
+    pts[1] = (-0.9 * h, 1.0 + 0.9 * h)      # in the core
+    nf.plan(pts)
+    assert nf.psi.shape[1:3] == (11, 11)
+    pts[1, 1] = 1.0 + PAD_CELLS * h + 1e-12
+    plan = nf.plan(pts, time=0.002)
+    assert nf.psi.shape[1:3] == (17, 17)
+    assert np.all(np.isfinite(plan.apply(nf.psi[2])))
+
+
+def test_core_footprint_at_13_cubed():
+    # the solid3d setting: 15^3 nodes per level until a plan leaves the
+    # core; a plan made before the re-integration no longer fits the arrays
+    g = Grid(3, 13)
+    Q = make_transport_field(3, "rotation", K=1, amplitude=1e-3)
+    nf = integrate_noise_flow(Q, sample_brownian(1, 0, 0.01, DT, seed=0), g)
+    h = g.spacing[0]
+    for pts in (g.coords(), g.coords() - 0.9 * h, g.coords() + 0.9 * h):
+        plan = nf.plan(pts)
+        assert [a.shape for a in (nf.psi, nf.Dpsi, nf.Dpsi_inv, nf.grad_Dpsi_inv)] == [
+            (11, 15, 15, 15) + (3,) * r for r in (1, 2, 2, 3)]
+    assert sum(getattr(nf, name).nbytes for name in STACKS) == 11 * 15 ** 3 * 48 * 8
+    nf.plan(g.coords() - 1.5 * h)
+    assert nf.psi.shape == (11, 21, 21, 21, 3)
+    with pytest.raises(ValueError, match=r"shape \(21, 21, 21, 3\).*\(15, 15, 15\)"):
+        plan.apply(nf.psi[0])
 
 
 # ---------------------------------------------------------------------------

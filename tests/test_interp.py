@@ -1,10 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from flow_oracle import csr_weights
-from lagflow.interp import FlowEscapeError, InterpAxes, InterpPlan
+from lagflow.interp import FlowEscapeError, InterpAxes, InterpPlan, UnheldNodesError
 
 
 def per_corner_sum(axes, pts, arr):
@@ -143,3 +144,47 @@ def test_escape_error_matches_reference_construction(dim, case):
             build(InterpAxes(axes) if build is InterpPlan else axes, pts, time=0.5)
         assert exc.value.time == 0.5
         assert np.array_equal(exc.value.point, pts[j])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_apply_rejects_an_array_off_the_plan_nodes(dim):
+    # an array whose size the node count divides used to be read as if it
+    # lay on the nodes
+    ext = (9,) * dim
+    plan = InterpPlan([np.linspace(0.0, 1.0, 9)] * dim, np.full((2, dim), 0.3))
+    for shape in ((3, 27), (9 ** dim,), (3,) + ext[1:], ext[::-1][:-1] + (27, 3)):
+        arr = np.arange(float(np.prod(shape))).reshape(shape)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}") + ".*"
+                           + re.escape(f"extent {ext}")):
+            plan.apply(arr)
+    assert plan.apply(np.ones(ext + (2, dim))).shape == (2, 2, dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_held_nodes_keep_the_weights_of_the_whole_axes(dim):
+    # a plan on a block of the nodes samples the block's array as a plan on
+    # every node samples the whole array, bit for bit; a cell that leaves
+    # the block raises, and an array of every node does not fit the plan
+    rng = np.random.default_rng(60 + dim)
+    axes = box_axes(dim)
+    nodes = tuple(slice(2, len(ax) - 1) for ax in axes)
+    held = InterpAxes(axes, nodes)
+    assert held.extent == tuple(len(ax) - 3 for ax in axes)
+    arr = rng.normal(size=tuple(len(ax) for ax in axes) + (dim,))
+    lo = np.array([ax[2] for ax in axes])
+    hi = np.array([ax[-2] for ax in axes])
+    pts = rng.uniform(lo + 1e-6, hi - 1e-6, size=(30, dim))
+    pts[0] = [ax[3] for ax in axes]          # a node, frac 0
+    got = InterpPlan(held, pts).apply(arr[nodes])
+    assert np.array_equal(got, InterpPlan(axes, pts).apply(arr))
+    with pytest.raises(ValueError, match="extent"):
+        InterpPlan(held, pts).apply(arr)
+    for d in range(dim):
+        out = pts.copy()
+        out[5, d] = 0.5 * (axes[d][1] + axes[d][2])     # the cell before the block
+        with pytest.raises(UnheldNodesError):
+            InterpPlan(held, out)
+    out = pts.copy()
+    out[5, 0] = axes[0][-1]          # the last cell, past the block's
+    with pytest.raises(UnheldNodesError):
+        InterpPlan(held, out)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,19 @@ def test_load_rejects_a_malformed_file(tmp_path, edit, error):
     p = tmp_path / "bundle.bin"
     sample_brownian(2, 1, 0.93, 0.01, seed=9).dump(p)
     p.write_bytes(edit(p.read_bytes()))
+    with pytest.raises(ValueError, match=f"bundle.bin: .*{error}"):
+        BrownianBundle.load(p)
+
+
+@pytest.mark.parametrize("edit, error", [
+    ({"step": -1e-3}, "time step must be positive and finite, got -0.001"),
+    ({"step": 0.0}, "time step must be positive and finite, got 0.0"),
+    ({"step": np.nan}, "time step must be positive and finite, got nan"),
+    ({"level": -2}, "refinement level must be >= 0, got -2"),
+], ids=["negative-step", "zero-step", "nan-step", "negative-level"])
+def test_load_rejects_a_bad_step_or_level(tmp_path, edit, error):
+    p = tmp_path / "bundle.bin"
+    dataclasses.replace(sample_brownian(2, 1, 0.004, 1e-3, seed=9), **edit).dump(p)
     with pytest.raises(ValueError, match=f"bundle.bin: .*{error}"):
         BrownianBundle.load(p)
 
