@@ -81,9 +81,9 @@ class SolveConfig:
     iteration needs an integer count of at least one iterate and a positive
     tolerance; the constructor raises ``ValueError`` otherwise, NaN
     included.
-    The noise flow's lattice is padded by the constant ``flow.PAD_CELLS``
-    cells per side, and its stacks hold the lattice nodes within one cell
-    of the box (``flow.NoiseFlow``).
+    The noise flow's stacks hold the nodes within one cell of the box, its
+    tracked region (``flow.NoiseFlow``); the constant ``flow.PAD_CELLS`` is
+    the coordinate frame only.
     """
 
     p: float = 4.0

@@ -11,12 +11,12 @@ watches the deformation norms
 
 and freezes the usable window at their first crossing of delta.
 
-The noise flow lives on a lattice, the node grid padded by ``PAD_CELLS``
-cells per side, which fixes every coordinate, cell and escape bound the
-interpolation plans use.  Its level stacks hold the lattice nodes within
-one cell of the box only, where the label flow reads them; a plan that
-leaves those nodes makes the flow take its stacks on the whole lattice
-once, with the same values on the nodes held before (``NoiseFlow``).
+The noise flow holds its level stacks on the nodes within one cell of the
+box, n + 2 per axis, where the label flow reads them; that block is its
+tracked region, and a label that leaves it raises ``FlowEscapeError``.
+The nodes are taken from a lattice, the node grid padded by ``PAD_CELLS``
+cells per side, which is the coordinate frame only: the first node and
+the step of every interpolation plan are the lattice's (``NoiseFlow``).
 
 The composed map data of a window (X, grad X, Z = grad X^{-1}, J = det grad X
 and the inversion guard) is one ``FlowWindow`` of level stacks, laid out
@@ -29,8 +29,6 @@ and Dpsi on Y with the interpolation plans of its own Heun stages
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from collections.abc import Callable
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,7 +42,7 @@ from .fields import (
     frame_norms,
     gradient_values,
 )
-from .interp import InterpAxes, InterpPlan, UnheldNodesError
+from .interp import InterpAxes, InterpPlan
 from .noise import BrownianBundle, TransportField
 
 if TYPE_CHECKING:
@@ -112,19 +110,17 @@ class NoiseFlow:
     """Noise-only flow psi on the lattice nodes within one cell of the box.
 
     The lattice (``lattice``, a list of axes) is the node grid padded by
-    ``PAD_CELLS``; its coordinates, cells and escape bounds are those of
-    every plan.  The level stacks hold the lattice nodes ``nodes`` (a slice
-    per axis), the core of n + 2 nodes per axis around the box: ``psi``
-    (L, *ext, d), ``Dpsi`` and ``Dpsi_inv`` (L, *ext, d, d), and
-    ``grad_Dpsi_inv`` (L, *ext, d, d, d), the spatial derivatives of the
-    inverse gradient, needed by the label-ODE chain rule.  ``axes`` are the
-    lattice axes on those nodes.  ``interp_axes`` holds the interpolation
-    constants of the lattice and the held nodes, shared by every plan.
-
-    ``stacks`` gives the four stacks on a block of lattice nodes.  A plan
-    whose cells leave the held nodes makes the flow take them once on the
-    whole lattice (the same values on the core, bit for bit) before the plan
-    is built again, so a plan made before that no longer fits its arrays.
+    ``PAD_CELLS``, the coordinate frame of every plan: its first node and
+    step give the cells and fractions.  The level stacks hold the lattice
+    nodes ``nodes`` (a slice per axis), the core of n + 2 nodes per axis
+    around the box: ``psi`` (L, *ext, d), ``Dpsi`` and ``Dpsi_inv``
+    (L, *ext, d, d), and ``grad_Dpsi_inv`` (L, *ext, d, d, d), the spatial
+    derivatives of the inverse gradient, needed by the label-ODE chain rule.
+    ``axes`` are the lattice axes on those nodes.  ``interp_axes`` holds
+    the interpolation constants of the lattice and the core, shared by
+    every plan; the core's faces are the escape bounds, so a plan raises
+    ``FlowEscapeError`` for a point more than one cell outside the box.
+    The arrays do not change after construction.
     """
 
     lattice: list[np.ndarray]
@@ -134,8 +130,6 @@ class NoiseFlow:
     Dpsi: np.ndarray
     Dpsi_inv: np.ndarray
     grad_Dpsi_inv: np.ndarray
-    stacks: Callable[[tuple[slice, ...]], tuple[np.ndarray, ...]] = field(
-        repr=False, compare=False)
     interp_axes: InterpAxes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -154,17 +148,10 @@ class NoiseFlow:
         return float(self.times[1] - self.times[0])
 
     def plan(self, pts: np.ndarray, time=None) -> InterpPlan:
-        try:
-            return InterpPlan(self.interp_axes, pts, time=time)
-        except UnheldNodesError:
-            self.nodes = tuple(slice(0, len(ax)) for ax in self.lattice)
-            (self.psi, self.Dpsi, self.Dpsi_inv,
-             self.grad_Dpsi_inv) = self.stacks(self.nodes)
-            self.interp_axes = InterpAxes(self.lattice, self.nodes)
-            return InterpPlan(self.interp_axes, pts, time=time)
+        return InterpPlan(self.interp_axes, pts, time=time)
 
 
-PAD_CELLS = 4  # cells the noise flow's lattice extends past the box per side
+PAD_CELLS = 4  # cells of the noise flow's coordinate frame past the box per side
 
 
 def _padded_axes(grid: Grid) -> list[np.ndarray]:
@@ -236,21 +223,17 @@ def _noise_stacks(Q: TransportField, bundle: BrownianBundle,
                   ) -> tuple[np.ndarray, ...]:
     """psi, Dpsi, Dpsi_inv and grad Dpsi_inv on the lattice nodes ``nodes``.
 
-    ``nodes`` is the whole lattice or a block inside it.  For a block, the
-    Heun steps run on it and a one-node halo, each level is inverted there,
-    and grad Dpsi_inv is taken on the block with ``_inner_gradient``; the
-    halo is dropped level by level.  For the whole lattice, np.gradient
-    takes it with second-order edges.  Every step, inversion and difference
-    acts node by node, so the values on a node do not depend on the block.
-    The determinant blow-up check covers the nodes integrated.
+    ``nodes`` is a block inside the lattice, one node short of its faces at
+    least.  The Heun steps run on the block and a one-node halo, each level
+    is inverted there, and grad Dpsi_inv is taken on the block with
+    ``_inner_gradient``; the halo is dropped level by level.  Every step,
+    inversion and difference acts node by node, so the values on a node do
+    not depend on the block.  The determinant blow-up check covers the
+    nodes integrated.
     """
     dim = len(lattice)
-    whole = all(s == slice(0, len(ax)) for s, ax in zip(nodes, lattice))
-    if whole:
-        run, keep = nodes, (slice(None),) * dim
-    else:
-        run = tuple(slice(s.start - 1, s.stop + 1) for s in nodes)
-        keep = (slice(1, -1),) * dim
+    run = tuple(slice(s.start - 1, s.stop + 1) for s in nodes)
+    keep = (slice(1, -1),) * dim
     pts0 = np.stack(np.meshgrid(*(ax[r] for ax, r in zip(lattice, run)),
                                 indexing="ij"), axis=-1)
     ext = pts0[keep].shape[:-1]
@@ -266,9 +249,7 @@ def _noise_stacks(Q: TransportField, bundle: BrownianBundle,
         inv = mat_inv(D)
         Dpsi_inv[level] = inv[keep]
         for d, ax in enumerate(lattice):
-            grad_inv[level, ..., d] = (
-                np.gradient(inv, ax, axis=d, edge_order=2) if whole
-                else _inner_gradient(inv, ax, run[d], dim, d))
+            grad_inv[level, ..., d] = _inner_gradient(inv, ax, run[d], dim, d)
 
     x = pts0
     D = np.empty(pts0.shape + (dim,))
@@ -297,39 +278,30 @@ def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
     the same Heun staging; Dpsi_inv comes from per-point closed-form
     inversion, which keeps Dpsi . Dpsi_inv = I exactly at every level.
     The stacks hold the core, the lattice nodes within one cell of the box
-    (see ``_noise_stacks``), and the flow takes them on the whole lattice
-    when a plan leaves the core (see ``NoiseFlow``).  The bundle must carry
-    one transport path per field (``ValueError`` otherwise).
+    (see ``_noise_stacks``), and nothing else (see ``NoiseFlow``).  The
+    bundle must carry one transport path per field (``ValueError``
+    otherwise).
     """
     if bundle.K != Q.K:
         raise ValueError(f"{Q.K} transport fields need as many Brownian "
                          f"paths, the bundle has {bundle.K}")
-    lattice = _padded_axes(grid)
-    stacks = partial(_noise_stacks, Q, bundle, lattice)
-    nodes = _core_nodes(grid)
-    return NoiseFlow(lattice, nodes, bundle.times.copy(), *stacks(nodes),
-                     stacks)
-
-
-def _identity_stacks(lattice: list[np.ndarray], L: int,
-                     nodes: tuple[slice, ...]) -> tuple[np.ndarray, ...]:
-    dim = len(lattice)
-    pts0 = np.stack(np.meshgrid(*(ax[s] for ax, s in zip(lattice, nodes)),
-                                indexing="ij"), axis=-1)
-    psi = np.broadcast_to(pts0, (L,) + pts0.shape).copy()
-    Dpsi = np.broadcast_to(np.eye(dim), (L,) + pts0.shape[:-1] + (dim, dim)).copy()
-    grad_inv = np.zeros((L,) + pts0.shape[:-1] + (dim, dim, dim))
-    return psi, Dpsi, Dpsi.copy(), grad_inv
+    lattice, nodes = _padded_axes(grid), _core_nodes(grid)
+    return NoiseFlow(lattice, nodes, bundle.times.copy(),
+                     *_noise_stacks(Q, bundle, lattice, nodes))
 
 
 def identity_noise_flow(grid: Grid, times: np.ndarray) -> NoiseFlow:
     """The K = 0 noise flow: psi = id at every level, held on the core of
     the lattice like ``integrate_noise_flow``'s."""
-    lattice = _padded_axes(grid)
-    stacks = partial(_identity_stacks, lattice, len(times))
-    nodes = _core_nodes(grid)
-    return NoiseFlow(lattice, nodes, np.asarray(times, float), *stacks(nodes),
-                     stacks)
+    lattice, nodes = _padded_axes(grid), _core_nodes(grid)
+    dim, L = grid.dim, len(times)
+    pts0 = np.stack(np.meshgrid(*(ax[s] for ax, s in zip(lattice, nodes)),
+                                indexing="ij"), axis=-1)
+    psi = np.broadcast_to(pts0, (L,) + pts0.shape).copy()
+    Dpsi = np.broadcast_to(np.eye(dim), (L,) + pts0.shape[:-1] + (dim, dim)).copy()
+    grad_inv = np.zeros((L,) + pts0.shape[:-1] + (dim, dim, dim))
+    return NoiseFlow(lattice, nodes, np.asarray(times, float), psi, Dpsi,
+                     Dpsi.copy(), grad_inv)
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,19 @@ families.
 
 Per-axes layout.  What depends on the axes only is an :class:`InterpAxes`,
 built once per set of axes (``flow.NoiseFlow`` holds the one of its
-lattice): the box bounds widened by the escape slack, the first node and
-the step as (dim, 1) columns, the last cell index per axis, the node
-strides and the corner offsets, and, for the last query count seen, the
-CSR row pointer and the corner offsets tiled over the rows.  A plan copies
-its points once into a (dim, n) array, one contiguous row per axis, and
-runs the escape check, the cell search and the corner weights on those
-rows.
+nodes): the escape bounds, the first node and the step as (dim, 1)
+columns, the first and last cell of the held block, the node strides and
+the corner offsets, and, for the last query count seen, the CSR row
+pointer and the corner offsets tiled over the rows.  A plan copies its
+points once into a (dim, n) array, one contiguous row per axis, and runs
+the escape check, the cell search and the corner weights on those rows.
 
 Held nodes.  The sampled arrays may hold a block of the axes' nodes only
 (``flow.NoiseFlow`` holds the nodes within one cell of the box).  The
-coordinates, cells, fractions, weights and escape bounds stay those of the
-whole axes; only the column indices count the held block, and a plan whose
-cells leave it raises :class:`UnheldNodesError`.
+block is then the tracked region: its faces, widened by the slack, are the
+escape bounds, and the cells are clipped to the block's.  The coordinates,
+the first node and the step stay those of the whole axes, so a fraction
+has the bits it has on the whole axes; the column indices count the block.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["InterpAxes", "InterpPlan", "FlowEscapeError", "UnheldNodesError"]
+__all__ = ["InterpAxes", "InterpPlan", "FlowEscapeError"]
 
 
 class FlowEscapeError(RuntimeError):
@@ -42,37 +42,34 @@ class FlowEscapeError(RuntimeError):
         self.point = point
 
 
-class UnheldNodesError(LookupError):
-    """A query cell reaches nodes of the axes the sampled arrays do not hold."""
-
-
 class InterpAxes:
     """The constants of every interpolation plan on one set of axes.
 
     ``nodes`` is the block of nodes the sampled arrays hold, a slice with a
-    start and a stop per axis (every node by default).  The escape bounds,
-    ``lo``, ``h`` and ``last_cell`` are those of the whole axes, so the
-    block changes no cell or weight.  ``first_cell`` and ``held_last_cell``
-    are the first and last cell inside the block, ``extent`` its node count
-    per axis, and ``strides`` and ``offsets`` count its nodes: the offsets
-    are the corner offsets less the column of the first cell, so the
-    strides times a cell index plus an offset is a column of the block.
-    The row pointer and the tiled corner offsets depend on the query count
-    as well; one count is kept, the last one asked for.
+    start and a stop per axis (every node by default).  The escape bounds
+    are the block's first and last node, widened by 1e-9 times max(axis
+    length, 1) with the length of the whole axis; ``lo`` and ``h`` are the
+    whole axes', so the block changes no fraction or weight.
+    ``first_cell`` and ``held_last_cell`` are the first and last cell inside
+    the block, ``extent`` its node count per axis, and ``strides`` and
+    ``offsets`` count its nodes: the offsets are the corner offsets less the
+    column of the first cell, so the strides times a cell index plus an
+    offset is a column of the block.  The row pointer and the tiled corner
+    offsets depend on the query count as well; one count is kept, the last
+    one asked for.
     """
 
     def __init__(self, axes, nodes=None):
         self.dim = len(axes)
         if nodes is None:
             nodes = tuple(slice(0, len(ax)) for ax in axes)
-        lo = np.array([ax[0] for ax in axes], float)
-        hi = np.array([ax[-1] for ax in axes], float)
-        slack = 1e-9 * np.maximum(hi - lo, 1.0)
-        self.lower = (lo - slack)[:, None]
-        self.upper = (hi + slack)[:, None]
-        self.lo = lo[:, None]
+        first = np.array([ax[s.start] for ax, s in zip(axes, nodes)], float)
+        last = np.array([ax[s.stop - 1] for ax, s in zip(axes, nodes)], float)
+        slack = 1e-9 * np.maximum([ax[-1] - ax[0] for ax in axes], 1.0)
+        self.lower = (first - slack)[:, None]
+        self.upper = (last + slack)[:, None]
+        self.lo = np.array([ax[0] for ax in axes], float)[:, None]
         self.h = np.array([ax[1] - ax[0] for ax in axes], float)[:, None]
-        self.last_cell = np.array([len(ax) for ax in axes])[:, None] - 2
         self.extent = tuple(s.stop - s.start for s in nodes)
         self.first_cell = np.array([s.start for s in nodes])[:, None]
         self.held_last_cell = self.first_cell + np.array(self.extent)[:, None] - 2
@@ -104,12 +101,12 @@ class InterpPlan:
     axes (C order).  Row i holds the 2^dim corner weights of point i's cell
     in ``itertools.product((0, 1), repeat=dim)`` order; each weight is the
     product of the per-axis factors frac or 1 - frac, taken in axis order.
-    The cell index is clipped to ``len(ax) - 2``, so a point on the far face
-    uses the last cell.  A point outside the box by more than 1e-9 times
-    max(box length, 1) on some axis, or a NaN coordinate, raises
+    The cell index is clipped to the held block's cells, so a point on the
+    block's far face uses its last cell with fraction 1, and one within the
+    slack before its first face its first cell.  A point outside the held
+    block by more than the slack on some axis, or a NaN coordinate, raises
     :class:`FlowEscapeError`, for the first such axis and its first such
-    point; a point inside it whose cell leaves the held nodes raises
-    :class:`UnheldNodesError`.
+    point.
     Scipy's CSR product starts every row at zero and adds the stored terms
     in order, which is the per-corner sum ``out = 0; out += w_c * arr[c]``.
     """
@@ -135,12 +132,8 @@ class InterpPlan:
         t -= ax.lo
         t /= ax.h
         idx = np.floor(t).astype(np.intp)
-        np.maximum(idx, 0, out=idx)
-        np.minimum(idx, ax.last_cell, out=idx)
-        if ((idx < ax.first_cell) | (idx > ax.held_last_cell)).any():
-            raise UnheldNodesError(
-                f"a query cell leaves the held nodes, cells {ax.first_cell[:, 0]}"
-                f" to {ax.held_last_cell[:, 0]}")
+        np.maximum(idx, ax.first_cell, out=idx)
+        np.minimum(idx, ax.held_last_cell, out=idx)
         t -= idx                                # the fractions
         # corner weights, corner-major: w[c] = prod_d (frac_d or 1 - frac_d)
         factors = np.empty((dim, 2, n))

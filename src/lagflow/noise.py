@@ -262,8 +262,8 @@ def make_transport_field(dim: int, kind: str, K: int, amplitude: float = 1.0,
             cs[k] = c + 0.1 * k
         return TransportField(dim, "linear", {"K": K, "A": A, "b": b, "c": cs})
     if kind == "linear_test":
-        # Q(x) = x; not divergence-free, for calculus tests only
-        A = np.broadcast_to(np.eye(dim), (K, dim, dim)).copy()
+        # Q(x) = amplitude x; not divergence-free, for calculus tests only
+        A = np.broadcast_to(amplitude * np.eye(dim), (K, dim, dim)).copy()
         return TransportField(dim, "linear", {
             "K": K, "A": A, "b": np.zeros((K, dim)), "c": np.zeros((K, dim))})
     if K > 4:

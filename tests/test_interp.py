@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flow_oracle import csr_weights
-from lagflow.interp import FlowEscapeError, InterpAxes, InterpPlan, UnheldNodesError
+from lagflow.interp import FlowEscapeError, InterpAxes, InterpPlan
 
 
 def per_corner_sum(axes, pts, arr):
@@ -163,8 +163,9 @@ def test_apply_rejects_an_array_off_the_plan_nodes(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_held_nodes_keep_the_weights_of_the_whole_axes(dim):
     # a plan on a block of the nodes samples the block's array as a plan on
-    # every node samples the whole array, bit for bit; a cell that leaves
-    # the block raises, and an array of every node does not fit the plan
+    # every node samples the whole array, bit for bit; a point outside the
+    # block escapes, one within the slack of its face uses its edge cell,
+    # and an array of every node does not fit the plan
     rng = np.random.default_rng(60 + dim)
     axes = box_axes(dim)
     nodes = tuple(slice(2, len(ax) - 1) for ax in axes)
@@ -180,11 +181,54 @@ def test_held_nodes_keep_the_weights_of_the_whole_axes(dim):
     with pytest.raises(ValueError, match="extent"):
         InterpPlan(held, pts).apply(arr)
     for d in range(dim):
-        out = pts.copy()
-        out[5, d] = 0.5 * (axes[d][1] + axes[d][2])     # the cell before the block
-        with pytest.raises(UnheldNodesError):
-            InterpPlan(held, out)
-    out = pts.copy()
-    out[5, 0] = axes[0][-1]          # the last cell, past the block's
-    with pytest.raises(UnheldNodesError):
-        InterpPlan(held, out)
+        for outside in (0.5 * (axes[d][1] + axes[d][2]),     # the cell before the block
+                        axes[d][-1]):                        # the last cell, past the block's
+            out = pts.copy()
+            out[5, d] = outside
+            with pytest.raises(FlowEscapeError, match=f"axis {d}") as exc:
+                InterpPlan(held, out, time=0.5)
+            assert np.array_equal(exc.value.point, out[5])
+        for face, cell in ((lo[d] - 1e-10, 0), (hi[d] + 1e-10, held.extent[d] - 2)):
+            out = pts.copy()
+            out[5, d] = face
+            plan = InterpPlan(held, out)
+            first_corner = plan.W.indices[plan.W.indptr[5]]
+            assert first_corner // held.strides[d] % held.extent[d] == cell
+            on_face = out.copy()
+            on_face[5, d] = lo[d] if cell == 0 else hi[d]
+            assert np.allclose(plan.apply(arr[nodes]),
+                               InterpPlan(axes, on_face).apply(arr), rtol=0.0, atol=1e-8)
+
+
+def dyadic_axes(dim):
+    # unequal node counts and exact nodes: a node's cell coordinate
+    # (x - first node) / step is an integer, with no rounding
+    return [np.linspace(-1.0, -1.0 + 0.25 * (n - 1), n) for n in (9, 11, 13)[:dim]]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_points_on_the_held_block_faces_use_its_edge_cells(dim):
+    # a point exactly on the block's far face used to fall in the cell past
+    # the block; on either face it now uses the block's edge cell, gives
+    # the node's value bit for bit and does not raise
+    rng = np.random.default_rng(70 + dim)
+    axes = dyadic_axes(dim)
+    nodes = tuple(slice(2, len(ax) - 3) for ax in axes)
+    held = InterpAxes(axes, nodes)
+    arr = rng.normal(size=held.extent + (dim,))
+    # every corner of the block, and the middle node of every face
+    faces = [(0, e - 1) for e in held.extent]
+    index = list(itertools.product(*faces))
+    for d in range(dim):
+        for side in faces[d]:
+            index.append(tuple(side if k == d else held.extent[k] // 2
+                               for k in range(dim)))
+    index = np.array(index)
+    pts = np.array([[axes[d][nodes[d].start + i] for d, i in enumerate(row)]
+                    for row in index])
+    plan = InterpPlan(held, pts)
+    assert np.array_equal(plan.apply(arr), arr[tuple(index.T)])
+    cells = np.minimum(index, np.array(held.extent) - 2)
+    cols = np.repeat(cells @ held.strides, 2 ** dim) + np.tile(
+        list(itertools.product((0, 1), repeat=dim)) @ held.strides, len(pts))
+    assert np.array_equal(plan.W.indices, cols)

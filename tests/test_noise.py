@@ -169,6 +169,18 @@ def test_linear_test_field_drift():
     assert np.allclose(stratonovich_drift(Q, x), 0.5 * x)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_linear_test_field_scales_with_amplitude(dim):
+    # A = amplitude I: the amplitude used to be ignored
+    pts = np.random.default_rng(dim).uniform(-0.3, 1.3, size=(7, 5, dim))
+    one, scaled = (make_transport_field(dim, "linear_test", K=2, amplitude=a)
+                   for a in (1.0, 0.3))
+    for k in range(2):
+        assert np.array_equal(scaled.value(k, pts), 0.3 * one.value(k, pts))
+        assert np.array_equal(scaled.jacobian(k, pts), 0.3 * one.jacobian(k, pts))
+    assert np.array_equal(one.jacobian(0, pts), np.broadcast_to(np.eye(dim), (7, 5, dim, dim)))
+
+
 def test_rotation_drift():
     # Q(x) = (x2, -x1): DQ Q = (-x1, -x2)
     Q = make_transport_field(2, "rotation", K=1, amplitude=1.0, center=(0, 0))
