@@ -64,6 +64,7 @@ __all__ = [
     "interior_hessian",
     "slobodeckij_time_seminorm",
     "spatial_norm",
+    "step_count",
     "time_lp_norm",
 ]
 
@@ -227,7 +228,8 @@ class TimeSeries:
             raise ValueError("times and frame count disagree")
         if self.times[0] != 0.0:
             raise ValueError("time series must start at t = 0")
-        if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
+        # written ``not x > 0`` so that a NaN time fails it
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
 
     def __len__(self) -> int:
@@ -242,6 +244,19 @@ class TimeSeries:
     def restrict(self, n_frames: int) -> "TimeSeries":
         """First ``n_frames`` frames (a shorter time window)."""
         return TimeSeries(self.grid, self.times[:n_frames], self.values[:n_frames])
+
+
+def step_count(T: float, dt: float) -> int:
+    """The steps of dt in T, where dt > 0 must divide the finite T > 0 up
+    to rounding; ``ValueError`` otherwise, NaN included."""
+    if not dt > 0:
+        raise ValueError(f"time step must be positive, got {dt}")
+    if not 0 < T < np.inf:
+        raise ValueError(f"need a finite horizon T > 0, got {T}")
+    n = round(T / dt)
+    if n < 1 or abs(n * dt - T) > 1e-12 * max(T, 1.0):
+        raise ValueError(f"dt = {dt} does not divide T = {T}")
+    return n
 
 
 # ---------------------------------------------------------------------------

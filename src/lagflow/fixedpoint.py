@@ -29,6 +29,7 @@ from .fields import (
     Grid,
     TimeSeries,
     frame_norms,
+    step_count,
     time_lp_norm,
 )
 from .flow import (
@@ -50,7 +51,6 @@ from .lame import (
     solve_stoch_convolution,
 )
 from .nonlinear import (
-    EquationOfState,
     assemble_window,
     density_from_jacobian,
     energy_report,
@@ -74,24 +74,24 @@ __all__ = [
 
 @dataclass
 class SolveConfig:
-    """Exponents, thresholds, and horizons of one solver run.
+    """Exponents, thresholds, and horizons of one solver run; a bound that
+    fails raises ``ValueError``, NaN included.
 
-    The time step ``dt`` must be positive and divide the finite horizon
-    ``T`` up to rounding, the ball radii satisfy 0 < r <= R, and the Picard
-    iteration needs an integer count of at least one iterate and a positive
-    tolerance; the constructor raises ``ValueError`` otherwise, NaN
-    included.
-    The noise flow's stacks hold the nodes within one cell of the box, its
-    tracked region (``flow.NoiseFlow``); the constant ``flow.PAD_CELLS`` is
-    the coordinate frame only.
+    p, q: time, space exponents, 2/p + 3/q < 1; theta = 1/2 - 1/(2q)
+    delta: the stopping monitor's threshold, 0 < delta <= eps_star
+    eps_star: the inversion guard on |grad X - I|
+    R, r: the E1 radii of the iteration and centered balls, 0 < r <= R
+    T, dt: the finite horizon and a step dividing it (``fields.step_count``)
+    picard_tol: the E1 tolerance on the difference of successive iterates
+    picard_max_iter: the cap on the iterate count, an integer >= 1
     """
 
     p: float = 4.0
     q: float = 8.0
     delta: float = 0.1
     eps_star: float = 0.25
-    R: float = 5.0            # iteration ball radius
-    r: float = 1.0            # centered ball radius
+    R: float = 5.0
+    r: float = 1.0
     T: float = 0.05
     dt: float = 1e-3
     picard_tol: float = 1e-9
@@ -108,13 +108,7 @@ class SolveConfig:
         if not 0 < self.delta <= self.eps_star:
             raise ValueError(
                 f"need 0 < delta <= eps_star, got {self.delta}, {self.eps_star}")
-        if not self.dt > 0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
-        if not 0 < self.T < np.inf:
-            raise ValueError(f"need a finite horizon T > 0, got {self.T}")
-        n = round(self.T / self.dt)
-        if n < 1 or abs(n * self.dt - self.T) > 1e-12 * max(self.T, 1.0):
-            raise ValueError(f"dt = {self.dt} does not divide T = {self.T}")
+        step_count(self.T, self.dt)
         if not (self.r > 0 and self.R >= self.r):
             raise ValueError(
                 f"ball radii must satisfy 0 < r <= R, got r = {self.r}, "
@@ -132,7 +126,7 @@ class SolveConfig:
 
     @property
     def times(self) -> np.ndarray:
-        return self.dt * np.arange(round(self.T / self.dt) + 1)
+        return self.dt * np.arange(step_count(self.T, self.dt) + 1)
 
 
 class PicardDivergence(RuntimeError):
@@ -169,9 +163,8 @@ def compatibility_check(op: LameOperator, rho0: Field, u0: Field,
 
 
 def reference_boundary_data(rho0: Field, params: FluidParams) -> np.ndarray:
-    eos = EquationOfState(params.a, params.gamma)
     idx, normals = rho0.grid.boundary_nodes()
-    p_b = eos.p(rho0.values[tuple(idx.T)])
+    p_b = params.pressure(rho0.values[tuple(idx.T)])
     return (p_b[:, None] - params.p_ext) * normals
 
 
@@ -380,8 +373,10 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     ``ValueError``, and so do rho0 and u0 other than a scalar and a vector
     field on one grid, a bundle on another time grid than
     ``cfg.times`` (another step count, or steps that miss ``cfg.T`` by more
-    than the configuration's rounding), a forcing mode on another grid than
-    ``rho0`` and transport fields of another dimension, before any work.
+    than the configuration's rounding), a bundle whose transport or mode
+    path count is not ``Q.K`` or the forcing's mode count (0 without
+    forcing), a forcing mode on another grid than ``rho0`` and transport
+    fields of another dimension, before any work.
     Two aborts: a ``ValueError`` before the first iterate when
     r + E1(v_ref) > R, and a ``PicardDivergence`` carrying the iterate
     differences when an iterate leaves the centered ball of radius r around
@@ -405,6 +400,11 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
             f"the Brownian bundle's time grid ({bundle.n_steps} steps of "
             f"{bundle.step:g} to T = {bundle.T:g}) is not the configuration's "
             f"({len(times) - 1} steps of {cfg.dt:g} to T = {cfg.T:g})")
+    M = 0 if forcing is None else forcing.M
+    if bundle is not None and (bundle.K, bundle.mode_count) != (Q.K, M):
+        raise ValueError(f"{Q.K} transport fields and {M} forcing modes need "
+                         f"as many Brownian paths, the bundle has {bundle.K} "
+                         f"and {bundle.mode_count}")
     grid = rho0.grid
     if (rho0.values.shape != grid.extent or u0.grid != grid
             or u0.values.shape != grid.extent + (grid.dim,)):
@@ -423,7 +423,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
         warnings.warn(f"initial compatibility residual {problem.compat:.3e}; "
                       "the run proceeds", stacklevel=2)
 
-    if forcing is not None and forcing.M > 0:
+    if M > 0:
         if bundle is None:
             raise ValueError("forcing modes need a Brownian bundle")
         U = solve_stoch_convolution(problem.op, forcing, bundle)

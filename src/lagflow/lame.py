@@ -46,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FluidParams:
-    """Physical constants of the barotropic model."""
+    """Physical constants of the barotropic model and its pressure law."""
 
     mu: float = 1.0
     lam: float = 0.5
@@ -70,6 +70,14 @@ class FluidParams:
             raise ValueError(f"exterior pressure must be nonnegative, got {self.p_ext}")
         if not self.rho_min > 0:
             raise ValueError(f"rho_min must be positive, got {self.rho_min}")
+
+    def pressure(self, rho):
+        """The barotropic pressure p = a rho^gamma."""
+        return self.a * rho ** self.gamma
+
+    def pressure_potential(self, rho):
+        """The convex potential P = a rho^gamma / (gamma - 1): P' rho - P = p."""
+        return self.a * rho ** self.gamma / (self.gamma - 1.0)
 
 
 ND_LEAF = 64              # largest nested-dissection block kept in C order

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, Grid
+from .fields import Field, Grid, step_count
 
 __all__ = [
     "BrownianBundle",
@@ -117,11 +117,7 @@ class BrownianBundle:
 
 def sample_brownian(K: int, M: int, T: float, dt: float, seed: int) -> BrownianBundle:
     """Sample a reproducible bundle of K + M independent paths on [0, T]."""
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    n_steps = round(T / dt)
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-12 * max(T, 1.0):
-        raise ValueError(f"dt = {dt} does not divide T = {T}")
+    n_steps = step_count(T, dt)
     n_paths = K + M
     values = np.zeros((n_paths, n_steps + 1))
     root = np.random.SeedSequence(entropy=int(seed))
@@ -159,118 +155,85 @@ class TransportField:
 
     Supported kinds:
 
-    * ``constant`` -- Q_k(x) = b_k
-    * ``linear``   -- Q_k(x) = A_k (x - c_k) + b_k (covers rotations and the
-      linear test field; divergence-free iff tr A_k = 0)
-    * ``stream``   -- dim 2, Q_k = (d2 phi_k, -d1 phi_k) for products of sines
+    * ``linear`` -- Q_k(x) = A_k (x - c_k) + b_k (covers constant fields,
+      rotations and the linear test field; divergence-free iff tr A_k = 0)
+    * ``stream`` -- dim 2, Q_k = (d2 phi_k, -d1 phi_k) for products of sines
 
-    Linear/rotation kinds are unbounded on R^dim; they are admissible here
-    because every evaluation happens on a bounded neighborhood of the domain.
+    Linear fields are unbounded on R^dim; they are admissible here because
+    every evaluation happens on a bounded neighborhood of the domain.
     """
 
     def __init__(self, dim: int, kind: str, params: dict):
-        self.dim = dim
-        self.kind = kind
-        self.params = params
+        if kind not in ("linear", "stream"):
+            raise ValueError(f"unknown transport kind {kind!r}")
+        self.dim, self.kind, self.params = dim, kind, params
         self.K = params["K"]
 
-    # each evaluator maps pts of shape (..., dim) per path index k
-
     def value(self, k: int, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, float)
-        if self.kind == "constant":
-            return np.broadcast_to(self.params["b"][k], pts.shape).copy()
-        if self.kind == "linear":
-            A, b, c = (self.params[key][k] for key in ("A", "b", "c"))
-            return (pts - c) @ A.T + b
-        if self.kind == "stream":
-            return self._stream_value(self._stream_terms(k, pts))
-        raise ValueError(f"unknown transport kind {self.kind!r}")
+        """Q_k at pts of shape (..., dim)."""
+        return self.value_and_jacobian(k, pts)[0]
 
     def jacobian(self, k: int, pts: np.ndarray) -> np.ndarray:
         """DQ_k, shape (..., dim, dim) with entries d_j Q_i."""
-        pts = np.asarray(pts, float)
-        d = self.dim
-        if self.kind == "constant":
-            return np.zeros(pts.shape[:-1] + (d, d))
-        if self.kind == "linear":
-            A = self.params["A"][k]
-            return np.broadcast_to(A, pts.shape[:-1] + (d, d)).copy()
-        if self.kind == "stream":
-            return self._stream_jacobian(self._stream_terms(k, pts))
-        raise ValueError(f"unknown transport kind {self.kind!r}")
+        return self.value_and_jacobian(k, pts)[1]
 
     def value_and_jacobian(self, k: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Q_k and DQ_k with the bits of ``value`` and ``jacobian``; the
+        """Q_k and DQ_k at pts of shape (..., dim), in closed form; the
         stream kind takes its sines and cosines once for both."""
-        if self.kind == "stream":
-            terms = self._stream_terms(k, np.asarray(pts, float))
-            return self._stream_value(terms), self._stream_jacobian(terms)
-        return self.value(k, pts), self.jacobian(k, pts)
-
-    # -- stream-function family (dim 2) --------------------------------------
-    #
-    # phi_k(y) = a_k sin(pi m_k y1) sin(pi n_k y2),  Q_k = (d2 phi, -d1 phi)
-
-    def _stream_terms(self, k, pts):
+        pts = np.asarray(pts, float)
+        if self.kind == "linear":
+            A, b, c = (self.params[key][k] for key in ("A", "b", "c"))
+            jac = np.broadcast_to(A, pts.shape[:-1] + A.shape).copy()
+            return (pts - c) @ A.T + b, jac
+        # phi_k(y) = a_k sin(pi m_k y1) sin(pi n_k y2),  Q_k = (d2 phi, -d1 phi)
         a = self.params["a"][k]
         m, n = self.params["modes"][k]
+        km, kn = np.pi * m, np.pi * n
         x, y = pts[..., 0], pts[..., 1]
-        sx, cx = np.sin(np.pi * m * x), np.cos(np.pi * m * x)
-        sy, cy = np.sin(np.pi * n * y), np.cos(np.pi * n * y)
-        return a, np.pi * m, np.pi * n, sx, cx, sy, cy
-
-    @staticmethod
-    def _stream_value(terms):
-        a, km, kn, sx, cx, sy, cy = terms
-        return np.stack([a * kn * sx * cy, -a * km * cx * sy], axis=-1)
-
-    @staticmethod
-    def _stream_jacobian(terms):
-        a, km, kn, sx, cx, sy, cy = terms
-        out = np.empty(sx.shape + (2, 2))
-        out[..., 0, 0] = a * kn * km * cx * cy
-        out[..., 0, 1] = -a * kn * kn * sx * sy
-        out[..., 1, 0] = a * km * km * sx * sy
-        out[..., 1, 1] = -a * km * kn * cx * cy
-        return out
+        sx, cx = np.sin(km * x), np.cos(km * x)
+        sy, cy = np.sin(kn * y), np.cos(kn * y)
+        val = np.stack([a * kn * sx * cy, -a * km * cx * sy], axis=-1)
+        jac = np.empty(sx.shape + (2, 2))
+        jac[..., 0, 0] = a * kn * km * cx * cy
+        jac[..., 0, 1] = -a * kn * kn * sx * sy
+        jac[..., 1, 0] = a * km * km * sx * sy
+        jac[..., 1, 1] = -a * km * kn * cx * cy
+        return val, jac
 
 
 def make_transport_field(dim: int, kind: str, K: int, amplitude: float = 1.0,
                          center=None) -> TransportField:
-    """Standard field families used by the experiment driver."""
+    """K fields of one family: ``constant`` (amplitude e_(k mod dim)),
+    ``rotation`` (in the (x, y) plane, which the 3D benchmark workload
+    runs), ``linear_test`` (amplitude x: not divergence-free, for calculus
+    tests only) or ``stream`` (2D sine modes (1,1), (2,1), (1,2), (2,2),
+    which the 2D benchmark workload runs)."""
     if kind not in ("constant", "rotation", "linear_test", "stream"):
         raise ValueError(f"unknown transport field kind {kind!r}")
-    if kind == "stream" and dim != 2:
-        raise ValueError("stream-function transport fields require dim 2")
-    if K == 0:
-        return TransportField(dim, "constant", {"K": 0, "b": np.zeros((0, dim))})
+    if kind == "stream":
+        if dim != 2:
+            raise ValueError("stream-function transport fields require dim 2")
+        if K > 4:
+            raise ValueError("at most 4 stream modes are predefined")
+        modes = [(1, 1), (2, 1), (1, 2), (2, 2)][:K]
+        return TransportField(dim, "stream", {
+            "K": K, "a": np.full(K, amplitude), "modes": modes})
+    A = np.zeros((K, dim, dim))
+    b = np.zeros((K, dim))
+    c = np.zeros((K, dim))
     if kind == "constant":
-        b = np.zeros((K, dim))
         for k in range(K):
             b[k, k % dim] = amplitude
-        return TransportField(dim, "constant", {"K": K, "b": b})
-    if kind == "rotation":
-        c = np.full(dim, 0.5) if center is None else np.asarray(center, float)
-        A = np.zeros((K, dim, dim))
-        b = np.zeros((K, dim))
-        cs = np.zeros((K, dim))
+    elif kind == "rotation":
+        center = np.full(dim, 0.5) if center is None else np.asarray(center, float)
         for k in range(K):
             A[k, 0, 1] = amplitude
             A[k, 1, 0] = -amplitude
             # shifted rotation centers keep the family divergence-free
-            cs[k] = c + 0.1 * k
-        return TransportField(dim, "linear", {"K": K, "A": A, "b": b, "c": cs})
-    if kind == "linear_test":
-        # Q(x) = amplitude x; not divergence-free, for calculus tests only
-        A = np.broadcast_to(amplitude * np.eye(dim), (K, dim, dim)).copy()
-        return TransportField(dim, "linear", {
-            "K": K, "A": A, "b": np.zeros((K, dim)), "c": np.zeros((K, dim))})
-    if K > 4:
-        raise ValueError("at most 4 stream modes are predefined")
-    modes = [(1, 1), (2, 1), (1, 2), (2, 2)][:K]
-    return TransportField(dim, "stream", {
-        "K": K, "a": np.full(K, amplitude), "modes": modes})
+            c[k] = center + 0.1 * k
+    else:
+        A[:] = amplitude * np.eye(dim)
+    return TransportField(dim, "linear", {"K": K, "A": A, "b": b, "c": c})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Equation of state, density reconstruction, and the transformed nonlinearities.
+"""Density reconstruction and the transformed nonlinearities.
 
 The right-hand sides of the transformed momentum system collect every defect
 of the Lagrangian change of variables: second-derivative terms weighted by
@@ -43,7 +43,6 @@ from .flow import FlowWindow
 from .lame import FluidParams
 
 __all__ = [
-    "EquationOfState",
     "NonlinearReport",
     "density_from_jacobian",
     "assemble_F_u",
@@ -53,29 +52,6 @@ __all__ = [
     "energy_report",
     "nonlinearity_norm_report",
 ]
-
-
-# ---------------------------------------------------------------------------
-# equation of state
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EquationOfState:
-    """Barotropic pressure p = a rho^gamma and its convex potential."""
-
-    a: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.a > 0 and self.gamma > 1):
-            raise ValueError("need a > 0 and gamma > 1")
-
-    def p(self, rho):
-        return self.a * rho ** self.gamma
-
-    def potential(self, rho):
-        # P' rho - P = p fixes P = a rho^gamma / (gamma - 1)
-        return self.a * rho ** self.gamma / (self.gamma - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +130,6 @@ def assemble_F_Gamma(G: np.ndarray, Z: np.ndarray, J: np.ndarray,
     one frame's, the other arrays one frame or a stack.
     """
     mu, lam = params.mu, params.lam
-    eos = EquationOfState(params.a, params.gamma)
     S = J[..., None] * contract("...lj,...l->...j", "l", Z, normals)
     W = normals - S
     div = contract("...kk->...", "k", G)
@@ -167,7 +142,7 @@ def assemble_F_Gamma(G: np.ndarray, Z: np.ndarray, J: np.ndarray,
     out += mu * (contract("...ji,...j->...i", "j", G, S)
                  - contract("...ki,...jk,...j->...i", "jk", Z, G, S))
     out += lam * (div - np.einsum("...lk,...kl->...", Z, G))[..., None] * S
-    out += (eos.p(rho0 / J) - params.p_ext)[..., None] * S
+    out += (params.pressure(rho0 / J) - params.p_ext)[..., None] * S
     return out
 
 
@@ -192,7 +167,6 @@ def assemble_window(grid: Grid, u_frames: np.ndarray, grad_u: np.ndarray,
     values it gets alone.  Returns F_u, shape (L, *ext, d), and F_Gamma at
     the boundary nodes, (L, n_boundary, d).
     """
-    eos = EquationOfState(params.a, params.gamma)
     idx_b, normals_b = grid.boundary_nodes()
     bsel = tuple(idx_b.T)
     inner = (slice(1, -1),) * grid.dim
@@ -204,7 +178,7 @@ def assemble_window(grid: Grid, u_frames: np.ndarray, grad_u: np.ndarray,
         G = grad_u[sl]
         H = interior_hessian(grid, u_frames[sl], G)
         dZ = interior_gradient(grid, Z[sl])
-        grad_p = interior_gradient(grid, eos.p(rho0 / J[sl]))
+        grad_p = interior_gradient(grid, params.pressure(rho0 / J[sl]))
         G_in, Z_in, J_in = (np.ascontiguousarray(a[(slice(None),) + inner])
                             for a in (G, Z[sl], J[sl]))
         F_u[(sl,) + inner] = assemble_F_u(G_in, H, Z_in, dZ, J_in, rho0_in,
@@ -255,12 +229,11 @@ def energy_report(rho_stack: np.ndarray, ubar: TimeSeries,
     the per-frame ones), and each frame's quadrature is its own sum.
     """
     grid = ubar.grid
-    eos = EquationOfState(params.a, params.gamma)
     w = grid.quad_weights
     L = len(window)
     rho, u, J = rho_stack[:L], ubar.values[:L], window.J
     kin = 0.5 * rho * np.sum(u * u, axis=-1)
-    pot = eos.potential(rho)
+    pot = params.pressure_potential(rho)
     Gx = contract("...ik,...kj->...ij", "k", gradient_values(grid, u), window.Z)
     sym = Gx + np.swapaxes(Gx, -1, -2)
     dens = (params.mu * np.einsum("...ij,...ij->...", sym, Gx)
@@ -312,7 +285,7 @@ def nonlinearity_norm_report(grid: Grid, times: np.ndarray,
     is 0.0 at the boundary nodes, so its norm covers the interior nodes, the
     ones the Lame steps read.  The full-grid F_u is ``assemble_F_u`` on
     ``hessian_values(b.grid, u, g)``, ``gradient_values(b.grid, w.Z)`` and
-    the full-grid gradient of ``EquationOfState(a, gamma).p(rho0.values /
+    the full-grid gradient of ``b.problem.params.pressure(rho0.values /
     w.J)``.
     """
     keep = int(np.searchsorted(times, sigma + 1e-12))

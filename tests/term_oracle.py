@@ -15,7 +15,6 @@ import numpy as np
 from lagflow.fields import Grid, TimeSeries, contract, gradient_values
 from lagflow.flow import FlowWindow
 from lagflow.lame import FluidParams
-from lagflow.nonlinear import EquationOfState
 
 
 def f_u_point(G, H, Z, dZ, J, rho0, grad_p, mu, lam):
@@ -77,7 +76,6 @@ def einsum_F_u(grid: Grid, G: np.ndarray, H: np.ndarray, Z: np.ndarray,
     group vanishes and only -(1/rho0) grad p(rho0) survives.
     """
     mu, lam = params.mu, params.lam
-    eos = EquationOfState(params.a, params.gamma)
     dim = grid.dim
     eye = np.eye(dim)
     Zd = Z - eye
@@ -100,7 +98,7 @@ def einsum_F_u(grid: Grid, G: np.ndarray, H: np.ndarray, Z: np.ndarray,
         + np.einsum("...li,...jk,...kjl->...i", Z, G, dZ)
     )
 
-    grad_p = gradient_values(grid, eos.p(rho0 / J))
+    grad_p = gradient_values(grid, params.pressure(rho0 / J))
     out -= (J * inv_rho)[..., None] * np.einsum("...ji,...j->...i", Z, grad_p)
     return out
 
@@ -116,7 +114,6 @@ def einsum_F_Gamma(G: np.ndarray, Z: np.ndarray, J: np.ndarray,
     only the pressure group (p(rho0) - p_ext) N survives.
     """
     mu, lam = params.mu, params.lam
-    eos = EquationOfState(params.a, params.gamma)
     S = J[..., None] * np.einsum("...lj,...l->...j", Z, normals)
     W = normals - S
     div = np.einsum("...kk->...", G)
@@ -129,7 +126,7 @@ def einsum_F_Gamma(G: np.ndarray, Z: np.ndarray, J: np.ndarray,
     out += mu * (np.einsum("...ji,...j->...i", G, S)
                  - np.einsum("...ki,...jk,...j->...i", Z, G, S))
     out += lam * (div - np.einsum("...lk,...kl->...", Z, G))[..., None] * S
-    out += (eos.p(rho0 / J) - params.p_ext)[..., None] * S
+    out += (params.pressure(rho0 / J) - params.p_ext)[..., None] * S
     return out
 
 
@@ -141,14 +138,13 @@ def per_frame_energy_report(rho_stack: np.ndarray, ubar: TimeSeries,
     element J dy; the Eulerian velocity gradient is grad u . Z.
     """
     grid = ubar.grid
-    eos = EquationOfState(params.a, params.gamma)
     w = grid.quad_weights
     E, D, vol = [], [], []
     for n, (Z, J) in enumerate(zip(window.Z, window.J)):
         rho = rho_stack[n]
         u = ubar.values[n]
         kin = 0.5 * rho * np.sum(u * u, axis=-1)
-        pot = eos.potential(rho)
+        pot = params.pressure_potential(rho)
         volume = float(np.sum(w * J))
         E.append(float(np.sum(w * (kin + pot) * J)) + params.p_ext * volume)
         Gx = contract("...ik,...kj->...ij", "k", gradient_values(grid, u), Z)

@@ -22,6 +22,7 @@ from lagflow.fields import (
     hessian_values,
     slobodeckij_time_seminorm,
     spatial_norm,
+    step_count,
 )
 
 
@@ -389,6 +390,37 @@ def test_slobodeckij_rejects_nonuniform(grid):
     ts = TimeSeries(grid, np.array([0.0, 0.1, 0.3]), np.zeros((3,) + grid.extent))
     with pytest.raises(FieldError):
         slobodeckij_time_seminorm(ts, 0.4, 4)
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan],
+                                   [0.0, 0.5, 0.5]],
+                         ids=["nan-inside", "nan-last", "repeated"])
+def test_timeseries_times_must_increase(grid, times):
+    # every comparison with NaN is False, so a NaN time used to pass a
+    # check written as "no step <= 0"
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TimeSeries(grid, times, np.zeros((3,) + grid.extent))
+
+
+@pytest.mark.parametrize("T, dt, error", [
+    (0.05, np.nan, "time step must be positive"),
+    (0.05, 0.0, "time step must be positive"),
+    (np.nan, 1e-3, "finite horizon"),
+    (np.inf, 1e-3, "finite horizon"),
+    (0.0, 1e-3, "finite horizon"),
+    (0.05, 0.03, "does not divide"),
+])
+def test_step_count_rejects_a_step_that_does_not_divide_the_horizon(T, dt,
+                                                                    error):
+    with pytest.raises(ValueError, match=error):
+        step_count(T, dt)
+
+
+def test_step_count_allows_rounding():
+    # 0.3 / 0.1 is 2.9999999999999996 and 0.043 / 1e-3 is 42.99999999999999
+    # in floating point
+    assert step_count(0.3, 0.1) == 3
+    assert step_count(0.043, 1e-3) == 43
 
 
 @pytest.mark.parametrize("n_comp", [1, 2, 3, 4, 6, 8, 9, 27])

@@ -357,6 +357,29 @@ def test_picard_checks_the_grid_of_every_input(forcing_grid, Q, error,
         picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
 
 
+@pytest.mark.parametrize("K, M, bundle_paths", [
+    (0, 1, (2, 1)), (2, None, (2, 1)), (2, 1, (2, 2)),
+], ids=["transport-paths", "mode-paths-without-forcing", "mode-paths"])
+def test_picard_checks_the_path_counts_of_the_bundle(K, M, bundle_paths,
+                                                     monkeypatch):
+    # a bundle with paths no transport field reads, or mode paths without
+    # forcing, used to run silently, and a mode-count mismatch failed only
+    # in the stochastic convolution, after the operator's factorization
+    def no_work(*args):
+        raise AssertionError("the path counts were not compared up front")
+    monkeypatch.setattr(lagflow.fixedpoint, "problem_for", no_work)
+    rho0, u0 = perturbed_data()
+    Q = make_transport_field(2, "stream", K, 5e-4)
+    forcing = None if M is None else StochasticForcing.default_modes(GRID, M, 1e-3)
+    cfg = SolveConfig()
+    bw = sample_brownian(*bundle_paths, cfg.T, cfg.dt, seed=3)
+    error = (f"{K} transport fields and {M or 0} forcing modes need as many "
+             f"Brownian paths, the bundle has {bundle_paths[0]} and "
+             f"{bundle_paths[1]}")
+    with pytest.raises(ValueError, match=error):
+        picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
+
+
 @pytest.mark.parametrize("which", ["u0-on-another-grid", "scalar-u0",
                                    "vector-rho0"])
 def test_picard_needs_scalar_rho0_and_vector_u0_on_one_grid(which,

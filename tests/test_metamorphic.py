@@ -1,17 +1,22 @@
-"""Metamorphic gates: the whole pipeline under time truncation and reflection.
+"""Metamorphic gates: the whole pipeline under time truncation, reflection
+and the axis swap.
 
 The solution on [0, T'] is the solution on [0, T] restricted to [0, T'],
-and the problem on the unit box commutes with the reflection x -> 1 - x.
+and the problem on the unit box commutes with the reflections x -> 1 - x
+and y -> 1 - y and with the swap of x and y.
 The discrete pipeline keeps the first bit for bit, because every stage is
 adapted to the Brownian filtration: the noise flow, the label flow, the
 stopping monitor and the Lame steps at a level read no later level.  It
 keeps the second to round-off, because the grid, the one-sided stencils at
-both ends, the traction rows and the interpolation are mirror images.
+both ends, the traction rows and the interpolation are mirror images (or,
+for the swap, the same stencils on the other axis).
 Neither gate needs an oracle, and each runs every layer of a path at once,
 from the stochastic convolution to the certified Picard iterates and the
 rebuild.  The contraction factor kappa is not compared: it is a ratio of
 differences near the Picard tolerance and moves by round-off.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from lagflow.lame import FluidParams
 from lagflow.noise import (
     BrownianBundle,
     StochasticForcing,
+    TransportField,
     make_transport_field,
     sample_brownian,
 )
@@ -44,11 +50,14 @@ def initial_velocity(second_amplitude=0.0):
     return Field(GRID, u0)
 
 
-def solve(u0, cfg, amplitude, bundle):
-    """One path from rho0 = 1 with K = 2 stream modes and one forcing mode."""
+def solve(u0, cfg, amplitude, bundle, Q=None, forcing=None):
+    """One path from rho0 = 1 with K = 2 stream modes and one forcing mode,
+    by default modes (1,1) and (2,1) and ``default_modes``' first mode."""
     rho0 = Field(GRID, np.ones(GRID.extent))
-    Q = make_transport_field(2, "stream", K=2, amplitude=amplitude)
-    forcing = StochasticForcing.default_modes(GRID, 1, 1e-3)
+    if Q is None:
+        Q = make_transport_field(2, "stream", K=2, amplitude=amplitude)
+    if forcing is None:
+        forcing = StochasticForcing.default_modes(GRID, 1, 1e-3)
     # the one-sided traction stencils of u0 are O(h^2) off zero at 17^2
     with pytest.warns(UserWarning, match="compatibility"):
         return picard_solve(rho0, u0, PARAMS, cfg, Q, bundle, forcing)
@@ -132,6 +141,83 @@ def test_reflected_data_give_the_reflected_path(case):
     assert np.max(np.abs(np.flip(b.rho, 1) - a.rho)) <= 1e-14
     scale = np.max(np.abs(a.v.values))
     assert np.max(np.abs(mirror(b.v.values, 1) - a.v.values)) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# reflection y -> 1 - y and the swap x <-> y
+# ---------------------------------------------------------------------------
+
+# one open and one fired path of the x-reflection gate
+OPEN_AND_FIRED = {"open": (5e-4, 0), "fires": (1e-3, 2)}
+
+
+@functools.cache
+def base_run(amplitude, seed):
+    """The unmapped run of a case: the x-reflection gate's data and noise."""
+    bundle = sample_brownian(2, 1, CFG.T, CFG.dt, seed=seed)
+    return solve(initial_velocity(second_amplitude=5e-4), CFG, amplitude,
+                 bundle), bundle
+
+
+def negate_transport(bundle):
+    """The bundle with its transport paths negated and its mode path kept."""
+    values = bundle.values.copy()
+    values[:bundle.K] *= -1.0
+    return BrownianBundle(bundle.K, bundle.mode_count, bundle.step, values,
+                          bundle.seed)
+
+
+def swap(values, axis):
+    """Vector frames under x <-> y: node axes ``axis`` and ``axis + 1``
+    exchanged, and the two components."""
+    return np.swapaxes(values, axis, axis + 1)[..., ::-1].copy()
+
+
+def assert_mapped(a, b, node_map, vector_map):
+    """Run b is run a mapped, with the x-reflection gate's tolerances:
+    ``node_map(frames)`` maps scalar frames, ``vector_map(frames, shift)``
+    vector frames, with shift 1.0 for the positions X and 0.0 for v."""
+    assert (b.tau, b.iterations, b.monitor.fired_index) == (
+        a.tau, a.iterations, a.monitor.fired_index)
+    assert np.max(np.abs(vector_map(b.window.X, 1.0) - a.window.X)) <= 1e-14
+    assert np.max(np.abs(node_map(b.window.J) - a.window.J)) <= 1e-14
+    assert np.max(np.abs(node_map(b.rho) - a.rho)) <= 1e-14
+    scale = np.max(np.abs(a.v.values))
+    assert np.max(np.abs(vector_map(b.v.values, 0.0) - a.v.values)) <= (
+        1e-12 * scale)
+
+
+@pytest.mark.parametrize("case", OPEN_AND_FIRED)
+def test_y_reflected_data_give_the_reflected_path(case):
+    # both stream modes, (1,1) and (2,1), change sign under y -> 1 - y, and
+    # the forcing mode, even in y and polarized along x, does not
+    amplitude, seed = OPEN_AND_FIRED[case]
+    a, bundle = base_run(amplitude, seed)
+    u0 = initial_velocity(second_amplitude=5e-4)
+    b = solve(Field(GRID, mirror(u0.values, 1, comp=1)), CFG, amplitude,
+              negate_transport(bundle))
+    assert_mapped(a, b, lambda s: np.flip(s, 2),
+                  lambda vec, shift: mirror(vec, 2, shift, comp=1))
+
+
+@pytest.mark.parametrize("case", OPEN_AND_FIRED)
+def test_swapped_data_give_the_swapped_path(case):
+    # the swap maps the stream function of mode (m, n) to that of (n, m)
+    # and reverses orientation: modes (1,1) and (2,1) become (1,1) and (1,2)
+    # with both transport paths negated; the forcing mode and u0 trade
+    # their components
+    amplitude, seed = OPEN_AND_FIRED[case]
+    a, bundle = base_run(amplitude, seed)
+    Q = TransportField(2, "stream", {"K": 2, "a": np.full(2, amplitude),
+                                     "modes": [(1, 1), (1, 2)]})
+    mode = StochasticForcing.default_modes(GRID, 1, 1e-3)
+    forcing = StochasticForcing([Field(GRID, swap(mode.modes[0].values, 0))],
+                                mode.amplitudes)
+    u0 = initial_velocity(second_amplitude=5e-4)
+    b = solve(Field(GRID, swap(u0.values, 0)), CFG, amplitude,
+              negate_transport(bundle), Q, forcing)
+    assert_mapped(a, b, lambda s: np.swapaxes(s, 1, 2),
+                  lambda vec, shift: swap(vec, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from lagflow.fields import Grid
 from lagflow.noise import (
     BrownianBundle,
     StochasticForcing,
+    TransportField,
     check_divergence_free,
     make_transport_field,
     refine_bridge,
@@ -41,6 +42,17 @@ def test_sampling_rejects_bad_step():
         sample_brownian(1, 0, 1.0, -0.1, seed=0)
     with pytest.raises(ValueError):
         sample_brownian(1, 0, 1.0, 0.3, seed=0)
+
+
+@pytest.mark.parametrize("T, dt, error", [
+    (0.01, np.nan, "time step must be positive"),
+    (np.inf, 0.01, "finite horizon"),
+], ids=["nan-step", "infinite-horizon"])
+def test_sampling_shares_the_solver_step_rule(T, dt, error):
+    # a NaN step used to fail in round() with "cannot convert float NaN to
+    # integer", an infinite horizon with an OverflowError
+    with pytest.raises(ValueError, match=error):
+        sample_brownian(1, 0, T, dt, seed=0)
 
 
 def test_terminal_moments():
@@ -154,6 +166,30 @@ def test_transport_field_kind_is_checked_for_every_K(dim, kind, error):
         with pytest.raises(ValueError, match=error):
             make_transport_field(dim, kind, K)
     assert make_transport_field(dim, "constant", 0).K == 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_constant_field_is_its_vector_bit_for_bit(dim):
+    # the constant family is the linear one with A = 0 and c = 0: (pts - c)
+    # @ 0 may be -0.0 at points with negative coordinates, as the matmul
+    # kernel sums the products, and -0.0 + b gives b, +0.0 where b = 0
+    K = dim + 1
+    Q = make_transport_field(dim, "constant", K, amplitude=0.7)
+    pts = np.random.default_rng(dim).uniform(-1.3, 1.3, size=(7, 5, dim))
+    pts[0] = -np.abs(pts[0])
+    for k in range(K):
+        b = np.zeros(dim)
+        b[k % dim] = 0.7
+        want = np.broadcast_to(b, pts.shape).tobytes()
+        zero = np.zeros(pts.shape + (dim,)).tobytes()
+        val, jac = Q.value_and_jacobian(k, pts)
+        assert val.tobytes() == want and Q.value(k, pts).tobytes() == want
+        assert jac.tobytes() == zero and Q.jacobian(k, pts).tobytes() == zero
+
+
+def test_transport_field_kind_is_checked_at_construction():
+    with pytest.raises(ValueError, match="unknown transport kind 'constant'"):
+        TransportField(2, "constant", {"K": 1, "b": np.ones((1, 2))})
 
 
 def test_constant_field_drift_vanishes():

@@ -7,7 +7,6 @@ from lagflow.fields import Field, Grid, TimeSeries, gradient_values, hessian_val
 from lagflow.flow import FlowWindow, compose_flow, identity_noise_flow, integrate_label_flow
 from lagflow.lame import FluidParams
 from lagflow.nonlinear import (
-    EquationOfState,
     assemble_F_Gamma,
     assemble_F_u,
     assemble_window,
@@ -34,37 +33,32 @@ def identity_window(grid, times):
 
 
 # ---------------------------------------------------------------------------
-# equation of state
+# pressure law
 # ---------------------------------------------------------------------------
 
 def test_pressure_values():
-    eos = EquationOfState(1.0, 2.0)
-    assert eos.p(3.0) == 9.0
-    assert eos.potential(3.0) == 9.0
-    eos2 = EquationOfState(1.0, 1.4)
-    assert eos2.p(1.0) == pytest.approx(1.0)
-    assert eos2.potential(1.0) == pytest.approx(2.5)
-
-
-@pytest.mark.parametrize("a, gamma", [(float("nan"), 2.0), (1.0, float("nan"))])
-def test_equation_of_state_rejects_nan(a, gamma):
-    with pytest.raises(ValueError):
-        EquationOfState(a, gamma)
+    params = FluidParams(a=1.0, gamma=2.0)
+    assert params.pressure(3.0) == 9.0
+    assert params.pressure_potential(3.0) == 9.0
+    params2 = FluidParams(a=1.0, gamma=1.4)
+    assert params2.pressure(1.0) == pytest.approx(1.0)
+    assert params2.pressure_potential(1.0) == pytest.approx(2.5)
 
 
 def test_pressure_potential_identity():
     rng = np.random.default_rng(0)
-    eos = EquationOfState(0.7, 1.7)
+    params = FluidParams(a=0.7, gamma=1.7)
     rho = rng.uniform(0.2, 5.0, size=1000)
-    dP = eos.a * eos.gamma * rho ** (eos.gamma - 1) / (eos.gamma - 1)
-    assert np.max(np.abs(dP * rho - eos.potential(rho) - eos.p(rho))) <= 1e-12 * np.max(eos.p(rho))
+    dP = params.a * params.gamma * rho ** (params.gamma - 1) / (params.gamma - 1)
+    assert np.max(np.abs(dP * rho - params.pressure_potential(rho)
+                         - params.pressure(rho))) <= 1e-12 * np.max(params.pressure(rho))
 
 
 def test_pressure_field_positive():
-    eos = EquationOfState(1.0, 2.0)
+    params = FluidParams(a=1.0, gamma=2.0)
     rho = 0.5 + np.random.default_rng(1).uniform(0, 1, GRID.extent)
-    assert np.all(eos.p(rho) > 0)
-    assert np.all(eos.potential(rho) > 0)
+    assert np.all(params.pressure(rho) > 0)
+    assert np.all(params.pressure_potential(rho) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +156,7 @@ def derivative_pack(grid, u_vals):
 def full_grid_F_u(grid, G, H, Z, dZ, J, rho0, params):
     """assemble_F_u at every node of one frame, with the full-grid
     gradient of p(rho0 / J)."""
-    eos = EquationOfState(params.a, params.gamma)
-    grad_p = gradient_values(grid, eos.p(rho0 / J))
+    grad_p = gradient_values(grid, params.pressure(rho0 / J))
     return assemble_F_u(G, H, Z, dZ, J, rho0, grad_p, params)
 
 
@@ -196,8 +189,7 @@ def test_f_u_pressure_group_first_order():
     # small (Z, J) defects perturb the pressure group at first order only
     c = GRID.coords()
     rho0 = 1.0 + 0.2 * np.sin(np.pi * c[..., 0]) * np.sin(np.pi * c[..., 1])
-    eos = EquationOfState(PARAMS.a, PARAMS.gamma)
-    base = -gradient_values(GRID, eos.p(rho0)) / rho0[..., None]
+    base = -gradient_values(GRID, PARAMS.pressure(rho0)) / rho0[..., None]
     rng = np.random.default_rng(3)
     delta = 1e-3
     Z = np.broadcast_to(np.eye(2), GRID.extent + (2, 2)).copy()
@@ -221,8 +213,7 @@ def test_f_u_matches_loop_oracle():
     J = 1.0 + 0.05 * rng.normal(size=GRID.extent)
     rho0 = rng.uniform(1.0, 2.0, GRID.extent)
     dZ = gradient_values(GRID, Z)
-    eos = EquationOfState(PARAMS.a, PARAMS.gamma)
-    grad_p = gradient_values(GRID, eos.p(rho0 / J))
+    grad_p = gradient_values(GRID, PARAMS.pressure(rho0 / J))
     out = assemble_F_u(G, H, Z, dZ, J, rho0, grad_p, PARAMS)
     for idx in [(3, 4), (0, 0), (16, 16), (8, 12)]:
         ref = f_u_point(G[idx], H[idx], Z[idx], dZ[idx], J[idx], rho0[idx],
@@ -249,8 +240,7 @@ def test_f_gamma_identity_reduces_to_pressure():
     rho0 = np.full(nb, 1.3)
     out = assemble_F_Gamma(np.zeros((nb, 2, 2)), eye, np.ones(nb), rho0,
                            normals, PARAMS)
-    eos = EquationOfState(PARAMS.a, PARAMS.gamma)
-    expected = (eos.p(1.3) - PARAMS.p_ext) * normals
+    expected = (PARAMS.pressure(1.3) - PARAMS.p_ext) * normals
     assert np.allclose(out, expected, atol=1e-14)
 
 
@@ -276,10 +266,9 @@ def test_f_gamma_epsilon_defect_matches_oracle():
     J = np.ones(nb)
     rho0 = np.ones(nb)
     out = assemble_F_Gamma(G, Z, J, rho0, normals, params)
-    eos = EquationOfState(params.a, params.gamma)
     for k in range(0, nb, 7):
         ref = f_gamma_point(G[k], Z[k], J[k], normals[k],
-                            eos.p(rho0[k] / J[k]), params.p_ext,
+                            params.pressure(rho0[k] / J[k]), params.p_ext,
                             params.mu, params.lam)
         assert np.max(np.abs(out[k] - ref)) <= 1e-12
 
@@ -293,10 +282,9 @@ def test_f_gamma_matches_oracle_random():
     J = 1.0 + 0.1 * rng.normal(size=nb)
     rho0 = rng.uniform(1.0, 2.0, nb)
     out = assemble_F_Gamma(G, Z, J, rho0, normals, PARAMS)
-    eos = EquationOfState(PARAMS.a, PARAMS.gamma)
     for k in range(0, nb, 5):
         ref = f_gamma_point(G[k], Z[k], J[k], normals[k],
-                            eos.p(rho0[k] / J[k]), PARAMS.p_ext,
+                            PARAMS.pressure(rho0[k] / J[k]), PARAMS.p_ext,
                             PARAMS.mu, PARAMS.lam)
         assert np.max(np.abs(out[k] - ref)) <= 1e-12 * max(1, np.max(np.abs(ref)))
 
@@ -433,8 +421,7 @@ def test_energy_rest_state():
     ub = TimeSeries(GRID, times, np.zeros((11,) + GRID.extent + (2,)))
     rep = energy_report(np.broadcast_to(rho0, (11,) + GRID.extent).copy(),
                         ub, identity_window(GRID, times), PARAMS)
-    eos = EquationOfState(PARAMS.a, PARAMS.gamma)
-    expected = eos.potential(1.2) + PARAMS.p_ext * 1.0
+    expected = PARAMS.pressure_potential(1.2) + PARAMS.p_ext * 1.0
     assert np.allclose(rep["energy"], expected, rtol=1e-12)
     assert np.allclose(rep["dissipation"], 0.0)
     assert np.allclose(rep["volume"], 1.0)
