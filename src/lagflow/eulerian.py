@@ -119,16 +119,24 @@ def kinematic_residual(bundle: SolutionBundle, Q: TransportField,
     residual = dx - u dt - sum_k Q_k(x_mid) dW_k per marker per step, with
     the velocity averaged over the step endpoints and the transport field
     taken at the position midpoint (the Stratonovich reading).  Without a
-    Brownian bundle the transport term is left out; a bundle must carry one
-    transport path per field (``ValueError`` otherwise).
+    Brownian bundle the transport term is left out.  A bundle must be the
+    solution's own, before any work (``ValueError`` otherwise): one path per
+    transport field, the solution's seed (when it has one), the step of its
+    configuration (``SolveConfig.fits_step``) and the window's steps.
     """
-    if brownian is not None and brownian.K != Q.K:
-        raise ValueError(f"{Q.K} transport fields need as many Brownian "
-                         f"paths, the bundle has {brownian.K}")
+    cfg, n_steps = bundle.problem.cfg, len(bundle.times) - 1
+    if brownian is not None and not (
+            brownian.K == Q.K and bundle.seed in (None, brownian.seed)
+            and cfg.fits_step(brownian.step) and brownian.n_steps >= n_steps):
+        raise ValueError(
+            f"the Brownian bundle ({brownian.K} paths, seed {brownian.seed}, "
+            f"{brownian.n_steps} steps of {brownian.step:g}) is not the "
+            f"solution's ({Q.K} transport fields, seed {bundle.seed}, "
+            f"{n_steps} steps of {cfg.dt:g})")
     sel = tuple(bundle.grid.boundary_nodes()[0].T)
     times = bundle.times
     dt = times[1] - times[0]
-    out = np.zeros(len(times) - 1)
+    out = np.zeros(n_steps)
     dWs = (brownian.transport_increments()
            if brownian is not None and Q.K > 0 else None)
     X = bundle.window.X
@@ -225,8 +233,8 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams) -> dict:
         v1 = op.to_flat(bundle.v.values[n + 1])
         interior = (v1 - v0) / dt + op.A @ v1 - op.to_flat(fu)
         worst = max(worst, float(np.max(np.abs(interior[~mask]))))
-        bres = op.B @ v1 - op.boundary_values_to_rows(fg)
-        worst = max(worst, float(np.max(np.abs(bres[mask]))))
+        bres = (op.B @ v1)[mask] - fg.T.ravel()
+        worst = max(worst, float(np.max(np.abs(bres))))
     report["pde_residual"] = {
         "passed": bool(worst <= PDE_TOL),
         "max_residual": worst,

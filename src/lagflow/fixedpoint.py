@@ -128,6 +128,12 @@ class SolveConfig:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(step_count(self.T, self.dt) + 1)
 
+    def fits_step(self, step: float) -> bool:
+        """Whether ``step`` times the step count is T, to ``step_count``'s
+        rounding; False for NaN."""
+        reach = step * step_count(self.T, self.dt)
+        return abs(reach - self.T) <= 1e-12 * max(self.T, 1.0)
+
 
 class PicardDivergence(RuntimeError):
     """Iteration failed to contract; carries the measured difference norms."""
@@ -371,12 +377,11 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
 
     Forcing modes or transport fields without a Brownian bundle raise
     ``ValueError``, and so do rho0 and u0 other than a scalar and a vector
-    field on one grid, a bundle on another time grid than
-    ``cfg.times`` (another step count, or steps that miss ``cfg.T`` by more
-    than the configuration's rounding), a bundle whose transport or mode
-    path count is not ``Q.K`` or the forcing's mode count (0 without
-    forcing), a forcing mode on another grid than ``rho0`` and transport
-    fields of another dimension, before any work.
+    field on one grid, a bundle on another time grid than ``cfg.times``
+    (another step count, or a step that fails ``cfg.fits_step``), a bundle
+    whose transport or mode path count is not ``Q.K`` or the forcing's mode
+    count (0 without forcing), a forcing mode on another grid than ``rho0``
+    and transport fields of another dimension, before any work.
     Two aborts: a ``ValueError`` before the first iterate when
     r + E1(v_ref) > R, and a ``PicardDivergence`` carrying the iterate
     differences when an iterate leaves the centered ball of radius r around
@@ -393,14 +398,16 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     calling line, ``simplefilter("always")`` on every call.
     """
     times = cfg.times
-    if bundle is not None and (
-            bundle.n_steps != len(times) - 1
-            or abs(bundle.T - cfg.T) > 1e-12 * max(cfg.T, 1.0)):
+    if bundle is not None and (bundle.n_steps != len(times) - 1
+                               or not cfg.fits_step(bundle.step)):
         raise ValueError(
             f"the Brownian bundle's time grid ({bundle.n_steps} steps of "
             f"{bundle.step:g} to T = {bundle.T:g}) is not the configuration's "
             f"({len(times) - 1} steps of {cfg.dt:g} to T = {cfg.T:g})")
     M = 0 if forcing is None else forcing.M
+    if bundle is None and (M > 0 or Q.K > 0):
+        raise ValueError(f"{'forcing modes' if M > 0 else 'transport fields'} "
+                         f"need a Brownian bundle")
     if bundle is not None and (bundle.K, bundle.mode_count) != (Q.K, M):
         raise ValueError(f"{Q.K} transport fields and {M} forcing modes need "
                          f"as many Brownian paths, the bundle has {bundle.K} "
@@ -424,14 +431,10 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
                       "the run proceeds", stacklevel=2)
 
     if M > 0:
-        if bundle is None:
-            raise ValueError("forcing modes need a Brownian bundle")
         U = solve_stoch_convolution(problem.op, forcing, bundle)
     else:
         U = TimeSeries(grid, times, np.zeros((len(times),) + grid.extent + (grid.dim,)))
     if Q.K > 0:
-        if bundle is None:
-            raise ValueError("transport fields need a Brownian bundle")
         nf = integrate_noise_flow(Q, bundle, grid)
     else:
         nf = identity_noise_flow(grid, times)

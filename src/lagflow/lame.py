@@ -158,6 +158,9 @@ class LameOperator:
     """Assembled interior operator and traction rows for one (grid, rho0).
 
     Unknowns are stored component-major: flat index = comp * n_nodes + node.
+    ``boundary_flat`` lists the boundary nodes in ``Grid.boundary_nodes``
+    order, which is ascending, so the rows ``boundary_row_mask`` selects take
+    traction data g of shape (n_boundary, dim) as ``g.T.ravel()``.
     ``step_order`` is the symmetric permutation the stepping matrices are
     factored in: the nested-dissection node order, node-major.
     """
@@ -234,22 +237,13 @@ class LameOperator:
             self._steppers[key] = StepFactor(lu, p)
         return self._steppers[key]
 
-    def boundary_values_to_rows(self, g: np.ndarray) -> np.ndarray:
-        """(n_boundary, dim) traction data -> right-hand side entries."""
-        dim, N = self.grid.dim, self.grid.n_nodes
-        out = np.zeros(dim * N)
-        for c in range(dim):
-            out[c * N + self.boundary_flat] = g[:, c]
-        return out
-
 
 def apply_B(op: LameOperator, u: Field) -> np.ndarray:
     """Traction values at the boundary nodes, shape (n_boundary, dim)."""
     if not np.all(np.isfinite(u.values)):
         raise ValueError("non-finite velocity field")
     flat = op.B @ op.to_flat(u.values)
-    dim, N = op.grid.dim, op.grid.n_nodes
-    return np.stack([flat[c * N + op.boundary_flat] for c in range(dim)], axis=-1)
+    return flat[op.boundary_row_mask].reshape(op.grid.dim, -1).T
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +274,7 @@ def solve_lame(op: LameOperator, f: TimeSeries | None, g: np.ndarray,
     v = op.to_flat(u0.values)
     for n in range(L - 1):
         rhs = v + dt * (op.to_flat(f.values[n + 1]) if f is not None else 0.0)
-        rhs[mask] = op.boundary_values_to_rows(g[n + 1])[mask]
+        rhs[mask] = g[n + 1].T.ravel()
         v = lu.solve(rhs)
         if not np.all(np.isfinite(v)):
             raise RuntimeError(f"linear solve produced non-finite values at "

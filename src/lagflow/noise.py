@@ -3,12 +3,13 @@
 A bundle carries K transport paths (driving the advective noise) and M extra
 paths (scalar coefficients of the finite-rank additive forcing).  Paths are
 stored as values on the time grid, so bridge refinement keeps already-sampled
-instants bit-for-bit and restriction back to the coarse grid is a slice.
+instants bit-for-bit.  A bundle is reproduced, bit for bit, from (K, M, T,
+dt, seed) by ``sample_brownian`` and its level of ``refine_bridge`` calls.
 """
 
 from __future__ import annotations
 
-import struct
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +31,15 @@ __all__ = [
 # Brownian bundle
 # ---------------------------------------------------------------------------
 
-_HEADER = "<qqqdqq"         # K, M, step count, dt, seed, level
-
-
 @dataclass
 class BrownianBundle:
     """K + M independent Brownian paths sampled on a uniform grid.
 
     ``values`` has shape (K + M, n_steps + 1) with W(0) = 0; rows 0..K-1 are
-    the transport paths, rows K.. are the forcing-mode paths.
+    the transport paths, rows K.. are the forcing-mode paths.  The bundle of
+    (K, M, T, dt, seed) at level l is ``sample_brownian``'s refined l times
+    by ``refine_bridge``.  Construction checks the shape, that K, M and the
+    level are integers >= 0 and the step finite and > 0 (``ValueError``).
     """
 
     K: int
@@ -47,6 +48,20 @@ class BrownianBundle:
     values: np.ndarray
     seed: int
     level: int = 0
+
+    def __post_init__(self):
+        counts = (self.K, self.mode_count, self.level)
+        if not all(isinstance(c, numbers.Integral) and c >= 0 for c in counts):
+            raise ValueError(f"K, M and the level must be integers >= 0, "
+                             f"got {counts}")
+        shape = np.shape(self.values)
+        if not (len(shape) == 2 and shape[0] == self.K + self.mode_count
+                and shape[1] >= 1):
+            raise ValueError(f"K + M = {self.K + self.mode_count} paths need "
+                             f"values of shape (K + M, n_steps + 1), got {shape}")
+        if not 0 < self.step < np.inf:
+            raise ValueError(f"the time step must be positive and finite, "
+                             f"got {self.step}")
 
     @property
     def n_steps(self) -> int:
@@ -60,59 +75,11 @@ class BrownianBundle:
     def times(self) -> np.ndarray:
         return self.step * np.arange(self.n_steps + 1)
 
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=1)
-
     def transport_increments(self) -> np.ndarray:
-        return self.increments[: self.K]
+        return np.diff(self.values[: self.K], axis=1)
 
     def mode_increments(self) -> np.ndarray:
-        return self.increments[self.K:]
-
-    def restrict_to_coarse(self) -> "BrownianBundle":
-        """Drop the bridge midpoints of the last refinement level."""
-        if self.level == 0:
-            raise ValueError("bundle is already at its base resolution")
-        return BrownianBundle(
-            self.K, self.mode_count, 2 * self.step,
-            self.values[:, ::2].copy(), self.seed, self.level - 1,
-        )
-
-    # -- binary replay format ------------------------------------------------
-
-    def dump(self, path) -> None:
-        """Little-endian binary dump: header (K, M, step count, dt, seed,
-        refinement level), values."""
-        header = struct.pack(_HEADER, self.K, self.mode_count,
-                             self.n_steps, self.step, self.seed, self.level)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(self.values.astype("<f8").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "BrownianBundle":
-        """Read a ``dump``; a malformed file raises ``ValueError``."""
-        with open(path, "rb") as fh:
-            data = fh.read()
-        size = struct.calcsize(_HEADER)
-        if len(data) < size:
-            raise ValueError(f"{path}: a Brownian bundle header needs {size} "
-                             f"bytes, the file has {len(data)}")
-        K, M, n_steps, step, seed, level = struct.unpack_from(_HEADER, data)
-        want = (K + M) * (n_steps + 1) * 8
-        if min(K, M, n_steps) < 0 or len(data) - size != want:
-            raise ValueError(f"{path}: K = {K}, M = {M} and {n_steps} steps need "
-                             f"{want} value bytes, found {len(data) - size}")
-        if not (np.isfinite(step) and step > 0):
-            raise ValueError(f"{path}: the time step must be positive and "
-                             f"finite, got {step}")
-        if level < 0:
-            raise ValueError(f"{path}: the refinement level must be >= 0, "
-                             f"got {level}")
-        raw = np.frombuffer(data, dtype="<f8", offset=size)
-        values = raw.reshape(K + M, n_steps + 1).astype(float)
-        return cls(K, M, step, values, seed, level)
+        return np.diff(self.values[self.K:], axis=1)
 
 
 def sample_brownian(K: int, M: int, T: float, dt: float, seed: int) -> BrownianBundle:
@@ -201,13 +168,13 @@ class TransportField:
         return val, jac
 
 
-def make_transport_field(dim: int, kind: str, K: int, amplitude: float = 1.0,
-                         center=None) -> TransportField:
+def make_transport_field(dim: int, kind: str, K: int,
+                         amplitude: float = 1.0) -> TransportField:
     """K fields of one family: ``constant`` (amplitude e_(k mod dim)),
-    ``rotation`` (in the (x, y) plane, which the 3D benchmark workload
-    runs), ``linear_test`` (amplitude x: not divergence-free, for calculus
-    tests only) or ``stream`` (2D sine modes (1,1), (2,1), (1,2), (2,2),
-    which the 2D benchmark workload runs)."""
+    ``rotation`` (in the (x, y) plane about the centre 0.5 + 0.1 k on every
+    axis, which the 3D benchmark workload runs), ``linear_test`` (amplitude
+    x: not divergence-free, for calculus tests only) or ``stream`` (2D sine
+    modes (1,1), (2,1), (1,2), (2,2), which the 2D benchmark workload runs)."""
     if kind not in ("constant", "rotation", "linear_test", "stream"):
         raise ValueError(f"unknown transport field kind {kind!r}")
     if kind == "stream":
@@ -225,12 +192,11 @@ def make_transport_field(dim: int, kind: str, K: int, amplitude: float = 1.0,
         for k in range(K):
             b[k, k % dim] = amplitude
     elif kind == "rotation":
-        center = np.full(dim, 0.5) if center is None else np.asarray(center, float)
         for k in range(K):
             A[k, 0, 1] = amplitude
             A[k, 1, 0] = -amplitude
-            # shifted rotation centers keep the family divergence-free
-            c[k] = center + 0.1 * k
+            # shifted rotation centres keep the family divergence-free
+            c[k] = 0.5 + 0.1 * k
     else:
         A[:] = amplitude * np.eye(dim)
     return TransportField(dim, "linear", {"K": K, "A": A, "b": b, "c": c})

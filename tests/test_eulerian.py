@@ -17,7 +17,12 @@ from lagflow.eulerian import (
 from lagflow.fields import Field, Grid
 from lagflow.fixedpoint import SolveConfig, picard_solve
 from lagflow.lame import FluidParams
-from lagflow.noise import StochasticForcing, make_transport_field, sample_brownian
+from lagflow.noise import (
+    StochasticForcing,
+    make_transport_field,
+    refine_bridge,
+    sample_brownian,
+)
 
 
 def folded(y):
@@ -217,6 +222,23 @@ def test_kinematic_residual_needs_one_path_per_field(noise_path):
         other = sample_brownian(K, 1, brownian.T, brownian.step, seed=5)
         with pytest.raises(ValueError, match="transport fields"):
             kinematic_residual(sol, Q, other)
+
+
+OTHER_BUNDLES = {
+    "refined": refine_bridge,
+    "other-seed": lambda b: sample_brownian(b.K, 1, b.T, b.step, seed=6),
+    "shorter": lambda b: sample_brownian(b.K, 1, b.T / 2, b.step, seed=5),
+}
+
+
+@pytest.mark.parametrize("case", OTHER_BUNDLES)
+def test_kinematic_residual_needs_the_solutions_bundle(noise_path, case):
+    # a refined bundle or another seed's used to pass without an error (on a
+    # 17^2 stream path, with residuals 4e5 times those of the path's own
+    # bundle), and a shorter one failed with an IndexError
+    sol, Q, brownian = noise_path
+    with pytest.raises(ValueError, match="is not the solution's"):
+        kinematic_residual(sol, Q, OTHER_BUNDLES[case](brownian))
 
 
 def test_written_outputs_reload_exactly(noise_path, tmp_path):

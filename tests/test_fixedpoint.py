@@ -297,9 +297,13 @@ def test_picard_fixed_point_residual():
     assert b.diffs[-1] <= 2 * cfg.picard_tol
 
 
-def test_picard_noise_without_bundle_raises():
+def test_picard_noise_without_bundle_raises(monkeypatch):
     # transport fields or forcing modes with no Brownian paths to drive
-    # them are an input error, not a noise-free run
+    # them are an input error, not a noise-free run, refused before the
+    # shared problem is looked up (so no compatibility warning is issued)
+    def no_work(*args):
+        raise AssertionError("the bundle was not checked up front")
+    monkeypatch.setattr(lagflow.fixedpoint, "problem_for", no_work)
     rho0, u0 = perturbed_data()
     cfg = SolveConfig()
     Q = make_transport_field(2, "stream", K=2, amplitude=1e-4)
@@ -307,9 +311,8 @@ def test_picard_noise_without_bundle_raises():
     Q0 = make_transport_field(2, "constant", K=0)
     for Q_in, forcing_in, match in [(Q, None, "transport fields"),
                                     (Q0, forcing, "forcing modes")]:
-        with pytest.warns(UserWarning, match="compatibility"):
-            with pytest.raises(ValueError, match=match):
-                picard_solve(rho0, u0, PARAMS, cfg, Q_in, None, forcing_in)
+        with pytest.raises(ValueError, match=match):
+            picard_solve(rho0, u0, PARAMS, cfg, Q_in, None, forcing_in)
 
 
 @pytest.mark.parametrize("T, dt", [(0.04, 1e-3), (0.05, 5e-4), (0.06, 1e-3)],

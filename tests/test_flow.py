@@ -90,7 +90,7 @@ def test_no_noise_keeps_identity():
 
 def test_rotation_flow_matches_matrix_exponential():
     # psi_t(x) = c + exp(A W_t)(x - c) with A = [[0,1],[-1,0]]
-    Q = make_transport_field(2, "rotation", K=1, amplitude=1.0, center=(0.5, 0.5))
+    Q = make_transport_field(2, "rotation", K=1, amplitude=1.0)
     b = sample_brownian(1, 0, T, DT, seed=1)
     nf = integrate_noise_flow(Q, b, GRID)
     pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)

@@ -169,8 +169,9 @@ def negate_transport(bundle):
 
 def swap(values, axis):
     """Vector frames under x <-> y: node axes ``axis`` and ``axis + 1``
-    exchanged, and the two components."""
-    return np.swapaxes(values, axis, axis + 1)[..., ::-1].copy()
+    exchanged, and the first two components."""
+    comps = [1, 0] + list(range(2, values.shape[-1]))
+    return np.swapaxes(values, axis, axis + 1)[..., comps]
 
 
 def assert_mapped(a, b, node_map, vector_map):
@@ -235,17 +236,20 @@ CUT3 = 6                    # levels of the truncated run: T = 0.005
 PATHS3 = {"small": (1e-3, 0), "mid": (5e-3, 1), "large": (2e-2, 2)}
 
 
-def solve3(cfg, amplitude, bundle):
+def solve3(cfg, amplitude, bundle, comp=0):
     """One solid3d-like path at 9^3: rho0 = 1, the benchmark's u0 (even in
-    every axis, first component only), one rotation about the z axis and
-    one forcing mode."""
+    every axis, in component ``comp`` only), one rotation about the z axis
+    and ``default_modes``' first mode moved to component ``comp``."""
     c = GRID3.coords()
     u0 = np.zeros(GRID3.extent + (3,))
-    u0[..., 0] = 1e-3 * np.prod([np.sin(np.pi * c[..., d]) ** 2
-                                 for d in range(3)], axis=0)
+    u0[..., comp] = 1e-3 * np.prod([np.sin(np.pi * c[..., d]) ** 2
+                                    for d in range(3)], axis=0)
     rho0 = Field(GRID3, np.ones(GRID3.extent))
     Q = make_transport_field(3, "rotation", K=1, amplitude=amplitude)
-    forcing = StochasticForcing.default_modes(GRID3, 1, 1e-3)
+    mode = StochasticForcing.default_modes(GRID3, 1, 1e-3)
+    forcing = StochasticForcing(
+        [Field(GRID3, np.roll(mode.modes[0].values, comp, axis=-1))],
+        mode.amplitudes)
     with pytest.warns(UserWarning, match="compatibility"):
         return picard_solve(rho0, Field(GRID3, u0), PARAMS, cfg, Q, bundle,
                             forcing)
@@ -282,3 +286,17 @@ def test_solution_is_even_in_z(case):
         1e-12 * scale)
     assert np.max(np.abs(mirror(a.window.X, 3, shift=1.0, comp=2)
                          - a.window.X)) <= 1e-14
+
+
+@pytest.mark.parametrize("case", PATHS3)
+def test_swapped_data_give_the_swapped_path_in_3d(case):
+    # the swap x <-> y fixes the rotation's centre (1/2, 1/2, 1/2) and
+    # reverses the rotation about the z axis: the swapped run negates the
+    # transport path and moves u0's bump and the forcing mode to the second
+    # component
+    amplitude, seed = PATHS3[case]
+    bundle = sample_brownian(1, 1, CFG3.T, CFG3.dt, seed=seed)
+    a = solve3(CFG3, amplitude, bundle)
+    b = solve3(CFG3, amplitude, negate_transport(bundle), comp=1)
+    assert_mapped(a, b, lambda s: np.swapaxes(s, 1, 2),
+                  lambda vec, shift: swap(vec, 1))

@@ -5,7 +5,6 @@ import pytest
 
 from lagflow.fields import Grid
 from lagflow.noise import (
-    BrownianBundle,
     StochasticForcing,
     TransportField,
     check_divergence_free,
@@ -82,7 +81,6 @@ def test_refine_preserves_coarse_values_exactly():
     r = refine_bridge(b)
     assert r.step == b.step / 2
     assert np.array_equal(r.values[:, ::2], b.values)
-    assert np.array_equal(r.restrict_to_coarse().values, b.values)
 
 
 def test_double_refinement_quarters_step():
@@ -108,49 +106,20 @@ def test_refinement_is_reproducible():
     assert np.array_equal(refine_bridge(b).values, refine_bridge(b).values)
 
 
-def test_dump_load_roundtrip(tmp_path):
-    b = sample_brownian(2, 1, 0.3, 0.01, seed=9)
-    p = tmp_path / "bundle.bin"
-    b.dump(p)
-    c = BrownianBundle.load(p)
-    assert (c.K, c.mode_count, c.step, c.seed, c.level) == (2, 1, 0.01, 9, 0)
-    assert np.array_equal(b.values, c.values)
-    # a refined bundle keeps its level, so it restricts back after a reload
-    fine = refine_bridge(refine_bridge(b))
-    fine.dump(p)
-    c = BrownianBundle.load(p)
-    assert (c.step, c.level) == (fine.step, 2)
-    assert np.array_equal(c.values, fine.values)
-    coarse = c.restrict_to_coarse().restrict_to_coarse()
-    assert (coarse.step, coarse.level) == (b.step, 0)
-    assert np.array_equal(coarse.values, b.values)
-
-
-@pytest.mark.parametrize("edit, error", [
-    (lambda raw: b"", "header needs 48 bytes, the file has 0"),
-    (lambda raw: raw[:20], "header needs 48 bytes, the file has 20"),
-    (lambda raw: raw[:-3], "93 steps need 2256 value bytes, found 2253"),
-    (lambda raw: raw + bytes(8), "need 2256 value bytes, found 2264"),
-], ids=["empty", "short-header", "truncated", "padded"])
-def test_load_rejects_a_malformed_file(tmp_path, edit, error):
-    p = tmp_path / "bundle.bin"
-    sample_brownian(2, 1, 0.93, 0.01, seed=9).dump(p)
-    p.write_bytes(edit(p.read_bytes()))
-    with pytest.raises(ValueError, match=f"bundle.bin: .*{error}"):
-        BrownianBundle.load(p)
-
-
 @pytest.mark.parametrize("edit, error", [
     ({"step": -1e-3}, "time step must be positive and finite, got -0.001"),
     ({"step": 0.0}, "time step must be positive and finite, got 0.0"),
     ({"step": np.nan}, "time step must be positive and finite, got nan"),
-    ({"level": -2}, "refinement level must be >= 0, got -2"),
-], ids=["negative-step", "zero-step", "nan-step", "negative-level"])
-def test_load_rejects_a_bad_step_or_level(tmp_path, edit, error):
-    p = tmp_path / "bundle.bin"
-    dataclasses.replace(sample_brownian(2, 1, 0.004, 1e-3, seed=9), **edit).dump(p)
-    with pytest.raises(ValueError, match=f"bundle.bin: .*{error}"):
-        BrownianBundle.load(p)
+    ({"level": -2}, r"level must be integers >= 0, got \(2, 1, -2\)"),
+    ({"K": -1}, r"level must be integers >= 0, got \(-1, 1, 0\)"),
+    ({"mode_count": 2}, r"K \+ M = 4 paths need .* got \(3, 5\)"),
+], ids=["negative-step", "zero-step", "nan-step", "negative-level",
+        "negative-count", "row-count"])
+def test_load_rejects_a_bad_step_or_level(edit, error):
+    # the checks of the former binary reader, made by every construction;
+    # sample_brownian(-1, 2, ...) used to return K = -1 with one value row
+    with pytest.raises(ValueError, match=error):
+        dataclasses.replace(sample_brownian(2, 1, 0.004, 1e-3, seed=9), **edit)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +187,10 @@ def test_linear_test_field_scales_with_amplitude(dim):
 
 
 def test_rotation_drift():
-    # Q(x) = (x2, -x1): DQ Q = (-x1, -x2)
-    Q = make_transport_field(2, "rotation", K=1, amplitude=1.0, center=(0, 0))
+    # Q(x) = (x2 - 1/2, 1/2 - x1): DQ Q = 1/2 - x
+    Q = make_transport_field(2, "rotation", K=1, amplitude=1.0)
     x = np.array([0.3, 0.7])
-    assert np.allclose(stratonovich_drift(Q, x), -0.5 * x)
+    assert np.allclose(stratonovich_drift(Q, x), -0.5 * (x - 0.5))
 
 
 def test_divergence_free_closed_forms():

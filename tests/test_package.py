@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 import tomllib
@@ -184,12 +185,18 @@ def loaded_names(tree: ast.AST, enclosing: frozenset = frozenset()) -> set:
     return found
 
 
-def test_public_names_have_a_reader():
-    # every __all__ name of every lagflow module is loaded in src/ or
-    # perfbench/ outside its own definition (a function or class the
-    # benchmark tracer wraps by name counts), or waits on the allow-list
-    # above for the directions that will read it; an allow-listed name that
-    # has a reader leaves the list
+def public_names() -> set:
+    """(module, name) of every __all__ name of every lagflow module."""
+    return {(info.name, name)
+            for info in pkgutil.iter_modules(lagflow.__path__)
+            for name in getattr(importlib.import_module(
+                f"lagflow.{info.name}"), "__all__", ())}
+
+
+def reader_loads() -> set:
+    """Names loaded in src/ or perfbench/, each outside its own def or
+    class, and the functions and classes the benchmark tracer wraps by
+    name."""
     loads = set()
     for folder in (SRC, ROOT / "perfbench"):
         for path in folder.rglob("*.py"):
@@ -197,10 +204,16 @@ def test_public_names_have_a_reader():
     tables = tracer_tables()
     loads |= {attr for _, attr in tables["FUNCTIONS"]}
     loads |= {cls for _, cls, _ in tables["METHODS"]}
-    public = {(info.name, name)
-              for info in pkgutil.iter_modules(lagflow.__path__)
-              for name in getattr(importlib.import_module(
-                  f"lagflow.{info.name}"), "__all__", ())}
+    return loads
+
+
+def test_public_names_have_a_reader():
+    # every __all__ name of every lagflow module is loaded in src/ or
+    # perfbench/ outside its own definition (a function or class the
+    # benchmark tracer wraps by name counts), or waits on the allow-list
+    # above for the directions that will read it; an allow-listed name that
+    # has a reader leaves the list
+    loads, public = reader_loads(), public_names()
     unread = sorted(f"lagflow.{m}.{name}" for m, name in public
                     if name not in loads and (m, name) not in UNREAD_PUBLIC_NAMES)
     assert not unread, f"public names no src/ or perfbench/ code reads: {unread}"
@@ -208,4 +221,46 @@ def test_public_names_have_a_reader():
                    if (m, name) not in public or name in loads)
     assert not stale, f"allow-listed names that are gone or have a reader: {stale}"
     for key, directions in UNREAD_PUBLIC_NAMES.items():
+        assert directions and all(isinstance(d, int) for d in directions), key
+
+
+# public methods, properties and classmethods of __all__ classes that no
+# src/ or perfbench/ code reads yet, each with the ROADMAP directions that
+# will read them
+UNREAD_PUBLIC_METHODS: dict = {}
+
+
+def public_methods() -> set:
+    """(module, class, name) of every public method, property, classmethod
+    and staticmethod that an __all__ class defines itself."""
+    found = set()
+    for module, name in public_names():
+        cls = getattr(importlib.import_module(f"lagflow.{module}"), name)
+        if isinstance(cls, type):
+            found |= {(module, name, attr) for attr, value in vars(cls).items()
+                      if not attr.startswith("_")
+                      and (inspect.isfunction(value) or isinstance(
+                          value, (property, classmethod, staticmethod)))}
+    return found
+
+
+def test_public_methods_have_a_reader():
+    # the method-level twin of the gate above: every public method,
+    # property and classmethod of an __all__ class is loaded as an attribute
+    # in src/ or perfbench/ outside its own definition (a method the
+    # benchmark tracer wraps counts), or waits on the allow-list above.
+    # The check is by name, so a method that shares its name with another
+    # reader passes: a bundle's binary dump and load, since deleted, passed
+    # on json.dump and json.load
+    loads, methods = reader_loads(), public_methods()
+    loads |= {attr for _, _, attr in tracer_tables()["METHODS"]}
+    unread = sorted(f"lagflow.{m}.{cls}.{attr}" for m, cls, attr in methods
+                    if attr not in loads
+                    and (m, cls, attr) not in UNREAD_PUBLIC_METHODS)
+    assert not unread, f"public methods no src/ or perfbench/ code reads: {unread}"
+    stale = sorted(f"lagflow.{m}.{cls}.{attr}"
+                   for m, cls, attr in UNREAD_PUBLIC_METHODS
+                   if (m, cls, attr) not in methods or attr in loads)
+    assert not stale, f"allow-listed methods that are gone or have a reader: {stale}"
+    for key, directions in UNREAD_PUBLIC_METHODS.items():
         assert directions and all(isinstance(d, int) for d in directions), key
