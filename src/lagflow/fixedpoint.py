@@ -375,6 +375,17 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     always runs the exact monitor, so the returned ``monitor`` and every
     output are those of exact monitors on every iterate.
 
+    Each level stack is held only while something reads it.  The whole
+    solve holds U; the iterates and the rebuild's flow stage hold the noise
+    flow.  Between iterates the loop carries the last velocity, the window
+    length, the anchor (its pair and frame norms and the Z and J of its
+    reference window) and the differences; an iterate's window (X, grad X,
+    Z, J), its flow-stage gradient of the drift and the difference stack
+    end with it.  The rebuild starts without the anchor, and the noise flow
+    goes once the rebuild's flow stage, its last reader, has run, so the
+    rebuild's monitor, density and energy run on the window, v, U and the
+    drift alone.
+
     Forcing modes or transport fields without a Brownian bundle raise
     ``ValueError``, and so do rho0 and u0 other than a scalar and a vector
     field on one grid, a bundle on another time grid than ``cfg.times``
@@ -456,9 +467,11 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
         if res.monitor is not None:
             anchor = res.monitor.anchor
         n_frames = min(n_frames, res.n_frames)
-        dv = TimeSeries(grid, times[:n_frames],
-                        res.v.values[:n_frames] - v_prev.values[:n_frames])
-        d = e1_norm(dv, cfg.p, cfg.q)
+        v = res.v
+        del res         # its window is read no more (the anchor keeps Z, J)
+        d = e1_norm(TimeSeries(grid, times[:n_frames],
+                               v.values[:n_frames] - v_prev.values[:n_frames]),
+                    cfg.p, cfg.q)
         diffs.append(d)
         # E1 is a seminorm that grows with the window, and the windows only
         # shrink, so |v_k - v_ref| <= d_1 + ... + d_k; the exact ball norm
@@ -470,14 +483,14 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
             ball = None
         else:
             ball = e1_norm(TimeSeries(grid, times[:n_frames],
-                                      res.v.values[:n_frames]
+                                      v.values[:n_frames]
                                       - v_ref.values[:n_frames]),
                            cfg.p, cfg.q)
         if ball is not None and ball > cfg.r:
             raise PicardDivergence(
                 f"iterate {it} left the centered ball (|v - v_ref| = {ball:.3g} "
                 f"> r = {cfg.r})", diffs)
-        v_prev = res.v
+        v_prev = v
         if d <= cfg.picard_tol:
             converged = True
             break
@@ -494,9 +507,11 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
         kappa = float(ratios[-1])
 
     # rebuild the Lagrangian record of the converged velocity
+    del anchor          # the rebuild runs the exact monitor
     v_final = v_prev.restrict(n_frames)
     ubar = _drift(v_final, U)
     window = _flow_stage(ubar, nf, cfg)[0]
+    del nf              # the flow stage was the noise flow's last reader
     monitor, keep = _monitor_window(window, cfg, grid)
     while keep > 1 and not window.valid[keep - 1]:
         keep -= 1

@@ -345,8 +345,9 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
     sampled Dpsi^{-1}, dA its gradient) run component-major, with the node
     axis last.  g = grad Y is carried as (d, d, n) rows across the steps
     and written node-major into ``gradY`` at each level; u and grad u are
-    copied into component rows once per call, dA into (j, l, i, n) rows
-    once per stage, and A is read through a strided view.  The terms of
+    copied into component rows once per level, into two reused slots (a
+    step reads its level and the next), dA into (j, l, i, n) rows once per
+    stage, and A is read through a strided view.  The terms of
     each sum are formed by one broadcast product per operand, left to right
     (dA g, then u; A grad u), into a reused (j, l, i, m, n) or (j, i, m, n)
     scratch array, and added over the leading axes from zero, j outermost:
@@ -370,9 +371,10 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
     G[0] = np.eye(dim)
     ub = ubar.values
     gub = gradient_values(grid, ub)
-    # the drift and its gradient as component rows, (L, j, n) and (L, j, m, n)
-    u_rows = ub.reshape(L, N, dim).transpose(0, 2, 1).copy()
-    gu_rows = gub.reshape(L, N, dim, dim).transpose(0, 2, 3, 1).copy()
+    # the drift and its gradient of two levels as component rows, (j, n)
+    # and (j, m, n): level n in slot n % 2, copied when a stage first reads it
+    u_rows = np.empty((2, dim, N))
+    gu_rows = np.empty((2, dim, dim, N))
     dA_rows = np.empty((dim,) * 3 + (N,))       # (j, l, i, n)
     terms1 = np.empty((dim,) * 4 + (N,))        # (j, l, i, m, n)
     terms2 = np.empty((dim,) * 3 + (N,))        # (j, i, m, n)
@@ -385,6 +387,11 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
         DY[level] = plan.apply(nf.Dpsi[level])
         return plan
 
+    def load_rows(level):
+        np.copyto(u_rows[level % 2], ub[level].reshape(N, dim).T)
+        np.copyto(gu_rows[level % 2],
+                  gub[level].reshape(N, dim, dim).transpose(1, 2, 0))
+
     def rhs(level, plan, g):
         A = plan.apply(nf.Dpsi_inv[level])
         dA = plan.apply(nf.grad_Dpsi_inv[level])
@@ -392,21 +399,23 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
         # dA_ijl g_lm u_j: rows (j, l, i, m, n)
         np.copyto(dA_rows, dA.reshape(N, dim, dim, dim).transpose(2, 3, 1, 0))
         np.multiply(dA_rows[:, :, :, None], g[None, :, None], out=terms1)
-        np.multiply(terms1, u_rows[level][:, None, None, None], out=terms1)
+        np.multiply(terms1, u_rows[level % 2][:, None, None, None], out=terms1)
         dg = np.add.reduce(terms1_jl, axis=0, initial=0.0)
         # A_ij (grad u)_jm: rows (j, i, m, n)
         np.multiply(A.reshape(N, dim, dim).transpose(2, 1, 0)[:, :, None],
-                    gu_rows[level][:, None], out=terms2)
+                    gu_rows[level % 2][:, None], out=terms2)
         dg += np.add.reduce(terms2, axis=0, initial=0.0)
         return f, dg
 
     y = Y[0].copy()
     g = np.broadcast_to(np.eye(dim)[:, :, None], (dim, dim, N)).copy()
+    load_rows(0)
     for n in range(L - 1):
         f0, dg0 = rhs(n, sample(n, y), g)
         y_pred = y + dt * f0
         g_pred = g + dt * dg0
         plan1 = nf.plan(y_pred, time=nf.times[n + 1])
+        load_rows(n + 1)
         f1, dg1 = rhs(n + 1, plan1, g_pred)
         y = y + 0.5 * dt * (f0 + f1)
         g = g + 0.5 * dt * (dg0 + dg1)
@@ -492,17 +501,20 @@ class MonitorAnchor:
     pair norms a_ik = |f_i - f_k|_X for i < k (zero elsewhere); ``frame``
     (2, n), the frame norms |f_k|_X; ``drift`` (2, n), e_k, the sum of
     |f_k(W) - f_k(W')|_X over the windows W certified since, each against
-    the reference window W' before it; and ``window``, the reference window
-    (the run's, then the last one certified).  By the triangle
-    inequality a_ik + e_i + e_k bounds every pair norm of the latest
-    window, and |f_k|_X + e_k every frame norm.
+    the reference window W' before it; and ``Z`` and ``J``, the level
+    stacks of the reference window (the run's, then the last one
+    certified), the only ones ``bound`` reads: the anchor keeps neither X
+    nor grad X of a window alive.  By the triangle inequality
+    a_ik + e_i + e_k bounds every pair norm of the latest window, and
+    |f_k|_X + e_k every frame norm.
     """
 
     times: np.ndarray
     pair: np.ndarray
     frame: np.ndarray
     drift: np.ndarray
-    window: FlowWindow
+    Z: np.ndarray
+    J: np.ndarray
 
     @classmethod
     def from_sums(cls, sums: tuple[SlobodeckijWindow, ...],
@@ -515,7 +527,7 @@ class MonitorAnchor:
                 pair[s, k, :k] = row ** (1.0 / acc.p)
         frame = np.array([acc.frame_pow[:n] ** (1.0 / acc.p) for acc in sums])
         return cls(sums[0].times[:n].copy(), pair, frame, np.zeros((2, n)),
-                   window)
+                   window.Z, window.J)
 
     def bound(self, window: FlowWindow, cfg: SolveConfig,
               grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -531,12 +543,11 @@ class MonitorAnchor:
         """
         m = len(window) - 1
         eye = np.eye(grid.dim)
-        ref = self.window
         gnorms, step = np.empty(m), np.empty((2, m))
         for sl in frame_chunks(grid, m, window.Z[0].size):
             gnorms[sl] = frame_norms(grid, window.gradX[sl] - eye, "H1q", cfg.q)
-            step[0, sl] = frame_norms(grid, window.Z[sl] - ref.Z[sl], "H1q", cfg.q)
-            step[1, sl] = frame_norms(grid, window.J[sl] - ref.J[sl], "H1q", cfg.q)
+            step[0, sl] = frame_norms(grid, window.Z[sl] - self.Z[sl], "H1q", cfg.q)
+            step[1, sl] = frame_norms(grid, window.J[sl] - self.J[sl], "H1q", cfg.q)
         drift = self.drift[:, :m] + step
         t = self.times[:m]
         lower = np.tri(m, k=-1, dtype=bool)
@@ -561,8 +572,8 @@ class MonitorAnchor:
         in the anchor and have (1 + 1e-9) * bound < delta: no total reaches
         delta before the last level, and a crossing or an invalid level at
         the last level keeps every frame as well.  Then the drift and the
-        reference window move to ``window`` and the anchor keeps those
-        levels only (so the reference window always covers them); a
+        reference Z and J move to ``window``'s and the anchor keeps those
+        levels only (so the reference stacks always cover them); a
         declined window leaves the anchor as it was.
         """
         m = len(window) - 1
@@ -572,7 +583,8 @@ class MonitorAnchor:
         if not np.all((1.0 + 1e-9) * bound < cfg.delta):
             return False
         self.times, self.pair = self.times[:m], self.pair[:, :m, :m]
-        self.frame, self.drift, self.window = self.frame[:, :m], drift, window
+        self.frame, self.drift = self.frame[:, :m], drift
+        self.Z, self.J = window.Z, window.J
         return True
 
 
@@ -602,11 +614,11 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     and stop at the crossing.
 
     The result's ``anchor`` keeps the run's pair and frame norms and its
-    window.  The Picard loop of ``fixedpoint.picard_solve`` runs this exact
-    monitor on its first iterate and on the rebuild; a later iterate whose
-    window the anchor certifies (``MonitorAnchor.certify``) keeps every
-    level without a run and carries no monitor result, and one it declines
-    runs this monitor, whose anchor then replaces the old one.
+    window's Z and J.  The Picard loop of ``fixedpoint.picard_solve`` runs
+    this exact monitor on its first iterate and on the rebuild; a later
+    iterate whose window the anchor certifies (``MonitorAnchor.certify``)
+    keeps every level without a run and carries no monitor result, and one
+    it declines runs this monitor, whose anchor then replaces the old one.
     """
     eye = np.eye(grid.dim)
     times = window.times

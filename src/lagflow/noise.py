@@ -127,12 +127,16 @@ class TransportField:
     * ``stream`` -- dim 2, Q_k = (d2 phi_k, -d1 phi_k) for products of sines
 
     Linear fields are unbounded on R^dim; they are admissible here because
-    every evaluation happens on a bounded neighborhood of the domain.
+    every evaluation happens on a bounded neighborhood of the domain.  An
+    unknown kind or a stream family of another dimension than 2 raises
+    ``ValueError``.
     """
 
     def __init__(self, dim: int, kind: str, params: dict):
         if kind not in ("linear", "stream"):
             raise ValueError(f"unknown transport kind {kind!r}")
+        if kind == "stream" and dim != 2:
+            raise ValueError("stream-function transport fields require dim 2")
         self.dim, self.kind, self.params = dim, kind, params
         self.K = params["K"]
 
@@ -178,8 +182,6 @@ def make_transport_field(dim: int, kind: str, K: int,
     if kind not in ("constant", "rotation", "linear_test", "stream"):
         raise ValueError(f"unknown transport field kind {kind!r}")
     if kind == "stream":
-        if dim != 2:
-            raise ValueError("stream-function transport fields require dim 2")
         if K > 4:
             raise ValueError("at most 4 stream modes are predefined")
         modes = [(1, 1), (2, 1), (1, 2), (2, 2)][:K]
@@ -222,7 +224,11 @@ def check_divergence_free(Q: TransportField, grid: Grid) -> float:
 
 @dataclass
 class StochasticForcing:
-    """Finite-rank additive forcing: M spatial modes with scalar Brownian paths."""
+    """Finite-rank additive forcing: M spatial modes with scalar Brownian paths.
+
+    Construction checks one amplitude per mode and finite amplitudes and
+    mode values (``ValueError``, NaN included).
+    """
 
     modes: list  # list of vector Fields
     amplitudes: np.ndarray
@@ -231,6 +237,9 @@ class StochasticForcing:
         self.amplitudes = np.asarray(self.amplitudes, float)
         if len(self.modes) != len(self.amplitudes):
             raise ValueError("one amplitude per mode is required")
+        if not np.all(np.isfinite(self.amplitudes)):
+            raise ValueError(f"forcing amplitudes must be finite, got "
+                             f"{self.amplitudes}")
         for m in self.modes:
             if not np.all(np.isfinite(m.values)):
                 raise ValueError("forcing modes must be finite")

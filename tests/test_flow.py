@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -782,7 +784,7 @@ def test_anchor_bound_dominates_exact_totals(seed, dim, L, scale, steps):
             np.testing.assert_allclose(bound, exact, rtol=1e-12, atol=1e-300)
         assert anchor.certify(window, OPEN, grid)
         assert np.array_equal(anchor.drift, drift)
-        assert anchor.window is window
+        assert anchor.Z is window.Z and anchor.J is window.J
 
 
 def lifted_windows(lift):
@@ -837,16 +839,30 @@ def test_certify_moves_the_reference_window_only_when_it_certifies():
     bound, _ = stopping_monitor(w0, OPEN, g).anchor.bound(w1, OPEN, g)
     cfg = SolveConfig(delta=0.5 * (exact.max() + bound.max()), eps_star=1e9)
     anchor = stopping_monitor(w0, cfg, g).anchor
-    assert anchor.window is w0
+    assert anchor.Z is w0.Z and anchor.J is w0.J
     before = (anchor.times, anchor.drift, anchor.pair, anchor.frame)
     assert not anchor.certify(w1, cfg, g)
-    assert anchor.window is w0
+    assert anchor.Z is w0.Z and anchor.J is w0.J
     assert all(a is b for a, b in zip(
         (anchor.times, anchor.drift, anchor.pair, anchor.frame), before))
     w2 = lifted_windows(1e-7)[3]
     assert anchor.certify(w2, cfg, g)
-    assert anchor.window is w2
+    assert anchor.Z is w2.Z and anchor.J is w2.J
     assert len(anchor.times) == m and np.all(anchor.drift[:, 1:] > 0.0)
+
+
+def test_anchor_keeps_only_the_reference_z_and_j_alive():
+    # bound reads the reference window's Z and J, so the anchor holds no
+    # other stack of it: X and grad X go with the window
+    g, times, w0, w1 = lifted_windows(2e-3)
+    stacks = {name: weakref.ref(getattr(w0, name))
+              for name in ("X", "gradX", "Z", "J")}
+    anchor = stopping_monitor(w0, OPEN, g).anchor
+    del w0, w1
+    gc.collect()
+    alive = {name for name, ref in stacks.items() if ref() is not None}
+    assert alive == {"Z", "J"}
+    assert anchor.Z is stacks["Z"]() and anchor.J is stacks["J"]()
 
 
 # ---------------------------------------------------------------------------

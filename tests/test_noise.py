@@ -159,6 +159,11 @@ def test_constant_field_is_its_vector_bit_for_bit(dim):
 def test_transport_field_kind_is_checked_at_construction():
     with pytest.raises(ValueError, match="unknown transport kind 'constant'"):
         TransportField(2, "constant", {"K": 1, "b": np.ones((1, 2))})
+    # a 3D stream family would read as divergence-free and fail only in
+    # the noise flow, on a (..., 3, 3) against (..., 2, 2) broadcast
+    with pytest.raises(ValueError, match="require dim 2"):
+        TransportField(3, "stream", {"K": 1, "a": np.ones(1),
+                                     "modes": [(1, 1)]})
 
 
 def test_constant_field_drift_vanishes():
@@ -311,3 +316,12 @@ def test_forcing_modes_finite_and_counted():
     assert all(np.all(np.isfinite(m.values)) for m in f.modes)
     empty = StochasticForcing([], np.zeros(0))
     assert empty.M == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forcing_rejects_non_finite_amplitudes(bad):
+    # a NaN amplitude would surface only in picard_solve, as a label flow
+    # escape at the first step
+    modes = StochasticForcing.default_modes(Grid(2, (9, 9)), 2, 0.3).modes
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        StochasticForcing(modes, [0.3, bad])
