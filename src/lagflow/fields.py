@@ -93,10 +93,13 @@ class Grid:
     box: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
+        # every bound is written so that NaN fails it
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if np.isscalar(self.extent):
-            self.extent = (int(self.extent),) * self.dim
+            self.extent = (self.extent,) * self.dim
+        if not all(float(n).is_integer() for n in self.extent):
+            raise ValueError(f"extent must be integral, got {self.extent}")
         self.extent = tuple(int(n) for n in self.extent)
         if len(self.extent) != self.dim:
             raise ValueError("extent length must match dim")
@@ -105,7 +108,9 @@ class Grid:
         if not self.box:
             self.box = ((0.0, 1.0),) * self.dim
         self.box = tuple((float(a), float(b)) for a, b in self.box)
-        if any(b <= a for a, b in self.box):
+        if not np.all(np.isfinite(self.box)):
+            raise ValueError(f"box corners must be finite, got {self.box}")
+        if not all(b > a for a, b in self.box):
             raise ValueError("box upper corner must exceed lower corner")
         self.spacing = tuple(
             (b - a) / (n - 1) for (a, b), n in zip(self.box, self.extent)
@@ -226,8 +231,8 @@ class TimeSeries:
         self.values = np.asarray(self.values, dtype=float)
         if self.times.ndim != 1 or len(self.times) != self.values.shape[0]:
             raise ValueError("times and frame count disagree")
-        if self.times[0] != 0.0:
-            raise ValueError("time series must start at t = 0")
+        if len(self.times) == 0 or self.times[0] != 0.0:
+            raise ValueError("time series must start with a frame at t = 0")
         # written ``not x > 0`` so that a NaN time fails it
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")

@@ -34,7 +34,6 @@ from .fields import (
 )
 from .flow import (
     FlowWindow,
-    MonitorAnchor,
     MonitorResult,
     NoiseFlow,
     compose_flow,
@@ -243,9 +242,9 @@ def problem_for(rho0: Field, u0: Field, params: FluidParams,
 class PsiResult:
     """One application of the solution map.
 
-    ``monitor`` is the exact stopping monitor of the flow window, with its
-    anchor.  It is None on an iterate of ``picard_solve`` whose window an
-    earlier anchor certified (``flow.MonitorAnchor.certify``): the monitor
+    ``monitor`` is the exact stopping monitor of the flow window.  It is
+    None on an iterate of ``picard_solve`` whose window an earlier exact
+    result certified (``flow.MonitorResult.certifies``): the monitor
     provably keeps every level there, so ``n_frames`` is the window's
     length without a monitor run.
     """
@@ -262,14 +261,15 @@ def _drift(v: TimeSeries, U: TimeSeries) -> TimeSeries:
 
 
 def _monitor_window(window: FlowWindow, cfg: SolveConfig, grid: Grid,
-                    anchor: MonitorAnchor | None = None,
+                    record: MonitorResult | None = None,
                     ) -> tuple[MonitorResult | None, int]:
     """Stopping monitor of the flow window and the usable window length.
 
-    With an anchor, a window it certifies keeps all its levels without a
-    monitor run (the monitor is None); otherwise the exact monitor decides.
+    With an earlier exact ``record``, a window it certifies keeps all its
+    levels without a monitor run (the monitor is None); otherwise the exact
+    monitor decides.
     """
-    if anchor is not None and anchor.certify(window, cfg, grid):
+    if record is not None and record.certifies(window, cfg, grid):
         return None, len(window)
     monitor = stopping_monitor(window, cfg, grid)
     n_frames = len(window) if not monitor.fired else max(2, monitor.fired_index + 1)
@@ -312,12 +312,12 @@ def _assemble_and_solve(ubar: TimeSeries, window: FlowWindow,
 
 
 def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
-              nf: NoiseFlow, anchor: MonitorAnchor | None = None) -> PsiResult:
+              nf: NoiseFlow, record: MonitorResult | None = None) -> PsiResult:
     """One application of the solution map on the monitored window;
-    ``anchor`` goes to ``_monitor_window``."""
+    ``record`` goes to ``_monitor_window``."""
     ubar = _drift(v1, U)
     window, grad_ubar = _flow_stage(ubar, nf, problem.cfg)
-    monitor, n_frames = _monitor_window(window, problem.cfg, ubar.grid, anchor)
+    monitor, n_frames = _monitor_window(window, problem.cfg, ubar.grid, record)
     return _assemble_and_solve(ubar, window, monitor, n_frames, grad_ubar,
                                problem)
 
@@ -367,24 +367,24 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     bundle's (None without a bundle).
 
     Every iterate is one ``apply_Psi`` call.  The first runs the exact
-    stopping monitor, whose anchor keeps the pair and frame norms of that
-    window.  A later iterate's window is first put to the anchor
-    (``MonitorAnchor.certify``): a certified iterate keeps all its levels,
+    stopping monitor, whose result keeps the pair and frame norms of that
+    window.  A later iterate's window is first put to the last exact result
+    (``MonitorResult.certifies``): a certified iterate keeps all its levels,
     as the exact monitor would, and carries no monitor result; a declined
-    one runs the exact monitor, which becomes the new anchor.  The rebuild
+    one runs the exact monitor, whose result replaces the last.  The rebuild
     always runs the exact monitor, so the returned ``monitor`` and every
     output are those of exact monitors on every iterate.
 
     Each level stack is held only while something reads it.  The whole
     solve holds U; the iterates and the rebuild's flow stage hold the noise
     flow.  Between iterates the loop carries the last velocity, the window
-    length, the anchor (its pair and frame norms and the Z and J of its
-    reference window) and the differences; an iterate's window (X, grad X,
-    Z, J), its flow-stage gradient of the drift and the difference stack
-    end with it.  The rebuild starts without the anchor, and the noise flow
-    goes once the rebuild's flow stage, its last reader, has run, so the
-    rebuild's monitor, density and energy run on the window, v, U and the
-    drift alone.
+    length, the last exact monitor result (its pair and frame norms and the
+    Z and J of its window) and the differences; an iterate's window (X,
+    grad X, Z, J), its flow-stage gradient of the drift and the difference
+    stack end with it.  The rebuild starts without that result, and the
+    noise flow goes once the rebuild's flow stage, its last reader, has
+    run, so the rebuild's monitor, density and energy run on the window, v,
+    U and the drift alone.
 
     Forcing modes or transport fields without a Brownian bundle raise
     ``ValueError``, and so do rho0 and u0 other than a scalar and a vector
@@ -430,10 +430,9 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
             f"need a scalar rho0 and a vector u0 on one grid, got rho0 of "
             f"shape {rho0.values.shape} on {grid} and u0 of shape "
             f"{u0.values.shape} on {u0.grid}")
-    for mode in [] if forcing is None else forcing.modes:
-        if mode.grid != grid:
-            raise ValueError(f"a forcing mode lives on {mode.grid}, the "
-                             f"problem on {grid}")
+    if M > 0 and forcing.modes[0].grid != grid:
+        raise ValueError(f"a forcing mode lives on {forcing.modes[0].grid}, "
+                         f"the problem on {grid}")
     if Q.dim != grid.dim:
         raise ValueError(f"{Q.dim}D transport fields on a {grid.dim}D grid")
     problem = problem_for(rho0, u0, params, cfg)
@@ -459,16 +458,16 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     v_prev = v_ref
     n_frames = len(times)
     diffs: list[float] = []
-    anchor: MonitorAnchor | None = None
+    record: MonitorResult | None = None
     converged = False
     rising = 0
     for it in range(1, cfg.picard_max_iter + 1):
-        res = apply_Psi(v_prev.restrict(n_frames), U, problem, nf, anchor)
+        res = apply_Psi(v_prev.restrict(n_frames), U, problem, nf, record)
         if res.monitor is not None:
-            anchor = res.monitor.anchor
+            record = res.monitor
         n_frames = min(n_frames, res.n_frames)
         v = res.v
-        del res         # its window is read no more (the anchor keeps Z, J)
+        del res         # its window is read no more (the record keeps Z, J)
         d = e1_norm(TimeSeries(grid, times[:n_frames],
                                v.values[:n_frames] - v_prev.values[:n_frames]),
                     cfg.p, cfg.q)
@@ -476,7 +475,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
         # E1 is a seminorm that grows with the window, and the windows only
         # shrink, so |v_k - v_ref| <= d_1 + ... + d_k; the exact ball norm
         # runs only where that sum nears r (the relative margin of
-        # MonitorAnchor.certify), and for the first iterate it is d_1
+        # MonitorResult.certifies), and for the first iterate it is d_1
         if v_prev is v_ref:
             ball = d
         elif (1.0 + 1e-9) * sum(diffs) < cfg.r:
@@ -507,7 +506,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
         kappa = float(ratios[-1])
 
     # rebuild the Lagrangian record of the converged velocity
-    del anchor          # the rebuild runs the exact monitor
+    del record          # the rebuild runs the exact monitor
     v_final = v_prev.restrict(n_frames)
     ubar = _drift(v_final, U)
     window = _flow_stage(ubar, nf, cfg)[0]

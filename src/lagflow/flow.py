@@ -51,7 +51,6 @@ if TYPE_CHECKING:
 __all__ = [
     "NoiseFlow",
     "FlowWindow",
-    "MonitorAnchor",
     "MonitorResult",
     "integrate_noise_flow",
     "identity_noise_flow",
@@ -492,104 +491,21 @@ def compose_flow(label: LabelFlow, eps_star: float) -> FlowWindow:
 # stopping monitor
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MonitorAnchor:
-    """The state an exact monitor run leaves to certify later windows.
+@dataclass(frozen=True)
+class MonitorResult:
+    """The record of an exact monitor run on a window W0.
 
-    On the n levels the run took in, for f = Z - I (index 0) and f = J - 1
-    (index 1), with X = H^{1,q}: ``pair`` (2, n, n), whose row k holds the
-    pair norms a_ik = |f_i - f_k|_X for i < k (zero elsewhere); ``frame``
-    (2, n), the frame norms |f_k|_X; ``drift`` (2, n), e_k, the sum of
-    |f_k(W) - f_k(W')|_X over the windows W certified since, each against
-    the reference window W' before it; and ``Z`` and ``J``, the level
-    stacks of the reference window (the run's, then the last one
-    certified), the only ones ``bound`` reads: the anchor keeps neither X
-    nor grad X of a window alive.  By the triangle inequality
-    a_ik + e_i + e_k bounds every pair norm of the latest window, and
-    |f_k|_X + e_k every frame norm.
+    Besides the running norms, on the n levels the run took in, for
+    f = Z - I (index 0) and f = J - 1 (index 1), with X = H^{1,q}: ``pair``
+    (2, n, n), whose row k holds the pair norms a_ik = |f_i - f_k|_X for
+    i < k (zero elsewhere); ``frame`` (2, n), the frame norms |f_k|_X; and
+    ``Z`` and ``J``, the level stacks of W0, the only ones ``bound`` reads:
+    the record keeps neither X nor grad X of W0 alive.  With
+    e_k = |f_k(W) - f_k(W0)|_X, the triangle inequality bounds every pair
+    norm of a later window W by a_ik + e_i + e_k, and every frame norm by
+    |f_k|_X + e_k.
     """
 
-    times: np.ndarray
-    pair: np.ndarray
-    frame: np.ndarray
-    drift: np.ndarray
-    Z: np.ndarray
-    J: np.ndarray
-
-    @classmethod
-    def from_sums(cls, sums: tuple[SlobodeckijWindow, ...],
-                  window: FlowWindow) -> "MonitorAnchor":
-        """The anchor of the sums of Z - I and J - 1 of a run on ``window``."""
-        n = len(sums[0].pair_pow)
-        pair = np.zeros((2, n, n))
-        for s, acc in enumerate(sums):
-            for k, row in enumerate(acc.pair_pow):
-                pair[s, k, :k] = row ** (1.0 / acc.p)
-        frame = np.array([acc.frame_pow[:n] ** (1.0 / acc.p) for acc in sums])
-        return cls(sums[0].times[:n].copy(), pair, frame, np.zeros((2, n)),
-                   window.Z, window.J)
-
-    def bound(self, window: FlowWindow, cfg: SolveConfig,
-              grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-        """Upper bounds of the monitor totals of ``window`` and its drift.
-
-        On the levels 0 .. len(window) - 2, which must lie in the anchor:
-        e_k grows by the H^{1,q} norms of the level differences of Z and J
-        against the reference window, the bounded pair and frame norms go
-        through the L^p-in-time and Gagliardo sums of ``SlobodeckijWindow``
-        as whole arrays, and the window's exact |grad X - I|_X enter as a
-        running sup.  The cost is three H^{1,q} frame norms per level and
-        O(L^2) scalars, against the O(L^2) pair rows of an exact run.
-        """
-        m = len(window) - 1
-        eye = np.eye(grid.dim)
-        gnorms, step = np.empty(m), np.empty((2, m))
-        for sl in frame_chunks(grid, m, window.Z[0].size):
-            gnorms[sl] = frame_norms(grid, window.gradX[sl] - eye, "H1q", cfg.q)
-            step[0, sl] = frame_norms(grid, window.Z[sl] - self.Z[sl], "H1q", cfg.q)
-            step[1, sl] = frame_norms(grid, window.J[sl] - self.J[sl], "H1q", cfg.q)
-        drift = self.drift[:, :m] + step
-        t = self.times[:m]
-        lower = np.tri(m, k=-1, dtype=bool)
-        w = np.zeros((m, m))
-        if m > 1:
-            gaps = t[:, None] - t[None, :]
-            w[lower] = (t[1] - t[0]) ** 2 / gaps[lower] ** (1.0 + cfg.theta * cfg.p)
-        pair = self.pair[:, :m, :m] + drift[:, :, None] + drift[:, None, :]
-        sem = np.cumsum(2.0 * np.sum(pair ** cfg.p * w, axis=2), axis=1)
-        frame_pow = (self.frame[:, :m] + drift) ** cfg.p
-        lp_pow = np.zeros((2, m))
-        lp_pow[:, 1:] = np.cumsum(
-            0.5 * np.diff(t) * (frame_pow[:, 1:] + frame_pow[:, :-1]), axis=1)
-        htheta = (lp_pow + sem) ** (1.0 / cfg.p)
-        return np.maximum.accumulate(gnorms) + htheta[0] + htheta[1], drift
-
-    def certify(self, window: FlowWindow, cfg: SolveConfig,
-                grid: Grid) -> bool:
-        """Whether the monitor provably keeps every level of ``window``.
-
-        The window is certified when its levels 0 .. len - 2 are valid, lie
-        in the anchor and have (1 + 1e-9) * bound < delta: no total reaches
-        delta before the last level, and a crossing or an invalid level at
-        the last level keeps every frame as well.  Then the drift and the
-        reference Z and J move to ``window``'s and the anchor keeps those
-        levels only (so the reference stacks always cover them); a
-        declined window leaves the anchor as it was.
-        """
-        m = len(window) - 1
-        if m > len(self.times) or not window.valid[:m].all():
-            return False
-        bound, drift = self.bound(window, cfg, grid)
-        if not np.all((1.0 + 1e-9) * bound < cfg.delta):
-            return False
-        self.times, self.pair = self.times[:m], self.pair[:, :m, :m]
-        self.frame, self.drift = self.frame[:, :m], drift
-        self.Z, self.J = window.Z, window.J
-        return True
-
-
-@dataclass
-class MonitorResult:
     sigma: float
     fired: bool
     fired_index: int | None
@@ -598,8 +514,59 @@ class MonitorResult:
     htheta_Z: np.ndarray       # running H^{theta,p} H^{1,q} of Z - I
     htheta_J: np.ndarray       # same for J - 1
     total: np.ndarray
-    # the pair and frame norms of the run, for certifying later windows
-    anchor: MonitorAnchor = field(repr=False, compare=False)
+    pair: np.ndarray
+    frame: np.ndarray
+    Z: np.ndarray = field(repr=False, compare=False)
+    J: np.ndarray = field(repr=False, compare=False)
+
+    def bound(self, window: FlowWindow, cfg: SolveConfig,
+              grid: Grid) -> np.ndarray:
+        """Upper bounds of the monitor totals of ``window``.
+
+        On the levels 0 .. len(window) - 2, which must lie in ``times``:
+        e_k is the H^{1,q} norm of the level difference of Z and J against
+        W0, the bounded pair and frame norms go through the L^p-in-time and
+        Gagliardo sums of ``SlobodeckijWindow`` as whole arrays, and the
+        window's exact |grad X - I|_X enter as a running sup.  The cost is
+        three H^{1,q} frame norms per level and O(L^2) scalars, against the
+        O(L^2) pair rows of an exact run.
+        """
+        m = len(window) - 1
+        eye = np.eye(grid.dim)
+        gnorms, e = np.empty(m), np.empty((2, m))
+        for sl in frame_chunks(grid, m, window.Z[0].size):
+            gnorms[sl] = frame_norms(grid, window.gradX[sl] - eye, "H1q", cfg.q)
+            e[0, sl] = frame_norms(grid, window.Z[sl] - self.Z[sl], "H1q", cfg.q)
+            e[1, sl] = frame_norms(grid, window.J[sl] - self.J[sl], "H1q", cfg.q)
+        t = self.times[:m]
+        lower = np.tri(m, k=-1, dtype=bool)
+        w = np.zeros((m, m))
+        if m > 1:
+            gaps = t[:, None] - t[None, :]
+            w[lower] = (t[1] - t[0]) ** 2 / gaps[lower] ** (1.0 + cfg.theta * cfg.p)
+        pair = self.pair[:, :m, :m] + e[:, :, None] + e[:, None, :]
+        sem = np.cumsum(2.0 * np.sum(pair ** cfg.p * w, axis=2), axis=1)
+        frame_pow = (self.frame[:, :m] + e) ** cfg.p
+        lp_pow = np.zeros((2, m))
+        lp_pow[:, 1:] = np.cumsum(
+            0.5 * np.diff(t) * (frame_pow[:, 1:] + frame_pow[:, :-1]), axis=1)
+        htheta = (lp_pow + sem) ** (1.0 / cfg.p)
+        return np.maximum.accumulate(gnorms) + htheta[0] + htheta[1]
+
+    def certifies(self, window: FlowWindow, cfg: SolveConfig,
+                  grid: Grid) -> bool:
+        """Whether the monitor provably keeps every level of ``window``.
+
+        It does when the levels 0 .. len - 2 are valid, lie in ``times``
+        and have (1 + 1e-9) * bound < delta: no total reaches delta before
+        the last level, and a crossing or an invalid level at the last
+        level keeps every frame as well.
+        """
+        m = len(window) - 1
+        if m > len(self.times) or not window.valid[:m].all():
+            return False
+        return bool(np.all((1.0 + 1e-9) * self.bound(window, cfg, grid)
+                           < cfg.delta))
 
 
 def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
@@ -613,12 +580,13 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     time (``frame_chunks``); the H^{theta,p} sums advance frame by frame
     and stop at the crossing.
 
-    The result's ``anchor`` keeps the run's pair and frame norms and its
-    window's Z and J.  The Picard loop of ``fixedpoint.picard_solve`` runs
-    this exact monitor on its first iterate and on the rebuild; a later
-    iterate whose window the anchor certifies (``MonitorAnchor.certify``)
-    keeps every level without a run and carries no monitor result, and one
-    it declines runs this monitor, whose anchor then replaces the old one.
+    The result also keeps the run's pair and frame norms and its window's
+    Z and J.  The Picard loop of ``fixedpoint.picard_solve`` runs this
+    exact monitor on its first iterate and on the rebuild; a later iterate
+    whose window the last exact result certifies
+    (``MonitorResult.certifies``) keeps every level without a run and
+    carries no monitor result, and one it declines runs this monitor,
+    whose result then replaces the old one.
     """
     eye = np.eye(grid.dim)
     times = window.times
@@ -652,7 +620,13 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     fired = fired_index is not None
     n_kept = len(tot_run)
     sigma = float(times[fired_index]) if fired else float(times[-1])
+    pair = np.zeros((2, n_kept, n_kept))
+    for s, acc in enumerate((accZ, accJ)):
+        for k, row in enumerate(acc.pair_pow):
+            pair[s, k, :k] = row ** (1.0 / acc.p)
+    frame = np.array([acc.frame_pow[:n_kept] ** (1.0 / acc.p)
+                      for acc in (accZ, accJ)])
     return MonitorResult(
         sigma, fired, fired_index, times[:n_kept],
         np.array(sup_run), np.array(hZ_run), np.array(hJ_run), np.array(tot_run),
-        MonitorAnchor.from_sums((accZ, accJ), window))
+        pair, frame, window.Z, window.J)

@@ -226,8 +226,9 @@ def check_divergence_free(Q: TransportField, grid: Grid) -> float:
 class StochasticForcing:
     """Finite-rank additive forcing: M spatial modes with scalar Brownian paths.
 
-    Construction checks one amplitude per mode and finite amplitudes and
-    mode values (``ValueError``, NaN included).
+    Construction checks one amplitude per mode, finite amplitudes and mode
+    values, and modes that are vector fields on one grid (``ValueError``,
+    NaN included).
     """
 
     modes: list  # list of vector Fields
@@ -243,6 +244,12 @@ class StochasticForcing:
         for m in self.modes:
             if not np.all(np.isfinite(m.values)):
                 raise ValueError("forcing modes must be finite")
+            if m.grid != self.modes[0].grid:
+                raise ValueError(f"a forcing mode lives on {m.grid}, the "
+                                 f"first on {self.modes[0].grid}")
+            if m.values.shape != m.grid.extent + (m.grid.dim,):
+                raise ValueError(f"forcing modes must be vector fields, got "
+                                 f"values of shape {m.values.shape}")
 
     @property
     def M(self) -> int:

@@ -60,6 +60,29 @@ def test_grid_rejects_small_extent():
         Grid(2, (8, 33))
 
 
+@pytest.mark.parametrize("extent, box, error", [
+    (9, ((0.0, np.nan), (0.0, 1.0)), "finite"),
+    (9, ((np.nan, 1.0), (0.0, 1.0)), "finite"),
+    (9, ((0.0, 1.0), (-np.inf, 1.0)), "finite"),
+    (9, ((0.0, 1.0), (0.0, np.inf)), "finite"),
+    (9.7, (), "integral"),
+    ((9, 12.5), (), "integral"),
+    ((9, np.nan), (), "integral"),
+], ids=["nan-upper", "nan-lower", "inf-lower", "inf-upper", "scalar-9.7",
+        "axis-12.5", "axis-nan"])
+def test_grid_rejects_non_finite_corners_and_non_integral_extents(extent, box,
+                                                                  error):
+    # a NaN corner used to construct with a NaN spacing, and an extent of
+    # 9.7 to become 9 nodes per axis without a word
+    with pytest.raises(ValueError, match=error):
+        Grid(2, extent, box)
+
+
+def test_grid_takes_integral_floats_as_extents():
+    assert Grid(2, 9.0).extent == (9, 9)
+    assert Grid(3, (np.int64(9), 10.0, 9)).extent == (9, 10, 9)
+
+
 def test_boundary_normals_unit_and_partition(grid):
     idx, normals = grid.boundary_nodes()
     assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
@@ -400,6 +423,12 @@ def test_timeseries_times_must_increase(grid, times):
     # check written as "no step <= 0"
     with pytest.raises(ValueError, match="strictly increasing"):
         TimeSeries(grid, times, np.zeros((3,) + grid.extent))
+
+
+def test_timeseries_needs_a_frame(grid):
+    # an empty series used to fail with an IndexError on its first time
+    with pytest.raises(ValueError, match="frame at t = 0"):
+        TimeSeries(grid, np.zeros(0), np.zeros((0,) + grid.extent))
 
 
 @pytest.mark.parametrize("T, dt, error", [

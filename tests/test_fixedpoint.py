@@ -548,7 +548,7 @@ def budget_case_3d():
 # once each level stack is held only while a reader needs it; both sit in
 # the first iterate's exact monitor.  The 13^3 solve peaked at 36,189,083 B
 # before, in the rebuild's monitor, with the noise flow, the last iterate's
-# window and the anchor's window still alive.  The margin of 5% (1.4 MB in
+# window and the last certified window still alive.  The margin of 5% (1.4 MB in
 # 2D, 1.6 MB in 3D) is less than one whole-window grad X or Z stack of
 # either solve.
 PICARD_PEAK_MARGIN = 1.05
@@ -594,8 +594,8 @@ def test_picard_allocation_budget_at_13_cubed(monkeypatch):
 
 def test_picard_holds_each_stack_only_while_it_is_read(monkeypatch):
     # no flow stage starts with an earlier iterate's X or grad X alive (the
-    # anchor keeps only Z and J), and the rebuild's exact monitor runs
-    # without the noise flow and without any earlier window's Z
+    # monitor record keeps only Z and J), and the rebuild's exact monitor
+    # runs without the noise flow and without any earlier window's Z
     rho0, u0, cfg, Q, forcing, bw = budget_case_3d()
     fp = lagflow.fixedpoint
     integrate, flow_stage, monitor = (fp.integrate_noise_flow, fp._flow_stage,
@@ -858,17 +858,17 @@ def test_certified_iterates_match_exact_monitors(case, monkeypatch):
     args, seed, fires = CERTIFIED_PATHS[case]
     rho0, u0, cfg, Q, forcing = noise_setup(*args)
     verdicts = []
-    certify = lagflow.flow.MonitorAnchor.certify
+    certifies = lagflow.flow.MonitorResult.certifies
 
     def counting(self, *a):
-        verdicts.append(certify(self, *a))
+        verdicts.append(certifies(self, *a))
         return verdicts[-1]
 
-    monkeypatch.setattr(lagflow.flow.MonitorAnchor, "certify", counting)
+    monkeypatch.setattr(lagflow.flow.MonitorResult, "certifies", counting)
     got = solve_path(rho0, u0, cfg, Q, forcing, seed)
     assert got.monitor.fired == fires
     assert len(verdicts) == got.iterations - 1 and all(verdicts)
-    monkeypatch.setattr(lagflow.flow.MonitorAnchor, "certify",
+    monkeypatch.setattr(lagflow.flow.MonitorResult, "certifies",
                         lambda self, *a: False)
     want = solve_path(rho0, u0, cfg, Q, forcing, seed)
     assert np.array_equal(got.v.values, want.v.values)

@@ -730,7 +730,7 @@ def test_monitor_matches_brute_force(make_window, delta, fires):
 
 
 # ---------------------------------------------------------------------------
-# certified windows: the anchor's bound of the monitor totals
+# certified windows: the monitor record's bound of the monitor totals
 # ---------------------------------------------------------------------------
 
 OPEN = SolveConfig(delta=1e9, eps_star=1e9)      # a monitor that never fires
@@ -762,29 +762,27 @@ def window_of(times, X, gradX):
        L=st.integers(2, 9), scale=st.sampled_from([1e-3, 1e-2, 5e-2]),
        steps=st.lists(st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
                       min_size=1, max_size=3))
-def test_anchor_bound_dominates_exact_totals(seed, dim, L, scale, steps):
-    # for a random anchor window and a chain of perturbed windows, each
-    # checked against the one before it, the bound stays above the exact
+def test_record_bound_dominates_exact_totals(seed, dim, L, scale, steps):
+    # for a random window W0 and a chain of perturbed windows, each checked
+    # against the exact record of W0, the bound stays above the exact
     # monitor totals at every level it covers
     rng = np.random.default_rng(seed)
     grid = Grid(dim, (9, 10, 9)[:dim])
     times = 1e-3 * np.arange(L)
     gradX, X = smooth_window(grid, times, rng, scale)
-    anchor = stopping_monitor(window_of(times, X, gradX), OPEN, grid).anchor
+    record = stopping_monitor(window_of(times, X, gradX), OPEN, grid)
     moved = False
     for size in steps:
         moved = moved or size > 0.0
         gradX = gradX + size * rng.normal(size=gradX.shape) * (
             times / times[-1]).reshape((-1,) + (1,) * (dim + 2))
         window = window_of(times, X, gradX)
-        bound, drift = anchor.bound(window, OPEN, grid)
+        bound = record.bound(window, OPEN, grid)
         exact = stopping_monitor(window, OPEN, grid).total[:L - 1]
         assert np.all(exact <= (1.0 + 1e-9) * bound)
         if not moved:           # no motion: the bound is the exact total
             np.testing.assert_allclose(bound, exact, rtol=1e-12, atol=1e-300)
-        assert anchor.certify(window, OPEN, grid)
-        assert np.array_equal(anchor.drift, drift)
-        assert anchor.Z is window.Z and anchor.J is window.J
+        assert record.certifies(window, OPEN, grid)
 
 
 def lifted_windows(lift):
@@ -800,69 +798,73 @@ def lifted_windows(lift):
 
 def test_lifted_bound_falls_back_to_the_exact_monitor():
     # a perturbation that lifts the bound to delta is declined: the exact
-    # monitor decides the window length, and its anchor replaces the old one
+    # monitor decides the window length, and its record replaces the old one
     g, times, w0, w1 = lifted_windows(2e-3)
     m = len(times) - 1
     mon0 = stopping_monitor(w0, OPEN, g)
     before = mon0.total[:m]
     exact = stopping_monitor(w1, OPEN, g).total[:m]
-    bound, _ = mon0.anchor.bound(w1, OPEN, g)
+    bound = mon0.bound(w1, OPEN, g)
     assert before.max() < exact.max() < bound.max()
     # delta between the exact totals and the bound: the window stays whole
     delta = 0.5 * (exact.max() + bound.max())
     cfg = SolveConfig(delta=delta, eps_star=1e9)
-    anchor = stopping_monitor(w0, cfg, g).anchor
-    mon, n_frames = _monitor_window(w1, cfg, g, anchor)
+    record = stopping_monitor(w0, cfg, g)
+    mon, n_frames = _monitor_window(w1, cfg, g, record)
     assert mon is not None and n_frames == len(times)
     assert mon.fired_index in (None, m)         # no crossing before the last level
-    assert mon.anchor is not anchor and len(mon.anchor.times) == len(times)
-    # delta between the anchor's totals and the perturbed ones: it fires
+    assert mon is not record and len(mon.times) == len(times)
+    # delta between the record's totals and the perturbed ones: it fires
     delta = 0.5 * (before[-1] + exact[-1])
     cfg = SolveConfig(delta=delta, eps_star=1e9)
-    anchor = stopping_monitor(w0, cfg, g).anchor
-    mon, n_frames = _monitor_window(w1, cfg, g, anchor)
+    record = stopping_monitor(w0, cfg, g)
+    mon, n_frames = _monitor_window(w1, cfg, g, record)
     want = stopping_monitor(w1, cfg, g)
     assert want.fired and want.fired_index < m
     assert mon is not None and mon.fired_index == want.fired_index
     assert n_frames == want.fired_index + 1 < len(times)
     # an unperturbed window is certified without a monitor run
-    assert _monitor_window(w0, cfg, g, anchor) == (None, len(times))
+    assert _monitor_window(w0, cfg, g, record) == (None, len(times))
 
 
-def test_certify_moves_the_reference_window_only_when_it_certifies():
-    # the lifted window of the test above is declined and leaves the anchor
-    # as it was; a slightly moved window is certified and becomes the
-    # reference window the next bound is taken against
+def test_certifies_leaves_the_record_unchanged():
+    # the lifted window of the test above is declined and a slightly moved
+    # window is certified; neither verdict changes a field or a bit of the
+    # record, and no field of it can be assigned
     g, times, w0, w1 = lifted_windows(2e-3)
     m = len(times) - 1
     exact = stopping_monitor(w1, OPEN, g).total[:m]
-    bound, _ = stopping_monitor(w0, OPEN, g).anchor.bound(w1, OPEN, g)
+    bound = stopping_monitor(w0, OPEN, g).bound(w1, OPEN, g)
     cfg = SolveConfig(delta=0.5 * (exact.max() + bound.max()), eps_star=1e9)
-    anchor = stopping_monitor(w0, cfg, g).anchor
-    assert anchor.Z is w0.Z and anchor.J is w0.J
-    before = (anchor.times, anchor.drift, anchor.pair, anchor.frame)
-    assert not anchor.certify(w1, cfg, g)
-    assert anchor.Z is w0.Z and anchor.J is w0.J
-    assert all(a is b for a, b in zip(
-        (anchor.times, anchor.drift, anchor.pair, anchor.frame), before))
+    record = stopping_monitor(w0, cfg, g)
+    assert record.Z is w0.Z and record.J is w0.J
+    before = {f.name: getattr(record, f.name)
+              for f in dataclasses.fields(record)}
+    bits = {name: np.array(value).tobytes() for name, value in before.items()}
     w2 = lifted_windows(1e-7)[3]
-    assert anchor.certify(w2, cfg, g)
-    assert anchor.Z is w2.Z and anchor.J is w2.J
-    assert len(anchor.times) == m and np.all(anchor.drift[:, 1:] > 0.0)
+    assert not record.certifies(w1, cfg, g)
+    assert record.certifies(w2, cfg, g)
+    for name, value in before.items():
+        assert getattr(record, name) is value, name
+        assert np.array(value).tobytes() == bits[name], name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.Z = w2.Z
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.times = record.times[:m]
 
 
-def test_anchor_keeps_only_the_reference_z_and_j_alive():
-    # bound reads the reference window's Z and J, so the anchor holds no
-    # other stack of it: X and grad X go with the window
+def test_record_keeps_only_its_window_z_and_j_alive():
+    # bound reads the exact run's Z and J, so the record holds no other
+    # stack of its window: X and grad X go with the window
     g, times, w0, w1 = lifted_windows(2e-3)
     stacks = {name: weakref.ref(getattr(w0, name))
               for name in ("X", "gradX", "Z", "J")}
-    anchor = stopping_monitor(w0, OPEN, g).anchor
+    record = stopping_monitor(w0, OPEN, g)
     del w0, w1
     gc.collect()
     alive = {name for name, ref in stacks.items() if ref() is not None}
     assert alive == {"Z", "J"}
-    assert anchor.Z is stacks["Z"]() and anchor.J is stacks["J"]()
+    assert record.Z is stacks["Z"]() and record.J is stacks["J"]()
 
 
 # ---------------------------------------------------------------------------

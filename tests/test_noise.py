@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lagflow.fields import Grid
+from lagflow.fields import Field, Grid
 from lagflow.noise import (
     StochasticForcing,
     TransportField,
@@ -316,6 +316,30 @@ def test_forcing_modes_finite_and_counted():
     assert all(np.all(np.isfinite(m.values)) for m in f.modes)
     empty = StochasticForcing([], np.zeros(0))
     assert empty.M == 0
+
+
+@pytest.mark.parametrize("shape, error", [
+    ((), "vector fields"),
+    ((2, 2), "vector fields"),
+    ((3,), "vector fields"),
+], ids=["scalar", "matrix", "3-vector-on-2d"])
+def test_forcing_rejects_modes_that_are_not_vector_fields(shape, error):
+    # a scalar or matrix mode used to pass every check of picard_solve and
+    # fail in a broadcast of the stochastic convolution
+    g = Grid(2, (17, 17))
+    mode = Field(g, np.zeros(g.extent + shape))
+    with pytest.raises(ValueError, match=error):
+        StochasticForcing([mode], [0.3])
+
+
+def test_forcing_rejects_modes_on_two_grids():
+    first = StochasticForcing.default_modes(Grid(2, (17, 17)), 1, 0.3).modes
+    other = StochasticForcing.default_modes(Grid(2, (9, 9)), 1, 0.3).modes
+    with pytest.raises(ValueError, match="mode lives on .*9, 9.*17, 17"):
+        StochasticForcing(first + other, [0.3, 0.3])
+    # equal grids in two instances are one grid
+    same = StochasticForcing.default_modes(Grid(2, (17, 17)), 1, 0.3).modes
+    assert StochasticForcing(first + same, [0.3, 0.3]).M == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
