@@ -78,7 +78,7 @@ class SolveConfig:
 
     p, q: time, space exponents, 2/p + 3/q < 1; theta = 1/2 - 1/(2q)
     delta: the stopping monitor's threshold, 0 < delta <= eps_star
-    eps_star: the inversion guard on |grad X - I|
+    eps_star: the bound of the monitor's inversion guard on |grad X - I|
     R, r: the E1 radii of the iteration and centered balls, 0 < r <= R
     T, dt: the finite horizon and a step dividing it (``fields.step_count``)
     picard_tol: the E1 tolerance on the difference of successive iterates
@@ -242,17 +242,16 @@ def problem_for(rho0: Field, u0: Field, params: FluidParams,
 class PsiResult:
     """One application of the solution map.
 
-    ``monitor`` is the exact stopping monitor of the flow window.  It is
-    None on an iterate of ``picard_solve`` whose window an earlier exact
-    result certified (``flow.MonitorResult.certifies``): the monitor
-    provably keeps every level there, so ``n_frames`` is the window's
-    length without a monitor run.
+    ``v`` and ``window`` hold the usable levels only.  ``monitor`` is the
+    exact stopping monitor of the flow window, whose ``times`` are those
+    levels.  It is None on an iterate of ``picard_solve`` whose window an
+    earlier exact result certified (``flow.MonitorResult.certifies``): the
+    monitor provably keeps every level there without a run.
     """
 
     v: TimeSeries
     window: FlowWindow
     monitor: MonitorResult | None
-    n_frames: int              # usable frames (window [0, sigma])
 
 
 def _drift(v: TimeSeries, U: TimeSeries) -> TimeSeries:
@@ -266,18 +265,20 @@ def _monitor_window(window: FlowWindow, cfg: SolveConfig, grid: Grid,
     """Stopping monitor of the flow window and the usable window length.
 
     With an earlier exact ``record``, a window it certifies keeps all its
-    levels without a monitor run (the monitor is None); otherwise the exact
-    monitor decides.
+    levels without a monitor run (the monitor is None); otherwise it keeps
+    the exact monitor's ``times``, and fewer than 2 raise ``RuntimeError``.
     """
     if record is not None and record.certifies(window, cfg, grid):
         return None, len(window)
     monitor = stopping_monitor(window, cfg, grid)
-    n_frames = len(window) if not monitor.fired else max(2, monitor.fired_index + 1)
-    return monitor, n_frames
+    if len(monitor.times) < 2:
+        raise RuntimeError("the flow became invalid within the first step; "
+                           "no usable window")
+    return monitor, len(monitor.times)
 
 
-def _flow_stage(ubar: TimeSeries, nf: NoiseFlow,
-                cfg: SolveConfig) -> tuple[FlowWindow, np.ndarray]:
+def _flow_stage(ubar: TimeSeries,
+                nf: NoiseFlow) -> tuple[FlowWindow, np.ndarray]:
     """Label flow and composition X = psi o Y: the window and grad ubar.
 
     ``ubar`` may be shorter than the noise grid (a stopped window of an
@@ -289,7 +290,7 @@ def _flow_stage(ubar: TimeSeries, nf: NoiseFlow,
     drift; the rest of the label flow ends here.
     """
     label = integrate_label_flow(ubar, nf)
-    return compose_flow(label, cfg.eps_star), label.grad_ubar
+    return compose_flow(label), label.grad_ubar
 
 
 def _assemble_and_solve(ubar: TimeSeries, window: FlowWindow,
@@ -300,15 +301,14 @@ def _assemble_and_solve(ubar: TimeSeries, window: FlowWindow,
     ``grad_ubar`` is ``gradient_values`` of the drift frames.
     """
     grid = ubar.grid
-    L = n_frames
-    window = window.restrict(L)
-    times_w = ubar.times[:L]
-    F_u, F_G_b = assemble_window(grid, ubar.values[:L], grad_ubar[:L],
-                                 window.Z, window.J, problem.rho0.values,
-                                 problem.params)
+    window = window.restrict(n_frames)
+    times_w = ubar.times[:n_frames]
+    F_u, F_G_b = assemble_window(grid, ubar.values[:n_frames],
+                                 grad_ubar[:n_frames], window.Z, window.J,
+                                 problem.rho0.values, problem.params)
     f_series = TimeSeries(grid, times_w, F_u)
     v = solve_lame(problem.op, f_series, F_G_b, problem.u0, times_w)
-    return PsiResult(v, window, monitor, L)
+    return PsiResult(v, window, monitor)
 
 
 def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
@@ -316,7 +316,7 @@ def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
     """One application of the solution map on the monitored window;
     ``record`` goes to ``_monitor_window``."""
     ubar = _drift(v1, U)
-    window, grad_ubar = _flow_stage(ubar, nf, problem.cfg)
+    window, grad_ubar = _flow_stage(ubar, nf)
     monitor, n_frames = _monitor_window(window, problem.cfg, ubar.grid, record)
     return _assemble_and_solve(ubar, window, monitor, n_frames, grad_ubar,
                                problem)
@@ -363,8 +363,10 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     difference in the solution norm drops below the Picard tolerance, and
     rebuilds the flow of the converged velocity for the returned record.
     Each iterate runs on the window left by the monitor of the previous
-    ones, so the window only shrinks.  The record's seed is the Brownian
-    bundle's (None without a bundle).
+    ones, so the window only shrinks: for the iterates and the rebuild
+    alike, a window is the levels its exact stopping monitor took in
+    (``MonitorResult.times``, cut by delta or by the inversion guard).
+    The record's seed is the Brownian bundle's (None without a bundle).
 
     Every iterate is one ``apply_Psi`` call.  The first runs the exact
     stopping monitor, whose result keeps the pair and frame norms of that
@@ -377,24 +379,25 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
 
     Each level stack is held only while something reads it.  The whole
     solve holds U; the iterates and the rebuild's flow stage hold the noise
-    flow.  Between iterates the loop carries the last velocity, the window
-    length, the last exact monitor result (its pair and frame norms and the
-    Z and J of its window) and the differences; an iterate's window (X,
-    grad X, Z, J), its flow-stage gradient of the drift and the difference
-    stack end with it.  The rebuild starts without that result, and the
-    noise flow goes once the rebuild's flow stage, its last reader, has
-    run, so the rebuild's monitor, density and energy run on the window, v,
-    U and the drift alone.
+    flow.  Between iterates the loop carries the last velocity (as long as
+    the window), the last exact monitor result (its pair and frame norms
+    and the Z and J of its window) and the differences; an iterate's window
+    (X, grad X, Z, J), its flow-stage gradient of the drift and the
+    difference stack end with it.  The rebuild starts without that result,
+    and the noise flow goes once the rebuild's flow stage, its last reader,
+    has run, so the rebuild's monitor, density and energy run on the
+    window, v, U and the drift alone.
 
     Forcing modes or transport fields without a Brownian bundle raise
     ``ValueError``, and so do rho0 and u0 other than a scalar and a vector
-    field on one grid, a bundle on another time grid than ``cfg.times``
-    (another step count, or a step that fails ``cfg.fits_step``), a bundle
-    whose transport or mode path count is not ``Q.K`` or the forcing's mode
-    count (0 without forcing), a forcing mode on another grid than ``rho0``
-    and transport fields of another dimension, before any work.
-    Two aborts: a ``ValueError`` before the first iterate when
-    r + E1(v_ref) > R, and a ``PicardDivergence`` carrying the iterate
+    field on one grid or not finite, a bundle on another time grid than
+    ``cfg.times`` (another step count, or a step that fails
+    ``cfg.fits_step``), a bundle whose transport or mode path count is not
+    ``Q.K`` or the forcing's mode count (0 without forcing), a forcing mode
+    on another grid than ``rho0`` and transport fields of another
+    dimension, before any work.  Three aborts: a ``ValueError`` before the
+    first iterate when r + E1(v_ref) > R, a ``RuntimeError`` for a window
+    of fewer than 2 levels, and a ``PicardDivergence`` carrying the iterate
     differences when an iterate leaves the centered ball of radius r around
     v_ref, or when the differences fail to contract three times in a row.
     The ball norm of the first iterate is its difference; a later iterate is
@@ -430,6 +433,8 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
             f"need a scalar rho0 and a vector u0 on one grid, got rho0 of "
             f"shape {rho0.values.shape} on {grid} and u0 of shape "
             f"{u0.values.shape} on {u0.grid}")
+    if not (np.all(np.isfinite(rho0.values)) and np.all(np.isfinite(u0.values))):
+        raise ValueError("rho0 and u0 must be finite")
     if M > 0 and forcing.modes[0].grid != grid:
         raise ValueError(f"a forcing mode lives on {forcing.modes[0].grid}, "
                          f"the problem on {grid}")
@@ -456,20 +461,17 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     v_ref = problem.v_ref
 
     v_prev = v_ref
-    n_frames = len(times)
     diffs: list[float] = []
     record: MonitorResult | None = None
     converged = False
     rising = 0
     for it in range(1, cfg.picard_max_iter + 1):
-        res = apply_Psi(v_prev.restrict(n_frames), U, problem, nf, record)
+        res = apply_Psi(v_prev, U, problem, nf, record)
         if res.monitor is not None:
             record = res.monitor
-        n_frames = min(n_frames, res.n_frames)
-        v = res.v
+        v = res.v       # on the iterate's window, which v_prev covers
         del res         # its window is read no more (the record keeps Z, J)
-        d = e1_norm(TimeSeries(grid, times[:n_frames],
-                               v.values[:n_frames] - v_prev.values[:n_frames]),
+        d = e1_norm(TimeSeries(grid, v.times, v.values - v_prev.values[:len(v)]),
                     cfg.p, cfg.q)
         diffs.append(d)
         # E1 is a seminorm that grows with the window, and the windows only
@@ -481,9 +483,8 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
         elif (1.0 + 1e-9) * sum(diffs) < cfg.r:
             ball = None
         else:
-            ball = e1_norm(TimeSeries(grid, times[:n_frames],
-                                      v.values[:n_frames]
-                                      - v_ref.values[:n_frames]),
+            ball = e1_norm(TimeSeries(grid, v.times,
+                                      v.values - v_ref.values[:len(v)]),
                            cfg.p, cfg.q)
         if ball is not None and ball > cfg.r:
             raise PicardDivergence(
@@ -507,21 +508,15 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
 
     # rebuild the Lagrangian record of the converged velocity
     del record          # the rebuild runs the exact monitor
-    v_final = v_prev.restrict(n_frames)
-    ubar = _drift(v_final, U)
-    window = _flow_stage(ubar, nf, cfg)[0]
+    ubar = _drift(v_prev, U)
+    window = _flow_stage(ubar, nf)[0]
     del nf              # the flow stage was the noise flow's last reader
     monitor, keep = _monitor_window(window, cfg, grid)
-    while keep > 1 and not window.valid[keep - 1]:
-        keep -= 1
-    if keep < 2:
-        raise RuntimeError("the flow became invalid within the first step; "
-                           "no usable window")
     tau = float(times[keep - 1])
     window = window.restrict(keep)
     rho_stack, positive = density_from_jacobian(problem.rho0, window.J,
                                                 params.rho_min)
-    v_out = v_final.restrict(keep)
+    v_out = v_prev.restrict(keep)
     U_out = U.restrict(keep)
     ubar_out = ubar.restrict(keep)
 
@@ -542,7 +537,7 @@ def contraction_probe(v1: TimeSeries, v2: TimeSeries, U: TimeSeries,
         raise ValueError("contraction probe needs two distinct velocities")
     r1 = apply_Psi(v1, U, problem, nf)
     r2 = apply_Psi(v2, U, problem, nf)
-    k = min(r1.n_frames, r2.n_frames)
+    k = min(len(r1.v), len(r2.v))
     num = e1_norm(TimeSeries(v1.grid, v1.times[:k],
                              r1.v.values[:k] - r2.v.values[:k]), cfg.p, cfg.q)
     if k == len(v1):

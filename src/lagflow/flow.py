@@ -9,7 +9,9 @@ watches the deformation norms
 
     |grad X - I|_{Linf H^{1,q}} + |Z - I|_{H^{theta,p} H^{1,q}} + |J - 1|_{H^{theta,p} H^{1,q}}
 
-and freezes the usable window at their first crossing of delta.
+and the inversion guard (|grad X - I| <= eps_star, J > 0); its record owns
+the usable window, which ends at a crossing of delta or before a level the
+guard rejects.
 
 The noise flow holds its level stacks on the nodes within one cell of the
 box, n + 2 per axis, where the label flow reads them; that block is its
@@ -18,9 +20,9 @@ The nodes are taken from a lattice, the node grid padded by ``PAD_CELLS``
 cells per side, which is the coordinate frame only: the first node and
 the step of every interpolation plan are the lattice's (``NoiseFlow``).
 
-The composed map data of a window (X, grad X, Z = grad X^{-1}, J = det grad X
-and the inversion guard) is one ``FlowWindow`` of level stacks, laid out
-like the frame stacks of ``fields``: the density, the monitor norms and the
+The composed map data of a window (X, grad X, Z = grad X^{-1} and
+J = det grad X) is one ``FlowWindow`` of level stacks, laid out like the
+frame stacks of ``fields``: the density, the monitor norms and the
 nonlinearity assembly all read it as stacks.  The label flow samples psi
 and Dpsi on Y with the interpolation plans of its own Heun stages
 (``LabelFlow``), so the composition only contracts and inverts.
@@ -432,9 +434,9 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
 class FlowWindow:
     """Lagrangian map data on the levels of a window, as level stacks.
 
-    ``times`` (L,), ``X`` (L, *ext, d), ``gradX`` and ``Z`` (L, *ext, d, d),
-    ``J`` (L, *ext) and ``valid`` (L,) bool, the verdict of the inversion
-    guard and the sign of J per level.
+    ``times`` (L,), ``X`` (L, *ext, d), ``gradX`` and ``Z`` (L, *ext, d, d)
+    and ``J`` (L, *ext).  Which levels are usable is the stopping monitor's
+    verdict (``stopping_monitor``), not the window's.
     """
 
     times: np.ndarray
@@ -442,30 +444,20 @@ class FlowWindow:
     gradX: np.ndarray
     Z: np.ndarray
     J: np.ndarray
-    valid: np.ndarray
 
     @classmethod
-    def from_map(cls, times: np.ndarray, X: np.ndarray, gradX: np.ndarray,
-                 eps_star: float) -> "FlowWindow":
-        """J, Z and the inversion guard of the level stacks X and grad X.
+    def from_map(cls, times: np.ndarray, X: np.ndarray,
+                 gradX: np.ndarray) -> "FlowWindow":
+        """J and Z of the level stacks X and grad X.
 
-        The closed-form inversion is guarded by |grad X - I| <= eps_star in
-        the nodewise Frobenius surrogate; a level that violates it or has
-        J <= 0 somewhere is invalid (the stopping monitor fires there).  A
-        level with |J| <= 1e-14 somewhere gets a NaN Z.
+        Z is the closed-form inverse; a level with |J| <= 1e-14 somewhere
+        gets a NaN Z (the inversion guard of the monitor rejects it).
         """
-        L = len(times)
-        eye = np.eye(gradX.shape[-1])
-        dev = gradX - eye               # squared in place, like the inverse
-        dev = np.sqrt(np.sum(np.square(dev, out=dev), axis=(-2, -1)))
-        dev = dev.reshape(L, -1).max(axis=1)
         J = mat_det(gradX)
-        J_levels = J.reshape(L, -1)
-        valid = (dev <= eps_star) & np.all(J_levels > 0, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             Z = mat_inv(gradX, J)       # the singular levels are reset below
-        Z[np.any(np.abs(J_levels) <= 1e-14, axis=1)] = np.nan
-        return cls(np.array(times, float), X, gradX, Z, J, valid)
+        Z[np.any(np.abs(J.reshape(len(times), -1)) <= 1e-14, axis=1)] = np.nan
+        return cls(np.array(times, float), X, gradX, Z, J)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -476,37 +468,50 @@ class FlowWindow:
                             for f in fields(self)))
 
 
-def compose_flow(label: LabelFlow, eps_star: float) -> FlowWindow:
-    """The window of a label flow: grad X = Dpsi(Y) grad Y, then Z, J, guard.
+def compose_flow(label: LabelFlow) -> FlowWindow:
+    """The window of a label flow: grad X = Dpsi(Y) grad Y, then Z and J.
 
     X = psi(Y) and Dpsi(Y) come from the label flow, which sampled them
     with its own plans on Y; the contraction runs on the whole stacks (its
     bits are the per-level ones), and ``FlowWindow.from_map`` takes the rest.
     """
     gradX = contract("...ij,...jk->...ik", "j", label.Dpsi_Y, label.gradY)
-    return FlowWindow.from_map(label.times, label.X, gradX, eps_star)
+    return FlowWindow.from_map(label.times, label.X, gradX)
 
 
 # ---------------------------------------------------------------------------
 # stopping monitor
 # ---------------------------------------------------------------------------
 
+def _valid_levels(window: FlowWindow, eps_star: float,
+                  grid: Grid) -> np.ndarray:
+    """The inversion guard, (L,) bool: a level is valid when every node has
+    |grad X - I| <= eps_star (Frobenius) and J > 0, which NaN fails; a chunk
+    of frames at a time (``frame_chunks``)."""
+    eye, valid = np.eye(grid.dim), np.empty(len(window), bool)
+    for sl in frame_chunks(grid, len(window), window.Z[0].size):
+        dev = window.gradX[sl] - eye    # squared in place
+        dev = np.sqrt(np.sum(np.square(dev, out=dev), axis=(-2, -1)))
+        valid[sl] = ((dev.reshape(len(dev), -1).max(axis=1) <= eps_star)
+                     & np.all(window.J[sl].reshape(len(dev), -1) > 0, axis=1))
+    return valid
+
+
 @dataclass(frozen=True)
 class MonitorResult:
     """The record of an exact monitor run on a window W0.
 
-    Besides the running norms, on the n levels the run took in, for
-    f = Z - I (index 0) and f = J - 1 (index 1), with X = H^{1,q}: ``pair``
-    (2, n, n), whose row k holds the pair norms a_ik = |f_i - f_k|_X for
-    i < k (zero elsewhere); ``frame`` (2, n), the frame norms |f_k|_X; and
-    ``Z`` and ``J``, the level stacks of W0, the only ones ``bound`` reads:
-    the record keeps neither X nor grad X of W0 alive.  With
-    e_k = |f_k(W) - f_k(W0)|_X, the triangle inequality bounds every pair
-    norm of a later window W by a_ik + e_i + e_k, and every frame norm by
-    |f_k|_X + e_k.
+    ``times`` are the n levels the run took in, the usable window.  Besides
+    the running norms, for f = Z - I (index 0) and f = J - 1 (index 1),
+    with X = H^{1,q}: ``pair`` (2, n, n), whose row k
+    holds the pair norms a_ik = |f_i - f_k|_X for i < k (zero elsewhere);
+    ``frame`` (2, n), the frame norms |f_k|_X; and ``Z`` and ``J``, the
+    level stacks of W0, the only ones ``bound`` reads: the record keeps
+    neither X nor grad X of W0 alive.  With e_k = |f_k(W) - f_k(W0)|_X, the
+    triangle inequality bounds every pair norm of a later window W by
+    a_ik + e_i + e_k, and every frame norm by |f_k|_X + e_k.
     """
 
-    sigma: float
     fired: bool
     fired_index: int | None
     times: np.ndarray
@@ -557,13 +562,13 @@ class MonitorResult:
                   grid: Grid) -> bool:
         """Whether the monitor provably keeps every level of ``window``.
 
-        It does when the levels 0 .. len - 2 are valid, lie in ``times``
-        and have (1 + 1e-9) * bound < delta: no total reaches delta before
-        the last level, and a crossing or an invalid level at the last
-        level keeps every frame as well.
+        It does when every level passes the inversion guard, the last
+        included, and the levels 0 .. len - 2 lie in ``times`` and have
+        (1 + 1e-9) * bound < delta: no total reaches delta before the last
+        level, and a crossing at the last level keeps every frame as well.
         """
-        m = len(window) - 1
-        if m > len(self.times) or not window.valid[:m].all():
+        if (len(window) - 1 > len(self.times)
+                or not _valid_levels(window, cfg.eps_star, grid).all()):
             return False
         return bool(np.all((1.0 + 1e-9) * self.bound(window, cfg, grid)
                            < cfg.delta))
@@ -571,27 +576,22 @@ class MonitorResult:
 
 def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
                      grid: Grid) -> MonitorResult:
-    """First time the deformation norm sum reaches delta (else the horizon).
+    """The usable window: the levels up to the first one where the
+    deformation norm sum reaches delta, or before the first one the
+    inversion guard (``_valid_levels``) rejects; else the whole window.
 
-    delta, theta, p and q are the solver configuration's.  An invalid level
-    of the window (inversion guard violated or J <= 0) also fires the
-    monitor there.  The norms are taken over the levels before the first
-    invalid one, on slices of the window's stacks a chunk of frames at a
-    time (``frame_chunks``); the H^{theta,p} sums advance frame by frame
-    and stop at the crossing.
-
-    The result also keeps the run's pair and frame norms and its window's
-    Z and J.  The Picard loop of ``fixedpoint.picard_solve`` runs this
-    exact monitor on its first iterate and on the rebuild; a later iterate
-    whose window the last exact result certifies
-    (``MonitorResult.certifies``) keeps every level without a run and
-    carries no monitor result, and one it declines runs this monitor,
-    whose result then replaces the old one.
+    delta, eps_star, theta, p and q are the solver configuration's.  The
+    guard runs first, before any norm buffer.  The norms are taken over the
+    levels before the first rejected one, on slices of the window's stacks
+    a chunk of frames at a time (``frame_chunks``); the H^{theta,p} sums
+    advance frame by frame and stop at the crossing.  The result's
+    ``times`` are the levels taken in; it also keeps the run's pair and
+    frame norms and its window's Z and J, for ``MonitorResult.certifies``.
     """
     eye = np.eye(grid.dim)
     times = window.times
-    invalid = np.flatnonzero(~window.valid)
-    n_valid = int(invalid[0]) if len(invalid) else len(window)
+    valid = _valid_levels(window, cfg.eps_star, grid)
+    n_valid = len(window) if valid.all() else int(np.argmin(valid))
     accZ, accJ = (SlobodeckijWindow(grid, times[:n_valid], cfg.theta, cfg.p,
                                     "H1q", cfg.q) for _ in range(2))
     sup_run, hZ_run, hJ_run, tot_run = [], [], [], []
@@ -617,9 +617,7 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
             break
     if fired_index is None and n_valid < len(window):
         fired_index = n_valid
-    fired = fired_index is not None
     n_kept = len(tot_run)
-    sigma = float(times[fired_index]) if fired else float(times[-1])
     pair = np.zeros((2, n_kept, n_kept))
     for s, acc in enumerate((accZ, accJ)):
         for k, row in enumerate(acc.pair_pow):
@@ -627,6 +625,6 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     frame = np.array([acc.frame_pow[:n_kept] ** (1.0 / acc.p)
                       for acc in (accZ, accJ)])
     return MonitorResult(
-        sigma, fired, fired_index, times[:n_kept],
+        fired_index is not None, fired_index, times[:n_kept],
         np.array(sup_run), np.array(hZ_run), np.array(hJ_run), np.array(tot_run),
         pair, frame, window.Z, window.J)

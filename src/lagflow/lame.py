@@ -162,11 +162,12 @@ class LameOperator:
     order, which is ascending, so the rows ``boundary_row_mask`` selects take
     traction data g of shape (n_boundary, dim) as ``g.T.ravel()``.
     ``step_order`` is the symmetric permutation the stepping matrices are
-    factored in: the nested-dissection node order, node-major.
+    factored in: the nested-dissection node order, node-major.  A rho0
+    below ``params.rho_min`` somewhere raises ``ValueError``, NaN included.
     """
 
     def __init__(self, grid: Grid, rho0: Field, params: FluidParams):
-        if rho0.values.min() < params.rho_min - 1e-12:
+        if not np.all(rho0.values >= params.rho_min - 1e-12):
             raise ValueError("initial density falls below its lower bound")
         self.grid = grid
         dim, N = grid.dim, grid.n_nodes

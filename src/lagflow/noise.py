@@ -39,7 +39,8 @@ class BrownianBundle:
     the transport paths, rows K.. are the forcing-mode paths.  The bundle of
     (K, M, T, dt, seed) at level l is ``sample_brownian``'s refined l times
     by ``refine_bridge``.  Construction checks the shape, that K, M and the
-    level are integers >= 0 and the step finite and > 0 (``ValueError``).
+    level are integers >= 0, the step finite and > 0 and the values finite
+    (``ValueError``, NaN included).
     """
 
     K: int
@@ -62,6 +63,8 @@ class BrownianBundle:
         if not 0 < self.step < np.inf:
             raise ValueError(f"the time step must be positive and finite, "
                              f"got {self.step}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("the Brownian path values must be finite")
 
     @property
     def n_steps(self) -> int:
@@ -128,8 +131,8 @@ class TransportField:
 
     Linear fields are unbounded on R^dim; they are admissible here because
     every evaluation happens on a bounded neighborhood of the domain.  An
-    unknown kind or a stream family of another dimension than 2 raises
-    ``ValueError``.
+    unknown kind, a stream family of another dimension than 2 or a
+    parameter that is not finite raises ``ValueError``, NaN included.
     """
 
     def __init__(self, dim: int, kind: str, params: dict):
@@ -137,6 +140,9 @@ class TransportField:
             raise ValueError(f"unknown transport kind {kind!r}")
         if kind == "stream" and dim != 2:
             raise ValueError("stream-function transport fields require dim 2")
+        for key, value in params.items():
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"transport parameter {key!r} is not finite: {value}")
         self.dim, self.kind, self.params = dim, kind, params
         self.K = params["K"]
 

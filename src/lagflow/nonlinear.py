@@ -251,10 +251,11 @@ def energy_report(rho_stack: np.ndarray, ubar: TimeSeries,
 
 @dataclass
 class NonlinearReport:
-    """Surrogate norms of the assembled nonlinearities on a stopped window."""
+    """Surrogate norms of the assembled nonlinearities on a stopped window
+    [0, tau]."""
 
-    F_u_norm: float           # L^p(0, sigma; L^q)
-    F_Gamma_norm: float       # H^{theta,p}(0, sigma; H^{1,q}) of the extension
+    F_u_norm: float           # L^p(0, tau; L^q)
+    F_Gamma_norm: float       # H^{theta,p}(0, tau; H^{1,q}) of the extension
     M_rho0: float
     M_rho0_inv: float
     M_sto: float
@@ -264,11 +265,12 @@ class NonlinearReport:
 def nonlinearity_norm_report(grid: Grid, times: np.ndarray,
                              F_u_stack: np.ndarray, F_G_stack: np.ndarray,
                              rho0: Field, U: TimeSeries | None,
-                             sigma: float, p: float, q: float,
+                             p: float, q: float,
                              theta: float) -> NonlinearReport:
-    """Evaluate the monitored norms on [0, sigma].
+    """Evaluate the monitored norms on the window ``times``.
 
-    No solve computes this report; it is computed on request.  From a
+    The window is the first ``len(times)`` frames of each stack, which may
+    be longer.  No solve computes this report; it is computed on request.  From a
     ``fixedpoint.SolutionBundle`` ``b``, with ``w = b.window``,
     ``u = b.ubar.values``, ``g = gradient_values(b.grid, u)``,
     ``rho0 = b.problem.rho0`` and ``cfg = b.problem.cfg``::
@@ -279,7 +281,7 @@ def nonlinearity_norm_report(grid: Grid, times: np.ndarray,
                                extended_normal_field(b.grid).values,
                                b.problem.params)
         nonlinearity_norm_report(b.grid, b.times, F_u, F_G, rho0, b.U,
-                                 b.tau, cfg.p, cfg.q, cfg.theta)
+                                 cfg.p, cfg.q, cfg.theta)
 
     F_G is F_Gamma on the full grid against the extended normal.  This F_u
     is 0.0 at the boundary nodes, so its norm covers the interior nodes, the
@@ -288,16 +290,12 @@ def nonlinearity_norm_report(grid: Grid, times: np.ndarray,
     the full-grid gradient of ``b.problem.params.pressure(rho0.values /
     w.J)``.
     """
-    keep = int(np.searchsorted(times, sigma + 1e-12))
-    keep = max(2, min(keep, len(times)))
-    tt = times[:keep]
-    fu = time_lp_norm(tt, frame_norms(grid, F_u_stack[:keep], "Lq", q), p)
-    ts_g = TimeSeries(grid, tt, F_G_stack[:keep])
-    fg = slobodeckij_time_seminorm(ts_g, theta, p, "H1q", q)
+    L = len(times)
+    fu = time_lp_norm(times, frame_norms(grid, F_u_stack[:L], "Lq", q), p)
+    fg = slobodeckij_time_seminorm(TimeSeries(grid, times, F_G_stack[:L]),
+                                   theta, p, "H1q", q)
     m_rho = spatial_norm(grid, rho0.values, "H1q", q)
     m_rho_inv = spatial_norm(grid, 1.0 / rho0.values, "H1q", q)
-    if U is None:
-        m_sto = 0.0
-    else:
-        m_sto = time_lp_norm(tt, frame_norms(grid, U.values[:keep], "H2q", q), p)
-    return NonlinearReport(fu, fg, m_rho, m_rho_inv, m_sto, float(tt[-1]))
+    m_sto = (0.0 if U is None else
+             time_lp_norm(times, frame_norms(grid, U.values[:L], "H2q", q), p))
+    return NonlinearReport(fu, fg, m_rho, m_rho_inv, m_sto, float(times[-1]))

@@ -25,8 +25,8 @@ from lagflow.flow import (FlowWindow, LabelFlow, NoiseFlow, _heun_step,
 from lagflow.interp import FlowEscapeError
 
 
-def per_level_compose(nf, Y, gradY, eps_star):
-    """X = psi(Y), grad X = Dpsi(Y) grad Y, then Z, J and the guard."""
+def per_level_compose(nf, Y, gradY):
+    """X = psi(Y), grad X = Dpsi(Y) grad Y, then Z and J."""
     X = np.empty(Y.shape)
     gradX = np.empty(gradY.shape)
     for n in range(len(Y)):
@@ -34,7 +34,7 @@ def per_level_compose(nf, Y, gradY, eps_star):
         X[n] = plan.apply(nf.psi[n])
         gradX[n] = contract("...ij,...jk->...ik", "j", plan.apply(nf.Dpsi[n]),
                             gradY[n])
-    return FlowWindow.from_map(nf.times[:len(Y)], X, gradX, eps_star)
+    return FlowWindow.from_map(nf.times[:len(Y)], X, gradX)
 
 
 def padded_noise_flow(Q, bundle, grid):

@@ -27,8 +27,8 @@ def apply_Psi_deterministic(v1: TimeSeries, problem: Problem) -> PsiResult:
     """Noise-free oracle for the solution map.
 
     Never constructs noise objects: the label flow is integrated directly
-    (dY/dt = u(t, y), Heun) and X = Y.  Inversion guard, monitor, assembly
-    and solve are the ones of ``apply_Psi``, so a comparison pins down the
+    (dY/dt = u(t, y), Heun) and X = Y.  The monitor with its inversion
+    guard, the assembly and the solve are the ones of ``apply_Psi``, so a comparison pins down the
     flow layer's deterministic reduction.
     """
     grid, cfg = v1.grid, problem.cfg
@@ -47,7 +47,7 @@ def apply_Psi_deterministic(v1: TimeSeries, problem: Problem) -> PsiResult:
         g = g + 0.5 * dt * (gub[n] + gub[n + 1])
         Y[n + 1] = y
         G[n + 1] = g
-    window = FlowWindow.from_map(v1.times, Y, G, cfg.eps_star)
+    window = FlowWindow.from_map(v1.times, Y, G)
     monitor, n_frames = _monitor_window(window, cfg, grid)
     return _assemble_and_solve(v1, window, monitor, n_frames, gub, problem)
 

@@ -24,6 +24,7 @@ from lagflow.flow import (
     integrate_noise_flow,
     mat_det,
     mat_inv,
+    _valid_levels,
     stopping_monitor,
 )
 from lagflow.interp import FlowEscapeError
@@ -305,12 +306,12 @@ def test_label_flow_on_window_prefix_matches_full_run():
     ubar = TimeSeries(GRID, TIMES, (1.0 + TIMES)[:, None, None, None]
                       * np.stack([bump, -0.5 * bump], axis=-1)[None])
     lf = integrate_label_flow(ubar, nf)
-    full = compose_flow(lf, 0.25)
+    full = compose_flow(lf)
     k = 7
     lk = integrate_label_flow(ubar.restrict(k), nf)
     for name in ("times", "Y", "gradY", "X", "Dpsi_Y"):
         assert np.array_equal(getattr(lk, name), getattr(lf, name)[:k])
-    window = compose_flow(lk, 0.25)
+    window = compose_flow(lk)
     assert len(window) == k
     assert np.array_equal(window.X, full.X[:k])
     assert np.array_equal(window.gradX, full.gradX[:k])
@@ -329,7 +330,7 @@ def test_label_flow_on_window_prefix_matches_full_run():
 def test_initial_state_is_identity():
     nf = identity_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(0.4), nf)
-    w = compose_flow(lf, 0.25)
+    w = compose_flow(lf)
     assert np.max(np.abs(w.X[0] - GRID.coords())) == 0.0
     assert np.max(np.abs(w.Z[0] - np.eye(2))) == 0.0
     assert np.max(np.abs(w.J[0] - 1.0)) == 0.0
@@ -339,7 +340,7 @@ def test_linear_drift_jacobian_closed_form():
     alpha = 0.5
     nf = identity_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(alpha), nf)
-    w = compose_flow(lf, 0.25)
+    w = compose_flow(lf)
     scale = 1.0 + alpha * T
     assert np.max(np.abs(w.J[-1] - scale**2)) <= 1e-10
     assert np.max(np.abs(w.Z[-1] - np.eye(2) / scale)) <= 1e-10
@@ -350,7 +351,7 @@ def test_pure_transport_volume_within_tolerance():
     b = sample_brownian(1, 0, T, DT, seed=3)
     nf = integrate_noise_flow(Q, b, GRID)
     lf = integrate_label_flow(zero_velocity(), nf)
-    assert np.max(np.abs(compose_flow(lf, 0.25).J - 1.0)) <= 1e-6
+    assert np.max(np.abs(compose_flow(lf).J - 1.0)) <= 1e-6
 
 
 def test_jacobian_transport_identity():
@@ -364,7 +365,7 @@ def test_jacobian_transport_identity():
         ub = linear_velocity(0.4, GRID, times)
         nf = integrate_noise_flow(Q, b, GRID)
         lf = integrate_label_flow(ub, nf)
-        window = compose_flow(lf, 0.25)
+        window = compose_flow(lf)
         J_ode = jacobian_ode_oracle(ub, window)
         gaps.append(np.max(np.abs(J_ode - window.J)))
         b = refine_bridge(b)
@@ -445,14 +446,14 @@ def test_flow_stage_matches_per_level_compose_oracle(dim, monkeypatch):
     ubar = TimeSeries(g, times, scale * np.stack([bump] + [-0.5 * bump] * (dim - 1), axis=-1))
     for u in (ubar, ubar.restrict(6)):
         built = count_plans(monkeypatch)
-        window, grad_u = _flow_stage(u, nf, cfg)
+        window, grad_u = _flow_stage(u, nf)
         assert len(built) == 2 * len(u) - 1
         assert np.array_equal(grad_u, gradient_values(g, u.values))
         monkeypatch.undo()
         lf = integrate_label_flow(u, nf)
-        want = per_level_compose(nf, lf.Y, lf.gradY, cfg.eps_star)
+        want = per_level_compose(nf, lf.Y, lf.gradY)
         assert len(window) == len(u)
-        for name in ("times", "X", "gradX", "Z", "J", "valid"):
+        for name in ("times", "X", "gradX", "Z", "J"):
             assert np.array_equal(getattr(window, name), getattr(want, name)), name
     assert np.max(np.abs(window.gradX - np.eye(dim))) > 1e-3   # a nontrivial map
 
@@ -493,9 +494,9 @@ def test_label_flow_matches_contract_oracle(dim):
 
 
 def test_singular_level_gets_nan_inverse():
-    # one singular level of grad Y (Dpsi(Y) = I, so grad X = grad Y):
-    # the guard marks it invalid with a NaN Z, without a warning, and leaves
-    # the inverses of the other levels alone
+    # one singular level of grad Y (Dpsi(Y) = I, so grad X = grad Y): it
+    # gets a NaN Z and the monitor's guard marks it invalid, without a
+    # warning; the inverses of the other levels are left alone
     times = TIMES[:5]
     rng = np.random.default_rng(5)
     Y = np.broadcast_to(GRID.coords(), (5,) + GRID.extent + (2,)).copy()
@@ -504,9 +505,10 @@ def test_singular_level_gets_nan_inverse():
     eye = np.broadcast_to(np.eye(2), gradY.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = compose_flow(LabelFlow(times, Y, gradY, Y, eye, 0.0 * eye), 0.25)
+        w = compose_flow(LabelFlow(times, Y, gradY, Y, eye, 0.0 * eye))
+        valid = _valid_levels(w, 0.25, GRID)
     assert np.all(np.isnan(w.Z[2]))
-    assert w.valid.tolist() == [True, True, False, True, True]
+    assert valid.tolist() == [True, True, False, True, True]
     for n in (0, 1, 3, 4):
         assert np.all(np.isfinite(w.Z[n]))
         assert np.array_equal(w.Z[n], mat_inv(w.gradX[n]))
@@ -556,7 +558,7 @@ def test_factorization_matches_direct_oracle():
         ub = smooth_drift_series(GRID, times)
         nf = integrate_noise_flow(Q, b, GRID)
         lf = integrate_label_flow(ub, nf)
-        Xc = compose_flow(lf, 0.25).X
+        Xc = compose_flow(lf).X
         Xd = direct_flow_oracle(ub, Q, b)
         gaps.append(np.max(np.abs(Xc - Xd)))
         b = refine_bridge(b)
@@ -573,7 +575,7 @@ def test_invert_translation_flow():
     c = [0.25, -0.15]
     nf = identity_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(constant_velocity(c), nf)
-    w = compose_flow(lf, 0.25)
+    w = compose_flow(lf)
     assert np.allclose(w.X[-1], GRID.coords() + T * np.array(c), atol=1e-10)
 
 
@@ -584,9 +586,9 @@ def test_invert_translation_flow():
 def test_monitor_stays_open_without_motion():
     nf = identity_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(zero_velocity(), nf)
-    mon = stopping_monitor(compose_flow(lf, 0.25), SolveConfig(), GRID)
+    mon = stopping_monitor(compose_flow(lf), SolveConfig(), GRID)
     assert not mon.fired
-    assert mon.sigma == T
+    assert mon.times[-1] == T
     assert np.all(mon.total == 0.0)
 
 
@@ -599,10 +601,10 @@ def test_monitor_first_crossing_semantics():
     nf = identity_noise_flow(DRIFT_GRID, TIMES)
     ub = linear_velocity(1.5, DRIFT_GRID)
     lf = integrate_label_flow(ub, nf)
-    window = compose_flow(lf, 1e9)
+    window = compose_flow(lf)
     cfg = SolveConfig(delta=0.02)
     mon = stopping_monitor(window, cfg, DRIFT_GRID)
-    assert mon.fired and mon.sigma < T and mon.sigma > 0
+    assert mon.fired and mon.times[-1] < T and mon.times[-1] > 0
     k = mon.fired_index
     assert mon.total[k] >= cfg.delta
     assert mon.total[k - 1] < cfg.delta
@@ -613,21 +615,27 @@ def test_monitor_first_crossing_semantics():
 def test_monitor_sigma_monotone_in_delta():
     nf = identity_noise_flow(DRIFT_GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(1.5, DRIFT_GRID), nf)
-    window = compose_flow(lf, 1e9)
+    window = compose_flow(lf)
     sigmas = []
     for delta in (0.08, 0.04, 0.02, 0.01):
         cfg = SolveConfig(delta=delta)
-        sigmas.append(stopping_monitor(window, cfg, DRIFT_GRID).sigma)
+        sigmas.append(stopping_monitor(window, cfg, DRIFT_GRID).times[-1])
     assert all(s2 <= s1 for s1, s2 in zip(sigmas, sigmas[1:]))
 
 
 def test_monitor_fires_on_invalid_state():
     nf = identity_noise_flow(DRIFT_GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(1.5, DRIFT_GRID), nf)
-    window = compose_flow(lf, 0.05)
-    assert not window.valid.all()
-    mon = stopping_monitor(window, SolveConfig(delta=1e9, eps_star=1e9), DRIFT_GRID)
+    window = compose_flow(lf)
+    # delta <= eps_star, so on this spatially constant map the threshold
+    # fires first; test_window_ends_before_the_level_the_guard_rejects
+    # fires the guard alone
+    cfg = SolveConfig(delta=0.05, eps_star=0.05)
+    valid = _valid_levels(window, cfg.eps_star, DRIFT_GRID)
+    assert not valid.all()
+    mon = stopping_monitor(window, cfg, DRIFT_GRID)
     assert mon.fired
+    assert len(mon.times) <= np.argmin(valid)
 
 
 def resummed_window_value(win, n, theta, p):
@@ -685,8 +693,9 @@ def brute_force_monitor(window, cfg, grid):
     Zs = [Z - eye for Z in window.Z]
     Js = [J - 1.0 for J in window.J]
     totals, sup = [], 0.0
+    valid = _valid_levels(window, cfg.eps_star, grid)
     for n, gradX in enumerate(window.gradX):
-        if not window.valid[n]:
+        if not valid[n]:
             return totals, n
         sup = max(sup, spatial_norm(grid, gradX - eye, "H1q", cfg.q))
         totals.append(sup + htheta(Zs, n + 1) + htheta(Js, n + 1))
@@ -701,7 +710,7 @@ def linear_flow_window():
     times = TIMES[:21]
     nf = identity_noise_flow(g, times)
     lf = integrate_label_flow(linear_velocity(1.5, g, times), nf)
-    return g, compose_flow(lf, 1e9)
+    return g, compose_flow(lf)
 
 
 def smooth_flow_window(dim):
@@ -721,7 +730,7 @@ def smooth_flow_window(dim):
 ])
 def test_monitor_matches_brute_force(make_window, delta, fires):
     g, window = make_window()
-    cfg = SolveConfig(delta=delta, eps_star=1.0)   # the monitor reads no eps_star
+    cfg = SolveConfig(delta=delta, eps_star=1.0)   # the guard never fires here
     mon = stopping_monitor(window, cfg, g)
     totals, fired_index = brute_force_monitor(window, cfg, g)
     assert mon.fired == fires
@@ -754,7 +763,7 @@ def smooth_window(grid, times, rng, scale):
 
 
 def window_of(times, X, gradX):
-    return FlowWindow.from_map(times, X, gradX, 1e9)
+    return FlowWindow.from_map(times, X, gradX)
 
 
 @settings(max_examples=12, deadline=None)
@@ -825,6 +834,60 @@ def test_lifted_bound_falls_back_to_the_exact_monitor():
     assert n_frames == want.fired_index + 1 < len(times)
     # an unperturbed window is certified without a monitor run
     assert _monitor_window(w0, cfg, g, record) == (None, len(times))
+
+
+def identity_window_with(level, bad):
+    """An 8-level identity window on 17^2 whose level ``level`` the
+    inversion guard rejects: J = -1 there (``bad`` "folded"), or
+    grad X = 1.3 I, beyond eps_star = 0.25 (``bad`` "stretched")."""
+    g = Grid(2, (17, 17))
+    times = 1e-3 * np.arange(8)
+    gradX = np.broadcast_to(np.eye(2), (8,) + g.extent + (2, 2)).copy()
+    gradX[level] = np.diag([1.0, -1.0]) if bad == "folded" else 1.3 * np.eye(2)
+    X = np.broadcast_to(g.coords(), (8,) + g.extent + (2,)).copy()
+    return g, FlowWindow.from_map(times, X, gradX)
+
+
+@pytest.mark.parametrize("bad", ["folded", "stretched"])
+def test_window_ends_before_the_level_the_guard_rejects(bad):
+    # the exact run takes in the 4 levels before the rejected one, and the
+    # window keeps those 4, with or without an earlier record: no level the
+    # guard rejected reaches the assembly, where a singular J gives a NaN Z
+    g, window = identity_window_with(4, bad)
+    cfg = SolveConfig()
+    assert _valid_levels(window, cfg.eps_star, g).tolist() == [
+        True] * 4 + [False] + [True] * 3
+    record = stopping_monitor(identity_window_with(7, bad)[1].restrict(7),
+                              cfg, g)
+    assert not record.fired and len(record.times) == 7
+    for earlier in (None, record):
+        mon, n_frames = _monitor_window(window, cfg, g, earlier)
+        assert mon.fired and mon.fired_index == 4
+        assert len(mon.times) == n_frames == 4
+
+
+@pytest.mark.parametrize("bad", ["folded", "stretched"])
+def test_record_declines_a_window_whose_last_level_is_rejected(bad):
+    # the bound covers the levels before the last, but the guard covers
+    # every level: a window whose only rejected level is its last is
+    # declined, and the exact monitor keeps the 7 levels before it
+    g, window = identity_window_with(7, bad)
+    cfg = SolveConfig()
+    record = stopping_monitor(identity_window_with(7, bad)[1].restrict(7),
+                              cfg, g)
+    assert np.all(record.bound(window, cfg, g) == 0.0)
+    assert not record.certifies(window, cfg, g)
+    assert record.certifies(window.restrict(7), cfg, g)
+    mon, n_frames = _monitor_window(window, cfg, g, record)
+    assert mon.fired_index == 7 and n_frames == len(mon.times) == 7
+
+
+def test_a_window_rejected_at_its_first_step_is_refused():
+    # fewer than two usable levels leave no window: the iterates raise the
+    # rebuild's error
+    g, window = identity_window_with(1, "stretched")
+    with pytest.raises(RuntimeError, match="no usable window"):
+        _monitor_window(window, SolveConfig(), g)
 
 
 def test_certifies_leaves_the_record_unchanged():

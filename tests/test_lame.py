@@ -110,6 +110,15 @@ def test_operator_rejects_low_density():
         LameOperator(GRID, Field(GRID, 0.5 * np.ones(GRID.extent)), PARAMS)
 
 
+def test_operator_rejects_nan_density():
+    # a comparison with NaN is False: the bound used to let a NaN rho0
+    # through, and SuperLU then found the step matrix exactly singular
+    rho0 = np.ones(GRID.extent)
+    rho0[3, 4] = np.nan
+    with pytest.raises(ValueError, match="lower bound"):
+        LameOperator(GRID, Field(GRID, rho0), PARAMS)
+
+
 @pytest.mark.parametrize("grid", [
     Grid(2, (13, 21), ((0.0, 2.0), (-0.5, 0.25))),
     Grid(2, (65, 9), ((1.0, 4.0), (0.0, 1.0))),

@@ -122,6 +122,17 @@ def test_load_rejects_a_bad_step_or_level(edit, error):
         dataclasses.replace(sample_brownian(2, 1, 0.004, 1e-3, seed=9), **edit)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bundle_rejects_non_finite_values(bad):
+    # a NaN path value used to end in the noise flow's "determinant is not
+    # finite ... (scheme blow-up)", which does not name the bad input
+    b = sample_brownian(2, 1, 0.004, 1e-3, seed=9)
+    values = b.values.copy()
+    values[2, 3] = bad
+    with pytest.raises(ValueError, match="values must be finite"):
+        dataclasses.replace(b, values=values)
+
+
 # ---------------------------------------------------------------------------
 # transport fields and Stratonovich drift
 # ---------------------------------------------------------------------------
@@ -164,6 +175,23 @@ def test_transport_field_kind_is_checked_at_construction():
     with pytest.raises(ValueError, match="require dim 2"):
         TransportField(3, "stream", {"K": 1, "a": np.ones(1),
                                      "modes": [(1, 1)]})
+
+
+@pytest.mark.parametrize("dim, kind, bad", [
+    (2, "constant", np.nan), (2, "constant", np.inf), (3, "rotation", np.nan),
+    (3, "rotation", -np.inf), (2, "stream", np.nan), (2, "stream", np.inf),
+    (3, "linear_test", np.nan),
+])
+def test_transport_field_rejects_non_finite_parameters(dim, kind, bad):
+    # a NaN constant amplitude used to construct, and picard_solve then
+    # returned a window whose X was mostly NaN; a NaN stream or rotation
+    # amplitude ended in the noise flow's "scheme blow-up" error
+    with pytest.raises(ValueError, match="is not finite"):
+        make_transport_field(dim, kind, 2, bad)
+    A, b = np.zeros((1, dim, dim)), np.zeros((1, dim))
+    with pytest.raises(ValueError, match="'c' is not finite"):
+        TransportField(dim, "linear", {"K": 1, "A": A, "b": b,
+                                       "c": np.full((1, dim), bad)})
 
 
 def test_constant_field_drift_vanishes():

@@ -29,7 +29,7 @@ def identity_window(grid, times):
     eye = np.broadcast_to(np.eye(grid.dim), (L,) + grid.extent + (grid.dim,) * 2)
     X = np.broadcast_to(grid.coords(), (L,) + grid.extent + (grid.dim,))
     return FlowWindow(np.asarray(times, float), X.copy(), eye.copy(), eye.copy(),
-                      np.ones((L,) + grid.extent), np.ones(L, bool))
+                      np.ones((L,) + grid.extent))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_continuity_linear_drift_matches_closed_form():
                     np.broadcast_to(alpha * c, (51,) + c.shape).copy())
     nf = identity_noise_flow(GRID, times)
     lf = integrate_label_flow(ub, nf)
-    window = compose_flow(lf, 0.25)
+    window = compose_flow(lf)
     rho0 = Field(GRID, np.ones(GRID.extent))
     stack, dev = continuity_oracle(ub, window, rho0)
     exact = (1 + alpha * times[-1]) ** (-2)
@@ -454,7 +454,7 @@ def test_energy_report_matches_per_frame_oracle(grid):
     ub = TimeSeries(grid, times, 0.2 * scale * waves)
     gradX = (np.eye(grid.dim) + 0.05 * scale[..., None]
              * np.sin(3.0 * waves[..., :, None] - waves[..., None, :]))
-    window = FlowWindow.from_map(times[:8], ub.values[:8], gradX[:8], 0.25)
+    window = FlowWindow.from_map(times[:8], ub.values[:8], gradX[:8])
     rho = 1.0 + 0.1 * np.cos(scale[..., 0] * waves[..., 0])
     got = energy_report(rho, ub, window, PARAMS)
     want = per_frame_energy_report(rho, ub, window, PARAMS)
@@ -475,7 +475,7 @@ def test_norm_report_equilibrium_zero():
     fg = np.zeros((L,) + GRID.extent + (2,))
     rho0 = Field(GRID, np.ones(GRID.extent))
     rep = nonlinearity_norm_report(GRID, times, fu, fg, rho0, None,
-                                   sigma=times[-1], p=4, q=8, theta=0.4375)
+                                   p=4, q=8, theta=0.4375)
     assert rep.F_u_norm <= 1e-10
     assert rep.F_Gamma_norm <= 1e-10
     assert rep.M_sto == 0.0
@@ -490,7 +490,7 @@ def test_norm_report_window_monotone():
     fg = rng.normal(size=(L,) + GRID.extent + (2,))
     rho0 = Field(GRID, np.ones(GRID.extent))
     full = nonlinearity_norm_report(GRID, times, fu, fg, rho0, None,
-                                    sigma=times[-1], p=4, q=8, theta=0.4375)
-    half = nonlinearity_norm_report(GRID, times, fu, fg, rho0, None,
-                                    sigma=times[12], p=4, q=8, theta=0.4375)
+                                    p=4, q=8, theta=0.4375)
+    half = nonlinearity_norm_report(GRID, times[:13], fu, fg, rho0, None,
+                                    p=4, q=8, theta=0.4375)
     assert half.F_u_norm <= full.F_u_norm + 1e-12
