@@ -668,26 +668,33 @@ def _pair_sq(buf: np.ndarray, n: int, diff: np.ndarray,
 
 
 class SlobodeckijWindow:
-    """Running discrete H^(theta,p)(0, t_n; X) norm, X = Lq, H1q or H2q.
+    """Running discrete H^(theta,p)(0, t_n; X) norms, X = Lq, H1q or H2q, of
+    one or more series on one time grid.
 
-    The norm on [0, t_n] is the L^p-in-time part plus the Gagliardo sum
+    The norm of a series f on [0, t_n] is the L^p-in-time part plus the
+    Gagliardo sum
 
         sum_{i != j <= n} |f(t_i) - f(t_j)|_X^p dt^2 / |t_i - t_j|^(1 + theta p).
 
-    ``load`` stores the next frames with their derivatives in buffers sized
-    for ``times``, component-major: one (frame, component, node) buffer per
-    part (values, gradient, Hessian), the components in their storage
-    order, so every component of a frame is a contiguous node row.
-    ``advance`` adds the next stored frame's row of pair terms to the
-    running sum and returns the norm up to that frame.  The stencils are
-    linear, so a pair norm comes from differences of stored values and
-    derivatives: derivative work is O(L), and only the pair rows are
-    O(L^2).  A row is formed in reused scratch buffers by :func:`_pair_sq`,
-    which sums the squared components in storage order, then the squared
-    magnitudes go through ``_half_q_pow`` and the node quadrature
-    ``m @ w_flat``.
-    ``pair_pow[n]`` keeps row n, |f_n - f_i|_X^p for i < n, and
-    ``frame_pow[n]`` is |f_n|_X^p from the kernel of :func:`frame_norms`.
+    ``load`` takes the next frames of every series, one stack per series
+    (the stopping monitor's Z - I and J - 1, or the one series of
+    :func:`slobodeckij_time_seminorm`), and stores them with their
+    derivatives in buffers sized for ``times``, component-major: per series
+    one (frame, component, node) buffer per part (values, gradient,
+    Hessian), the components in their storage order, so every component of
+    a frame is a contiguous node row.  ``advance`` adds the next stored
+    frame's row of pair terms to each series' running sum and returns the
+    norms up to that frame, one per series.  The stencils are linear, so a
+    pair norm comes from differences of stored values and derivatives:
+    derivative work is O(L), and only the pair rows are O(L^2).  The series
+    share one pair-row scratch, taken in turn: a series forms its whole row
+    in it by :func:`_pair_sq`, which sums the squared components in storage
+    order, then through ``_half_q_pow`` and the node quadrature
+    ``m @ w_flat``, before the next series starts, so each series has the
+    arithmetic of a window of its own.
+    ``pair_pow[n]`` (series, n) keeps row n, |f_n - f_i|_X^p for i < n, and
+    ``frame_pow[s, n]`` is |f_n|_X^p of series s from the kernel of
+    :func:`frame_norms`; ``norms`` gives both as norms.
     """
 
     def __init__(self, grid: Grid, times: np.ndarray, theta: float, p: float,
@@ -703,59 +710,95 @@ class SlobodeckijWindow:
             raise FieldError("non-uniform time grids are not supported")
         self.theta, self.p, self.kind, self.q = theta, p, kind, q
         self.w_flat = grid.quad_weights.ravel()
-        self.parts: list[np.ndarray] = []
-        self.frame_pow = np.empty(len(self.times))   # |f_n|_X^p
+        self.parts: list[list[np.ndarray]] = []     # per series, per part
+        self.frame_pow = np.empty((0, len(self.times)))   # |f_n|_X^p
         self.pair_pow: list[np.ndarray] = []
-        self.sem = 0.0
+        self.sem: list[float] = []
         self.loaded = 0
 
-    def _allocate(self, n_comps: list[int]) -> None:
-        """Buffers and scratch for parts of ``n_comps`` components."""
+    def _allocate_scratch(self) -> None:
+        """The pair-row scratch the series share: a chunk of differences of
+        about ``_CHUNK_BYTES`` (at least one row of the widest part), a
+        part's squared pair norms, their power (the first part's power is m
+        itself) and the row sum m."""
         L, npts = len(self.times), self.grid.n_nodes
-        self.parts = [np.empty((L, c, npts)) for c in n_comps]
-        # a chunk of differences of about _CHUNK_BYTES (at least one row),
-        # a part's squared pair norms, their power (the first part's power
-        # is m itself) and the row sum m
+        comps = [len(buf[0]) for parts in self.parts for buf in parts]
         self._diff = np.empty(max(max(1, _CHUNK_BYTES // (8 * c * npts)) * c
-                                  for c in n_comps) * npts)
+                                  for c in comps) * npts)
         self._rows = [np.empty((max(L - 1, 0), npts)) for _ in range(3)]
 
-    def load(self, frames: np.ndarray) -> None:
-        """Store a stack of the next frames and their derivatives."""
-        parts = _norm_parts(self.grid, frames, self.kind)
-        k, m = self.loaded, len(frames)
-        npts = self.grid.n_nodes
-        if not self.parts:
-            self._allocate([a[0].size // npts for a in parts])
-        for buf, a in zip(self.parts, parts):
-            buf[k:k + m] = a.reshape(m, npts, -1).transpose(0, 2, 1)
-        norm_pow = _norm_pow(self.grid, parts, self.q)
-        self.frame_pow[k:k + m] = norm_pow ** (self.p / self.q)
+    def load(self, *series: np.ndarray) -> None:
+        """Store the next frames of every series and their derivatives.
+
+        The series come in the order of the first call, with equal frame
+        counts.  A series' buffers are allocated with its first frames, and
+        the shared scratch after every series has them.
+        """
+        k, m = self.loaded, len(series[0])
+        L, npts = len(self.times), self.grid.n_nodes
+        first = not self.parts
+        if not first and len(series) != len(self.parts):
+            raise FieldError(f"the window holds {len(self.parts)} series, "
+                             f"got {len(series)}")
+        if any(len(frames) != m for frames in series):
+            raise FieldError("every series needs the same frames")
+        if first:
+            self.frame_pow = np.empty((len(series), L))
+            self.sem = [0.0] * len(series)
+        for s, frames in enumerate(series):
+            parts = _norm_parts(self.grid, frames, self.kind)
+            if first:
+                self.parts.append([np.empty((L, a[0].size // npts, npts))
+                                   for a in parts])
+            for buf, a in zip(self.parts[s], parts):
+                buf[k:k + m] = a.reshape(m, npts, -1).transpose(0, 2, 1)
+            norm_pow = _norm_pow(self.grid, parts, self.q)
+            self.frame_pow[s, k:k + m] = norm_pow ** (self.p / self.q)
+        if first:
+            self._allocate_scratch()
         self.loaded = k + m
 
-    def advance(self) -> float:
-        """Take in the next loaded frame; the norm on [0, t_n] (0 for n = 0)."""
+    def advance(self) -> tuple[float, ...]:
+        """Take in the next loaded frame; the norm of each series on
+        [0, t_n] (0 for n = 0)."""
         n = len(self.pair_pow)
         if n >= self.loaded:
             raise FieldError("no loaded frame left to advance to")
         if n == 0:
-            self.pair_pow.append(np.zeros(0))
-            return 0.0
+            self.pair_pow.append(np.zeros((len(self.parts), 0)))
+            return (0.0,) * len(self.parts)
         sq, power, m = (rows[:n] for rows in self._rows)
-        for i, buf in enumerate(self.parts):
-            _pair_sq(buf, n, self._diff, sq)
-            if i == 0:
-                _half_q_pow(sq, self.q, m)
-            else:
-                m += _half_q_pow(sq, self.q, power)
-        row = ((m @ self.w_flat) ** (1 / self.q)) ** self.p
-        self.pair_pow.append(row)
         t = self.times
         gaps = t[n] - t[:n]
-        self.sem += 2.0 * np.sum(row * (t[1] - t[0]) ** 2
-                                 / gaps ** (1.0 + self.theta * self.p))
-        lp_pow = np.trapezoid(self.frame_pow[:n + 1], t[:n + 1])
-        return float((lp_pow + self.sem) ** (1.0 / self.p))
+        rows = np.empty((len(self.parts), n))
+        values = []
+        for s, parts in enumerate(self.parts):
+            for i, buf in enumerate(parts):
+                _pair_sq(buf, n, self._diff, sq)
+                if i == 0:
+                    _half_q_pow(sq, self.q, m)
+                else:
+                    m += _half_q_pow(sq, self.q, power)
+            rows[s] = ((m @ self.w_flat) ** (1 / self.q)) ** self.p
+            self.sem[s] += 2.0 * np.sum(rows[s] * (t[1] - t[0]) ** 2
+                                        / gaps ** (1.0 + self.theta * self.p))
+            lp_pow = np.trapezoid(self.frame_pow[s, :n + 1], t[:n + 1])
+            values.append(float((lp_pow + self.sem[s]) ** (1.0 / self.p)))
+        self.pair_pow.append(rows)
+        return tuple(values)
+
+    def norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pair and frame norms of the n frames taken in: (series, n, n),
+        whose row k holds |f_i - f_k|_X for i < k (zero elsewhere), and
+        (series, n), |f_k|_X."""
+        n = len(self.pair_pow)
+        pair = np.zeros((len(self.parts), n, n))
+        for s in range(len(self.parts)):
+            for k, row in enumerate(self.pair_pow):
+                pair[s, k, :k] = row[s] ** (1.0 / self.p)
+        frame = np.array([self.frame_pow[s, :n] ** (1.0 / self.p)
+                          for s in range(len(self.parts))])
+        return pair, frame
 
 
 def slobodeckij_time_seminorm(
@@ -767,15 +810,15 @@ def slobodeckij_time_seminorm(
 ) -> float:
     """Discrete H^(theta,p)-in-time norm with spatial norms per frame.
 
-    The value of :class:`SlobodeckijWindow` on the whole series: the
-    L^p-in-time part plus the Gagliardo double sum, both built from the
-    requested spatial norm.  Requires a uniform time step; zero iff all
-    frames vanish.
+    The value of a one-series :class:`SlobodeckijWindow` on the whole
+    series: the L^p-in-time part plus the Gagliardo double sum, both built
+    from the requested spatial norm.  Requires a uniform time step; zero iff
+    all frames vanish.
     """
     win = SlobodeckijWindow(ts.grid, ts.times, theta, p, spatial_kind, q)
     for sl in frame_chunks(ts.grid, len(ts), int(np.prod(ts.values.shape[1:]))):
         win.load(ts.values[sl])
     value = 0.0
     for _ in range(len(ts)):
-        value = win.advance()
+        (value,) = win.advance()
     return value

@@ -242,7 +242,8 @@ def problem_for(rho0: Field, u0: Field, params: FluidParams,
 class PsiResult:
     """One application of the solution map.
 
-    ``v`` and ``window`` hold the usable levels only.  ``monitor`` is the
+    ``v`` and ``window`` hold the usable levels only; the window holds no
+    X (``FlowWindow.X`` is None), which no iterate reads.  ``monitor`` is the
     exact stopping monitor of the flow window, whose ``times`` are those
     levels.  It is None on an iterate of ``picard_solve`` whose window an
     earlier exact result certified (``flow.MonitorResult.certifies``): the
@@ -277,19 +278,21 @@ def _monitor_window(window: FlowWindow, cfg: SolveConfig, grid: Grid,
     return monitor, len(monitor.times)
 
 
-def _flow_stage(ubar: TimeSeries,
-                nf: NoiseFlow) -> tuple[FlowWindow, np.ndarray]:
+def _flow_stage(ubar: TimeSeries, nf: NoiseFlow,
+                with_X: bool) -> tuple[FlowWindow, np.ndarray]:
     """Label flow and composition X = psi o Y: the window and grad ubar.
 
     ``ubar`` may be shorter than the noise grid (a stopped window of an
     earlier iterate); the flow is integrated on its levels only.  The label
-    flow samples psi and Dpsi on Y with the plans of its Heun stage 0 (plus
-    one on the last level), so the stage builds 2L - 1 interpolation plans
-    for L levels and the composition builds none.  The label flow's
+    flow samples Dpsi on Y with the plans of its Heun stage 0 (plus one on
+    the last level), so the stage builds 2L - 1 interpolation plans for L
+    levels and the composition builds none.  It samples X = psi(Y) with the
+    same plans only ``with_X``, for a caller that reads X: the rebuild, not
+    an iterate (whose window's X is None).  The label flow's
     gradient of the drift frames comes along for the assembly of the same
     drift; the rest of the label flow ends here.
     """
-    label = integrate_label_flow(ubar, nf)
+    label = integrate_label_flow(ubar, nf, with_X)
     return compose_flow(label), label.grad_ubar
 
 
@@ -316,7 +319,7 @@ def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
     """One application of the solution map on the monitored window;
     ``record`` goes to ``_monitor_window``."""
     ubar = _drift(v1, U)
-    window, grad_ubar = _flow_stage(ubar, nf)
+    window, grad_ubar = _flow_stage(ubar, nf, with_X=False)
     monitor, n_frames = _monitor_window(window, problem.cfg, ubar.grid, record)
     return _assemble_and_solve(ubar, window, monitor, n_frames, grad_ubar,
                                problem)
@@ -377,16 +380,19 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     always runs the exact monitor, so the returned ``monitor`` and every
     output are those of exact monitors on every iterate.
 
-    Each level stack is held only while something reads it.  The whole
-    solve holds U; the iterates and the rebuild's flow stage hold the noise
-    flow.  Between iterates the loop carries the last velocity (as long as
-    the window), the last exact monitor result (its pair and frame norms
-    and the Z and J of its window) and the differences; an iterate's window
-    (X, grad X, Z, J), its flow-stage gradient of the drift and the
-    difference stack end with it.  The rebuild starts without that result,
-    and the noise flow goes once the rebuild's flow stage, its last reader,
-    has run, so the rebuild's monitor, density and energy run on the
-    window, v, U and the drift alone.
+    Each level stack is held only while something reads it, and once.  The
+    whole solve holds U; the iterates and the rebuild's flow stage hold the
+    noise flow.  Between iterates the loop carries the last velocity (as
+    long as the window), the last exact monitor result (its pair and frame
+    norms and the Z and J of its window) and the differences; an iterate's
+    window (grad X, Z, J: an iterate samples no X), its flow-stage gradient
+    of the drift and the difference stack end with it.  An exact monitor
+    holds its two series and one pair-row scratch they share, 3(L - 1)
+    node rows and a chunk of differences.  The rebuild starts without the
+    last result and is the one flow stage that samples X; the noise flow
+    goes once that stage, its last reader, has run, so the rebuild's
+    monitor, density and energy run on the window, v, U and the drift
+    alone.
 
     Forcing modes or transport fields without a Brownian bundle raise
     ``ValueError``, and so do rho0 and u0 other than a scalar and a vector
@@ -509,7 +515,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     # rebuild the Lagrangian record of the converged velocity
     del record          # the rebuild runs the exact monitor
     ubar = _drift(v_prev, U)
-    window = _flow_stage(ubar, nf)[0]
+    window = _flow_stage(ubar, nf, with_X=True)[0]
     del nf              # the flow stage was the noise flow's last reader
     monitor, keep = _monitor_window(window, cfg, grid)
     tau = float(times[keep - 1])

@@ -23,9 +23,10 @@ the step of every interpolation plan are the lattice's (``NoiseFlow``).
 The composed map data of a window (X, grad X, Z = grad X^{-1} and
 J = det grad X) is one ``FlowWindow`` of level stacks, laid out like the
 frame stacks of ``fields``: the density, the monitor norms and the
-nonlinearity assembly all read it as stacks.  The label flow samples psi
-and Dpsi on Y with the interpolation plans of its own Heun stages
-(``LabelFlow``), so the composition only contracts and inverts.
+nonlinearity assembly all read it as stacks.  The label flow samples Dpsi,
+and psi where its caller reads X, on Y with the interpolation plans of its
+own Heun stages (``LabelFlow``), so the composition only contracts and
+inverts.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ class NoiseFlow:
     ``PAD_CELLS``, the coordinate frame of every plan: its first node and
     step give the cells and fractions.  The level stacks hold the lattice
     nodes ``nodes`` (a slice per axis), the core of n + 2 nodes per axis
-    around the box: ``psi`` (L, *ext, d), ``Dpsi`` and ``Dpsi_inv``
+    around the box: ``psi`` (L, *ext, d), which only a label flow that
+    samples X reads (the solve's rebuild), ``Dpsi`` and ``Dpsi_inv``
     (L, *ext, d, d), and ``grad_Dpsi_inv`` (L, *ext, d, d, d), the spatial
     derivatives of the inverse gradient, needed by the label-ODE chain rule.
     ``axes`` are the lattice axes on those nodes.  ``interp_axes`` holds
@@ -315,7 +317,8 @@ class LabelFlow:
 
     Level stacks: ``Y`` (L, *ext, d), ``gradY`` (L, *ext, d, d), and
     ``X`` = psi(Y) and ``Dpsi_Y`` = Dpsi(Y), interpolated with the plan the
-    label flow built on Y at each level; ``times`` (L,).  ``grad_ubar``
+    label flow built on Y at each level; ``times`` (L,).  ``X`` is None
+    when the flow was integrated without it (``with_X``).  ``grad_ubar``
     (L, *ext, d, d) is the gradient of the drift frames the flow was
     driven by, which the nonlinearity assembly of the same drift reads.
     """
@@ -323,24 +326,28 @@ class LabelFlow:
     times: np.ndarray
     Y: np.ndarray
     gradY: np.ndarray
-    X: np.ndarray
+    X: np.ndarray | None
     Dpsi_Y: np.ndarray
     grad_ubar: np.ndarray
 
 
-def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
-    """Heun integration of the label ODE, with psi and Dpsi sampled on Y.
+def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
+                         with_X: bool = True) -> LabelFlow:
+    """Heun integration of the label ODE, with Dpsi and psi sampled on Y.
 
-    ``ubar`` may cover a window prefix of the noise grid: the first
-    ``len(ubar)`` levels are integrated, and they do not depend on the levels
-    after them.  grad Y solves the variational equation obtained by differentiating the
-    integrand with the product/chain rule, using the tracked derivatives of
-    Dpsi^{-1} interpolated at the moving points.
+    X = psi(Y) is sampled only ``with_X`` (else ``LabelFlow.X`` is None):
+    the solve's rebuild reads it, a Picard iterate does not, and no other
+    output depends on it.  ``ubar`` may cover a window prefix of the noise
+    grid: the first ``len(ubar)`` levels are integrated, and they do not
+    depend on the levels after them.  grad Y solves the variational
+    equation obtained by differentiating the integrand with the
+    product/chain rule, using the tracked derivatives of Dpsi^{-1}
+    interpolated at the moving points.
 
     Stage 0 of step n builds the interpolation plan on Y[n] at
-    ``nf.times[n]``; the same plan samples psi and Dpsi there for the
+    ``nf.times[n]``; the same plan samples Dpsi (and psi) there for the
     composition, and one more plan does so on the last level, so a window
-    of L levels builds 2L - 1 plans.
+    of L levels builds 2L - 1 plans either way.
 
     The variational sums dg = dA_ijl g_lm u_j + A_ij (grad u)_jm (A the
     sampled Dpsi^{-1}, dA its gradient) run component-major, with the node
@@ -366,7 +373,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
     N = grid.n_nodes
     Y = np.empty((L,) + pts0.shape)
     G = np.empty((L,) + pts0.shape[:-1] + (dim, dim))
-    X = np.empty(Y.shape)
+    X = np.empty(Y.shape) if with_X else None
     DY = np.empty(G.shape)
     Y[0] = pts0
     G[0] = np.eye(dim)
@@ -382,9 +389,11 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
     terms1_jl = terms1.reshape(dim * dim, dim, dim, N)  # (j, l) in sum order
 
     def sample(level, y):
-        """The plan on y at the level's time, which also samples psi and Dpsi."""
+        """The plan on y at the level's time, which also samples Dpsi (and
+        psi)."""
         plan = nf.plan(y, time=nf.times[level])
-        X[level] = plan.apply(nf.psi[level])
+        if with_X:
+            X[level] = plan.apply(nf.psi[level])
         DY[level] = plan.apply(nf.Dpsi[level])
         return plan
 
@@ -435,18 +444,20 @@ class FlowWindow:
     """Lagrangian map data on the levels of a window, as level stacks.
 
     ``times`` (L,), ``X`` (L, *ext, d), ``gradX`` and ``Z`` (L, *ext, d, d)
-    and ``J`` (L, *ext).  Which levels are usable is the stopping monitor's
-    verdict (``stopping_monitor``), not the window's.
+    and ``J`` (L, *ext).  ``X`` is None on a window whose label flow did not
+    sample it, a Picard iterate's: only the solve's rebuild reads X.  Which
+    levels are usable is the stopping monitor's verdict
+    (``stopping_monitor``), not the window's.
     """
 
     times: np.ndarray
-    X: np.ndarray
+    X: np.ndarray | None
     gradX: np.ndarray
     Z: np.ndarray
     J: np.ndarray
 
     @classmethod
-    def from_map(cls, times: np.ndarray, X: np.ndarray,
+    def from_map(cls, times: np.ndarray, X: np.ndarray | None,
                  gradX: np.ndarray) -> "FlowWindow":
         """J and Z of the level stacks X and grad X.
 
@@ -464,15 +475,17 @@ class FlowWindow:
 
     def restrict(self, n_frames: int) -> "FlowWindow":
         """First ``n_frames`` levels, as views."""
-        return FlowWindow(*(getattr(self, f.name)[:n_frames]
-                            for f in fields(self)))
+        return FlowWindow(*(None if a is None else a[:n_frames]
+                            for a in (getattr(self, f.name)
+                                      for f in fields(self))))
 
 
 def compose_flow(label: LabelFlow) -> FlowWindow:
     """The window of a label flow: grad X = Dpsi(Y) grad Y, then Z and J.
 
-    X = psi(Y) and Dpsi(Y) come from the label flow, which sampled them
-    with its own plans on Y; the contraction runs on the whole stacks (its
+    X = psi(Y) (None when not sampled) and Dpsi(Y) come from the label
+    flow, which sampled them with its own plans on Y; the contraction runs
+    on the whole stacks (its
     bits are the per-level ones), and ``FlowWindow.from_map`` takes the rest.
     """
     gradX = contract("...ij,...jk->...ik", "j", label.Dpsi_Y, label.gradY)
@@ -583,28 +596,28 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     delta, eps_star, theta, p and q are the solver configuration's.  The
     guard runs first, before any norm buffer.  The norms are taken over the
     levels before the first rejected one, on slices of the window's stacks
-    a chunk of frames at a time (``frame_chunks``); the H^{theta,p} sums
-    advance frame by frame and stop at the crossing.  The result's
-    ``times`` are the levels taken in; it also keeps the run's pair and
-    frame norms and its window's Z and J, for ``MonitorResult.certifies``.
+    a chunk of frames at a time (``frame_chunks``).  Z - I and J - 1 are the
+    two series of one ``SlobodeckijWindow``, which holds one pair-row
+    scratch for both; their H^{theta,p} sums advance frame by frame and stop
+    at the crossing.  The result's ``times`` are the levels taken in; it
+    also keeps the run's pair and frame norms (``SlobodeckijWindow.norms``)
+    and its window's Z and J, for ``MonitorResult.certifies``.
     """
     eye = np.eye(grid.dim)
     times = window.times
     valid = _valid_levels(window, cfg.eps_star, grid)
     n_valid = len(window) if valid.all() else int(np.argmin(valid))
-    accZ, accJ = (SlobodeckijWindow(grid, times[:n_valid], cfg.theta, cfg.p,
-                                    "H1q", cfg.q) for _ in range(2))
+    win = SlobodeckijWindow(grid, times[:n_valid], cfg.theta, cfg.p, "H1q",
+                            cfg.q)
     sup_run, hZ_run, hJ_run, tot_run = [], [], [], []
     sup_gradX = 0.0
     fired_index = None
     for sl in frame_chunks(grid, n_valid, window.Z[0].size):
         gnorms = frame_norms(grid, window.gradX[sl] - eye, "H1q", cfg.q)
-        accZ.load(window.Z[sl] - eye)
-        accJ.load(window.J[sl] - 1.0)
+        win.load(window.Z[sl] - eye, window.J[sl] - 1.0)
         for n, gnorm in enumerate(gnorms, sl.start):
             sup_gradX = max(sup_gradX, float(gnorm))
-            hZ = accZ.advance()
-            hJ = accJ.advance()
+            hZ, hJ = win.advance()
             total = sup_gradX + hZ + hJ
             sup_run.append(sup_gradX)
             hZ_run.append(hZ)
@@ -617,14 +630,8 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
             break
     if fired_index is None and n_valid < len(window):
         fired_index = n_valid
-    n_kept = len(tot_run)
-    pair = np.zeros((2, n_kept, n_kept))
-    for s, acc in enumerate((accZ, accJ)):
-        for k, row in enumerate(acc.pair_pow):
-            pair[s, k, :k] = row ** (1.0 / acc.p)
-    frame = np.array([acc.frame_pow[:n_kept] ** (1.0 / acc.p)
-                      for acc in (accZ, accJ)])
+    pair, frame = win.norms()
     return MonitorResult(
-        fired_index is not None, fired_index, times[:n_kept],
+        fired_index is not None, fired_index, times[:len(tot_run)],
         np.array(sup_run), np.array(hZ_run), np.array(hJ_run), np.array(tot_run),
         pair, frame, window.Z, window.J)

@@ -184,9 +184,12 @@ def make_transport_field(dim: int, kind: str, K: int,
     ``rotation`` (in the (x, y) plane about the centre 0.5 + 0.1 k on every
     axis, which the 3D benchmark workload runs), ``linear_test`` (amplitude
     x: not divergence-free, for calculus tests only) or ``stream`` (2D sine
-    modes (1,1), (2,1), (1,2), (2,2), which the 2D benchmark workload runs)."""
+    modes (1,1), (2,1), (1,2), (2,2), which the 2D benchmark workload runs).
+    A non-finite amplitude raises ``ValueError`` before any arithmetic."""
     if kind not in ("constant", "rotation", "linear_test", "stream"):
         raise ValueError(f"unknown transport field kind {kind!r}")
+    if not np.all(np.isfinite(amplitude)):
+        raise ValueError(f"transport amplitude is not finite: {amplitude}")
     if kind == "stream":
         if K > 4:
             raise ValueError("at most 4 stream modes are predefined")

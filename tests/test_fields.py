@@ -487,7 +487,7 @@ def test_window_pair_rows_match_einsum_oracle(dim, comp, q):
         win.advance()
         if n:
             want = loop_pair_row(parts, n, g.quad_weights.ravel(), q, p)
-            assert np.array_equal(win.pair_pow[n], want)
+            assert np.array_equal(win.pair_pow[n][0], want)
 
 
 # ---------------------------------------------------------------------------

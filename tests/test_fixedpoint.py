@@ -561,10 +561,13 @@ def budget_case_3d():
 
 
 # tracemalloc peaks of the picard_solves below, measured with these set-ups
-# once each level stack is held only while a reader needs it; both sit in
-# the first iterate's exact monitor.  The 13^3 solve peaked at 36,189,083 B
-# before, in the rebuild's monitor, with the noise flow, the last iterate's
-# window and the last certified window still alive.  The margin of 5% (1.4 MB in
+# once each level stack is held only while a reader needs it, the monitor's
+# two series share one pair-row scratch and only the rebuild samples X; both
+# sit in the first iterate's exact monitor.  They were 28,028,909 B and
+# 32,422,302 B with a scratch per series and X on every iterate, and the
+# 13^3 solve peaked at 36,189,083 B before that, in the rebuild's monitor,
+# with the noise flow, the last iterate's window and the last certified
+# window still alive.  The margin of 5% (1.4 MB in
 # 2D, 1.6 MB in 3D) is less than one whole-window grad X or Z stack of
 # either solve.
 PICARD_PEAK_MARGIN = 1.05
@@ -597,7 +600,7 @@ def solve_with_peak(case, monkeypatch):
 def test_picard_allocation_budget(monkeypatch):
     b, peak, _ = solve_with_peak(budget_case_2d(), monkeypatch)
     assert b.converged and b.monitor.fired
-    assert peak <= PICARD_PEAK_MARGIN * 28_028_909
+    assert peak <= PICARD_PEAK_MARGIN * 25_306_619
 
 
 def test_picard_allocation_budget_at_13_cubed(monkeypatch):
@@ -605,18 +608,22 @@ def test_picard_allocation_budget_at_13_cubed(monkeypatch):
     # the first iterate and the rebuild: the other iterates were certified
     assert b.converged and b.iterations >= 3
     assert not b.monitor.fired and exact_runs == 2
-    assert peak <= PICARD_PEAK_MARGIN * 32_422_302
+    assert peak <= PICARD_PEAK_MARGIN * 30_854_198
 
 
 def test_picard_holds_each_stack_only_while_it_is_read(monkeypatch):
-    # no flow stage starts with an earlier iterate's X or grad X alive (the
-    # monitor record keeps only Z and J), and the rebuild's exact monitor
-    # runs without the noise flow and without any earlier window's Z
+    # no flow stage starts with an earlier iterate's grad X alive (the
+    # monitor record keeps only Z and J), only the rebuild samples X, the
+    # rebuild's exact monitor runs without the noise flow and without any
+    # earlier window's Z, and every exact monitor holds one pair-row scratch
+    # for its two series while they advance
     rho0, u0, cfg, Q, forcing, bw = budget_case_3d()
     fp = lagflow.fixedpoint
     integrate, flow_stage, monitor = (fp.integrate_noise_flow, fp._flow_stage,
                                       fp.stopping_monitor)
-    noise, windows, last_monitor = [], [], []
+    window_cls = lagflow.flow.SlobodeckijWindow
+    advance = window_cls.advance
+    noise, windows, last_monitor, scratch, scratch_alive = [], [], [], [], set()
 
     def alive(refs):
         gc.collect()
@@ -627,24 +634,37 @@ def test_picard_holds_each_stack_only_while_it_is_read(monkeypatch):
         noise.append(weakref.ref(nf))
         return nf
 
-    def watched_stage(*args):
-        assert not any(alive([x for x, _ in windows]))
-        window, grad_ubar = flow_stage(*args)
-        windows.append((weakref.ref(window.X), weakref.ref(window.Z)))
+    def watched_stage(*args, **kwargs):
+        assert not any(alive([gx for gx, _ in windows]))
+        window, grad_ubar = flow_stage(*args, **kwargs)
+        windows.append((weakref.ref(window.gradX), weakref.ref(window.Z)))
+        sampled.append(window.X is not None)
         return window, grad_ubar
 
     def watched_monitor(*args):
         last_monitor[:] = alive(noise + [z for _, z in windows[:-1]])
         return monitor(*args)
 
+    def watched_advance(self):
+        # the window's scratch rows, by identity: every one ever made, and
+        # how many of them are alive at each step of the series
+        if not any(ref() is self._rows[0] for ref in scratch):
+            scratch.append(weakref.ref(self._rows[0]))
+        scratch_alive.add(sum(ref() is not None for ref in scratch))
+        return advance(self)
+
+    sampled = []
     monkeypatch.setattr(fp, "integrate_noise_flow", noise_flow)
     monkeypatch.setattr(fp, "_flow_stage", watched_stage)
     monkeypatch.setattr(fp, "stopping_monitor", watched_monitor)
+    monkeypatch.setattr(window_cls, "advance", watched_advance)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         b = picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
     assert len(windows) == b.iterations + 1 >= 3
     assert last_monitor == [False] * (1 + b.iterations)    # psi, each Z
+    assert sampled == [False] * b.iterations + [True]
+    assert len(scratch) == 2 and scratch_alive == {1}   # first iterate, rebuild
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +770,9 @@ def test_deterministic_path_matches_generic():
         assert len(r_gen.v) == len(r_det.v)
         assert np.max(np.abs(r_gen.v.values - r_det.v.values)) <= 1e-10
         w_gen, w_det = r_gen.window, r_det.window
-        assert np.max(np.abs(w_gen.X - w_det.X)) <= 1e-10
+        # an iterate samples no X; its grad X is the deterministic X's
+        assert w_gen.X is None
+        assert np.max(np.abs(w_gen.gradX - w_det.gradX)) <= 1e-10
         assert np.max(np.abs(w_gen.J - w_det.J)) <= 1e-10
         assert np.max(np.abs(rho0.values / w_gen.J
                              - rho0.values / w_det.J)) <= 1e-10

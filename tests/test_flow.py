@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lagflow.fixedpoint
 import lagflow.interp
 from flow_oracle import integrate_label_flow as contract_label_flow
 from flow_oracle import padded_noise_flow, per_level_compose
@@ -444,18 +445,60 @@ def test_flow_stage_matches_per_level_compose_oracle(dim, monkeypatch):
     bump = 0.3 * np.prod([np.sin(np.pi * c[..., d]) for d in range(dim)], axis=0)
     scale = (1.0 + 10.0 * times).reshape((-1,) + (1,) * (dim + 1))
     ubar = TimeSeries(g, times, scale * np.stack([bump] + [-0.5 * bump] * (dim - 1), axis=-1))
-    for u in (ubar, ubar.restrict(6)):
+    for u, with_X in ((ubar, True), (ubar.restrict(6), True), (ubar, False)):
         built = count_plans(monkeypatch)
-        window, grad_u = _flow_stage(u, nf)
+        window, grad_u = _flow_stage(u, nf, with_X)
         assert len(built) == 2 * len(u) - 1
         assert np.array_equal(grad_u, gradient_values(g, u.values))
         monkeypatch.undo()
         lf = integrate_label_flow(u, nf)
         want = per_level_compose(nf, lf.Y, lf.gradY)
         assert len(window) == len(u)
-        for name in ("times", "X", "gradX", "Z", "J"):
+        # an iterate's window (with_X False) samples no X
+        assert (window.X is None) is not with_X
+        for name in ("times", "X", "gradX", "Z", "J") if with_X else (
+                "times", "gradX", "Z", "J"):
             assert np.array_equal(getattr(window, name), getattr(want, name)), name
     assert np.max(np.abs(window.gradX - np.eye(dim))) > 1e-3   # a nontrivial map
+
+
+def test_only_the_rebuild_samples_x(monkeypatch):
+    # no iterate's window holds X (apply_Psi's results), and the returned
+    # window, the rebuild's, is the per-level composition of the converged
+    # drift bit for bit, X included
+    g = Grid(2, 17)
+    c = g.coords()
+    u0 = np.zeros(g.extent + (2,))
+    u0[..., 0] = 1e-2 * np.prod([np.sin(np.pi * c[..., d]) ** 2 for d in range(2)],
+                                axis=0)
+    cfg = SolveConfig(T=0.02, dt=DT)
+    Q = make_transport_field(2, "stream", 2, 1e-2)
+    b = sample_brownian(2, 1, cfg.T, cfg.dt, seed=3)
+    fp = lagflow.fixedpoint
+    integrate, apply = fp.integrate_noise_flow, fp.apply_Psi
+    flows, iterate_X = [], []
+
+    def kept_noise_flow(*args):
+        flows.append(integrate(*args))
+        return flows[-1]
+
+    def watched_apply(*args):
+        res = apply(*args)
+        iterate_X.append(res.window.X)
+        return res
+
+    monkeypatch.setattr(fp, "integrate_noise_flow", kept_noise_flow)
+    monkeypatch.setattr(fp, "apply_Psi", watched_apply)
+    with pytest.warns(UserWarning, match="compatibility"):
+        sol = picard_solve(Field(g, np.ones(g.extent)), Field(g, u0), FluidParams(),
+                           cfg, Q, b, StochasticForcing.default_modes(g, 1, 1e-3))
+    assert sol.converged and len(iterate_X) == sol.iterations >= 2
+    assert all(X is None for X in iterate_X)
+    lf = integrate_label_flow(sol.ubar, flows[0])
+    want = per_level_compose(flows[0], lf.Y, lf.gradY)
+    for name in ("times", "X", "gradX", "Z", "J"):
+        assert np.array_equal(getattr(sol.window, name), getattr(want, name)), name
+    assert np.max(np.abs(sol.window.X - g.coords())) > 1e-4    # X moved
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -638,21 +681,22 @@ def test_monitor_fires_on_invalid_state():
     assert len(mon.times) <= np.argmin(valid)
 
 
-def resummed_window_value(win, n, theta, p):
+def resummed_window_value(win, n, theta, p, series=0):
     """The O(L^2) sum the monitor used to redo on every frame (oracle).
 
-    Re-adds every stored row of pair terms of frames 0..n-1, in row order,
-    after the L^p-in-time part.
+    Re-adds every stored row of pair terms of frames 0..n-1 of one series,
+    in row order, after the L^p-in-time part.
     """
     t = win.times[:n]
     if n < 2:
         return 0.0
     dt = t[1] - t[0]
-    lp_pow = np.trapezoid(np.array(win.frame_pow[:n]), t)
+    lp_pow = np.trapezoid(np.array(win.frame_pow[series, :n]), t)
     sem = 0.0
     for j in range(1, n):
         gaps = t[j] - t[:j]
-        sem += 2.0 * np.sum(win.pair_pow[j] * dt**2 / gaps ** (1.0 + theta * p))
+        sem += 2.0 * np.sum(win.pair_pow[j][series] * dt**2
+                            / gaps ** (1.0 + theta * p))
     return (lp_pow + sem) ** (1.0 / p)
 
 
@@ -668,10 +712,72 @@ def test_window_norm_running_sum_equals_resum(comp):
     for size in (1, 5, 2, 7, 8):             # uneven chunks of frames
         win.load(frames[start:start + size])
         for k in range(start, start + size):
-            value = win.advance()
+            (value,) = win.advance()
             assert value == resummed_window_value(win, k + 1, theta, p)
         start += size
     assert start == n
+
+
+def series_pair(dim, L, rng):
+    """A (d, d) series and a scalar series on one grid, the shapes of the
+    monitor's Z - I and J - 1; the first is the larger."""
+    g = Grid(dim, (17, 19) if dim == 2 else (9, 10, 11))
+    walk = np.cumsum(rng.normal(size=(L,) + g.extent + (dim, dim)), axis=0)
+    return g, 3e-2 * walk, 1e-2 * np.cumsum(rng.normal(size=(L,) + g.extent), axis=0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("stop_first", [False, True])
+def test_window_series_match_one_series_windows(dim, stop_first):
+    # two series through one window (one shared pair-row scratch) get the
+    # pair rows, frame powers, running norms and record norms of a window of
+    # their own, bit for bit, over uneven loads; with ``stop_first`` both
+    # stop where the first series alone reaches delta, mid-load, as the
+    # monitor stops at its crossing
+    L = 13 if dim == 2 else 9
+    g, A, B = series_pair(dim, L, np.random.default_rng(dim))
+    times, theta, p, q = TIMES[:L], 0.4375, 4.0, 8.0
+    both = SlobodeckijWindow(g, times, theta, p, "H1q", q)
+    alone = [SlobodeckijWindow(g, times, theta, p, "H1q", q) for _ in range(2)]
+    delta = np.inf
+    if stop_first:
+        probe = SlobodeckijWindow(g, times, theta, p, "H1q", q)
+        probe.load(A)
+        delta = [probe.advance()[0] for _ in range(L)][L // 2]
+    taken = 0
+    for sl in (slice(0, 3), slice(3, 4), slice(4, L)):
+        both.load(A[sl], B[sl])
+        for win, series in zip(alone, (A, B)):
+            win.load(series[sl])
+        for _ in range(sl.start, sl.stop):
+            values = both.advance()
+            assert values == tuple(win.advance()[0] for win in alone)
+            taken += 1
+            if values[0] >= delta:
+                break
+        if values[0] >= delta:
+            break
+    assert taken == (L // 2 + 1 if stop_first else L)
+    if stop_first:
+        assert values[1] < delta <= values[0]
+    for s, win in enumerate(alone):
+        assert np.array_equal(both.frame_pow[s], win.frame_pow[0])
+        assert all(np.array_equal(a[s], b[0])
+                   for a, b in zip(both.pair_pow, win.pair_pow, strict=True))
+        pair, frame = win.norms()
+        assert np.array_equal(both.norms()[0][s], pair[0])
+        assert np.array_equal(both.norms()[1][s], frame[0])
+    assert both._diff.size == max(win._diff.size for win in alone)
+
+
+def test_window_refuses_a_changed_series_count():
+    g, A, B = series_pair(2, 4, np.random.default_rng(0))
+    win = SlobodeckijWindow(g, TIMES[:4], 0.4375, 4.0, "H1q", 8.0)
+    win.load(A[:2], B[:2])
+    with pytest.raises(ValueError, match="holds 2 series"):
+        win.load(A[2:])
+    with pytest.raises(ValueError, match="same frames"):
+        win.load(A[2:], B[2:3])
 
 
 def brute_force_monitor(window, cfg, grid):

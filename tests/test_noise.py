@@ -180,7 +180,9 @@ def test_transport_field_kind_is_checked_at_construction():
 @pytest.mark.parametrize("dim, kind, bad", [
     (2, "constant", np.nan), (2, "constant", np.inf), (3, "rotation", np.nan),
     (3, "rotation", -np.inf), (2, "stream", np.nan), (2, "stream", np.inf),
-    (3, "linear_test", np.nan),
+    (3, "linear_test", np.nan), (2, "linear_test", np.inf),
+    (3, "linear_test", np.inf), (2, "linear_test", -np.inf),
+    (3, "linear_test", -np.inf),
 ])
 def test_transport_field_rejects_non_finite_parameters(dim, kind, bad):
     # a NaN constant amplitude used to construct, and picard_solve then
