@@ -254,11 +254,18 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
                   out_dir, kin_residuals: np.ndarray | None = None) -> dict:
     """diagnostics.csv, snapshot_<k>.csv of every tenth frame, and last
     summary.json, which lists the snapshot files and the problem's
-    ``SolveConfig`` and ``FluidParams``; returns the summary."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    ``SolveConfig`` and ``FluidParams``; returns the summary.  A monitor
+    whose running norms are not one per window level raises ``ValueError``.
+    """
     mon = bundle.monitor
     n_rows = len(bundle.times)
+    runs = (mon.sup_gradX, mon.htheta_Z, mon.htheta_J)
+    if any(len(run) != n_rows for run in runs):
+        raise ValueError(f"the monitor's running norms have "
+                         f"{[len(run) for run in runs]} entries, the window "
+                         f"{n_rows} levels")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     kin = np.zeros(n_rows)
     if kin_residuals is not None:
         kin[1:1 + len(kin_residuals)] = kin_residuals[: n_rows - 1]
@@ -274,21 +281,15 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
         "energy_initial": float(bundle.energy["energy"][0]),
         "energy_final": float(bundle.energy["energy"][-1]),
         "monitor_norms_at_tau": {
-            "gradX_sup": float(mon.sup_gradX[-1]) if len(mon.sup_gradX) else 0.0,
-            "Z_theta": float(mon.htheta_Z[-1]) if len(mon.htheta_Z) else 0.0,
-            "J_theta": float(mon.htheta_J[-1]) if len(mon.htheta_J) else 0.0,
+            "gradX_sup": float(mon.sup_gradX[-1]),
+            "Z_theta": float(mon.htheta_Z[-1]),
+            "J_theta": float(mon.htheta_J[-1]),
         },
         "status": "ok",
     }
 
-    def pad(arr, fill=0.0):
-        a = np.full(n_rows, fill)
-        a[: len(arr)] = arr[:n_rows]
-        return a
-
     rows = np.column_stack([
-        bundle.times,
-        pad(mon.sup_gradX), pad(mon.htheta_Z), pad(mon.htheta_J),
+        bundle.times, *runs,
         bundle.window.J.reshape(n_rows, -1).min(axis=1),
         bundle.window.J.reshape(n_rows, -1).max(axis=1),
         bundle.energy["energy"], bundle.energy["dissipation"], kin,

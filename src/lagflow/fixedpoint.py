@@ -73,8 +73,8 @@ __all__ = [
 
 @dataclass
 class SolveConfig:
-    """Exponents, thresholds, and horizons of one solver run; a bound that
-    fails raises ``ValueError``, NaN included.
+    """Exponents, thresholds, and horizons of one solver run; a value that
+    is not finite or fails its bound raises ``ValueError``, NaN included.
 
     p, q: time, space exponents, 2/p + 3/q < 1; theta = 1/2 - 1/(2q)
     delta: the stopping monitor's threshold, 0 < delta <= eps_star
@@ -118,6 +118,11 @@ class SolveConfig:
                              f"{self.picard_max_iter!r}")
         if not self.picard_tol > 0:
             raise ValueError(f"need picard_tol > 0, got {self.picard_tol}")
+        # NaN fails a bound above, an infinite value may pass one; delta
+        # and r are bounded by eps_star and R
+        for name in ("p", "q", "eps_star", "R", "picard_tol"):
+            if not np.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def theta(self) -> float:
@@ -332,21 +337,21 @@ def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
 @dataclass
 class SolutionBundle:
     """Everything one pathwise run produces; the norms of the nonlinearities
-    come on request from ``nonlinear.nonlinearity_norm_report``."""
+    come on request from ``nonlinear.nonlinearity_norm_report``.
+
+    Each value is stored once: ``times`` and ``tau`` are read off the window
+    (the usable levels [0, tau]), and ``iterations``, ``kappa`` and
+    ``converged`` off ``diffs``, the E1 differences of successive iterates.
+    """
 
     grid: Grid
-    times: np.ndarray          # usable window [0, tau]
     v: TimeSeries
     U: TimeSeries
     ubar: TimeSeries
     rho: np.ndarray            # density frames on the window
     window: FlowWindow
     monitor: MonitorResult
-    tau: float
-    kappa: float
-    iterations: int
     diffs: list[float]
-    converged: bool
     energy: dict
     rho_positive: bool
     problem: Problem
@@ -355,6 +360,31 @@ class SolutionBundle:
     # on first use; ``dataclasses.replace`` starts a new bundle without it
     certificate: tuple | None = dc_field(default=None, init=False,
                                          repr=False, compare=False)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.window.times
+
+    @property
+    def tau(self) -> float:
+        return float(self.window.times[-1])
+
+    @property
+    def iterations(self) -> int:
+        return len(self.diffs)
+
+    @property
+    def kappa(self) -> float:
+        """The last ratio d_{i+1} / d_i of successive differences with
+        d_i > 0; 0.0 when there is none."""
+        ratios = [b / a for a, b in zip(self.diffs, self.diffs[1:]) if a > 0]
+        return float(ratios[-1]) if ratios else 0.0
+
+    @property
+    def converged(self) -> bool:
+        """Whether the last difference is within the Picard tolerance, the
+        one way the iteration stops before its cap."""
+        return bool(self.diffs[-1] <= self.problem.cfg.picard_tol)
 
 
 def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
@@ -369,7 +399,9 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     ones, so the window only shrinks: for the iterates and the rebuild
     alike, a window is the levels its exact stopping monitor took in
     (``MonitorResult.times``, cut by delta or by the inversion guard).
-    The record's seed is the Brownian bundle's (None without a bundle).
+    The record's seed is the Brownian bundle's (None without a bundle); its
+    times and tau are the rebuilt window's, and its iteration count, kappa
+    and convergence are read off the differences (``SolutionBundle``).
 
     Every iterate is one ``apply_Psi`` call.  The first runs the exact
     stopping monitor, whose result keeps the pair and frame norms of that
@@ -469,7 +501,6 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     v_prev = v_ref
     diffs: list[float] = []
     record: MonitorResult | None = None
-    converged = False
     rising = 0
     for it in range(1, cfg.picard_max_iter + 1):
         res = apply_Psi(v_prev, U, problem, nf, record)
@@ -498,7 +529,6 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
                 f"> r = {cfg.r})", diffs)
         v_prev = v
         if d <= cfg.picard_tol:
-            converged = True
             break
         if len(diffs) >= 2:
             rising = rising + 1 if diffs[-1] >= diffs[-2] else 0
@@ -506,11 +536,6 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
                 raise PicardDivergence(
                     "successive differences failed to contract for three "
                     "iterations; reduce T or delta", diffs)
-    iterations = len(diffs)
-    kappa = 0.0
-    ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0]
-    if ratios:
-        kappa = float(ratios[-1])
 
     # rebuild the Lagrangian record of the converged velocity
     del record          # the rebuild runs the exact monitor
@@ -518,7 +543,6 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     window = _flow_stage(ubar, nf, with_X=True)[0]
     del nf              # the flow stage was the noise flow's last reader
     monitor, keep = _monitor_window(window, cfg, grid)
-    tau = float(times[keep - 1])
     window = window.restrict(keep)
     rho_stack, positive = density_from_jacobian(problem.rho0, window.J,
                                                 params.rho_min)
@@ -528,9 +552,8 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
 
     energy = energy_report(rho_stack, ubar_out, window, params)
     return SolutionBundle(
-        grid, times[:keep], v_out, U_out, ubar_out, rho_stack, window, monitor,
-        tau, kappa, iterations, diffs, converged, energy, positive, problem,
-        None if bundle is None else bundle.seed)
+        grid, v_out, U_out, ubar_out, rho_stack, window, monitor, diffs,
+        energy, positive, problem, None if bundle is None else bundle.seed)
 
 
 def contraction_probe(v1: TimeSeries, v2: TimeSeries, U: TimeSeries,

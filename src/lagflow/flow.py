@@ -523,19 +523,32 @@ class MonitorResult:
     neither X nor grad X of W0 alive.  With e_k = |f_k(W) - f_k(W0)|_X, the
     triangle inequality bounds every pair norm of a later window W by
     a_ik + e_i + e_k, and every frame norm by |f_k|_X + e_k.
+
+    The three running norms have one entry per level of ``times``; their
+    sum ``total`` and ``fired`` are read off them.  ``fired_index`` is None
+    when the run kept the whole window, ``len(times)`` when the inversion
+    guard rejected the next level, and ``len(times) - 1`` when the total
+    reached delta at the last level.
     """
 
-    fired: bool
     fired_index: int | None
     times: np.ndarray
     sup_gradX: np.ndarray      # running Linf-in-time H1q of gradX - I
     htheta_Z: np.ndarray       # running H^{theta,p} H^{1,q} of Z - I
     htheta_J: np.ndarray       # same for J - 1
-    total: np.ndarray
     pair: np.ndarray
     frame: np.ndarray
     Z: np.ndarray = field(repr=False, compare=False)
     J: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def total(self) -> np.ndarray:
+        """The running monitor totals, summed as the run compared them."""
+        return self.sup_gradX + self.htheta_Z + self.htheta_J
+
+    @property
+    def fired(self) -> bool:
+        return self.fired_index is not None
 
     def bound(self, window: FlowWindow, cfg: SolveConfig,
               grid: Grid) -> np.ndarray:
@@ -599,9 +612,11 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     a chunk of frames at a time (``frame_chunks``).  Z - I and J - 1 are the
     two series of one ``SlobodeckijWindow``, which holds one pair-row
     scratch for both; their H^{theta,p} sums advance frame by frame and stop
-    at the crossing.  The result's ``times`` are the levels taken in; it
-    also keeps the run's pair and frame norms (``SlobodeckijWindow.norms``)
-    and its window's Z and J, for ``MonitorResult.certifies``.
+    at the crossing.  The result's ``times`` are the levels taken in, each
+    with its three running norms, whose sum reached delta at the last level
+    of a crossing; it also keeps the run's pair and frame norms
+    (``SlobodeckijWindow.norms``) and its window's Z and J, for
+    ``MonitorResult.certifies``.
     """
     eye = np.eye(grid.dim)
     times = window.times
@@ -609,7 +624,7 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     n_valid = len(window) if valid.all() else int(np.argmin(valid))
     win = SlobodeckijWindow(grid, times[:n_valid], cfg.theta, cfg.p, "H1q",
                             cfg.q)
-    sup_run, hZ_run, hJ_run, tot_run = [], [], [], []
+    sup_run, hZ_run, hJ_run = [], [], []
     sup_gradX = 0.0
     fired_index = None
     for sl in frame_chunks(grid, n_valid, window.Z[0].size):
@@ -618,12 +633,10 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
         for n, gnorm in enumerate(gnorms, sl.start):
             sup_gradX = max(sup_gradX, float(gnorm))
             hZ, hJ = win.advance()
-            total = sup_gradX + hZ + hJ
             sup_run.append(sup_gradX)
             hZ_run.append(hZ)
             hJ_run.append(hJ)
-            tot_run.append(total)
-            if total >= cfg.delta:
+            if sup_gradX + hZ + hJ >= cfg.delta:
                 fired_index = n
                 break
         if fired_index is not None:
@@ -632,6 +645,5 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
         fired_index = n_valid
     pair, frame = win.norms()
     return MonitorResult(
-        fired_index is not None, fired_index, times[:len(tot_run)],
-        np.array(sup_run), np.array(hZ_run), np.array(hJ_run), np.array(tot_run),
-        pair, frame, window.Z, window.J)
+        fired_index, times[:len(sup_run)], np.array(sup_run), np.array(hZ_run),
+        np.array(hJ_run), pair, frame, window.Z, window.J)

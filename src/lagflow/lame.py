@@ -46,7 +46,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FluidParams:
-    """Physical constants of the barotropic model and its pressure law."""
+    """Physical constants of the barotropic model and its pressure law; a
+    constant that is not finite or fails its bound raises ``ValueError``."""
 
     mu: float = 1.0
     lam: float = 0.5
@@ -56,6 +57,9 @@ class FluidParams:
     rho_min: float = 1.0       # lower admissible density bound
 
     def __post_init__(self):
+        for name in ("mu", "lam", "a", "gamma", "p_ext", "rho_min"):
+            if not np.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         # every bound is written ``not x > bound`` so that NaN fails it
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")

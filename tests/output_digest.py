@@ -7,7 +7,8 @@ here without a change): the Brownian bundle of ``path_seed(seed, index)``,
 residual and ``write_outputs``.  The digest covers
 
 - v, rho, U, ubar, X, grad X, Z, J and the window's times
-- every ``MonitorResult`` array, ``fired`` and ``fired_index``
+- every ``MonitorResult`` array (``MONITOR_ARRAYS``), ``fired`` and
+  ``fired_index``
 - tau and kappa (``float.hex``), iterations, diffs, converged, the energy
   and the Brownian seed
 - the ``validate_solution`` report, as JSON with sorted keys
@@ -20,6 +21,10 @@ A path that raises is digested by its exception.  ``lagflow`` comes from
     PYTHONPATH=src python3 tests/output_digest.py stopped2d --seed 1 --paths 0-3
     PYTHONPATH=../other/src python3 tests/output_digest.py solid3d --paths 0-8
 
+The record's values are hashed by name, from the lists below, so a field
+or property added to ``SolutionBundle`` or ``MonitorResult`` is either
+named here or excluded with a reason (``test_package`` checks this).
+
 Each line is ``workload seed index brownian_seed sha256``, in the order the
 paths ran.  ``--reverse`` runs them last to first: a path must not depend on
 the paths before it (the cached ``Problem``, the interpolation axes and the
@@ -31,7 +36,6 @@ collect this file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -41,15 +45,30 @@ import types
 import warnings
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import WORKLOADS, build_inputs, path_seed  # noqa: E402
-
 from lagflow import eulerian, fields, fixedpoint, lame, noise  # noqa: E402
+
+# the record's values, in the order they are hashed
+SERIES = ("v", "U", "ubar")
+WINDOW_ARRAYS = ("times", "X", "gradX", "Z", "J")
+MONITOR_ARRAYS = ("times", "sup_gradX", "htheta_Z", "htheta_J", "total",
+                  "pair", "frame", "Z", "J")
+MONITOR_ITEMS = MONITOR_ARRAYS + ("fired", "fired_index")
+BUNDLE_ITEMS = SERIES + ("rho", "times", "window", "monitor", "tau", "kappa",
+                         "iterations", "converged", "rho_positive", "seed",
+                         "diffs", "energy")
+NOT_HASHED = {
+    "grid": "the workload's input grid, the same on every path",
+    "problem": "the noise-free set-up (inputs, Lame operator, reference), "
+               "the same on every path; it reaches every hashed output",
+    "certificate": "eulerian's cache of the injectivity certificate, "
+                   "hashed through the validation report and written files",
+}
 
 
 class Digest:
@@ -89,18 +108,15 @@ def digest_solution(d: Digest, w, inputs, bseed: int) -> None:
     bundle = noise.sample_brownian(w.K, w.M, w.T, w.dt, bseed)
     sol = fixedpoint.picard_solve(inputs.rho0, inputs.u0, inputs.params,
                                   inputs.cfg, inputs.Q, bundle, inputs.forcing)
-    for name in ("v", "U", "ubar"):
+    for name in SERIES:
         d.array(name, getattr(sol, name).values)
     d.array("rho", sol.rho)
     d.array("times", sol.times)
-    win = sol.window
-    for name in ("times", "X", "gradX", "Z", "J"):
-        d.array(f"window.{name}", getattr(win, name))
+    for name in WINDOW_ARRAYS:
+        d.array(f"window.{name}", getattr(sol.window, name))
     mon = sol.monitor
-    for f in dataclasses.fields(mon):
-        value = getattr(mon, f.name)
-        if isinstance(value, np.ndarray):
-            d.array(f"monitor.{f.name}", value)
+    for name in MONITOR_ARRAYS:
+        d.array(f"monitor.{name}", getattr(mon, name))
     d.text("monitor.fired", repr((bool(mon.fired), mon.fired_index)))
     d.floats("tau kappa", (sol.tau, sol.kappa))
     d.text("iterations converged positive seed",
@@ -137,6 +153,9 @@ def parse_range(text: str) -> range:
 
 
 def main(argv=None) -> int:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS, build_inputs, path_seed
+
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("workload", choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, default=0, help="workload seed")

@@ -166,6 +166,23 @@ def test_certificate_is_taken_once_per_window(noise_path, monkeypatch):
     assert len(reconstruct(fresh)) == 3 and len(calls) == 2
 
 
+@pytest.mark.parametrize("edit", ["window", "monitor"])
+def test_write_outputs_refuses_a_monitor_that_is_not_one_per_level(
+        noise_path, tmp_path, edit):
+    # the monitor that chose the window has one running norm per level; a
+    # swapped window or a cut monitor is refused before any file is written
+    sol, _, _ = noise_path
+    mon = sol.monitor
+    if edit == "window":
+        bad = dataclasses.replace(sol, window=sol.window.restrict(3))
+    else:
+        bad = dataclasses.replace(
+            sol, monitor=dataclasses.replace(mon, htheta_J=mon.htheta_J[:-1]))
+    with pytest.raises(ValueError, match="monitor"):
+        write_outputs(bad, [], tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_reconstruct_reads_off_the_window(noise_path):
     sol, _, _ = noise_path
     snaps = reconstruct(sol)

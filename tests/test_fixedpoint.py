@@ -25,7 +25,8 @@ from lagflow.fixedpoint import (
 )
 from lagflow.flow import identity_noise_flow, integrate_noise_flow
 from lagflow.lame import FluidParams, LameOperator, apply_B, solve_stoch_convolution
-from lagflow.noise import StochasticForcing, make_transport_field, sample_brownian
+from lagflow.noise import (StochasticForcing, make_transport_field, refine_bridge,
+                           sample_brownian)
 from map_oracle import apply_Psi_deterministic
 
 GRID = Grid(2, (33, 33))
@@ -83,6 +84,18 @@ def test_config_rejects_nan_radii_and_fractional_iteration_caps(field, bad):
     # an infinite horizon in round()
     with pytest.raises(ValueError, match="ball radii|picard_max_iter|horizon"):
         SolveConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", ["p", "q", "delta", "eps_star", "R", "r",
+                                   "picard_tol"])
+def test_config_rejects_non_finite_values(field, value):
+    # an infinite constant passed its bound and failed late, or not at all:
+    # q = inf as an invalid flow, p = inf as a divergence, picard_tol = inf
+    # as a run "converged" after one iterate
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        SolveConfig(**{field: value})
 
 
 @pytest.mark.parametrize("T, dt", [(-0.05, -1e-3), (0.05, 0.0), (0.05, -1e-3)])
@@ -671,23 +684,30 @@ def test_picard_holds_each_stack_only_while_it_is_read(monkeypatch):
 # energy identity without noise
 # ---------------------------------------------------------------------------
 
-def noise_free_energy_residual(n, dt):
-    """R = E(T) + int_0^T D dt - E(0) and int D (trapezoid rule) of the
-    noise-free run of u0 = 0.1 prod sin^2(pi x_d) e_1 on n^2 to T = 0.02."""
+def energy_residual(n, dt, amplitude=0.0, seed=0):
+    """The run of u0 = 0.1 prod sin^2(pi x_d) e_1 on n^2 to T = 0.02 with
+    delta = 0.25, and on its window [0, tau] R = E(tau) + int_0^tau D dt -
+    E(0) and int D (trapezoid rule).  Noise-free at amplitude 0, else K = 2
+    stream transport on the dt = 1e-3 Brownian path of ``seed``, refined
+    by Brownian bridges down to dt."""
     grid = Grid(2, (n, n))
     c = grid.coords()
     u0 = np.zeros(grid.extent + (2,))
     u0[..., 0] = 0.1 * np.prod([np.sin(np.pi * c[..., d]) ** 2
                                 for d in range(2)], axis=0)
     cfg = SolveConfig(T=0.02, dt=dt, delta=0.25)
+    Q, bw = make_transport_field(2, "constant", K=0), None
+    if amplitude:
+        Q = make_transport_field(2, "stream", K=2, amplitude=amplitude)
+        bw = sample_brownian(2, 0, cfg.T, 1e-3, seed)
+        while bw.n_steps < len(cfg.times) - 1:
+            bw = refine_bridge(bw)
     with pytest.warns(UserWarning, match="compatibility"):
         b = picard_solve(Field(grid, np.ones(grid.extent)), Field(grid, u0),
-                         FluidParams(), cfg, make_transport_field(2, "constant", K=0),
-                         None, None)
-    assert b.converged and b.tau == cfg.T
+                         FluidParams(), cfg, Q, bw, None)
     energy, dissipation = b.energy["energy"], b.energy["dissipation"]
     spent = float(np.trapezoid(dissipation, b.times))
-    return float(energy[-1] + spent - energy[0]), spent
+    return b, float(energy[-1] + spent - energy[0]), spent
 
 
 def test_noise_free_run_keeps_the_energy_identity():
@@ -698,10 +718,25 @@ def test_noise_free_run_keeps_the_energy_identity():
     residuals = {}
     for n in (17, 33):
         for dt in (1e-3, 5e-4):
-            R, spent = noise_free_energy_residual(n, dt)
+            b, R, spent = energy_residual(n, dt)
+            assert b.converged and b.tau == b.problem.cfg.T
             assert abs(R) <= 0.05 * spent, (n, dt, R, spent)
             residuals[n, dt] = R
     assert abs(residuals[33, 1e-3]) >= 1.6 * abs(residuals[33, 5e-4])
+
+
+def test_fired_transport_run_keeps_the_energy_identity():
+    # divergence-free Stratonovich transport leaves dE/dt = -D intact
+    # pathwise, up to the stopping time: at amplitude 2e-3 the monitor
+    # fires at tau = 0.014 on both steps, and |R| stays below 3% of the
+    # energy dissipated by then (1.1% and 1.3% measured; the noise-free
+    # run's 1.0% and 1.3%).  Dropping lambda (div u)^2 from the
+    # dissipation gives 11.6% and 14.2%
+    for dt in (1e-3, 5e-4):
+        b, R, spent = energy_residual(17, dt, amplitude=2e-3, seed=1)
+        assert b.converged and b.monitor.fired
+        assert b.tau == pytest.approx(0.014, abs=1e-12)
+        assert abs(R) <= 0.03 * spent, (dt, R, spent)
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +837,53 @@ def solve_path(rho0, u0, cfg, Q, forcing, seed):
     # the one-sided traction stencils of u0 are O(h^2) off zero at 13^2
     with pytest.warns(UserWarning, match="compatibility"):
         return picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
+
+
+@pytest.fixture(scope="module")
+def small_bundle():
+    rho0, u0, cfg, Q, forcing = small_problem()
+    return solve_path(rho0, u0, cfg, Q, forcing, seed=0)
+
+
+def test_bundle_reads_times_and_tau_off_its_window(small_bundle):
+    # a bundle whose window is replaced, by replace or by assignment,
+    # reports that window's times and tau; neither can be set on its own
+    b = small_bundle
+    cut = b.window.restrict(4)
+    swapped = dataclasses.replace(b, window=cut)
+    assigned = dataclasses.replace(b)
+    assigned.window = cut
+    for fresh in (swapped, assigned):
+        assert fresh.times is cut.times
+        assert fresh.tau == b.times[3] == 0.003
+    assert b.tau == b.problem.cfg.T and len(b.times) == len(b.window) == 11
+    with pytest.raises(AttributeError):
+        assigned.tau = b.tau
+
+
+@pytest.mark.parametrize("max_iter, iterations, converged, kappa", [
+    (12, 3, True, 1.6663634865569804e-3), (1, 1, False, 0.0)])
+def test_bundle_reads_iterations_kappa_and_convergence_off_the_diffs(
+        max_iter, iterations, converged, kappa):
+    # the values the solve stored before they were read off the diffs: a
+    # converged run of 3 iterates, and one cut after its first iterate
+    rho0, u0, cfg, Q, forcing = small_problem()
+    cfg = dataclasses.replace(cfg, picard_max_iter=max_iter)
+    b = solve_path(rho0, u0, cfg, Q, forcing, seed=0)
+    assert (b.iterations, b.converged) == (iterations, converged)
+    assert b.kappa == pytest.approx(kappa, rel=1e-3)
+    assert b.kappa == (b.diffs[-1] / b.diffs[-2] if iterations > 1 else 0.0)
+
+
+@pytest.mark.parametrize("diffs, kappa, converged", [
+    ([2.0], 0.0, False), ([0.0], 0.0, True), ([4.0, 1.0, 0.5], 0.5, False),
+    ([1.0, 0.0, 0.0], 0.0, True), ([4.0, 2.0, 1e-10], 5e-11, True),
+])
+def test_kappa_is_the_last_ratio_with_a_nonzero_denominator(
+        small_bundle, diffs, kappa, converged):
+    b = dataclasses.replace(small_bundle, diffs=diffs)
+    assert (b.iterations, b.kappa, b.converged) == (len(diffs), kappa,
+                                                    converged)
 
 
 def test_picard_paths_share_one_factorization(monkeypatch):

@@ -844,6 +844,30 @@ def test_monitor_matches_brute_force(make_window, delta, fires):
     np.testing.assert_allclose(mon.total, totals, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("make_window, cfg, fired_index, levels", [
+    pytest.param(linear_flow_window, SolveConfig(delta=0.02, eps_star=1.0),
+                 1, 2, id="crossing"),
+    pytest.param(linear_flow_window, SolveConfig(delta=1.0, eps_star=1.0),
+                 None, 21, id="open"),
+    pytest.param(lambda: identity_window_with(4, "folded"), SolveConfig(),
+                 4, 4, id="guard"),
+])
+def test_monitor_total_and_fired_are_read_off_the_record(make_window, cfg,
+                                                         fired_index, levels):
+    # total is the running norms' per-level sum, in the order the run
+    # compared it with delta, bit for bit; fired is fired_index set, and a
+    # crossing (fired_index + 1 levels) is told from the guard (fired_index)
+    g, window = make_window()
+    mon = stopping_monitor(window, cfg, g)
+    sums = [s + z + j for s, z, j in zip(mon.sup_gradX, mon.htheta_Z,
+                                         mon.htheta_J)]
+    assert mon.total.tobytes() == np.array(sums).tobytes()
+    assert (mon.fired, mon.fired_index, len(mon.times)) == (
+        fired_index is not None, fired_index, levels)
+    crossing = fired_index is not None and levels == fired_index + 1
+    assert (mon.total[-1] >= cfg.delta) == crossing
+
+
 # ---------------------------------------------------------------------------
 # certified windows: the monitor record's bound of the monitor totals
 # ---------------------------------------------------------------------------

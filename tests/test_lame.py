@@ -101,8 +101,18 @@ def test_params_validation():
 @pytest.mark.parametrize("name", ["mu", "lam", "a", "gamma", "p_ext", "rho_min"])
 def test_params_reject_nan(name):
     # a comparison with NaN is False, so each bound must be written to fail
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
         FluidParams(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("name", ["mu", "lam", "a", "gamma", "p_ext", "rho_min"])
+def test_params_reject_infinite_values(name, value):
+    # an infinite constant used to fail late, in the Lame factorization
+    # (mu), a non-finite linear solve (p_ext, gamma) or the density bound
+    # (rho_min)
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        FluidParams(**{name: value})
 
 
 def test_operator_rejects_low_density():

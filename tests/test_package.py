@@ -1,6 +1,7 @@
 """The package metadata and the benchmark tracer point at code that exists."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -264,3 +265,25 @@ def test_public_methods_have_a_reader():
     assert not stale, f"allow-listed methods that are gone or have a reader: {stale}"
     for key, directions in UNREAD_PUBLIC_METHODS.items():
         assert directions and all(isinstance(d, int) for d in directions), key
+
+
+def test_output_digest_names_every_record_value():
+    # tests/output_digest.py hashes the solve's record by name lists; every
+    # dataclass field and public property of SolutionBundle and
+    # MonitorResult is on them or excluded with a reason, so a value the
+    # record gains cannot escape the bit-for-bit check, and no stale name
+    # stays on the lists
+    import output_digest as digest
+    from lagflow.fixedpoint import SolutionBundle
+    from lagflow.flow import MonitorResult
+
+    def values(cls) -> set:
+        return {f.name for f in dataclasses.fields(cls)} | {
+            name for name, attr in vars(cls).items()
+            if isinstance(attr, property) and not name.startswith("_")}
+
+    assert values(SolutionBundle) == (set(digest.BUNDLE_ITEMS)
+                                      | set(digest.NOT_HASHED))
+    assert not set(digest.BUNDLE_ITEMS) & set(digest.NOT_HASHED)
+    assert all(digest.NOT_HASHED.values())
+    assert values(MonitorResult) == set(digest.MONITOR_ITEMS)
