@@ -219,7 +219,10 @@ class Field:
 class TimeSeries:
     """Uniformly sampled time series of fields sharing one grid.
 
-    ``values`` is stacked with the leading axis running over instants.
+    ``values`` is stacked with the leading axis running over instants.  The
+    times start at 0 and are strictly increasing and uniform (to
+    ``_is_uniform``'s rounding), since every reader takes one step from
+    ``times[1] - times[0]``; ``ValueError`` otherwise.
     """
 
     grid: Grid
@@ -236,6 +239,8 @@ class TimeSeries:
         # written ``not x > 0`` so that a NaN time fails it
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
+        if not _is_uniform(self.times):
+            raise ValueError("times must be uniformly spaced")
 
     def __len__(self) -> int:
         return len(self.times)

@@ -37,7 +37,6 @@ from .flow import (
     MonitorResult,
     NoiseFlow,
     compose_flow,
-    identity_noise_flow,
     integrate_label_flow,
     integrate_noise_flow,
     stopping_monitor,
@@ -134,7 +133,8 @@ class SolveConfig:
 
     def fits_step(self, step: float) -> bool:
         """Whether ``step`` times the step count is T, to ``step_count``'s
-        rounding; False for NaN."""
+        rounding; False for NaN.  A Brownian bundle's step is checked with
+        it and never used: the solve runs on ``times``."""
         reach = step * step_count(self.T, self.dt)
         return abs(reach - self.T) <= 1e-12 * max(self.T, 1.0)
 
@@ -287,7 +287,7 @@ def _flow_stage(ubar: TimeSeries, nf: NoiseFlow,
                 with_X: bool) -> tuple[FlowWindow, np.ndarray]:
     """Label flow and composition X = psi o Y: the window and grad ubar.
 
-    ``ubar`` may be shorter than the noise grid (a stopped window of an
+    ``ubar`` may be shorter than the noise flow (a stopped window of an
     earlier iterate); the flow is integrated on its levels only.  The label
     flow samples Dpsi on Y with the plans of its Heun stage 0 (plus one on
     the last level), so the stage builds 2L - 1 interpolation plans for L
@@ -403,6 +403,12 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     times and tau are the rebuilt window's, and its iteration count, kappa
     and convergence are read off the differences (``SolutionBundle``).
 
+    ``cfg.times`` is the solve's one time grid: U and the noise flow are
+    one call each on the bundle's mode and transport increments there
+    (zero-row increments without a bundle: K = 0 gives psi = id and M = 0
+    gives U = 0), and the label flow reads it off the drift.  The bundle's
+    step is only checked (``cfg.fits_step``), never used.
+
     Every iterate is one ``apply_Psi`` call.  The first runs the exact
     stopping monitor, whose result keeps the pair and frame norms of that
     window.  A later iterate's window is first put to the last exact result
@@ -456,7 +462,9 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
             f"the Brownian bundle's time grid ({bundle.n_steps} steps of "
             f"{bundle.step:g} to T = {bundle.T:g}) is not the configuration's "
             f"({len(times) - 1} steps of {cfg.dt:g} to T = {cfg.T:g})")
-    M = 0 if forcing is None else forcing.M
+    if forcing is None:
+        forcing = StochasticForcing([], [])
+    M = forcing.M
     if bundle is None and (M > 0 or Q.K > 0):
         raise ValueError(f"{'forcing modes' if M > 0 else 'transport fields'} "
                          f"need a Brownian bundle")
@@ -483,14 +491,12 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
         warnings.warn(f"initial compatibility residual {problem.compat:.3e}; "
                       "the run proceeds", stacklevel=2)
 
-    if M > 0:
-        U = solve_stoch_convolution(problem.op, forcing, bundle)
+    if bundle is None:          # K = M = 0: zero-row increments
+        dW = dbeta = np.zeros((0, len(times) - 1))
     else:
-        U = TimeSeries(grid, times, np.zeros((len(times),) + grid.extent + (grid.dim,)))
-    if Q.K > 0:
-        nf = integrate_noise_flow(Q, bundle, grid)
-    else:
-        nf = identity_noise_flow(grid, times)
+        dW, dbeta = bundle.transport_increments(), bundle.mode_increments()
+    U = solve_stoch_convolution(problem.op, forcing, dbeta, times)
+    nf = integrate_noise_flow(Q, dW, grid)
 
     if cfg.r + problem.ref_norm > cfg.R:
         raise ValueError(

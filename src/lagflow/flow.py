@@ -13,9 +13,11 @@ and the inversion guard (|grad X - I| <= eps_star, J > 0); its record owns
 the usable window, which ends at a crossing of delta or before a level the
 guard rejects.
 
-The noise flow holds its level stacks on the nodes within one cell of the
-box, n + 2 per axis, where the label flow reads them; that block is its
-tracked region, and a label that leaves it raises ``FlowEscapeError``.
+The noise flow takes the transport increments on the caller's time grid
+(K = 0 is the zero-increment case, psi = id) and holds its level stacks,
+without times, on the nodes within one cell of the box, n + 2 per axis,
+where the label flow reads them; that block is its tracked region, and a
+label that leaves it raises ``FlowEscapeError``.
 The nodes are taken from a lattice, the node grid padded by ``PAD_CELLS``
 cells per side, which is the coordinate frame only: the first node and
 the step of every interpolation plan are the lattice's (``NoiseFlow``).
@@ -46,7 +48,7 @@ from .fields import (
     gradient_values,
 )
 from .interp import InterpAxes, InterpPlan
-from .noise import BrownianBundle, TransportField
+from .noise import TransportField
 
 if TYPE_CHECKING:
     from .fixedpoint import SolveConfig
@@ -56,7 +58,6 @@ __all__ = [
     "FlowWindow",
     "MonitorResult",
     "integrate_noise_flow",
-    "identity_noise_flow",
     "LabelFlow",
     "integrate_label_flow",
     "compose_flow",
@@ -111,7 +112,10 @@ def mat_inv(A: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
 class NoiseFlow:
     """Noise-only flow psi on the lattice nodes within one cell of the box.
 
-    The lattice (``lattice``, a list of axes) is the node grid padded by
+    Plain level stacks, one per time of the increments' grid, which they do
+    not record: a label flow reads level n at its drift's time n, so both
+    must be on one grid (the solve's ``cfg.times``).  The
+    lattice (``lattice``, a list of axes) is the node grid padded by
     ``PAD_CELLS``, the coordinate frame of every plan: its first node and
     step give the cells and fractions.  The level stacks hold the lattice
     nodes ``nodes`` (a slice per axis), the core of n + 2 nodes per axis
@@ -128,7 +132,6 @@ class NoiseFlow:
 
     lattice: list[np.ndarray]
     nodes: tuple[slice, ...]
-    times: np.ndarray
     psi: np.ndarray
     Dpsi: np.ndarray
     Dpsi_inv: np.ndarray
@@ -141,14 +144,6 @@ class NoiseFlow:
     @property
     def axes(self) -> list[np.ndarray]:
         return [ax[s] for ax, s in zip(self.lattice, self.nodes)]
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.times)
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
 
     def plan(self, pts: np.ndarray, time=None) -> InterpPlan:
         return InterpPlan(self.interp_axes, pts, time=time)
@@ -221,7 +216,7 @@ def _inner_gradient(f: np.ndarray, ax: np.ndarray, run: slice, dim: int,
     return a * f[lo] + b * f[mid] + c * f[hi]
 
 
-def _noise_stacks(Q: TransportField, bundle: BrownianBundle,
+def _noise_stacks(Q: TransportField, dW: np.ndarray,
                   lattice: list[np.ndarray], nodes: tuple[slice, ...]
                   ) -> tuple[np.ndarray, ...]:
     """psi, Dpsi, Dpsi_inv and grad Dpsi_inv on the lattice nodes ``nodes``.
@@ -231,8 +226,11 @@ def _noise_stacks(Q: TransportField, bundle: BrownianBundle,
     is inverted there, and grad Dpsi_inv is taken on the block with
     ``_inner_gradient``; the halo is dropped level by level.  Every step,
     inversion and difference acts node by node, so the values on a node do
-    not depend on the block.  The determinant blow-up check covers the
-    nodes integrated.
+    not depend on the block.  Column n of ``dW`` drives step n.  With no
+    field (K = 0) the steps leave D = I, stored as its own inverse with a
+    zero gradient: differences of I on the lattice are round-off where
+    np.linspace's spacings differ in the last bit (13 or 25 nodes per
+    axis).  The determinant blow-up check covers the nodes integrated.
     """
     dim = len(lattice)
     run = tuple(slice(s.start - 1, s.stop + 1) for s in nodes)
@@ -240,7 +238,7 @@ def _noise_stacks(Q: TransportField, bundle: BrownianBundle,
     pts0 = np.stack(np.meshgrid(*(ax[r] for ax, r in zip(lattice, run)),
                                 indexing="ij"), axis=-1)
     ext = pts0[keep].shape[:-1]
-    L = bundle.n_steps + 1
+    L = dW.shape[1] + 1
     psi = np.empty((L,) + ext + (dim,))
     Dpsi = np.empty((L,) + ext + (dim, dim))
     Dpsi_inv = np.empty(Dpsi.shape)
@@ -249,6 +247,9 @@ def _noise_stacks(Q: TransportField, bundle: BrownianBundle,
     def store(level, x, D):
         psi[level] = x[keep]
         Dpsi[level] = D[keep]
+        if not Q.K:     # D = I: its own inverse, with a zero gradient
+            Dpsi_inv[level], grad_inv[level] = Dpsi[level], 0.0
+            return
         inv = mat_inv(D)
         Dpsi_inv[level] = inv[keep]
         for d, ax in enumerate(lattice):
@@ -258,53 +259,39 @@ def _noise_stacks(Q: TransportField, bundle: BrownianBundle,
     D = np.empty(pts0.shape + (dim,))
     D[...] = np.eye(dim)
     store(0, x, D)
-    dWs = bundle.transport_increments()
-    for n in range(bundle.n_steps):
-        x, D = _heun_step(Q, x, D, dWs[:, n])
+    for n in range(L - 1):
+        x, D = _heun_step(Q, x, D, dW[:, n])
         det = mat_det(D)
         # written to fail on NaN, which every comparison lets through
         if not np.all(np.abs(det - 1.0) <= 0.5):
             what = ("drifted past 0.5" if np.all(np.isfinite(det))
                     else "is not finite")
             raise RuntimeError(
-                f"noise-flow gradient determinant {what} at "
-                f"t = {bundle.times[n + 1]:.6g} (scheme blow-up)")
+                f"noise-flow gradient determinant {what} at step {n + 1} "
+                f"(scheme blow-up)")
         store(n + 1, x, D)
     return psi, Dpsi, Dpsi_inv, grad_inv
 
 
-def integrate_noise_flow(Q: TransportField, bundle: BrownianBundle,
+def integrate_noise_flow(Q: TransportField, dW: np.ndarray,
                          grid: Grid) -> NoiseFlow:
     """Integrate d psi = sum_k Q_k(psi) o dW_k on the core of the lattice.
 
-    The gradient flow d Dpsi = sum_k DQ_k(psi) Dpsi o dW_k is advanced with
-    the same Heun staging; Dpsi_inv comes from per-point closed-form
-    inversion, which keeps Dpsi . Dpsi_inv = I exactly at every level.
-    The stacks hold the core, the lattice nodes within one cell of the box
-    (see ``_noise_stacks``), and nothing else (see ``NoiseFlow``).  The
-    bundle must carry one transport path per field (``ValueError``
-    otherwise).
+    ``dW`` holds the increments on the caller's time grid, (Q.K, steps)
+    (``ValueError`` otherwise); K = 0 gives psi = id, Dpsi = Dpsi_inv = I
+    and grad Dpsi_inv = 0 at every level, bit for bit.  The
+    gradient flow d Dpsi = sum_k DQ_k(psi) Dpsi o dW_k is advanced with the
+    same Heun staging; Dpsi_inv comes from per-point closed-form inversion,
+    which keeps Dpsi . Dpsi_inv = I exactly at every level.  The stacks hold
+    the core, the lattice nodes within one cell of the box (see
+    ``_noise_stacks``), and nothing else (see ``NoiseFlow``).
     """
-    if bundle.K != Q.K:
-        raise ValueError(f"{Q.K} transport fields need as many Brownian "
-                         f"paths, the bundle has {bundle.K}")
+    dW = np.asarray(dW, float)
+    if dW.ndim != 2 or len(dW) != Q.K:
+        raise ValueError(f"{Q.K} transport fields need (K, steps) "
+                         f"increments, got shape {dW.shape}")
     lattice, nodes = _padded_axes(grid), _core_nodes(grid)
-    return NoiseFlow(lattice, nodes, bundle.times.copy(),
-                     *_noise_stacks(Q, bundle, lattice, nodes))
-
-
-def identity_noise_flow(grid: Grid, times: np.ndarray) -> NoiseFlow:
-    """The K = 0 noise flow: psi = id at every level, held on the core of
-    the lattice like ``integrate_noise_flow``'s."""
-    lattice, nodes = _padded_axes(grid), _core_nodes(grid)
-    dim, L = grid.dim, len(times)
-    pts0 = np.stack(np.meshgrid(*(ax[s] for ax, s in zip(lattice, nodes)),
-                                indexing="ij"), axis=-1)
-    psi = np.broadcast_to(pts0, (L,) + pts0.shape).copy()
-    Dpsi = np.broadcast_to(np.eye(dim), (L,) + pts0.shape[:-1] + (dim, dim)).copy()
-    grad_inv = np.zeros((L,) + pts0.shape[:-1] + (dim, dim, dim))
-    return NoiseFlow(lattice, nodes, np.asarray(times, float), psi, Dpsi,
-                     Dpsi.copy(), grad_inv)
+    return NoiseFlow(lattice, nodes, *_noise_stacks(Q, dW, lattice, nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +324,18 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
 
     X = psi(Y) is sampled only ``with_X`` (else ``LabelFlow.X`` is None):
     the solve's rebuild reads it, a Picard iterate does not, and no other
-    output depends on it.  ``ubar`` may cover a window prefix of the noise
-    grid: the first ``len(ubar)`` levels are integrated, and they do not
-    depend on the levels after them.  grad Y solves the variational
+    output depends on it.  The step and times are ``ubar``'s; ``nf`` must
+    come from increments on them (``NoiseFlow``: a noise flow of another
+    step is read at the wrong times unnoticed).  They may cover a prefix of
+    the noise flow's levels (more frames raise ``ValueError``): the first
+    ``len(ubar)`` levels are integrated, and they do not depend on the
+    levels after them.  grad Y solves the variational
     equation obtained by differentiating the integrand with the
     product/chain rule, using the tracked derivatives of Dpsi^{-1}
     interpolated at the moving points.
 
     Stage 0 of step n builds the interpolation plan on Y[n] at
-    ``nf.times[n]``; the same plan samples Dpsi (and psi) there for the
+    ``ubar.times[n]``; the same plan samples Dpsi (and psi) there for the
     composition, and one more plan does so on the last level, so a window
     of L levels builds 2L - 1 plans either way.
 
@@ -363,11 +353,12 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     -0.0 term sum turns into +0.0 as there.  The outputs are the
     node-major einsum ones, bit for bit.
     """
-    if len(ubar) > nf.n_levels or abs(ubar.step - nf.step) > 1e-12:
-        raise ValueError("velocity frames must be aligned with the noise grid")
+    if len(ubar) > len(nf.psi):
+        raise ValueError(f"{len(ubar)} velocity frames, the noise flow has "
+                         f"{len(nf.psi)} levels")
     grid = ubar.grid
     dim = grid.dim
-    dt = nf.step
+    times, dt = ubar.times, ubar.step
     pts0 = grid.coords()
     L = len(ubar)
     N = grid.n_nodes
@@ -391,7 +382,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     def sample(level, y):
         """The plan on y at the level's time, which also samples Dpsi (and
         psi)."""
-        plan = nf.plan(y, time=nf.times[level])
+        plan = nf.plan(y, time=times[level])
         if with_X:
             X[level] = plan.apply(nf.psi[level])
         DY[level] = plan.apply(nf.Dpsi[level])
@@ -424,7 +415,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
         f0, dg0 = rhs(n, sample(n, y), g)
         y_pred = y + dt * f0
         g_pred = g + dt * dg0
-        plan1 = nf.plan(y_pred, time=nf.times[n + 1])
+        plan1 = nf.plan(y_pred, time=times[n + 1])
         load_rows(n + 1)
         f1, dg1 = rhs(n + 1, plan1, g_pred)
         y = y + 0.5 * dt * (f0 + f1)
@@ -432,7 +423,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
         Y[n + 1] = y
         G[n + 1].reshape(N, dim, dim)[...] = g.transpose(2, 0, 1)
     sample(L - 1, y)
-    return LabelFlow(nf.times[:L].copy(), Y, G, X, DY, gub)
+    return LabelFlow(times.copy(), Y, G, X, DY, gub)
 
 
 # ---------------------------------------------------------------------------

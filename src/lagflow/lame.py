@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fields import Field, Grid, TimeSeries, _d1, _d2_pure
-from .noise import BrownianBundle, StochasticForcing
+from .noise import StochasticForcing
 
 __all__ = [
     "FluidParams",
@@ -289,23 +289,25 @@ def solve_lame(op: LameOperator, f: TimeSeries | None, g: np.ndarray,
 
 
 def solve_stoch_convolution(op: LameOperator, forcing: StochasticForcing,
-                            bundle: BrownianBundle) -> TimeSeries:
+                            dbeta: np.ndarray, times: np.ndarray) -> TimeSeries:
     """Semi-implicit Euler-Maruyama for dU + A U dt = sum_m amp_m f_m d beta_m.
 
+    ``dbeta`` holds the mode increments on the caller's ``times``, as
+    ``solve_lame`` takes them: (M, len(times) - 1), else ``ValueError``.
     Homogeneous traction rows are enforced at every step and U(0) = 0; each
     step uses only increments up to its own level, so the discrete solution
     is adapted by construction.
     """
-    times = bundle.times
-    dt = bundle.step
+    times = np.asarray(times, float)
     L = len(times)
+    if np.shape(dbeta) != (forcing.M, L - 1):
+        raise ValueError(f"{forcing.M} forcing modes on {L} levels need "
+                         f"increments of shape ({forcing.M}, {L - 1}), got "
+                         f"{np.shape(dbeta)}")
     out = np.zeros((L,) + op.grid.extent + (op.grid.dim,))
     if forcing.M == 0:
         return TimeSeries(op.grid, times, out)
-    dbeta = bundle.mode_increments()
-    if dbeta.shape != (forcing.M, L - 1):
-        raise ValueError("one increment row per forcing mode is required")
-    lu = op.stepper(dt)
+    lu = op.stepper(times[1] - times[0])
     mask = op.boundary_row_mask
     mode_flat = [op.to_flat(m.values) for m in forcing.modes]
     v = np.zeros(op.A.shape[0])

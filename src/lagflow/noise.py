@@ -85,8 +85,26 @@ class BrownianBundle:
         return np.diff(self.values[self.K:], axis=1)
 
 
+def _check_count(name: str, value) -> None:
+    """``ValueError`` unless ``value`` is an integer >= 0."""
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
+def _check_transport_shape(dim, K) -> None:
+    """``ValueError`` unless ``dim`` is 2 or 3 and ``K`` an integer >= 0."""
+    if dim not in (2, 3):
+        raise ValueError(f"transport fields need dim 2 or 3, got {dim!r}")
+    _check_count("K", K)
+
+
 def sample_brownian(K: int, M: int, T: float, dt: float, seed: int) -> BrownianBundle:
-    """Sample a reproducible bundle of K + M independent paths on [0, T]."""
+    """Sample a reproducible bundle of K + M independent paths on [0, T].
+
+    K, M and the seed must be integers >= 0 (``ValueError`` before any
+    sampling)."""
+    for name, value in (("K", K), ("M", M), ("seed", seed)):
+        _check_count(name, value)
     n_steps = step_count(T, dt)
     n_paths = K + M
     values = np.zeros((n_paths, n_steps + 1))
@@ -131,8 +149,10 @@ class TransportField:
 
     Linear fields are unbounded on R^dim; they are admissible here because
     every evaluation happens on a bounded neighborhood of the domain.  An
-    unknown kind, a stream family of another dimension than 2 or a
-    parameter that is not finite raises ``ValueError``, NaN included.
+    unknown kind, a dim other than 2 or 3 (2 for a stream family), a K that
+    is not an integer >= 0, a parameter that is not finite, NaN included,
+    or a per-field parameter ("A", "b", "c"; "a", "modes") without K rows
+    raises ``ValueError``.
     """
 
     def __init__(self, dim: int, kind: str, params: dict):
@@ -140,11 +160,17 @@ class TransportField:
             raise ValueError(f"unknown transport kind {kind!r}")
         if kind == "stream" and dim != 2:
             raise ValueError("stream-function transport fields require dim 2")
+        K = params["K"]
+        _check_transport_shape(dim, K)
         for key, value in params.items():
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"transport parameter {key!r} is not finite: {value}")
+        for key in ("A", "b", "c") if kind == "linear" else ("a", "modes"):
+            if len(params[key]) != K:
+                raise ValueError(f"{K} transport fields need {K} rows of "
+                                 f"{key!r}, got {len(params[key])}")
         self.dim, self.kind, self.params = dim, kind, params
-        self.K = params["K"]
+        self.K = K
 
     def value(self, k: int, pts: np.ndarray) -> np.ndarray:
         """Q_k at pts of shape (..., dim)."""
@@ -185,9 +211,11 @@ def make_transport_field(dim: int, kind: str, K: int,
     axis, which the 3D benchmark workload runs), ``linear_test`` (amplitude
     x: not divergence-free, for calculus tests only) or ``stream`` (2D sine
     modes (1,1), (2,1), (1,2), (2,2), which the 2D benchmark workload runs).
-    A non-finite amplitude raises ``ValueError`` before any arithmetic."""
+    A dim other than 2 or 3, a K that is not an integer >= 0 or a
+    non-finite amplitude raises ``ValueError`` before any arithmetic."""
     if kind not in ("constant", "rotation", "linear_test", "stream"):
         raise ValueError(f"unknown transport field kind {kind!r}")
+    _check_transport_shape(dim, K)
     if not np.all(np.isfinite(amplitude)):
         raise ValueError(f"transport amplitude is not finite: {amplitude}")
     if kind == "stream":

@@ -11,7 +11,8 @@ components summed by a plain loop in storage order.  ``csr_weights`` is
 the construction of ``InterpPlan.W`` before the per-axes constants were
 shared.  ``padded_noise_flow`` is the noise flow as it was integrated and
 stored on the whole padded lattice.  The production code must agree with
-each of them bit for bit.
+each of them bit for bit.  ``zero_noise_flow`` is not an oracle: it is the
+K = 0 noise flow the tests drive the label flow with.
 """
 
 import itertools
@@ -21,20 +22,28 @@ import numpy as np
 from derivative_oracle import gradient_values
 from lagflow.fields import TimeSeries, contract
 from lagflow.flow import (FlowWindow, LabelFlow, NoiseFlow, _heun_step,
-                          _padded_axes, mat_det, mat_inv)
+                          _padded_axes, integrate_noise_flow, mat_det, mat_inv)
 from lagflow.interp import FlowEscapeError
+from lagflow.noise import make_transport_field
 
 
-def per_level_compose(nf, Y, gradY):
-    """X = psi(Y), grad X = Dpsi(Y) grad Y, then Z and J."""
+def zero_noise_flow(grid, times):
+    """The K = 0 noise flow on ``times``: the integrator with zero-row
+    increments, psi = id at every level."""
+    Q = make_transport_field(grid.dim, "constant", 0)
+    return integrate_noise_flow(Q, np.zeros((0, len(times) - 1)), grid)
+
+
+def per_level_compose(nf, times, Y, gradY):
+    """X = psi(Y), grad X = Dpsi(Y) grad Y, then Z and J, on ``times``."""
     X = np.empty(Y.shape)
     gradX = np.empty(gradY.shape)
     for n in range(len(Y)):
-        plan = nf.plan(Y[n], time=nf.times[n])
+        plan = nf.plan(Y[n], time=times[n])
         X[n] = plan.apply(nf.psi[n])
         gradX[n] = contract("...ij,...jk->...ik", "j", plan.apply(nf.Dpsi[n]),
                             gradY[n])
-    return FlowWindow.from_map(nf.times[:len(Y)], X, gradX)
+    return FlowWindow.from_map(times[:len(Y)], X, gradX)
 
 
 def padded_noise_flow(Q, bundle, grid):
@@ -133,11 +142,11 @@ def csr_weights(axes, pts, time=None):
 
 def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
     """Heun integration of the label ODE, with psi and Dpsi sampled on Y."""
-    if len(ubar) > nf.n_levels or abs(ubar.step - nf.step) > 1e-12:
-        raise ValueError("velocity frames must be aligned with the noise grid")
+    if len(ubar) > len(nf.psi):
+        raise ValueError("more velocity frames than noise levels")
     grid = ubar.grid
     dim = grid.dim
-    dt = nf.step
+    dt = ubar.step
     pts0 = grid.coords()
     L = len(ubar)
     Y = np.empty((L,) + pts0.shape)
@@ -151,7 +160,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
 
     def sample(level, y):
         """The plan on y at the level's time, which also samples psi and Dpsi."""
-        plan = nf.plan(y, time=nf.times[level])
+        plan = nf.plan(y, time=ubar.times[level])
         X[level] = plan.apply(nf.psi[level])
         DY[level] = plan.apply(nf.Dpsi[level])
         return plan
@@ -169,11 +178,11 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
         f0, dg0 = rhs(n, sample(n, y), g, ub[n], gub[n])
         y_pred = y + dt * f0
         g_pred = g + dt * dg0
-        plan1 = nf.plan(y_pred, time=nf.times[n + 1])
+        plan1 = nf.plan(y_pred, time=ubar.times[n + 1])
         f1, dg1 = rhs(n + 1, plan1, g_pred, ub[n + 1], gub[n + 1])
         y = y + 0.5 * dt * (f0 + f1)
         g = g + 0.5 * dt * (dg0 + dg1)
         Y[n + 1] = y
         G[n + 1] = g
     sample(L - 1, y)
-    return LabelFlow(nf.times[:L].copy(), Y, G, X, DY, gub)
+    return LabelFlow(ubar.times.copy(), Y, G, X, DY, gub)

@@ -25,6 +25,11 @@ The record's values are hashed by name, from the lists below, so a field
 or property added to ``SolutionBundle`` or ``MonitorResult`` is either
 named here or excluded with a reason (``test_package`` checks this).
 
+``--no-transport`` runs the workload with K = 0 transport fields, the
+same forcing and a bundle of the forcing paths alone (the noise flow's
+zero-increment case); its lines name the workload ``<workload>/K=0``.  It
+uses nothing the K > 0 run does not, so it runs on earlier checkouts too.
+
 Each line is ``workload seed index brownian_seed sha256``, in the order the
 paths ran.  ``--reverse`` runs them last to first: a path must not depend on
 the paths before it (the cached ``Problem``, the interpolation axes and the
@@ -105,7 +110,7 @@ def _plain(obj):
 
 
 def digest_solution(d: Digest, w, inputs, bseed: int) -> None:
-    bundle = noise.sample_brownian(w.K, w.M, w.T, w.dt, bseed)
+    bundle = noise.sample_brownian(inputs.Q.K, w.M, w.T, w.dt, bseed)
     sol = fixedpoint.picard_solve(inputs.rho0, inputs.u0, inputs.params,
                                   inputs.cfg, inputs.Q, bundle, inputs.forcing)
     for name in SERIES:
@@ -163,18 +168,25 @@ def main(argv=None) -> int:
                     help="path indices, 'first-last' inclusive (default 0)")
     ap.add_argument("--reverse", action="store_true",
                     help="run the paths last to first")
+    ap.add_argument("--no-transport", action="store_true",
+                    help="run the workload with K = 0 transport fields and "
+                         "the same forcing")
     args = ap.parse_args(argv)
     w = WORKLOADS[args.workload]
     lf = types.SimpleNamespace(np=np, fields=fields, noise=noise, lame=lame,
                                fixedpoint=fixedpoint)
     inputs = build_inputs(lf, w)
+    name = w.name
+    if args.no_transport:
+        inputs.Q = noise.make_transport_field(w.dim, w.transport, 0)
+        name += "/K=0"
     # every workload starts off the compatibility bound on purpose
     warnings.filterwarnings("ignore", "initial compatibility residual",
                             UserWarning)
     indices = reversed(args.paths) if args.reverse else args.paths
     for index in indices:
         bseed = path_seed(args.seed, index)
-        print(w.name, args.seed, index, bseed, path_digest(w, inputs, bseed),
+        print(name, args.seed, index, bseed, path_digest(w, inputs, bseed),
               flush=True)
     return 0
 

@@ -410,9 +410,18 @@ def test_slobodeckij_nondecreasing_in_frames(grid):
 
 
 def test_slobodeckij_rejects_nonuniform(grid):
-    ts = TimeSeries(grid, np.array([0.0, 0.1, 0.3]), np.zeros((3,) + grid.extent))
+    # a TimeSeries refuses these times itself, so the window gets them bare
     with pytest.raises(FieldError):
-        slobodeckij_time_seminorm(ts, 0.4, 4)
+        SlobodeckijWindow(grid, np.array([0.0, 0.1, 0.3]), 0.4, 4)
+
+
+@pytest.mark.parametrize("times", [[0.0, 1e-3, 3e-3], [0.0, 0.1, 0.2, 0.31]],
+                         ids=["doubled-last", "stretched-last"])
+def test_timeseries_times_must_be_uniform(grid, times):
+    # every reader takes one step from times[1] - times[0]: solve_lame used
+    # to return the values of the uniform 1e-3 run under the first times
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        TimeSeries(grid, np.array(times), np.zeros((len(times),) + grid.extent))
 
 
 @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan],

@@ -23,10 +23,11 @@ from lagflow.fixedpoint import (
     problem_for,
     solve_reference,
 )
-from lagflow.flow import identity_noise_flow, integrate_noise_flow
+from lagflow.flow import integrate_noise_flow
 from lagflow.lame import FluidParams, LameOperator, apply_B, solve_stoch_convolution
 from lagflow.noise import (StochasticForcing, make_transport_field, refine_bridge,
                            sample_brownian)
+from flow_oracle import zero_noise_flow
 from map_oracle import apply_Psi_deterministic
 
 GRID = Grid(2, (33, 33))
@@ -219,7 +220,7 @@ def test_psi_fixes_equilibrium():
     problem = problem_for(rho0, u0, PARAMS, cfg)
     times = cfg.times
     zero = TimeSeries(GRID, times, np.zeros((len(times),) + GRID.extent + (2,)))
-    nf = identity_noise_flow(GRID, times)
+    nf = zero_noise_flow(GRID, times)
     res = apply_Psi(zero, zero, problem, nf)
     assert np.max(np.abs(res.v.values)) <= 1e-12
     assert res.monitor.times[-1] == cfg.T
@@ -232,7 +233,7 @@ def test_psi_self_map_stays_in_ball():
     v_ref = problem.v_ref
     times = cfg.times
     zeroU = TimeSeries(GRID, times, np.zeros((len(times),) + GRID.extent + (2,)))
-    nf = identity_noise_flow(GRID, times)
+    nf = zero_noise_flow(GRID, times)
     res = apply_Psi(v_ref, zeroU, problem, nf)
     k = len(res.v)
     gap = e1_norm(TimeSeries(GRID, times[:k],
@@ -345,6 +346,28 @@ def test_picard_rejects_a_bundle_on_another_time_grid(T, dt, monkeypatch):
     bw = sample_brownian(Q.K, forcing.M, T, dt, seed=3)
     with pytest.raises(ValueError, match=r"time grid .*50 steps of 0\.001"):
         picard_solve(rho0, u0, PARAMS, SolveConfig(), Q, bw, forcing)
+
+
+def test_solve_runs_on_the_configurations_time_grid():
+    # a bundle step one ulp off cfg.dt passes fits_step; the window, the
+    # monitor and U used to take their times from it, so tau read
+    # 0.030000000000000006 and those times differed from v's from level 1
+    g = Grid(2, 9)
+    c = g.coords()
+    u0 = np.zeros(g.extent + (2,))
+    u0[..., 0] = 1e-3 * np.prod(np.sin(np.pi * c) ** 2, axis=-1)
+    cfg = SolveConfig(T=0.03)
+    bw = sample_brownian(2, 1, cfg.T, cfg.dt, seed=3)
+    bw = dataclasses.replace(bw, step=float(np.nextafter(1e-3, 1)))
+    assert cfg.fits_step(bw.step) and bw.step != cfg.dt
+    with pytest.warns(UserWarning, match="compatibility"):
+        b = picard_solve(Field(g, np.ones(g.extent)), Field(g, u0), PARAMS, cfg,
+                         make_transport_field(2, "stream", 2, 5e-4), bw,
+                         StochasticForcing.default_modes(g, 1, 1e-3))
+    assert b.tau == 0.03
+    for times in (b.v.times, b.U.times, b.ubar.times, b.window.times,
+                  b.monitor.times, b.times):
+        assert times.tobytes() == cfg.times[:len(times)].tobytes()
 
 
 class ProblemReached(Exception):
@@ -750,8 +773,8 @@ def probe_setup(T=0.05, delta=0.1, seed=0):
     Q = make_transport_field(2, "stream", K=2, amplitude=1e-4)
     forcing = StochasticForcing.default_modes(GRID, 1, 1e-3)
     bw = sample_brownian(2, 1, cfg.T, cfg.dt, seed=seed)
-    U = solve_stoch_convolution(problem.op, forcing, bw)
-    nf = integrate_noise_flow(Q, bw, GRID)
+    U = solve_stoch_convolution(problem.op, forcing, bw.mode_increments(), cfg.times)
+    nf = integrate_noise_flow(Q, bw.transport_increments(), GRID)
     return problem, U, nf
 
 
@@ -797,7 +820,7 @@ def test_deterministic_path_matches_generic():
     problem = problem_for(rho0, u0, PARAMS, cfg)
     times = cfg.times
     zeroU = TimeSeries(GRID, times, np.zeros((len(times),) + GRID.extent + (2,)))
-    nf = identity_noise_flow(GRID, times)
+    nf = zero_noise_flow(GRID, times)
     v_gen = v_det = problem.v_ref
     for _ in range(b_gen.iterations):
         r_gen = apply_Psi(v_gen, zeroU, problem, nf)

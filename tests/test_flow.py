@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import lagflow.fixedpoint
 import lagflow.interp
 from flow_oracle import integrate_label_flow as contract_label_flow
-from flow_oracle import padded_noise_flow, per_level_compose
+from flow_oracle import padded_noise_flow, per_level_compose, zero_noise_flow
 from map_oracle import direct_flow_oracle, jacobian_ode_oracle
 from lagflow.fields import (Field, Grid, SlobodeckijWindow, TimeSeries,
                             gradient_values, spatial_norm)
@@ -20,7 +20,6 @@ from lagflow.flow import (
     FlowWindow,
     LabelFlow,
     compose_flow,
-    identity_noise_flow,
     integrate_label_flow,
     integrate_noise_flow,
     mat_det,
@@ -59,7 +58,7 @@ def linear_velocity(alpha, grid=GRID, times=TIMES):
 def test_constant_field_translates_exactly():
     Q = make_transport_field(2, "constant", K=1, amplitude=0.7)
     b = sample_brownian(1, 0, T, DT, seed=2)
-    nf = integrate_noise_flow(Q, b, GRID)
+    nf = integrate_noise_flow(Q, b.transport_increments(), GRID)
     pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)
     exact = pts[None] + np.array([0.7, 0.0]) * b.values[0][:, None, None, None]
     assert np.max(np.abs(nf.psi - exact)) <= 1e-13
@@ -71,7 +70,7 @@ def test_noise_flow_needs_one_path_per_field(K_bundle):
     Q = make_transport_field(2, "stream", K=2, amplitude=0.1)
     b = sample_brownian(K_bundle, 0, T, DT, seed=2)
     with pytest.raises(ValueError, match="transport fields"):
-        integrate_noise_flow(Q, b, GRID)
+        integrate_noise_flow(Q, b.transport_increments(), GRID)
 
 
 def test_noise_flow_blow_up_to_nan_raises():
@@ -80,12 +79,12 @@ def test_noise_flow_blow_up_to_nan_raises():
     Q = make_transport_field(2, "stream", K=1, amplitude=1e150)
     b = sample_brownian(1, 0, 0.01, 1e-3, seed=0)
     with np.errstate(all="ignore"):
-        with pytest.raises(RuntimeError, match="not finite at t = 0.001"):
-            integrate_noise_flow(Q, b, Grid(2, 9))
+        with pytest.raises(RuntimeError, match="not finite at step 1 "):
+            integrate_noise_flow(Q, b.transport_increments(), Grid(2, 9))
 
 
 def test_no_noise_keeps_identity():
-    nf = identity_noise_flow(GRID, TIMES)
+    nf = zero_noise_flow(GRID, TIMES)
     pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)
     assert np.max(np.abs(nf.psi - pts[None])) == 0.0
     prod = np.einsum("...ij,...jk->...ik", nf.Dpsi, nf.Dpsi_inv)
@@ -96,7 +95,7 @@ def test_rotation_flow_matches_matrix_exponential():
     # psi_t(x) = c + exp(A W_t)(x - c) with A = [[0,1],[-1,0]]
     Q = make_transport_field(2, "rotation", K=1, amplitude=1.0)
     b = sample_brownian(1, 0, T, DT, seed=1)
-    nf = integrate_noise_flow(Q, b, GRID)
+    nf = integrate_noise_flow(Q, b.transport_increments(), GRID)
     pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)
     c = np.array([0.5, 0.5])
     worst = 0.0
@@ -111,7 +110,7 @@ def test_rotation_flow_matches_matrix_exponential():
 def test_gradient_inverse_consistency():
     Q = make_transport_field(2, "stream", K=2, amplitude=0.1)
     b = sample_brownian(2, 0, T, DT, seed=4)
-    nf = integrate_noise_flow(Q, b, GRID)
+    nf = integrate_noise_flow(Q, b.transport_increments(), GRID)
     prod = np.einsum("...ij,...jk->...ik", nf.Dpsi, nf.Dpsi_inv)
     assert np.max(np.abs(prod - np.eye(2))) <= 1e-8
 
@@ -121,7 +120,7 @@ def test_divergence_free_volume_error_small_and_converging():
     errs = []
     b = sample_brownian(1, 0, T, DT, seed=3)
     for _ in range(2):
-        nf = integrate_noise_flow(Q, b, GRID)
+        nf = integrate_noise_flow(Q, b.transport_increments(), GRID)
         errs.append(np.max(np.abs(mat_det(nf.Dpsi) - 1.0)))
         b = refine_bridge(b)
     assert errs[0] <= 5e-3
@@ -172,7 +171,7 @@ def test_core_stacks_are_the_whole_lattice_on_the_core(dim, kind, shape):
     g = CORE_GRIDS[dim, shape]
     Q = make_transport_field(dim, kind, K=2, amplitude=0.3)
     b = sample_brownian(2, 0, 0.004, DT, seed=11)
-    nf = integrate_noise_flow(Q, b, g)
+    nf = integrate_noise_flow(Q, b.transport_increments(), g)
     axes, *want = padded_noise_flow(Q, b, g)
     core = core_of(g)
     assert [len(ax) for ax in nf.axes] == [n + 2 for n in g.extent]
@@ -190,13 +189,36 @@ def test_core_stacks_are_the_whole_lattice_on_the_core(dim, kind, shape):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_identity_flow_core_is_the_whole_lattice_on_the_core(dim):
     g = CORE_GRIDS[dim, "box"]
-    nf = identity_noise_flow(g, TIMES[:4])
+    nf = zero_noise_flow(g, TIMES[:4])
     pts = np.stack(np.meshgrid(*nf.lattice, indexing="ij"), axis=-1)[core_of(g)]
     assert pts.shape[:-1] == tuple(n + 2 for n in g.extent)
     assert same_bits(nf.psi, np.broadcast_to(pts, (4,) + pts.shape).copy())
     eye = np.broadcast_to(np.eye(dim), nf.Dpsi.shape).copy()
     assert same_bits(nf.Dpsi, eye) and same_bits(nf.Dpsi_inv, eye)
     assert same_bits(nf.grad_Dpsi_inv, np.zeros(eye.shape + (dim,)))
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 17), Grid(3, 9), Grid(2, 25),
+                                  Grid(3, 13)],
+                         ids=["17^2", "9^3", "25^2", "13^3"])
+def test_zero_increment_noise_flow_is_the_identity(grid):
+    # exactly the identity, also where the lattice's spacings are not all
+    # equal in the last bit (25 and 13 nodes per axis, the workloads' grids)
+    nf = integrate_noise_flow(make_transport_field(grid.dim, "rotation", 0),
+                              np.zeros((0, 5)), grid)
+    pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)
+    eye = np.eye(grid.dim)
+    assert len(nf.psi) == 6
+    assert same_bits(nf.psi, np.broadcast_to(pts, nf.psi.shape).copy())
+    assert np.all(nf.Dpsi == eye) and np.all(nf.Dpsi_inv == eye)
+    assert np.all(nf.grad_Dpsi_inv == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(50,), (2, 50, 1)])
+def test_noise_flow_refuses_increments_of_another_shape(shape):
+    Q = make_transport_field(2, "stream", K=2, amplitude=0.1)
+    with pytest.raises(ValueError, match=r"2 transport fields need \(K, steps\)"):
+        integrate_noise_flow(Q, np.zeros(shape), GRID)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -212,12 +234,13 @@ def test_label_flow_leaving_the_core_escapes(dim):
     cfg = SolveConfig(T=0.02, dt=DT)
     ubar = linear_velocity(16.0, g, cfg.times)
     ubar.values[...] -= 8.0
-    nf = integrate_noise_flow(Q, sample_brownian(Q.K, 0, cfg.T, DT, seed=3), g)
+    dW = sample_brownian(Q.K, 0, cfg.T, DT, seed=3).transport_increments()
+    nf = integrate_noise_flow(Q, dW, g)
     with pytest.raises(FlowEscapeError) as exc:
         integrate_label_flow(ubar, nf)
-    k = int(np.flatnonzero(nf.times == exc.value.time)[0])
+    k = int(np.flatnonzero(cfg.times == exc.value.time)[0])
     assert k > len(ubar) // 2
-    assert str(exc.value).endswith(f"at t = {nf.times[k]}")
+    assert str(exc.value).endswith(f"at t = {cfg.times[k]}")
     h = g.spacing[0]
     lower, upper = -h - 1e-9, 1.0 + h + 1e-9
     assert np.any((exc.value.point < lower) | (exc.value.point > upper))
@@ -235,7 +258,8 @@ def test_escape_bounds_are_the_core_s():
     # the stacks as they were; one on the face or within the slack does not
     g = Grid(2, 9)
     Q = make_transport_field(2, "stream", K=2, amplitude=0.1)
-    nf = integrate_noise_flow(Q, sample_brownian(2, 0, T, DT, seed=2), g)
+    dW = sample_brownian(2, 0, T, DT, seed=2).transport_increments()
+    nf = integrate_noise_flow(Q, dW, g)
     held = [getattr(nf, name).copy() for name in STACKS]
     h = g.spacing[0]
     pts = np.full((3, 2), 0.5)
@@ -260,7 +284,8 @@ def test_core_footprint_at_13_cubed():
     # the solid3d setting: 15^3 nodes per level
     g = Grid(3, 13)
     Q = make_transport_field(3, "rotation", K=1, amplitude=1e-3)
-    nf = integrate_noise_flow(Q, sample_brownian(1, 0, 0.01, DT, seed=0), g)
+    dW = sample_brownian(1, 0, 0.01, DT, seed=0).transport_increments()
+    nf = integrate_noise_flow(Q, dW, g)
     h = g.spacing[0]
     for pts in (g.coords(), g.coords() - 0.9 * h, g.coords() + 0.9 * h):
         nf.plan(pts)
@@ -274,14 +299,14 @@ def test_core_footprint_at_13_cubed():
 # ---------------------------------------------------------------------------
 
 def test_zero_velocity_fixes_labels():
-    nf = identity_noise_flow(GRID, TIMES)
+    nf = zero_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(zero_velocity(), nf)
     assert np.max(np.abs(lf.Y - GRID.coords()[None])) == 0.0
     assert np.max(np.abs(lf.gradY - np.eye(2))) == 0.0
 
 
 def test_constant_velocity_translates_labels():
-    nf = identity_noise_flow(GRID, TIMES)
+    nf = zero_noise_flow(GRID, TIMES)
     Y = integrate_label_flow(constant_velocity([0.3, -0.1]), nf).Y
     exact = GRID.coords()[None] + TIMES[:, None, None, None] * np.array([0.3, -0.1])
     assert np.max(np.abs(Y - exact)) <= 1e-14
@@ -289,7 +314,7 @@ def test_constant_velocity_translates_labels():
 
 def test_linear_velocity_exact_with_gradient():
     alpha = 0.5
-    nf = identity_noise_flow(GRID, TIMES)
+    nf = zero_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(alpha), nf)
     c = GRID.coords()
     scale = 1.0 + alpha * TIMES
@@ -298,10 +323,11 @@ def test_linear_velocity_exact_with_gradient():
 
 
 def test_label_flow_on_window_prefix_matches_full_run():
-    # a stopped window integrates a prefix of the noise grid: its levels do
+    # a stopped window runs on a prefix of the noise flow: its levels do
     # not depend on the velocity frames after it
     Q = make_transport_field(2, "stream", K=2, amplitude=0.1)
-    nf = integrate_noise_flow(Q, sample_brownian(2, 0, T, DT, seed=4), GRID)
+    dW = sample_brownian(2, 0, T, DT, seed=4).transport_increments()
+    nf = integrate_noise_flow(Q, dW, GRID)
     c = GRID.coords()
     bump = 0.3 * np.sin(np.pi * c[..., 0]) * np.sin(np.pi * c[..., 1])
     ubar = TimeSeries(GRID, TIMES, (1.0 + TIMES)[:, None, None, None]
@@ -318,10 +344,9 @@ def test_label_flow_on_window_prefix_matches_full_run():
     assert np.array_equal(window.gradX, full.gradX[:k])
     assert np.array_equal(window.J, full.J[:k])
     longer = zero_velocity(times=np.linspace(0.0, T + DT, 52))
-    with pytest.raises(ValueError, match="aligned"):
+    with pytest.raises(ValueError, match="52 velocity frames, the noise flow "
+                                         "has 51 levels"):
         integrate_label_flow(longer, nf)
-    with pytest.raises(ValueError, match="aligned"):
-        integrate_label_flow(zero_velocity(times=TIMES[::2]), nf)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +354,7 @@ def test_label_flow_on_window_prefix_matches_full_run():
 # ---------------------------------------------------------------------------
 
 def test_initial_state_is_identity():
-    nf = identity_noise_flow(GRID, TIMES)
+    nf = zero_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(0.4), nf)
     w = compose_flow(lf)
     assert np.max(np.abs(w.X[0] - GRID.coords())) == 0.0
@@ -339,7 +364,7 @@ def test_initial_state_is_identity():
 
 def test_linear_drift_jacobian_closed_form():
     alpha = 0.5
-    nf = identity_noise_flow(GRID, TIMES)
+    nf = zero_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(alpha), nf)
     w = compose_flow(lf)
     scale = 1.0 + alpha * T
@@ -350,7 +375,7 @@ def test_linear_drift_jacobian_closed_form():
 def test_pure_transport_volume_within_tolerance():
     Q = make_transport_field(2, "stream", K=1, amplitude=0.03)
     b = sample_brownian(1, 0, T, DT, seed=3)
-    nf = integrate_noise_flow(Q, b, GRID)
+    nf = integrate_noise_flow(Q, b.transport_increments(), GRID)
     lf = integrate_label_flow(zero_velocity(), nf)
     assert np.max(np.abs(compose_flow(lf).J - 1.0)) <= 1e-6
 
@@ -364,7 +389,7 @@ def test_jacobian_transport_identity():
         steps = b.n_steps
         times = np.linspace(0, T, steps + 1)
         ub = linear_velocity(0.4, GRID, times)
-        nf = integrate_noise_flow(Q, b, GRID)
+        nf = integrate_noise_flow(Q, b.transport_increments(), GRID)
         lf = integrate_label_flow(ub, nf)
         window = compose_flow(lf)
         J_ode = jacobian_ode_oracle(ub, window)
@@ -440,7 +465,8 @@ def test_flow_stage_matches_per_level_compose_oracle(dim, monkeypatch):
         g, Q = Grid(3, (9, 10, 11)), make_transport_field(3, "rotation", K=1, amplitude=1.0)
     cfg = SolveConfig(T=0.02, dt=DT)
     times = cfg.times
-    nf = integrate_noise_flow(Q, sample_brownian(Q.K, 0, cfg.T, DT, seed=7), g)
+    dW = sample_brownian(Q.K, 0, cfg.T, DT, seed=7).transport_increments()
+    nf = integrate_noise_flow(Q, dW, g)
     c = g.coords()
     bump = 0.3 * np.prod([np.sin(np.pi * c[..., d]) for d in range(dim)], axis=0)
     scale = (1.0 + 10.0 * times).reshape((-1,) + (1,) * (dim + 1))
@@ -452,7 +478,7 @@ def test_flow_stage_matches_per_level_compose_oracle(dim, monkeypatch):
         assert np.array_equal(grad_u, gradient_values(g, u.values))
         monkeypatch.undo()
         lf = integrate_label_flow(u, nf)
-        want = per_level_compose(nf, lf.Y, lf.gradY)
+        want = per_level_compose(nf, times, lf.Y, lf.gradY)
         assert len(window) == len(u)
         # an iterate's window (with_X False) samples no X
         assert (window.X is None) is not with_X
@@ -495,7 +521,7 @@ def test_only_the_rebuild_samples_x(monkeypatch):
     assert sol.converged and len(iterate_X) == sol.iterations >= 2
     assert all(X is None for X in iterate_X)
     lf = integrate_label_flow(sol.ubar, flows[0])
-    want = per_level_compose(flows[0], lf.Y, lf.gradY)
+    want = per_level_compose(flows[0], cfg.times, lf.Y, lf.gradY)
     for name in ("times", "X", "gradX", "Z", "J"):
         assert np.array_equal(getattr(sol.window, name), getattr(want, name)), name
     assert np.max(np.abs(sol.window.X - g.coords())) > 1e-4    # X moved
@@ -511,7 +537,8 @@ def test_label_flow_matches_contract_oracle(dim):
         g, Q = Grid(3, (9, 10, 11)), make_transport_field(3, "rotation", K=1, amplitude=1.0)
     cfg = SolveConfig(T=0.02, dt=DT)
     times = cfg.times
-    nf = integrate_noise_flow(Q, sample_brownian(Q.K, 0, cfg.T, DT, seed=5), g)
+    dW = sample_brownian(Q.K, 0, cfg.T, DT, seed=5).transport_increments()
+    nf = integrate_noise_flow(Q, dW, g)
     if dim == 3:
         # a rigid rotation has grad Dpsi^{-1} = 0; a smooth made-up gradient
         # puts every term of the chain-rule sum to work
@@ -599,7 +626,7 @@ def test_factorization_matches_direct_oracle():
     for _ in range(3):
         times = np.linspace(0, T, b.n_steps + 1)
         ub = smooth_drift_series(GRID, times)
-        nf = integrate_noise_flow(Q, b, GRID)
+        nf = integrate_noise_flow(Q, b.transport_increments(), GRID)
         lf = integrate_label_flow(ub, nf)
         Xc = compose_flow(lf).X
         Xd = direct_flow_oracle(ub, Q, b)
@@ -616,7 +643,7 @@ def test_factorization_matches_direct_oracle():
 
 def test_invert_translation_flow():
     c = [0.25, -0.15]
-    nf = identity_noise_flow(GRID, TIMES)
+    nf = zero_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(constant_velocity(c), nf)
     w = compose_flow(lf)
     assert np.allclose(w.X[-1], GRID.coords() + T * np.array(c), atol=1e-10)
@@ -627,7 +654,7 @@ def test_invert_translation_flow():
 # ---------------------------------------------------------------------------
 
 def test_monitor_stays_open_without_motion():
-    nf = identity_noise_flow(GRID, TIMES)
+    nf = zero_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(zero_velocity(), nf)
     mon = stopping_monitor(compose_flow(lf), SolveConfig(), GRID)
     assert not mon.fired
@@ -641,7 +668,7 @@ DRIFT_GRID = Grid(2, 9)
 
 def test_monitor_first_crossing_semantics():
     # strong linear drift inflates grad X; tiny delta fires before T
-    nf = identity_noise_flow(DRIFT_GRID, TIMES)
+    nf = zero_noise_flow(DRIFT_GRID, TIMES)
     ub = linear_velocity(1.5, DRIFT_GRID)
     lf = integrate_label_flow(ub, nf)
     window = compose_flow(lf)
@@ -656,7 +683,7 @@ def test_monitor_first_crossing_semantics():
 
 
 def test_monitor_sigma_monotone_in_delta():
-    nf = identity_noise_flow(DRIFT_GRID, TIMES)
+    nf = zero_noise_flow(DRIFT_GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(1.5, DRIFT_GRID), nf)
     window = compose_flow(lf)
     sigmas = []
@@ -667,7 +694,7 @@ def test_monitor_sigma_monotone_in_delta():
 
 
 def test_monitor_fires_on_invalid_state():
-    nf = identity_noise_flow(DRIFT_GRID, TIMES)
+    nf = zero_noise_flow(DRIFT_GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(1.5, DRIFT_GRID), nf)
     window = compose_flow(lf)
     # delta <= eps_star, so on this spatially constant map the threshold
@@ -814,7 +841,7 @@ def linear_flow_window():
     """A linear velocity's window: Z and J are constant in space."""
     g = Grid(2, (17, 17))
     times = TIMES[:21]
-    nf = identity_noise_flow(g, times)
+    nf = zero_noise_flow(g, times)
     lf = integrate_label_flow(linear_velocity(1.5, g, times), nf)
     return g, compose_flow(lf)
 
@@ -1129,7 +1156,7 @@ def test_smalltime_label_bound():
     # calibrated beta <= 1/8 implies |Y - id| <= 7 beta (1 + slack)
     g = Grid(2, (17, 17))
     times = np.linspace(0, T, 26)
-    nf = identity_noise_flow(g, times)
+    nf = zero_noise_flow(g, times)
     p, q = 4.0, 4.0
     L_a = 1.0 + np.sqrt(2.0)  # identity coefficient in the Frobenius surrogate
     rng = np.random.default_rng(21)

@@ -441,8 +441,24 @@ def test_lopatinskii_rejects_bad_eta():
 def test_no_modes_gives_zero(op):
     forcing = StochasticForcing([], np.zeros(0))
     b = sample_brownian(0, 0, 0.02, 1e-3, seed=0)
-    U = solve_stoch_convolution(op, forcing, b)
+    U = solve_stoch_convolution(op, forcing, b.mode_increments(), b.times)
     assert np.max(np.abs(U.values)) == 0.0
+
+
+@pytest.mark.parametrize("M, shape", [(1, (0, 20)), (1, (2, 20)), (1, (1, 19)),
+                                      (1, (1, 21)), (1, (20,)), (0, (1, 20))])
+def test_convolution_refuses_increments_of_another_shape(op, M, shape):
+    forcing = StochasticForcing.default_modes(GRID, M, 1e-3)
+    times = 1e-3 * np.arange(21)
+    with pytest.raises(ValueError, match=rf"{M} forcing modes on 21 levels "
+                                         rf"need increments of shape \({M}, 20\)"):
+        solve_stoch_convolution(op, forcing, np.zeros(shape), times)
+
+
+def test_solve_lame_refuses_non_uniform_times(op):
+    # it used to return the values of the uniform 1e-3 run under these times
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        solve_lame(op, None, None, Field.zeros(GRID, rank=1), [0.0, 1e-3, 3e-3])
 
 
 def test_debug_increments_match_deterministic_convolution(op):
@@ -455,7 +471,7 @@ def test_debug_increments_match_deterministic_convolution(op):
     dt, steps = 1e-3, 20
     b = BrownianBundle(0, 1, dt, np.arange(steps + 1.0)[None], seed=5)
     assert np.array_equal(b.mode_increments(), np.ones((1, steps)))
-    U = solve_stoch_convolution(op, forcing, b)
+    U = solve_stoch_convolution(op, forcing, b.mode_increments(), b.times)
     times = b.times
     f = TimeSeries(GRID, times, np.broadcast_to(
         0.3 * mode.values / dt, (steps + 1,) + mode.values.shape).copy())
@@ -473,7 +489,7 @@ def test_modal_ou_variance(op):
     coef = np.zeros(n_paths)
     for s in range(n_paths):
         b = sample_brownian(0, 1, dt * steps, dt, seed=s)
-        U = solve_stoch_convolution(op, forcing, b)
+        U = solve_stoch_convolution(op, forcing, b.mode_increments(), b.times)
         coef[s] = np.sum(w * np.sum(U.values[-1] * phi.values, axis=-1)) / phin
     t = dt * steps
     exact = (1 - np.exp(-2 * lam * t)) / (2 * lam)
@@ -498,7 +514,7 @@ def test_da_prato_debussche_consistency(op):
     forcing = StochasticForcing([mode], np.array([0.5]))
     b = sample_brownian(0, 1, dt * steps, dt, seed=3)
     v = solve_lame(op, f, g, Field.zeros(GRID, rank=1), times)
-    U = solve_stoch_convolution(op, forcing, b)
+    U = solve_stoch_convolution(op, forcing, b.mode_increments(), b.times)
     ubar = v.values + U.values
     dbeta = b.mode_increments()
     mask = op.boundary_row_mask

@@ -196,6 +196,52 @@ def test_transport_field_rejects_non_finite_parameters(dim, kind, bad):
                                        "c": np.full((1, dim), bad)})
 
 
+@pytest.mark.parametrize("dim, kind, K, error", [
+    (1, "rotation", 1, "need dim 2 or 3, got 1"),
+    (4, "rotation", 1, "need dim 2 or 3, got 4"),
+    (1, "constant", 0, "need dim 2 or 3, got 1"),
+    (2, "rotation", -1, "K must be an integer >= 0, got -1"),
+    (2, "stream", 1.5, "K must be an integer >= 0, got 1.5"),
+    (3, "constant", 2.0, "K must be an integer >= 0, got 2.0"),
+])
+def test_make_transport_field_checks_dim_and_K(dim, kind, K, error):
+    # a 1D rotation used to raise an IndexError, a 4D one to construct; a
+    # negative or non-integer K reached numpy's array constructors
+    with pytest.raises(ValueError, match=error):
+        make_transport_field(dim, kind, K)
+
+
+@pytest.mark.parametrize("kind, key, rows", [
+    ("linear", "A", 2), ("linear", "b", 2), ("linear", "c", 4),
+    ("stream", "a", 2), ("stream", "modes", 4),
+])
+def test_transport_field_needs_one_parameter_row_per_field(kind, key, rows):
+    # K = 3 with 2-row A, b and c used to construct and fail inside the noise
+    # flow with "index 2 is out of bounds"
+    if kind == "linear":
+        params = {"K": 3, "A": np.zeros((3, 2, 2)), "b": np.zeros((3, 2)),
+                  "c": np.zeros((3, 2))}
+    else:
+        params = {"K": 3, "a": np.ones(3), "modes": [(1, 1), (2, 1), (1, 2)]}
+    params[key] = (np.zeros((rows,) + np.shape(params[key])[1:]) if key != "modes"
+                   else [(1, 1)] * rows)
+    with pytest.raises(ValueError,
+                       match=f"3 transport fields need 3 rows of '{key}', got {rows}"):
+        TransportField(2, kind, params)
+
+
+@pytest.mark.parametrize("K, M, seed, error", [
+    (-1, 0, 0, "K must be"), (1.5, 0, 0, "K must be"), (1, -2, 0, "M must be"),
+    (1, 2.0, 0, "M must be"), (1, 1, 1.7, "seed must be"),
+    (1, 1, -1, "seed must be"),
+])
+def test_sampling_checks_counts_and_seed(K, M, seed, error):
+    # a seed of 1.7 used to run and record seed 1; a negative K or M gave
+    # numpy's "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match=error):
+        sample_brownian(K, M, 0.01, 1e-3, seed)
+
+
 def test_constant_field_drift_vanishes():
     Q = make_transport_field(2, "constant", K=2, amplitude=0.7)
     x = np.array([0.3, 0.4])

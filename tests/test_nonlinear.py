@@ -3,8 +3,9 @@ import pytest
 
 import lagflow.fields
 
+from flow_oracle import zero_noise_flow
 from lagflow.fields import Field, Grid, TimeSeries, gradient_values, hessian_values
-from lagflow.flow import FlowWindow, compose_flow, identity_noise_flow, integrate_label_flow
+from lagflow.flow import FlowWindow, compose_flow, integrate_label_flow
 from lagflow.lame import FluidParams
 from lagflow.nonlinear import (
     assemble_F_Gamma,
@@ -124,7 +125,7 @@ def test_continuity_linear_drift_matches_closed_form():
     c = GRID.coords()
     ub = TimeSeries(GRID, times,
                     np.broadcast_to(alpha * c, (51,) + c.shape).copy())
-    nf = identity_noise_flow(GRID, times)
+    nf = zero_noise_flow(GRID, times)
     lf = integrate_label_flow(ub, nf)
     window = compose_flow(lf)
     rho0 = Field(GRID, np.ones(GRID.extent))
