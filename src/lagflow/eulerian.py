@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Grid, frame_norms, gradient_values
+from .fields import Grid, frame_chunks, frame_norms
 from .fixedpoint import SolutionBundle
 from .flow import mat_det
 from .lame import FluidParams
@@ -62,26 +62,31 @@ def _kuhn_certificate(grid: Grid, X: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     A positive margin makes X - id a contraction of the convex box, so the
     piecewise-linear map is injective and the image of the boundary (a loop
-    in 2D, a surface in 3D) is embedded.  The axis orders are reduced one at
-    a time into a running max and a running sum, so no pass holds all dim!
-    gradient stacks.
+    in 2D, a surface in 3D) is embedded.  The frames go through a chunk at
+    a time (``frame_chunks``), and within a chunk the axis orders are
+    reduced one at a time into a running max and a running sum, so no pass
+    holds all dim! gradient stacks and none grows with the window.
     """
     L, dim = len(X), grid.dim
-    diffs = [np.diff(X, axis=1 + a) / h for a, h in enumerate(grid.spacing)]
     eye = np.eye(dim)
     worst = np.zeros(L)
     volume = np.zeros(L)
-    for order in permutations(range(dim)):
-        cols = [None] * dim
-        corner = [0] * dim
-        for a in order:
-            cells = tuple(slice(c, c + n - 1) for c, n in zip(corner, grid.extent))
-            cols[a] = diffs[a][(slice(None),) + cells]
-            corner[a] = 1
-        D = np.stack(cols, axis=-1)
-        dev = np.sum((D - eye) ** 2, axis=(-2, -1)).reshape(L, -1)
-        worst = np.maximum(worst, np.sqrt(dev.max(axis=1)))
-        volume += mat_det(D).reshape(L, -1).sum(axis=1)
+    for sl in frame_chunks(grid, L, X[0].size):
+        n = len(X[sl])
+        diffs = [np.diff(X[sl], axis=1 + a) / h
+                 for a, h in enumerate(grid.spacing)]
+        for order in permutations(range(dim)):
+            cols = [None] * dim
+            corner = [0] * dim
+            for a in order:
+                cells = tuple(slice(c, c + m - 1)
+                              for c, m in zip(corner, grid.extent))
+                cols[a] = diffs[a][(slice(None),) + cells]
+                corner[a] = 1
+            D = np.stack(cols, axis=-1)
+            dev = np.sum((D - eye) ** 2, axis=(-2, -1)).reshape(n, -1)
+            worst[sl] = np.maximum(worst[sl], np.sqrt(dev.max(axis=1)))
+            volume[sl] += mat_det(D).reshape(n, -1).sum(axis=1)
     return 1.0 - worst, volume * np.prod(grid.spacing) / factorial(dim)
 
 
@@ -191,8 +196,11 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams) -> dict:
         j_where = {"frame": n_ok, "t": float(window.times[n_ok]),
                    "node": tuple(int(i) for i in bad[0, 1:])}
     j_ok = j_where is None
-    prod = np.einsum("...ij,...jk->...ik", window.gradX[:n_ok], window.Z[:n_ok])
-    inv_res = float(np.max(np.abs(prod - np.eye(grid.dim)), initial=0.0))
+    inv_res, eye = 0.0, np.eye(grid.dim)
+    for sl in frame_chunks(grid, n_ok, window.Z[0].size):
+        prod = np.einsum("...ij,...jk->...ik", window.gradX[sl], window.Z[sl])
+        # np.maximum keeps a NaN, which fails the check below
+        inv_res = float(np.maximum(inv_res, np.max(np.abs(prod - eye))))
     # the certificate is per frame: its first n_ok frames are the checked ones
     margins, _ = _window_certificate(bundle)
     margin = float(np.min(margins[:n_ok], initial=1.0))
@@ -225,9 +233,8 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams) -> dict:
     mask = op.boundary_row_mask
     steps = slice(1, len(bundle.v))
     u_steps = bundle.ubar.values[steps]
-    F_u, F_G_b = assemble_window(grid, u_steps, gradient_values(grid, u_steps),
-                                 window.Z[steps], window.J[steps],
-                                 problem.rho0.values, params)
+    F_u, F_G_b = assemble_window(grid, u_steps, window.Z[steps],
+                                 window.J[steps], problem.rho0.values, params)
     for n, (fu, fg) in enumerate(zip(F_u, F_G_b)):
         v0 = op.to_flat(bundle.v.values[n])
         v1 = op.to_flat(bundle.v.values[n + 1])

@@ -283,9 +283,9 @@ def _monitor_window(window: FlowWindow, cfg: SolveConfig, grid: Grid,
     return monitor, len(monitor.times)
 
 
-def _flow_stage(ubar: TimeSeries, nf: NoiseFlow,
-                with_X: bool) -> tuple[FlowWindow, np.ndarray]:
-    """Label flow and composition X = psi o Y: the window and grad ubar.
+def _flow_stage(ubar: TimeSeries, nf: NoiseFlow, q: float,
+                with_X: bool) -> FlowWindow:
+    """Label flow and composition X = psi o Y: the window of ``ubar``.
 
     ``ubar`` may be shorter than the noise flow (a stopped window of an
     earlier iterate); the flow is integrated on its levels only.  The label
@@ -293,27 +293,22 @@ def _flow_stage(ubar: TimeSeries, nf: NoiseFlow,
     the last level), so the stage builds 2L - 1 interpolation plans for L
     levels and the composition builds none.  It samples X = psi(Y) with the
     same plans only ``with_X``, for a caller that reads X: the rebuild, not
-    an iterate (whose window's X is None).  The label flow's
-    gradient of the drift frames comes along for the assembly of the same
-    drift; the rest of the label flow ends here.
+    an iterate, whose window keeps neither X nor grad X, only the per-level
+    |grad X - I| values of the monitor at the exponent ``q``
+    (``FlowWindow``).  The label flow ends here.
     """
-    label = integrate_label_flow(ubar, nf, with_X)
-    return compose_flow(label), label.grad_ubar
+    return compose_flow(integrate_label_flow(ubar, nf, with_X), ubar.grid, q)
 
 
 def _assemble_and_solve(ubar: TimeSeries, window: FlowWindow,
                         monitor: MonitorResult, n_frames: int,
-                        grad_ubar: np.ndarray, problem: Problem) -> PsiResult:
-    """F_u and F_Gamma on the first ``n_frames`` levels, then the Lame solve.
-
-    ``grad_ubar`` is ``gradient_values`` of the drift frames.
-    """
+                        problem: Problem) -> PsiResult:
+    """F_u and F_Gamma on the first ``n_frames`` levels, then the Lame solve."""
     grid = ubar.grid
     window = window.restrict(n_frames)
     times_w = ubar.times[:n_frames]
-    F_u, F_G_b = assemble_window(grid, ubar.values[:n_frames],
-                                 grad_ubar[:n_frames], window.Z, window.J,
-                                 problem.rho0.values, problem.params)
+    F_u, F_G_b = assemble_window(grid, ubar.values[:n_frames], window.Z,
+                                 window.J, problem.rho0.values, problem.params)
     f_series = TimeSeries(grid, times_w, F_u)
     v = solve_lame(problem.op, f_series, F_G_b, problem.u0, times_w)
     return PsiResult(v, window, monitor)
@@ -324,10 +319,9 @@ def apply_Psi(v1: TimeSeries, U: TimeSeries, problem: Problem,
     """One application of the solution map on the monitored window;
     ``record`` goes to ``_monitor_window``."""
     ubar = _drift(v1, U)
-    window, grad_ubar = _flow_stage(ubar, nf, with_X=False)
+    window = _flow_stage(ubar, nf, problem.cfg.q, with_X=False)
     monitor, n_frames = _monitor_window(window, problem.cfg, ubar.grid, record)
-    return _assemble_and_solve(ubar, window, monitor, n_frames, grad_ubar,
-                               problem)
+    return _assemble_and_solve(ubar, window, monitor, n_frames, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +417,14 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     noise flow.  Between iterates the loop carries the last velocity (as
     long as the window), the last exact monitor result (its pair and frame
     norms and the Z and J of its window) and the differences; an iterate's
-    window (grad X, Z, J: an iterate samples no X), its flow-stage gradient
-    of the drift and the difference stack end with it.  An exact monitor
-    holds its two series and one pair-row scratch they share, 3(L - 1)
-    node rows and a chunk of differences.  The rebuild starts without the
-    last result and is the one flow stage that samples X; the noise flow
+    window (Z, J and the per-level |grad X - I| values: an iterate keeps
+    neither X nor grad X, whose stack ends with its composition) and the
+    difference stack end with it.  No stage holds a whole-window gradient
+    of the drift: the label flow and the assembly each take it a chunk of
+    frames at a time.  An exact monitor holds its two series and one
+    pair-row scratch they share, 3(L - 1) node rows and a chunk of
+    differences.  The rebuild starts without the last result and is the
+    one flow stage that samples X, and keeps grad X with it; the noise flow
     goes once that stage, its last reader, has run, so the rebuild's
     monitor, density and energy run on the window, v, U and the drift
     alone.
@@ -546,7 +543,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     # rebuild the Lagrangian record of the converged velocity
     del record          # the rebuild runs the exact monitor
     ubar = _drift(v_prev, U)
-    window = _flow_stage(ubar, nf, with_X=True)[0]
+    window = _flow_stage(ubar, nf, cfg.q, with_X=True)
     del nf              # the flow stage was the noise flow's last reader
     monitor, keep = _monitor_window(window, cfg, grid)
     window = window.restrict(keep)

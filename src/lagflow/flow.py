@@ -28,7 +28,8 @@ frame stacks of ``fields``: the density, the monitor norms and the
 nonlinearity assembly all read it as stacks.  The label flow samples Dpsi,
 and psi where its caller reads X, on Y with the interpolation plans of its
 own Heun stages (``LabelFlow``), so the composition only contracts and
-inverts.
+inverts.  What the monitor reads of grad X, two values per level, is taken
+at the composition; grad X itself stays on the window only with X.
 """
 
 from __future__ import annotations
@@ -305,9 +306,9 @@ class LabelFlow:
     Level stacks: ``Y`` (L, *ext, d), ``gradY`` (L, *ext, d, d), and
     ``X`` = psi(Y) and ``Dpsi_Y`` = Dpsi(Y), interpolated with the plan the
     label flow built on Y at each level; ``times`` (L,).  ``X`` is None
-    when the flow was integrated without it (``with_X``).  ``grad_ubar``
-    (L, *ext, d, d) is the gradient of the drift frames the flow was
-    driven by, which the nonlinearity assembly of the same drift reads.
+    when the flow was integrated without it (``with_X``).  The gradient of
+    the drift frames is not kept: the flow takes it a chunk of frames at a
+    time, and the nonlinearity assembly takes its own.
     """
 
     times: np.ndarray
@@ -315,7 +316,6 @@ class LabelFlow:
     gradY: np.ndarray
     X: np.ndarray | None
     Dpsi_Y: np.ndarray
-    grad_ubar: np.ndarray
 
 
 def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
@@ -344,8 +344,11 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     axis last.  g = grad Y is carried as (d, d, n) rows across the steps
     and written node-major into ``gradY`` at each level; u and grad u are
     copied into component rows once per level, into two reused slots (a
-    step reads its level and the next), dA into (j, l, i, n) rows once per
-    stage, and A is read through a strided view.  The terms of
+    step reads its level and the next).  grad u is taken one
+    ``frame_chunks`` pass of drift frames at a time, as the steps reach
+    them, so no whole-window gradient is held (a frame's derivatives do not
+    depend on the frames beside it).  dA is copied into (j, l, i, n) rows
+    once per stage, and A is read through a strided view.  The terms of
     each sum are formed by one broadcast product per operand, left to right
     (dA g, then u; A grad u), into a reused (j, l, i, m, n) or (j, i, m, n)
     scratch array, and added over the leading axes from zero, j outermost:
@@ -369,7 +372,8 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     Y[0] = pts0
     G[0] = np.eye(dim)
     ub = ubar.values
-    gub = gradient_values(grid, ub)
+    passes = iter(frame_chunks(grid, L, ub[0].size))
+    held, gub = slice(0, 0), None   # the pass of frames whose gradient is held
     # the drift and its gradient of two levels as component rows, (j, n)
     # and (j, m, n): level n in slot n % 2, copied when a stage first reads it
     u_rows = np.empty((2, dim, N))
@@ -389,9 +393,13 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
         return plan
 
     def load_rows(level):
+        nonlocal held, gub
+        if level == held.stop:      # the levels are loaded in order, once
+            held = next(passes)
+            gub = gradient_values(grid, ub[held])
         np.copyto(u_rows[level % 2], ub[level].reshape(N, dim).T)
-        np.copyto(gu_rows[level % 2],
-                  gub[level].reshape(N, dim, dim).transpose(1, 2, 0))
+        gu = gub[level - held.start].reshape(N, dim, dim)
+        np.copyto(gu_rows[level % 2], gu.transpose(1, 2, 0))
 
     def rhs(level, plan, g):
         A = plan.apply(nf.Dpsi_inv[level])
@@ -423,7 +431,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
         Y[n + 1] = y
         G[n + 1].reshape(N, dim, dim)[...] = g.transpose(2, 0, 1)
     sample(L - 1, y)
-    return LabelFlow(times.copy(), Y, G, X, DY, gub)
+    return LabelFlow(times.copy(), Y, G, X, DY)
 
 
 # ---------------------------------------------------------------------------
@@ -435,52 +443,73 @@ class FlowWindow:
     """Lagrangian map data on the levels of a window, as level stacks.
 
     ``times`` (L,), ``X`` (L, *ext, d), ``gradX`` and ``Z`` (L, *ext, d, d)
-    and ``J`` (L, *ext).  ``X`` is None on a window whose label flow did not
-    sample it, a Picard iterate's: only the solve's rebuild reads X.  Which
-    levels are usable is the stopping monitor's verdict
-    (``stopping_monitor``), not the window's.
+    and ``J`` (L, *ext).  ``X`` and ``gradX`` are None on a window whose
+    label flow did not sample X, a Picard iterate's: only the solve's
+    rebuild reads them (its record and its validation).  What the stopping
+    monitor reads of grad X is kept per level, for every window:
+    ``dev_max`` (L,), the inversion guard's nodal maximum of
+    |grad X - I| (Frobenius), and ``dev_h1q`` (L,), the H^{1,q} norm of
+    grad X - I at the exponent ``q``.  Which levels are usable is the
+    stopping monitor's verdict (``stopping_monitor``), not the window's.
     """
 
     times: np.ndarray
     X: np.ndarray | None
-    gradX: np.ndarray
+    gradX: np.ndarray | None
     Z: np.ndarray
     J: np.ndarray
+    dev_max: np.ndarray
+    dev_h1q: np.ndarray
+    q: float
 
     @classmethod
     def from_map(cls, times: np.ndarray, X: np.ndarray | None,
-                 gradX: np.ndarray) -> "FlowWindow":
-        """J and Z of the level stacks X and grad X.
+                 gradX: np.ndarray, grid: Grid, q: float) -> "FlowWindow":
+        """The window of the level stacks X and grad X on ``grid``.
 
-        Z is the closed-form inverse; a level with |J| <= 1e-14 somewhere
-        gets a NaN Z (the inversion guard of the monitor rejects it).
+        ``dev_max`` and ``dev_h1q`` are taken first, a chunk of frames at a
+        time (``frame_chunks``), with the bits of each frame taken alone; a
+        level the guard rejects may overflow its norm, which no reader
+        reads.  Z is the closed-form inverse; a level with |J| <= 1e-14
+        somewhere gets a NaN Z (the inversion guard of the monitor rejects
+        it).  grad X is kept only with X.
         """
+        L, eye = len(times), np.eye(grid.dim)
+        dev_max, dev_h1q = np.empty(L), np.empty(L)
+        for sl in frame_chunks(grid, L, gradX[0].size):
+            dev = gradX[sl] - eye
+            with np.errstate(over="ignore", invalid="ignore"):
+                dev_h1q[sl] = frame_norms(grid, dev, "H1q", q)
+            dev = np.sqrt(np.sum(np.square(dev, out=dev), axis=(-2, -1)))
+            dev_max[sl] = dev.reshape(len(dev), -1).max(axis=1)
         J = mat_det(gradX)
         with np.errstate(divide="ignore", invalid="ignore"):
             Z = mat_inv(gradX, J)       # the singular levels are reset below
-        Z[np.any(np.abs(J.reshape(len(times), -1)) <= 1e-14, axis=1)] = np.nan
-        return cls(np.array(times, float), X, gradX, Z, J)
+        Z[np.any(np.abs(J.reshape(L, -1)) <= 1e-14, axis=1)] = np.nan
+        return cls(np.array(times, float), X, None if X is None else gradX,
+                   Z, J, dev_max, dev_h1q, q)
 
     def __len__(self) -> int:
         return len(self.times)
 
     def restrict(self, n_frames: int) -> "FlowWindow":
         """First ``n_frames`` levels, as views."""
-        return FlowWindow(*(None if a is None else a[:n_frames]
+        return FlowWindow(*(a[:n_frames] if isinstance(a, np.ndarray) else a
                             for a in (getattr(self, f.name)
                                       for f in fields(self))))
 
 
-def compose_flow(label: LabelFlow) -> FlowWindow:
-    """The window of a label flow: grad X = Dpsi(Y) grad Y, then Z and J.
+def compose_flow(label: LabelFlow, grid: Grid, q: float) -> FlowWindow:
+    """The window of a label flow: grad X = Dpsi(Y) grad Y, then
+    ``FlowWindow.from_map`` at the exponent ``q``.
 
     X = psi(Y) (None when not sampled) and Dpsi(Y) come from the label
     flow, which sampled them with its own plans on Y; the contraction runs
-    on the whole stacks (its
-    bits are the per-level ones), and ``FlowWindow.from_map`` takes the rest.
+    on the whole stacks (its bits are the per-level ones).  A window
+    without X keeps no grad X: the stack ends with this call.
     """
     gradX = contract("...ij,...jk->...ik", "j", label.Dpsi_Y, label.gradY)
-    return FlowWindow.from_map(label.times, label.X, gradX)
+    return FlowWindow.from_map(label.times, label.X, gradX, grid, q)
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +519,20 @@ def compose_flow(label: LabelFlow) -> FlowWindow:
 def _valid_levels(window: FlowWindow, eps_star: float,
                   grid: Grid) -> np.ndarray:
     """The inversion guard, (L,) bool: a level is valid when every node has
-    |grad X - I| <= eps_star (Frobenius) and J > 0, which NaN fails; a chunk
-    of frames at a time (``frame_chunks``)."""
-    eye, valid = np.eye(grid.dim), np.empty(len(window), bool)
+    |grad X - I| <= eps_star (Frobenius, ``FlowWindow.dev_max``) and J > 0,
+    which NaN fails; J a chunk of frames at a time (``frame_chunks``)."""
+    valid = window.dev_max <= eps_star
     for sl in frame_chunks(grid, len(window), window.Z[0].size):
-        dev = window.gradX[sl] - eye    # squared in place
-        dev = np.sqrt(np.sum(np.square(dev, out=dev), axis=(-2, -1)))
-        valid[sl] = ((dev.reshape(len(dev), -1).max(axis=1) <= eps_star)
-                     & np.all(window.J[sl].reshape(len(dev), -1) > 0, axis=1))
+        J = window.J[sl]
+        valid[sl] &= np.all(J.reshape(len(J), -1) > 0, axis=1)
     return valid
+
+
+def _check_exponent(window: FlowWindow, cfg: SolveConfig) -> None:
+    """``ValueError`` unless the window's grad X norms are at ``cfg.q``."""
+    if window.q != cfg.q:
+        raise ValueError(f"the window's |grad X - I| norms are at q = "
+                         f"{window.q}, the configuration's q is {cfg.q}")
 
 
 @dataclass(frozen=True)
@@ -549,15 +583,14 @@ class MonitorResult:
         e_k is the H^{1,q} norm of the level difference of Z and J against
         W0, the bounded pair and frame norms go through the L^p-in-time and
         Gagliardo sums of ``SlobodeckijWindow`` as whole arrays, and the
-        window's exact |grad X - I|_X enter as a running sup.  The cost is
-        three H^{1,q} frame norms per level and O(L^2) scalars, against the
-        O(L^2) pair rows of an exact run.
+        window's exact |grad X - I|_X (``FlowWindow.dev_h1q``) enter as a
+        running sup.  The cost is two H^{1,q} frame norms per level and
+        O(L^2) scalars, against the O(L^2) pair rows of an exact run.
         """
+        _check_exponent(window, cfg)
         m = len(window) - 1
-        eye = np.eye(grid.dim)
-        gnorms, e = np.empty(m), np.empty((2, m))
+        e = np.empty((2, m))
         for sl in frame_chunks(grid, m, window.Z[0].size):
-            gnorms[sl] = frame_norms(grid, window.gradX[sl] - eye, "H1q", cfg.q)
             e[0, sl] = frame_norms(grid, window.Z[sl] - self.Z[sl], "H1q", cfg.q)
             e[1, sl] = frame_norms(grid, window.J[sl] - self.J[sl], "H1q", cfg.q)
         t = self.times[:m]
@@ -573,7 +606,8 @@ class MonitorResult:
         lp_pow[:, 1:] = np.cumsum(
             0.5 * np.diff(t) * (frame_pow[:, 1:] + frame_pow[:, :-1]), axis=1)
         htheta = (lp_pow + sem) ** (1.0 / cfg.p)
-        return np.maximum.accumulate(gnorms) + htheta[0] + htheta[1]
+        return (np.maximum.accumulate(window.dev_h1q[:m]) + htheta[0]
+                + htheta[1])
 
     def certifies(self, window: FlowWindow, cfg: SolveConfig,
                   grid: Grid) -> bool:
@@ -597,10 +631,13 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     deformation norm sum reaches delta, or before the first one the
     inversion guard (``_valid_levels``) rejects; else the whole window.
 
-    delta, eps_star, theta, p and q are the solver configuration's.  The
-    guard runs first, before any norm buffer.  The norms are taken over the
-    levels before the first rejected one, on slices of the window's stacks
-    a chunk of frames at a time (``frame_chunks``).  Z - I and J - 1 are the
+    delta, eps_star, theta, p and q are the solver configuration's; the
+    window's |grad X - I| norms must be at its q (``ValueError``).  The
+    guard runs first, before any norm buffer, on the window's per-level
+    values.  The running sup of |grad X - I|_{H^{1,q}} reads
+    ``FlowWindow.dev_h1q``; the Z and J norms are taken over the levels
+    before the first rejected one, on slices of the window's stacks a chunk
+    of frames at a time (``frame_chunks``).  Z - I and J - 1 are the
     two series of one ``SlobodeckijWindow``, which holds one pair-row
     scratch for both; their H^{theta,p} sums advance frame by frame and stop
     at the crossing.  The result's ``times`` are the levels taken in, each
@@ -609,6 +646,7 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     (``SlobodeckijWindow.norms``) and its window's Z and J, for
     ``MonitorResult.certifies``.
     """
+    _check_exponent(window, cfg)
     eye = np.eye(grid.dim)
     times = window.times
     valid = _valid_levels(window, cfg.eps_star, grid)
@@ -619,9 +657,8 @@ def stopping_monitor(window: FlowWindow, cfg: SolveConfig,
     sup_gradX = 0.0
     fired_index = None
     for sl in frame_chunks(grid, n_valid, window.Z[0].size):
-        gnorms = frame_norms(grid, window.gradX[sl] - eye, "H1q", cfg.q)
         win.load(window.Z[sl] - eye, window.J[sl] - 1.0)
-        for n, gnorm in enumerate(gnorms, sl.start):
+        for n, gnorm in enumerate(window.dev_h1q[sl], sl.start):
             sup_gradX = max(sup_gradX, float(gnorm))
             hZ, hJ = win.advance()
             sup_run.append(sup_gradX)

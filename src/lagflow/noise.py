@@ -294,7 +294,10 @@ class StochasticForcing:
 
     @classmethod
     def default_modes(cls, grid: Grid, M: int, amplitude: float) -> "StochasticForcing":
-        """Smooth sine-product modes polarized along alternating axes."""
+        """Smooth sine-product modes polarized along alternating axes.
+
+        M must be an integer >= 0 (``ValueError`` before any arithmetic)."""
+        _check_count("M", M)
         modes = []
         c = grid.coords()
         for m in range(M):

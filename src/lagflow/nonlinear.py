@@ -146,25 +146,25 @@ def assemble_F_Gamma(G: np.ndarray, Z: np.ndarray, J: np.ndarray,
     return out
 
 
-def assemble_window(grid: Grid, u_frames: np.ndarray, grad_u: np.ndarray,
-                    Z: np.ndarray, J: np.ndarray, rho0: np.ndarray,
+def assemble_window(grid: Grid, u_frames: np.ndarray, Z: np.ndarray,
+                    J: np.ndarray, rho0: np.ndarray,
                     params: FluidParams) -> tuple[np.ndarray, np.ndarray]:
     """F_u at the interior nodes and F_Gamma at the boundary nodes of every
     frame of a window.
 
-    ``u_frames`` holds the velocity frames, ``grad_u`` their
-    ``gradient_values`` (the label flow of the same drift has them
-    already), and ``Z``, ``J`` the flow stacks of the same levels.  F_u is
-    0.0 at the boundary nodes: the Lame steps (``lame.solve_lame``) put the
-    traction data F_Gamma on those rows, and the validator's residual reads
-    F_u on the interior rows only, so no boundary value of F_u is read.  Its
-    derivative inputs come from the interior stencils
-    (``interior_hessian``, ``interior_gradient``), which give the interior
-    rows of the full-grid ones bit for bit.  The window goes through a
-    chunk of frames at a time (``frame_chunks``): one pass makes one
-    ``assemble_F_u`` call on the chunk's contiguous interior slabs and one
-    ``assemble_F_Gamma`` call on its boundary nodes, and a frame gets the
-    values it gets alone.  Returns F_u, shape (L, *ext, d), and F_Gamma at
+    ``u_frames`` holds the velocity frames and ``Z``, ``J`` the flow stacks
+    of the same levels.  F_u is 0.0 at the boundary nodes: the Lame steps
+    (``lame.solve_lame``) put the traction data F_Gamma on those rows, and
+    the validator's residual reads F_u on the interior rows only, so no
+    boundary value of F_u is read.  Its derivative inputs come from the
+    interior stencils (``interior_hessian``, ``interior_gradient``), which
+    give the interior rows of the full-grid ones bit for bit; the first
+    derivatives of the velocity are ``gradient_values``.  The window goes
+    through a chunk of frames at a time (``frame_chunks``), every
+    derivative taken per pass, so no derivative stack spans the window:
+    one pass makes one ``assemble_F_u`` call on the chunk's contiguous
+    interior slabs and one ``assemble_F_Gamma`` call on its boundary nodes,
+    and a frame gets the values it gets alone.  Returns F_u, shape (L, *ext, d), and F_Gamma at
     the boundary nodes, (L, n_boundary, d).
     """
     idx_b, normals_b = grid.boundary_nodes()
@@ -175,7 +175,7 @@ def assemble_window(grid: Grid, u_frames: np.ndarray, grad_u: np.ndarray,
     F_u = np.zeros((L,) + grid.extent + (grid.dim,))
     F_G_b = np.empty((L, len(idx_b), grid.dim))
     for sl in frame_chunks(grid, L, u_frames[0].size):
-        G = grad_u[sl]
+        G = gradient_values(grid, u_frames[sl])
         H = interior_hessian(grid, u_frames[sl], G)
         dZ = interior_gradient(grid, Z[sl])
         grad_p = interior_gradient(grid, params.pressure(rho0 / J[sl]))
@@ -275,7 +275,7 @@ def nonlinearity_norm_report(grid: Grid, times: np.ndarray,
     ``u = b.ubar.values``, ``g = gradient_values(b.grid, u)``,
     ``rho0 = b.problem.rho0`` and ``cfg = b.problem.cfg``::
 
-        F_u = assemble_window(b.grid, u, g, w.Z, w.J, rho0.values,
+        F_u = assemble_window(b.grid, u, w.Z, w.J, rho0.values,
                               b.problem.params)[0]
         F_G = assemble_F_Gamma(g, w.Z, w.J, rho0.values,
                                extended_normal_field(b.grid).values,

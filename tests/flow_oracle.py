@@ -34,8 +34,9 @@ def zero_noise_flow(grid, times):
     return integrate_noise_flow(Q, np.zeros((0, len(times) - 1)), grid)
 
 
-def per_level_compose(nf, times, Y, gradY):
-    """X = psi(Y), grad X = Dpsi(Y) grad Y, then Z and J, on ``times``."""
+def per_level_compose(nf, times, Y, gradY, grid, q):
+    """X = psi(Y), grad X = Dpsi(Y) grad Y, then the window of ``grid`` at
+    the exponent ``q`` (``FlowWindow.from_map``), on ``times``."""
     X = np.empty(Y.shape)
     gradX = np.empty(gradY.shape)
     for n in range(len(Y)):
@@ -43,7 +44,7 @@ def per_level_compose(nf, times, Y, gradY):
         X[n] = plan.apply(nf.psi[n])
         gradX[n] = contract("...ij,...jk->...ik", "j", plan.apply(nf.Dpsi[n]),
                             gradY[n])
-    return FlowWindow.from_map(times[:len(Y)], X, gradX)
+    return FlowWindow.from_map(times[:len(Y)], X, gradX, grid, q)
 
 
 def padded_noise_flow(Q, bundle, grid):
@@ -185,4 +186,4 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
         Y[n + 1] = y
         G[n + 1] = g
     sample(L - 1, y)
-    return LabelFlow(ubar.times.copy(), Y, G, X, DY, gub)
+    return LabelFlow(ubar.times.copy(), Y, G, X, DY)

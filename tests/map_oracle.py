@@ -47,9 +47,9 @@ def apply_Psi_deterministic(v1: TimeSeries, problem: Problem) -> PsiResult:
         g = g + 0.5 * dt * (gub[n] + gub[n + 1])
         Y[n + 1] = y
         G[n + 1] = g
-    window = FlowWindow.from_map(v1.times, Y, G)
+    window = FlowWindow.from_map(v1.times, Y, G, grid, cfg.q)
     monitor, n_frames = _monitor_window(window, cfg, grid)
-    return _assemble_and_solve(v1, window, monitor, n_frames, gub, problem)
+    return _assemble_and_solve(v1, window, monitor, n_frames, problem)
 
 
 def direct_flow_oracle(ubar: TimeSeries, Q: TransportField,

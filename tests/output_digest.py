@@ -31,11 +31,15 @@ zero-increment case); its lines name the workload ``<workload>/K=0``.  It
 uses nothing the K > 0 run does not, so it runs on earlier checkouts too.
 
 Each line is ``workload seed index brownian_seed sha256``, in the order the
-paths ran.  ``--reverse`` runs them last to first: a path must not depend on
-the paths before it (the cached ``Problem``, the interpolation axes and the
-contraction plans are shared), so its line must not change.  One BLAS
-thread is used unless the environment says otherwise.  pytest does not
-collect this file.
+paths ran.  ``--reverse`` runs them last to first: a path must not depend
+on the paths before it (the cached ``Problem``, the interpolation axes and
+the contraction plans are shared), so its line must not change.
+``--peak`` appends the path's tracemalloc peak of ``picard_solve`` in
+bytes, with the noise-free set-up (``problem_for``) built before tracing
+starts, so one run per checkout gives the bits and the peaks; without it
+the lines are as they were before the flag.  One BLAS thread is used
+unless the environment says otherwise.  pytest does not collect this
+file.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import json
 import os
 import sys
 import tempfile
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -109,10 +114,19 @@ def _plain(obj):
     raise TypeError(f"cannot digest {type(obj).__name__}")
 
 
-def digest_solution(d: Digest, w, inputs, bseed: int) -> None:
+def digest_solution(d: Digest, w, inputs, bseed: int,
+                    peaks: list | None) -> None:
     bundle = noise.sample_brownian(inputs.Q.K, w.M, w.T, w.dt, bseed)
-    sol = fixedpoint.picard_solve(inputs.rho0, inputs.u0, inputs.params,
-                                  inputs.cfg, inputs.Q, bundle, inputs.forcing)
+    setup = (inputs.rho0, inputs.u0, inputs.params, inputs.cfg)
+    if peaks is not None:
+        fixedpoint.problem_for(*setup)      # shared by every path: not traced
+        tracemalloc.start()
+    try:
+        sol = fixedpoint.picard_solve(*setup, inputs.Q, bundle, inputs.forcing)
+    finally:
+        if peaks is not None:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
     for name in SERIES:
         d.array(name, getattr(sol, name).values)
     d.array("rho", sol.rho)
@@ -143,10 +157,12 @@ def digest_solution(d: Digest, w, inputs, bseed: int) -> None:
             d.raw(f"file.{path.name}", path.read_bytes())
 
 
-def path_digest(w, inputs, bseed: int) -> str:
+def path_digest(w, inputs, bseed: int, peaks: list | None) -> str:
+    """The path's sha256; its tracemalloc peak is appended to ``peaks``
+    unless that is None."""
     d = Digest()
     try:
-        digest_solution(d, w, inputs, bseed)
+        digest_solution(d, w, inputs, bseed, peaks)
     except Exception as exc:     # a failed path is an output too
         d.text("error", f"{type(exc).__name__}: {exc}")
     return d.hexdigest()
@@ -171,6 +187,9 @@ def main(argv=None) -> int:
     ap.add_argument("--no-transport", action="store_true",
                     help="run the workload with K = 0 transport fields and "
                          "the same forcing")
+    ap.add_argument("--peak", action="store_true",
+                    help="append each path's tracemalloc peak of "
+                         "picard_solve in bytes")
     args = ap.parse_args(argv)
     w = WORKLOADS[args.workload]
     lf = types.SimpleNamespace(np=np, fields=fields, noise=noise, lame=lame,
@@ -184,10 +203,12 @@ def main(argv=None) -> int:
     warnings.filterwarnings("ignore", "initial compatibility residual",
                             UserWarning)
     indices = reversed(args.paths) if args.reverse else args.paths
+    peaks = [] if args.peak else None
     for index in indices:
         bseed = path_seed(args.seed, index)
-        print(name, args.seed, index, bseed, path_digest(w, inputs, bseed),
-              flush=True)
+        digest = path_digest(w, inputs, bseed, peaks)
+        print(name, args.seed, index, bseed, digest,
+              *(peaks[-1:] if args.peak else []), flush=True)
     return 0
 
 

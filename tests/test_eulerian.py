@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lagflow.eulerian
+import lagflow.fields
 from lagflow.eulerian import (
     _kuhn_certificate,
     kinematic_residual,
@@ -164,6 +165,24 @@ def test_certificate_is_taken_once_per_window(noise_path, monkeypatch):
     # a swapped window is certified anew
     fresh.window = fresh.window.restrict(3)
     assert len(reconstruct(fresh)) == 3 and len(calls) == 2
+
+
+def test_validation_does_not_depend_on_its_passes(noise_path, monkeypatch):
+    # the inverse residual, the certificate and the residual's assembly go
+    # through frame_chunks with a running max or sum: one pass over the
+    # window or one per frame gives the same report and certificate, bit
+    # for bit
+    sol, _, _ = noise_path
+    got = []
+    for chunk_bytes in (1 << 40, 1):
+        monkeypatch.setattr(lagflow.fields, "_CHUNK_BYTES", chunk_bytes)
+        fresh = dataclasses.replace(sol)
+        report = validate_solution(fresh, fresh.problem.params)
+        certificate = _kuhn_certificate(sol.grid, sol.window.X)
+        got.append([json.dumps(report, sort_keys=True)]
+                   + [a.tobytes() for a in certificate])
+    assert got[0] == got[1]
+    assert report["passed"] and report["diffeomorphism"]["inverse_residual"] > 0
 
 
 @pytest.mark.parametrize("edit", ["window", "monitor"])

@@ -10,11 +10,14 @@ import pytest
 import lagflow.fixedpoint
 import lagflow.flow
 import lagflow.lame
+import lagflow.nonlinear
 from lagflow.eulerian import validate_solution
 from lagflow.fields import Field, Grid, TimeSeries, spatial_norm
 from lagflow.fixedpoint import (
     PicardDivergence,
     SolveConfig,
+    _drift,
+    _flow_stage,
     apply_Psi,
     compatibility_check,
     contraction_probe,
@@ -596,16 +599,33 @@ def budget_case_3d():
             sample_brownian(1, 1, cfg.T, cfg.dt, seed=0))
 
 
+def budget_case_fine_step():
+    # 17^2 stream noise at dt = 2.5e-4: the first iterate's window has all
+    # 201 levels, and its monitor fires at level 25
+    grid = Grid(2, 17)
+    c = grid.coords()
+    u = np.zeros(grid.extent + (2,))
+    u[..., 0] = 1e-3 * np.prod([np.sin(np.pi * c[..., d]) ** 2
+                                for d in range(2)], axis=0)
+    cfg = SolveConfig(dt=2.5e-4)
+    return (Field(grid, np.ones(grid.extent)), Field(grid, u), cfg,
+            make_transport_field(2, "stream", K=2, amplitude=1e-3),
+            StochasticForcing.default_modes(grid, 1, 1e-3),
+            sample_brownian(2, 1, cfg.T, cfg.dt, seed=0))
+
+
 # tracemalloc peaks of the picard_solves below, measured with these set-ups
-# once each level stack is held only while a reader needs it, the monitor's
-# two series share one pair-row scratch and only the rebuild samples X; both
-# sit in the first iterate's exact monitor.  They were 28,028,909 B and
-# 32,422,302 B with a scratch per series and X on every iterate, and the
+# once no whole-window gradient of the drift and no iterate's grad X is
+# held (the monitor reads its per-level values of grad X off the window);
+# the 13^3 peak sits in the first iterate's label flow, the others in its
+# exact monitor.  They were 25,306,619 B, 30,854,198 B and 28,035,765 B
+# with both stacks alive at that monitor, 28,028,909 B and 32,422,302 B
+# before that with a scratch per series and X on every iterate, and the
 # 13^3 solve peaked at 36,189,083 B before that, in the rebuild's monitor,
 # with the noise flow, the last iterate's window and the last certified
-# window still alive.  The margin of 5% (1.4 MB in
-# 2D, 1.6 MB in 3D) is less than one whole-window grad X or Z stack of
-# either solve.
+# window still alive.  The margin of 5% (1.1 MB in 2D, 1.4 MB in 3D) is
+# less than one whole-window grad X stack of the 33^2 and 13^3 solves or
+# two of the fine-step solve.
 PICARD_PEAK_MARGIN = 1.05
 
 
@@ -636,7 +656,7 @@ def solve_with_peak(case, monkeypatch):
 def test_picard_allocation_budget(monkeypatch):
     b, peak, _ = solve_with_peak(budget_case_2d(), monkeypatch)
     assert b.converged and b.monitor.fired
-    assert peak <= PICARD_PEAK_MARGIN * 25_306_619
+    assert peak <= PICARD_PEAK_MARGIN * 21_753_112
 
 
 def test_picard_allocation_budget_at_13_cubed(monkeypatch):
@@ -644,22 +664,34 @@ def test_picard_allocation_budget_at_13_cubed(monkeypatch):
     # the first iterate and the rebuild: the other iterates were certified
     assert b.converged and b.iterations >= 3
     assert not b.monitor.fired and exact_runs == 2
-    assert peak <= PICARD_PEAK_MARGIN * 30_854_198
+    assert peak <= PICARD_PEAK_MARGIN * 27_394_821
+
+
+def test_picard_allocation_budget_at_fine_steps(monkeypatch):
+    # direction 5's fine steps: the stacks that grow with the level count
+    b, peak, exact_runs = solve_with_peak(budget_case_fine_step(), monkeypatch)
+    assert b.converged and b.monitor.fired and len(b.times) < 201
+    assert exact_runs == 2      # the first iterate's (201 levels), the rebuild's
+    assert peak <= PICARD_PEAK_MARGIN * 24_327_621
 
 
 def test_picard_holds_each_stack_only_while_it_is_read(monkeypatch):
     # no flow stage starts with an earlier iterate's grad X alive (the
-    # monitor record keeps only Z and J), only the rebuild samples X, the
+    # monitor record keeps only Z and J), only the rebuild samples X and
+    # keeps grad X, no exact monitor loads its first frames with a
+    # whole-window gradient of the drift or an iterate's grad X alive, the
     # rebuild's exact monitor runs without the noise flow and without any
-    # earlier window's Z, and every exact monitor holds one pair-row scratch
-    # for its two series while they advance
+    # earlier window's Z, and every exact monitor holds one pair-row
+    # scratch for its two series while they advance
     rho0, u0, cfg, Q, forcing, bw = budget_case_3d()
     fp = lagflow.fixedpoint
     integrate, flow_stage, monitor = (fp.integrate_noise_flow, fp._flow_stage,
                                       fp.stopping_monitor)
     window_cls = lagflow.flow.SlobodeckijWindow
-    advance = window_cls.advance
+    advance, load = window_cls.advance, window_cls.load
+    from_map = lagflow.flow.FlowWindow.from_map
     noise, windows, last_monitor, scratch, scratch_alive = [], [], [], [], set()
+    grads_X, drift_grads, first_load, loading = [], [], [], []
 
     def alive(refs):
         gc.collect()
@@ -670,16 +702,36 @@ def test_picard_holds_each_stack_only_while_it_is_read(monkeypatch):
         noise.append(weakref.ref(nf))
         return nf
 
+    def composed(cls, times, X, gradX, *args):
+        grads_X.append(weakref.ref(gradX))
+        return from_map(times, X, gradX, *args)
+
+    def drift_gradient(module):
+        gradient = module.gradient_values
+
+        def watched(grid, values):
+            out = gradient(grid, values)
+            drift_grads.append(weakref.ref(out))
+            return out
+        monkeypatch.setattr(module, "gradient_values", watched)
+
     def watched_stage(*args, **kwargs):
-        assert not any(alive([gx for gx, _ in windows]))
-        window, grad_ubar = flow_stage(*args, **kwargs)
-        windows.append((weakref.ref(window.gradX), weakref.ref(window.Z)))
+        assert not any(alive(grads_X))
+        window = flow_stage(*args, **kwargs)
+        windows.append(weakref.ref(window.Z))
         sampled.append(window.X is not None)
-        return window, grad_ubar
+        return window
 
     def watched_monitor(*args):
-        last_monitor[:] = alive(noise + [z for _, z in windows[:-1]])
+        last_monitor[:] = alive(noise + windows[:-1])
+        loading.append(True)
         return monitor(*args)
+
+    def watched_load(self, *series):
+        if loading:     # an exact monitor's first frames: what is alive
+            loading.clear()
+            first_load.append((any(alive(drift_grads)), alive(grads_X)))
+        return load(self, *series)
 
     def watched_advance(self):
         # the window's scratch rows, by identity: every one ever made, and
@@ -693,14 +745,24 @@ def test_picard_holds_each_stack_only_while_it_is_read(monkeypatch):
     monkeypatch.setattr(fp, "integrate_noise_flow", noise_flow)
     monkeypatch.setattr(fp, "_flow_stage", watched_stage)
     monkeypatch.setattr(fp, "stopping_monitor", watched_monitor)
+    monkeypatch.setattr(lagflow.flow.FlowWindow, "from_map", classmethod(composed))
+    drift_gradient(lagflow.flow)        # the label flow's
+    drift_gradient(lagflow.nonlinear)   # the assembly's and the energy's
+    monkeypatch.setattr(window_cls, "load", watched_load)
     monkeypatch.setattr(window_cls, "advance", watched_advance)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         b = picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
-    assert len(windows) == b.iterations + 1 >= 3
+    assert len(windows) == len(grads_X) == b.iterations + 1 >= 3
     assert last_monitor == [False] * (1 + b.iterations)    # psi, each Z
     assert sampled == [False] * b.iterations + [True]
     assert len(scratch) == 2 and scratch_alive == {1}   # first iterate, rebuild
+    # the first iterate's and the rebuild's monitors: no drift gradient is
+    # alive, and no grad X but the rebuild's own
+    assert [drift for drift, _ in first_load] == [False, False]
+    assert first_load[0][1] == [False]
+    assert first_load[1][1] == [False] * b.iterations + [True]
+    assert len(drift_grads) > len(windows)     # each label flow took some
 
 
 # ---------------------------------------------------------------------------
@@ -828,9 +890,11 @@ def test_deterministic_path_matches_generic():
         assert len(r_gen.v) == len(r_det.v)
         assert np.max(np.abs(r_gen.v.values - r_det.v.values)) <= 1e-10
         w_gen, w_det = r_gen.window, r_det.window
-        # an iterate samples no X; its grad X is the deterministic X's
-        assert w_gen.X is None
-        assert np.max(np.abs(w_gen.gradX - w_det.gradX)) <= 1e-10
+        # an iterate keeps neither X nor grad X; the grad X of its drift,
+        # composed with X, is the deterministic X's
+        assert w_gen.X is None and w_gen.gradX is None
+        gradX = _flow_stage(_drift(v_gen, zeroU), nf, cfg.q, with_X=True).gradX
+        assert np.max(np.abs(gradX[:len(w_gen)] - w_det.gradX)) <= 1e-10
         assert np.max(np.abs(w_gen.J - w_det.J)) <= 1e-10
         assert np.max(np.abs(rho0.values / w_gen.J
                              - rho0.values / w_det.J)) <= 1e-10

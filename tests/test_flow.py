@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lagflow.fields
 import lagflow.fixedpoint
 import lagflow.interp
 from flow_oracle import integrate_label_flow as contract_label_flow
 from flow_oracle import padded_noise_flow, per_level_compose, zero_noise_flow
 from map_oracle import direct_flow_oracle, jacobian_ode_oracle
 from lagflow.fields import (Field, Grid, SlobodeckijWindow, TimeSeries,
-                            gradient_values, spatial_norm)
+                            frame_norms, spatial_norm)
 from lagflow.fixedpoint import SolveConfig, _flow_stage, _monitor_window, picard_solve
 from lagflow.flow import (
     PAD_CELLS,
@@ -35,6 +36,7 @@ from lagflow.noise import (StochasticForcing, make_transport_field, refine_bridg
 GRID = Grid(2, (33, 33))
 T, DT = 0.05, 1e-3
 TIMES = np.linspace(0.0, T, 51)
+EXP_Q = SolveConfig().q     # the monitor's space exponent, of every window
 
 
 def zero_velocity(grid=GRID, times=TIMES):
@@ -333,12 +335,12 @@ def test_label_flow_on_window_prefix_matches_full_run():
     ubar = TimeSeries(GRID, TIMES, (1.0 + TIMES)[:, None, None, None]
                       * np.stack([bump, -0.5 * bump], axis=-1)[None])
     lf = integrate_label_flow(ubar, nf)
-    full = compose_flow(lf)
+    full = compose_flow(lf, GRID, EXP_Q)
     k = 7
     lk = integrate_label_flow(ubar.restrict(k), nf)
     for name in ("times", "Y", "gradY", "X", "Dpsi_Y"):
         assert np.array_equal(getattr(lk, name), getattr(lf, name)[:k])
-    window = compose_flow(lk)
+    window = compose_flow(lk, GRID, EXP_Q)
     assert len(window) == k
     assert np.array_equal(window.X, full.X[:k])
     assert np.array_equal(window.gradX, full.gradX[:k])
@@ -356,7 +358,7 @@ def test_label_flow_on_window_prefix_matches_full_run():
 def test_initial_state_is_identity():
     nf = zero_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(0.4), nf)
-    w = compose_flow(lf)
+    w = compose_flow(lf, GRID, EXP_Q)
     assert np.max(np.abs(w.X[0] - GRID.coords())) == 0.0
     assert np.max(np.abs(w.Z[0] - np.eye(2))) == 0.0
     assert np.max(np.abs(w.J[0] - 1.0)) == 0.0
@@ -366,7 +368,7 @@ def test_linear_drift_jacobian_closed_form():
     alpha = 0.5
     nf = zero_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(alpha), nf)
-    w = compose_flow(lf)
+    w = compose_flow(lf, GRID, EXP_Q)
     scale = 1.0 + alpha * T
     assert np.max(np.abs(w.J[-1] - scale**2)) <= 1e-10
     assert np.max(np.abs(w.Z[-1] - np.eye(2) / scale)) <= 1e-10
@@ -377,7 +379,7 @@ def test_pure_transport_volume_within_tolerance():
     b = sample_brownian(1, 0, T, DT, seed=3)
     nf = integrate_noise_flow(Q, b.transport_increments(), GRID)
     lf = integrate_label_flow(zero_velocity(), nf)
-    assert np.max(np.abs(compose_flow(lf).J - 1.0)) <= 1e-6
+    assert np.max(np.abs(compose_flow(lf, GRID, EXP_Q).J - 1.0)) <= 1e-6
 
 
 def test_jacobian_transport_identity():
@@ -391,7 +393,7 @@ def test_jacobian_transport_identity():
         ub = linear_velocity(0.4, GRID, times)
         nf = integrate_noise_flow(Q, b.transport_increments(), GRID)
         lf = integrate_label_flow(ub, nf)
-        window = compose_flow(lf)
+        window = compose_flow(lf, GRID, EXP_Q)
         J_ode = jacobian_ode_oracle(ub, window)
         gaps.append(np.max(np.abs(J_ode - window.J)))
         b = refine_bridge(b)
@@ -473,19 +475,20 @@ def test_flow_stage_matches_per_level_compose_oracle(dim, monkeypatch):
     ubar = TimeSeries(g, times, scale * np.stack([bump] + [-0.5 * bump] * (dim - 1), axis=-1))
     for u, with_X in ((ubar, True), (ubar.restrict(6), True), (ubar, False)):
         built = count_plans(monkeypatch)
-        window, grad_u = _flow_stage(u, nf, with_X)
+        window = _flow_stage(u, nf, cfg.q, with_X)
         assert len(built) == 2 * len(u) - 1
-        assert np.array_equal(grad_u, gradient_values(g, u.values))
         monkeypatch.undo()
         lf = integrate_label_flow(u, nf)
-        want = per_level_compose(nf, times, lf.Y, lf.gradY)
+        want = per_level_compose(nf, times, lf.Y, lf.gradY, g, cfg.q)
         assert len(window) == len(u)
-        # an iterate's window (with_X False) samples no X
+        # an iterate's window (with_X False) keeps neither X nor grad X,
+        # only the monitor's per-level values of grad X
         assert (window.X is None) is not with_X
-        for name in ("times", "X", "gradX", "Z", "J") if with_X else (
-                "times", "gradX", "Z", "J"):
+        assert (window.gradX is None) is not with_X
+        for name in ("times", "X", "gradX", "Z", "J", "dev_max", "dev_h1q") if (
+                with_X) else ("times", "Z", "J", "dev_max", "dev_h1q"):
             assert np.array_equal(getattr(window, name), getattr(want, name)), name
-    assert np.max(np.abs(window.gradX - np.eye(dim))) > 1e-3   # a nontrivial map
+    assert np.max(np.abs(want.gradX - np.eye(dim))) > 1e-3   # a nontrivial map
 
 
 def test_only_the_rebuild_samples_x(monkeypatch):
@@ -521,16 +524,17 @@ def test_only_the_rebuild_samples_x(monkeypatch):
     assert sol.converged and len(iterate_X) == sol.iterations >= 2
     assert all(X is None for X in iterate_X)
     lf = integrate_label_flow(sol.ubar, flows[0])
-    want = per_level_compose(flows[0], cfg.times, lf.Y, lf.gradY)
+    want = per_level_compose(flows[0], cfg.times, lf.Y, lf.gradY, g, cfg.q)
     for name in ("times", "X", "gradX", "Z", "J"):
         assert np.array_equal(getattr(sol.window, name), getattr(want, name)), name
     assert np.max(np.abs(sol.window.X - g.coords())) > 1e-4    # X moved
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_label_flow_matches_contract_oracle(dim):
+def test_label_flow_matches_contract_oracle(dim, monkeypatch):
     # the component-major variational sums hold the bits of the node-major
-    # contract sums in every output, on the whole window and a stopped one
+    # contract sums in every output, on the whole window and a stopped one,
+    # with the drift's gradient taken in one pass or in several
     if dim == 2:
         g, Q = Grid(2, (17, 19)), make_transport_field(2, "stream", K=2, amplitude=0.1)
     else:
@@ -554,13 +558,49 @@ def test_label_flow_matches_contract_oracle(dim):
                       axis=-1)
     values[:, 0] = -0.0                 # a face of signed zeros in the drift
     ubar = TimeSeries(g, times, values)
-    for u in (ubar, ubar.restrict(7)):
-        got, want = integrate_label_flow(u, nf), contract_label_flow(u, nf)
-        for name in ("times", "Y", "gradY", "X", "Dpsi_Y", "grad_ubar"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.shape == b.shape and np.array_equal(a, b), name
-            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+    frame = 8 * g.n_nodes * dim * dim**2    # frame_chunks' bytes per drift frame
+    # the drift's gradient in one pass, and in passes of three frames
+    for chunk_bytes in (lagflow.fields._CHUNK_BYTES, 3 * frame):
+        monkeypatch.setattr(lagflow.fields, "_CHUNK_BYTES", chunk_bytes)
+        for u in (ubar, ubar.restrict(7)):
+            got, want = integrate_label_flow(u, nf), contract_label_flow(u, nf)
+            for name in ("times", "Y", "gradY", "X", "Dpsi_Y"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and np.array_equal(a, b), name
+                assert np.array_equal(np.signbit(a), np.signbit(b)), name
     assert np.max(np.abs(got.gradY - np.eye(dim))) > 1e-3    # a nontrivial map
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_window_keeps_the_monitor_values_of_grad_x(dim, monkeypatch):
+    # dev_max is the inversion guard's nodal maximum of |grad X - I|
+    # (Frobenius) and dev_h1q the frame_norms H^{1,q} norm of grad X - I,
+    # bit for bit as taken on the whole grad X stack, in one pass or in
+    # passes of three frames, with or without X (a window without X keeps
+    # no grad X); _valid_levels reads the first.  A level far outside the
+    # guard overflows its norm without a warning
+    g = Grid(dim, (17, 17) if dim == 2 else (9, 10, 9))
+    times = TIMES[:8]
+    gradX, X = smooth_window(g, times, np.random.default_rng(dim), 0.3)
+    gradX[5] *= 1e50
+    dev = gradX - np.eye(dim)
+    with np.errstate(over="ignore"):
+        want_h1q = frame_norms(g, dev, "H1q", EXP_Q)
+    want_max = np.sqrt(np.sum(dev ** 2, axis=(-2, -1))).reshape(8, -1).max(axis=1)
+    assert want_h1q[5] == np.inf and np.all(np.isfinite(want_h1q[:5]))
+    eps = float(np.median(want_max[:5]))
+    want_valid = (want_max <= eps) & np.all(mat_det(gradX).reshape(8, -1) > 0,
+                                             axis=1)
+    assert 0 < want_valid.sum() < 8
+    frame = 8 * g.n_nodes * dim**2 * dim**2     # frame_chunks' bytes per frame
+    for chunk_bytes in (lagflow.fields._CHUNK_BYTES, 3 * frame):
+        monkeypatch.setattr(lagflow.fields, "_CHUNK_BYTES", chunk_bytes)
+        for sampled in (X, None):
+            w = FlowWindow.from_map(times, sampled, gradX, g, EXP_Q)
+            assert (w.gradX is None) is (sampled is None)
+            assert w.dev_max.tobytes() == want_max.tobytes()
+            assert w.dev_h1q.tobytes() == want_h1q.tobytes()
+            assert np.array_equal(_valid_levels(w, eps, g), want_valid)
 
 
 def test_singular_level_gets_nan_inverse():
@@ -575,7 +615,7 @@ def test_singular_level_gets_nan_inverse():
     eye = np.broadcast_to(np.eye(2), gradY.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = compose_flow(LabelFlow(times, Y, gradY, Y, eye, 0.0 * eye))
+        w = compose_flow(LabelFlow(times, Y, gradY, Y, eye), GRID, EXP_Q)
         valid = _valid_levels(w, 0.25, GRID)
     assert np.all(np.isnan(w.Z[2]))
     assert valid.tolist() == [True, True, False, True, True]
@@ -628,7 +668,7 @@ def test_factorization_matches_direct_oracle():
         ub = smooth_drift_series(GRID, times)
         nf = integrate_noise_flow(Q, b.transport_increments(), GRID)
         lf = integrate_label_flow(ub, nf)
-        Xc = compose_flow(lf).X
+        Xc = compose_flow(lf, GRID, EXP_Q).X
         Xd = direct_flow_oracle(ub, Q, b)
         gaps.append(np.max(np.abs(Xc - Xd)))
         b = refine_bridge(b)
@@ -645,7 +685,7 @@ def test_invert_translation_flow():
     c = [0.25, -0.15]
     nf = zero_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(constant_velocity(c), nf)
-    w = compose_flow(lf)
+    w = compose_flow(lf, GRID, EXP_Q)
     assert np.allclose(w.X[-1], GRID.coords() + T * np.array(c), atol=1e-10)
 
 
@@ -656,7 +696,7 @@ def test_invert_translation_flow():
 def test_monitor_stays_open_without_motion():
     nf = zero_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(zero_velocity(), nf)
-    mon = stopping_monitor(compose_flow(lf), SolveConfig(), GRID)
+    mon = stopping_monitor(compose_flow(lf, GRID, EXP_Q), SolveConfig(), GRID)
     assert not mon.fired
     assert mon.times[-1] == T
     assert np.all(mon.total == 0.0)
@@ -671,7 +711,7 @@ def test_monitor_first_crossing_semantics():
     nf = zero_noise_flow(DRIFT_GRID, TIMES)
     ub = linear_velocity(1.5, DRIFT_GRID)
     lf = integrate_label_flow(ub, nf)
-    window = compose_flow(lf)
+    window = compose_flow(lf, DRIFT_GRID, EXP_Q)
     cfg = SolveConfig(delta=0.02)
     mon = stopping_monitor(window, cfg, DRIFT_GRID)
     assert mon.fired and mon.times[-1] < T and mon.times[-1] > 0
@@ -685,7 +725,7 @@ def test_monitor_first_crossing_semantics():
 def test_monitor_sigma_monotone_in_delta():
     nf = zero_noise_flow(DRIFT_GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(1.5, DRIFT_GRID), nf)
-    window = compose_flow(lf)
+    window = compose_flow(lf, DRIFT_GRID, EXP_Q)
     sigmas = []
     for delta in (0.08, 0.04, 0.02, 0.01):
         cfg = SolveConfig(delta=delta)
@@ -696,7 +736,7 @@ def test_monitor_sigma_monotone_in_delta():
 def test_monitor_fires_on_invalid_state():
     nf = zero_noise_flow(DRIFT_GRID, TIMES)
     lf = integrate_label_flow(linear_velocity(1.5, DRIFT_GRID), nf)
-    window = compose_flow(lf)
+    window = compose_flow(lf, DRIFT_GRID, EXP_Q)
     # delta <= eps_star, so on this spatially constant map the threshold
     # fires first; test_window_ends_before_the_level_the_guard_rejects
     # fires the guard alone
@@ -843,7 +883,7 @@ def linear_flow_window():
     times = TIMES[:21]
     nf = zero_noise_flow(g, times)
     lf = integrate_label_flow(linear_velocity(1.5, g, times), nf)
-    return g, compose_flow(lf)
+    return g, compose_flow(lf, g, EXP_Q)
 
 
 def smooth_flow_window(dim):
@@ -851,7 +891,7 @@ def smooth_flow_window(dim):
     g = Grid(dim, (17, 17) if dim == 2 else (9, 10, 9))
     times = TIMES[:21 if dim == 2 else 11]
     gradX, X = smooth_window(g, times, np.random.default_rng(dim), 1e-2)
-    return g, window_of(times, X, gradX)
+    return g, window_of(g, times, X, gradX)
 
 
 @pytest.mark.parametrize("make_window, delta, fires", [
@@ -919,8 +959,8 @@ def smooth_window(grid, times, rng, scale):
     return gradX, X
 
 
-def window_of(times, X, gradX):
-    return FlowWindow.from_map(times, X, gradX)
+def window_of(grid, times, X, gradX):
+    return FlowWindow.from_map(times, X, gradX, grid, EXP_Q)
 
 
 @settings(max_examples=12, deadline=None)
@@ -936,13 +976,13 @@ def test_record_bound_dominates_exact_totals(seed, dim, L, scale, steps):
     grid = Grid(dim, (9, 10, 9)[:dim])
     times = 1e-3 * np.arange(L)
     gradX, X = smooth_window(grid, times, rng, scale)
-    record = stopping_monitor(window_of(times, X, gradX), OPEN, grid)
+    record = stopping_monitor(window_of(grid, times, X, gradX), OPEN, grid)
     moved = False
     for size in steps:
         moved = moved or size > 0.0
         gradX = gradX + size * rng.normal(size=gradX.shape) * (
             times / times[-1]).reshape((-1,) + (1,) * (dim + 2))
-        window = window_of(times, X, gradX)
+        window = window_of(grid, times, X, gradX)
         bound = record.bound(window, OPEN, grid)
         exact = stopping_monitor(window, OPEN, grid).total[:L - 1]
         assert np.all(exact <= (1.0 + 1e-9) * bound)
@@ -959,7 +999,7 @@ def lifted_windows(lift):
     gradX, X = smooth_window(g, times, np.random.default_rng(4), 5e-2)
     lifted = gradX.copy()
     lifted[1:] += lift * np.eye(2)
-    return g, times, window_of(times, X, gradX), window_of(times, X, lifted)
+    return g, times, window_of(g, times, X, gradX), window_of(g, times, X, lifted)
 
 
 def test_lifted_bound_falls_back_to_the_exact_monitor():
@@ -1002,7 +1042,7 @@ def identity_window_with(level, bad):
     gradX = np.broadcast_to(np.eye(2), (8,) + g.extent + (2, 2)).copy()
     gradX[level] = np.diag([1.0, -1.0]) if bad == "folded" else 1.3 * np.eye(2)
     X = np.broadcast_to(g.coords(), (8,) + g.extent + (2,)).copy()
-    return g, FlowWindow.from_map(times, X, gradX)
+    return g, FlowWindow.from_map(times, X, gradX, g, EXP_Q)
 
 
 @pytest.mark.parametrize("bad", ["folded", "stretched"])

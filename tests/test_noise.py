@@ -418,6 +418,14 @@ def test_forcing_rejects_modes_on_two_grids():
     assert StochasticForcing(first + same, [0.3, 0.3]).M == 2
 
 
+@pytest.mark.parametrize("M", [-1, 1.5, 2.0])
+def test_default_modes_check_the_mode_count(M):
+    # M = -1 gave numpy's "negative dimensions are not allowed", M = 1.5 or
+    # 2.0 a TypeError from range
+    with pytest.raises(ValueError, match=f"M must be an integer >= 0, got {M}"):
+        StochasticForcing.default_modes(Grid(2, (9, 9)), M, 0.3)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_forcing_rejects_non_finite_amplitudes(bad):
     # a NaN amplitude would surface only in picard_solve, as a label flow

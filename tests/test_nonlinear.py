@@ -30,7 +30,7 @@ def identity_window(grid, times):
     eye = np.broadcast_to(np.eye(grid.dim), (L,) + grid.extent + (grid.dim,) * 2)
     X = np.broadcast_to(grid.coords(), (L,) + grid.extent + (grid.dim,))
     return FlowWindow(np.asarray(times, float), X.copy(), eye.copy(), eye.copy(),
-                      np.ones((L,) + grid.extent))
+                      np.ones((L,) + grid.extent), np.zeros(L), np.zeros(L), 8.0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_continuity_linear_drift_matches_closed_form():
                     np.broadcast_to(alpha * c, (51,) + c.shape).copy())
     nf = zero_noise_flow(GRID, times)
     lf = integrate_label_flow(ub, nf)
-    window = compose_flow(lf)
+    window = compose_flow(lf, GRID, 8.0)
     rho0 = Field(GRID, np.ones(GRID.extent))
     stack, dev = continuity_oracle(ub, window, rho0)
     exact = (1 + alpha * times[-1]) ** (-2)
@@ -333,8 +333,7 @@ def test_assemble_window_matches_per_frame_calls(monkeypatch):
     Z = np.eye(2) + 1e-2 * rng.normal(size=(L,) + GRID.extent + (2, 2))
     J = 1.0 + 1e-2 * rng.normal(size=(L,) + GRID.extent)
     rho0 = 1.0 + 0.1 * c[..., 0]
-    F_u, F_G_b = assemble_window(GRID, u, gradient_values(GRID, u), Z, J,
-                                 rho0, PARAMS)
+    F_u, F_G_b = assemble_window(GRID, u, Z, J, rho0, PARAMS)
     idx_b, normals_b = GRID.boundary_nodes()
     bsel = tuple(idx_b.T)
     assert np.all(F_u[(slice(None),) + bsel] == 0.0)
@@ -364,8 +363,7 @@ def test_chunk_assembly_matches_per_frame_einsum_oracle(monkeypatch, grid):
     J = 1.0 + 1e-2 * rng.normal(size=(L,) + grid.extent)
     rho0 = 1.0 + 0.1 * rng.random(grid.extent)
     N_ext = extended_normal_field(grid).values
-    F_u, F_G_b = assemble_window(grid, u, gradient_values(grid, u), Z, J,
-                                 rho0, PARAMS)
+    F_u, F_G_b = assemble_window(grid, u, Z, J, rho0, PARAMS)
     F_G_ext = assemble_F_Gamma(gradient_values(grid, u), Z, J, rho0, N_ext,
                                PARAMS)
     idx_b, normals_b = grid.boundary_nodes()
@@ -455,7 +453,7 @@ def test_energy_report_matches_per_frame_oracle(grid):
     ub = TimeSeries(grid, times, 0.2 * scale * waves)
     gradX = (np.eye(grid.dim) + 0.05 * scale[..., None]
              * np.sin(3.0 * waves[..., :, None] - waves[..., None, :]))
-    window = FlowWindow.from_map(times[:8], ub.values[:8], gradX[:8])
+    window = FlowWindow.from_map(times[:8], ub.values[:8], gradX[:8], grid, 8.0)
     rho = 1.0 + 0.1 * np.cos(scale[..., 0] * waves[..., 0])
     got = energy_report(rho, ub, window, PARAMS)
     want = per_frame_energy_report(rho, ub, window, PARAMS)
