@@ -5,7 +5,8 @@ grid per axis.  Fields are numpy arrays indexed by node, with trailing
 component axes for vectors (dim) and matrices (dim x dim).  All derivative
 stencils are second order: centered in the interior, one-sided at the
 boundary.  Norms are trapezoidal-quadrature surrogates of the L^q /
-Sobolev / Sobolev-Slobodeckij norms used by the run monitors.  The first
+Sobolev / Sobolev-Slobodeckij norms used by the run monitors; the discrete
+H^(theta,p)-in-time norm has one owner, :func:`htheta_time_norm`.  The first
 derivative has the arithmetic of ``np.gradient(..., edge_order=2)`` on a
 uniform spacing, in numpy's own expressions, written straight into the
 caller's output: the gradient and the Hessian allocate their result once
@@ -60,6 +61,7 @@ __all__ = [
     "frame_norms",
     "gradient_values",
     "hessian_values",
+    "htheta_time_norm",
     "interior_gradient",
     "interior_hessian",
     "slobodeckij_time_seminorm",
@@ -570,8 +572,9 @@ def frame_chunks(grid: Grid, n_frames: int, frame_size: int) -> list[slice]:
 
 
 def _check_norm(kind: str, q: float):
-    if q <= 1:
-        raise FieldError(f"integrability exponent q must exceed 1, got {q}")
+    if not 1 < q < np.inf:      # NaN fails it
+        raise FieldError(f"integrability exponent q must be finite and "
+                         f"exceed 1, got {q}")
     if kind not in _ORDER:
         raise FieldError(f"unknown norm kind {kind!r}")
 
@@ -627,13 +630,27 @@ def spatial_norm(grid: Grid, values: np.ndarray, kind: str, q: float) -> float:
 
 
 def time_lp_norm(times: np.ndarray, norms: np.ndarray, p: float) -> float:
-    """L^p-in-time norm from per-frame spatial norms (trapezoid in time)."""
-    if p <= 1:
-        raise FieldError(f"time exponent p must exceed 1, got {p}")
-    norms = np.asarray(norms, float)
-    if len(times) < 2:
-        return 0.0
-    return float(np.trapezoid(norms**p, times) ** (1.0 / p))
+    """L^p-in-time norm from per-frame spatial norms: the L^p part of
+    :func:`htheta_time_norm`, with no pair terms."""
+    if not 1 < p < np.inf:      # NaN fails it
+        raise FieldError(f"time exponent p must be finite and exceed 1, got {p}")
+    return htheta_time_norm(times, np.asarray(norms, float) ** p, (), 0.0,
+                            0.0, p)[0]
+
+
+def htheta_time_norm(times: np.ndarray, frame_pow: np.ndarray,
+                     pair_pow: np.ndarray, sem: float, theta: float,
+                     p: float) -> tuple[float, float]:
+    """Discrete H^(theta,p)(0, t_n) norm of a series f on uniform ``times``
+    t_0 .. t_n, and the Gagliardo sum through level n.  ``frame_pow`` is
+    |f_k|^p, k <= n; ``pair_pow`` is |f_n - f_i|^p, i < n (empty: the L^p
+    part alone); ``sem`` is the sum through level n - 1, to which level n
+    adds twice its row weighted dt^2 / (t_n - t_i)^(1 + theta p).  The
+    norm is the p-th root of the trapezoid of the frame powers plus it."""
+    if len(pair_pow):
+        sem += 2.0 * np.sum(pair_pow * (times[1] - times[0]) ** 2
+                            / (times[-1] - times[:-1]) ** (1.0 + theta * p))
+    return float((np.trapezoid(frame_pow, times) + sem) ** (1.0 / p)), sem
 
 
 def _half_q_pow(x: np.ndarray, q: float, out: np.ndarray) -> np.ndarray:
@@ -674,12 +691,7 @@ def _pair_sq(buf: np.ndarray, n: int, diff: np.ndarray,
 
 class SlobodeckijWindow:
     """Running discrete H^(theta,p)(0, t_n; X) norms, X = Lq, H1q or H2q, of
-    one or more series on one time grid.
-
-    The norm of a series f on [0, t_n] is the L^p-in-time part plus the
-    Gagliardo sum
-
-        sum_{i != j <= n} |f(t_i) - f(t_j)|_X^p dt^2 / |t_i - t_j|^(1 + theta p).
+    one or more series on one time grid, each by :func:`htheta_time_norm`.
 
     ``load`` takes the next frames of every series, one stack per series
     (the stopping monitor's Z - I and J - 1, or the one series of
@@ -688,9 +700,9 @@ class SlobodeckijWindow:
     one (frame, component, node) buffer per part (values, gradient,
     Hessian), the components in their storage order, so every component of
     a frame is a contiguous node row.  ``advance`` adds the next stored
-    frame's row of pair terms to each series' running sum and returns the
-    norms up to that frame, one per series.  The stencils are linear, so a
-    pair norm comes from differences of stored values and derivatives:
+    frame's row of pair powers to each series' Gagliardo sum and returns
+    the norms up to that frame, one per series.  The stencils are linear,
+    so a pair norm comes from differences of stored values and derivatives:
     derivative work is O(L), and only the pair rows are O(L^2).  The series
     share one pair-row scratch, taken in turn: a series forms its whole row
     in it by :func:`_pair_sq`, which sums the squared components in storage
@@ -706,8 +718,8 @@ class SlobodeckijWindow:
                  kind: str = "H1q", q: float = 2.0):
         if not (0.0 < theta < 1.0):
             raise FieldError(f"theta must lie in (0, 1), got {theta}")
-        if p <= 1:
-            raise FieldError(f"p must exceed 1, got {p}")
+        if not 1 < p < np.inf:
+            raise FieldError(f"time exponent p must be finite and exceed 1, got {p}")
         _check_norm(kind, q)
         self.grid = grid
         self.times = np.asarray(times, float)
@@ -718,7 +730,6 @@ class SlobodeckijWindow:
         self.parts: list[list[np.ndarray]] = []     # per series, per part
         self.frame_pow = np.empty((0, len(self.times)))   # |f_n|_X^p
         self.pair_pow: list[np.ndarray] = []
-        self.sem: list[float] = []
         self.loaded = 0
 
     def _allocate_scratch(self) -> None:
@@ -769,12 +780,7 @@ class SlobodeckijWindow:
         n = len(self.pair_pow)
         if n >= self.loaded:
             raise FieldError("no loaded frame left to advance to")
-        if n == 0:
-            self.pair_pow.append(np.zeros((len(self.parts), 0)))
-            return (0.0,) * len(self.parts)
         sq, power, m = (rows[:n] for rows in self._rows)
-        t = self.times
-        gaps = t[n] - t[:n]
         rows = np.empty((len(self.parts), n))
         values = []
         for s, parts in enumerate(self.parts):
@@ -785,10 +791,10 @@ class SlobodeckijWindow:
                 else:
                     m += _half_q_pow(sq, self.q, power)
             rows[s] = ((m @ self.w_flat) ** (1 / self.q)) ** self.p
-            self.sem[s] += 2.0 * np.sum(rows[s] * (t[1] - t[0]) ** 2
-                                        / gaps ** (1.0 + self.theta * self.p))
-            lp_pow = np.trapezoid(self.frame_pow[s, :n + 1], t[:n + 1])
-            values.append(float((lp_pow + self.sem[s]) ** (1.0 / self.p)))
+            value, self.sem[s] = htheta_time_norm(
+                self.times[:n + 1], self.frame_pow[s, :n + 1], rows[s],
+                self.sem[s], self.theta, self.p)
+            values.append(value)
         self.pair_pow.append(rows)
         return tuple(values)
 
@@ -798,12 +804,9 @@ class SlobodeckijWindow:
         (series, n), |f_k|_X."""
         n = len(self.pair_pow)
         pair = np.zeros((len(self.parts), n, n))
-        for s in range(len(self.parts)):
-            for k, row in enumerate(self.pair_pow):
-                pair[s, k, :k] = row[s] ** (1.0 / self.p)
-        frame = np.array([self.frame_pow[s, :n] ** (1.0 / self.p)
-                          for s in range(len(self.parts))])
-        return pair, frame
+        for k, row in enumerate(self.pair_pow):
+            pair[:, k, :k] = row ** (1.0 / self.p)
+        return pair, self.frame_pow[:, :n] ** (1.0 / self.p)
 
 
 def slobodeckij_time_seminorm(
@@ -823,7 +826,6 @@ def slobodeckij_time_seminorm(
     win = SlobodeckijWindow(ts.grid, ts.times, theta, p, spatial_kind, q)
     for sl in frame_chunks(ts.grid, len(ts), int(np.prod(ts.values.shape[1:]))):
         win.load(ts.values[sl])
-    value = 0.0
     for _ in range(len(ts)):
         (value,) = win.advance()
     return value

@@ -47,6 +47,7 @@ from .fields import (
     frame_chunks,
     frame_norms,
     gradient_values,
+    htheta_time_norm,
 )
 from .interp import InterpAxes, InterpPlan
 from .noise import TransportField
@@ -581,11 +582,11 @@ class MonitorResult:
 
         On the levels 0 .. len(window) - 2, which must lie in ``times``:
         e_k is the H^{1,q} norm of the level difference of Z and J against
-        W0, the bounded pair and frame norms go through the L^p-in-time and
-        Gagliardo sums of ``SlobodeckijWindow`` as whole arrays, and the
-        window's exact |grad X - I|_X (``FlowWindow.dev_h1q``) enter as a
-        running sup.  The cost is two H^{1,q} frame norms per level and
-        O(L^2) scalars, against the O(L^2) pair rows of an exact run.
+        W0; the bounded pair and frame norms go level by level through the
+        exact run's ``fields.htheta_time_norm``, and the window's exact
+        |grad X - I|_X (``FlowWindow.dev_h1q``) enter as a running sup.  The
+        cost is two H^{1,q} frame norms per level and O(L^2) scalars,
+        against the O(L^2) pair rows of an exact run.
         """
         _check_exponent(window, cfg)
         m = len(window) - 1
@@ -593,19 +594,15 @@ class MonitorResult:
         for sl in frame_chunks(grid, m, window.Z[0].size):
             e[0, sl] = frame_norms(grid, window.Z[sl] - self.Z[sl], "H1q", cfg.q)
             e[1, sl] = frame_norms(grid, window.J[sl] - self.J[sl], "H1q", cfg.q)
-        t = self.times[:m]
-        lower = np.tri(m, k=-1, dtype=bool)
-        w = np.zeros((m, m))
-        if m > 1:
-            gaps = t[:, None] - t[None, :]
-            w[lower] = (t[1] - t[0]) ** 2 / gaps[lower] ** (1.0 + cfg.theta * cfg.p)
-        pair = self.pair[:, :m, :m] + e[:, :, None] + e[:, None, :]
-        sem = np.cumsum(2.0 * np.sum(pair ** cfg.p * w, axis=2), axis=1)
+        pair_pow = (self.pair[:, :m, :m] + e[:, :, None] + e[:, None, :]) ** cfg.p
         frame_pow = (self.frame[:, :m] + e) ** cfg.p
-        lp_pow = np.zeros((2, m))
-        lp_pow[:, 1:] = np.cumsum(
-            0.5 * np.diff(t) * (frame_pow[:, 1:] + frame_pow[:, :-1]), axis=1)
-        htheta = (lp_pow + sem) ** (1.0 / cfg.p)
+        htheta = np.empty((2, m))
+        for s in range(2):
+            sem = 0.0
+            for k in range(m):
+                htheta[s, k], sem = htheta_time_norm(
+                    self.times[:k + 1], frame_pow[s, :k + 1],
+                    pair_pow[s, k, :k], sem, cfg.theta, cfg.p)
         return (np.maximum.accumulate(window.dev_h1q[:m]) + htheta[0]
                 + htheta[1])
 

@@ -86,8 +86,9 @@ class BrownianBundle:
 
 
 def _check_count(name: str, value) -> None:
-    """``ValueError`` unless ``value`` is an integer >= 0."""
-    if not (isinstance(value, numbers.Integral) and value >= 0):
+    """``ValueError`` unless ``value`` is an integer >= 0 (a bool is not)."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 0):
         raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 

@@ -37,7 +37,12 @@ the contraction plans are shared), so its line must not change.
 ``--peak`` appends the path's tracemalloc peak of ``picard_solve`` in
 bytes, with the noise-free set-up (``problem_for``) built before tracing
 starts, so one run per checkout gives the bits and the peaks; without it
-the lines are as they were before the flag.  One BLAS thread is used
+the lines are as they were before the flag.  ``--certifications``
+appends the path solve's counts of certified and declined monitor
+records (``MonitorResult.certifies``) and of exact monitor runs
+(``stopping_monitor``, the rebuild's included), as
+``certified=C declined=D exact=E``; it adds no solve run and leaves the
+digest as it is.  One BLAS thread is used
 unless the environment says otherwise.  pytest does not collect this
 file.
 """
@@ -61,7 +66,7 @@ if __name__ == "__main__":
 
 import numpy as np  # noqa: E402
 
-from lagflow import eulerian, fields, fixedpoint, lame, noise  # noqa: E402
+from lagflow import eulerian, fields, fixedpoint, flow, lame, noise  # noqa: E402
 
 # the record's values, in the order they are hashed
 SERIES = ("v", "U", "ubar")
@@ -103,6 +108,35 @@ class Digest:
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()
+
+
+class MonitorDecisions:
+    """Counts of the monitor decisions of the solves run after it is made:
+    it wraps ``MonitorResult.certifies`` (a record certified or declined)
+    and the ``stopping_monitor`` that ``fixedpoint`` calls (an exact run)."""
+
+    def __init__(self):
+        self.counts = dict.fromkeys(("certified", "declined", "exact"), 0)
+        certifies = flow.MonitorResult.certifies
+        monitor = fixedpoint.stopping_monitor
+
+        def counted_certifies(record, *args):
+            ok = certifies(record, *args)
+            self.counts["certified" if ok else "declined"] += 1
+            return ok
+
+        def counted_monitor(*args):
+            self.counts["exact"] += 1
+            return monitor(*args)
+
+        flow.MonitorResult.certifies = counted_certifies
+        fixedpoint.stopping_monitor = counted_monitor
+
+    def take(self) -> str:
+        """The counts since the last call, as ``name=count`` words."""
+        words = " ".join(f"{k}={v}" for k, v in self.counts.items())
+        self.counts = dict.fromkeys(self.counts, 0)
+        return words
 
 
 def _plain(obj):
@@ -190,6 +224,9 @@ def main(argv=None) -> int:
     ap.add_argument("--peak", action="store_true",
                     help="append each path's tracemalloc peak of "
                          "picard_solve in bytes")
+    ap.add_argument("--certifications", action="store_true",
+                    help="append each path's counts of certified, declined "
+                         "and exact monitor runs")
     args = ap.parse_args(argv)
     w = WORKLOADS[args.workload]
     lf = types.SimpleNamespace(np=np, fields=fields, noise=noise, lame=lame,
@@ -204,11 +241,13 @@ def main(argv=None) -> int:
                             UserWarning)
     indices = reversed(args.paths) if args.reverse else args.paths
     peaks = [] if args.peak else None
+    decisions = MonitorDecisions() if args.certifications else None
     for index in indices:
         bseed = path_seed(args.seed, index)
         digest = path_digest(w, inputs, bseed, peaks)
         print(name, args.seed, index, bseed, digest,
-              *(peaks[-1:] if args.peak else []), flush=True)
+              *(peaks[-1:] if args.peak else []),
+              *([decisions.take()] if decisions else []), flush=True)
     return 0
 
 

@@ -23,6 +23,7 @@ from lagflow.fields import (
     slobodeckij_time_seminorm,
     spatial_norm,
     step_count,
+    time_lp_norm,
 )
 
 
@@ -413,6 +414,22 @@ def test_slobodeckij_rejects_nonuniform(grid):
     # a TimeSeries refuses these times itself, so the window gets them bare
     with pytest.raises(FieldError):
         SlobodeckijWindow(grid, np.array([0.0, 0.1, 0.3]), 0.4, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_exponents_must_be_finite(grid, bad):
+    # time_lp_norm gave NaN at p = NaN and 1.0 for a series of 2s at
+    # p = inf; frame_norms gave NaNs at q = NaN; the window took p = NaN,
+    # and q = NaN failed inside _half_q_pow on a float-to-int conversion
+    times = np.array([0.0, 0.1, 0.2])
+    with pytest.raises(FieldError, match="time exponent p must be finite"):
+        time_lp_norm(times, np.full(3, 2.0), bad)
+    with pytest.raises(FieldError, match="exponent q must be finite"):
+        frame_norms(grid, np.zeros((1,) + grid.extent), "H1q", bad)
+    with pytest.raises(FieldError, match="time exponent p must be finite"):
+        SlobodeckijWindow(grid, times, 0.4, bad)
+    with pytest.raises(FieldError, match="exponent q must be finite"):
+        SlobodeckijWindow(grid, times, 0.4, 4.0, "H1q", bad)
 
 
 @pytest.mark.parametrize("times", [[0.0, 1e-3, 3e-3], [0.0, 0.1, 0.2, 0.31]],

@@ -203,6 +203,8 @@ def test_transport_field_rejects_non_finite_parameters(dim, kind, bad):
     (2, "rotation", -1, "K must be an integer >= 0, got -1"),
     (2, "stream", 1.5, "K must be an integer >= 0, got 1.5"),
     (3, "constant", 2.0, "K must be an integer >= 0, got 2.0"),
+    (2, "rotation", True, "K must be an integer >= 0, got True"),
+    (2, "constant", False, "K must be an integer >= 0, got False"),
 ])
 def test_make_transport_field_checks_dim_and_K(dim, kind, K, error):
     # a 1D rotation used to raise an IndexError, a 4D one to construct; a
@@ -418,10 +420,10 @@ def test_forcing_rejects_modes_on_two_grids():
     assert StochasticForcing(first + same, [0.3, 0.3]).M == 2
 
 
-@pytest.mark.parametrize("M", [-1, 1.5, 2.0])
+@pytest.mark.parametrize("M", [-1, 1.5, 2.0, True, False])
 def test_default_modes_check_the_mode_count(M):
     # M = -1 gave numpy's "negative dimensions are not allowed", M = 1.5 or
-    # 2.0 a TypeError from range
+    # 2.0 a TypeError from range, M = True a TypeError from np.full
     with pytest.raises(ValueError, match=f"M must be an integer >= 0, got {M}"):
         StochasticForcing.default_modes(Grid(2, (9, 9)), M, 0.3)
 
