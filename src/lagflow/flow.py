@@ -19,8 +19,9 @@ without times, on the nodes within one cell of the box, n + 2 per axis,
 where the label flow reads them; that block is its tracked region, and a
 label that leaves it raises ``FlowEscapeError``.
 The nodes are taken from a lattice, the node grid padded by ``PAD_CELLS``
-cells per side, which is the coordinate frame only: the first node and
-the step of every interpolation plan are the lattice's (``NoiseFlow``).
+cells per side, which is the coordinate frame only: its one step per axis,
+ax[1] - ax[0], is the step of every interpolation plan and of the
+differences of grad Dpsi^{-1} (``NoiseFlow``).
 
 The composed map data of a window (X, grad X, Z = grad X^{-1} and
 J = det grad X) is one ``FlowWindow`` of level stacks, laid out like the
@@ -43,6 +44,7 @@ from .fields import (
     Grid,
     SlobodeckijWindow,
     TimeSeries,
+    _centered_d1,
     contract,
     frame_chunks,
     frame_norms,
@@ -124,7 +126,9 @@ class NoiseFlow:
     around the box: ``psi`` (L, *ext, d), which only a label flow that
     samples X reads (the solve's rebuild), ``Dpsi`` and ``Dpsi_inv``
     (L, *ext, d, d), and ``grad_Dpsi_inv`` (L, *ext, d, d, d), the spatial
-    derivatives of the inverse gradient, needed by the label-ODE chain rule.
+    derivatives of the inverse gradient, needed by the label-ODE chain rule;
+    ``zero_grad_inv`` (L,), derived from it (also by ``dataclasses.replace``),
+    flags its all-zero levels, where the label flow skips that term.
     ``axes`` are the lattice axes on those nodes.  ``interp_axes`` holds
     the interpolation constants of the lattice and the core, shared by
     every plan; the core's faces are the escape bounds, so a plan raises
@@ -139,9 +143,12 @@ class NoiseFlow:
     Dpsi_inv: np.ndarray
     grad_Dpsi_inv: np.ndarray
     interp_axes: InterpAxes = field(init=False, repr=False, compare=False)
+    zero_grad_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.interp_axes = InterpAxes(self.lattice, self.nodes)
+        levels = self.grad_Dpsi_inv.reshape(len(self.grad_Dpsi_inv), -1)
+        self.zero_grad_inv = ~levels.any(axis=1)
 
     @property
     def axes(self) -> list[np.ndarray]:
@@ -191,33 +198,6 @@ def _heun_step(Q: TransportField, x: np.ndarray, D: np.ndarray,
             D + 0.5 * (G0D + contract("...ij,...jk->...ik", "j", G1, D_pred)))
 
 
-def _inner_gradient(f: np.ndarray, ax: np.ndarray, run: slice, dim: int,
-                    axis: int) -> np.ndarray:
-    """``np.gradient(F, ax, axis=axis, edge_order=2)`` inside a block of F.
-
-    ``f`` holds F, with trailing component axes, on a block of lattice nodes
-    one node wider per side than the nodes wanted; along ``axis`` the block
-    is the nodes ``run`` of the lattice axis ``ax``.  np.gradient takes one
-    step for the whole axis when every spacing of ``ax`` is equal, and
-    non-uniform weights otherwise.  That choice is made here on the whole
-    lattice axis, not on the block's, and the weights are np.gradient's own
-    expressions, so the result has its bits.
-    """
-    spacing = np.diff(ax)
-    lo, mid, hi = (tuple(slice(a, b) if k == axis else slice(1, -1)
-                         for k in range(dim))
-                   for a, b in ((None, -2), (1, -1), (2, None)))
-    if (spacing == spacing[0]).all():
-        return (f[hi] - f[lo]) / (2. * spacing[0])
-    dx = spacing[run.start:run.stop - 1]
-    dx1, dx2 = dx[:-1], dx[1:]
-    shape = (-1,) + (1,) * (f.ndim - axis - 1)
-    a = (-(dx2) / (dx1 * (dx1 + dx2))).reshape(shape)
-    b = ((dx2 - dx1) / (dx1 * dx2)).reshape(shape)
-    c = (dx1 / (dx2 * (dx1 + dx2))).reshape(shape)
-    return a * f[lo] + b * f[mid] + c * f[hi]
-
-
 def _noise_stacks(Q: TransportField, dW: np.ndarray,
                   lattice: list[np.ndarray], nodes: tuple[slice, ...]
                   ) -> tuple[np.ndarray, ...]:
@@ -225,14 +205,15 @@ def _noise_stacks(Q: TransportField, dW: np.ndarray,
 
     ``nodes`` is a block inside the lattice, one node short of its faces at
     least.  The Heun steps run on the block and a one-node halo, each level
-    is inverted there, and grad Dpsi_inv is taken on the block with
-    ``_inner_gradient``; the halo is dropped level by level.  Every step,
+    is inverted there, and grad Dpsi_inv is the centred difference on the
+    block at the lattice's one step, ax[1] - ax[0], whatever the last bits
+    of its other spacings; the halo is dropped level by level.  Every step,
     inversion and difference acts node by node, so the values on a node do
-    not depend on the block.  Column n of ``dW`` drives step n.  With no
-    field (K = 0) the steps leave D = I, stored as its own inverse with a
-    zero gradient: differences of I on the lattice are round-off where
-    np.linspace's spacings differ in the last bit (13 or 25 nodes per
-    axis).  The determinant blow-up check covers the nodes integrated.
+    not depend on the block, and a Dpsi_inv that is the same on every node
+    (an affine field) has a zero gradient, exactly.  Column n of ``dW``
+    drives step n.  With no field (K = 0) the steps leave D = I, stored as
+    its own inverse with a zero gradient.  The determinant blow-up check
+    covers the nodes integrated.
     """
     dim = len(lattice)
     run = tuple(slice(s.start - 1, s.stop + 1) for s in nodes)
@@ -249,13 +230,16 @@ def _noise_stacks(Q: TransportField, dW: np.ndarray,
     def store(level, x, D):
         psi[level] = x[keep]
         Dpsi[level] = D[keep]
-        if not Q.K:     # D = I: its own inverse, with a zero gradient
+        if not Q.K:     # D = I, its own inverse: the adjugate of I writes
+            # -0.0 off the diagonal, where I holds +0.0
             Dpsi_inv[level], grad_inv[level] = Dpsi[level], 0.0
             return
         inv = mat_inv(D)
         Dpsi_inv[level] = inv[keep]
         for d, ax in enumerate(lattice):
-            grad_inv[level, ..., d] = _inner_gradient(inv, ax, run[d], dim, d)
+            block = tuple(slice(None) if k == d else slice(1, -1)
+                          for k in range(dim))
+            _centered_d1(inv[block], d, ax[1] - ax[0], grad_inv[level, ..., d])
 
     x = pts0
     D = np.empty(pts0.shape + (dim,))
@@ -333,7 +317,10 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     levels after them.  grad Y solves the variational
     equation obtained by differentiating the integrand with the
     product/chain rule, using the tracked derivatives of Dpsi^{-1}
-    interpolated at the moving points.
+    interpolated at the moving points.  On a level the noise flow flags
+    (``NoiseFlow.zero_grad_inv``) the term dA g u is skipped, with the
+    interpolation of dA: for finite g and u its sum from zero is +0.0, and
+    +0.0 + x = x, so the outputs keep their bits.
 
     Stage 0 of step n builds the interpolation plan on Y[n] at
     ``ubar.times[n]``; the same plan samples Dpsi (and psi) there for the
@@ -349,13 +336,15 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     ``frame_chunks`` pass of drift frames at a time, as the steps reach
     them, so no whole-window gradient is held (a frame's derivatives do not
     depend on the frames beside it).  dA is copied into (j, l, i, n) rows
-    once per stage, and A is read through a strided view.  The terms of
-    each sum are formed by one broadcast product per operand, left to right
-    (dA g, then u; A grad u), into a reused (j, l, i, m, n) or (j, i, m, n)
-    scratch array, and added over the leading axes from zero, j outermost:
-    the order and the rounding of einsum's loop over those labels, so a
-    -0.0 term sum turns into +0.0 as there.  The outputs are the
-    node-major einsum ones, bit for bit.
+    once per stage that forms its term, and A is read through a strided
+    view.  The terms of each sum are formed by one broadcast product per
+    operand, left to right (dA g, then u; A grad u), into a reused
+    (j, l, i, m, n) or (j, i, m, n) scratch array, and added over the
+    leading axes from zero, j outermost: the order and the rounding of
+    einsum's loop over those labels, so a -0.0 term sum turns into +0.0 as
+    there.  The dA rows and their scratch are allocated at the first
+    unflagged level.  The outputs are the node-major einsum ones, bit for
+    bit.
     """
     if len(ubar) > len(nf.psi):
         raise ValueError(f"{len(ubar)} velocity frames, the noise flow has "
@@ -379,10 +368,8 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     # and (j, m, n): level n in slot n % 2, copied when a stage first reads it
     u_rows = np.empty((2, dim, N))
     gu_rows = np.empty((2, dim, dim, N))
-    dA_rows = np.empty((dim,) * 3 + (N,))       # (j, l, i, n)
-    terms1 = np.empty((dim,) * 4 + (N,))        # (j, l, i, m, n)
     terms2 = np.empty((dim,) * 3 + (N,))        # (j, i, m, n)
-    terms1_jl = terms1.reshape(dim * dim, dim, dim, N)  # (j, l) in sum order
+    chain = None        # the dA rows and terms, from the first unflagged level
 
     def sample(level, y):
         """The plan on y at the level's time, which also samples Dpsi (and
@@ -403,18 +390,25 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
         np.copyto(gu_rows[level % 2], gu.transpose(1, 2, 0))
 
     def rhs(level, plan, g):
+        nonlocal chain
         A = plan.apply(nf.Dpsi_inv[level])
-        dA = plan.apply(nf.grad_Dpsi_inv[level])
         f = np.einsum("...ij,...j->...i", A, ub[level])
-        # dA_ijl g_lm u_j: rows (j, l, i, m, n)
-        np.copyto(dA_rows, dA.reshape(N, dim, dim, dim).transpose(2, 3, 1, 0))
-        np.multiply(dA_rows[:, :, :, None], g[None, :, None], out=terms1)
-        np.multiply(terms1, u_rows[level % 2][:, None, None, None], out=terms1)
-        dg = np.add.reduce(terms1_jl, axis=0, initial=0.0)
         # A_ij (grad u)_jm: rows (j, i, m, n)
         np.multiply(A.reshape(N, dim, dim).transpose(2, 1, 0)[:, :, None],
                     gu_rows[level % 2][:, None], out=terms2)
-        dg += np.add.reduce(terms2, axis=0, initial=0.0)
+        dg = np.add.reduce(terms2, axis=0, initial=0.0)
+        if nf.zero_grad_inv[level]:
+            return f, dg
+        # dA_ijl g_lm u_j: rows (j, l, i, m, n), added second (x + y is y + x)
+        if chain is None:
+            chain = np.empty((dim,) * 3 + (N,)), np.empty((dim,) * 4 + (N,))
+        dA_rows, terms1 = chain
+        dA = plan.apply(nf.grad_Dpsi_inv[level])
+        np.copyto(dA_rows, dA.reshape(N, dim, dim, dim).transpose(2, 3, 1, 0))
+        np.multiply(dA_rows[:, :, :, None], g[None, :, None], out=terms1)
+        np.multiply(terms1, u_rows[level % 2][:, None, None, None], out=terms1)
+        # (j, l) flattened in sum order
+        dg += np.add.reduce(terms1.reshape(-1, dim, dim, N), 0, initial=0.0)
         return f, dg
 
     y = Y[0].copy()

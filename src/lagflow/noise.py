@@ -39,8 +39,8 @@ class BrownianBundle:
     the transport paths, rows K.. are the forcing-mode paths.  The bundle of
     (K, M, T, dt, seed) at level l is ``sample_brownian``'s refined l times
     by ``refine_bridge``.  Construction checks the shape, that K, M and the
-    level are integers >= 0, the step finite and > 0 and the values finite
-    (``ValueError``, NaN included).
+    level are integers >= 0 (a bool is not), the step finite and > 0 and the
+    values finite (``ValueError``, NaN included).
     """
 
     K: int
@@ -52,7 +52,8 @@ class BrownianBundle:
 
     def __post_init__(self):
         counts = (self.K, self.mode_count, self.level)
-        if not all(isinstance(c, numbers.Integral) and c >= 0 for c in counts):
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
+                   and c >= 0 for c in counts):
             raise ValueError(f"K, M and the level must be integers >= 0, "
                              f"got {counts}")
         shape = np.shape(self.values)

@@ -1,18 +1,20 @@
 """Reference forms of the flow stage's kernels, kept verbatim.
 
 ``per_level_compose`` is the composition as it was before the label flow
-shared its interpolation plans: it builds its own plan on Y at every level
-and samples psi and Dpsi there.  ``integrate_label_flow`` is the label flow
-as it was while its variational sums went through ``contract`` on
-node-major arrays (and the drift gradient through ``np.gradient``, from
-``derivative_oracle``).  ``loop_pair_row`` is the pair row of
+shared its interpolation plans: it builds its own plan on Y at every
+level and samples psi and Dpsi there.  ``integrate_label_flow`` is the
+label flow as it was while its variational sums went through
+``contract`` on node-major arrays (and the drift gradient through
+``np.gradient``, from ``derivative_oracle``); it forms the chain-rule
+term on every level.  ``loop_pair_row`` is the pair row of
 ``SlobodeckijWindow`` on a (frame, node, component) layout, its squared
 components summed by a plain loop in storage order.  ``csr_weights`` is
 the construction of ``InterpPlan.W`` before the per-axes constants were
-shared.  ``padded_noise_flow`` is the noise flow as it was integrated and
-stored on the whole padded lattice.  The production code must agree with
-each of them bit for bit.  ``zero_noise_flow`` is not an oracle: it is the
-K = 0 noise flow the tests drive the label flow with.
+shared.  ``padded_noise_flow`` is the noise flow integrated and stored
+on the whole padded lattice, with np.gradient at the lattice's one step.
+The production code must agree with each of them bit for bit.
+``zero_noise_flow`` is not an oracle: it is the K = 0 noise flow the
+tests drive the label flow with.
 """
 
 import itertools
@@ -48,7 +50,8 @@ def per_level_compose(nf, times, Y, gradY, grid, q):
 
 
 def padded_noise_flow(Q, bundle, grid):
-    """(axes, psi, Dpsi, Dpsi_inv, grad_Dpsi_inv) on the whole padded lattice."""
+    """(axes, psi, Dpsi, Dpsi_inv, grad_Dpsi_inv) on the whole padded lattice,
+    grad_Dpsi_inv with the lattice's one step ax[1] - ax[0]."""
     axes = _padded_axes(grid)
     dim = grid.dim
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -70,7 +73,8 @@ def padded_noise_flow(Q, bundle, grid):
     Dpsi_inv = mat_inv(Dpsi)
     grad_inv = np.empty(Dpsi_inv.shape + (dim,))
     for d, ax in enumerate(axes):
-        grad_inv[..., d] = np.gradient(Dpsi_inv, ax, axis=1 + d, edge_order=2)
+        grad_inv[..., d] = np.gradient(Dpsi_inv, ax[1] - ax[0], axis=1 + d,
+                                       edge_order=2)
     return axes, psi, Dpsi, Dpsi_inv, grad_inv
 
 

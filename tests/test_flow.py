@@ -152,11 +152,11 @@ def lattice_corner(nf):
 
 
 CORE_GRIDS = {
-    # every lattice spacing equal: np.gradient's uniform step
+    # every lattice spacing equal
     (2, "unit"): Grid(2, (9, 17)),
     (3, "unit"): Grid(3, (9, 9, 17)),
-    # unequal spacings; on axis 0 of the 2D box the spacings around the core
-    # are equal while the lattice's are not, so the weights follow the lattice
+    # spacings unequal in the last bit: the differences still take the
+    # lattice's one step ax[1] - ax[0], the oracle's scalar step
     (2, "box"): Grid(2, (10, 11), box=((-1.0, 0.1), (-0.3, 0.7))),
     (3, "box"): Grid(3, (9, 10, 9), box=((0.0, 1.0), (-0.5, 0.5), (0.2, 1.4))),
 }
@@ -214,6 +214,25 @@ def test_zero_increment_noise_flow_is_the_identity(grid):
     assert same_bits(nf.psi, np.broadcast_to(pts, nf.psi.shape).copy())
     assert np.all(nf.Dpsi == eye) and np.all(nf.Dpsi_inv == eye)
     assert np.all(nf.grad_Dpsi_inv == 0.0)
+
+
+@pytest.mark.parametrize("grid, kind", [
+    (grid, kind) for grid in (Grid(3, 13), Grid(2, 25), Grid(2, 17))
+    for kind in ("constant", "rotation", "linear_test", "stream")
+    if kind != "stream" or grid.dim == 2
+], ids=lambda x: f"{x.extent[0]}^{x.dim}" if isinstance(x, Grid) else x)
+def test_affine_families_have_an_exactly_zero_grad_dpsi_inv(grid, kind):
+    # Dpsi^{-1} of an affine family is the same on every node, so its
+    # differences at the lattice's one step are zero, on the workloads' grids
+    # (13 and 25 nodes per axis, lattice spacings unequal in the last bit) as
+    # at 17 (all equal), and every level is flagged for the label flow to
+    # skip its chain-rule term; the stream family has Dpsi = I at level 0 only
+    Q = make_transport_field(grid.dim, kind, K=2, amplitude=0.3)
+    dW = sample_brownian(2, 0, 0.005, DT, seed=3).transport_increments()
+    nf = integrate_noise_flow(Q, dW, grid)
+    flat = [not np.any(level) for level in nf.grad_Dpsi_inv]
+    assert nf.zero_grad_inv.tolist() == flat
+    assert flat == ([True] * 6 if kind != "stream" else [True] + [False] * 5)
 
 
 @pytest.mark.parametrize("shape", [(50,), (2, 50, 1)])
@@ -542,14 +561,18 @@ def test_label_flow_matches_contract_oracle(dim, monkeypatch):
     cfg = SolveConfig(T=0.02, dt=DT)
     times = cfg.times
     dW = sample_brownian(Q.K, 0, cfg.T, DT, seed=5).transport_increments()
-    nf = integrate_noise_flow(Q, dW, g)
+    flows = [integrate_noise_flow(Q, dW, g)]
     if dim == 3:
-        # a rigid rotation has grad Dpsi^{-1} = 0; a smooth made-up gradient
-        # puts every term of the chain-rule sum to work
-        pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)
+        # a rigid rotation has grad Dpsi^{-1} = 0, so the label flow skips the
+        # chain-rule term on every level, where the oracle forms it; a smooth
+        # made-up gradient puts every term of that sum to work
+        assert flows[0].zero_grad_inv.all()
+        pts = np.stack(np.meshgrid(*flows[0].axes, indexing="ij"), axis=-1)
         bumps = np.sin(np.pi * pts[..., :, None, None] - pts[..., None, :, None]
                        + 2.0 * pts[..., None, None, :])
-        nf = dataclasses.replace(nf, grad_Dpsi_inv=nf.grad_Dpsi_inv + 0.5 * bumps)
+        flows.append(dataclasses.replace(
+            flows[0], grad_Dpsi_inv=flows[0].grad_Dpsi_inv + 0.5 * bumps))
+        assert not flows[1].zero_grad_inv.any()
     c = g.coords()
     waves = [np.sin((d + 1) * np.pi * c[..., d] + 0.3) * np.cos(np.pi * c[..., -1 - d])
              for d in range(dim)]
@@ -562,12 +585,13 @@ def test_label_flow_matches_contract_oracle(dim, monkeypatch):
     # the drift's gradient in one pass, and in passes of three frames
     for chunk_bytes in (lagflow.fields._CHUNK_BYTES, 3 * frame):
         monkeypatch.setattr(lagflow.fields, "_CHUNK_BYTES", chunk_bytes)
-        for u in (ubar, ubar.restrict(7)):
-            got, want = integrate_label_flow(u, nf), contract_label_flow(u, nf)
-            for name in ("times", "Y", "gradY", "X", "Dpsi_Y"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.shape == b.shape and np.array_equal(a, b), name
-                assert np.array_equal(np.signbit(a), np.signbit(b)), name
+        for nf in flows:
+            for u in (ubar, ubar.restrict(7)):
+                got, want = integrate_label_flow(u, nf), contract_label_flow(u, nf)
+                for name in ("times", "Y", "gradY", "X", "Dpsi_Y"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.shape == b.shape and np.array_equal(a, b), name
+                    assert np.array_equal(np.signbit(a), np.signbit(b)), name
     assert np.max(np.abs(got.gradY - np.eye(dim))) > 1e-3    # a nontrivial map
 
 

@@ -112,9 +112,10 @@ def test_refinement_is_reproducible():
     ({"step": np.nan}, "time step must be positive and finite, got nan"),
     ({"level": -2}, r"level must be integers >= 0, got \(2, 1, -2\)"),
     ({"K": -1}, r"level must be integers >= 0, got \(-1, 1, 0\)"),
+    ({"K": True}, r"level must be integers >= 0, got \(True, 1, 0\)"),
     ({"mode_count": 2}, r"K \+ M = 4 paths need .* got \(3, 5\)"),
 ], ids=["negative-step", "zero-step", "nan-step", "negative-level",
-        "negative-count", "row-count"])
+        "negative-count", "bool-count", "row-count"])
 def test_load_rejects_a_bad_step_or_level(edit, error):
     # the checks of the former binary reader, made by every construction;
     # sample_brownian(-1, 2, ...) used to return K = -1 with one value row
