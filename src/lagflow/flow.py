@@ -128,7 +128,12 @@ class NoiseFlow:
     (L, *ext, d, d), and ``grad_Dpsi_inv`` (L, *ext, d, d, d), the spatial
     derivatives of the inverse gradient, needed by the label-ODE chain rule;
     ``zero_grad_inv`` (L,), derived from it (also by ``dataclasses.replace``),
-    flags its all-zero levels, where the label flow skips that term.
+    flags its all-zero levels, where the label flow skips that term.  For
+    a family whose Jacobians are constant (``TransportField.
+    constant_jacobian``) each level of ``Dpsi`` and ``Dpsi_inv`` is one
+    matrix on every node and every level is flagged: ``_noise_stacks``
+    integrates and inverts that matrix alone and broadcasts it, with the
+    bits of the node-by-node run.
     ``axes`` are the lattice axes on those nodes.  ``interp_axes`` holds
     the interpolation constants of the lattice and the core, shared by
     every plan; the core's faces are the escape bounds, so a plan raises
@@ -172,11 +177,18 @@ def _core_nodes(grid: Grid) -> tuple[slice, ...]:
 
 
 def _transport_sums(Q: TransportField, pts, dW):
-    """sum_k Q_k(pts) dW_k and sum_k DQ_k(pts) dW_k."""
+    """sum_k Q_k(pts) dW_k and sum_k DQ_k(pts) dW_k; the second is one
+    (d, d) matrix, taken at the first point, where every DQ_k is the same
+    at every point (``TransportField.constant_jacobian``)."""
+    d = pts.shape[-1]
+    at = pts[(0,) * (pts.ndim - 1)] if Q.constant_jacobian else None
     vec = np.zeros(pts.shape)
-    mat = np.zeros(pts.shape[:-1] + (pts.shape[-1],) * 2)
+    mat = np.zeros(pts.shape + (d,) if at is None else (d, d))
     for k in range(Q.K):
-        val, jac = Q.value_and_jacobian(k, pts)
+        if at is None:
+            val, jac = Q.value_and_jacobian(k, pts)
+        else:
+            val, jac = Q.value(k, pts), Q.jacobian(k, at)
         mat += jac * dW[k]
         vec += val * dW[k]
     return vec, mat
@@ -186,6 +198,9 @@ def _heun_step(Q: TransportField, x: np.ndarray, D: np.ndarray,
                dW: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Heun step of psi and Dpsi; the product G0 D serves both stages.
 
+    D is (..., d, d) on the points of x, or one (d, d) matrix for all of
+    them where the field's Jacobians are constant (``_transport_sums``
+    then gives one matrix too); the same arithmetic runs on either shape.
     The stage temporaries end with the step, so none of them stays alive
     into the level's inversion.
     """
@@ -211,9 +226,17 @@ def _noise_stacks(Q: TransportField, dW: np.ndarray,
     inversion and difference acts node by node, so the values on a node do
     not depend on the block, and a Dpsi_inv that is the same on every node
     (an affine field) has a zero gradient, exactly.  Column n of ``dW``
-    drives step n.  With no field (K = 0) the steps leave D = I, stored as
-    its own inverse with a zero gradient.  The determinant blow-up check
-    covers the nodes integrated.
+    drives step n.
+
+    Where every DQ_k is one matrix (``TransportField.constant_jacobian``:
+    the constant, rotation and linear_test families), Dpsi is the same on
+    every node, so the Dpsi half of each Heun step, the determinant check
+    and the inversion run on one (d, d) matrix per level, and grad Dpsi_inv
+    is written as the +0.0 its differences give; the stacks keep their
+    shapes and are written by broadcast, with the bits of the node-by-node
+    run.  With no field (K = 0) the steps leave D = I, stored as its own
+    inverse with a zero gradient.  The determinant blow-up check covers the
+    nodes integrated.
     """
     dim = len(lattice)
     run = tuple(slice(s.start - 1, s.stop + 1) for s in nodes)
@@ -226,15 +249,19 @@ def _noise_stacks(Q: TransportField, dW: np.ndarray,
     Dpsi = np.empty((L,) + ext + (dim, dim))
     Dpsi_inv = np.empty(Dpsi.shape)
     grad_inv = np.empty(Dpsi.shape + (dim,))
+    nodal = not Q.constant_jacobian
 
     def store(level, x, D):
         psi[level] = x[keep]
-        Dpsi[level] = D[keep]
+        Dpsi[level] = D[keep] if nodal else D
         if not Q.K:     # D = I, its own inverse: the adjugate of I writes
             # -0.0 off the diagonal, where I holds +0.0
             Dpsi_inv[level], grad_inv[level] = Dpsi[level], 0.0
             return
         inv = mat_inv(D)
+        if not nodal:   # one matrix: each difference is (a - a) / 2h = +0.0
+            Dpsi_inv[level], grad_inv[level] = inv, 0.0
+            return
         Dpsi_inv[level] = inv[keep]
         for d, ax in enumerate(lattice):
             block = tuple(slice(None) if k == d else slice(1, -1)
@@ -242,7 +269,7 @@ def _noise_stacks(Q: TransportField, dW: np.ndarray,
             _centered_d1(inv[block], d, ax[1] - ax[0], grad_inv[level, ..., d])
 
     x = pts0
-    D = np.empty(pts0.shape + (dim,))
+    D = np.empty(pts0.shape + (dim,) if nodal else (dim, dim))
     D[...] = np.eye(dim)
     store(0, x, D)
     for n in range(L - 1):

@@ -174,12 +174,25 @@ class TransportField:
         self.dim, self.kind, self.params = dim, kind, params
         self.K = K
 
+    @property
+    def constant_jacobian(self) -> bool:
+        """Whether each DQ_k is one (dim, dim) matrix, the same at every
+        point: the linear kind."""
+        return self.kind == "linear"
+
     def value(self, k: int, pts: np.ndarray) -> np.ndarray:
-        """Q_k at pts of shape (..., dim)."""
+        """Q_k at pts of shape (..., dim); the linear kind forms no
+        Jacobian for it."""
+        if self.kind == "linear":
+            A, b, c = (self.params[key][k] for key in ("A", "b", "c"))
+            return (np.asarray(pts, float) - c) @ A.T + b
         return self.value_and_jacobian(k, pts)[0]
 
     def jacobian(self, k: int, pts: np.ndarray) -> np.ndarray:
         """DQ_k, shape (..., dim, dim) with entries d_j Q_i."""
+        if self.kind == "linear":
+            A = self.params["A"][k]
+            return np.broadcast_to(A, np.shape(pts)[:-1] + A.shape).copy()
         return self.value_and_jacobian(k, pts)[1]
 
     def value_and_jacobian(self, k: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,9 +200,7 @@ class TransportField:
         stream kind takes its sines and cosines once for both."""
         pts = np.asarray(pts, float)
         if self.kind == "linear":
-            A, b, c = (self.params[key][k] for key in ("A", "b", "c"))
-            jac = np.broadcast_to(A, pts.shape[:-1] + A.shape).copy()
-            return (pts - c) @ A.T + b, jac
+            return self.value(k, pts), self.jacobian(k, pts)
         # phi_k(y) = a_k sin(pi m_k y1) sin(pi n_k y2),  Q_k = (d2 phi, -d1 phi)
         a = self.params["a"][k]
         m, n = self.params["modes"][k]

@@ -10,9 +10,13 @@ term on every level.  ``loop_pair_row`` is the pair row of
 ``SlobodeckijWindow`` on a (frame, node, component) layout, its squared
 components summed by a plain loop in storage order.  ``csr_weights`` is
 the construction of ``InterpPlan.W`` before the per-axes constants were
-shared.  ``padded_noise_flow`` is the noise flow integrated and stored
-on the whole padded lattice, with np.gradient at the lattice's one step.
-The production code must agree with each of them bit for bit.
+shared.  ``nodal_noise_stacks`` is ``flow._noise_stacks`` as it was
+while every field's Jacobian was taken at every node (its Heun step
+``nodal_heun_step``), before an affine family's Dpsi became one matrix
+per level.  ``padded_noise_flow`` is the noise flow integrated with that
+step and stored on the whole padded lattice, with np.gradient at the
+lattice's one step.  The production code must agree with each of them
+bit for bit.
 ``zero_noise_flow`` is not an oracle: it is the K = 0 noise flow the
 tests drive the label flow with.
 """
@@ -22,9 +26,9 @@ import itertools
 import numpy as np
 
 from derivative_oracle import gradient_values
-from lagflow.fields import TimeSeries, contract
-from lagflow.flow import (FlowWindow, LabelFlow, NoiseFlow, _heun_step,
-                          _padded_axes, integrate_noise_flow, mat_det, mat_inv)
+from lagflow.fields import TimeSeries, _centered_d1, contract
+from lagflow.flow import (FlowWindow, LabelFlow, NoiseFlow, _padded_axes,
+                          integrate_noise_flow, mat_det, mat_inv)
 from lagflow.interp import FlowEscapeError
 from lagflow.noise import make_transport_field
 
@@ -49,6 +53,69 @@ def per_level_compose(nf, times, Y, gradY, grid, q):
     return FlowWindow.from_map(times[:len(Y)], X, gradX, grid, q)
 
 
+def nodal_transport_sums(Q, pts, dW):
+    """sum_k Q_k(pts) dW_k and sum_k DQ_k(pts) dW_k."""
+    vec = np.zeros(pts.shape)
+    mat = np.zeros(pts.shape[:-1] + (pts.shape[-1],) * 2)
+    for k in range(Q.K):
+        val, jac = Q.value_and_jacobian(k, pts)
+        mat += jac * dW[k]
+        vec += val * dW[k]
+    return vec, mat
+
+
+def nodal_heun_step(Q, x, D, dW):
+    """One Heun step of psi and Dpsi; the product G0 D serves both stages."""
+    b0, G0 = nodal_transport_sums(Q, x, dW)
+    x_pred = x + b0
+    G0D = contract("...ij,...jk->...ik", "j", G0, D)
+    D_pred = D + G0D
+    b1, G1 = nodal_transport_sums(Q, x_pred, dW)
+    return (x + 0.5 * (b0 + b1),
+            D + 0.5 * (G0D + contract("...ij,...jk->...ik", "j", G1, D_pred)))
+
+
+def nodal_noise_stacks(Q, dW, lattice, nodes):
+    """psi, Dpsi, Dpsi_inv and grad Dpsi_inv on the lattice nodes ``nodes``,
+    every step, inversion and difference taken node by node."""
+    dim = len(lattice)
+    run = tuple(slice(s.start - 1, s.stop + 1) for s in nodes)
+    keep = (slice(1, -1),) * dim
+    pts0 = np.stack(np.meshgrid(*(ax[r] for ax, r in zip(lattice, run)),
+                                indexing="ij"), axis=-1)
+    ext = pts0[keep].shape[:-1]
+    L = dW.shape[1] + 1
+    psi = np.empty((L,) + ext + (dim,))
+    Dpsi = np.empty((L,) + ext + (dim, dim))
+    Dpsi_inv = np.empty(Dpsi.shape)
+    grad_inv = np.empty(Dpsi.shape + (dim,))
+
+    def store(level, x, D):
+        psi[level] = x[keep]
+        Dpsi[level] = D[keep]
+        if not Q.K:
+            Dpsi_inv[level], grad_inv[level] = Dpsi[level], 0.0
+            return
+        inv = mat_inv(D)
+        Dpsi_inv[level] = inv[keep]
+        for d, ax in enumerate(lattice):
+            block = tuple(slice(None) if k == d else slice(1, -1)
+                          for k in range(dim))
+            _centered_d1(inv[block], d, ax[1] - ax[0], grad_inv[level, ..., d])
+
+    x = pts0
+    D = np.empty(pts0.shape + (dim,))
+    D[...] = np.eye(dim)
+    store(0, x, D)
+    for n in range(L - 1):
+        x, D = nodal_heun_step(Q, x, D, dW[:, n])
+        det = mat_det(D)
+        if not np.all(np.abs(det - 1.0) <= 0.5):
+            raise RuntimeError("scheme blow-up")
+        store(n + 1, x, D)
+    return psi, Dpsi, Dpsi_inv, grad_inv
+
+
 def padded_noise_flow(Q, bundle, grid):
     """(axes, psi, Dpsi, Dpsi_inv, grad_Dpsi_inv) on the whole padded lattice,
     grad_Dpsi_inv with the lattice's one step ax[1] - ax[0]."""
@@ -65,7 +132,7 @@ def padded_noise_flow(Q, bundle, grid):
     x = pts0.copy()
     D = Dpsi[0].copy()
     for n in range(bundle.n_steps):
-        x, D = _heun_step(Q, x, D, dWs[:, n])
+        x, D = nodal_heun_step(Q, x, D, dWs[:, n])
         if not np.all(np.abs(mat_det(D) - 1.0) <= 0.5):
             raise RuntimeError("scheme blow-up")
         psi[n + 1] = x

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import lagflow.fields
 import lagflow.fixedpoint
+import lagflow.flow
 import lagflow.interp
 from flow_oracle import integrate_label_flow as contract_label_flow
-from flow_oracle import padded_noise_flow, per_level_compose, zero_noise_flow
+from flow_oracle import (nodal_noise_stacks, padded_noise_flow, per_level_compose,
+                         zero_noise_flow)
 from map_oracle import direct_flow_oracle, jacobian_ode_oracle
 from lagflow.fields import (Field, Grid, SlobodeckijWindow, TimeSeries,
                             frame_norms, spatial_norm)
@@ -233,6 +235,29 @@ def test_affine_families_have_an_exactly_zero_grad_dpsi_inv(grid, kind):
     flat = [not np.any(level) for level in nf.grad_Dpsi_inv]
     assert nf.zero_grad_inv.tolist() == flat
     assert flat == ([True] * 6 if kind != "stream" else [True] + [False] * 5)
+
+
+@pytest.mark.parametrize("grid, kind, K", [
+    (grid, kind, K) for grid in (Grid(3, 13), Grid(2, 25), Grid(2, 17))
+    for kind in ("constant", "rotation", "linear_test", "stream")
+    for K in (1, 2, 3) if kind != "stream" or grid.dim == 2
+], ids=lambda x: f"{x.extent[0]}^{x.dim}" if isinstance(x, Grid) else str(x))
+def test_noise_flow_matches_the_nodal_integration(grid, kind, K):
+    # an affine family's Dpsi runs as one matrix per level, written into the
+    # stacks by broadcast: every bit, signbits included, is the node-by-node
+    # run's; the stream family runs node by node as before
+    Q = make_transport_field(grid.dim, kind, K, amplitude=0.3)
+    dW = sample_brownian(K, 0, 0.005, DT, seed=7 + K).transport_increments()
+    nf = integrate_noise_flow(Q, dW, grid)
+    lattice, nodes = lagflow.flow._padded_axes(grid), lagflow.flow._core_nodes(grid)
+    want = nodal_noise_stacks(Q, dW, lattice, nodes)
+    for name, ref in zip(STACKS, want):
+        assert same_bits(getattr(nf, name), ref), name
+    pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)
+    G = lagflow.flow._transport_sums(Q, pts, dW[:, 0])[1]
+    assert Q.constant_jacobian == (kind != "stream")
+    assert G.shape == ((grid.dim,) * 2 if Q.constant_jacobian else pts.shape + (grid.dim,))
+    assert np.max(np.abs(nf.Dpsi[-1] - np.eye(grid.dim))) > 0 or kind == "constant"
 
 
 @pytest.mark.parametrize("shape", [(50,), (2, 50, 1)])

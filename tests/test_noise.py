@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,6 +326,27 @@ def test_value_and_jacobian_match_separate_calls(dim, kind):
             assert np.array_equal(val, Q.value(k, pts))
             assert np.array_equal(jac, Q.jacobian(k, pts))
             assert val.shape == pts.shape and jac.shape == pts.shape + (dim,)
+
+
+@pytest.mark.parametrize("dim, kind", [(2, "rotation"), (3, "constant"),
+                                       (3, "rotation"), (3, "linear_test")])
+def test_linear_value_forms_no_jacobian(dim, kind):
+    # Q_k alone keeps the bits of value_and_jacobian's value; its
+    # temporaries take about three pts-sized arrays, a Jacobian copy dim more
+    Q = make_transport_field(dim, kind, K=2, amplitude=0.7)
+    assert Q.constant_jacobian
+    pts = np.random.default_rng(dim).uniform(-0.3, 1.3, size=(40, 50, dim))
+    for k in range(Q.K):
+        want = Q.value_and_jacobian(k, pts)[0]
+        tracemalloc.start()
+        try:
+            val = Q.value(k, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert val.tobytes() == want.tobytes()
+        assert peak < (dim + 2) * pts.nbytes
+    assert not make_transport_field(2, "stream", 2).constant_jacobian
 
 
 def test_tabulated_divergence_second_order():
