@@ -6,7 +6,11 @@ traction condition S(grad u) N = g, discretized with one-sided second-order
 stencils (ghost-node elimination).  The stencils are ``fields``' kernels
 ``_d1`` and ``_d2_pure`` applied to the identity.  Time stepping is implicit
 Euler with one sparse factorization per step size, shared by the deterministic
-solve and the additive stochastic convolution.
+solve and the additive stochastic convolution.  The convolution is linear in
+the Brownian increments, so the operator also holds the forcing modes'
+impulse responses under that step, computed once, and a path's U is the
+product of the Toeplitz matrix of its increments with them, taken in blocks
+of levels (``solve_stoch_convolution``).
 
 The stepping matrix is factored in a geometric nested-dissection order of the
 node grid (George 1973): the grid is bisected recursively along its longest
@@ -86,6 +90,7 @@ class FluidParams:
 
 ND_LEAF = 64              # largest nested-dissection block kept in C order
 DIAG_PIVOT_THRESH = 0.01  # SuperLU's threshold for keeping the diagonal pivot
+CONV_BLOCK = 16           # levels per product of the stochastic convolution
 
 
 def _scalar_operators(grid: Grid):
@@ -168,6 +173,14 @@ class LameOperator:
     ``step_order`` is the symmetric permutation the stepping matrices are
     factored in: the nested-dissection node order, node-major.  A rho0
     below ``params.rho_min`` somewhere raises ``ValueError``, NaN included.
+
+    Beside the assembled matrices the operator holds what every path of one
+    setup shares: one step factorization per step size (``stepper``) and,
+    in one slot, the impulse responses of the last forcing it was asked for
+    (``forcing_responses``), M d N doubles per lag for M modes, with the
+    L - 1 lags of L levels rounded up to a multiple of ``CONV_BLOCK``:
+    0.84 MB on ``solid3d`` (13^3, 11 levels) and 0.64 MB on ``stopped2d``
+    (25^2, 51 levels), with M = 1, and 16 MB at 25^2 and 1601 levels.
     """
 
     def __init__(self, grid: Grid, rho0: Field, params: FluidParams):
@@ -215,6 +228,7 @@ class LameOperator:
         nodes = nested_dissection(grid.extent)
         self.step_order = (nodes[:, None] + N * np.arange(dim)).reshape(-1)
         self._steppers: dict[float, StepFactor] = {}
+        self._responses: tuple[tuple, np.ndarray] | None = None
 
     # -- flat layout helpers ---------------------------------------------------
 
@@ -241,6 +255,36 @@ class LameOperator:
                            diag_pivot_thresh=DIAG_PIVOT_THRESH)
             self._steppers[key] = StepFactor(lu, p)
         return self._steppers[key]
+
+    def forcing_responses(self, forcing: StochasticForcing, dt: float,
+                          levels: int) -> np.ndarray:
+        """Impulse responses of the forcing modes under the step ``dt``.
+
+        Entry [k - 1, m] holds R_{m,k} = (solve o mask)^k (a_m f_m), node-major
+        (the layout of a frame's values), for k = 1 .. levels - 1; the lag
+        axis is padded with zeros to a multiple of ``CONV_BLOCK``, so the
+        array is (lags, M, N dim).  It is computed once, by levels - 1 step
+        solves of M right-hand sides, and held in one slot keyed by the
+        content of its inputs: the step (as ``stepper`` rounds it),
+        ``levels`` and the bytes of the amplitudes and of every mode's
+        values.  Another forcing, an in-place edit of a mode or an
+        amplitude, or another step or level count replaces it.
+        """
+        key = (round(dt, 15), levels, forcing.amplitudes.tobytes(),
+               tuple(m.values.tobytes() for m in forcing.modes))
+        if self._responses is None or self._responses[0] != key:
+            dim, N, M = self.grid.dim, self.grid.n_nodes, forcing.M
+            lu = self.stepper(dt)
+            v = np.stack([a * self.to_flat(m.values) for a, m in
+                          zip(forcing.amplitudes, forcing.modes)], axis=1)
+            lags = -(-(levels - 1) // CONV_BLOCK) * CONV_BLOCK
+            R = np.zeros((lags, M, N * dim))
+            for k in range(levels - 1):
+                v[self.boundary_row_mask] = 0.0
+                v = lu.solve(v)
+                R[k] = v.reshape(dim, N, M).transpose(2, 1, 0).reshape(M, -1)
+            self._responses = key, R
+        return self._responses[1]
 
 
 def apply_B(op: LameOperator, u: Field) -> np.ndarray:
@@ -293,10 +337,34 @@ def solve_stoch_convolution(op: LameOperator, forcing: StochasticForcing,
     """Semi-implicit Euler-Maruyama for dU + A U dt = sum_m amp_m f_m d beta_m.
 
     ``dbeta`` holds the mode increments on the caller's ``times``, as
-    ``solve_lame`` takes them: (M, len(times) - 1), else ``ValueError``.
-    Homogeneous traction rows are enforced at every step and U(0) = 0; each
-    step uses only increments up to its own level, so the discrete solution
-    is adapted by construction.
+    ``solve_lame`` takes them: (M, len(times) - 1), else ``ValueError``;
+    ``times`` must be uniform from 0 (``TimeSeries``, ``ValueError``).
+    Both are checked before any solve.  Homogeneous traction rows are
+    enforced at every step and U(0) = 0.
+
+    The step recursion v_{n+1} = solve(mask(v_n + sum_m a_m f_m dbeta_{m,n}))
+    is linear, so it is taken in its convolution form
+
+        U_n = sum_m sum_{j<n} dbeta_{m,j} R_{m,n-j},
+
+    with R_{m,k} = (solve o mask)^k (a_m f_m) the modes' impulse responses,
+    which the operator computes once per step, level count and forcing
+    (``LameOperator.forcing_responses``, L - 1 step solves of M
+    right-hand sides, once).  A path then costs, per block of
+    ``CONV_BLOCK`` levels, one product of the block's rows of the
+    lower-triangular Toeplitz matrix of its increments with the responses
+    up to the block's last lag, in place of the recursion's L - 1 step
+    solves per path.  Its temporaries are one block's coefficients,
+    (CONV_BLOCK, M lags), and its product.  With one BLAS thread and M = 1,
+    U took 0.2 ms against the recursion's 22 ms on 13^3 and 11 levels,
+    and 102 ms against 163 ms on 25^2 and 1601 levels.
+
+    A row holds the increments before its level and zeros after them, so U
+    up to a level does not depend on the increments after it, bit for bit:
+    the discrete solution is adapted by construction.  Each product's shape
+    is fixed by its block's place, not by L (a BLAS sum's rounding depends
+    on its length), so a shorter horizon gives the prefix of a longer one,
+    bit for bit.  U agrees with the recursion to round-off, not bit for bit.
     """
     times = np.asarray(times, float)
     L = len(times)
@@ -304,21 +372,21 @@ def solve_stoch_convolution(op: LameOperator, forcing: StochasticForcing,
         raise ValueError(f"{forcing.M} forcing modes on {L} levels need "
                          f"increments of shape ({forcing.M}, {L - 1}), got "
                          f"{np.shape(dbeta)}")
-    out = np.zeros((L,) + op.grid.extent + (op.grid.dim,))
-    if forcing.M == 0:
-        return TimeSeries(op.grid, times, out)
-    lu = op.stepper(times[1] - times[0])
-    mask = op.boundary_row_mask
-    mode_flat = [op.to_flat(m.values) for m in forcing.modes]
-    v = np.zeros(op.A.shape[0])
-    for n in range(L - 1):
-        rhs = v.copy()
-        for m in range(forcing.M):
-            rhs += forcing.amplitudes[m] * mode_flat[m] * dbeta[m, n]
-        rhs[mask] = 0.0
-        v = lu.solve(rhs)
-        out[n + 1] = op.from_flat(v)
-    return TimeSeries(op.grid, times, out)
+    dbeta = np.asarray(dbeta, float)
+    U = TimeSeries(op.grid, times, np.zeros((L,) + op.grid.extent + (op.grid.dim,)))
+    if forcing.M == 0 or L == 1:
+        return U
+    R = op.forcing_responses(forcing, times[1] - times[0], L)
+    steps, M = L - 1, forcing.M
+    flat = U.values[1:].reshape(steps, -1)
+    for start in range(0, steps, CONV_BLOCK):
+        stop = start + CONV_BLOCK
+        coef = np.zeros((CONV_BLOCK, stop, M))
+        for row, n in enumerate(range(start, min(stop, steps))):
+            coef[row, :n + 1] = dbeta[:, n::-1].T   # level n + 1, latest first
+        block = coef.reshape(CONV_BLOCK, -1) @ R[:stop].reshape(stop * M, -1)
+        flat[start:stop] = block[:steps - start]
+    return U
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,16 @@ named here or excluded with a reason (``test_package`` checks this).
 same forcing and a bundle of the forcing paths alone (the noise flow's
 zero-increment case); its lines name the workload ``<workload>/K=0``.  It
 uses nothing the K > 0 run does not, so it runs on earlier checkouts too.
+``--modes M`` runs the workload with M ``default_modes`` forcing modes, of
+the workload's amplitude, in place of its one, and an M-mode bundle; its
+lines append ``/M=<M>`` to the workload's name.  It runs on earlier
+checkouts too.
 
 Each line is ``workload seed index brownian_seed sha256``, in the order the
 paths ran.  ``--reverse`` runs them last to first: a path must not depend
-on the paths before it (the cached ``Problem``, the interpolation axes and
-the contraction plans are shared), so its line must not change.
+on the paths before it (the cached ``Problem`` with the forcing's impulse
+responses, the interpolation axes and the contraction plans are shared),
+so its line must not change.
 ``--peak`` appends the path's tracemalloc peak of ``picard_solve`` in
 bytes, with the noise-free set-up (``problem_for``) built before tracing
 starts, so one run per checkout gives the bits and the peaks; without it
@@ -150,7 +155,8 @@ def _plain(obj):
 
 def digest_solution(d: Digest, w, inputs, bseed: int,
                     peaks: list | None) -> None:
-    bundle = noise.sample_brownian(inputs.Q.K, w.M, w.T, w.dt, bseed)
+    bundle = noise.sample_brownian(inputs.Q.K, inputs.forcing.M, w.T, w.dt,
+                                   bseed)
     setup = (inputs.rho0, inputs.u0, inputs.params, inputs.cfg)
     if peaks is not None:
         fixedpoint.problem_for(*setup)      # shared by every path: not traced
@@ -221,6 +227,9 @@ def main(argv=None) -> int:
     ap.add_argument("--no-transport", action="store_true",
                     help="run the workload with K = 0 transport fields and "
                          "the same forcing")
+    ap.add_argument("--modes", type=int, metavar="M",
+                    help="run the workload with M default forcing modes "
+                         "in place of its one")
     ap.add_argument("--peak", action="store_true",
                     help="append each path's tracemalloc peak of "
                          "picard_solve in bytes")
@@ -236,6 +245,10 @@ def main(argv=None) -> int:
     if args.no_transport:
         inputs.Q = noise.make_transport_field(w.dim, w.transport, 0)
         name += "/K=0"
+    if args.modes is not None:
+        inputs.forcing = noise.StochasticForcing.default_modes(
+            inputs.grid, args.modes, inputs.forcing.amplitudes[0])
+        name += f"/M={args.modes}"
     # every workload starts off the compatibility bound on purpose
     warnings.filterwarnings("ignore", "initial compatibility residual",
                             UserWarning)

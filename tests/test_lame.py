@@ -6,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import derivative_oracle
+from convolution_oracle import recursive_stoch_convolution
 import lagflow.lame
 from lagflow.fields import Field, Grid, TimeSeries
 from lagflow.fixedpoint import SolveConfig, compatibility_check, picard_solve
@@ -453,6 +454,116 @@ def test_convolution_refuses_increments_of_another_shape(op, M, shape):
     with pytest.raises(ValueError, match=rf"{M} forcing modes on 21 levels "
                                          rf"need increments of shape \({M}, 20\)"):
         solve_stoch_convolution(op, forcing, np.zeros(shape), times)
+
+
+def unequal_forcing(grid, M):
+    """M default modes with unequal amplitudes of both signs."""
+    forcing = StochasticForcing.default_modes(grid, M, 1.0)
+    forcing.amplitudes[:] = [0.7, -0.3][:M]
+    return forcing
+
+
+def counted_solves(monkeypatch):
+    """A list that grows by one at every ``StepFactor.solve`` call."""
+    calls = []
+    solve = lagflow.lame.StepFactor.solve
+
+    def counted(self, rhs):
+        calls.append(rhs.shape)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(lagflow.lame.StepFactor, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 17), Grid(3, 9)],
+                         ids=["17^2", "9^3"])
+@pytest.mark.parametrize("M", [1, 2])
+def test_convolution_matches_the_step_recursion(grid, M):
+    # the impulse-response form is the recursion, to round-off
+    op = unit_density_operator(grid.dim, grid.extent[0])
+    forcing = unequal_forcing(grid, M)
+    b = sample_brownian(0, M, 0.02, 1e-3, seed=4 + M)
+    U = solve_stoch_convolution(op, forcing, b.mode_increments(), b.times)
+    want = recursive_stoch_convolution(op, forcing, b.mode_increments(), b.times)
+    assert np.array_equal(U.times, want.times)
+    scale = np.max(np.abs(want.values))
+    assert scale > 0
+    assert np.max(np.abs(U.values - want.values)) <= 1e-13 * scale
+    assert not np.any(U.values[0])
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 17), Grid(3, 9)],
+                         ids=["17^2", "9^3"])
+def test_convolution_is_adapted_bit_for_bit(grid):
+    # levels 0 .. n keep their bits when the increments of steps n, n + 1,
+    # ... change, and level n + 1 moves; a shorter horizon gives the prefix
+    op = unit_density_operator(grid.dim, grid.extent[0])
+    forcing = unequal_forcing(grid, 2)
+    b = sample_brownian(0, 2, 0.04, 1e-3, seed=8)
+    dbeta = b.mode_increments()
+    U = solve_stoch_convolution(op, forcing, dbeta, b.times).values
+    rng = np.random.default_rng(1)
+    for n in (0, 1, 7, 16, 39):
+        other = dbeta.copy()
+        other[:, n:] = rng.normal(0.0, 0.03, size=other[:, n:].shape)
+        V = solve_stoch_convolution(op, forcing, other, b.times).values
+        assert V[:n + 1].tobytes() == U[:n + 1].tobytes()
+        assert np.any(V[n + 1] != U[n + 1])
+    for levels in (2, 16, 17, 18, 26, 33):
+        V = solve_stoch_convolution(op, forcing, dbeta[:, :levels - 1],
+                                    b.times[:levels]).values
+        assert V.tobytes() == U[:levels].tobytes()
+
+
+def test_forcing_responses_are_cached_by_content(monkeypatch):
+    # an equal forcing reuses them; an in-place edit of a mode or an
+    # amplitude, another step or another level count rebuilds them, with one
+    # step solve (of M right-hand sides) per level after the first
+    op = unit_density_operator(2, 17)
+    calls = counted_solves(monkeypatch)
+    b = sample_brownian(0, 2, 0.02, 1e-3, seed=2)
+    dbeta, times = b.mode_increments(), b.times
+
+    def solve(forcing, dbeta=dbeta, times=times):
+        calls.clear()
+        return solve_stoch_convolution(op, forcing, dbeta, times).values
+
+    forcing = unequal_forcing(op.grid, 2)
+    first = solve(forcing)
+    assert calls == [(op.A.shape[0], 2)] * 20
+    assert solve(unequal_forcing(op.grid, 2)).tobytes() == first.tobytes()
+    assert calls == []
+    forcing.modes[1].values[3, 4, 0] += 0.5
+    edited = solve(forcing)
+    assert len(calls) == 20 and np.any(edited != first)
+    assert edited.tobytes() == solve(forcing).tobytes() and calls == []
+    forcing.amplitudes[0] *= 2.0
+    solve(forcing)
+    assert len(calls) == 20
+    solve(forcing, dbeta[:, :10], times[:11])
+    assert len(calls) == 10
+    half = sample_brownian(0, 2, 0.02, 5e-4, seed=2)
+    want = recursive_stoch_convolution(op, forcing, half.mode_increments(),
+                                       half.times).values
+    got = solve(forcing, half.mode_increments(), half.times)
+    assert len(calls) == 40
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dbeta, times, match", [
+    (np.zeros((2, 19)), 1e-3 * np.arange(21), "need increments of shape"),
+    (np.zeros((1, 20)), 1e-3 * np.arange(21), "need increments of shape"),
+    (np.zeros((2, 2)), [0.0, 1e-3, 3e-3], "uniformly spaced"),
+    (np.zeros((2, 2)), [1e-3, 2e-3, 3e-3], "start with a frame at t = 0"),
+], ids=["steps", "modes", "non-uniform", "late-start"])
+def test_convolution_checks_its_inputs_before_any_solve(monkeypatch, dbeta,
+                                                        times, match):
+    op = unit_density_operator(2, 9)
+    calls = counted_solves(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        solve_stoch_convolution(op, unequal_forcing(op.grid, 2), dbeta, times)
+    assert calls == [] and op._responses is None and not op._steppers
 
 
 def test_solve_lame_refuses_non_uniform_times(op):
