@@ -331,13 +331,16 @@ def test_value_and_jacobian_match_separate_calls(dim, kind):
 @pytest.mark.parametrize("dim, kind", [(2, "rotation"), (3, "constant"),
                                        (3, "rotation"), (3, "linear_test")])
 def test_linear_value_forms_no_jacobian(dim, kind):
-    # Q_k alone keeps the bits of value_and_jacobian's value; its
-    # temporaries take about three pts-sized arrays, a Jacobian copy dim more
+    # Q_k alone has the bits of (pts - c) @ A.T + b, the value that
+    # value_and_jacobian returned beside its Jacobian copy; its temporaries
+    # take about three pts-sized arrays, a Jacobian copy dim more
     Q = make_transport_field(dim, kind, K=2, amplitude=0.7)
     assert Q.constant_jacobian
     pts = np.random.default_rng(dim).uniform(-0.3, 1.3, size=(40, 50, dim))
     for k in range(Q.K):
-        want = Q.value_and_jacobian(k, pts)[0]
+        A, b, c = (Q.params[key][k] for key in ("A", "b", "c"))
+        want = (pts - c) @ A.T + b
+        assert want.tobytes() == Q.value_and_jacobian(k, pts)[0].tobytes()
         tracemalloc.start()
         try:
             val = Q.value(k, pts)
