@@ -208,11 +208,6 @@ class Field:
                 f"grid extent {self.grid.extent}"
             )
 
-    @classmethod
-    def zeros(cls, grid: Grid, rank: int = 0) -> "Field":
-        shape = grid.extent + (grid.dim,) * rank
-        return cls(grid, np.zeros(shape))
-
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 

@@ -290,12 +290,13 @@ def _flow_stage(ubar: TimeSeries, nf: NoiseFlow, q: float,
     ``ubar`` may be shorter than the noise flow (a stopped window of an
     earlier iterate); the flow is integrated on its levels only.  The label
     flow samples Dpsi on Y with the plans of its Heun stage 0 (plus one on
-    the last level), so the stage builds 2L - 1 interpolation plans for L
-    levels and the composition builds none.  It samples X = psi(Y) with the
-    same plans only ``with_X``, for a caller that reads X: the rebuild, not
-    an iterate, whose window keeps neither X nor grad X, only the per-level
-    |grad X - I| values of the monitor at the exponent ``q``
-    (``FlowWindow``).  The label flow ends here.
+    the last level) and forms grad X = Dpsi(Y) grad Y there, so the stage
+    builds 2L - 1 interpolation plans for L levels, holds no stack of Y,
+    grad Y or Dpsi(Y), and the composition only inverts.  It samples
+    X = psi(Y) with the same plans only ``with_X``, for a caller that reads
+    X: the rebuild, not an iterate, whose window keeps neither X nor grad X,
+    only the per-level |grad X - I| values of the monitor at the exponent
+    ``q`` (``FlowWindow``).  The label flow ends here.
     """
     return compose_flow(integrate_label_flow(ubar, nf, with_X), ubar.grid, q)
 
@@ -414,7 +415,9 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
 
     Each level stack is held only while something reads it, and once.  The
     whole solve holds U; the iterates and the rebuild's flow stage hold the
-    noise flow.  Between iterates the loop carries the last velocity (as
+    noise flow (whose grad Dpsi^{-1} is a zero view for an affine family or
+    K = 0).  A flow stage stores grad X (and X) alone, formed level by level
+    by the label flow.  Between iterates the loop carries the last velocity (as
     long as the window), the last exact monitor result (its pair and frame
     norms and the Z and J of its window) and the differences; an iterate's
     window (Z, J and the per-level |grad X - I| values: an iterate keeps

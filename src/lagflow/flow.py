@@ -28,9 +28,10 @@ J = det grad X) is one ``FlowWindow`` of level stacks, laid out like the
 frame stacks of ``fields``: the density, the monitor norms and the
 nonlinearity assembly all read it as stacks.  The label flow samples Dpsi,
 and psi where its caller reads X, on Y with the interpolation plans of its
-own Heun stages (``LabelFlow``), so the composition only contracts and
-inverts.  What the monitor reads of grad X, two values per level, is taken
-at the composition; grad X itself stays on the window only with X.
+own Heun stages and forms grad X = Dpsi(Y) grad Y there: it returns the
+map it composes (``LabelFlow``), so the composition only inverts.  What
+the monitor reads of grad X, two values per level, is taken at the
+composition; grad X itself stays on the window only with X.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ class NoiseFlow:
     constant_jacobian``) each level of ``Dpsi`` and ``Dpsi_inv`` is one
     matrix on every node and every level is flagged: ``_noise_stacks``
     integrates and inverts that matrix alone and broadcasts it, with the
-    bits of the node-by-node run.
+    bits of the node-by-node run; there and with K = 0 ``grad_Dpsi_inv``
+    is a read-only zero view, which no flagged level reads.
     ``axes`` are the lattice axes on those nodes.  ``interp_axes`` holds
     the interpolation constants of the lattice and the core, shared by
     every plan; the core's faces are the escape bounds, so a plan raises
@@ -231,12 +233,12 @@ def _noise_stacks(Q: TransportField, dW: np.ndarray,
     Where every DQ_k is one matrix (``TransportField.constant_jacobian``:
     the constant, rotation and linear_test families), Dpsi is the same on
     every node, so the Dpsi half of each Heun step, the determinant check
-    and the inversion run on one (d, d) matrix per level, and grad Dpsi_inv
-    is written as the +0.0 its differences give; the stacks keep their
-    shapes and are written by broadcast, with the bits of the node-by-node
-    run.  With no field (K = 0) the steps leave D = I, stored as its own
-    inverse with a zero gradient.  The determinant blow-up check covers the
-    nodes integrated.
+    and the inversion run on one (d, d) matrix per level; the stacks keep
+    their shapes and are written by broadcast, with the bits of the
+    node-by-node run.  With no field (K = 0) the steps leave D = I, stored
+    as its own inverse.  In both cases grad Dpsi_inv, the +0.0 its
+    differences give, is one read-only zero of the stack's shape
+    (``np.broadcast_to``).  The blow-up check covers the nodes integrated.
     """
     dim = len(lattice)
     run = tuple(slice(s.start - 1, s.stop + 1) for s in nodes)
@@ -248,21 +250,20 @@ def _noise_stacks(Q: TransportField, dW: np.ndarray,
     psi = np.empty((L,) + ext + (dim,))
     Dpsi = np.empty((L,) + ext + (dim, dim))
     Dpsi_inv = np.empty(Dpsi.shape)
-    grad_inv = np.empty(Dpsi.shape + (dim,))
     nodal = not Q.constant_jacobian
+    differenced = nodal and Q.K > 0     # else each (a - a) / 2h is +0.0
+    grad_inv = (np.empty(Dpsi.shape + (dim,)) if differenced
+                else np.broadcast_to(0.0, Dpsi.shape + (dim,)))
 
     def store(level, x, D):
         psi[level] = x[keep]
         Dpsi[level] = D[keep] if nodal else D
-        if not Q.K:     # D = I, its own inverse: the adjugate of I writes
-            # -0.0 off the diagonal, where I holds +0.0
-            Dpsi_inv[level], grad_inv[level] = Dpsi[level], 0.0
+        # with no field D = I, its own inverse: the adjugate of I writes
+        # -0.0 off the diagonal, where I holds +0.0
+        inv = mat_inv(D) if Q.K else D
+        Dpsi_inv[level] = inv[keep] if nodal else inv
+        if not differenced:
             return
-        inv = mat_inv(D)
-        if not nodal:   # one matrix: each difference is (a - a) / 2h = +0.0
-            Dpsi_inv[level], grad_inv[level] = inv, 0.0
-            return
-        Dpsi_inv[level] = inv[keep]
         for d, ax in enumerate(lattice):
             block = tuple(slice(None) if k == d else slice(1, -1)
                           for k in range(dim))
@@ -313,35 +314,30 @@ def integrate_noise_flow(Q: TransportField, dW: np.ndarray,
 
 @dataclass
 class LabelFlow:
-    """The label flow of a window and the noise flow sampled on it.
+    """The composed map of a window, as the label flow forms it.
 
-    Level stacks: ``Y`` (L, *ext, d), ``gradY`` (L, *ext, d, d), and
-    ``X`` = psi(Y) and ``Dpsi_Y`` = Dpsi(Y), interpolated with the plan the
-    label flow built on Y at each level; ``times`` (L,).  ``X`` is None
-    when the flow was integrated without it (``with_X``).  The gradient of
-    the drift frames is not kept: the flow takes it a chunk of frames at a
-    time, and the nonlinearity assembly takes its own.
+    Level stacks: ``X`` = psi(Y) (L, *ext, d) and ``gradX`` = Dpsi(Y) grad Y
+    (L, *ext, d, d), both taken with the plan the label flow built on Y at
+    each level; ``times`` (L,).  ``X`` is None when the flow was integrated
+    without it (``with_X``).
     """
 
     times: np.ndarray
-    Y: np.ndarray
-    gradY: np.ndarray
     X: np.ndarray | None
-    Dpsi_Y: np.ndarray
+    gradX: np.ndarray
 
 
 def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
                          with_X: bool = True) -> LabelFlow:
-    """Heun integration of the label ODE, with Dpsi and psi sampled on Y.
-
-    X = psi(Y) is sampled only ``with_X`` (else ``LabelFlow.X`` is None):
-    the solve's rebuild reads it, a Picard iterate does not, and no other
-    output depends on it.  The step and times are ``ubar``'s; ``nf`` must
-    come from increments on them (``NoiseFlow``: a noise flow of another
-    step is read at the wrong times unnoticed).  They may cover a prefix of
-    the noise flow's levels (more frames raise ``ValueError``): the first
-    ``len(ubar)`` levels are integrated, and they do not depend on the
-    levels after them.  grad Y solves the variational
+    """Heun integration of the label ODE, returning X = psi(Y) and
+    grad X = Dpsi(Y) grad Y.  X is sampled only ``with_X`` (else
+    ``LabelFlow.X`` is None): the solve's rebuild reads it, a Picard iterate
+    does not, and no other output depends on it.  The step and times are
+    ``ubar``'s; ``nf`` must come from increments on them (``NoiseFlow``: a
+    noise flow of another step is read at the wrong times unnoticed).  They
+    may cover a prefix of the noise flow's levels (more frames raise
+    ``ValueError``): the first ``len(ubar)`` levels are integrated, and they
+    do not depend on the levels after them.  grad Y solves the variational
     equation obtained by differentiating the integrand with the
     product/chain rule, using the tracked derivatives of Dpsi^{-1}
     interpolated at the moving points.  On a level the noise flow flags
@@ -350,26 +346,28 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     +0.0 + x = x, so the outputs keep their bits.
 
     Stage 0 of step n builds the interpolation plan on Y[n] at
-    ``ubar.times[n]``; the same plan samples Dpsi (and psi) there for the
-    composition, and one more plan does so on the last level, so a window
-    of L levels builds 2L - 1 plans either way.
+    ``ubar.times[n]``; the same plan samples Dpsi (and psi) there, and one
+    more plan does so on the last level, so a window of L levels builds
+    2L - 1 plans either way.  grad X of a level is formed there, so Y,
+    grad Y and Dpsi(Y) live one level at a time.
 
     The variational sums dg = dA_ijl g_lm u_j + A_ij (grad u)_jm (A the
-    sampled Dpsi^{-1}, dA its gradient) run component-major, with the node
-    axis last.  g = grad Y is carried as (d, d, n) rows across the steps
-    and written node-major into ``gradY`` at each level; u and grad u are
-    copied into component rows once per level, into two reused slots (a
+    sampled Dpsi^{-1}, dA its gradient) and the product
+    grad X = Dpsi(Y)_ij g_jm run component-major, with the node
+    axis last.  g = grad Y is carried as (d, d, n) rows across the steps;
+    grad X is written node-major into ``gradX`` at each level.  u and grad u
+    are copied into component rows once per level, into two reused slots (a
     step reads its level and the next).  grad u is taken one
     ``frame_chunks`` pass of drift frames at a time, as the steps reach
     them, so no whole-window gradient is held (a frame's derivatives do not
     depend on the frames beside it).  dA is copied into (j, l, i, n) rows
-    once per stage that forms its term, and A is read through a strided
-    view.  The terms of each sum are formed by one broadcast product per
-    operand, left to right (dA g, then u; A grad u), into a reused
-    (j, l, i, m, n) or (j, i, m, n) scratch array, and added over the
-    leading axes from zero, j outermost: the order and the rounding of
-    einsum's loop over those labels, so a -0.0 term sum turns into +0.0 as
-    there.  The dA rows and their scratch are allocated at the first
+    once per stage that forms its term, and A and Dpsi(Y) are read through
+    strided views.  The terms of each sum are formed by one broadcast
+    product per operand, left to right (dA g, then u; A grad u; Dpsi(Y) g),
+    into a reused (j, l, i, m, n) or (j, i, m, n) scratch array, and added
+    over the leading axes from zero, j outermost: the order and the rounding
+    of einsum's loop over those labels, so a -0.0 term sum turns into +0.0
+    as there.  The dA rows and their scratch are allocated at the first
     unflagged level.  The outputs are the node-major einsum ones, bit for
     bit.
     """
@@ -382,12 +380,8 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     pts0 = grid.coords()
     L = len(ubar)
     N = grid.n_nodes
-    Y = np.empty((L,) + pts0.shape)
-    G = np.empty((L,) + pts0.shape[:-1] + (dim, dim))
-    X = np.empty(Y.shape) if with_X else None
-    DY = np.empty(G.shape)
-    Y[0] = pts0
-    G[0] = np.eye(dim)
+    X = np.empty((L,) + pts0.shape) if with_X else None
+    gradX = np.empty((L,) + pts0.shape[:-1] + (dim, dim))
     ub = ubar.values
     passes = iter(frame_chunks(grid, L, ub[0].size))
     held, gub = slice(0, 0), None   # the pass of frames whose gradient is held
@@ -398,13 +392,22 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     terms2 = np.empty((dim,) * 3 + (N,))        # (j, i, m, n)
     chain = None        # the dA rows and terms, from the first unflagged level
 
-    def sample(level, y):
+    def product(M, rows):
+        """M_ij rows_jm as (i, m, n) rows, M node-major (N, d, d) and rows
+        (j, m, n): the terms go in (j, i, m, n) and are added over j."""
+        np.multiply(M.reshape(N, dim, dim).transpose(2, 1, 0)[:, :, None],
+                    rows[:, None], out=terms2)
+        return np.add.reduce(terms2, axis=0, initial=0.0)
+
+    def sample(level, y, g):
         """The plan on y at the level's time, which also samples Dpsi (and
-        psi)."""
+        psi) for the level's grad X = Dpsi(y) g (and X)."""
         plan = nf.plan(y, time=times[level])
         if with_X:
             X[level] = plan.apply(nf.psi[level])
-        DY[level] = plan.apply(nf.Dpsi[level])
+        D = plan.apply(nf.Dpsi[level])
+        gradX[level].reshape(N, dim, dim)[...] = product(D, g).transpose(
+            2, 0, 1)
         return plan
 
     def load_rows(level):
@@ -420,10 +423,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
         nonlocal chain
         A = plan.apply(nf.Dpsi_inv[level])
         f = np.einsum("...ij,...j->...i", A, ub[level])
-        # A_ij (grad u)_jm: rows (j, i, m, n)
-        np.multiply(A.reshape(N, dim, dim).transpose(2, 1, 0)[:, :, None],
-                    gu_rows[level % 2][:, None], out=terms2)
-        dg = np.add.reduce(terms2, axis=0, initial=0.0)
+        dg = product(A, gu_rows[level % 2])        # A_ij (grad u)_jm
         if nf.zero_grad_inv[level]:
             return f, dg
         # dA_ijl g_lm u_j: rows (j, l, i, m, n), added second (x + y is y + x)
@@ -438,11 +438,11 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
         dg += np.add.reduce(terms1.reshape(-1, dim, dim, N), 0, initial=0.0)
         return f, dg
 
-    y = Y[0].copy()
+    y = pts0
     g = np.broadcast_to(np.eye(dim)[:, :, None], (dim, dim, N)).copy()
     load_rows(0)
     for n in range(L - 1):
-        f0, dg0 = rhs(n, sample(n, y), g)
+        f0, dg0 = rhs(n, sample(n, y, g), g)
         y_pred = y + dt * f0
         g_pred = g + dt * dg0
         plan1 = nf.plan(y_pred, time=times[n + 1])
@@ -450,10 +450,8 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
         f1, dg1 = rhs(n + 1, plan1, g_pred)
         y = y + 0.5 * dt * (f0 + f1)
         g = g + 0.5 * dt * (dg0 + dg1)
-        Y[n + 1] = y
-        G[n + 1].reshape(N, dim, dim)[...] = g.transpose(2, 0, 1)
-    sample(L - 1, y)
-    return LabelFlow(times.copy(), Y, G, X, DY)
+    sample(L - 1, y, g)
+    return LabelFlow(times.copy(), X, gradX)
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +520,14 @@ class FlowWindow:
 
 
 def compose_flow(label: LabelFlow, grid: Grid, q: float) -> FlowWindow:
-    """The window of a label flow: grad X = Dpsi(Y) grad Y, then
-    ``FlowWindow.from_map`` at the exponent ``q``.
+    """The window of a label flow, ``FlowWindow.from_map`` of its X and
+    grad X at the exponent ``q``.
 
-    X = psi(Y) (None when not sampled) and Dpsi(Y) come from the label
-    flow, which sampled them with its own plans on Y; the contraction runs
-    on the whole stacks (its bits are the per-level ones).  A window
-    without X keeps no grad X: the stack ends with this call.
+    The label flow formed both with its own plans on Y, so nothing is
+    sampled or contracted here.  A window without X keeps no grad X: the
+    stack ends with this call and the label flow.
     """
-    gradX = contract("...ij,...jk->...ik", "j", label.Dpsi_Y, label.gradY)
-    return FlowWindow.from_map(label.times, label.X, gradX, grid, q)
+    return FlowWindow.from_map(label.times, label.X, label.gradX, grid, q)
 
 
 # ---------------------------------------------------------------------------

@@ -308,18 +308,21 @@ def solve_lame(op: LameOperator, f: TimeSeries | None, g: np.ndarray,
     ``f`` is read at the interior nodes only: the traction rows replace its
     boundary rows, which is why ``nonlinear.assemble_window`` assembles F_u
     on the interior nodes alone.  B u0 = g(0) is not checked here
-    (``fixedpoint.compatibility_check``).
+    (``fixedpoint.compatibility_check``).  A one-level grid gives u0 as a
+    one-frame series, with no factorization.
     """
     times = np.asarray(times, float)
-    dt = times[1] - times[0]
     L = len(times)
     g = np.zeros((L, len(op.boundary_flat), op.grid.dim)) if g is None else np.asarray(g, float)
     if g.shape[0] != L or (f is not None and len(f.values) != L):
         raise ValueError("source and boundary data frames must match the time grid")
-    lu = op.stepper(dt)
-    mask = op.boundary_row_mask
     out = np.empty((L,) + op.grid.extent + (op.grid.dim,))
     out[0] = u0.values
+    if L == 1:
+        return TimeSeries(op.grid, times, out)
+    dt = times[1] - times[0]
+    lu = op.stepper(dt)
+    mask = op.boundary_row_mask
     v = op.to_flat(u0.values)
     for n in range(L - 1):
         rhs = v + dt * (op.to_flat(f.values[n + 1]) if f is not None else 0.0)

@@ -6,9 +6,10 @@ level and samples psi and Dpsi there.  ``integrate_label_flow`` is the
 label flow as it was while its variational sums went through
 ``contract`` on node-major arrays (and the drift gradient through
 ``np.gradient``, from ``derivative_oracle``); it forms the chain-rule
-term on every level.  ``loop_pair_row`` is the pair row of
-``SlobodeckijWindow`` on a (frame, node, component) layout, its squared
-components summed by a plain loop in storage order.  ``csr_weights`` is
+term on every level and returns its own record (``OracleLabelFlow``) of
+Y, grad Y and psi and Dpsi sampled on Y.  ``loop_pair_row`` is the pair
+row of ``SlobodeckijWindow`` on a (frame, node, component) layout, its
+squared components summed by a plain loop in storage order.  ``csr_weights`` is
 the construction of ``InterpPlan.W`` before the per-axes constants were
 shared.  ``nodal_noise_stacks`` is ``flow._noise_stacks`` as it was
 while every field's Jacobian was taken at every node (its Heun step
@@ -22,12 +23,13 @@ tests drive the label flow with.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from derivative_oracle import gradient_values
 from lagflow.fields import TimeSeries, _centered_d1, contract
-from lagflow.flow import (FlowWindow, LabelFlow, NoiseFlow, _padded_axes,
+from lagflow.flow import (FlowWindow, NoiseFlow, _padded_axes,
                           integrate_noise_flow, mat_det, mat_inv)
 from lagflow.interp import FlowEscapeError
 from lagflow.noise import make_transport_field
@@ -212,7 +214,19 @@ def csr_weights(axes, pts, time=None):
             np.arange(0, w.size + 1, len(corners), dtype=itype))
 
 
-def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
+@dataclass
+class OracleLabelFlow:
+    """Level stacks of the oracle's label flow: ``Y``, ``gradY``, and
+    ``X`` = psi(Y) and ``Dpsi_Y`` = Dpsi(Y); ``times`` (L,)."""
+
+    times: np.ndarray
+    Y: np.ndarray
+    gradY: np.ndarray
+    X: np.ndarray
+    Dpsi_Y: np.ndarray
+
+
+def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> OracleLabelFlow:
     """Heun integration of the label ODE, with psi and Dpsi sampled on Y."""
     if len(ubar) > len(nf.psi):
         raise ValueError("more velocity frames than noise levels")
@@ -257,4 +271,4 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> LabelFlow:
         Y[n + 1] = y
         G[n + 1] = g
     sample(L - 1, y)
-    return LabelFlow(ubar.times.copy(), Y, G, X, DY)
+    return OracleLabelFlow(ubar.times.copy(), Y, G, X, DY)

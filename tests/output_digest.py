@@ -32,7 +32,9 @@ uses nothing the K > 0 run does not, so it runs on earlier checkouts too.
 ``--modes M`` runs the workload with M ``default_modes`` forcing modes, of
 the workload's amplitude, in place of its one, and an M-mode bundle; its
 lines append ``/M=<M>`` to the workload's name.  It runs on earlier
-checkouts too.
+checkouts too.  ``--dt DT`` runs the workload at the step DT, in its
+``SolveConfig`` and its Brownian bundles; its lines append ``/dt=<DT>``.
+It too runs on earlier checkouts.
 
 Each line is ``workload seed index brownian_seed sha256``, in the order the
 paths ran.  ``--reverse`` runs them last to first: a path must not depend
@@ -55,6 +57,7 @@ file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -155,8 +158,8 @@ def _plain(obj):
 
 def digest_solution(d: Digest, w, inputs, bseed: int,
                     peaks: list | None) -> None:
-    bundle = noise.sample_brownian(inputs.Q.K, inputs.forcing.M, w.T, w.dt,
-                                   bseed)
+    bundle = noise.sample_brownian(inputs.Q.K, inputs.forcing.M,
+                                   inputs.cfg.T, inputs.cfg.dt, bseed)
     setup = (inputs.rho0, inputs.u0, inputs.params, inputs.cfg)
     if peaks is not None:
         fixedpoint.problem_for(*setup)      # shared by every path: not traced
@@ -230,6 +233,8 @@ def main(argv=None) -> int:
     ap.add_argument("--modes", type=int, metavar="M",
                     help="run the workload with M default forcing modes "
                          "in place of its one")
+    ap.add_argument("--dt", type=float,
+                    help="run the workload at this time step")
     ap.add_argument("--peak", action="store_true",
                     help="append each path's tracemalloc peak of "
                          "picard_solve in bytes")
@@ -249,6 +254,9 @@ def main(argv=None) -> int:
         inputs.forcing = noise.StochasticForcing.default_modes(
             inputs.grid, args.modes, inputs.forcing.amplitudes[0])
         name += f"/M={args.modes}"
+    if args.dt is not None:
+        inputs.cfg = dataclasses.replace(inputs.cfg, dt=args.dt)
+        name += f"/dt={args.dt:g}"
     # every workload starts off the compatibility bound on purpose
     warnings.filterwarnings("ignore", "initial compatibility residual",
                             UserWarning)

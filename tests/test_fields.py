@@ -278,7 +278,7 @@ def test_unit_constant_lq_norm(grid):
 
 
 def test_zero_field_all_norms(grid):
-    f = Field.zeros(grid)
+    f = Field(grid, np.zeros(grid.extent))
     for kind in ("Lq", "H1q", "H2q"):
         assert spatial_norm(grid, f.values, kind, 3) == 0.0
 

@@ -291,7 +291,8 @@ def test_label_flow_leaving_the_core_escapes(dim):
     lower, upper = -h - 1e-9, 1.0 + h + 1e-9
     assert np.any((exc.value.point < lower) | (exc.value.point > upper))
     # the levels before it stay in the core and do not depend on it
-    Y = integrate_label_flow(ubar.restrict(k), nf).Y
+    integrate_label_flow(ubar.restrict(k), nf)
+    Y = contract_label_flow(ubar.restrict(k), nf).Y
     assert Y.min() >= lower and Y.max() <= upper
     with pytest.raises(FlowEscapeError) as again:
         integrate_label_flow(ubar.restrict(k + 1), nf)
@@ -345,17 +346,18 @@ def test_core_footprint_at_13_cubed():
 # ---------------------------------------------------------------------------
 
 def test_zero_velocity_fixes_labels():
+    # psi = id: X and grad X are the labels and their gradient
     nf = zero_noise_flow(GRID, TIMES)
     lf = integrate_label_flow(zero_velocity(), nf)
-    assert np.max(np.abs(lf.Y - GRID.coords()[None])) == 0.0
-    assert np.max(np.abs(lf.gradY - np.eye(2))) == 0.0
+    assert np.max(np.abs(lf.X - GRID.coords()[None])) == 0.0
+    assert np.max(np.abs(lf.gradX - np.eye(2))) == 0.0
 
 
 def test_constant_velocity_translates_labels():
     nf = zero_noise_flow(GRID, TIMES)
-    Y = integrate_label_flow(constant_velocity([0.3, -0.1]), nf).Y
+    X = integrate_label_flow(constant_velocity([0.3, -0.1]), nf).X
     exact = GRID.coords()[None] + TIMES[:, None, None, None] * np.array([0.3, -0.1])
-    assert np.max(np.abs(Y - exact)) <= 1e-14
+    assert np.max(np.abs(X - exact)) <= 1e-14
 
 
 def test_linear_velocity_exact_with_gradient():
@@ -364,8 +366,8 @@ def test_linear_velocity_exact_with_gradient():
     lf = integrate_label_flow(linear_velocity(alpha), nf)
     c = GRID.coords()
     scale = 1.0 + alpha * TIMES
-    assert np.max(np.abs(lf.Y - scale[:, None, None, None] * c[None])) <= 1e-10
-    assert np.max(np.abs(lf.gradY - scale[:, None, None, None, None] * np.eye(2))) <= 1e-10
+    assert np.max(np.abs(lf.X - scale[:, None, None, None] * c[None])) <= 1e-10
+    assert np.max(np.abs(lf.gradX - scale[:, None, None, None, None] * np.eye(2))) <= 1e-10
 
 
 def test_label_flow_on_window_prefix_matches_full_run():
@@ -382,7 +384,7 @@ def test_label_flow_on_window_prefix_matches_full_run():
     full = compose_flow(lf, GRID, EXP_Q)
     k = 7
     lk = integrate_label_flow(ubar.restrict(k), nf)
-    for name in ("times", "Y", "gradY", "X", "Dpsi_Y"):
+    for name in ("times", "X", "gradX"):
         assert np.array_equal(getattr(lk, name), getattr(lf, name)[:k])
     window = compose_flow(lk, GRID, EXP_Q)
     assert len(window) == k
@@ -522,7 +524,7 @@ def test_flow_stage_matches_per_level_compose_oracle(dim, monkeypatch):
         window = _flow_stage(u, nf, cfg.q, with_X)
         assert len(built) == 2 * len(u) - 1
         monkeypatch.undo()
-        lf = integrate_label_flow(u, nf)
+        lf = contract_label_flow(u, nf)
         want = per_level_compose(nf, times, lf.Y, lf.gradY, g, cfg.q)
         assert len(window) == len(u)
         # an iterate's window (with_X False) keeps neither X nor grad X,
@@ -567,7 +569,7 @@ def test_only_the_rebuild_samples_x(monkeypatch):
                            cfg, Q, b, StochasticForcing.default_modes(g, 1, 1e-3))
     assert sol.converged and len(iterate_X) == sol.iterations >= 2
     assert all(X is None for X in iterate_X)
-    lf = integrate_label_flow(sol.ubar, flows[0])
+    lf = contract_label_flow(sol.ubar, flows[0])
     want = per_level_compose(flows[0], cfg.times, lf.Y, lf.gradY, g, cfg.q)
     for name in ("times", "X", "gradX", "Z", "J"):
         assert np.array_equal(getattr(sol.window, name), getattr(want, name)), name
@@ -576,9 +578,10 @@ def test_only_the_rebuild_samples_x(monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_label_flow_matches_contract_oracle(dim, monkeypatch):
-    # the component-major variational sums hold the bits of the node-major
-    # contract sums in every output, on the whole window and a stopped one,
-    # with the drift's gradient taken in one pass or in several
+    # the component-major variational sums and grad X = Dpsi(Y) grad Y hold
+    # the bits of the node-major contract sums and einsum in every output,
+    # on the whole window and a stopped one, with the drift's gradient taken
+    # in one pass or in several
     if dim == 2:
         g, Q = Grid(2, (17, 19)), make_transport_field(2, "stream", K=2, amplitude=0.1)
     else:
@@ -598,6 +601,9 @@ def test_label_flow_matches_contract_oracle(dim, monkeypatch):
         flows.append(dataclasses.replace(
             flows[0], grad_Dpsi_inv=flows[0].grad_Dpsi_inv + 0.5 * bumps))
         assert not flows[1].zero_grad_inv.any()
+        # and a made-up Dpsi far from I, so the three terms of a grad X sum
+        # are of one size and their order shows in the bits
+        flows.append(dataclasses.replace(flows[0], Dpsi=flows[0].Dpsi + bumps[..., 0]))
     c = g.coords()
     waves = [np.sin((d + 1) * np.pi * c[..., d] + 0.3) * np.cos(np.pi * c[..., -1 - d])
              for d in range(dim)]
@@ -613,11 +619,13 @@ def test_label_flow_matches_contract_oracle(dim, monkeypatch):
         for nf in flows:
             for u in (ubar, ubar.restrict(7)):
                 got, want = integrate_label_flow(u, nf), contract_label_flow(u, nf)
-                for name in ("times", "Y", "gradY", "X", "Dpsi_Y"):
-                    a, b = getattr(got, name), getattr(want, name)
+                gradX = np.einsum("...ij,...jk->...ik", want.Dpsi_Y, want.gradY)
+                for name, b in (("times", want.times), ("X", want.X),
+                                ("gradX", gradX)):
+                    a = getattr(got, name)
                     assert a.shape == b.shape and np.array_equal(a, b), name
                     assert np.array_equal(np.signbit(a), np.signbit(b)), name
-    assert np.max(np.abs(got.gradY - np.eye(dim))) > 1e-3    # a nontrivial map
+    assert np.max(np.abs(want.gradY - np.eye(dim))) > 1e-3    # a nontrivial map
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -653,18 +661,17 @@ def test_window_keeps_the_monitor_values_of_grad_x(dim, monkeypatch):
 
 
 def test_singular_level_gets_nan_inverse():
-    # one singular level of grad Y (Dpsi(Y) = I, so grad X = grad Y): it
-    # gets a NaN Z and the monitor's guard marks it invalid, without a
-    # warning; the inverses of the other levels are left alone
+    # one singular level of grad X: it gets a NaN Z and the monitor's
+    # guard marks it invalid, without a warning; the inverses of the other
+    # levels are left alone
     times = TIMES[:5]
     rng = np.random.default_rng(5)
-    Y = np.broadcast_to(GRID.coords(), (5,) + GRID.extent + (2,)).copy()
-    gradY = np.eye(2) + 0.05 * rng.normal(size=(5,) + GRID.extent + (2, 2))
-    gradY[2] = 0.0
-    eye = np.broadcast_to(np.eye(2), gradY.shape)
+    X = np.broadcast_to(GRID.coords(), (5,) + GRID.extent + (2,)).copy()
+    gradX = np.eye(2) + 0.05 * rng.normal(size=(5,) + GRID.extent + (2, 2))
+    gradX[2] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = compose_flow(LabelFlow(times, Y, gradY, Y, eye), GRID, EXP_Q)
+        w = compose_flow(LabelFlow(times, X, gradX), GRID, EXP_Q)
         valid = _valid_levels(w, 0.25, GRID)
     assert np.all(np.isnan(w.Z[2]))
     assert valid.tolist() == [True, True, False, True, True]
@@ -1261,7 +1268,7 @@ def test_smalltime_label_bound():
         return TimeSeries(g, times, np.stack([amp * (1 + 0.5 * t) * base for t in times]))
 
     def measure(ub):
-        Y = integrate_label_flow(ub, nf).Y
+        Y = integrate_label_flow(ub, nf).X     # psi = id: X stands in for Y
         ystar = max(spatial_norm(g, Y[n] - c, "H2q", q) for n in range(len(times)))
         hnorms = np.array([spatial_norm(g, v, "H2q", q) for v in ub.values])
         B_b = np.trapezoid(hnorms**p, times) ** (1 / p)

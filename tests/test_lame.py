@@ -250,7 +250,7 @@ def test_quadratic_form_nonnegative_on_traction_kernel(op):
 
 def test_zero_data_zero_solution(op):
     times = np.linspace(0, 0.02, 21)
-    v = solve_lame(op, None, None, Field.zeros(GRID, rank=1), times)
+    v = solve_lame(op, None, None, Field(GRID, np.zeros(GRID.extent + (2,))), times)
     assert np.max(np.abs(v.values)) == 0.0
 
 
@@ -327,7 +327,7 @@ def test_solve_lame_rejects_source_frames_off_the_time_grid(op, n_source):
     src_times = 1e-3 * np.arange(n_source)
     f = TimeSeries(GRID, src_times, np.zeros((n_source,) + GRID.extent + (2,)))
     with pytest.raises(ValueError, match="frames must match the time grid"):
-        solve_lame(op, f, None, Field.zeros(GRID, rank=1), times)
+        solve_lame(op, f, None, Field(GRID, np.zeros(GRID.extent + (2,))), times)
 
 
 @pytest.mark.parametrize("fill", [np.nan, 1e300], ids=["nan", "huge"])
@@ -569,7 +569,24 @@ def test_convolution_checks_its_inputs_before_any_solve(monkeypatch, dbeta,
 def test_solve_lame_refuses_non_uniform_times(op):
     # it used to return the values of the uniform 1e-3 run under these times
     with pytest.raises(ValueError, match="uniformly spaced"):
-        solve_lame(op, None, None, Field.zeros(GRID, rank=1), [0.0, 1e-3, 3e-3])
+        solve_lame(op, None, None, Field(GRID, np.zeros(GRID.extent + (2,))), [0.0, 1e-3, 3e-3])
+
+
+def test_solve_lame_on_one_level_returns_u0(monkeypatch):
+    # it used to raise IndexError at times[1]; the convolution returns its
+    # one frame there, and the solve returns u0 without a factorization
+    o = LameOperator(GRID, Field(GRID, np.ones(GRID.extent)), PARAMS)
+    calls = counted_solves(monkeypatch)
+    u0 = Field(GRID, np.random.default_rng(3).normal(size=GRID.extent + (2,)))
+    f = TimeSeries(GRID, [0.0], np.ones((1,) + GRID.extent + (2,)))
+    for source in (None, f):
+        v = solve_lame(o, source, None, u0, [0.0])
+        assert v.times.tolist() == [0.0] and v.values.shape == (1,) + u0.values.shape
+        assert v.values[0].tobytes() == u0.values.tobytes()
+    assert calls == [] and not o._steppers
+    g = np.zeros((2, len(o.boundary_flat), 2))
+    with pytest.raises(ValueError, match="frames must match the time grid"):
+        solve_lame(o, None, g, u0, [0.0])
 
 
 def test_debug_increments_match_deterministic_convolution(op):
@@ -586,7 +603,7 @@ def test_debug_increments_match_deterministic_convolution(op):
     times = b.times
     f = TimeSeries(GRID, times, np.broadcast_to(
         0.3 * mode.values / dt, (steps + 1,) + mode.values.shape).copy())
-    v = solve_lame(op, f, None, Field.zeros(GRID, rank=1), times)
+    v = solve_lame(op, f, None, Field(GRID, np.zeros(GRID.extent + (2,))), times)
     assert np.max(np.abs(U.values - v.values)) <= 1e-12
 
 
@@ -624,7 +641,7 @@ def test_da_prato_debussche_consistency(op):
          np.zeros(GRID.extent)], axis=-1))
     forcing = StochasticForcing([mode], np.array([0.5]))
     b = sample_brownian(0, 1, dt * steps, dt, seed=3)
-    v = solve_lame(op, f, g, Field.zeros(GRID, rank=1), times)
+    v = solve_lame(op, f, g, Field(GRID, np.zeros(GRID.extent + (2,))), times)
     U = solve_stoch_convolution(op, forcing, b.mode_increments(), b.times)
     ubar = v.values + U.values
     dbeta = b.mode_increments()
