@@ -415,8 +415,8 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
 
     Each level stack is held only while something reads it, and once.  The
     whole solve holds U; the iterates and the rebuild's flow stage hold the
-    noise flow (whose grad Dpsi^{-1} is a zero view for an affine family or
-    K = 0).  A flow stage stores grad X (and X) alone, formed level by level
+    noise flow (with no grad Dpsi^{-1} for an affine family or K = 0).  A
+    flow stage stores grad X (and X) alone, formed level by level
     by the label flow.  Between iterates the loop carries the last velocity (as
     long as the window), the last exact monitor result (its pair and frame
     norms and the Z and J of its window) and the differences; an iterate's

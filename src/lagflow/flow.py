@@ -15,13 +15,11 @@ guard rejects.
 
 The noise flow takes the transport increments on the caller's time grid
 (K = 0 is the zero-increment case, psi = id) and holds its level stacks,
-without times, on the nodes within one cell of the box, n + 2 per axis,
-where the label flow reads them; that block is its tracked region, and a
-label that leaves it raises ``FlowEscapeError``.
-The nodes are taken from a lattice, the node grid padded by ``PAD_CELLS``
-cells per side, which is the coordinate frame only: its one step per axis,
-ax[1] - ax[0], is the step of every interpolation plan and of the
-differences of grad Dpsi^{-1} (``NoiseFlow``).
+without times, on one set of axes: the nodes within one cell of the box,
+n + 2 per axis, where the label flow reads them.  They are its tracked
+region, the axes of every interpolation plan, and their one step per axis,
+ax[1] - ax[0], is the step of the differences of grad Dpsi^{-1}
+(``NoiseFlow``); a label that leaves them raises ``FlowEscapeError``.
 
 The composed map data of a window (X, grad X, Z = grad X^{-1} and
 J = det grad X) is one ``FlowWindow`` of level stacks, laid out like the
@@ -115,67 +113,40 @@ def mat_inv(A: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass
 class NoiseFlow:
-    """Noise-only flow psi on the lattice nodes within one cell of the box.
+    """Noise-only flow psi on the nodes within one cell of the box.
 
     Plain level stacks, one per time of the increments' grid, which they do
     not record: a label flow reads level n at its drift's time n, so both
-    must be on one grid (the solve's ``cfg.times``).  The
-    lattice (``lattice``, a list of axes) is the node grid padded by
-    ``PAD_CELLS``, the coordinate frame of every plan: its first node and
-    step give the cells and fractions.  The level stacks hold the lattice
-    nodes ``nodes`` (a slice per axis), the core of n + 2 nodes per axis
-    around the box: ``psi`` (L, *ext, d), which only a label flow that
-    samples X reads (the solve's rebuild), ``Dpsi`` and ``Dpsi_inv``
-    (L, *ext, d, d), and ``grad_Dpsi_inv`` (L, *ext, d, d, d), the spatial
-    derivatives of the inverse gradient, needed by the label-ODE chain rule;
-    ``zero_grad_inv`` (L,), derived from it (also by ``dataclasses.replace``),
-    flags its all-zero levels, where the label flow skips that term.  For
-    a family whose Jacobians are constant (``TransportField.
-    constant_jacobian``) each level of ``Dpsi`` and ``Dpsi_inv`` is one
-    matrix on every node and every level is flagged: ``_noise_stacks``
-    integrates and inverts that matrix alone and broadcasts it, with the
-    bits of the node-by-node run; there and with K = 0 ``grad_Dpsi_inv``
-    is a read-only zero view, which no flagged level reads.
-    ``axes`` are the lattice axes on those nodes.  ``interp_axes`` holds
-    the interpolation constants of the lattice and the core, shared by
-    every plan; the core's faces are the escape bounds, so a plan raises
+    must be on one grid (the solve's ``cfg.times``).  ``axes`` (a list of
+    n + 2 nodes per axis) are the nodes of every stack: ``psi``
+    (L, *ext, d), which only a label flow that samples X reads (the solve's
+    rebuild), ``Dpsi`` and ``Dpsi_inv`` (L, *ext, d, d), and
+    ``grad_Dpsi_inv`` (L, *ext, d, d, d), the spatial derivatives of the
+    inverse gradient, needed by the label-ODE chain rule.  For a family
+    whose Jacobians are constant (``TransportField.constant_jacobian``)
+    each level of ``Dpsi`` and ``Dpsi_inv`` is one matrix on every node:
+    ``_noise_stacks`` integrates and inverts that matrix alone and
+    broadcasts it, with the bits of the node-by-node run.  There and with
+    K = 0 every difference of Dpsi^{-1} is +0.0, so ``grad_Dpsi_inv`` is
+    None and the label flow skips its chain-rule term.  ``interp_axes``
+    holds the interpolation constants of ``axes``, shared by every plan;
+    their faces are the escape bounds, so a plan raises
     ``FlowEscapeError`` for a point more than one cell outside the box.
     The arrays do not change after construction.
     """
 
-    lattice: list[np.ndarray]
-    nodes: tuple[slice, ...]
+    axes: list[np.ndarray]
     psi: np.ndarray
     Dpsi: np.ndarray
     Dpsi_inv: np.ndarray
-    grad_Dpsi_inv: np.ndarray
+    grad_Dpsi_inv: np.ndarray | None
     interp_axes: InterpAxes = field(init=False, repr=False, compare=False)
-    zero_grad_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.interp_axes = InterpAxes(self.lattice, self.nodes)
-        levels = self.grad_Dpsi_inv.reshape(len(self.grad_Dpsi_inv), -1)
-        self.zero_grad_inv = ~levels.any(axis=1)
-
-    @property
-    def axes(self) -> list[np.ndarray]:
-        return [ax[s] for ax, s in zip(self.lattice, self.nodes)]
+        self.interp_axes = InterpAxes(self.axes)
 
     def plan(self, pts: np.ndarray, time=None) -> InterpPlan:
         return InterpPlan(self.interp_axes, pts, time=time)
-
-
-PAD_CELLS = 4  # cells of the noise flow's coordinate frame past the box per side
-
-
-def _padded_axes(grid: Grid) -> list[np.ndarray]:
-    return [np.linspace(a - PAD_CELLS * h, b + PAD_CELLS * h, n + 2 * PAD_CELLS)
-            for (a, b), n, h in zip(grid.box, grid.extent, grid.spacing)]
-
-
-def _core_nodes(grid: Grid) -> tuple[slice, ...]:
-    """The lattice nodes within one cell of the box, n + 2 per axis."""
-    return tuple(slice(PAD_CELLS - 1, PAD_CELLS + n + 1) for n in grid.extent)
 
 
 def _transport_sums(Q: TransportField, pts, dW):
@@ -216,19 +187,20 @@ def _heun_step(Q: TransportField, x: np.ndarray, D: np.ndarray,
 
 
 def _noise_stacks(Q: TransportField, dW: np.ndarray,
-                  lattice: list[np.ndarray], nodes: tuple[slice, ...]
+                  run_axes: list[np.ndarray]
                   ) -> tuple[np.ndarray, ...]:
-    """psi, Dpsi, Dpsi_inv and grad Dpsi_inv on the lattice nodes ``nodes``.
+    """psi, Dpsi, Dpsi_inv and grad Dpsi_inv on the inner nodes of
+    ``run_axes``, each axis less its first and last node.
 
-    ``nodes`` is a block inside the lattice, one node short of its faces at
-    least.  The Heun steps run on the block and a one-node halo, each level
-    is inverted there, and grad Dpsi_inv is the centred difference on the
-    block at the lattice's one step, ax[1] - ax[0], whatever the last bits
-    of its other spacings; the halo is dropped level by level.  Every step,
-    inversion and difference acts node by node, so the values on a node do
-    not depend on the block, and a Dpsi_inv that is the same on every node
-    (an affine field) has a zero gradient, exactly.  Column n of ``dW``
-    drives step n.
+    The Heun steps run on every node of ``run_axes``, each level is
+    inverted there, and grad Dpsi_inv is the centred difference on the
+    inner nodes at their one step, ax[2] - ax[1] (the inner axes'
+    ax[1] - ax[0], the step of every plan), whatever the last bits of the
+    other spacings; the outer nodes are dropped level by level.  Every
+    step, inversion and difference acts node by node, so the values on a
+    node do not depend on the others, and a level whose Dpsi_inv is the
+    same on every node (level 0) has a zero gradient, exactly.  Column n of
+    ``dW`` drives step n.
 
     Where every DQ_k is one matrix (``TransportField.constant_jacobian``:
     the constant, rotation and linear_test families), Dpsi is the same on
@@ -236,15 +208,13 @@ def _noise_stacks(Q: TransportField, dW: np.ndarray,
     and the inversion run on one (d, d) matrix per level; the stacks keep
     their shapes and are written by broadcast, with the bits of the
     node-by-node run.  With no field (K = 0) the steps leave D = I, stored
-    as its own inverse.  In both cases grad Dpsi_inv, the +0.0 its
-    differences give, is one read-only zero of the stack's shape
-    (``np.broadcast_to``).  The blow-up check covers the nodes integrated.
+    as its own inverse.  In both cases no difference is taken, and
+    grad Dpsi_inv, whose differences would all be +0.0, is None.  The
+    blow-up check covers the nodes integrated.
     """
-    dim = len(lattice)
-    run = tuple(slice(s.start - 1, s.stop + 1) for s in nodes)
+    dim = len(run_axes)
     keep = (slice(1, -1),) * dim
-    pts0 = np.stack(np.meshgrid(*(ax[r] for ax, r in zip(lattice, run)),
-                                indexing="ij"), axis=-1)
+    pts0 = np.stack(np.meshgrid(*run_axes, indexing="ij"), axis=-1)
     ext = pts0[keep].shape[:-1]
     L = dW.shape[1] + 1
     psi = np.empty((L,) + ext + (dim,))
@@ -252,8 +222,7 @@ def _noise_stacks(Q: TransportField, dW: np.ndarray,
     Dpsi_inv = np.empty(Dpsi.shape)
     nodal = not Q.constant_jacobian
     differenced = nodal and Q.K > 0     # else each (a - a) / 2h is +0.0
-    grad_inv = (np.empty(Dpsi.shape + (dim,)) if differenced
-                else np.broadcast_to(0.0, Dpsi.shape + (dim,)))
+    grad_inv = np.empty(Dpsi.shape + (dim,)) if differenced else None
 
     def store(level, x, D):
         psi[level] = x[keep]
@@ -264,10 +233,10 @@ def _noise_stacks(Q: TransportField, dW: np.ndarray,
         Dpsi_inv[level] = inv[keep] if nodal else inv
         if not differenced:
             return
-        for d, ax in enumerate(lattice):
+        for d, ax in enumerate(run_axes):
             block = tuple(slice(None) if k == d else slice(1, -1)
                           for k in range(dim))
-            _centered_d1(inv[block], d, ax[1] - ax[0], grad_inv[level, ..., d])
+            _centered_d1(inv[block], d, ax[2] - ax[1], grad_inv[level, ..., d])
 
     x = pts0
     D = np.empty(pts0.shape + (dim,) if nodal else (dim, dim))
@@ -289,23 +258,26 @@ def _noise_stacks(Q: TransportField, dW: np.ndarray,
 
 def integrate_noise_flow(Q: TransportField, dW: np.ndarray,
                          grid: Grid) -> NoiseFlow:
-    """Integrate d psi = sum_k Q_k(psi) o dW_k on the core of the lattice.
+    """Integrate d psi = sum_k Q_k(psi) o dW_k on the box and one cell.
 
     ``dW`` holds the increments on the caller's time grid, (Q.K, steps)
     (``ValueError`` otherwise); K = 0 gives psi = id, Dpsi = Dpsi_inv = I
-    and grad Dpsi_inv = 0 at every level, bit for bit.  The
+    and no grad Dpsi_inv (None) at every level, bit for bit.  The
     gradient flow d Dpsi = sum_k DQ_k(psi) Dpsi o dW_k is advanced with the
     same Heun staging; Dpsi_inv comes from per-point closed-form inversion,
-    which keeps Dpsi . Dpsi_inv = I exactly at every level.  The stacks hold
-    the core, the lattice nodes within one cell of the box (see
-    ``_noise_stacks``), and nothing else (see ``NoiseFlow``).
+    which keeps Dpsi . Dpsi_inv = I exactly at every level.  The steps run
+    on the box padded by two cells, ``np.linspace(a - 2h, b + 2h, n + 4)``
+    per axis; the stacks hold its inner n + 2 nodes, the ``NoiseFlow``
+    axes (see ``_noise_stacks``), and nothing else.
     """
     dW = np.asarray(dW, float)
     if dW.ndim != 2 or len(dW) != Q.K:
         raise ValueError(f"{Q.K} transport fields need (K, steps) "
                          f"increments, got shape {dW.shape}")
-    lattice, nodes = _padded_axes(grid), _core_nodes(grid)
-    return NoiseFlow(lattice, nodes, *_noise_stacks(Q, dW, lattice, nodes))
+    run_axes = [np.linspace(a - 2 * h, b + 2 * h, n + 4)
+                for (a, b), n, h in zip(grid.box, grid.extent, grid.spacing)]
+    return NoiseFlow([ax[1:-1] for ax in run_axes],
+                     *_noise_stacks(Q, dW, run_axes))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +312,10 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     do not depend on the levels after them.  grad Y solves the variational
     equation obtained by differentiating the integrand with the
     product/chain rule, using the tracked derivatives of Dpsi^{-1}
-    interpolated at the moving points.  On a level the noise flow flags
-    (``NoiseFlow.zero_grad_inv``) the term dA g u is skipped, with the
-    interpolation of dA: for finite g and u its sum from zero is +0.0, and
-    +0.0 + x = x, so the outputs keep their bits.
+    interpolated at the moving points.  Where the noise flow has no
+    grad Dpsi^{-1} (``NoiseFlow``: None) the term dA g u is skipped, with
+    the interpolation of dA: for finite g and u its sum from zero is +0.0,
+    and +0.0 + x = x, so the outputs keep their bits.
 
     Stage 0 of step n builds the interpolation plan on Y[n] at
     ``ubar.times[n]``; the same plan samples Dpsi (and psi) there, and one
@@ -367,9 +339,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     into a reused (j, l, i, m, n) or (j, i, m, n) scratch array, and added
     over the leading axes from zero, j outermost: the order and the rounding
     of einsum's loop over those labels, so a -0.0 term sum turns into +0.0
-    as there.  The dA rows and their scratch are allocated at the first
-    unflagged level.  The outputs are the node-major einsum ones, bit for
-    bit.
+    as there.  The outputs are the node-major einsum ones, bit for bit.
     """
     if len(ubar) > len(nf.psi):
         raise ValueError(f"{len(ubar)} velocity frames, the noise flow has "
@@ -390,7 +360,9 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     u_rows = np.empty((2, dim, N))
     gu_rows = np.empty((2, dim, dim, N))
     terms2 = np.empty((dim,) * 3 + (N,))        # (j, i, m, n)
-    chain = None        # the dA rows and terms, from the first unflagged level
+    # the dA rows (j, l, i, n) and terms (j, l, i, m, n), where dA g u is formed
+    chain = (None if nf.grad_Dpsi_inv is None else
+             (np.empty((dim,) * 3 + (N,)), np.empty((dim,) * 4 + (N,))))
 
     def product(M, rows):
         """M_ij rows_jm as (i, m, n) rows, M node-major (N, d, d) and rows
@@ -420,15 +392,12 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
         np.copyto(gu_rows[level % 2], gu.transpose(1, 2, 0))
 
     def rhs(level, plan, g):
-        nonlocal chain
         A = plan.apply(nf.Dpsi_inv[level])
         f = np.einsum("...ij,...j->...i", A, ub[level])
         dg = product(A, gu_rows[level % 2])        # A_ij (grad u)_jm
-        if nf.zero_grad_inv[level]:
+        if chain is None:
             return f, dg
         # dA_ijl g_lm u_j: rows (j, l, i, m, n), added second (x + y is y + x)
-        if chain is None:
-            chain = np.empty((dim,) * 3 + (N,)), np.empty((dim,) * 4 + (N,))
         dA_rows, terms1 = chain
         dA = plan.apply(nf.grad_Dpsi_inv[level])
         np.copyto(dA_rows, dA.reshape(N, dim, dim, dim).transpose(2, 3, 1, 0))

@@ -7,7 +7,8 @@ label flow as it was while its variational sums went through
 ``contract`` on node-major arrays (and the drift gradient through
 ``np.gradient``, from ``derivative_oracle``); it forms the chain-rule
 term on every level and returns its own record (``OracleLabelFlow``) of
-Y, grad Y and psi and Dpsi sampled on Y.  ``loop_pair_row`` is the pair
+Y, grad Y and psi and Dpsi sampled on Y; a noise flow without
+grad Dpsi^{-1} (None) gives it all +0.0 differences.  ``loop_pair_row`` is the pair
 row of ``SlobodeckijWindow`` on a (frame, node, component) layout, its
 squared components summed by a plain loop in storage order.  ``csr_weights`` is
 the construction of ``InterpPlan.W`` before the per-axes constants were
@@ -15,9 +16,9 @@ shared.  ``nodal_noise_stacks`` is ``flow._noise_stacks`` as it was
 while every field's Jacobian was taken at every node (its Heun step
 ``nodal_heun_step``), before an affine family's Dpsi became one matrix
 per level.  ``padded_noise_flow`` is the noise flow integrated with that
-step and stored on the whole padded lattice, with np.gradient at the
-lattice's one step.  The production code must agree with each of them
-bit for bit.
+step and stored on every node of ``run_axes``, the box padded by two
+cells, with np.gradient at the step of its inner nodes.  The production
+code must agree with each of them bit for bit.
 ``zero_noise_flow`` is not an oracle: it is the K = 0 noise flow the
 tests drive the label flow with.
 """
@@ -29,8 +30,8 @@ import numpy as np
 
 from derivative_oracle import gradient_values
 from lagflow.fields import TimeSeries, _centered_d1, contract
-from lagflow.flow import (FlowWindow, NoiseFlow, _padded_axes,
-                          integrate_noise_flow, mat_det, mat_inv)
+from lagflow.flow import (FlowWindow, NoiseFlow, integrate_noise_flow,
+                          mat_det, mat_inv)
 from lagflow.interp import FlowEscapeError
 from lagflow.noise import make_transport_field
 
@@ -40,6 +41,13 @@ def zero_noise_flow(grid, times):
     increments, psi = id at every level."""
     Q = make_transport_field(grid.dim, "constant", 0)
     return integrate_noise_flow(Q, np.zeros((0, len(times) - 1)), grid)
+
+
+def run_axes(grid):
+    """The axes the noise flow integrates on: the box padded by two cells,
+    n + 4 nodes per axis; its stacks hold the inner n + 2."""
+    return [np.linspace(a - 2 * h, b + 2 * h, n + 4)
+            for (a, b), n, h in zip(grid.box, grid.extent, grid.spacing)]
 
 
 def per_level_compose(nf, times, Y, gradY, grid, q):
@@ -77,14 +85,12 @@ def nodal_heun_step(Q, x, D, dW):
             D + 0.5 * (G0D + contract("...ij,...jk->...ik", "j", G1, D_pred)))
 
 
-def nodal_noise_stacks(Q, dW, lattice, nodes):
-    """psi, Dpsi, Dpsi_inv and grad Dpsi_inv on the lattice nodes ``nodes``,
-    every step, inversion and difference taken node by node."""
-    dim = len(lattice)
-    run = tuple(slice(s.start - 1, s.stop + 1) for s in nodes)
+def nodal_noise_stacks(Q, dW, run_axes):
+    """psi, Dpsi, Dpsi_inv and grad Dpsi_inv on the inner nodes of
+    ``run_axes``, every step, inversion and difference taken node by node."""
+    dim = len(run_axes)
     keep = (slice(1, -1),) * dim
-    pts0 = np.stack(np.meshgrid(*(ax[r] for ax, r in zip(lattice, run)),
-                                indexing="ij"), axis=-1)
+    pts0 = np.stack(np.meshgrid(*run_axes, indexing="ij"), axis=-1)
     ext = pts0[keep].shape[:-1]
     L = dW.shape[1] + 1
     psi = np.empty((L,) + ext + (dim,))
@@ -100,10 +106,10 @@ def nodal_noise_stacks(Q, dW, lattice, nodes):
             return
         inv = mat_inv(D)
         Dpsi_inv[level] = inv[keep]
-        for d, ax in enumerate(lattice):
+        for d, ax in enumerate(run_axes):
             block = tuple(slice(None) if k == d else slice(1, -1)
                           for k in range(dim))
-            _centered_d1(inv[block], d, ax[1] - ax[0], grad_inv[level, ..., d])
+            _centered_d1(inv[block], d, ax[2] - ax[1], grad_inv[level, ..., d])
 
     x = pts0
     D = np.empty(pts0.shape + (dim,))
@@ -119,9 +125,9 @@ def nodal_noise_stacks(Q, dW, lattice, nodes):
 
 
 def padded_noise_flow(Q, bundle, grid):
-    """(axes, psi, Dpsi, Dpsi_inv, grad_Dpsi_inv) on the whole padded lattice,
-    grad_Dpsi_inv with the lattice's one step ax[1] - ax[0]."""
-    axes = _padded_axes(grid)
+    """(axes, psi, Dpsi, Dpsi_inv, grad_Dpsi_inv) on every node of
+    ``run_axes``, grad_Dpsi_inv with the inner nodes' one step ax[2] - ax[1]."""
+    axes = run_axes(grid)
     dim = grid.dim
     mesh = np.meshgrid(*axes, indexing="ij")
     pts0 = np.stack(mesh, axis=-1)
@@ -142,7 +148,7 @@ def padded_noise_flow(Q, bundle, grid):
     Dpsi_inv = mat_inv(Dpsi)
     grad_inv = np.empty(Dpsi_inv.shape + (dim,))
     for d, ax in enumerate(axes):
-        grad_inv[..., d] = np.gradient(Dpsi_inv, ax[1] - ax[0], axis=1 + d,
+        grad_inv[..., d] = np.gradient(Dpsi_inv, ax[2] - ax[1], axis=1 + d,
                                        edge_order=2)
     return axes, psi, Dpsi, Dpsi_inv, grad_inv
 
@@ -243,6 +249,8 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> OracleLabelFlow:
     G[0] = np.eye(dim)
     ub = ubar.values
     gub = gradient_values(grid, ub)
+    grad_inv = (nf.grad_Dpsi_inv if nf.grad_Dpsi_inv is not None
+                else np.zeros(nf.Dpsi_inv.shape + (dim,)))
 
     def sample(level, y):
         """The plan on y at the level's time, which also samples psi and Dpsi."""
@@ -253,7 +261,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow) -> OracleLabelFlow:
 
     def rhs(level, plan, g, u, gu):
         A = plan.apply(nf.Dpsi_inv[level])
-        dA = plan.apply(nf.grad_Dpsi_inv[level])
+        dA = plan.apply(grad_inv[level])
         f = np.einsum("...ij,...j->...i", A, u)
         dg = (contract("...ijl,...lm,...j->...im", "jl", dA, g, u)
               + contract("...ij,...jm->...im", "j", A, gu))

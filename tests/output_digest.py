@@ -42,8 +42,8 @@ on the paths before it (the cached ``Problem`` with the forcing's impulse
 responses, the interpolation axes and the contraction plans are shared),
 so its line must not change.
 ``--peak`` appends the path's tracemalloc peak of ``picard_solve`` in
-bytes, with the noise-free set-up (``problem_for``) built before tracing
-starts, so one run per checkout gives the bits and the peaks; without it
+bytes, with the noise-free set-up (``problem_for``) and the forcing's
+impulse responses built before tracing starts, so one run per checkout gives the bits and the peaks; without it
 the lines are as they were before the flag.  ``--certifications``
 appends the path solve's counts of certified and declined monitor
 records (``MonitorResult.certifies``) and of exact monitor runs
@@ -162,7 +162,10 @@ def digest_solution(d: Digest, w, inputs, bseed: int,
                                    inputs.cfg.T, inputs.cfg.dt, bseed)
     setup = (inputs.rho0, inputs.u0, inputs.params, inputs.cfg)
     if peaks is not None:
-        fixedpoint.problem_for(*setup)      # shared by every path: not traced
+        # shared by every path: not traced
+        problem = fixedpoint.problem_for(*setup)
+        problem.op.forcing_responses(inputs.forcing, inputs.cfg.dt,
+                                     len(inputs.cfg.times))
         tracemalloc.start()
     try:
         sol = fixedpoint.picard_solve(*setup, inputs.Q, bundle, inputs.forcing)

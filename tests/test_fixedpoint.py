@@ -636,7 +636,10 @@ def solve_with_peak(case, monkeypatch):
     """picard_solve on ``case``'s inputs: the bundle, its tracemalloc peak
     and the number of exact monitor runs."""
     rho0, u0, cfg, Q, forcing, bw = case
-    problem_for(rho0, u0, PARAMS, cfg)   # the noise-free work is shared
+    # the noise-free work is shared, and so are the forcing's impulse
+    # responses, which the first solve in a process would build traced
+    problem = problem_for(rho0, u0, PARAMS, cfg)
+    problem.op.forcing_responses(forcing, cfg.dt, len(cfg.times))
     exact_runs = []
     monitor = lagflow.fixedpoint.stopping_monitor
 

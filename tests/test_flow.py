@@ -13,13 +13,12 @@ import lagflow.flow
 import lagflow.interp
 from flow_oracle import integrate_label_flow as contract_label_flow
 from flow_oracle import (nodal_noise_stacks, padded_noise_flow, per_level_compose,
-                         zero_noise_flow)
+                         run_axes, zero_noise_flow)
 from map_oracle import direct_flow_oracle, jacobian_ode_oracle
 from lagflow.fields import (Field, Grid, SlobodeckijWindow, TimeSeries,
                             frame_norms, spatial_norm)
 from lagflow.fixedpoint import SolveConfig, _flow_stage, _monitor_window, picard_solve
 from lagflow.flow import (
-    PAD_CELLS,
     FlowWindow,
     LabelFlow,
     compose_flow,
@@ -132,7 +131,7 @@ def test_divergence_free_volume_error_small_and_converging():
 
 
 # ---------------------------------------------------------------------------
-# the core: the lattice nodes within one cell of the box
+# the core: the nodes within one cell of the box
 # ---------------------------------------------------------------------------
 
 STACKS = ("psi", "Dpsi", "Dpsi_inv", "grad_Dpsi_inv")
@@ -143,22 +142,21 @@ def same_bits(a, b):
             and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
 
 
-def core_of(grid):
-    """The lattice nodes within one cell of the box, per axis."""
-    return tuple(slice(PAD_CELLS - 1, PAD_CELLS + n + 1) for n in grid.extent)
-
-
-def lattice_corner(nf):
-    """A point in the lattice's first cell, outside the core on every axis."""
-    return np.array([[ax[0] + 0.5 * (ax[1] - ax[0]) for ax in nf.lattice]])
+def stored(nf, name):
+    """The stack ``name`` of ``nf``; the +0.0 its differences would give
+    where there is no grad Dpsi^{-1}."""
+    got = getattr(nf, name)
+    if got is None and name == "grad_Dpsi_inv":
+        return np.zeros(nf.Dpsi_inv.shape + (nf.Dpsi_inv.shape[-1],))
+    return got
 
 
 CORE_GRIDS = {
-    # every lattice spacing equal
+    # every spacing of the axes equal
     (2, "unit"): Grid(2, (9, 17)),
     (3, "unit"): Grid(3, (9, 9, 17)),
     # spacings unequal in the last bit: the differences still take the
-    # lattice's one step ax[1] - ax[0], the oracle's scalar step
+    # axes' one step ax[1] - ax[0], the oracle's scalar step
     (2, "box"): Grid(2, (10, 11), box=((-1.0, 0.1), (-0.3, 0.7))),
     (3, "box"): Grid(3, (9, 10, 9), box=((0.0, 1.0), (-0.5, 0.5), (0.2, 1.4))),
 }
@@ -170,23 +168,28 @@ CORE_GRIDS = {
                                        (3, "linear_test")])
 @pytest.mark.parametrize("shape", ["unit", "box"])
 def test_core_stacks_are_the_whole_lattice_on_the_core(dim, kind, shape):
-    # the stacks on the core hold the bits the whole lattice holds there,
-    # and a point in the lattice's first cell escapes without touching them
+    # the stacks hold the bits that a node-by-node run on every node of the
+    # two-cell padding holds on its inner nodes, the core (where an affine
+    # family's grad Dpsi^{-1} is None, that run's differences are +0.0); a
+    # point in the halo cell escapes without touching them, and one a cell
+    # outside the box does not
     g = CORE_GRIDS[dim, shape]
     Q = make_transport_field(dim, kind, K=2, amplitude=0.3)
     b = sample_brownian(2, 0, 0.004, DT, seed=11)
     nf = integrate_noise_flow(Q, b.transport_increments(), g)
     axes, *want = padded_noise_flow(Q, b, g)
-    core = core_of(g)
+    core = (slice(None),) + (slice(1, -1),) * dim
     assert [len(ax) for ax in nf.axes] == [n + 2 for n in g.extent]
-    for got_ax, ax, s in zip(nf.axes, axes, core):
-        assert same_bits(got_ax, ax[s])
+    for got_ax, ax in zip(nf.axes, axes):
+        assert same_bits(got_ax, ax[1:-1])
+    assert (nf.grad_Dpsi_inv is None) is (kind != "stream")
     for name, ref in zip(STACKS, want):
-        assert same_bits(getattr(nf, name), ref[(slice(None),) + core]), name
+        assert same_bits(stored(nf, name), ref[core]), name
     with pytest.raises(FlowEscapeError):
-        nf.plan(lattice_corner(nf))
+        nf.plan(np.array([[ax[0] + 0.5 * (ax[1] - ax[0]) for ax in axes]]))
+    nf.plan(np.array([[ax[0] for ax in nf.axes]]))
     for name, ref in zip(STACKS, want):
-        assert same_bits(getattr(nf, name), ref[(slice(None),) + core]), name
+        assert same_bits(stored(nf, name), ref[core]), name
     assert np.max(np.abs(want[1] - np.eye(dim))) > 0 or kind == "constant"
 
 
@@ -194,12 +197,13 @@ def test_core_stacks_are_the_whole_lattice_on_the_core(dim, kind, shape):
 def test_identity_flow_core_is_the_whole_lattice_on_the_core(dim):
     g = CORE_GRIDS[dim, "box"]
     nf = zero_noise_flow(g, TIMES[:4])
-    pts = np.stack(np.meshgrid(*nf.lattice, indexing="ij"), axis=-1)[core_of(g)]
+    core = (slice(1, -1),) * dim
+    pts = np.stack(np.meshgrid(*run_axes(g), indexing="ij"), axis=-1)[core]
     assert pts.shape[:-1] == tuple(n + 2 for n in g.extent)
     assert same_bits(nf.psi, np.broadcast_to(pts, (4,) + pts.shape).copy())
     eye = np.broadcast_to(np.eye(dim), nf.Dpsi.shape).copy()
     assert same_bits(nf.Dpsi, eye) and same_bits(nf.Dpsi_inv, eye)
-    assert same_bits(nf.grad_Dpsi_inv, np.zeros(eye.shape + (dim,)))
+    assert nf.grad_Dpsi_inv is None
 
 
 @pytest.mark.parametrize("grid", [Grid(2, 17), Grid(3, 9), Grid(2, 25),
@@ -215,7 +219,7 @@ def test_zero_increment_noise_flow_is_the_identity(grid):
     assert len(nf.psi) == 6
     assert same_bits(nf.psi, np.broadcast_to(pts, nf.psi.shape).copy())
     assert np.all(nf.Dpsi == eye) and np.all(nf.Dpsi_inv == eye)
-    assert np.all(nf.grad_Dpsi_inv == 0.0)
+    assert nf.grad_Dpsi_inv is None
 
 
 @pytest.mark.parametrize("grid, kind", [
@@ -225,16 +229,20 @@ def test_zero_increment_noise_flow_is_the_identity(grid):
 ], ids=lambda x: f"{x.extent[0]}^{x.dim}" if isinstance(x, Grid) else x)
 def test_affine_families_have_an_exactly_zero_grad_dpsi_inv(grid, kind):
     # Dpsi^{-1} of an affine family is the same on every node, so its
-    # differences at the lattice's one step are zero, on the workloads' grids
-    # (13 and 25 nodes per axis, lattice spacings unequal in the last bit) as
-    # at 17 (all equal), and every level is flagged for the label flow to
-    # skip its chain-rule term; the stream family has Dpsi = I at level 0 only
+    # differences at the axes' one step would all be +0.0, on the workloads'
+    # grids (13 and 25 nodes per axis, spacings unequal in the last bit) as
+    # at 17 (all equal): the noise flow takes none (None), and the label
+    # flow skips its chain-rule term; the stream family has Dpsi = I at
+    # level 0 only, where its differences are exactly +0.0
     Q = make_transport_field(grid.dim, kind, K=2, amplitude=0.3)
     dW = sample_brownian(2, 0, 0.005, DT, seed=3).transport_increments()
     nf = integrate_noise_flow(Q, dW, grid)
-    flat = [not np.any(level) for level in nf.grad_Dpsi_inv]
-    assert nf.zero_grad_inv.tolist() == flat
-    assert flat == ([True] * 6 if kind != "stream" else [True] + [False] * 5)
+    if kind != "stream":
+        assert nf.grad_Dpsi_inv is None
+        return
+    assert len(nf.grad_Dpsi_inv) == 6
+    assert same_bits(nf.grad_Dpsi_inv[0], np.zeros(nf.grad_Dpsi_inv[0].shape))
+    assert all(np.any(level) for level in nf.grad_Dpsi_inv[1:])
 
 
 @pytest.mark.parametrize("grid, kind, K", [
@@ -249,10 +257,10 @@ def test_noise_flow_matches_the_nodal_integration(grid, kind, K):
     Q = make_transport_field(grid.dim, kind, K, amplitude=0.3)
     dW = sample_brownian(K, 0, 0.005, DT, seed=7 + K).transport_increments()
     nf = integrate_noise_flow(Q, dW, grid)
-    lattice, nodes = lagflow.flow._padded_axes(grid), lagflow.flow._core_nodes(grid)
-    want = nodal_noise_stacks(Q, dW, lattice, nodes)
+    want = nodal_noise_stacks(Q, dW, run_axes(grid))
+    assert (nf.grad_Dpsi_inv is None) is Q.constant_jacobian
     for name, ref in zip(STACKS, want):
-        assert same_bits(getattr(nf, name), ref), name
+        assert same_bits(stored(nf, name), ref), name
     pts = np.stack(np.meshgrid(*nf.axes, indexing="ij"), axis=-1)
     G = lagflow.flow._transport_sums(Q, pts, dW[:, 0])[1]
     assert Q.constant_jacobian == (kind != "stream")
@@ -336,9 +344,11 @@ def test_core_footprint_at_13_cubed():
     h = g.spacing[0]
     for pts in (g.coords(), g.coords() - 0.9 * h, g.coords() + 0.9 * h):
         nf.plan(pts)
-        assert [a.shape for a in (nf.psi, nf.Dpsi, nf.Dpsi_inv, nf.grad_Dpsi_inv)] == [
-            (11, 15, 15, 15) + (3,) * r for r in (1, 2, 2, 3)]
-    assert sum(getattr(nf, name).nbytes for name in STACKS) == 11 * 15 ** 3 * 48 * 8
+        assert [a.shape for a in (nf.psi, nf.Dpsi, nf.Dpsi_inv)] == [
+            (11, 15, 15, 15) + (3,) * r for r in (1, 2, 2)]
+    # a rigid rotation stores no grad Dpsi^{-1}
+    assert nf.grad_Dpsi_inv is None
+    assert sum(getattr(nf, name).nbytes for name in STACKS[:3]) == 11 * 15 ** 3 * 21 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -591,16 +601,17 @@ def test_label_flow_matches_contract_oracle(dim, monkeypatch):
     dW = sample_brownian(Q.K, 0, cfg.T, DT, seed=5).transport_increments()
     flows = [integrate_noise_flow(Q, dW, g)]
     if dim == 3:
-        # a rigid rotation has grad Dpsi^{-1} = 0, so the label flow skips the
-        # chain-rule term on every level, where the oracle forms it; a smooth
-        # made-up gradient puts every term of that sum to work
-        assert flows[0].zero_grad_inv.all()
+        # a rigid rotation has no grad Dpsi^{-1} (None), so the label flow
+        # skips the chain-rule term on every level, where the oracle forms it
+        # on zeros; a smooth made-up gradient puts every term of that sum to
+        # work
+        assert flows[0].grad_Dpsi_inv is None
         pts = np.stack(np.meshgrid(*flows[0].axes, indexing="ij"), axis=-1)
         bumps = np.sin(np.pi * pts[..., :, None, None] - pts[..., None, :, None]
                        + 2.0 * pts[..., None, None, :])
-        flows.append(dataclasses.replace(
-            flows[0], grad_Dpsi_inv=flows[0].grad_Dpsi_inv + 0.5 * bumps))
-        assert not flows[1].zero_grad_inv.any()
+        zero = np.zeros(flows[0].Dpsi_inv.shape + (dim,))
+        flows.append(dataclasses.replace(flows[0], grad_Dpsi_inv=zero + 0.5 * bumps))
+        assert all(np.any(level) for level in flows[1].grad_Dpsi_inv)
         # and a made-up Dpsi far from I, so the three terms of a grad X sum
         # are of one size and their order shows in the bits
         flows.append(dataclasses.replace(flows[0], Dpsi=flows[0].Dpsi + bumps[..., 0]))

@@ -160,46 +160,6 @@ def test_apply_rejects_an_array_off_the_plan_nodes(dim):
     assert plan.apply(np.ones(ext + (2, dim))).shape == (2, 2, dim)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_held_nodes_keep_the_weights_of_the_whole_axes(dim):
-    # a plan on a block of the nodes samples the block's array as a plan on
-    # every node samples the whole array, bit for bit; a point outside the
-    # block escapes, one within the slack of its face uses its edge cell,
-    # and an array of every node does not fit the plan
-    rng = np.random.default_rng(60 + dim)
-    axes = box_axes(dim)
-    nodes = tuple(slice(2, len(ax) - 1) for ax in axes)
-    held = InterpAxes(axes, nodes)
-    assert held.extent == tuple(len(ax) - 3 for ax in axes)
-    arr = rng.normal(size=tuple(len(ax) for ax in axes) + (dim,))
-    lo = np.array([ax[2] for ax in axes])
-    hi = np.array([ax[-2] for ax in axes])
-    pts = rng.uniform(lo + 1e-6, hi - 1e-6, size=(30, dim))
-    pts[0] = [ax[3] for ax in axes]          # a node, frac 0
-    got = InterpPlan(held, pts).apply(arr[nodes])
-    assert np.array_equal(got, InterpPlan(axes, pts).apply(arr))
-    with pytest.raises(ValueError, match="extent"):
-        InterpPlan(held, pts).apply(arr)
-    for d in range(dim):
-        for outside in (0.5 * (axes[d][1] + axes[d][2]),     # the cell before the block
-                        axes[d][-1]):                        # the last cell, past the block's
-            out = pts.copy()
-            out[5, d] = outside
-            with pytest.raises(FlowEscapeError, match=f"axis {d}") as exc:
-                InterpPlan(held, out, time=0.5)
-            assert np.array_equal(exc.value.point, out[5])
-        for face, cell in ((lo[d] - 1e-10, 0), (hi[d] + 1e-10, held.extent[d] - 2)):
-            out = pts.copy()
-            out[5, d] = face
-            plan = InterpPlan(held, out)
-            first_corner = plan.W.indices[plan.W.indptr[5]]
-            assert first_corner // held.strides[d] % held.extent[d] == cell
-            on_face = out.copy()
-            on_face[5, d] = lo[d] if cell == 0 else hi[d]
-            assert np.allclose(plan.apply(arr[nodes]),
-                               InterpPlan(axes, on_face).apply(arr), rtol=0.0, atol=1e-8)
-
-
 def dyadic_axes(dim):
     # unequal node counts and exact nodes: a node's cell coordinate
     # (x - first node) / step is an integer, with no rounding
@@ -208,27 +168,25 @@ def dyadic_axes(dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_points_on_the_held_block_faces_use_its_edge_cells(dim):
-    # a point exactly on the block's far face used to fall in the cell past
-    # the block; on either face it now uses the block's edge cell, gives
+    # a point exactly on the far face of the axes used to fall in the cell
+    # past the last node; on either face it now uses the edge cell, gives
     # the node's value bit for bit and does not raise
     rng = np.random.default_rng(70 + dim)
     axes = dyadic_axes(dim)
-    nodes = tuple(slice(2, len(ax) - 3) for ax in axes)
-    held = InterpAxes(axes, nodes)
-    arr = rng.normal(size=held.extent + (dim,))
-    # every corner of the block, and the middle node of every face
-    faces = [(0, e - 1) for e in held.extent]
+    shared = InterpAxes(axes)
+    arr = rng.normal(size=shared.extent + (dim,))
+    # every corner of the axes' box, and the middle node of every face
+    faces = [(0, e - 1) for e in shared.extent]
     index = list(itertools.product(*faces))
     for d in range(dim):
         for side in faces[d]:
-            index.append(tuple(side if k == d else held.extent[k] // 2
+            index.append(tuple(side if k == d else shared.extent[k] // 2
                                for k in range(dim)))
     index = np.array(index)
-    pts = np.array([[axes[d][nodes[d].start + i] for d, i in enumerate(row)]
-                    for row in index])
-    plan = InterpPlan(held, pts)
+    pts = np.array([[axes[d][i] for d, i in enumerate(row)] for row in index])
+    plan = InterpPlan(shared, pts)
     assert np.array_equal(plan.apply(arr), arr[tuple(index.T)])
-    cells = np.minimum(index, np.array(held.extent) - 2)
-    cols = np.repeat(cells @ held.strides, 2 ** dim) + np.tile(
-        list(itertools.product((0, 1), repeat=dim)) @ held.strides, len(pts))
+    cells = np.minimum(index, np.array(shared.extent) - 2)
+    cols = np.repeat(cells @ shared.strides, 2 ** dim) + np.tile(
+        list(itertools.product((0, 1), repeat=dim)) @ shared.strides, len(pts))
     assert np.array_equal(plan.W.indices, cols)
