@@ -25,8 +25,9 @@ Frame stacks.  The derivative and norm kernels take one frame
 Component axes have length dim and every extent is at least 9, so the two
 layouts never coincide.  The kernels are elementwise over frames: a frame of
 a stack gets the same derivatives and norms, bit for bit, as the frame on its
-own.  Callers that loop over a window take it in ``frame_chunks`` so that no
-pass holds whole-window derivative temporaries.  The flow window
+own.  Callers that loop over a window take it in ``frame_chunks`` (the map
+assembly in passes of its own, ``nonlinear._PASS_NODES``) so that no pass
+holds whole-window derivative temporaries.  The flow window
 (``flow.FlowWindow``) follows the same convention: X, grad X, Z and J are
 level stacks with the level axis first.  The index sums on the trailing
 component axes go through :func:`contract`, which gives einsum's bits on one
@@ -547,8 +548,11 @@ def _contract_block(plan: tuple, ops: list[np.ndarray], out: np.ndarray) -> None
 # norms
 # ---------------------------------------------------------------------------
 
-# bytes of one pass's Hessian stack in frame_chunks (and of one block of a
-# contract sum): whole-window derivative temporaries would raise a path's
+# bytes of one frame_chunks pass's second derivatives, which sizes the
+# derivative and norm passes (the label flow's drift gradient, the flow
+# window's and the monitor's norms, the validator's passes; the map
+# assembly's passes are nonlinear._PASS_NODES), and of one block of a
+# contract sum: whole-window derivative temporaries would raise a path's
 # peak memory, one frame per pass would leave numpy call overhead in charge
 # on small grids
 _CHUNK_BYTES = 1 << 19

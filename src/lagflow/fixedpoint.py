@@ -304,14 +304,22 @@ def _flow_stage(ubar: TimeSeries, nf: NoiseFlow, q: float,
 def _assemble_and_solve(ubar: TimeSeries, window: FlowWindow,
                         monitor: MonitorResult, n_frames: int,
                         problem: Problem) -> PsiResult:
-    """F_u and F_Gamma on the first ``n_frames`` levels, then the Lame solve."""
+    """F_u and F_Gamma on levels 1 .. ``n_frames`` - 1, then the Lame solve.
+
+    A Lame step reads F_u and F_Gamma at the level it steps to, so no step
+    reads level 0, which is not assembled: a frame of zeros holds its place.
+    """
     grid = ubar.grid
     window = window.restrict(n_frames)
     times_w = ubar.times[:n_frames]
-    F_u, F_G_b = assemble_window(grid, ubar.values[:n_frames], window.Z,
-                                 window.J, problem.rho0.values, problem.params)
-    f_series = TimeSeries(grid, times_w, F_u)
-    v = solve_lame(problem.op, f_series, F_G_b, problem.u0, times_w)
+    steps = slice(1, n_frames)
+    F_u, F_G_b = assemble_window(grid, ubar.values[steps], window.Z[steps],
+                                 window.J[steps], problem.rho0.values,
+                                 problem.params)
+    F_u, F_G_b = (np.concatenate((np.zeros_like(a[:1]), a))
+                  for a in (F_u, F_G_b))
+    v = solve_lame(problem.op, TimeSeries(grid, times_w, F_u), F_G_b,
+                   problem.u0, times_w)
     return PsiResult(v, window, monitor)
 
 

@@ -17,6 +17,14 @@ centered and compact stencils alone, and leaves its boundary entries at
 0.0; ``lame.solve_lame`` replaces those rows, and the validator's residual
 reads F_u on the interior rows only.  F_Gamma is assembled on the boundary
 nodes.
+
+A window is assembled in passes of whole frames sized by grid nodes
+(``_PASS_NODES``, about 8192: 4 frames at 13^3, 13 at 25^2), so a 3D pass
+is several frames per numpy call, not one; F_Gamma is one call per window
+on the boundary rows the passes collect.  Neither the Lame steps nor the
+validator read level 0 of a window (a step reads the level it steps to),
+so a Picard iterate (``fixedpoint._assemble_and_solve``) and the validator
+assemble levels 1 .. L - 1 only.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from .fields import (
     Grid,
     TimeSeries,
     contract,
-    frame_chunks,
     frame_norms,
     gradient_values,
     interior_gradient,
@@ -77,6 +84,19 @@ def density_from_jacobian(rho0: Field, J: np.ndarray,
 # ---------------------------------------------------------------------------
 # transformed nonlinearities
 # ---------------------------------------------------------------------------
+
+# grid nodes of one F_u pass of assemble_window.  With one 13^3 frame per
+# pass numpy's per-call cost was in charge; passes of 5 frames and of the
+# whole window raised the 13^3 solve's traced peak by 1.4 and 9.0 MB for
+# no clear time gain over 4
+_PASS_NODES = 8192
+
+
+def _pass_frames(grid: Grid) -> int:
+    """Frames of one ``assemble_window`` pass: ``_PASS_NODES`` grid nodes,
+    to the nearest frame, and at least one."""
+    return max(1, round(_PASS_NODES / grid.n_nodes))
+
 
 def assemble_F_u(G: np.ndarray, H: np.ndarray, Z: np.ndarray,
                  dZ: np.ndarray, J: np.ndarray, rho0: np.ndarray,
@@ -159,37 +179,46 @@ def assemble_window(grid: Grid, u_frames: np.ndarray, Z: np.ndarray,
     boundary value of F_u is read.  Its derivative inputs come from the
     interior stencils (``interior_hessian``, ``interior_gradient``), which
     give the interior rows of the full-grid ones bit for bit; the first
-    derivatives of the velocity are ``gradient_values``.  The window goes
-    through a chunk of frames at a time (``frame_chunks``), every
-    derivative taken per pass, so no derivative stack spans the window:
-    one pass makes one ``assemble_F_u`` call on the chunk's contiguous
-    interior slabs and one ``assemble_F_Gamma`` call on its boundary nodes,
-    and a frame gets the values it gets alone.  Returns F_u, shape (L, *ext, d), and F_Gamma at
-    the boundary nodes, (L, n_boundary, d).
+    derivatives of the velocity are ``gradient_values``.
+
+    F_u goes through the window in passes of about ``_PASS_NODES`` grid
+    nodes (``_pass_frames``: 4 frames at 13^3, 13 at 25^2, at least one),
+    every derivative taken per pass, so no derivative stack spans the
+    window: one pass makes one ``assemble_F_u`` call on its frames'
+    interior nodes, with the velocity gradient's interior rows copied out
+    and Z and J read in place.  A pass's full-grid velocity gradient goes
+    as soon as its interior and boundary rows are copied; the boundary rows
+    of every pass fill one window stack, and F_Gamma is one
+    ``assemble_F_Gamma`` call on it.  Every kernel is elementwise over
+    frames, so a frame gets the values it gets alone, whatever its pass.
+    Returns F_u, shape (L, *ext, d), and F_Gamma at the boundary nodes,
+    (L, n_boundary, d).
     """
     idx_b, normals_b = grid.boundary_nodes()
-    bsel = tuple(idx_b.T)
-    inner = (slice(1, -1),) * grid.dim
-    rho0_in = np.ascontiguousarray(rho0[inner])
+    bsel = (slice(None),) + tuple(idx_b.T)
+    inner = (slice(None),) + (slice(1, -1),) * grid.dim
+    rho0_in = np.ascontiguousarray(rho0[inner[1:]])
     L = len(u_frames)
     F_u = np.zeros((L,) + grid.extent + (grid.dim,))
-    F_G_b = np.empty((L, len(idx_b), grid.dim))
-    for sl in frame_chunks(grid, L, u_frames[0].size):
+    # frame-major boundary stacks (a[bsel] alone is node-major): the
+    # np.einsum sums of assemble_F_Gamma see each frame laid out as one
+    # frame's g[bsel] alone
+    G_b = np.empty((L, len(idx_b), grid.dim, grid.dim))
+    step = _pass_frames(grid)
+    for start in range(0, L, step):
+        sl = slice(start, start + step)
         G = gradient_values(grid, u_frames[sl])
         H = interior_hessian(grid, u_frames[sl], G)
+        G_in = np.ascontiguousarray(G[inner])
+        G_b[sl] = G[bsel]
+        del G
         dZ = interior_gradient(grid, Z[sl])
         grad_p = interior_gradient(grid, params.pressure(rho0 / J[sl]))
-        G_in, Z_in, J_in = (np.ascontiguousarray(a[(slice(None),) + inner])
-                            for a in (G, Z[sl], J[sl]))
-        F_u[(sl,) + inner] = assemble_F_u(G_in, H, Z_in, dZ, J_in, rho0_in,
-                                          grad_p, params)
-        # frame-major boundary stacks: the np.einsum sums of assemble_F_Gamma
-        # see each frame laid out as one frame's g[bsel] alone
-        G_b, Z_b, J_b = (np.ascontiguousarray(a[(slice(None),) + bsel])
-                         for a in (G, Z[sl], J[sl]))
-        F_G_b[sl] = assemble_F_Gamma(G_b, Z_b, J_b, rho0[bsel], normals_b,
-                                     params)
-    return F_u, F_G_b
+        F_u[sl][inner] = assemble_F_u(G_in, H, Z[sl][inner], dZ,
+                                      J[sl][inner], rho0_in, grad_p, params)
+    Z_b, J_b = (np.ascontiguousarray(a[bsel]) for a in (Z, J))
+    return F_u, assemble_F_Gamma(G_b, Z_b, J_b, rho0[bsel[1:]], normals_b,
+                                 params)
 
 
 def extended_normal_field(grid: Grid) -> Field:

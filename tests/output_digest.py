@@ -49,9 +49,12 @@ appends the path solve's counts of certified and declined monitor
 records (``MonitorResult.certifies``) and of exact monitor runs
 (``stopping_monitor``, the rebuild's included), as
 ``certified=C declined=D exact=E``; it adds no solve run and leaves the
-digest as it is.  One BLAS thread is used
-unless the environment says otherwise.  pytest does not collect this
-file.
+digest as it is.  One BLAS thread is used unless the environment says
+otherwise, and the lines are bit-for-bit claims at one thread only: with
+``OPENBLAS_NUM_THREADS=2`` the ``solid3d`` lines differ, since the BLAS
+products of ``lame.solve_stoch_convolution`` round differently there (U
+moved by up to 4.2e-22).  Compare two checkouts at one thread count.
+pytest does not collect this file.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 
 import lagflow.eulerian
 import lagflow.fields
+import lagflow.nonlinear
 from lagflow.eulerian import (
     _kuhn_certificate,
     kinematic_residual,
@@ -168,14 +169,15 @@ def test_certificate_is_taken_once_per_window(noise_path, monkeypatch):
 
 
 def test_validation_does_not_depend_on_its_passes(noise_path, monkeypatch):
-    # the inverse residual, the certificate and the residual's assembly go
-    # through frame_chunks with a running max or sum: one pass over the
-    # window or one per frame gives the same report and certificate, bit
-    # for bit
+    # the inverse residual and the certificate go through frame_chunks with
+    # a running max or sum, and the residual's assembly through its own
+    # passes (nonlinear._PASS_NODES): one pass over the window or one per
+    # frame gives the same report and certificate, bit for bit
     sol, _, _ = noise_path
     got = []
     for chunk_bytes in (1 << 40, 1):
         monkeypatch.setattr(lagflow.fields, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(lagflow.nonlinear, "_PASS_NODES", chunk_bytes)
         fresh = dataclasses.replace(sol)
         report = validate_solution(fresh, fresh.problem.params)
         certificate = _kuhn_certificate(sol.grid, sol.window.X)

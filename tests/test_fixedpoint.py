@@ -616,19 +616,22 @@ def budget_case_fine_step():
 
 # tracemalloc peaks of the picard_solves below, measured with these set-ups
 # once no whole-window gradient of the drift and no iterate's grad X is
-# held (the monitor reads its per-level values of grad X off the window);
-# each sits in the first iterate's exact monitor.  The 13^3 peak was
-# 27,394,821 B, in the first iterate's label flow, while the rotation's
-# all-zero grad Dpsi^{-1} was a stored stack and the label flow held stacks
-# of Y, grad Y and Dpsi(Y).  Before that they were 25,306,619 B,
-# 30,854,198 B and 28,035,765 B
-# with both stacks alive at that monitor, 28,028,909 B and 32,422,302 B
-# before that with a scratch per series and X on every iterate, and the
-# 13^3 solve peaked at 36,189,083 B before that, in the rebuild's monitor,
-# with the noise flow, the last iterate's window and the last certified
-# window still alive.  The margin of 5% (1.1 MB in 2D, 1.0 MB in 3D) is
-# less than one whole-window grad X stack of the 33^2 and 13^3 solves or
-# two of the fine-step solve.
+# held (the monitor reads its per-level values of grad X off the window),
+# with the forcing's impulse responses built before the trace; each sits
+# in the first iterate's exact monitor.  The 13^3 assembly, in passes of 4
+# frames, peaks at 19.27 MB in the later iterates, under that monitor.
+# With the responses built inside the trace the 13^3 peak was 20,240,985 B.
+# It was 27,394,821 B, in the first iterate's label flow, while the
+# rotation's all-zero grad Dpsi^{-1} was a stored stack and the label flow
+# held stacks of Y, grad Y and Dpsi(Y).  Before that they were
+# 25,306,619 B, 30,854,198 B and 28,035,765 B with both stacks alive at
+# that monitor, 28,028,909 B and 32,422,302 B before that with a scratch
+# per series and X on every iterate, and the 13^3 solve peaked at
+# 36,189,083 B before that, in the rebuild's monitor, with the noise flow,
+# the last iterate's window and the last certified window still alive.
+# The margin of 5% (1.1 MB in 2D, 1.0 MB in 3D) is less than one
+# whole-window grad X stack of the 33^2 and 13^3 solves or two of the
+# fine-step solve.
 PICARD_PEAK_MARGIN = 1.05
 
 
@@ -670,7 +673,7 @@ def test_picard_allocation_budget_at_13_cubed(monkeypatch):
     # the first iterate and the rebuild: the other iterates were certified
     assert b.converged and b.iterations >= 3
     assert not b.monitor.fired and exact_runs == 2
-    assert peak <= PICARD_PEAK_MARGIN * 20_240_985
+    assert peak <= PICARD_PEAK_MARGIN * 19_343_422
 
 
 def test_picard_allocation_budget_at_fine_steps(monkeypatch):
@@ -801,6 +804,57 @@ def test_picard_holds_each_stack_only_while_it_is_read(monkeypatch):
     assert first_load[0][1] == [False]
     assert first_load[1][1] == [False] * b.iterations + [True]
     assert len(drift_grads) > len(windows)     # each label flow took some
+
+
+def test_iterates_do_not_assemble_level_zero(monkeypatch):
+    # a Lame step reads F_u and F_Gamma at the level it steps to, never at
+    # level 0, so an iterate's window of L levels hands L - 1 frames to
+    # assemble_F_u, and v, the differences and the window are those of an
+    # assembly of every level, bit for bit
+    rho0, u0, cfg, Q, forcing, bw = budget_case_3d()
+    fp = lagflow.fixedpoint
+
+    def assemble_every_level(ubar, window, monitor, n_frames, problem):
+        window = window.restrict(n_frames)
+        times = ubar.times[:n_frames]
+        F_u, F_G_b = fp.assemble_window(
+            ubar.grid, ubar.values[:n_frames], window.Z, window.J,
+            problem.rho0.values, problem.params)
+        v = fp.solve_lame(problem.op, TimeSeries(ubar.grid, times, F_u),
+                          F_G_b, problem.u0, times)
+        return fp.PsiResult(v, window, monitor)
+
+    def solve():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            return picard_solve(rho0, u0, PARAMS, cfg, Q, bw, forcing)
+
+    with monkeypatch.context() as m:
+        m.setattr(fp, "_assemble_and_solve", assemble_every_level)
+        want = solve()
+    frames, windows = [], []
+    assemble_F_u, solve_lame = lagflow.nonlinear.assemble_F_u, fp.solve_lame
+
+    def counted_F_u(G, *args):
+        frames.append(len(G))
+        return assemble_F_u(G, *args)
+
+    def counted_solve(op, f, g, u0, times):
+        if f is not None:       # an iterate's, not the reference solve
+            windows.append((len(times), sum(frames)))
+            frames.clear()
+        return solve_lame(op, f, g, u0, times)
+
+    monkeypatch.setattr(lagflow.nonlinear, "assemble_F_u", counted_F_u)
+    monkeypatch.setattr(fp, "solve_lame", counted_solve)
+    got = solve()
+    assert len(windows) == got.iterations >= 3
+    assert all(n_frames == L - 1 for L, n_frames in windows)
+    assert got.diffs == want.diffs
+    for a, b in ((got.v.values, want.v.values), (got.window.Z, want.window.Z),
+                 (got.window.X, want.window.X)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 # ---------------------------------------------------------------------------

@@ -640,6 +640,31 @@ def test_label_flow_matches_contract_oracle(dim, monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
+def test_label_flow_sums_of_signed_zeros_are_plus_zero(dim):
+    # grad X = Dpsi(Y) grad Y with Dpsi = +0.0 and a first column of grad Y
+    # that is negative in every entry: each term of those sums is -0.0, and
+    # a sum from zero, as einsum takes it, is +0.0, where a sum from the
+    # first term (np.add.reduce(..., initial=-0.0)) would be -0.0.  The
+    # drift -200 (x_0 - 1/2) (1, 0.05, ...) reflects x_0 about the midplane
+    # by t = 0.01, so grad Y_00 = 1 - 200 t < 0 from level 6 on, and
+    # grad Y_j0 = -10 t for j > 0
+    g = Grid(dim, 9)
+    times = np.linspace(0.0, 0.01, 11)
+    nf = zero_noise_flow(g, times)
+    nf = dataclasses.replace(nf, Dpsi=np.zeros_like(nf.Dpsi))
+    x0 = g.coords()[..., 0] - 0.5
+    values = np.empty((len(times),) + g.extent + (dim,))
+    values[...] = -200.0 * x0[..., None] * np.r_[1.0, [0.05] * (dim - 1)]
+    ubar = TimeSeries(g, times, values)
+    got, want = integrate_label_flow(ubar, nf), contract_label_flow(ubar, nf)
+    assert np.all(want.gradY[6:, ..., 0] < 0)
+    gradX = np.einsum("...ij,...jk->...ik", want.Dpsi_Y, want.gradY)
+    assert not np.any(gradX) and not np.any(np.signbit(gradX))
+    assert np.array_equal(np.signbit(got.gradX), np.signbit(gradX))
+    assert np.array_equal(got.gradX, gradX) and np.array_equal(got.X, want.X)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
 def test_window_keeps_the_monitor_values_of_grad_x(dim, monkeypatch):
     # dev_max is the inversion guard's nodal maximum of |grad X - I|
     # (Frobenius) and dev_h1q the frame_norms H^{1,q} norm of grad X - I,

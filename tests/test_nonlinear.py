@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import lagflow.fields
+import lagflow.nonlinear
 
 from flow_oracle import zero_noise_flow
 from lagflow.fields import Field, Grid, TimeSeries, gradient_values, hessian_values
@@ -323,7 +323,7 @@ def test_assemble_window_matches_per_frame_calls(monkeypatch):
     # frame must get, bit for bit, what its own derivatives and assembly give
     # at the interior nodes, and 0.0 at the boundary nodes, whose rows the
     # Lame steps fill with traction data
-    monkeypatch.setattr(lagflow.fields, "_CHUNK_BYTES", 3 * 8 * GRID.n_nodes * 2 * 4)
+    monkeypatch.setattr(lagflow.nonlinear, "_PASS_NODES", 3 * GRID.n_nodes)
     rng = np.random.default_rng(8)
     L = 7
     c = GRID.coords()
@@ -354,8 +354,7 @@ def test_chunk_assembly_matches_per_frame_einsum_oracle(monkeypatch, grid):
     # assembly it replaced (F_u at the interior nodes, 0.0 at the boundary
     # nodes); passes of three frames split 8 frames 3/3/2
     dim = grid.dim
-    monkeypatch.setattr(lagflow.fields, "_CHUNK_BYTES",
-                        3 * 8 * grid.n_nodes * dim * dim**2)
+    monkeypatch.setattr(lagflow.nonlinear, "_PASS_NODES", 3 * grid.n_nodes)
     rng = np.random.default_rng(11)
     L = 8
     u = rng.normal(size=(L,) + grid.extent + (dim,))
@@ -379,6 +378,51 @@ def test_chunk_assembly_matches_per_frame_einsum_oracle(monkeypatch, grid):
                                      rho0[bsel], normals_b, PARAMS))
         assert np.array_equal(
             F_G_ext[n], einsum_F_Gamma(G, Z[n], J[n], rho0, N_ext, PARAMS))
+
+
+@pytest.mark.parametrize("frames", [1, 3, 4])
+@pytest.mark.parametrize("grid", [Grid(3, 13), Grid(2, 25)],
+                         ids=["13^3", "25^2"])
+def test_window_passes_match_the_frame_by_frame_assembly(monkeypatch, grid,
+                                                         frames):
+    # 10 frames in passes of one, three (3/3/3/1) and four (4/4/2) frames:
+    # every frame gets, bit for bit and sign bit for sign bit, what a window
+    # of that frame alone gives; F_u is one call per pass and F_Gamma one
+    # call on the whole window.  Frame 0 is the rest state (u = 0, Z = I,
+    # J = 1 and p(rho0) = p_ext) and frame 1 has a -0.0 velocity component,
+    # so some of their sums are sums of zeros
+    assert lagflow.nonlinear._pass_frames(grid) == {2197: 4, 625: 13}[grid.n_nodes]
+    dim = grid.dim
+    rng = np.random.default_rng(13)
+    L = 10
+    u = rng.normal(size=(L,) + grid.extent + (dim,))
+    Z = np.eye(dim) + 1e-2 * rng.normal(size=(L,) + grid.extent + (dim, dim))
+    J = 1.0 + 1e-2 * rng.normal(size=(L,) + grid.extent)
+    u[0], Z[0], J[0] = 0.0, np.eye(dim), 1.0
+    u[1, ..., 0] = -0.0
+    rho0 = np.ones(grid.extent)
+    want = [assemble_window(grid, u[n:n + 1], Z[n:n + 1], J[n:n + 1], rho0,
+                            PARAMS) for n in range(L)]
+    F_u_frames, F_Gamma_leads = [], []
+
+    def counted_F_u(G, *args):
+        F_u_frames.append(len(G))
+        return assemble_F_u(G, *args)
+
+    def counted_F_Gamma(G, *args):
+        F_Gamma_leads.append(G.shape[:2])
+        return assemble_F_Gamma(G, *args)
+
+    monkeypatch.setattr(lagflow.nonlinear, "_PASS_NODES", frames * grid.n_nodes)
+    monkeypatch.setattr(lagflow.nonlinear, "assemble_F_u", counted_F_u)
+    monkeypatch.setattr(lagflow.nonlinear, "assemble_F_Gamma", counted_F_Gamma)
+    F_u, F_G_b = assemble_window(grid, u, Z, J, rho0, PARAMS)
+    assert F_u_frames == [min(frames, L - s) for s in range(0, L, frames)]
+    assert F_Gamma_leads == [(L, len(grid.boundary_nodes()[0]))]
+    for n, (want_u, want_G) in enumerate(want):
+        for got, b in ((F_u[n], want_u[0]), (F_G_b[n], want_G[0])):
+            assert np.array_equal(got, b)
+            assert np.array_equal(np.signbit(got), np.signbit(b))
 
 
 # ---------------------------------------------------------------------------
