@@ -8,12 +8,11 @@ centered at a reference solution carrying the inhomogeneous boundary data,
 and every iterate restarts the flow from t = 0 so the contraction factor is
 measured on the map itself.
 
-Everything that depends only on the data (rho0, u0, the fluid constants and
-the solver configuration) and never on the noise path is a ``Problem``: the
-Lame operator with its step factorization, the reference solution and its
-E1 norm, and the initial compatibility residual.
-``problem_for`` builds it once per setup and keeps it in the grid's one
-content-keyed slot, so every sample path of the setup shares it.
+What a setup (rho0, u0, the fluid constants, the configuration and the
+forcing) fixes for every noise path is one ``Problem``, built once per setup
+by ``problem_for``: the Lame operator with its step factorization, the
+forcing's impulse responses, the reference solution and its E1 norm, and the
+initial compatibility residual.
 """
 
 from __future__ import annotations
@@ -183,7 +182,7 @@ def solve_reference(op: LameOperator, rho0: Field, u0: Field,
     """Homogeneous evolution with the pressure-mismatch traction data."""
     times = cfg.times
     g0 = reference_boundary_data(rho0, params)
-    g = np.broadcast_to(g0, (len(times),) + g0.shape).copy()
+    g = np.broadcast_to(g0, (len(times) - 1,) + g0.shape)
     return solve_lame(op, None, g, u0, times)
 
 
@@ -195,44 +194,71 @@ def solve_reference(op: LameOperator, rho0: Field, u0: Field,
 class Problem:
     """Data of one setup and the results that do not depend on the noise.
 
-    ``rho0``, ``u0`` and ``cfg`` are copies taken when the problem was
-    built, so an in-place edit of the caller's objects cannot reach it.
+    ``rho0``, ``u0``, ``cfg`` and ``forcing`` are copies taken when the
+    problem was built, out of reach of an in-place edit of the caller's.
+    ``responses`` (``LameOperator.forcing_responses``, read by every path's
+    U) hold M d N doubles per lag for M modes: with M = 1, 0.84 MB on
+    ``solid3d`` (13^3, 11 levels), 0.64 MB on ``stopped2d`` (25^2, 51
+    levels) and 16 MB at 25^2 and 1601 levels.
     """
 
     rho0: Field
     u0: Field
     params: FluidParams
     cfg: SolveConfig
+    forcing: StochasticForcing
     op: LameOperator           # holds the step factorization once used
+    responses: np.ndarray      # the forcing's impulse responses, (lags, M, N d)
     v_ref: TimeSeries          # reference solution on cfg.times
     ref_norm: float            # E1(v_ref)
     compat: float              # initial compatibility residual
 
 
-def problem_for(rho0: Field, u0: Field, params: FluidParams,
-                cfg: SolveConfig) -> Problem:
-    """The grid's problem for (rho0, u0, params, cfg), built on a miss.
+def _setup_arrays(rho0: Field, u0: Field, forcing: StochasticForcing) -> list:
+    """The arrays a lookup compares (the amplitudes count the modes)."""
+    return [rho0.values, u0.values, forcing.amplitudes,
+            *(m.values for m in forcing.modes)]
 
-    The grid keeps one slot.  A lookup hits only when the params and the
-    configuration compare equal and the rho0 and u0 values are equal element
-    by element, so every sample path of one setup gets the same operator,
-    factorizations and reference solution; an in-place edit of rho0 or u0,
-    another horizon or other params build a new problem.  The problem stays
-    alive as long as the grid does (about 34 MB of resident memory at 13^3,
-    most of it the factorization, memory one path already holds while it
-    runs).
+
+def problem_for(rho0: Field, u0: Field, params: FluidParams,
+                cfg: SolveConfig, forcing: StochasticForcing) -> Problem:
+    """The grid's problem for these inputs, built on a miss.
+
+    rho0 and u0 other than a scalar and a vector field on one grid or not
+    finite, and forcing modes on another grid, raise ``ValueError`` before
+    any work.  The grid keeps one slot.  A lookup hits only when the params
+    and the configuration compare equal and the values of rho0, u0 and the
+    forcing's amplitudes and modes are equal element by element; other
+    content builds a new problem, factorization included, which no
+    benchmark workload or ``tests/output_digest.py`` run pays: each keeps
+    one forcing per setup.  The problem lives as long as the grid (about
+    34 MB of resident memory at 13^3, most of it the factorization).
     """
     grid = rho0.grid
+    if (rho0.values.shape != grid.extent or u0.grid != grid
+            or u0.values.shape != grid.extent + (grid.dim,)):
+        raise ValueError(
+            f"need a scalar rho0 and a vector u0 on one grid, got rho0 of "
+            f"shape {rho0.values.shape} on {grid} and u0 of shape "
+            f"{u0.values.shape} on {u0.grid}")
+    if not (np.all(np.isfinite(rho0.values)) and np.all(np.isfinite(u0.values))):
+        raise ValueError("rho0 and u0 must be finite")
+    if forcing.M > 0 and forcing.modes[0].grid != grid:
+        raise ValueError(f"a forcing mode lives on {forcing.modes[0].grid}, "
+                         f"the problem on {grid}")
     hit = grid._cache.get("problem")
     if (hit is not None and hit.params == params and hit.cfg == cfg
-            and np.array_equal(hit.rho0.values, rho0.values)
-            and np.array_equal(hit.u0.values, u0.values)):
+            and all(map(np.array_equal, _setup_arrays(rho0, u0, forcing),
+                        _setup_arrays(hit.rho0, hit.u0, hit.forcing)))):
         return hit
     grid._cache.pop("problem", None)  # release the old factorizations first
     rho0, u0, cfg = rho0.copy(), u0.copy(), replace(cfg)
+    forcing = StochasticForcing([m.copy() for m in forcing.modes],
+                                forcing.amplitudes.copy())
     op = LameOperator(grid, rho0, params)
     v_ref = solve_reference(op, rho0, u0, params, cfg)
-    problem = Problem(rho0, u0, params, cfg, op, v_ref,
+    responses = op.forcing_responses(forcing, cfg.dt, len(cfg.times))
+    problem = Problem(rho0, u0, params, cfg, forcing, op, responses, v_ref,
                       e1_norm(v_ref, cfg.p, cfg.q),
                       compatibility_check(op, rho0, u0, params))
     grid._cache["problem"] = problem
@@ -306,20 +332,15 @@ def _assemble_and_solve(ubar: TimeSeries, window: FlowWindow,
                         problem: Problem) -> PsiResult:
     """F_u and F_Gamma on levels 1 .. ``n_frames`` - 1, then the Lame solve.
 
-    A Lame step reads F_u and F_Gamma at the level it steps to, so no step
-    reads level 0, which is not assembled: a frame of zeros holds its place.
+    A Lame step reads F_u and F_Gamma at the level it steps to, so they are
+    the steps' data, and level 0 is not assembled.
     """
-    grid = ubar.grid
     window = window.restrict(n_frames)
-    times_w = ubar.times[:n_frames]
     steps = slice(1, n_frames)
-    F_u, F_G_b = assemble_window(grid, ubar.values[steps], window.Z[steps],
+    F_u, F_G_b = assemble_window(ubar.grid, ubar.values[steps], window.Z[steps],
                                  window.J[steps], problem.rho0.values,
                                  problem.params)
-    F_u, F_G_b = (np.concatenate((np.zeros_like(a[:1]), a))
-                  for a in (F_u, F_G_b))
-    v = solve_lame(problem.op, TimeSeries(grid, times_w, F_u), F_G_b,
-                   problem.u0, times_w)
+    v = solve_lame(problem.op, F_u, F_G_b, problem.u0, ubar.times[:n_frames])
     return PsiResult(v, window, monitor)
 
 
@@ -441,27 +462,26 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
     alone.
 
     Forcing modes or transport fields without a Brownian bundle raise
-    ``ValueError``, and so do rho0 and u0 other than a scalar and a vector
-    field on one grid or not finite, a bundle on another time grid than
+    ``ValueError``, and so do a bundle on another time grid than
     ``cfg.times`` (another step count, or a step that fails
     ``cfg.fits_step``), a bundle whose transport or mode path count is not
-    ``Q.K`` or the forcing's mode count (0 without forcing), a forcing mode
-    on another grid than ``rho0`` and transport fields of another
-    dimension, before any work.  Three aborts: a ``ValueError`` before the
-    first iterate when r + E1(v_ref) > R, a ``RuntimeError`` for a window
-    of fewer than 2 levels, and a ``PicardDivergence`` carrying the iterate
-    differences when an iterate leaves the centered ball of radius r around
-    v_ref, or when the differences fail to contract three times in a row.
+    ``Q.K`` or the forcing's mode count (0 without forcing) and transport
+    fields of another dimension, in that order, and then the initial data
+    and the forcing's grid (``problem_for``), all before any work.  Three
+    aborts: a ``ValueError`` before the first iterate when r + E1(v_ref) >
+    R, a ``RuntimeError`` for a window of fewer than 2 levels, and a
+    ``PicardDivergence`` carrying the iterate differences when an iterate
+    leaves the centered ball of radius r around v_ref, or when the
+    differences fail to contract three times in a row.
     The ball norm of the first iterate is its difference; a later iterate is
     inside the ball when (1 + 1e-9) times the sum of the differences so far
     is below r, and only otherwise is its ball norm taken.
 
-    The noise-free part of the run comes from ``problem_for``: every path
-    of one (rho0, u0, params, cfg) on one grid shares the Lame operator,
-    its step factorization and the reference solution.  The compatibility
-    residual (``compatibility_check``, the one check of B u0 = g(0)) above
-    1e-8 warns on every call; Python's default filter shows it once per
-    calling line, ``simplefilter("always")`` on every call.
+    The noise-free part of the run is the ``Problem`` every path of one
+    (rho0, u0, params, cfg, forcing) on one grid shares (``problem_for``).
+    Its compatibility residual (``compatibility_check``, the one check of
+    B u0 = g(0)) above 1e-8 warns on every call; Python's default filter
+    shows it once per calling line, ``simplefilter("always")`` on every call.
     """
     times = cfg.times
     if bundle is not None and (bundle.n_steps != len(times) - 1
@@ -470,8 +490,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
             f"the Brownian bundle's time grid ({bundle.n_steps} steps of "
             f"{bundle.step:g} to T = {bundle.T:g}) is not the configuration's "
             f"({len(times) - 1} steps of {cfg.dt:g} to T = {cfg.T:g})")
-    if forcing is None:
-        forcing = StochasticForcing([], [])
+    forcing = StochasticForcing([], []) if forcing is None else forcing
     M = forcing.M
     if bundle is None and (M > 0 or Q.K > 0):
         raise ValueError(f"{'forcing modes' if M > 0 else 'transport fields'} "
@@ -481,20 +500,9 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
                          f"as many Brownian paths, the bundle has {bundle.K} "
                          f"and {bundle.mode_count}")
     grid = rho0.grid
-    if (rho0.values.shape != grid.extent or u0.grid != grid
-            or u0.values.shape != grid.extent + (grid.dim,)):
-        raise ValueError(
-            f"need a scalar rho0 and a vector u0 on one grid, got rho0 of "
-            f"shape {rho0.values.shape} on {grid} and u0 of shape "
-            f"{u0.values.shape} on {u0.grid}")
-    if not (np.all(np.isfinite(rho0.values)) and np.all(np.isfinite(u0.values))):
-        raise ValueError("rho0 and u0 must be finite")
-    if M > 0 and forcing.modes[0].grid != grid:
-        raise ValueError(f"a forcing mode lives on {forcing.modes[0].grid}, "
-                         f"the problem on {grid}")
     if Q.dim != grid.dim:
         raise ValueError(f"{Q.dim}D transport fields on a {grid.dim}D grid")
-    problem = problem_for(rho0, u0, params, cfg)
+    problem = problem_for(rho0, u0, params, cfg, forcing)
     if problem.compat > 1e-8:
         warnings.warn(f"initial compatibility residual {problem.compat:.3e}; "
                       "the run proceeds", stacklevel=2)
@@ -503,7 +511,7 @@ def picard_solve(rho0: Field, u0: Field, params: FluidParams, cfg: SolveConfig,
         dW = dbeta = np.zeros((0, len(times) - 1))
     else:
         dW, dbeta = bundle.transport_increments(), bundle.mode_increments()
-    U = solve_stoch_convolution(problem.op, forcing, dbeta, times)
+    U = solve_stoch_convolution(problem.op, problem.responses, dbeta, times)
     nf = integrate_noise_flow(Q, dW, grid)
 
     if cfg.r + problem.ref_norm > cfg.R:

@@ -337,9 +337,9 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
     strided views.  The terms of each sum are formed by one broadcast
     product per operand, left to right (dA g, then u; A grad u; Dpsi(Y) g),
     into a reused (j, l, i, m, n) or (j, i, m, n) scratch array, and added
-    over the leading axes from zero, j outermost: the order and the rounding
-    of einsum's loop over those labels, so a -0.0 term sum turns into +0.0
-    as there.  The outputs are the node-major einsum ones, bit for bit.
+    over the leading axes from +0.0 (numpy's identity of add), j outermost:
+    the order and the rounding of einsum's loop over those labels, so a -0.0
+    term sum is +0.0 as there.  The outputs are einsum's, bit for bit.
     """
     if len(ubar) > len(nf.psi):
         raise ValueError(f"{len(ubar)} velocity frames, the noise flow has "
@@ -369,7 +369,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
         (j, m, n): the terms go in (j, i, m, n) and are added over j."""
         np.multiply(M.reshape(N, dim, dim).transpose(2, 1, 0)[:, :, None],
                     rows[:, None], out=terms2)
-        return np.add.reduce(terms2, axis=0, initial=0.0)
+        return np.add.reduce(terms2, axis=0)
 
     def sample(level, y, g):
         """The plan on y at the level's time, which also samples Dpsi (and
@@ -404,7 +404,7 @@ def integrate_label_flow(ubar: TimeSeries, nf: NoiseFlow,
         np.multiply(dA_rows[:, :, :, None], g[None, :, None], out=terms1)
         np.multiply(terms1, u_rows[level % 2][:, None, None, None], out=terms1)
         # (j, l) flattened in sum order
-        dg += np.add.reduce(terms1.reshape(-1, dim, dim, N), 0, initial=0.0)
+        dg += np.add.reduce(terms1.reshape(-1, dim, dim, N), 0)
         return f, dg
 
     y = pts0

@@ -7,10 +7,10 @@ stencils (ghost-node elimination).  The stencils are ``fields``' kernels
 ``_d1`` and ``_d2_pure`` applied to the identity.  Time stepping is implicit
 Euler with one sparse factorization per step size, shared by the deterministic
 solve and the additive stochastic convolution.  The convolution is linear in
-the Brownian increments, so the operator also holds the forcing modes'
-impulse responses under that step, computed once, and a path's U is the
-product of the Toeplitz matrix of its increments with them, taken in blocks
-of levels (``solve_stoch_convolution``).
+the Brownian increments, so a path's U is the product of the Toeplitz matrix
+of its increments with the forcing modes' impulse responses under that step
+(``forcing_responses``, once per setup: ``fixedpoint.Problem.responses``),
+taken in blocks of levels (``solve_stoch_convolution``).
 
 The stepping matrix is factored in a geometric nested-dissection order of the
 node grid (George 1973): the grid is bisected recursively along its longest
@@ -174,13 +174,11 @@ class LameOperator:
     factored in: the nested-dissection node order, node-major.  A rho0
     below ``params.rho_min`` somewhere raises ``ValueError``, NaN included.
 
-    Beside the assembled matrices the operator holds what every path of one
-    setup shares: one step factorization per step size (``stepper``) and,
-    in one slot, the impulse responses of the last forcing it was asked for
-    (``forcing_responses``), M d N doubles per lag for M modes, with the
-    L - 1 lags of L levels rounded up to a multiple of ``CONV_BLOCK``:
-    0.84 MB on ``solid3d`` (13^3, 11 levels) and 0.64 MB on ``stopped2d``
-    (25^2, 51 levels), with M = 1, and 16 MB at 25^2 and 1601 levels.
+    Beside the assembled matrices the operator holds one step
+    factorization per step size (``stepper``), which every path of one
+    setup shares; the forcing's impulse responses under a step
+    (``forcing_responses``) belong to the forcing and are held by
+    ``fixedpoint.Problem``.
     """
 
     def __init__(self, grid: Grid, rho0: Field, params: FluidParams):
@@ -228,7 +226,6 @@ class LameOperator:
         nodes = nested_dissection(grid.extent)
         self.step_order = (nodes[:, None] + N * np.arange(dim)).reshape(-1)
         self._steppers: dict[float, StepFactor] = {}
-        self._responses: tuple[tuple, np.ndarray] | None = None
 
     # -- flat layout helpers ---------------------------------------------------
 
@@ -263,28 +260,22 @@ class LameOperator:
         Entry [k - 1, m] holds R_{m,k} = (solve o mask)^k (a_m f_m), node-major
         (the layout of a frame's values), for k = 1 .. levels - 1; the lag
         axis is padded with zeros to a multiple of ``CONV_BLOCK``, so the
-        array is (lags, M, N dim).  It is computed once, by levels - 1 step
-        solves of M right-hand sides, and held in one slot keyed by the
-        content of its inputs: the step (as ``stepper`` rounds it),
-        ``levels`` and the bytes of the amplitudes and of every mode's
-        values.  Another forcing, an in-place edit of a mode or an
-        amplitude, or another step or level count replaces it.
+        array is (lags, M, N dim).  It takes levels - 1 step solves of M
+        right-hand sides, and none for M = 0 or one level.
         """
-        key = (round(dt, 15), levels, forcing.amplitudes.tobytes(),
-               tuple(m.values.tobytes() for m in forcing.modes))
-        if self._responses is None or self._responses[0] != key:
-            dim, N, M = self.grid.dim, self.grid.n_nodes, forcing.M
-            lu = self.stepper(dt)
-            v = np.stack([a * self.to_flat(m.values) for a, m in
-                          zip(forcing.amplitudes, forcing.modes)], axis=1)
-            lags = -(-(levels - 1) // CONV_BLOCK) * CONV_BLOCK
-            R = np.zeros((lags, M, N * dim))
-            for k in range(levels - 1):
-                v[self.boundary_row_mask] = 0.0
-                v = lu.solve(v)
-                R[k] = v.reshape(dim, N, M).transpose(2, 1, 0).reshape(M, -1)
-            self._responses = key, R
-        return self._responses[1]
+        dim, N, M = self.grid.dim, self.grid.n_nodes, forcing.M
+        lags = -(-(levels - 1) // CONV_BLOCK) * CONV_BLOCK
+        R = np.zeros((lags, M, N * dim))
+        if M == 0 or levels == 1:
+            return R
+        lu = self.stepper(dt)
+        v = np.stack([a * self.to_flat(m.values) for a, m in
+                      zip(forcing.amplitudes, forcing.modes)], axis=1)
+        for k in range(levels - 1):
+            v[self.boundary_row_mask] = 0.0
+            v = lu.solve(v)
+            R[k] = v.reshape(dim, N, M).transpose(2, 1, 0).reshape(M, -1)
+        return R
 
 
 def apply_B(op: LameOperator, u: Field) -> np.ndarray:
@@ -299,24 +290,25 @@ def apply_B(op: LameOperator, u: Field) -> np.ndarray:
 # time stepping
 # ---------------------------------------------------------------------------
 
-def solve_lame(op: LameOperator, f: TimeSeries | None, g: np.ndarray,
+def solve_lame(op: LameOperator, f: np.ndarray | None, g: np.ndarray | None,
                u0: Field, times: np.ndarray) -> TimeSeries:
     """Implicit Euler for dv/dt + A v = f with traction rows B v = g.
 
-    ``g`` holds boundary data per frame, shape (len(times), n_boundary, dim),
-    and ``f`` one frame per level; other frame counts raise ``ValueError``.
-    ``f`` is read at the interior nodes only: the traction rows replace its
+    ``f`` (L - 1, *ext, dim) and ``g`` (L - 1, n_boundary, dim) hold step
+    data for the L levels of ``times``, as the Brownian increments do: frame
+    n drives the step n -> n + 1, at the level it steps to.  Each is an
+    array or None (zero); another frame count raises ``ValueError``.  ``f``
+    is read at the interior nodes only: the traction rows replace its
     boundary rows, which is why ``nonlinear.assemble_window`` assembles F_u
-    on the interior nodes alone.  Step n reads ``f`` and ``g`` at level
-    n + 1, so neither is read at level 0.  B u0 = g(0) is not checked here
+    on the interior nodes alone.  B u0 = g(0) is not checked here
     (``fixedpoint.compatibility_check``).  A one-level grid gives u0 as a
     one-frame series, with no factorization.
     """
     times = np.asarray(times, float)
     L = len(times)
-    g = np.zeros((L, len(op.boundary_flat), op.grid.dim)) if g is None else np.asarray(g, float)
-    if g.shape[0] != L or (f is not None and len(f.values) != L):
-        raise ValueError("source and boundary data frames must match the time grid")
+    if any(a is not None and len(a) != L - 1 for a in (f, g)):
+        raise ValueError(f"source and boundary data on {L} levels need one "
+                         f"frame per step, {L - 1}")
     out = np.empty((L,) + op.grid.extent + (op.grid.dim,))
     out[0] = u0.values
     if L == 1:
@@ -326,8 +318,8 @@ def solve_lame(op: LameOperator, f: TimeSeries | None, g: np.ndarray,
     mask = op.boundary_row_mask
     v = op.to_flat(u0.values)
     for n in range(L - 1):
-        rhs = v + dt * (op.to_flat(f.values[n + 1]) if f is not None else 0.0)
-        rhs[mask] = g[n + 1].T.ravel()
+        rhs = v + dt * (op.to_flat(f[n]) if f is not None else 0.0)
+        rhs[mask] = g[n].T.ravel() if g is not None else 0.0
         v = lu.solve(rhs)
         if not np.all(np.isfinite(v)):
             raise RuntimeError(f"linear solve produced non-finite values at "
@@ -336,15 +328,16 @@ def solve_lame(op: LameOperator, f: TimeSeries | None, g: np.ndarray,
     return TimeSeries(op.grid, times, out)
 
 
-def solve_stoch_convolution(op: LameOperator, forcing: StochasticForcing,
+def solve_stoch_convolution(op: LameOperator, R: np.ndarray,
                             dbeta: np.ndarray, times: np.ndarray) -> TimeSeries:
     """Semi-implicit Euler-Maruyama for dU + A U dt = sum_m amp_m f_m d beta_m.
 
-    ``dbeta`` holds the mode increments on the caller's ``times``, as
-    ``solve_lame`` takes them: (M, len(times) - 1), else ``ValueError``;
-    ``times`` must be uniform from 0 (``TimeSeries``, ``ValueError``).
-    Both are checked before any solve.  Homogeneous traction rows are
-    enforced at every step and U(0) = 0.
+    ``R`` holds the M modes' impulse responses under the step of ``times``
+    (``LameOperator.forcing_responses`` for at least len(times) levels) and
+    ``dbeta`` their increments on ``times``, as ``solve_lame`` takes step
+    data: (M, len(times) - 1).  Other shapes raise ``ValueError``, and so
+    do ``times`` not uniform from 0 (``TimeSeries``), before any work.
+    Homogeneous traction rows are enforced at every step and U(0) = 0.
 
     The step recursion v_{n+1} = solve(mask(v_n + sum_m a_m f_m dbeta_{m,n}))
     is linear, so it is taken in its convolution form
@@ -352,16 +345,15 @@ def solve_stoch_convolution(op: LameOperator, forcing: StochasticForcing,
         U_n = sum_m sum_{j<n} dbeta_{m,j} R_{m,n-j},
 
     with R_{m,k} = (solve o mask)^k (a_m f_m) the modes' impulse responses,
-    which the operator computes once per step, level count and forcing
-    (``LameOperator.forcing_responses``, L - 1 step solves of M
-    right-hand sides, once).  A path then costs, per block of
-    ``CONV_BLOCK`` levels, one product of the block's rows of the
-    lower-triangular Toeplitz matrix of its increments with the responses
-    up to the block's last lag, in place of the recursion's L - 1 step
-    solves per path.  Its temporaries are one block's coefficients,
-    (CONV_BLOCK, M lags), and its product.  With one BLAS thread and M = 1,
-    U took 0.2 ms against the recursion's 22 ms on 13^3 and 11 levels,
-    and 102 ms against 163 ms on 25^2 and 1601 levels.
+    which every path of one setup shares (``fixedpoint.Problem.responses``).
+    A path then costs, with no step solve, per block of ``CONV_BLOCK``
+    levels, one product of the block's rows of the lower-triangular Toeplitz
+    matrix of its increments with the responses up to the block's last lag,
+    in place of the recursion's L - 1 step solves per path.  Its temporaries
+    are one block's coefficients, (CONV_BLOCK, M lags), and its product.
+    With one BLAS thread and M = 1, U took 0.2 ms against the recursion's
+    22 ms on 13^3 and 11 levels, and 102 ms against 163 ms on 25^2 and 1601
+    levels.
 
     A row holds the increments before its level and zeros after them, so U
     up to a level does not depend on the increments after it, bit for bit:
@@ -376,16 +368,16 @@ def solve_stoch_convolution(op: LameOperator, forcing: StochasticForcing,
     """
     times = np.asarray(times, float)
     L = len(times)
-    if np.shape(dbeta) != (forcing.M, L - 1):
-        raise ValueError(f"{forcing.M} forcing modes on {L} levels need "
-                         f"increments of shape ({forcing.M}, {L - 1}), got "
-                         f"{np.shape(dbeta)}")
+    M, lags = R.shape[1], -(-(L - 1) // CONV_BLOCK) * CONV_BLOCK
+    if np.shape(dbeta) != (M, L - 1) or len(R) < lags:
+        raise ValueError(f"{M} forcing modes on {L} levels need increments of "
+                         f"shape ({M}, {L - 1}) and responses of {lags} lags, "
+                         f"got {np.shape(dbeta)} and {len(R)}")
     dbeta = np.asarray(dbeta, float)
     U = TimeSeries(op.grid, times, np.zeros((L,) + op.grid.extent + (op.grid.dim,)))
-    if forcing.M == 0 or L == 1:
+    if M == 0 or L == 1:
         return U
-    R = op.forcing_responses(forcing, times[1] - times[0], L)
-    steps, M = L - 1, forcing.M
+    steps = L - 1
     flat = U.values[1:].reshape(steps, -1)
     for start in range(0, steps, CONV_BLOCK):
         stop = start + CONV_BLOCK

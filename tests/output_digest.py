@@ -42,8 +42,9 @@ on the paths before it (the cached ``Problem`` with the forcing's impulse
 responses, the interpolation axes and the contraction plans are shared),
 so its line must not change.
 ``--peak`` appends the path's tracemalloc peak of ``picard_solve`` in
-bytes, with the noise-free set-up (``problem_for``) and the forcing's
-impulse responses built before tracing starts, so one run per checkout gives the bits and the peaks; without it
+bytes, with the noise-free set-up (``problem_for``: the operator, the
+forcing's impulse responses and the reference) built before tracing
+starts, so one run per checkout gives the bits and the peaks; without it
 the lines are as they were before the flag.  ``--certifications``
 appends the path solve's counts of certified and declined monitor
 records (``MonitorResult.certifies``) and of exact monitor runs
@@ -90,8 +91,9 @@ BUNDLE_ITEMS = SERIES + ("rho", "times", "window", "monitor", "tau", "kappa",
                          "diffs", "energy")
 NOT_HASHED = {
     "grid": "the workload's input grid, the same on every path",
-    "problem": "the noise-free set-up (inputs, Lame operator, reference), "
-               "the same on every path; it reaches every hashed output",
+    "problem": "the noise-free set-up (inputs, Lame operator, impulse "
+               "responses, reference), the same on every path; it reaches "
+               "every hashed output",
     "certificate": "eulerian's cache of the injectivity certificate, "
                    "hashed through the validation report and written files",
 }
@@ -166,9 +168,7 @@ def digest_solution(d: Digest, w, inputs, bseed: int,
     setup = (inputs.rho0, inputs.u0, inputs.params, inputs.cfg)
     if peaks is not None:
         # shared by every path: not traced
-        problem = fixedpoint.problem_for(*setup)
-        problem.op.forcing_responses(inputs.forcing, inputs.cfg.dt,
-                                     len(inputs.cfg.times))
+        fixedpoint.problem_for(*setup, inputs.forcing)
         tracemalloc.start()
     try:
         sol = fixedpoint.picard_solve(*setup, inputs.Q, bundle, inputs.forcing)

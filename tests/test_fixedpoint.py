@@ -30,11 +30,13 @@ from lagflow.flow import integrate_noise_flow
 from lagflow.lame import FluidParams, LameOperator, apply_B, solve_stoch_convolution
 from lagflow.noise import (StochasticForcing, make_transport_field, refine_bridge,
                            sample_brownian)
+from convolution_oracle import recursive_stoch_convolution
 from flow_oracle import zero_noise_flow
 from map_oracle import apply_Psi_deterministic
 
 GRID = Grid(2, (33, 33))
 PARAMS = FluidParams()  # p(rho_min) = p_ext: equilibrium density is 1
+NO_FORCING = StochasticForcing([], [])
 
 
 def equilibrium_data():
@@ -220,7 +222,7 @@ def test_e1_norm_matches_per_frame_loop():
 def test_psi_fixes_equilibrium():
     rho0, u0 = equilibrium_data()
     cfg = SolveConfig()
-    problem = problem_for(rho0, u0, PARAMS, cfg)
+    problem = problem_for(rho0, u0, PARAMS, cfg, NO_FORCING)
     times = cfg.times
     zero = TimeSeries(GRID, times, np.zeros((len(times),) + GRID.extent + (2,)))
     nf = zero_noise_flow(GRID, times)
@@ -232,7 +234,7 @@ def test_psi_fixes_equilibrium():
 def test_psi_self_map_stays_in_ball():
     rho0, u0 = perturbed_data()
     cfg = SolveConfig()
-    problem = problem_for(rho0, u0, PARAMS, cfg)
+    problem = problem_for(rho0, u0, PARAMS, cfg, NO_FORCING)
     v_ref = problem.v_ref
     times = cfg.times
     zeroU = TimeSeries(GRID, times, np.zeros((len(times),) + GRID.extent + (2,)))
@@ -388,10 +390,11 @@ def test_picard_checks_the_grid_of_every_input(forcing_grid, Q, error,
                                                monkeypatch):
     # forcing modes on another grid used to fail in a broadcast of the
     # stochastic convolution, a 3D field on a 2D grid in the noise flow; an
-    # equal grid instance passes the check and reaches the shared problem
+    # equal grid instance passes the checks and reaches the operator
     def reached(*args):
         raise ProblemReached
-    monkeypatch.setattr(lagflow.fixedpoint, "problem_for", reached)
+    monkeypatch.setattr(lagflow.fixedpoint, "LameOperator", reached)
+    monkeypatch.delitem(GRID._cache, "problem", raising=False)
     rho0, u0 = perturbed_data()
     forcing = StochasticForcing.default_modes(forcing_grid, 1, 1e-3)
     cfg = SolveConfig()
@@ -431,7 +434,7 @@ def test_picard_needs_scalar_rho0_and_vector_u0_on_one_grid(which,
     # each case used to fail inside scipy with a matmul dimension mismatch
     def no_work(*args):
         raise AssertionError("the initial data were not checked up front")
-    monkeypatch.setattr(lagflow.fixedpoint, "problem_for", no_work)
+    monkeypatch.setattr(lagflow.fixedpoint, "LameOperator", no_work)
     rho0, u0 = perturbed_data()
     if which == "u0-on-another-grid":
         small = Grid(2, (17, 17))
@@ -453,7 +456,7 @@ def test_picard_refuses_non_finite_initial_data(which, bad, monkeypatch):
     # density or a NaN velocity gave a non-finite linear solve
     def no_work(*args):
         raise AssertionError("the initial data were not checked up front")
-    monkeypatch.setattr(lagflow.fixedpoint, "problem_for", no_work)
+    monkeypatch.setattr(lagflow.fixedpoint, "LameOperator", no_work)
     rho0, u0 = perturbed_data()
     (rho0 if which == "rho0" else u0).values[5, 7] = bad
     Q0 = make_transport_field(2, "constant", K=0)
@@ -497,7 +500,7 @@ def test_picard_ball_norm_runs_only_near_r(monkeypatch):
         return res
 
     def counted_solve(cfg):
-        problem_for(rho0, u0, PARAMS, cfg)   # E1(v_ref) is not counted
+        problem_for(rho0, u0, PARAMS, cfg, NO_FORCING)  # E1(v_ref) uncounted
         calls = []
         e1 = lagflow.fixedpoint.e1_norm
 
@@ -639,10 +642,7 @@ def solve_with_peak(case, monkeypatch):
     """picard_solve on ``case``'s inputs: the bundle, its tracemalloc peak
     and the number of exact monitor runs."""
     rho0, u0, cfg, Q, forcing, bw = case
-    # the noise-free work is shared, and so are the forcing's impulse
-    # responses, which the first solve in a process would build traced
-    problem = problem_for(rho0, u0, PARAMS, cfg)
-    problem.op.forcing_responses(forcing, cfg.dt, len(cfg.times))
+    problem_for(rho0, u0, PARAMS, cfg, forcing)  # shared by every path
     exact_runs = []
     monitor = lagflow.fixedpoint.stopping_monitor
 
@@ -820,8 +820,7 @@ def test_iterates_do_not_assemble_level_zero(monkeypatch):
         F_u, F_G_b = fp.assemble_window(
             ubar.grid, ubar.values[:n_frames], window.Z, window.J,
             problem.rho0.values, problem.params)
-        v = fp.solve_lame(problem.op, TimeSeries(ubar.grid, times, F_u),
-                          F_G_b, problem.u0, times)
+        v = fp.solve_lame(problem.op, F_u[1:], F_G_b[1:], problem.u0, times)
         return fp.PsiResult(v, window, monitor)
 
     def solve():
@@ -922,12 +921,14 @@ def test_fired_transport_run_keeps_the_energy_identity():
 
 def probe_setup(T=0.05, delta=0.1, seed=0):
     rho0, u0 = perturbed_data()
-    problem = problem_for(rho0, u0, PARAMS, SolveConfig(T=T, delta=delta))
+    forcing = StochasticForcing.default_modes(GRID, 1, 1e-3)
+    problem = problem_for(rho0, u0, PARAMS, SolveConfig(T=T, delta=delta),
+                          forcing)
     cfg = problem.cfg
     Q = make_transport_field(2, "stream", K=2, amplitude=1e-4)
-    forcing = StochasticForcing.default_modes(GRID, 1, 1e-3)
     bw = sample_brownian(2, 1, cfg.T, cfg.dt, seed=seed)
-    U = solve_stoch_convolution(problem.op, forcing, bw.mode_increments(), cfg.times)
+    U = solve_stoch_convolution(problem.op, problem.responses,
+                                bw.mode_increments(), cfg.times)
     nf = integrate_noise_flow(Q, bw.transport_increments(), GRID)
     return problem, U, nf
 
@@ -971,7 +972,7 @@ def test_deterministic_path_matches_generic():
     with pytest.warns(UserWarning, match="compatibility"):
         b_gen = picard_solve(rho0, u0, PARAMS, cfg, Q0,
                              sample_brownian(0, 0, cfg.T, cfg.dt, 0), None)
-    problem = problem_for(rho0, u0, PARAMS, cfg)
+    problem = problem_for(rho0, u0, PARAMS, cfg, NO_FORCING)
     times = cfg.times
     zeroU = TimeSeries(GRID, times, np.zeros((len(times),) + GRID.extent + (2,)))
     nf = zero_noise_flow(GRID, times)
@@ -1096,42 +1097,143 @@ def test_picard_paths_share_one_factorization(monkeypatch):
     assert counts == {"splu": 1, "init": 1, "reference": 1}
 
 
+def copied(forcing):
+    """A forcing of equal content in new objects."""
+    return StochasticForcing([m.copy() for m in forcing.modes],
+                             forcing.amplitudes.copy())
+
+
 def test_problem_for_shares_equal_content():
-    rho0, u0, cfg, _, _ = small_problem()
-    problem = problem_for(rho0, u0, PARAMS, cfg)
-    # equal values, params and configuration in new objects hit the slot
+    rho0, u0, cfg, _, forcing = small_problem()
+    problem = problem_for(rho0, u0, PARAMS, cfg, forcing)
+    # equal values, params, configuration and forcing in new objects hit
+    # the slot
     again = problem_for(rho0.copy(), u0.copy(), FluidParams(),
-                        dataclasses.replace(cfg))
+                        dataclasses.replace(cfg), copied(forcing))
     assert again is problem
     assert problem.cfg == cfg and problem.cfg is not cfg
+    assert problem.forcing is not forcing
+    assert all(a is not b for a, b in zip(problem.forcing.modes, forcing.modes))
     assert problem.ref_norm == e1_norm(problem.v_ref, cfg.p, cfg.q)
 
 
 def test_problem_for_rebuilds_on_other_content():
     rho0, u0, cfg, _, _ = small_problem()
     grid = rho0.grid
-    problem = problem_for(rho0, u0, PARAMS, cfg)
+    problem = problem_for(rho0, u0, PARAMS, cfg, NO_FORCING)
     rho0.values[6, 6] = 1.5
-    edited = problem_for(rho0, u0, PARAMS, cfg)
+    edited = problem_for(rho0, u0, PARAMS, cfg, NO_FORCING)
     assert edited is not problem
     assert problem.rho0.values[6, 6] == 1.0      # the problem holds a copy
     assert (edited.op.A != problem.op.A).nnz > 0
     u0.values[6, 6, 1] = 1e-3
-    moved = problem_for(rho0, u0, PARAMS, cfg)
+    moved = problem_for(rho0, u0, PARAMS, cfg, NO_FORCING)
     assert moved is not edited
     assert not np.array_equal(moved.v_ref.values, edited.v_ref.values)
     cfg.T = 0.02                                 # edited in place
-    longer = problem_for(rho0, u0, PARAMS, cfg)
+    longer = problem_for(rho0, u0, PARAMS, cfg, NO_FORCING)
     assert longer is not moved
     assert len(longer.v_ref) == 21
     other_params = FluidParams(mu=2.0)
-    reparam = problem_for(rho0, u0, other_params, cfg)
+    reparam = problem_for(rho0, u0, other_params, cfg, NO_FORCING)
     assert reparam is not longer
     fresh = Grid(2, grid.extent)
     assert problem_for(Field(fresh, rho0.values.copy()),
                        Field(fresh, u0.values.copy()),
-                       other_params, cfg) is not reparam
+                       other_params, cfg, NO_FORCING) is not reparam
     assert grid._cache["problem"] is reparam     # one slot per grid
+
+
+def test_problem_for_builds_the_responses_once_per_forcing(monkeypatch):
+    # the forcing's impulse responses are part of the set-up: two paths of
+    # one forcing make one forcing_responses call, and equal content in new
+    # objects reuses them; an in-place edit of a mode or an amplitude,
+    # another step or another level count rebuilds them, with one step
+    # solve (of M right-hand sides) per level after the first, and no modes
+    # take no such solve
+    calls, solves = [], []
+    responses, solve = LameOperator.forcing_responses, lagflow.lame.StepFactor.solve
+
+    def counted_responses(self, forcing, dt, levels):
+        calls.append((forcing.M, dt, levels))
+        return responses(self, forcing, dt, levels)
+
+    def counted_solve(self, rhs):
+        if rhs.ndim == 2:       # the responses' solves; a path's are vectors
+            solves.append(rhs.shape[1])
+        return solve(self, rhs)
+
+    monkeypatch.setattr(LameOperator, "forcing_responses", counted_responses)
+    monkeypatch.setattr(lagflow.lame.StepFactor, "solve", counted_solve)
+    rho0, u0, cfg, Q, _ = small_problem()
+    forcing = StochasticForcing.default_modes(rho0.grid, 2, 1e-3)
+    forcing.amplitudes[:] = [1e-3, -5e-4]
+    solve_path(rho0, u0, cfg, Q, forcing, seed=1)
+    b = solve_path(rho0, u0, cfg, Q, forcing, seed=2)
+    assert calls == [(2, cfg.dt, 11)] and solves == [2] * 10
+    first = b.problem.responses
+    assert first.shape == (16, 2, 2 * 13 * 13)
+
+    def rebuilt(cfg=cfg, forcing=forcing):
+        calls.clear()
+        solves.clear()
+        return problem_for(rho0, u0, PARAMS, cfg, forcing)
+
+    assert rebuilt(forcing=copied(forcing)) is b.problem and calls == []
+    forcing.modes[1].values[3, 4, 0] += 5e-4
+    edited = rebuilt()
+    assert len(calls) == 1 and solves == [2] * 10
+    assert np.any(edited.responses != first)
+    assert b.problem.forcing.modes[1].values[3, 4, 0] != forcing.modes[1].values[3, 4, 0]
+    assert rebuilt() is edited and calls == []
+    forcing.amplitudes[0] *= 2.0
+    assert rebuilt() is not edited and len(solves) == 10
+    shorter = rebuilt(dataclasses.replace(cfg, T=0.005))
+    assert len(solves) == 5 and shorter.responses.shape == (16, 2, 338)
+    finer = rebuilt(dataclasses.replace(cfg, dt=5e-4))
+    assert len(solves) == 20 and finer.responses.shape == (32, 2, 338)
+    half = sample_brownian(0, 2, cfg.T, 5e-4, seed=2)
+    want = recursive_stoch_convolution(finer.op, forcing,
+                                       half.mode_increments(), half.times)
+    got = solve_stoch_convolution(finer.op, finer.responses,
+                                  half.mode_increments(), half.times)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-13 * np.max(
+        np.abs(want.values))
+    none = rebuilt(forcing=NO_FORCING)
+    assert calls == [(0, cfg.dt, 11)] and solves == []
+    assert none.responses.shape == (16, 0, 338)
+
+
+BAD_SETUP_ERRORS = {
+    "u0-on-another-grid": r"u0 of shape \(17, 17, 2\) on .*17, 17",
+    "scalar-u0": r"u0 of shape \(13, 13\) ",
+    "nan-u0": "rho0 and u0 must be finite",
+    "inf-rho0": "rho0 and u0 must be finite",
+    "forcing-on-another-grid": "forcing mode lives on .*17, 17.*13, 13",
+}
+
+
+@pytest.mark.parametrize("which", BAD_SETUP_ERRORS)
+def test_problem_for_checks_its_inputs_before_any_work(which, monkeypatch):
+    # the first and the third used to fail only after the factorization, in
+    # a numpy broadcast and in a non-finite linear solve at t = 0.001
+    def no_work(*args):
+        raise AssertionError("the inputs were not checked up front")
+    monkeypatch.setattr(lagflow.fixedpoint, "LameOperator", no_work)
+    rho0, u0, cfg, _, forcing = small_problem()
+    other = Grid(2, 17)
+    if which == "u0-on-another-grid":
+        u0 = Field(other, np.zeros(other.extent + (2,)))
+    elif which == "scalar-u0":
+        u0 = Field(u0.grid, u0.values[..., 0])
+    elif which == "nan-u0":
+        u0.values[5, 7, 1] = np.nan
+    elif which == "inf-rho0":
+        rho0.values[5, 7] = np.inf
+    else:
+        forcing = StochasticForcing.default_modes(other, 1, 1e-3)
+    with pytest.raises(ValueError, match=BAD_SETUP_ERRORS[which]):
+        problem_for(rho0, u0, PARAMS, cfg, forcing)
 
 
 def test_validate_solution_rejects_other_params():

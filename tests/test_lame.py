@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 import derivative_oracle
 from convolution_oracle import recursive_stoch_convolution
 import lagflow.lame
-from lagflow.fields import Field, Grid, TimeSeries
+from lagflow.fields import Field, Grid
 from lagflow.fixedpoint import SolveConfig, compatibility_check, picard_solve
 from lagflow.lame import (
     FluidParams,
@@ -75,9 +75,8 @@ def run_mms(n, dt, T, params=PARAMS):
     grid = Grid(2, (n, n))
     o = LameOperator(grid, Field(grid, np.ones(grid.extent)), params)
     times = np.arange(round(T / dt) + 1) * dt
-    f = TimeSeries(grid, times,
-                   np.stack([mms_source(grid, t, params) for t in times]))
-    g = np.stack([mms_traction(grid, t, params) for t in times])
+    f = np.stack([mms_source(grid, t, params) for t in times[1:]])
+    g = np.stack([mms_traction(grid, t, params) for t in times[1:]])
     u0 = Field(grid, mms_exact(grid, 0.0))
     v = solve_lame(o, f, g, u0, times)
     return v, grid, times
@@ -261,7 +260,7 @@ def test_steady_state_fixed_point(op):
                               -0.2 * c[..., 0]], axis=-1))
     gvals = apply_B(op, w)
     times = np.linspace(0, 0.02, 21)
-    g = np.broadcast_to(gvals, (21,) + gvals.shape).copy()
+    g = np.broadcast_to(gvals, (20,) + gvals.shape)
     v = solve_lame(op, None, g, w, times)
     assert np.max(np.abs(v.values[-1] - w.values)) <= 1e-9
 
@@ -319,15 +318,25 @@ def test_compatibility_is_checked_by_fixedpoint_alone(op):
         assert "compatibility residual" in str(caught[0].message)
 
 
-@pytest.mark.parametrize("n_source", [6, 16], ids=["shorter", "longer"])
-def test_solve_lame_rejects_source_frames_off_the_time_grid(op, n_source):
+@pytest.mark.parametrize("frames", [6, 11, 16],
+                         ids=["shorter", "one-per-level", "longer"])
+def test_solve_lame_rejects_source_frames_off_the_time_grid(frames,
+                                                            monkeypatch):
     # a shorter source used to fail with an IndexError after some solves,
-    # and a longer one had its extra frames ignored
+    # and a longer one had its extra frames ignored; source and boundary
+    # data take one frame per step, so one per level is refused too, all
+    # before any factorization
+    o = LameOperator(GRID, Field(GRID, np.ones(GRID.extent)), PARAMS)
+    calls = counted_solves(monkeypatch)
     times = np.linspace(0, 0.01, 11)
-    src_times = 1e-3 * np.arange(n_source)
-    f = TimeSeries(GRID, src_times, np.zeros((n_source,) + GRID.extent + (2,)))
-    with pytest.raises(ValueError, match="frames must match the time grid"):
-        solve_lame(op, f, None, Field(GRID, np.zeros(GRID.extent + (2,))), times)
+    u0 = Field(GRID, np.zeros(GRID.extent + (2,)))
+    f = np.zeros((frames,) + GRID.extent + (2,))
+    g = np.zeros((frames, len(o.boundary_flat), 2))
+    for data in ((f, None), (None, g)):
+        with pytest.raises(ValueError, match="data on 11 levels need one "
+                                             "frame per step, 10"):
+            solve_lame(o, *data, u0, times)
+    assert calls == [] and not o._steppers
 
 
 @pytest.mark.parametrize("fill", [np.nan, 1e300], ids=["nan", "huge"])
@@ -337,15 +346,15 @@ def test_source_is_not_read_at_boundary_nodes(op, fill):
     # cannot reach v
     rng = np.random.default_rng(4)
     times = np.linspace(0, 0.01, 11)
-    vals = rng.normal(size=(11,) + GRID.extent + (2,))
-    g = rng.normal(size=(11, len(op.boundary_flat), 2))
+    vals = rng.normal(size=(10,) + GRID.extent + (2,))
+    g = rng.normal(size=(10, len(op.boundary_flat), 2))
     u0 = Field(GRID, 1e-2 * rng.normal(size=GRID.extent + (2,)))
     mask = GRID.boundary_mask
     zeroed, filled = vals.copy(), vals.copy()
     zeroed[:, mask] = 0.0
     filled[:, mask] = fill
-    want = solve_lame(op, TimeSeries(GRID, times, zeroed), g, u0, times)
-    got = solve_lame(op, TimeSeries(GRID, times, filled), g, u0, times)
+    want = solve_lame(op, zeroed, g, u0, times)
+    got = solve_lame(op, filled, g, u0, times)
     assert np.array_equal(got.values, want.values)
     assert np.all(np.isfinite(got.values))
 
@@ -439,10 +448,16 @@ def test_lopatinskii_rejects_bad_eta():
 # stochastic convolution
 # ---------------------------------------------------------------------------
 
+def convolution(op, forcing, dbeta, times):
+    """U of ``forcing`` on ``times``, from its responses under their step."""
+    R = op.forcing_responses(forcing, times[1] - times[0], len(times))
+    return solve_stoch_convolution(op, R, dbeta, times)
+
+
 def test_no_modes_gives_zero(op):
     forcing = StochasticForcing([], np.zeros(0))
     b = sample_brownian(0, 0, 0.02, 1e-3, seed=0)
-    U = solve_stoch_convolution(op, forcing, b.mode_increments(), b.times)
+    U = convolution(op, forcing, b.mode_increments(), b.times)
     assert np.max(np.abs(U.values)) == 0.0
 
 
@@ -453,7 +468,7 @@ def test_convolution_refuses_increments_of_another_shape(op, M, shape):
     times = 1e-3 * np.arange(21)
     with pytest.raises(ValueError, match=rf"{M} forcing modes on 21 levels "
                                          rf"need increments of shape \({M}, 20\)"):
-        solve_stoch_convolution(op, forcing, np.zeros(shape), times)
+        convolution(op, forcing, np.zeros(shape), times)
 
 
 def unequal_forcing(grid, M):
@@ -484,7 +499,7 @@ def test_convolution_matches_the_step_recursion(grid, M):
     op = unit_density_operator(grid.dim, grid.extent[0])
     forcing = unequal_forcing(grid, M)
     b = sample_brownian(0, M, 0.02, 1e-3, seed=4 + M)
-    U = solve_stoch_convolution(op, forcing, b.mode_increments(), b.times)
+    U = convolution(op, forcing, b.mode_increments(), b.times)
     want = recursive_stoch_convolution(op, forcing, b.mode_increments(), b.times)
     assert np.array_equal(U.times, want.times)
     scale = np.max(np.abs(want.values))
@@ -497,73 +512,61 @@ def test_convolution_matches_the_step_recursion(grid, M):
                          ids=["17^2", "9^3"])
 def test_convolution_is_adapted_bit_for_bit(grid):
     # levels 0 .. n keep their bits when the increments of steps n, n + 1,
-    # ... change, and level n + 1 moves; a shorter horizon gives the prefix
+    # ... change, and level n + 1 moves; a shorter horizon gives the prefix,
+    # from the responses of the longer one or from its own
     op = unit_density_operator(grid.dim, grid.extent[0])
     forcing = unequal_forcing(grid, 2)
     b = sample_brownian(0, 2, 0.04, 1e-3, seed=8)
     dbeta = b.mode_increments()
-    U = solve_stoch_convolution(op, forcing, dbeta, b.times).values
+    R = op.forcing_responses(forcing, 1e-3, 41)
+    U = solve_stoch_convolution(op, R, dbeta, b.times).values
     rng = np.random.default_rng(1)
     for n in (0, 1, 7, 16, 39):
         other = dbeta.copy()
         other[:, n:] = rng.normal(0.0, 0.03, size=other[:, n:].shape)
-        V = solve_stoch_convolution(op, forcing, other, b.times).values
+        V = solve_stoch_convolution(op, R, other, b.times).values
         assert V[:n + 1].tobytes() == U[:n + 1].tobytes()
         assert np.any(V[n + 1] != U[n + 1])
     for levels in (2, 16, 17, 18, 26, 33):
-        V = solve_stoch_convolution(op, forcing, dbeta[:, :levels - 1],
-                                    b.times[:levels]).values
-        assert V.tobytes() == U[:levels].tobytes()
+        for V in (solve_stoch_convolution(op, R, dbeta[:, :levels - 1],
+                                          b.times[:levels]),
+                  convolution(op, forcing, dbeta[:, :levels - 1],
+                              b.times[:levels])):
+            assert V.values.tobytes() == U[:levels].tobytes()
 
 
-def test_forcing_responses_are_cached_by_content(monkeypatch):
-    # an equal forcing reuses them; an in-place edit of a mode or an
-    # amplitude, another step or another level count rebuilds them, with one
-    # step solve (of M right-hand sides) per level after the first
-    op = unit_density_operator(2, 17)
-    calls = counted_solves(monkeypatch)
-    b = sample_brownian(0, 2, 0.02, 1e-3, seed=2)
-    dbeta, times = b.mode_increments(), b.times
-
-    def solve(forcing, dbeta=dbeta, times=times):
-        calls.clear()
-        return solve_stoch_convolution(op, forcing, dbeta, times).values
-
-    forcing = unequal_forcing(op.grid, 2)
-    first = solve(forcing)
-    assert calls == [(op.A.shape[0], 2)] * 20
-    assert solve(unequal_forcing(op.grid, 2)).tobytes() == first.tobytes()
-    assert calls == []
-    forcing.modes[1].values[3, 4, 0] += 0.5
-    edited = solve(forcing)
-    assert len(calls) == 20 and np.any(edited != first)
-    assert edited.tobytes() == solve(forcing).tobytes() and calls == []
-    forcing.amplitudes[0] *= 2.0
-    solve(forcing)
-    assert len(calls) == 20
-    solve(forcing, dbeta[:, :10], times[:11])
-    assert len(calls) == 10
-    half = sample_brownian(0, 2, 0.02, 5e-4, seed=2)
-    want = recursive_stoch_convolution(op, forcing, half.mode_increments(),
-                                       half.times).values
-    got = solve(forcing, half.mode_increments(), half.times)
-    assert len(calls) == 40
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("dbeta, times, match", [
-    (np.zeros((2, 19)), 1e-3 * np.arange(21), "need increments of shape"),
-    (np.zeros((1, 20)), 1e-3 * np.arange(21), "need increments of shape"),
-    (np.zeros((2, 2)), [0.0, 1e-3, 3e-3], "uniformly spaced"),
-    (np.zeros((2, 2)), [1e-3, 2e-3, 3e-3], "start with a frame at t = 0"),
-], ids=["steps", "modes", "non-uniform", "late-start"])
+@pytest.mark.parametrize("dbeta, times, lags, match", [
+    (np.zeros((2, 19)), 1e-3 * np.arange(21), 32, "need increments of shape"),
+    (np.zeros((1, 20)), 1e-3 * np.arange(21), 32, "need increments of shape"),
+    (np.zeros((2, 20)), 1e-3 * np.arange(21), 16,
+     "responses of 32 lags, got .* and 16"),
+    (np.zeros((2, 2)), [0.0, 1e-3, 3e-3], 32, "uniformly spaced"),
+    (np.zeros((2, 2)), [1e-3, 2e-3, 3e-3], 32, "start with a frame at t = 0"),
+], ids=["steps", "modes", "lags", "non-uniform", "late-start"])
 def test_convolution_checks_its_inputs_before_any_solve(monkeypatch, dbeta,
-                                                        times, match):
+                                                        times, lags, match):
+    # the convolution makes no step solve at all: the responses are made
+    # before it, and a refused call does no work on them
+    op = unit_density_operator(2, 9)
+    R = op.forcing_responses(unequal_forcing(op.grid, 2), 1e-3, 21)[:lags]
+    before = R.copy()
+    calls = counted_solves(monkeypatch)
+    monkeypatch.setattr(op, "_steppers", {})
+    with pytest.raises(ValueError, match=match):
+        solve_stoch_convolution(op, R, dbeta, times)
+    assert calls == [] and not op._steppers
+    assert R.tobytes() == before.tobytes()
+
+
+def test_forcing_responses_of_no_modes_take_no_step_solve(monkeypatch):
+    # zero modes or one level: the zero-padded (lags, M, N d) array alone
     op = unit_density_operator(2, 9)
     calls = counted_solves(monkeypatch)
-    with pytest.raises(ValueError, match=match):
-        solve_stoch_convolution(op, unequal_forcing(op.grid, 2), dbeta, times)
-    assert calls == [] and op._responses is None and not op._steppers
+    none = StochasticForcing([], np.zeros(0))
+    assert op.forcing_responses(none, 1e-3, 21).shape == (32, 0, 2 * 81)
+    one = op.forcing_responses(unequal_forcing(op.grid, 2), 1e-3, 1)
+    assert one.shape == (0, 2, 2 * 81)
+    assert calls == [] and not op._steppers
 
 
 def test_solve_lame_refuses_non_uniform_times(op):
@@ -578,14 +581,14 @@ def test_solve_lame_on_one_level_returns_u0(monkeypatch):
     o = LameOperator(GRID, Field(GRID, np.ones(GRID.extent)), PARAMS)
     calls = counted_solves(monkeypatch)
     u0 = Field(GRID, np.random.default_rng(3).normal(size=GRID.extent + (2,)))
-    f = TimeSeries(GRID, [0.0], np.ones((1,) + GRID.extent + (2,)))
+    f = np.ones((0,) + GRID.extent + (2,))      # no step, no frame
     for source in (None, f):
         v = solve_lame(o, source, None, u0, [0.0])
         assert v.times.tolist() == [0.0] and v.values.shape == (1,) + u0.values.shape
         assert v.values[0].tobytes() == u0.values.tobytes()
     assert calls == [] and not o._steppers
-    g = np.zeros((2, len(o.boundary_flat), 2))
-    with pytest.raises(ValueError, match="frames must match the time grid"):
+    g = np.zeros((1, len(o.boundary_flat), 2))
+    with pytest.raises(ValueError, match="need one frame per step"):
         solve_lame(o, None, g, u0, [0.0])
 
 
@@ -599,10 +602,9 @@ def test_debug_increments_match_deterministic_convolution(op):
     dt, steps = 1e-3, 20
     b = BrownianBundle(0, 1, dt, np.arange(steps + 1.0)[None], seed=5)
     assert np.array_equal(b.mode_increments(), np.ones((1, steps)))
-    U = solve_stoch_convolution(op, forcing, b.mode_increments(), b.times)
+    U = convolution(op, forcing, b.mode_increments(), b.times)
     times = b.times
-    f = TimeSeries(GRID, times, np.broadcast_to(
-        0.3 * mode.values / dt, (steps + 1,) + mode.values.shape).copy())
+    f = np.broadcast_to(0.3 * mode.values / dt, (steps,) + mode.values.shape)
     v = solve_lame(op, f, None, Field(GRID, np.zeros(GRID.extent + (2,))), times)
     assert np.max(np.abs(U.values - v.values)) <= 1e-12
 
@@ -615,9 +617,10 @@ def test_modal_ou_variance(op):
     phin = np.sum(w * np.sum(phi.values**2, axis=-1))
     n_paths = 600
     coef = np.zeros(n_paths)
+    R = op.forcing_responses(forcing, dt, steps + 1)
     for s in range(n_paths):
         b = sample_brownian(0, 1, dt * steps, dt, seed=s)
-        U = solve_stoch_convolution(op, forcing, b.mode_increments(), b.times)
+        U = solve_stoch_convolution(op, R, b.mode_increments(), b.times)
         coef[s] = np.sum(w * np.sum(U.values[-1] * phi.values, axis=-1)) / phin
     t = dt * steps
     exact = (1 - np.exp(-2 * lam * t)) / (2 * lam)
@@ -630,19 +633,18 @@ def test_da_prato_debussche_consistency(op):
     c = GRID.coords()
     dt, steps = 1e-3, 20
     times = np.arange(steps + 1) * dt
-    fvals = np.stack([np.stack(
+    f = np.stack([np.stack(
         [np.sin(np.pi * c[..., 0]) * (1 + t), np.cos(np.pi * c[..., 1])],
-        axis=-1) for t in times])
-    f = TimeSeries(GRID, times, fvals)
+        axis=-1) for t in times[1:]])
     gvals = rng.normal(size=(len(op.boundary_flat), 2)) * 0.1
-    g = np.broadcast_to(gvals, (steps + 1,) + gvals.shape).copy()
+    g = np.broadcast_to(gvals, (steps,) + gvals.shape)
     mode = Field(GRID, np.stack(
         [np.sin(np.pi * c[..., 0]) * np.sin(np.pi * c[..., 1]),
          np.zeros(GRID.extent)], axis=-1))
     forcing = StochasticForcing([mode], np.array([0.5]))
     b = sample_brownian(0, 1, dt * steps, dt, seed=3)
     v = solve_lame(op, f, g, Field(GRID, np.zeros(GRID.extent + (2,))), times)
-    U = solve_stoch_convolution(op, forcing, b.mode_increments(), b.times)
+    U = convolution(op, forcing, b.mode_increments(), b.times)
     ubar = v.values + U.values
     dbeta = b.mode_increments()
     mask = op.boundary_row_mask
@@ -650,10 +652,10 @@ def test_da_prato_debussche_consistency(op):
     for n in range(steps):
         lhs = (op.to_flat(ubar[n + 1]) - op.to_flat(ubar[n])) / dt \
             + op.A @ op.to_flat(ubar[n + 1])
-        rhs = op.to_flat(f.values[n + 1]) \
+        rhs = op.to_flat(f[n]) \
             + 0.5 * op.to_flat(mode.values) * dbeta[0, n] / dt
         worst = max(worst, np.max(np.abs((lhs - rhs)[~mask])))
-        bres = (op.B @ op.to_flat(ubar[n + 1]))[mask] - g[n + 1].T.ravel()
+        bres = (op.B @ op.to_flat(ubar[n + 1]))[mask] - g[n].T.ravel()
         worst = max(worst, np.max(np.abs(bres)))
     assert worst <= 1e-9
 
