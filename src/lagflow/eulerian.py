@@ -257,6 +257,24 @@ def validate_solution(bundle: SolutionBundle, params: FluidParams) -> dict:
 # output writing
 # ---------------------------------------------------------------------------
 
+_CSV_BLOCK = 256            # rows formatted per write
+
+
+def _write_csv(path: Path, rows: np.ndarray, header: str) -> None:
+    """The bytes of ``np.savetxt(path, rows, delimiter=",", header=header,
+    comments="", fmt="%.17g")`` for a 2D float array: the header line, then
+    one line per row.  A block of ``_CSV_BLOCK`` rows at a time goes to
+    Python floats (``tolist``), each row through one ``%`` of the row
+    format, and the block's lines are written together, so no whole-file
+    string is held."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for s in range(0, len(rows), _CSV_BLOCK):
+            fh.write("".join([line % tuple(r)
+                              for r in rows[s:s + _CSV_BLOCK].tolist()]))
+
+
 def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
                   out_dir, kin_residuals: np.ndarray | None = None) -> dict:
     """diagnostics.csv, snapshot_<k>.csv of every tenth frame, and last
@@ -303,8 +321,7 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
     ])
     header = ("t,normGradXminusI,normZminusI_theta,normJminus1_theta,"
               "J_min,J_max,energy,dissipation,kinematic_residual_max")
-    np.savetxt(out / "diagnostics.csv", rows, delimiter=",", header=header,
-               comments="", fmt="%.17g")
+    _write_csv(out / "diagnostics.csv", rows, header)
 
     dim = bundle.grid.dim
     label_cols = [f"label_y{i + 1}" for i in range(dim)]
@@ -319,8 +336,7 @@ def write_outputs(bundle: SolutionBundle, snapshots: list[MovingDomainSnapshot],
             s.rho.reshape(-1, 1), s.u.reshape(-1, dim), s.J.reshape(-1, 1),
         ])
         path = out / f"snapshot_{k}.csv"
-        np.savetxt(path, flat, delimiter=",", header=snap_header,
-                   comments="", fmt="%.17g")
+        _write_csv(path, flat, snap_header)
         written.append(path.name)
     summary["snapshots"] = written
     with open(out / "summary.json", "w") as fh:

@@ -42,7 +42,8 @@ block of leading axes at a time.  The label flow's variational sums
 component-major across the flow's steps and add all terms of a sum by one
 reduction over a scratch array, in einsum's order.  The Slobodeckij
 window's pair rows (:class:`SlobodeckijWindow`) do not mirror einsum: they
-sum a pair's squared components in storage order, left to right.
+sum a pair's squared components in storage order, left to right, as the
+fused norm kernel of :func:`frame_norms` sums each derivative's.
 """
 
 from __future__ import annotations
@@ -548,13 +549,16 @@ def _contract_block(plan: tuple, ops: list[np.ndarray], out: np.ndarray) -> None
 # norms
 # ---------------------------------------------------------------------------
 
-# bytes of one frame_chunks pass's second derivatives, which sizes the
-# derivative and norm passes (the label flow's drift gradient, the flow
-# window's and the monitor's norms, the validator's passes; the map
-# assembly's passes are nonlinear._PASS_NODES), and of one block of a
-# contract sum: whole-window derivative temporaries would raise a path's
-# peak memory, one frame per pass would leave numpy call overhead in charge
-# on small grids
+# sizes the derivative and norm passes (the label flow's drift gradient,
+# the flow window's and the monitor's norms, the validator's passes; the
+# map assembly's passes are nonlinear._PASS_NODES) and one block of a
+# contract sum.  frame_chunks gives a pass dim^2 frames' worth of values
+# per _CHUNK_BYTES, the size its second-derivative stack would have; no
+# solver pass holds one (frame_norms holds one or two scratch copies of its
+# frames, the largest pass stack is a gradient), so a pass holds well under
+# _CHUNK_BYTES.  Whole-window temporaries would raise a path's peak memory,
+# one frame per pass would leave numpy call overhead in charge on small
+# grids
 _CHUNK_BYTES = 1 << 19
 
 _ORDER = {"Lq": 0, "H1q": 1, "H2q": 2}
@@ -563,8 +567,9 @@ _ORDER = {"Lq": 0, "H1q": 1, "H2q": 2}
 def frame_chunks(grid: Grid, n_frames: int, frame_size: int) -> list[slice]:
     """Slices of ``n_frames`` frames of ``frame_size`` values each, one per pass.
 
-    A pass holds about ``_CHUNK_BYTES`` of second derivatives (at least one
-    frame).
+    A pass has about ``_CHUNK_BYTES / dim^2`` bytes of frame values (at
+    least one frame), the size a second-derivative stack of the pass would
+    have in ``_CHUNK_BYTES``; the passes now hold at most a gradient stack.
     """
     step = max(1, _CHUNK_BYTES // (8 * frame_size * grid.dim**2))
     return [slice(i, min(i + step, n_frames)) for i in range(0, n_frames, step)]
@@ -588,38 +593,93 @@ def _norm_parts(grid: Grid, stack: np.ndarray, kind: str) -> list[np.ndarray]:
     return parts
 
 
-def _lq_pow(grid: Grid, stack: np.ndarray, q: float) -> np.ndarray:
-    """Per frame of a stack: quadrature of |f|^q, Euclidean/Frobenius |.|."""
-    node_axes = tuple(range(1, 1 + grid.dim))
-    comp_axes = tuple(range(1 + grid.dim, stack.ndim))
-    mag2 = np.sum(stack * stack, axis=comp_axes) if comp_axes else stack * stack
-    return np.sum(grid.quad_weights * mag2 ** (q / 2.0), axis=node_axes)
-
-
-def _norm_pow(grid: Grid, parts: list[np.ndarray], q: float) -> np.ndarray:
-    """Per frame: sum over ``parts`` of the quadrature of |part|^q."""
-    total = _lq_pow(grid, parts[0], q)
-    for part in parts[1:]:
-        total += _lq_pow(grid, part, q)
+def _row_sum(sq: np.ndarray) -> np.ndarray:
+    """The components of the (rows, C) squares ``sq`` added in storage
+    order, sq[:, 0] + sq[:, 1] + ..., as a new (rows,) array."""
+    if sq.shape[1] == 1:
+        return sq[:, 0].copy()
+    total = np.add(sq[:, 0], sq[:, 1])
+    for c in range(2, sq.shape[1]):
+        total += sq[:, c]
     return total
+
+
+def _quadrature_pow(grid: Grid, sums: list[np.ndarray], q: float) -> np.ndarray:
+    """Per frame: the node quadrature of the sum over ``sums`` (each
+    (frames, nodes) squared magnitudes |part|^2) of |part|^q, every power
+    by ``_half_q_pow``, added node by node in the order of ``sums``."""
+    acc = _half_q_pow(sums[0], q, np.empty_like(sums[0]))
+    if len(sums) > 1:
+        power = np.empty_like(acc)
+        for sq in sums[1:]:
+            acc += _half_q_pow(sq, q, power)
+    acc *= grid.quad_weights.reshape(-1)
+    return np.add.reduce(acc, axis=1)
+
+
+def _frame_pow(grid: Grid, f: np.ndarray, order: int, q: float) -> np.ndarray:
+    """|f_k|^q of the Lq (order 0), H1q (1) or H2q (2) norm of every frame
+    f_k of a stack, with no stack of derivatives.
+
+    Each derivative is written by ``_d1`` or ``_d2_pure`` into one reused
+    scratch frame stack, squared there and its components added in storage
+    order (``_row_sum``) straight away, so a part's squared magnitude
+    per node is a running sum: |grad f|^2 = sum_k |d_k f|^2 and |D^2 f|^2
+    = sum_k (|d_kk f|^2 + 2 sum_{l>k} |d_l d_k f|^2), k outermost.  The
+    mixed derivative d_l d_k f is ``_d1`` along l of d_k f, which is why
+    H2q holds a second scratch.
+    """
+    m, dim = len(f), grid.dim
+    rows = (m * grid.n_nodes, -1)
+    d1 = np.empty(f.shape)
+    sums = [_row_sum(np.multiply(f, f, out=d1).reshape(rows))]
+    if order >= 1:
+        d2 = np.empty(f.shape) if order >= 2 else None
+        grad2 = hess2 = None
+        for k in range(dim):
+            _d1(f, 1 + k, grid.spacing[k], d1)
+            if order >= 2:
+                _d2_pure(f, 1 + k, grid.spacing[k], d2)
+                s = _row_sum(np.multiply(d2, d2, out=d2).reshape(rows))
+                if hess2 is None:
+                    hess2 = s
+                else:
+                    hess2 += s
+                for l in range(k + 1, dim):
+                    _d1(d1, 1 + l, grid.spacing[l], d2)
+                    s = _row_sum(np.multiply(d2, d2, out=d2).reshape(rows))
+                    s *= 2.0
+                    hess2 += s
+            s = _row_sum(np.multiply(d1, d1, out=d1).reshape(rows))
+            if grad2 is None:
+                grad2 = s
+            else:
+                grad2 += s
+        sums += [grad2, hess2][:order]
+    return _quadrature_pow(grid, [s.reshape(m, -1) for s in sums], q)
 
 
 def _qth_root(total_pow: np.ndarray, q: float) -> np.ndarray:
     # scalar pow per frame: numpy's vectorized pow can differ from it in the
-    # last bit, and the E1 norm (hence kappa) is kept bit for bit
+    # last bit, and a frame's norm is the same alone and in a stack
     return np.array([t ** (1.0 / q) for t in total_pow.tolist()])
 
 
 def frame_norms(grid: Grid, stack: np.ndarray, kind: str, q: float) -> np.ndarray:
     """Lq, H1q or H2q norm of every frame of a stack (leading frame axis).
 
-    The frames go through in ``frame_chunks``; the values equal the ones of
-    each frame taken on its own.
+    One fused pass per ``frame_chunks`` slice (``_frame_pow``): the
+    quadrature of (|f|^2)^(q/2), plus (sum_k |d_k f|^2)^(q/2) for H1q and
+    H2q, plus (sum_k |d_kk f|^2 + 2 sum_{k<l} |d_l d_k f|^2)^(q/2) for H2q,
+    |.| the Euclidean (Frobenius) norm over the components.  No gradient or
+    Hessian stack is built: a pass holds one or two scratch copies of its
+    frames and a few per-node rows.  The values equal the ones of each
+    frame taken on its own, bit for bit.
     """
     _check_norm(kind, q)
     total = np.empty(len(stack))
     for sl in frame_chunks(grid, len(stack), int(np.prod(stack.shape[1:]))):
-        total[sl] = _norm_pow(grid, _norm_parts(grid, stack[sl], kind), q)
+        total[sl] = _frame_pow(grid, stack[sl], _ORDER[kind], q)
     return _qth_root(total, q)
 
 
@@ -709,8 +769,10 @@ class SlobodeckijWindow:
     ``m @ w_flat``, before the next series starts, so each series has the
     arithmetic of a window of its own.
     ``pair_pow[n]`` (series, n) keeps row n, |f_n - f_i|_X^p for i < n, and
-    ``frame_pow[s, n]`` is |f_n|_X^p of series s from the kernel of
-    :func:`frame_norms`; ``norms`` gives both as norms.
+    ``frame_pow[s, n]`` is |f_n|_X^p of series s, taken at ``load`` from the
+    stored rows with the pair rows' component sum and ``_half_q_pow``, by
+    the quadrature of :func:`frame_norms` (``_quadrature_pow``); ``norms``
+    gives both as norms.
     """
 
     def __init__(self, grid: Grid, times: np.ndarray, theta: float, p: float,
@@ -767,7 +829,12 @@ class SlobodeckijWindow:
                                    for a in parts])
             for buf, a in zip(self.parts[s], parts):
                 buf[k:k + m] = a.reshape(m, npts, -1).transpose(0, 2, 1)
-            norm_pow = _norm_pow(self.grid, parts, self.q)
+            del parts
+            # the stored rows' squares, added over the components in
+            # storage order as in _pair_sq
+            sums = [np.add.reduce(np.square(buf[k:k + m]), axis=1)
+                    for buf in self.parts[s]]
+            norm_pow = _quadrature_pow(self.grid, sums, self.q)
             self.frame_pow[s, k:k + m] = norm_pow ** (self.p / self.q)
         if first:
             self._allocate_scratch()

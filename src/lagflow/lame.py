@@ -297,8 +297,9 @@ def solve_lame(op: LameOperator, f: np.ndarray | None, g: np.ndarray | None,
     ``f`` (L - 1, *ext, dim) and ``g`` (L - 1, n_boundary, dim) hold step
     data for the L levels of ``times``, as the Brownian increments do: frame
     n drives the step n -> n + 1, at the level it steps to.  Each is an
-    array or None (zero); another frame count raises ``ValueError``.  ``f``
-    is read at the interior nodes only: the traction rows replace its
+    array or None (zero); another frame count raises ``ValueError``, and
+    so do ``times`` not uniform from 0 (``TimeSeries``), before any work.
+    ``f`` is read at the interior nodes only: the traction rows replace its
     boundary rows, which is why ``nonlinear.assemble_window`` assembles F_u
     on the interior nodes alone.  B u0 = g(0) is not checked here
     (``fixedpoint.compatibility_check``).  A one-level grid gives u0 as a
@@ -309,10 +310,12 @@ def solve_lame(op: LameOperator, f: np.ndarray | None, g: np.ndarray | None,
     if any(a is not None and len(a) != L - 1 for a in (f, g)):
         raise ValueError(f"source and boundary data on {L} levels need one "
                          f"frame per step, {L - 1}")
-    out = np.empty((L,) + op.grid.extent + (op.grid.dim,))
-    out[0] = u0.values
+    # the series checks the times before any work
+    out = TimeSeries(op.grid, times,
+                     np.empty((L,) + op.grid.extent + (op.grid.dim,)))
+    out.values[0] = u0.values
     if L == 1:
-        return TimeSeries(op.grid, times, out)
+        return out
     dt = times[1] - times[0]
     lu = op.stepper(dt)
     mask = op.boundary_row_mask
@@ -324,8 +327,8 @@ def solve_lame(op: LameOperator, f: np.ndarray | None, g: np.ndarray | None,
         if not np.all(np.isfinite(v)):
             raise RuntimeError(f"linear solve produced non-finite values at "
                                f"t = {times[n + 1]:.6g}")
-        out[n + 1] = op.from_flat(v)
-    return TimeSeries(op.grid, times, out)
+        out.values[n + 1] = op.from_flat(v)
+    return out
 
 
 def solve_stoch_convolution(op: LameOperator, R: np.ndarray,

@@ -15,6 +15,15 @@ residual and ``write_outputs``.  The digest covers
 - the kinematic residual, in both dimensions
 - the bytes of every file ``write_outputs`` writes
 
+``--physics`` hashes only the outputs that a change of norm values by
+round-off must leave alone (``PHYSICS_ITEMS``, ``PHYSICS_MONITOR``): v,
+rho, U, ubar, the window's X, grad X, Z, J and times, the solve's times,
+tau (``float.hex``), the iteration count, the monitor's ``fired_index``
+and the validation verdict (the report's ``passed`` flags); with
+``--certifications`` its lines carry the counts too.  A change that moves
+the monitor norms, kappa or the validator's gaps by round-off but keeps
+these bits prints the same ``--physics`` lines at both checkouts.
+
 A path that raises is digested by its exception.  ``lagflow`` comes from
 ``PYTHONPATH``, so any checkout can be digested, for example
 
@@ -89,6 +98,9 @@ MONITOR_ITEMS = MONITOR_ARRAYS + ("fired", "fired_index")
 BUNDLE_ITEMS = SERIES + ("rho", "times", "window", "monitor", "tau", "kappa",
                          "iterations", "converged", "rho_positive", "seed",
                          "diffs", "energy")
+# the subset that --physics hashes, in the order it is hashed
+PHYSICS_ITEMS = SERIES + ("rho", "times", "window", "tau", "iterations")
+PHYSICS_MONITOR = ("fired_index",)
 NOT_HASHED = {
     "grid": "the workload's input grid, the same on every path",
     "problem": "the noise-free set-up (inputs, Lame operator, impulse "
@@ -161,8 +173,15 @@ def _plain(obj):
     raise TypeError(f"cannot digest {type(obj).__name__}")
 
 
+def verdict(report: dict) -> dict:
+    """The ``passed`` flags of a validation report, by part."""
+    return {key: part["passed"] if isinstance(part, dict) else part
+            for key, part in sorted(report.items())
+            if isinstance(part, dict) or key == "passed"}
+
+
 def digest_solution(d: Digest, w, inputs, bseed: int,
-                    peaks: list | None) -> None:
+                    peaks: list | None, physics: bool = False) -> None:
     bundle = noise.sample_brownian(inputs.Q.K, inputs.forcing.M,
                                    inputs.cfg.T, inputs.cfg.dt, bseed)
     setup = (inputs.rho0, inputs.u0, inputs.params, inputs.cfg)
@@ -183,6 +202,13 @@ def digest_solution(d: Digest, w, inputs, bseed: int,
     for name in WINDOW_ARRAYS:
         d.array(f"window.{name}", getattr(sol.window, name))
     mon = sol.monitor
+    if physics:
+        d.floats("tau", (sol.tau,))
+        d.text("iterations fired_index",
+               repr((sol.iterations, mon.fired_index)))
+        report = eulerian.validate_solution(sol, inputs.params)
+        d.text("verdict", repr(verdict(report)))
+        return
     for name in MONITOR_ARRAYS:
         d.array(f"monitor.{name}", getattr(mon, name))
     d.text("monitor.fired", repr((bool(mon.fired), mon.fired_index)))
@@ -206,12 +232,13 @@ def digest_solution(d: Digest, w, inputs, bseed: int,
             d.raw(f"file.{path.name}", path.read_bytes())
 
 
-def path_digest(w, inputs, bseed: int, peaks: list | None) -> str:
-    """The path's sha256; its tracemalloc peak is appended to ``peaks``
-    unless that is None."""
+def path_digest(w, inputs, bseed: int, peaks: list | None,
+                physics: bool = False) -> str:
+    """The path's sha256, of the ``--physics`` subset if ``physics``; its
+    tracemalloc peak is appended to ``peaks`` unless that is None."""
     d = Digest()
     try:
-        digest_solution(d, w, inputs, bseed, peaks)
+        digest_solution(d, w, inputs, bseed, peaks, physics)
     except Exception as exc:     # a failed path is an output too
         d.text("error", f"{type(exc).__name__}: {exc}")
     return d.hexdigest()
@@ -244,6 +271,9 @@ def main(argv=None) -> int:
     ap.add_argument("--peak", action="store_true",
                     help="append each path's tracemalloc peak of "
                          "picard_solve in bytes")
+    ap.add_argument("--physics", action="store_true",
+                    help="hash only the outputs a round-off change of norm "
+                         "values must leave alone")
     ap.add_argument("--certifications", action="store_true",
                     help="append each path's counts of certified, declined "
                          "and exact monitor runs")
@@ -271,7 +301,7 @@ def main(argv=None) -> int:
     decisions = MonitorDecisions() if args.certifications else None
     for index in indices:
         bseed = path_seed(args.seed, index)
-        digest = path_digest(w, inputs, bseed, peaks)
+        digest = path_digest(w, inputs, bseed, peaks, args.physics)
         print(name, args.seed, index, bseed, digest,
               *(peaks[-1:] if args.peak else []),
               *([decisions.take()] if decisions else []), flush=True)

@@ -318,3 +318,25 @@ def test_written_outputs_reload_exactly(noise_path, tmp_path):
                                  "fluid": dataclasses.asdict(problem.params)}
     assert on_disk["config"]["solve"]["T"] == NOISE_PATHS[dim][1]
     assert (on_disk["tau"], on_disk["kappa"]) == (sol.tau, sol.kappa)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 700])
+def test_csv_writer_matches_savetxt_byte_for_byte(tmp_path, monkeypatch,
+                                                  n_rows):
+    # write_outputs writes its CSVs a block of rows at a time; the bytes
+    # are np.savetxt's at fmt="%.17g", the special values and a block
+    # boundary included (700 rows are three blocks of 256, 256 and 188)
+    monkeypatch.setattr(lagflow.eulerian, "_CSV_BLOCK", 256)
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2e-308, 1e300,
+               -1e300, 1.0 / 3.0, 0.1]
+    rows = np.random.default_rng(4).normal(size=(n_rows, len(special)))
+    rows *= 10.0 ** np.random.default_rng(5).uniform(-20, 20, rows.shape)
+    if n_rows:
+        rows[0] = special
+        rows[-1] = special[::-1]
+    header = ",".join(f"c{i}" for i in range(len(special)))
+    np.savetxt(tmp_path / "want.csv", rows, delimiter=",", header=header,
+               comments="", fmt="%.17g")
+    lagflow.eulerian._write_csv(tmp_path / "got.csv", rows, header)
+    assert ((tmp_path / "got.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())

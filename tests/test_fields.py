@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import derivative_oracle
 import lagflow.fields
+import norm_oracle
 from flow_oracle import component_sum, loop_pair_row
 from lagflow.fields import (
     Field,
@@ -317,6 +318,31 @@ def test_norm_triangle_inequality(seed):
         rhs = (spatial_norm(g, f1.values, kind, 4)
                + spatial_norm(g, f2.values, kind, 4))
         assert lhs <= rhs + 1e-12 * (1 + rhs)
+
+
+@pytest.mark.parametrize("q", [8.0, 7.0, 2.0])
+@pytest.mark.parametrize("kind", ["Lq", "H1q", "H2q"])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("grid", [Grid(2, (11, 13), ((0.0, 1.3), (-0.5, 0.2))),
+                                  Grid(3, (9, 10, 11))], ids=["2d", "3d"])
+def test_frame_norms_match_the_materialized_oracle(grid, rank, kind, q):
+    # the fused kernel against the norms of whole gradient and Hessian
+    # stacks: q = 8 takes its powers by repeated multiplication, q = 7 by
+    # np.power and q = 2 is the squares themselves.  Its values agree to
+    # round-off, and each frame's norm is the same bits alone and in the
+    # stack (one pass of six frames, or two of three)
+    rng = np.random.default_rng(100 * grid.dim + 10 * rank + int(q))
+    shape = (6,) + grid.extent + (grid.dim,) * rank
+    stack = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2, 2, shape)
+    want = norm_oracle.frame_norms(grid, stack, kind, q)
+    got = frame_norms(grid, stack, kind, q)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    alone = np.array([spatial_norm(grid, f, kind, q) for f in stack])
+    assert got.tobytes() == alone.tobytes()
+    frame = 8 * stack[0].size * grid.dim**2      # frame_chunks' bytes per frame
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lagflow.fields, "_CHUNK_BYTES", 3 * frame)
+        assert frame_norms(grid, stack, kind, q).tobytes() == got.tobytes()
 
 
 def test_timeseries_norm_monotone_in_window(grid):

@@ -696,6 +696,24 @@ def test_window_keeps_the_monitor_values_of_grad_x(dim, monkeypatch):
             assert np.array_equal(_valid_levels(w, eps, g), want_valid)
 
 
+@pytest.mark.parametrize("q", [EXP_Q, 8.0, 7.0])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_overflowing_rejected_level_raises_no_warning(dim, q):
+    # a level far outside the guard overflows its H^{1,q} norm inside the
+    # fused kernel, by repeated multiplication (q = 8) or np.power (q = 7);
+    # from_map's errstate covers every step of it, so no warning escapes,
+    # whatever the warning filters say, and the other levels stay finite
+    g = Grid(dim, 9)
+    times = TIMES[:6]
+    gradX, X = smooth_window(g, times, np.random.default_rng(dim), 0.3)
+    gradX[3] *= 1e50
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = FlowWindow.from_map(times, X, gradX, g, q)
+    assert w.dev_h1q[3] == np.inf
+    assert np.all(np.isfinite(np.delete(w.dev_h1q, 3)))
+
+
 def test_singular_level_gets_nan_inverse():
     # one singular level of grad X: it gets a NaN Z and the monitor's
     # guard marks it invalid, without a warning; the inverses of the other

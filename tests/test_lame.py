@@ -569,10 +569,15 @@ def test_forcing_responses_of_no_modes_take_no_step_solve(monkeypatch):
     assert calls == [] and not op._steppers
 
 
-def test_solve_lame_refuses_non_uniform_times(op):
-    # it used to return the values of the uniform 1e-3 run under these times
+def test_solve_lame_refuses_non_uniform_times(monkeypatch):
+    # it used to return the values of the uniform 1e-3 run under these
+    # times, and then raised only after factoring the step and making every
+    # step solve; it refuses them before any work
+    o = LameOperator(GRID, Field(GRID, np.ones(GRID.extent)), PARAMS)
+    calls = counted_solves(monkeypatch)
     with pytest.raises(ValueError, match="uniformly spaced"):
-        solve_lame(op, None, None, Field(GRID, np.zeros(GRID.extent + (2,))), [0.0, 1e-3, 3e-3])
+        solve_lame(o, None, None, Field(GRID, np.zeros(GRID.extent + (2,))), [0.0, 1e-3, 3e-3])
+    assert calls == [] and not o._steppers
 
 
 def test_solve_lame_on_one_level_returns_u0(monkeypatch):

@@ -300,3 +300,6 @@ def test_output_digest_names_every_record_value():
     assert not set(digest.BUNDLE_ITEMS) & set(digest.NOT_HASHED)
     assert all(digest.NOT_HASHED.values())
     assert values(MonitorResult) == set(digest.MONITOR_ITEMS)
+    # the --physics subset names values the full digest hashes
+    assert set(digest.PHYSICS_ITEMS) <= set(digest.BUNDLE_ITEMS)
+    assert set(digest.PHYSICS_MONITOR) <= set(digest.MONITOR_ITEMS)
