@@ -593,13 +593,13 @@ def _norm_parts(grid: Grid, stack: np.ndarray, kind: str) -> list[np.ndarray]:
     return parts
 
 
-def _row_sum(sq: np.ndarray) -> np.ndarray:
-    """The components of the (rows, C) squares ``sq`` added in storage
-    order, sq[:, 0] + sq[:, 1] + ..., as a new (rows,) array."""
-    if sq.shape[1] == 1:
-        return sq[:, 0].copy()
-    total = np.add(sq[:, 0], sq[:, 1])
-    for c in range(2, sq.shape[1]):
+def _sq_sum(grid: Grid, a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """|a|^2 per node of the frame stack ``a``, flat: its components are
+    squared into ``scratch`` (``a`` itself or another array of its shape)
+    and added in storage order, sq_0 + sq_1 + ..., into a new array."""
+    sq = np.multiply(a, a, out=scratch).reshape(len(a) * grid.n_nodes, -1)
+    total = sq[:, 0].copy()
+    for c in range(1, sq.shape[1]):
         total += sq[:, c]
     return total
 
@@ -609,10 +609,9 @@ def _quadrature_pow(grid: Grid, sums: list[np.ndarray], q: float) -> np.ndarray:
     (frames, nodes) squared magnitudes |part|^2) of |part|^q, every power
     by ``_half_q_pow``, added node by node in the order of ``sums``."""
     acc = _half_q_pow(sums[0], q, np.empty_like(sums[0]))
-    if len(sums) > 1:
-        power = np.empty_like(acc)
-        for sq in sums[1:]:
-            acc += _half_q_pow(sq, q, power)
+    power = np.empty_like(acc)
+    for sq in sums[1:]:
+        acc += _half_q_pow(sq, q, power)
     acc *= grid.quad_weights.reshape(-1)
     return np.add.reduce(acc, axis=1)
 
@@ -621,42 +620,26 @@ def _frame_pow(grid: Grid, f: np.ndarray, order: int, q: float) -> np.ndarray:
     """|f_k|^q of the Lq (order 0), H1q (1) or H2q (2) norm of every frame
     f_k of a stack, with no stack of derivatives.
 
-    Each derivative is written by ``_d1`` or ``_d2_pure`` into one reused
-    scratch frame stack, squared there and its components added in storage
-    order (``_row_sum``) straight away, so a part's squared magnitude
-    per node is a running sum: |grad f|^2 = sum_k |d_k f|^2 and |D^2 f|^2
-    = sum_k (|d_kk f|^2 + 2 sum_{l>k} |d_l d_k f|^2), k outermost.  The
-    mixed derivative d_l d_k f is ``_d1`` along l of d_k f, which is why
-    H2q holds a second scratch.
+    Each derivative is written by ``_d1`` or ``_d2_pure`` into a reused
+    scratch stack and squared there, and its components are added in
+    storage order (``_sq_sum``) straight away, into running sums from +0.0
+    per node: |grad f|^2 = sum_k |d_k f|^2 and |D^2 f|^2 = sum_k (|d_kk f|^2
+    + 2 sum_{l>k} |d_l d_k f|^2), k outermost.  The mixed derivative
+    d_l d_k f is ``_d1`` along l of d_k f, so H2q holds a second scratch.
     """
-    m, dim = len(f), grid.dim
-    rows = (m * grid.n_nodes, -1)
+    h = grid.spacing
     d1 = np.empty(f.shape)
-    sums = [_row_sum(np.multiply(f, f, out=d1).reshape(rows))]
-    if order >= 1:
-        d2 = np.empty(f.shape) if order >= 2 else None
-        grad2 = hess2 = None
-        for k in range(dim):
-            _d1(f, 1 + k, grid.spacing[k], d1)
-            if order >= 2:
-                _d2_pure(f, 1 + k, grid.spacing[k], d2)
-                s = _row_sum(np.multiply(d2, d2, out=d2).reshape(rows))
-                if hess2 is None:
-                    hess2 = s
-                else:
-                    hess2 += s
-                for l in range(k + 1, dim):
-                    _d1(d1, 1 + l, grid.spacing[l], d2)
-                    s = _row_sum(np.multiply(d2, d2, out=d2).reshape(rows))
-                    s *= 2.0
-                    hess2 += s
-            s = _row_sum(np.multiply(d1, d1, out=d1).reshape(rows))
-            if grad2 is None:
-                grad2 = s
-            else:
-                grad2 += s
-        sums += [grad2, hess2][:order]
-    return _quadrature_pow(grid, [s.reshape(m, -1) for s in sums], q)
+    d2 = np.empty(f.shape) if order >= 2 else None
+    sums = [_sq_sum(grid, f, d1)]
+    sums += [np.zeros_like(sums[0]) for _ in range(order)]
+    for k in range(grid.dim if order else 0):
+        _d1(f, 1 + k, h[k], d1)
+        if order >= 2:
+            sums[2] += _sq_sum(grid, _d2_pure(f, 1 + k, h[k], d2), d2)
+            for l in range(k + 1, grid.dim):
+                sums[2] += 2.0 * _sq_sum(grid, _d1(d1, 1 + l, h[l], d2), d2)
+        sums[1] += _sq_sum(grid, d1, d1)
+    return _quadrature_pow(grid, [s.reshape(len(f), -1) for s in sums], q)
 
 
 def _qth_root(total_pow: np.ndarray, q: float) -> np.ndarray:
