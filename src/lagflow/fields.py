@@ -555,8 +555,8 @@ def _contract_block(plan: tuple, ops: list[np.ndarray], out: np.ndarray) -> None
 # contract sum.  frame_chunks gives a pass dim^2 frames' worth of values
 # per _CHUNK_BYTES, the size its second-derivative stack would have; no
 # solver pass holds one (frame_norms holds one or two scratch copies of its
-# frames, the largest pass stack is a gradient), so a pass holds well under
-# _CHUNK_BYTES.  Whole-window temporaries would raise a path's peak memory,
+# frames, the largest pass stack is a gradient), so a pass holds at most
+# about _CHUNK_BYTES / dim.  Whole-window temporaries would raise a path's peak memory,
 # one frame per pass would leave numpy call overhead in charge on small
 # grids
 _CHUNK_BYTES = 1 << 19
@@ -569,7 +569,7 @@ def frame_chunks(grid: Grid, n_frames: int, frame_size: int) -> list[slice]:
 
     A pass has about ``_CHUNK_BYTES / dim^2`` bytes of frame values (at
     least one frame), the size a second-derivative stack of the pass would
-    have in ``_CHUNK_BYTES``; the passes now hold at most a gradient stack.
+    have in ``_CHUNK_BYTES``; the passes hold at most a gradient stack.
     """
     step = max(1, _CHUNK_BYTES // (8 * frame_size * grid.dim**2))
     return [slice(i, min(i + step, n_frames)) for i in range(0, n_frames, step)]
